@@ -1,12 +1,8 @@
-"""Eigenvalues of 1-d and radial Schroedinger wells via the angular
-Riccati flow and the monotone spectral defect angle."""
+"""Eigenvalues of 1-d and radial Schroedinger wells via the angular Riccati
+flow and the monotone spectral defect angle."""
 
-from .angular import (AngularState, IntegratorConfig, angular_rhs,
-                      integrate_angle, integrate_angle_transformed,
-                      log_amplitude_rhs, scaled_angular_rhs)
-from .cues import (BoundaryAngles, CueSeries, compact_support_angles,
-                   coulomb_infinity_f, coulomb_zero_cue_coeffs, cue_angle,
-                   oscillator_cue_coeffs, quark_cue_infinity, quark_cue_zero,
+from .angular import AngularState, IntegratorConfig, integrate_angle
+from .cues import (CueSeries, coulomb_zero_cue_coeffs, oscillator_cue_coeffs,
                    verify_cue_residual, yukawa_zero_cue_coeffs)
 from .errors import (ConfigError, DomainError, IntegrationError,
                      IntervalSelectionError, MonotonicityError,
@@ -16,13 +12,12 @@ from .oracle import (FdResult, PhaseState, TransferMatrix, fd_eigenvalues,
 from .potentials import (Coulomb, HalfLine, HybridOscillator,
                          PiecewiseConstant, ProblemSpec, QuarkHybrid,
                          SquareWell, Tabulated, TruncatedOscillator,
-                         WholeLine, Yukawa, effective_radial, evaluate,
-                         problem_for, validate_problem)
+                         WholeLine, Yukawa, effective_radial, problem_for,
+                         validate_problem)
 from .spectrum import (DefectSample, Eigenvalue, EigenfunctionSamples,
                        SolveConfig, SpectrumResult, auto_interval,
                        count_levels, defect_angle, defect_angles,
                        find_eigenvalues,
                        find_eigenvalues_scaled, reconstruct_eigenfunction)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

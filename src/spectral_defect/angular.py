@@ -10,7 +10,6 @@ ordinary unwrapped real variable.  The log-amplitude co-integrates as
 d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +17,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
-from .potentials import PotentialSpec, ProblemSpec, evaluate
+from .potentials import ProblemSpec
+
+_EXPLICIT_METHODS = ("RK23", "RK45", "DOP853")
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,14 @@ class AngularState:
 class IntegratorConfig:
     """Tolerances and limits for the adaptive embedded-pair integrator.
 
-    method is any explicit scipy solve_ivp scheme; DOP853 is the default
-    because the 1e-12 tolerances make a high-order pair much cheaper than a
-    4(5) pair at equal accuracy ("RK45" remains available).
+    method is an explicit scipy solve_ivp scheme: RK23, RK45 or DOP853.
+    DOP853 is the default because the 1e-12 tolerances make a high-order
+    pair much cheaper than a 4(5) pair at equal accuracy.
     """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    initial_step: Optional[float] = None
     method: str = "DOP853"
 
     def __post_init__(self):
@@ -50,39 +50,10 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-
-
-# ---------------------------------------------------------------------------
-# Right-hand sides
-# ---------------------------------------------------------------------------
-
-def angular_rhs(potential: PotentialSpec, E: float, t: float,
-                alpha: float) -> float:
-    """2 [V(t) - E] cos^2(alpha) - sin^2(alpha)."""
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    return 2.0 * (evaluate(potential, t) - E) * c * c - s * s
-
-
-def log_amplitude_rhs(potential: PotentialSpec, E: float, t: float,
-                      alpha: float) -> float:
-    """[V(t) - E + 1/2] sin(2 alpha)."""
-    return (evaluate(potential, t) - E + 0.5) * math.sin(2.0 * alpha)
-
-
-def scaled_angular_rhs(potential: PotentialSpec, E: float, t: float,
-                       alpha: float) -> float:
-    """Angular rate in the squeezing-adapted chart, valid for E < 0.
-
-    sqrt(2|E|) cos(2 alpha) + sqrt(2/|E|) V(t) cos^2(alpha); the limiting
-    angles become +-pi/4 independently of E.
-    """
-    if not E < 0:
-        raise DomainError("scaled angular chart requires E < 0")
-    c = math.cos(alpha)
-    root = math.sqrt(2.0 * abs(E))
-    return (root * math.cos(2.0 * alpha)
-            + (2.0 / root) * evaluate(potential, t) * c * c)
+        if self.method not in _EXPLICIT_METHODS:
+            raise ValueError(f"method must be one of "
+                             f"{', '.join(_EXPLICIT_METHODS)}, got "
+                             f"{self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +77,6 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
     for s0, s1 in zip(*(lambda p: (p[:-1], p[1:]))(
             _segment_points(a, b, breakpoints))):
         kwargs = {}
-        if config.initial_step is not None:
-            kwargs["first_step"] = min(config.initial_step, abs(s1 - s0))
         if t_eval is not None:
             sel = [t for t in t_eval if s0 <= t <= s1]
             kwargs["t_eval"] = sorted(set(sel + [s1]))
@@ -137,7 +106,7 @@ def _angular_fun(potential, energies, with_amplitude):
     n = energies.size
 
     def fun(t, y):
-        v = evaluate(potential, t)
+        v = potential.evaluate(t)
         alpha = y[:n]
         c = np.cos(alpha)
         s = np.sin(alpha)
@@ -157,7 +126,7 @@ def _scaled_fun(potential, energies):
     roots = np.sqrt(2.0 * np.abs(energies))
 
     def fun(t, y):
-        v = evaluate(potential, t)
+        v = potential.evaluate(t)
         c = np.cos(y)
         return roots * np.cos(2.0 * y) + (2.0 / roots) * v * c * c
 
@@ -225,32 +194,3 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float,
     _, ts, ys = _integrate_vector(fun, a, b, y0, config,
                                   potential.breakpoints(), t_eval=list(t_eval))
     return ts, ys[0], ys[1]
-
-
-def integrate_angle_transformed(problem: ProblemSpec, E: float,
-                                alpha_start: float,
-                                config: IntegratorConfig) -> AngularState:
-    """Same flow in the compactified chart x = t / (1 + t).
-
-    Half-line problems only; useful when b is very large.  Agrees with
-    integrate_angle within combined tolerances.
-    """
-    if problem.interval is None:
-        raise DomainError("needs an explicit interval")
-    a, b = problem.interval
-    if a <= 0:
-        raise DomainError("the x = t/(1+t) chart requires the half line")
-    potential = problem.effective_potential()
-
-    def fun(x, y):
-        t = x / (1.0 - x)
-        jac = 1.0 / ((1.0 - x) * (1.0 - x))
-        v = evaluate(potential, t)
-        c = np.cos(y)
-        s = np.sin(y)
-        return (2.0 * (v - E) * c * c - s * s) * jac
-
-    x0, x1 = a / (1.0 + a), b / (1.0 + b)
-    xbreaks = [p / (1.0 + p) for p in potential.breakpoints() if p > 0]
-    y, _, _ = _integrate_vector(fun, x0, x1, [alpha_start], config, xbreaks)
-    return AngularState(t=b, alpha=float(y[0]))

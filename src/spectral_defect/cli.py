@@ -51,7 +51,7 @@ def _get(section, key, cast, required=False, default=None):
     raw = section[key]
     try:
         return cast(raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value {raw!r} for key '{key}' in section "
                           f"[{section.name}]: {exc}", key=key)
 
@@ -95,6 +95,23 @@ def _build_potential(section):
         return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
 
 
+_INTEGRATOR_KEYS = {"rel_tol": ("rel_tol", float),
+                   "abs_tol": ("abs_tol", float),
+                   "max_steps": ("max_steps", lambda raw: int(float(raw))),
+                   "method": ("method", str)}
+_SOLVE_KEYS = {"e_tol": ("e_tol", float),
+               "residual_tol": ("residual_tol", float),
+               "kappa": ("kappa", float),
+               "n_terms": ("n_terms", int),
+               "samples": ("scan_samples", int)}
+
+
+def _fields(section, keys):
+    """Constructor keywords for the keys present; defaults apply otherwise."""
+    return {name: _get(section, key, cast)
+            for key, (name, cast) in keys.items() if key in section}
+
+
 def parse_config(text: str) -> RunConfig:
     """RunConfig from INI text; defaults applied for omitted tolerances."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -105,35 +122,43 @@ def parse_config(text: str) -> RunConfig:
     if "potential" not in parser:
         raise ConfigError("missing required section [potential]",
                           key="potential")
+    for name in ("domain", "tolerances"):
+        if name not in parser:
+            parser.add_section(name)
+    try:
+        return _build_run(parser)
+    except ValueError as exc:
+        # family, domain and config constructors validate their own fields
+        raise ConfigError(str(exc)) from None
+
+
+def _build_run(parser):
     potential = _build_potential(parser["potential"])
 
-    domain = parser["domain"] if "domain" in parser else {"kind": "wholeline"}
-    kind = domain.get("kind", "wholeline").strip().lower()
+    domain = parser["domain"]
+    kind = _get(domain, "kind", str.lower, default="wholeline")
     if kind not in ("wholeline", "halfline"):
         raise ConfigError(f"unknown domain kind {kind!r}", key="kind")
     l = None
     if kind == "halfline":
-        if "l" not in domain:
-            raise ConfigError("half-line domains require the angular "
-                              "momentum key 'l'", key="l")
-        l = int(domain["l"])
+        l = _get(domain, "l", int, required=True)
     elif potential.half_line_only:
         raise ConfigError(f"{type(potential).__name__} lives on the half "
                           "line; set kind = halfline and l", key="kind")
 
+    a, b = _get(domain, "a", float), _get(domain, "b", float)
     interval = None
-    if "a" in domain or "b" in domain:
-        if not ("a" in domain and "b" in domain):
+    if a is not None or b is not None:
+        if a is None or b is None:
             raise ConfigError("explicit intervals need both 'a' and 'b'",
-                              key="a" if "a" not in domain else "b")
-        interval = (float(domain["a"]), float(domain["b"]))
+                              key="a" if a is None else "b")
+        interval = (a, b)
 
     problem = problem_for(potential, l=l, interval=interval)
     validate_problem(problem)
 
     offset = 0.0
-    eref = domain.get("eref", "absolute") if hasattr(domain, "get") else \
-        "absolute"
+    eref = _get(domain, "eref", str, default="absolute")
     if eref not in ("absolute", "tail"):
         raise ConfigError(f"unknown energy reference {eref!r}", key="eref")
     if eref == "tail":
@@ -142,19 +167,10 @@ def parse_config(text: str) -> RunConfig:
                               key="eref")
         offset = problem.right_tail.level
 
-    tol = parser["tolerances"] if "tolerances" in parser else {}
-    integrator = IntegratorConfig(
-        rel_tol=float(tol.get("rel_tol", 1e-12)),
-        abs_tol=float(tol.get("abs_tol", 1e-12)),
-        max_steps=int(float(tol.get("max_steps", 1_000_000))),
-        method=tol.get("method", "DOP853"))
+    tol = parser["tolerances"]
     solve_config = spectrum.SolveConfig(
-        integrator=integrator,
-        e_tol=float(tol.get("e_tol", 1e-10)),
-        residual_tol=float(tol.get("residual_tol", 1e-10)),
-        kappa=float(tol.get("kappa", 1e-3)),
-        n_terms=int(tol.get("n_terms", 16)),
-        scan_samples=int(tol.get("samples", 64)))
+        integrator=IntegratorConfig(**_fields(tol, _INTEGRATOR_KEYS)),
+        **_fields(tol, _SOLVE_KEYS))
 
     params = {}
     if "solve" in parser:

@@ -5,6 +5,11 @@ one boundary.  It solves the Riccati identity f' + f^2 = 2(V_eff - E) and is
 represented as a leading term plus a finite asymptotic series, truncated at
 its smallest term.  arctan(f) at the working-interval endpoint is the
 boundary angle fed to the angular integration.
+
+The tail classes live here, one per kind of boundary: each knows its energy
+threshold, its cue series, the boundary angle and residual built from it and
+where a right boundary search starts.  `potentials` imports this module, so
+problems and potentials are duck-typed here.
 """
 
 import math
@@ -14,11 +19,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import DomainError, ThresholdError
-from .potentials import (
-    ConstantLevel, CoulombTail, CoulombZeroSingularity, OscillatorTail,
-    PotentialSpec, ProblemSpec, QuarkTail, QuarkZeroSingularity, YukawaTail,
-    YukawaZeroSingularity, effective_radial, evaluate,
-)
 
 DEFAULT_N_TERMS = 16
 
@@ -151,85 +151,199 @@ def _pole_leading_series(l, c, n_terms):
 
 
 # ---------------------------------------------------------------------------
-# Cue constructors
+# Tail classes
 # ---------------------------------------------------------------------------
 
-def oscillator_cue_coeffs(omega: float, E: float,
-                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying cue of the pure harmonic tail, f = -omega t + series.
+@dataclass(frozen=True)
+class ConstantLevel:
+    """V identically equal to `level` beyond the boundary.
 
-    Valid as t -> +infinity.  Evaluated at negative t it gives the
-    left-decaying cue: only odd inverse powers survive, so the series is an
-    odd function like the exact f.
+    The decaying solution is exp(-k|t|) with k = sqrt(2 (level - E)), so the
+    boundary angle is exact and no series is needed.
     """
-    if not omega > 0:
-        raise DomainError("oscillator cue needs omega > 0")
-    coeffs = _linear_leading_series(omega, E, {}, n_terms)
-    return CueSeries(LinearTerm(-omega), coeffs, INVERSE_T)
+
+    level: float
+
+    @property
+    def threshold(self) -> float:
+        return self.level
+
+    def boundary_angle(self, E, t, side, n_terms):
+        if not E < self.level:
+            raise ThresholdError(
+                f"E = {E} not below {side} level {self.level}")
+        angle = math.atan(math.sqrt(2.0 * (self.level - E)))
+        return angle if side == "left" else -angle
+
+    def residual(self, problem, E, t, n_terms):
+        v = problem.effective_potential().evaluate(t)
+        k2 = 2.0 * (self.level - E)
+        # constant-tail cue is exact only where V has settled to the level
+        return abs(2.0 * (v - E) - k2)
 
 
-def coulomb_zero_cue_coeffs(l: int, E: float,
-                            n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the Coulomb well, f = (l+1)/t + power series in t."""
-    c = {-1: -2.0, 0: -2.0 * E}
-    return CueSeries(PoleTerm(l + 1.0), _pole_leading_series(l, c, n_terms),
-                     DIRECT_T)
+class _SeriesTail:
+    """A tail whose decaying solution is known through its cue series.
+
+    Subclasses provide cue_series(E, n_terms) and, when they can sit on the
+    right, seed(E_hi, kappa, support_edge): where the boundary search starts.
+    """
+
+    threshold = math.inf
+
+    def boundary_angle(self, E, t, side, n_terms):
+        return math.atan(tail_cue_series(self, E, n_terms).evaluate(t))
+
+    def residual(self, problem, E, t, n_terms):
+        series = tail_cue_series(self, E, n_terms)
+        return verify_cue_residual(series, problem.potential, problem.l, E, t)
 
 
-def yukawa_zero_cue_coeffs(l: int, E: float, screening_lambda: float,
-                           n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the Yukawa well; the screened charge feeds every order."""
-    if not screening_lambda > 0:
-        raise DomainError("yukawa cue needs screening_lambda > 0")
-    lam = screening_lambda
-    c = {s: -2.0 * (-lam) ** (s + 1) / math.factorial(s + 1)
-         for s in range(-1, n_terms)}
-    c[0] -= 2.0 * E
-    return CueSeries(PoleTerm(l + 1.0), _pole_leading_series(l, c, n_terms),
-                     DIRECT_T)
+@dataclass(frozen=True)
+class OscillatorTail(_SeriesTail):
+    """V ~ omega^2 t^2 / 2 as |t| grows."""
+
+    omega: float
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = -omega t + series, valid as t -> +infinity.
+
+        Evaluated at negative t it gives the left-decaying cue: only odd
+        inverse powers survive, so the series is odd like the exact f.
+        """
+        if not self.omega > 0:
+            raise DomainError("oscillator cue needs omega > 0")
+        coeffs = _linear_leading_series(self.omega, E, {}, n_terms)
+        return CueSeries(LinearTerm(-self.omega), coeffs, INVERSE_T)
+
+    def seed(self, E_hi, kappa, support_edge):
+        top = max(E_hi, 0.0)
+        turn = math.sqrt(2.0 * max(top, kappa)) / self.omega
+        return max(1.3 * turn, 4.0 / math.sqrt(self.omega),
+                   support_edge or 0.0)
 
 
-def quark_zero_cue_coeffs(l: int, E: float, omega: float,
-                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the quark hybrid well (Coulomb plus confining term)."""
-    c = {-1: -2.0, 0: -2.0 * E, 2: omega * omega}
-    return CueSeries(PoleTerm(l + 1.0), _pole_leading_series(l, c, n_terms),
-                     DIRECT_T)
+@dataclass(frozen=True)
+class CoulombTail(_SeriesTail):
+    """V ~ -charge/t as t -> +infinity, angular momentum l."""
+
+    l: int
+    charge: float = 1.0
+    threshold = 0.0
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = -sqrt(2|E|) + series in 1/t."""
+        d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
+        return _constant_cue(E, d, n_terms)
+
+    def seed(self, E_hi, kappa, support_edge):
+        seed = max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
+        # clearing the tail by kappa forces charge/b <= |E_hi| - kappa
+        return max(seed, 1.05 * self.charge / max(abs(E_hi) - kappa, 1e-12))
 
 
-def coulomb_infinity_cue_coeffs(l: int, E: float,
-                                n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying Coulomb cue, f = -sqrt(2|E|) + series in 1/t."""
+@dataclass(frozen=True)
+class YukawaTail(_SeriesTail):
+    """V ~ -exp(-lambda t)/t as t -> +infinity."""
+
+    l: int
+    screening_lambda: float
+    threshold = 0.0
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = -sqrt(2|E|) + series in 1/t.
+
+        The screened charge decays faster than every inverse power, so the
+        series sees only the centrifugal tail; the residual against the
+        actual potential accounts for the neglected exponential.
+        """
+        return _constant_cue(E, {2: float(self.l * (self.l + 1))}, n_terms)
+
+    def seed(self, E_hi, kappa, support_edge):
+        return max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
+
+
+@dataclass(frozen=True)
+class QuarkTail(_SeriesTail):
+    """V ~ -1/t + omega^2 t^2 / 2 as t -> +infinity."""
+
+    omega: float
+    l: int
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = -omega t + series in 1/t."""
+        if not self.omega > 0:
+            raise DomainError("quark infinity cue needs omega > 0; for "
+                              "omega -> 0 use the Coulomb cue instead")
+        d = {1: -2.0, 2: float(self.l * (self.l + 1))}
+        coeffs = _linear_leading_series(self.omega, E, d, n_terms)
+        return CueSeries(LinearTerm(-self.omega), coeffs, INVERSE_T)
+
+    def seed(self, E_hi, kappa, support_edge):
+        top = max(E_hi, 0.0)
+        turn = math.sqrt(2.0 * max(top, kappa) + 2.0) / self.omega
+        return max(1.3 * turn, 4.0 / math.sqrt(self.omega))
+
+
+@dataclass(frozen=True)
+class CoulombZeroSingularity(_SeriesTail):
+    """Left boundary at the 0+ singularity of a Coulomb-type well."""
+
+    l: int
+    charge: float = 1.0
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = (l+1)/t + power series in t."""
+        return _pole_cue(self.l, {-1: -2.0 * self.charge, 0: -2.0 * E},
+                         n_terms)
+
+
+@dataclass(frozen=True)
+class YukawaZeroSingularity(_SeriesTail):
+    """Left boundary at the 0+ singularity of a Yukawa well."""
+
+    l: int
+    screening_lambda: float
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """f = (l+1)/t + series; the screened charge feeds every order."""
+        if not self.screening_lambda > 0:
+            raise DomainError("yukawa cue needs screening_lambda > 0")
+        lam = self.screening_lambda
+        c = {s: -2.0 * (-lam) ** (s + 1) / math.factorial(s + 1)
+             for s in range(-1, n_terms)}
+        c[0] -= 2.0 * E
+        return _pole_cue(self.l, c, n_terms)
+
+
+@dataclass(frozen=True)
+class QuarkZeroSingularity(_SeriesTail):
+    """Left boundary at the 0+ singularity of the quark hybrid well."""
+
+    omega: float
+    l: int
+
+    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
+        """Coulomb 0+ cue plus the confining term from order t^3 on."""
+        c = {-1: -2.0, 0: -2.0 * E, 2: self.omega * self.omega}
+        return _pole_cue(self.l, c, n_terms)
+
+
+TailClass = Union[
+    ConstantLevel, OscillatorTail, CoulombTail, YukawaTail, QuarkTail,
+    CoulombZeroSingularity, YukawaZeroSingularity, QuarkZeroSingularity,
+]
+
+
+def _constant_cue(E, d, n_terms):
     k = _decay_rate(E)
-    d = {1: -2.0, 2: float(l * (l + 1))}
     return CueSeries(ConstantTerm(-k), _constant_leading_series(k, d, n_terms),
                      INVERSE_T)
 
 
-def yukawa_infinity_cue_coeffs(l: int, E: float, screening_lambda: float,
-                               n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying Yukawa cue.
-
-    The screened charge decays faster than every inverse power, so the series
-    sees only the centrifugal tail; verify_cue_residual against the actual
-    potential accounts for the neglected exponential.
-    """
-    del screening_lambda
-    k = _decay_rate(E)
-    d = {2: float(l * (l + 1))}
-    return CueSeries(ConstantTerm(-k), _constant_leading_series(k, d, n_terms),
-                     INVERSE_T)
-
-
-def quark_infinity_cue_coeffs(l: int, E: float, omega: float,
-                              n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying cue of the quark hybrid well, f = -omega t + series."""
-    if not omega > 0:
-        raise DomainError("quark infinity cue needs omega > 0; for omega -> 0 "
-                          "use the Coulomb cue instead")
-    d = {1: -2.0, 2: float(l * (l + 1))}
-    coeffs = _linear_leading_series(omega, E, d, n_terms)
-    return CueSeries(LinearTerm(-omega), coeffs, INVERSE_T)
+def _pole_cue(l, c, n_terms):
+    return CueSeries(PoleTerm(l + 1.0), _pole_leading_series(l, c, n_terms),
+                     DIRECT_T)
 
 
 def _decay_rate(E):
@@ -239,153 +353,85 @@ def _decay_rate(E):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form approximants
+# Cue constructors (unit charge for the Coulomb cues)
 # ---------------------------------------------------------------------------
 
-def coulomb_infinity_f(l: int, E: float, t: float, mode: str = "sqrt",
-                       n_terms: int = DEFAULT_N_TERMS) -> float:
-    """Right cue value for the Coulomb well at large t.
-
-    mode "sqrt" uses -sqrt(-2E - 2/t + l(l+1)/t^2); mode "series" evaluates
-    the inverse-power expansion to n_terms.
-    """
-    _decay_rate(E)
-    if mode == "series":
-        return coulomb_infinity_cue_coeffs(l, E, n_terms).evaluate(t)
-    radicand = -2.0 * E - 2.0 / t + l * (l + 1) / (t * t)
-    if radicand <= 0:
-        raise DomainError(
-            f"t = {t} is inside the classical region; enlarge the interval")
-    return -math.sqrt(radicand)
+def oscillator_cue_coeffs(omega: float, E: float,
+                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """Right-decaying cue of the pure harmonic tail, f = -omega t + series."""
+    return OscillatorTail(omega).cue_series(E, n_terms)
 
 
-def yukawa_infinity_f(l: int, E: float, screening_lambda: float, t: float,
-                      mode: str = "sqrt",
-                      n_terms: int = DEFAULT_N_TERMS) -> float:
-    """Right cue value for the Yukawa well at large t (negative root)."""
-    _decay_rate(E)
-    if mode == "series":
-        return yukawa_infinity_cue_coeffs(
-            l, E, screening_lambda, n_terms).evaluate(t)
-    radicand = (l * (l + 1) / (t * t) - 2.0 * E
-                - 2.0 * math.exp(-screening_lambda * t) / t)
-    if radicand <= 0:
-        raise DomainError(
-            f"t = {t} is inside the classical region; enlarge the interval")
-    return -math.sqrt(radicand)
+def coulomb_zero_cue_coeffs(l: int, E: float,
+                            n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """0+ cue of the Coulomb well, f = (l+1)/t + power series in t."""
+    return CoulombZeroSingularity(l).cue_series(E, n_terms)
 
 
-def quark_cue_zero(l: int, E: float, omega: float, t: float) -> float:
-    """0+ cue of the quark well, explicit truncation through t^3."""
-    return quark_zero_cue_coeffs(l, E, omega, n_terms=4).evaluate(t, n_terms=4)
+def yukawa_zero_cue_coeffs(l: int, E: float, screening_lambda: float,
+                           n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """0+ cue of the Yukawa well."""
+    return YukawaZeroSingularity(l, screening_lambda).cue_series(E, n_terms)
 
 
-def quark_cue_infinity(l: int, E: float, omega: float, t: float) -> float:
-    """Large-t cue of the quark well, explicit truncation through 1/t^3."""
-    if not omega > 0:
-        raise DomainError("quark infinity cue needs omega > 0; for omega -> 0 "
-                          "use the Coulomb cue instead")
-    series = quark_infinity_cue_coeffs(l, E, omega, n_terms=3)
-    return series.evaluate(t, n_terms=3)
+def quark_zero_cue_coeffs(l: int, E: float, omega: float,
+                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """0+ cue of the quark hybrid well (Coulomb plus confining term)."""
+    return QuarkZeroSingularity(omega, l).cue_series(E, n_terms)
+
+
+def coulomb_infinity_cue_coeffs(l: int, E: float,
+                                n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """Right-decaying Coulomb cue, f = -sqrt(2|E|) + series in 1/t."""
+    return CoulombTail(l).cue_series(E, n_terms)
+
+
+def yukawa_infinity_cue_coeffs(l: int, E: float, screening_lambda: float,
+                               n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """Right-decaying Yukawa cue (see YukawaTail.cue_series)."""
+    return YukawaTail(l, screening_lambda).cue_series(E, n_terms)
+
+
+def quark_infinity_cue_coeffs(l: int, E: float, omega: float,
+                              n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """Right-decaying cue of the quark hybrid well, f = -omega t + series."""
+    return QuarkTail(omega, l).cue_series(E, n_terms)
 
 
 # ---------------------------------------------------------------------------
-# Angles
+# Boundary angles and residuals used by the spectrum module
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryAngles:
-    """Cue directions at the interval ends, before any branch shifting."""
-
-    alpha_plus_at_a: float
-    alpha_minus_at_b: float
-    delta: float
-
-
-def cue_angle(f: float) -> float:
-    """Phase-plane angle of the cue direction, arctan(psi'/psi)."""
-    return math.atan(f)
-
-
-def compact_support_angles(E: float, V_left: float,
-                           V_right: float) -> BoundaryAngles:
-    """Exact limiting angles for constant levels outside the interval."""
-    if not (E < V_left and E < V_right):
-        raise ThresholdError(
-            f"E = {E} is not below both tail levels ({V_left}, {V_right})")
-    alpha_plus = math.atan(math.sqrt(2.0 * (V_left - E)))
-    alpha_minus = -math.atan(math.sqrt(2.0 * (V_right - E)))
-    return BoundaryAngles(alpha_plus, alpha_minus, alpha_plus - alpha_minus)
-
-
-def verify_cue_residual(series: CueSeries, potential: PotentialSpec, l: int,
-                        E: float, t_check: float) -> float:
+def verify_cue_residual(series: CueSeries, potential, l: int, E: float,
+                        t_check: float) -> float:
     """|f' + f^2 - 2(V_eff - E)| at t_check, the gate before a cue is used."""
+    from .potentials import effective_radial  # potentials imports this module
     f = series.evaluate(t_check)
     df = series.derivative(t_check)
-    v = evaluate(effective_radial(potential, l), t_check)
+    v = effective_radial(potential, l).evaluate(t_check)
     return abs(df + f * f - 2.0 * (v - E))
 
 
-# ---------------------------------------------------------------------------
-# Tail dispatch used by the spectrum module
-# ---------------------------------------------------------------------------
-
-def tail_cue_series(tail, E: float, n_terms: int = DEFAULT_N_TERMS):
-    """CueSeries for a series-backed tail class, None for constant levels."""
-    if isinstance(tail, ConstantLevel):
-        return None
-    if isinstance(tail, OscillatorTail):
-        return oscillator_cue_coeffs(tail.omega, E, n_terms)
-    if isinstance(tail, CoulombTail):
-        return coulomb_infinity_cue_coeffs(tail.l, E, n_terms)
-    if isinstance(tail, YukawaTail):
-        return yukawa_infinity_cue_coeffs(tail.l, E, tail.screening_lambda,
-                                          n_terms)
-    if isinstance(tail, QuarkTail):
-        return quark_infinity_cue_coeffs(tail.l, E, tail.omega, n_terms)
-    if isinstance(tail, CoulombZeroSingularity):
-        return coulomb_zero_cue_coeffs(tail.l, E, n_terms)
-    if isinstance(tail, YukawaZeroSingularity):
-        return yukawa_zero_cue_coeffs(tail.l, E, tail.screening_lambda,
-                                      n_terms)
-    if isinstance(tail, QuarkZeroSingularity):
-        return quark_zero_cue_coeffs(tail.l, E, tail.omega, n_terms)
-    raise DomainError(f"unknown tail class {type(tail).__name__}")
+def tail_cue_series(tail, E: float,
+                    n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+    """CueSeries of a series-backed tail; the pipeline builds each one here."""
+    return tail.cue_series(E, n_terms)
 
 
-def left_boundary_angle(problem: ProblemSpec, E: float, a: float,
+def left_boundary_angle(problem, E: float, a: float,
                         n_terms: int = DEFAULT_N_TERMS) -> float:
     """Angle of the left-decaying cue at t = a, in (-pi/2, pi/2)."""
-    tail = problem.left_tail
-    if isinstance(tail, ConstantLevel):
-        if not E < tail.level:
-            raise ThresholdError(f"E = {E} not below left level {tail.level}")
-        return math.atan(math.sqrt(2.0 * (tail.level - E)))
-    series = tail_cue_series(tail, E, n_terms)
-    return cue_angle(series.evaluate(a))
+    return problem.left_tail.boundary_angle(E, a, "left", n_terms)
 
 
-def right_boundary_angle(problem: ProblemSpec, E: float, b: float,
+def right_boundary_angle(problem, E: float, b: float,
                          n_terms: int = DEFAULT_N_TERMS) -> float:
     """Angle of the right-decaying cue at t = b, in (-pi/2, pi/2)."""
-    tail = problem.right_tail
-    if isinstance(tail, ConstantLevel):
-        if not E < tail.level:
-            raise ThresholdError(f"E = {E} not below right level {tail.level}")
-        return -math.atan(math.sqrt(2.0 * (tail.level - E)))
-    series = tail_cue_series(tail, E, n_terms)
-    return cue_angle(series.evaluate(b))
+    return problem.right_tail.boundary_angle(E, b, "right", n_terms)
 
 
-def boundary_residual(problem: ProblemSpec, E: float, t: float, side: str,
+def boundary_residual(problem, E: float, t: float, side: str,
                       n_terms: int = DEFAULT_N_TERMS) -> float:
     """Cue residual at a candidate boundary; 0 for exact constant tails."""
     tail = problem.left_tail if side == "left" else problem.right_tail
-    if isinstance(tail, ConstantLevel):
-        v = evaluate(problem.effective_potential(), t)
-        k2 = 2.0 * (tail.level - E)
-        # constant-tail cue is exact only where V has settled to the level
-        return abs(2.0 * (v - E) - k2)
-    series = tail_cue_series(tail, E, n_terms)
-    return verify_cue_residual(series, problem.potential, problem.l, E, t)
+    return tail.residual(problem, E, t, n_terms)

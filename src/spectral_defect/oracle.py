@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from .angular import IntegratorConfig, _integrate_vector
 from .errors import DomainError, ThresholdError
-from .potentials import (ConstantLevel, HalfLine, ProblemSpec, evaluate)
+from .potentials import ConstantLevel, HalfLine, ProblemSpec
 from .spectrum import SolveConfig, auto_interval
 
 _RESCALE_LIMIT = 1e120
@@ -54,7 +54,7 @@ class TransferMatrix:
 
 def _phase_fun(potential, E):
     def fun(t, y):
-        return np.array([y[1], 2.0 * (evaluate(potential, t) - E) * y[0]])
+        return np.array([y[1], 2.0 * (potential.evaluate(t) - E) * y[0]])
     return fun
 
 
@@ -111,10 +111,17 @@ def transfer_matrix(problem: ProblemSpec, E: float,
     return TransferMatrix(matrix=u, scale_exp=common)
 
 
-def _support_interval(problem):
-    if not (isinstance(problem.left_tail, ConstantLevel)
-            and isinstance(problem.right_tail, ConstantLevel)):
+def _tail_levels(problem):
+    """(left, right) tail levels; DomainError unless both are constant."""
+    left, right = problem.left_tail, problem.right_tail
+    if not (isinstance(left, ConstantLevel)
+            and isinstance(right, ConstantLevel)):
         raise DomainError("transfer matrices need constant tails")
+    return left.level, right.level
+
+
+def _support_interval(problem):
+    _tail_levels(problem)
     if problem.interval is not None:
         return problem.interval
     bp = problem.potential.breakpoints()
@@ -130,12 +137,12 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
     Zero exactly at eigenvalues: the expanding direction must be carried
     onto the shrinking one.
     """
-    left, right = problem.left_tail, problem.right_tail
-    if not (E < left.level and E < right.level):
+    left, right = _tail_levels(problem)
+    if not (E < left and E < right):
         raise ThresholdError("E must lie below both tail levels")
     u = transfer_matrix(problem, E, config).matrix
-    e_plus = np.array([1.0, math.sqrt(2.0 * (left.level - E))])
-    k_minus = math.sqrt(2.0 * (right.level - E))
+    e_plus = np.array([1.0, math.sqrt(2.0 * (left - E))])
+    k_minus = math.sqrt(2.0 * (right - E))
     out = u @ e_plus
     theta = math.atan2(out[1], out[0]) - math.atan(-k_minus)
     return (theta + math.pi / 2) % math.pi - math.pi / 2

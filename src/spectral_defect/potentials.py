@@ -1,15 +1,19 @@
-"""Potential families, tail descriptions and problem specifications.
+"""Potential families and problem specifications.
 
 All quantities are dimensionless with hbar = m = 1.  Potentials evaluate on
 scalars or numpy arrays; instances are immutable and safe to share between
-workers.
+workers.  Each family names its own boundary behaviour through tails(l);
+the tail classes live in `cues` and are re-exported here.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .cues import (ConstantLevel, CoulombTail, CoulombZeroSingularity,
+                   OscillatorTail, QuarkTail, QuarkZeroSingularity, TailClass,
+                   YukawaTail, YukawaZeroSingularity)
 from .errors import ConfigError, DomainError
 
 
@@ -46,6 +50,10 @@ class TruncatedOscillator:
         x = np.minimum(np.abs(t), self.cutoff_a)
         return 0.5 * self.omega**2 * x * x
 
+    def tails(self, l):
+        v = 0.5 * self.omega**2 * self.cutoff_a**2
+        return ConstantLevel(v), ConstantLevel(v)
+
 
 @dataclass(frozen=True)
 class HybridOscillator:
@@ -67,6 +75,10 @@ class HybridOscillator:
         w = np.where(np.asarray(t) < 0, self.omega_left, self.omega_right)
         out = 0.5 * w * w * np.asarray(t) ** 2
         return float(out) if np.isscalar(t) else out
+
+    def tails(self, l):
+        return (OscillatorTail(self.omega_left),
+                OscillatorTail(self.omega_right))
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,9 @@ class SquareWell:
         inside = (t >= self.left) & (t <= self.right)
         out = np.where(inside, self.depth, 0.0)
         return float(out) if out.ndim == 0 else out
+
+    def tails(self, l):
+        return ConstantLevel(0.0), ConstantLevel(0.0)
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,9 @@ class PiecewiseConstant:
         out = np.asarray(self.values)[idx]
         return float(out) if np.isscalar(t) else out
 
+    def tails(self, l):
+        return ConstantLevel(self.values[0]), ConstantLevel(self.values[-1])
+
 
 @dataclass(frozen=True)
 class Coulomb:
@@ -140,6 +158,10 @@ class Coulomb:
     def evaluate(self, t):
         _require_half_line(t)
         return -self.charge / t
+
+    def tails(self, l):
+        return (CoulombZeroSingularity(l, self.charge),
+                CoulombTail(l, self.charge))
 
 
 @dataclass(frozen=True)
@@ -160,6 +182,10 @@ class Yukawa:
         _require_half_line(t)
         return -np.exp(-self.screening_lambda * t) / t
 
+    def tails(self, l):
+        lam = self.screening_lambda
+        return YukawaZeroSingularity(l, lam), YukawaTail(l, lam)
+
 
 @dataclass(frozen=True)
 class QuarkHybrid:
@@ -178,6 +204,9 @@ class QuarkHybrid:
     def evaluate(self, t):
         _require_half_line(t)
         return -1.0 / t + 0.5 * self.omega**2 * t * t
+
+    def tails(self, l):
+        return QuarkZeroSingularity(self.omega, l), QuarkTail(self.omega, l)
 
 
 @dataclass(frozen=True)
@@ -210,6 +239,9 @@ class Tabulated:
         out = np.interp(t, self.ts, self.vs)
         return float(out) if np.isscalar(t) else out
 
+    def tails(self, l):
+        return ConstantLevel(self.vs[0]), ConstantLevel(self.vs[-1])
+
 
 @dataclass(frozen=True)
 class EffectiveRadial:
@@ -231,6 +263,9 @@ class EffectiveRadial:
         _require_half_line(t)
         return self.base.evaluate(t) + 0.5 * self.l * (self.l + 1) / (t * t)
 
+    def tails(self, l):
+        return self.base.tails(self.l)
+
 
 @dataclass(frozen=True)
 class Shifted:
@@ -249,6 +284,14 @@ class Shifted:
     def evaluate(self, t):
         return self.base.evaluate(t) + self.offset
 
+    def tails(self, l):
+        left, right = self.base.tails(l)
+        if not (isinstance(left, ConstantLevel)
+                and isinstance(right, ConstantLevel)):
+            raise ConfigError("shifted potentials support constant tails only")
+        return (ConstantLevel(left.level + self.offset),
+                ConstantLevel(right.level + self.offset))
+
 
 PotentialSpec = Union[
     TruncatedOscillator, HybridOscillator, SquareWell, PiecewiseConstant,
@@ -261,11 +304,6 @@ def _require_half_line(t):
         raise DomainError("half-line potential evaluated at t <= 0")
 
 
-def evaluate(potential: PotentialSpec, t):
-    """V(t) for any family; scalar in, scalar out."""
-    return potential.evaluate(t)
-
-
 def effective_radial(potential: PotentialSpec, l: int) -> PotentialSpec:
     """Half-line potential with the centrifugal term for angular momentum l.
 
@@ -276,81 +314,6 @@ def effective_radial(potential: PotentialSpec, l: int) -> PotentialSpec:
     if l == 0:
         return potential
     return EffectiveRadial(potential, int(l))
-
-
-# ---------------------------------------------------------------------------
-# Tail classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantLevel:
-    """V identically equal to `level` beyond the boundary."""
-    level: float
-
-
-@dataclass(frozen=True)
-class OscillatorTail:
-    """V ~ omega^2 t^2 / 2 as |t| grows."""
-    omega: float
-
-
-@dataclass(frozen=True)
-class CoulombTail:
-    """V ~ -1/t as t -> +infinity, angular momentum l."""
-    l: int
-
-
-@dataclass(frozen=True)
-class YukawaTail:
-    """V ~ -exp(-lambda t)/t as t -> +infinity."""
-    l: int
-    screening_lambda: float
-
-
-@dataclass(frozen=True)
-class QuarkTail:
-    """V ~ -1/t + omega^2 t^2 / 2 as t -> +infinity."""
-    omega: float
-    l: int
-
-
-@dataclass(frozen=True)
-class CoulombZeroSingularity:
-    """Left boundary at the 0+ singularity of a Coulomb-type well."""
-    l: int
-
-
-@dataclass(frozen=True)
-class YukawaZeroSingularity:
-    """Left boundary at the 0+ singularity of a Yukawa well."""
-    l: int
-    screening_lambda: float
-
-
-@dataclass(frozen=True)
-class QuarkZeroSingularity:
-    """Left boundary at the 0+ singularity of the quark hybrid well."""
-    omega: float
-    l: int
-
-
-TailClass = Union[
-    ConstantLevel, OscillatorTail, CoulombTail, YukawaTail, QuarkTail,
-    CoulombZeroSingularity, YukawaZeroSingularity, QuarkZeroSingularity,
-]
-
-_ZERO_SINGULARITY_TAILS = (
-    CoulombZeroSingularity, YukawaZeroSingularity, QuarkZeroSingularity,
-)
-
-
-def tail_threshold(tail: TailClass) -> float:
-    """Supremum of energies admitting a decaying cue on this tail."""
-    if isinstance(tail, ConstantLevel):
-        return tail.level
-    if isinstance(tail, (CoulombTail, YukawaTail)):
-        return 0.0
-    return np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -411,58 +374,18 @@ class ProblemSpec:
 
     def threshold(self) -> float:
         """Energies must stay below this for the defect angle to exist."""
-        return min(tail_threshold(self.left_tail),
-                   tail_threshold(self.right_tail))
-
-
-def expected_tails(potential: PotentialSpec, l: int = 0):
-    """The (left, right) tail classes matching a potential's asymptotics."""
-    if isinstance(potential, TruncatedOscillator):
-        v = 0.5 * potential.omega**2 * potential.cutoff_a**2
-        return ConstantLevel(v), ConstantLevel(v)
-    if isinstance(potential, HybridOscillator):
-        return (OscillatorTail(potential.omega_left),
-                OscillatorTail(potential.omega_right))
-    if isinstance(potential, SquareWell):
-        return ConstantLevel(0.0), ConstantLevel(0.0)
-    if isinstance(potential, PiecewiseConstant):
-        return (ConstantLevel(potential.values[0]),
-                ConstantLevel(potential.values[-1]))
-    if isinstance(potential, Coulomb):
-        return CoulombZeroSingularity(l), CoulombTail(l)
-    if isinstance(potential, Yukawa):
-        lam = potential.screening_lambda
-        return YukawaZeroSingularity(l, lam), YukawaTail(l, lam)
-    if isinstance(potential, QuarkHybrid):
-        return (QuarkZeroSingularity(potential.omega, l),
-                QuarkTail(potential.omega, l))
-    if isinstance(potential, Tabulated):
-        return ConstantLevel(potential.vs[0]), ConstantLevel(potential.vs[-1])
-    if isinstance(potential, EffectiveRadial):
-        return expected_tails(potential.base, potential.l)
-    if isinstance(potential, Shifted):
-        left, right = expected_tails(potential.base, l)
-        if not (isinstance(left, ConstantLevel)
-                and isinstance(right, ConstantLevel)):
-            raise ConfigError("shifted potentials support constant tails only")
-        return (ConstantLevel(left.level + potential.offset),
-                ConstantLevel(right.level + potential.offset))
-    raise ConfigError(f"unknown potential family {type(potential).__name__}")
+        return min(self.left_tail.threshold, self.right_tail.threshold)
 
 
 def validate_problem(problem: ProblemSpec) -> None:
     """Raise ConfigError when a tail class contradicts the potential."""
-    left, right = expected_tails(problem.potential, problem.l)
+    left, right = problem.potential.tails(problem.l)
     for name, given, wanted in (("left_tail", problem.left_tail, left),
                                 ("right_tail", problem.right_tail, right)):
         if type(given) is not type(wanted) or given != wanted:
             raise ConfigError(
                 f"{name} {given!r} does not match the potential's asymptotic "
                 f"behaviour (expected {wanted!r})", key=name)
-    if isinstance(problem.domain, WholeLine) and isinstance(
-            problem.left_tail, _ZERO_SINGULARITY_TAILS):
-        raise ConfigError("zero-singularity tails require a half-line domain",
-                          key="left_tail")
 
 
 def problem_for(potential: PotentialSpec, l: Optional[int] = None,
@@ -470,6 +393,6 @@ def problem_for(potential: PotentialSpec, l: Optional[int] = None,
     """Assemble a ProblemSpec with the tails implied by the family."""
     half = potential.half_line_only or l is not None
     l_eff = int(l or 0)
-    left, right = expected_tails(potential, l_eff)
+    left, right = potential.tails(l_eff)
     domain = HalfLine(l_eff) if half else WholeLine()
     return ProblemSpec(potential, domain, left, right, interval)

@@ -18,14 +18,12 @@ from . import cues
 from .angular import IntegratorConfig, integrate_angle_sampled, integrate_angles
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
-from .potentials import (
-    ConstantLevel, CoulombTail, HalfLine, OscillatorTail, ProblemSpec,
-    QuarkTail, Shifted, YukawaTail, evaluate, tail_threshold,
-)
+from .potentials import ConstantLevel, HalfLine, ProblemSpec, Shifted
 
 _ZERO_FLOOR = 1e-4          # radial problems never start below this
 _GROWTH = 1.5               # geometric interval growth factor
 _MONOTONE_JITTER = 1e-9     # integrator noise allowance on Gamma scans
+_MAX_REFINE_ROUNDS = 14     # scan refinement rounds before bracketing
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class SolveConfig:
     kappa: float = 1e-3
     n_terms: int = cues.DEFAULT_N_TERMS
     scan_samples: int = 64
-    max_refine_rounds: int = 14
 
     def __post_init__(self):
         if not (self.e_tol > 0 and self.residual_tol > 0 and self.kappa > 0):
@@ -100,38 +97,21 @@ class EigenfunctionSamples:
 # Interval selection
 # ---------------------------------------------------------------------------
 
-def _tail_ok(problem, side, t, E_lo, E_hi, config, check_clearance=True):
-    """Cue residual below tolerance at both energy extremes, tail cleared."""
+def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
+    """Why t fails as a boundary, or None when it passes.
+
+    t passes when the cue residual is within tolerance at both energy
+    extremes and, with check_clearance, V_eff(t) clears E_hi by kappa.
+    """
     for E in (E_lo, E_hi):
-        if cues.boundary_residual(problem, E, t, side,
-                                  config.n_terms) > config.residual_tol:
-            return False
-    if not check_clearance:
-        return True
-    v = evaluate(problem.effective_potential(), t)
-    return v - E_hi >= config.kappa
-
-
-def _seed_right(tail, E_lo, E_hi, support_edge, kappa):
-    if isinstance(tail, ConstantLevel):
-        return support_edge if support_edge is not None else 1.0
-    if isinstance(tail, OscillatorTail):
-        top = max(E_hi, 0.0)
-        turn = math.sqrt(2.0 * max(top, kappa)) / tail.omega
-        return max(1.3 * turn, 4.0 / math.sqrt(tail.omega),
-                   support_edge or 0.0)
-    if isinstance(tail, QuarkTail):
-        top = max(E_hi, 0.0)
-        turn = math.sqrt(2.0 * max(top, kappa) + 2.0) / tail.omega
-        return max(1.3 * turn, 4.0 / math.sqrt(tail.omega))
-    if isinstance(tail, (CoulombTail, YukawaTail)):
-        k_min = math.sqrt(2.0 * abs(E_hi))
-        seed = max(10.0, 3.0 / k_min)
-        if isinstance(tail, CoulombTail):
-            # clearing the tail by kappa forces 1/b <= |E_hi| - kappa
-            seed = max(seed, 1.05 / max(abs(E_hi) - kappa, 1e-12))
-        return seed
-    raise DomainError(f"no right-boundary seed for {type(tail).__name__}")
+        residual = cues.boundary_residual(problem, E, t, side, config.n_terms)
+        if residual > config.residual_tol:
+            return f"cue residual {residual:.3e} at E = {E}"
+    if check_clearance:
+        clearance = problem.effective_potential().evaluate(t) - E_hi
+        if not clearance >= config.kappa:
+            return f"V - E_max = {clearance:.3e} is below kappa"
+    return None
 
 
 def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
@@ -140,15 +120,17 @@ def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
     t = seed
     for _ in range(200):
         try:
-            if _tail_ok(problem, side, t, E_lo, E_hi, config,
-                        check_clearance):
-                return t
-        except (DomainError, ThresholdError, OverflowError):
-            pass
-        t = grow(t)
+            failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
+                                    check_clearance)
+        except (DomainError, ThresholdError, OverflowError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is None:
+            return t
+        last_t, t = t, grow(t)
     raise IntervalSelectionError(
         f"no admissible {side} boundary for E in [{E_lo}, {E_hi}] "
-        f"(residual_tol={config.residual_tol})")
+        f"(residual_tol={config.residual_tol}); last tried t = {last_t}: "
+        f"{failure}")
 
 
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
@@ -185,8 +167,8 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                     f"E_max = {E_max} does not clear the left level "
                     f"{left_tail.level} by kappa = {config.kappa}")
         else:
-            seed = _seed_right(left_tail, E_min, E_max,
-                               abs(min(bp)) if bp else None, config.kappa)
+            seed = left_tail.seed(E_max, config.kappa,
+                                  abs(min(bp)) if bp else None)
             a = _resolve_side(problem, "left", E_min, E_max, config,
                               seed=-seed, grow=lambda t: t * _GROWTH)
 
@@ -197,8 +179,7 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                 f"E_max = {E_max} does not clear the right level "
                 f"{right_tail.level} by kappa = {config.kappa}")
     else:
-        seed = _seed_right(right_tail, E_min, E_max,
-                           max(bp) if bp else None, config.kappa)
+        seed = right_tail.seed(E_max, config.kappa, max(bp) if bp else None)
         b = _resolve_side(problem, "right", E_min, E_max, config, seed=seed,
                           grow=lambda t: t * _GROWTH)
     if not a < b:
@@ -290,7 +271,7 @@ def _scan_and_bisect(sample_fn, E_min, E_max, config, enforce_monotone=True):
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = {E: s for E, s in zip(Es, sample_fn(Es))}
 
-    for _ in range(config.max_refine_rounds):
+    for _ in range(_MAX_REFINE_ROUNDS):
         keys = sorted(samples)
         mids = [0.5 * (e1 + e2) for e1, e2 in zip(keys, keys[1:])
                 if abs(samples[e2].gamma - samples[e1].gamma) > math.pi / 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spectral_defect as sd
+from spectral_defect.angular import _angular_fun, _scaled_fun
 from spectral_defect.errors import DomainError
 
 
@@ -16,30 +17,33 @@ def flat_problem(a, b):
 
 def test_rate_is_minus_one_at_vertical_angles():
     # at alpha = pi/2 the potential term is multiplied by cos^2 = 0
-    for v, E in [(5.0, -1.0), (-3.0, 2.0), (0.0, 0.0)]:
+    for v in (5.0, -3.0, 0.0):
         well = sd.PiecewiseConstant((0.0,), (v, v))
-        assert sd.angular_rhs(well, E, 0.3, math.pi / 2) == pytest.approx(
-            -1.0, abs=1e-15)
-        assert sd.angular_rhs(well, E, 0.3, -math.pi / 2) == pytest.approx(
-            -1.0, abs=1e-15)
+        fun = _angular_fun(well, [-1.0, 2.0, 0.0, -1.0], with_amplitude=False)
+        alphas = np.array([math.pi / 2, math.pi / 2, -math.pi / 2,
+                           -math.pi / 2])
+        assert np.allclose(fun(0.3, alphas), -1.0, rtol=0.0, atol=1e-15)
 
 
 def test_rate_at_horizontal_angle():
     well = sd.PiecewiseConstant((0.0,), (1.5, 1.5))
-    assert sd.angular_rhs(well, -0.5, 0.0, 0.0) == pytest.approx(4.0)
+    fun = _angular_fun(well, [-0.5, 1.5], with_amplitude=False)
+    assert fun(0.0, np.zeros(2)) == pytest.approx([4.0, 0.0])
 
 
 def test_log_amplitude_rhs_vanishes_on_axes():
-    assert sd.log_amplitude_rhs(FLAT, -1.0, 0.0, 0.0) == 0.0
-    assert sd.log_amplitude_rhs(FLAT, -1.0, 0.0, math.pi / 2) == pytest.approx(
-        0.0, abs=1e-15)
+    fun = _angular_fun(FLAT, [-1.0, -1.0], with_amplitude=True)
+    rates = fun(0.0, np.array([0.0, math.pi / 2, 0.0, 0.0]))
+    assert rates[2] == 0.0
+    assert rates[3] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fixed_point_holds_for_flat_potential():
     """For V = 0 and E = -1/2 the angle arctan(1) is stationary."""
     E = -0.5
     alpha_star = math.atan(math.sqrt(2.0 * (0.0 - E)))
-    assert sd.angular_rhs(FLAT, E, 1.0, alpha_star) == pytest.approx(
+    fun = _angular_fun(FLAT, [E], with_amplitude=False)
+    assert fun(1.0, np.array([alpha_star]))[0] == pytest.approx(
         0.0, abs=1e-15)
     state = sd.integrate_angle(flat_problem(-5.0, 5.0), E, alpha_star,
                                sd.IntegratorConfig())
@@ -67,7 +71,9 @@ def test_square_well_against_fixed_step_rk4():
     alpha0 = math.atan(math.sqrt(2.0 * (0.0 - E)))
 
     def f(t, alpha):
-        return sd.angular_rhs(well, E, t, alpha)
+        # scalar form of the angular flow, independent of the batched RHS
+        c, s = math.cos(alpha), math.sin(alpha)
+        return 2.0 * (well.evaluate(t) - E) * c * c - s * s
 
     reference = _rk4(f, -1.0, 1.0, alpha0, 4000)
     got = sd.integrate_angle(problem, E, alpha0, sd.IntegratorConfig()).alpha
@@ -93,33 +99,13 @@ def test_pi_shift_equivariance():
     assert shifted - base == pytest.approx(math.pi, abs=1e-8)
 
 
-def test_transformed_chart_agrees_on_coulomb():
-    problem = sd.problem_for(sd.Coulomb(), interval=(0.01, 80.0))
-    E = -0.3
-    cfg = sd.IntegratorConfig()
-    alpha0 = 1.2
-    plain = sd.integrate_angle(problem, E, alpha0, cfg).alpha
-    compact = sd.integrate_angle_transformed(problem, E, alpha0, cfg).alpha
-    assert compact == pytest.approx(plain, abs=1e-8)
-
-
-def test_transformed_chart_rejects_whole_line():
-    problem = sd.problem_for(sd.SquareWell(-1.0, -1.0, 1.0),
-                             interval=(-2.0, 2.0))
-    with pytest.raises(DomainError):
-        sd.integrate_angle_transformed(problem, -0.5, 0.0,
-                                       sd.IntegratorConfig())
-
-
 def test_scaled_rhs_fixed_angles():
     """Free squeezing flow holds the diagonal directions +-pi/4."""
-    for E in (-0.5, -2.0):
-        assert sd.scaled_angular_rhs(FLAT, E, 1.0, math.pi / 4) == \
-            pytest.approx(0.0, abs=1e-14)
-        assert sd.scaled_angular_rhs(FLAT, E, 1.0, -math.pi / 4) == \
-            pytest.approx(0.0, abs=1e-14)
+    fun = _scaled_fun(FLAT, [-0.5, -0.5, -2.0, -2.0])
+    alphas = np.array([math.pi / 4, -math.pi / 4] * 2)
+    assert np.allclose(fun(1.0, alphas), 0.0, rtol=0.0, atol=1e-14)
     with pytest.raises(DomainError):
-        sd.scaled_angular_rhs(FLAT, 0.5, 1.0, 0.0)
+        _scaled_fun(FLAT, [-0.5, 0.5])
 
 
 def test_amplitude_recovers_flat_decay():
@@ -145,3 +131,5 @@ def test_integrator_config_validation():
         sd.IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         sd.IntegratorConfig(max_steps=0)
+    with pytest.raises(ValueError, match="RK23, RK45, DOP853"):
+        sd.IntegratorConfig(method="Radau")

@@ -207,3 +207,42 @@ emax = -0.002
     assert len(rows) == 2
     assert all(float(r["energy"]) < 0 for r in rows)
     assert float(rows[0]["energy"]) == pytest.approx(0.49702 - 2.0, abs=1e-3)
+
+
+def test_verify_coulomb_skips_the_transfer_check(tmp_path, capsys):
+    cfg = tmp_path / "hydrogen.ini"
+    cfg.write_text(COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05"))
+    assert cli.main(["verify", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "transfer-matrix check skipped (needs constant tails)" in out
+    assert "transfer mismatch" not in out
+
+
+def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG)
+    assert cli.main(["verify", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    mismatches = [line for line in lines
+                  if line.startswith("transfer mismatch")]
+    assert [line.split(":")[0] for line in mismatches] == [
+        "transfer mismatch at n=0", "transfer mismatch at n=1"]
+    assert all(float(line.split(":")[1]) < 1e-8 for line in mismatches)
+
+
+@pytest.mark.parametrize("text, key", [
+    (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'"),
+    (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega"),
+    (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'"),
+    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'"),
+])
+def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert cli.main(["solve", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("spectral-defect: configuration error: ")
+    assert key in lines[0]

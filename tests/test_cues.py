@@ -93,6 +93,22 @@ def test_exact_coulomb_sentinel():
                                         t) < 1e-13
 
 
+def test_coulomb_sentinels_scale_with_charge():
+    # ground state of charge Z: psi = t exp(-Z t), so f = 1/t - Z at both ends
+    Z = 2.0
+    well = sd.Coulomb(charge=Z)
+    left, right = well.tails(0)
+    assert left == cues.CoulombZeroSingularity(0, Z)
+    assert right == cues.CoulombTail(0, Z)
+    far = right.cue_series(-Z * Z / 2.0)
+    assert far.evaluate(30.0) == pytest.approx(-Z + 1.0 / 30.0, abs=1e-14)
+    near = left.cue_series(-Z * Z / 2.0)
+    assert near.evaluate(1e-3) == pytest.approx(1.0 / 1e-3 - Z)
+    for series, t in ((far, 30.0), (near, 1e-2)):
+        assert cues.verify_cue_residual(series, well, 0, -Z * Z / 2.0,
+                                        t) < 1e-12
+
+
 def test_coulomb_zero_sentinel_is_exact_too():
     series = cues.coulomb_zero_cue_coeffs(l=0, E=-0.5)
     assert series.evaluate(1e-3) == pytest.approx(1.0 / 1e-3 - 1.0)
@@ -120,46 +136,25 @@ def test_smallest_term_truncation():
 # Angles
 # ---------------------------------------------------------------------------
 
-def test_cue_angle_is_arctan():
-    assert cues.cue_angle(1.0) == pytest.approx(math.pi / 4)
-    assert cues.cue_angle(-1e6) == pytest.approx(-math.pi / 2, abs=1e-5)
-
-
 def test_compact_support_angles_antisymmetric():
-    angles = cues.compact_support_angles(-0.5, 0.0, 0.0)
-    assert angles.alpha_minus_at_b == pytest.approx(-angles.alpha_plus_at_a)
-    assert angles.delta == pytest.approx(2.0 * angles.alpha_plus_at_a)
-    assert angles.alpha_plus_at_a == pytest.approx(math.atan(1.0))
+    problem = sd.problem_for(sd.SquareWell(-1.0, 0.0, 2.0))
+    for E in (-0.9, -0.5, -1e-3):
+        left = cues.left_boundary_angle(problem, E, 0.0)
+        right = cues.right_boundary_angle(problem, E, 2.0)
+        assert right == -left
+        assert 0.0 < left < math.pi / 2
+    assert cues.left_boundary_angle(problem, -0.5, 0.0) == pytest.approx(
+        math.atan(1.0))
 
 
 def test_compact_support_angles_reject_open_channel():
+    step = sd.problem_for(sd.PiecewiseConstant((0.0,), (0.0, 1.0)))
     with pytest.raises(ThresholdError):
-        cues.compact_support_angles(0.5, 0.0, 1.0)
-
-
-def test_coulomb_sqrt_and_series_agree_far_out():
-    """The sqrt approximant differs from the series by ~ 1/(2 k^2 t^2).
-
-    For E = -1/2 the series is exact (f = -1 + 1/t), which pins down the
-    sqrt form's intrinsic error; check both the size and the 1/t^2 scaling.
-    """
-    E, l = -0.5, 0
-    diffs = []
-    for t in (60.0, 120.0):
-        via_sqrt = cues.coulomb_infinity_f(l, E, t, mode="sqrt")
-        via_series = cues.coulomb_infinity_f(l, E, t, mode="series")
-        assert via_series == pytest.approx(-1.0 + 1.0 / t, abs=1e-14)
-        diffs.append(abs(math.atan(via_sqrt) - math.atan(via_series)))
-    assert diffs[0] < 1e-4
-    assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
-
-
-def test_yukawa_sqrt_mode_sees_the_screened_charge():
-    E, l, lam = -0.2, 0, 0.5
-    with_exp = cues.yukawa_infinity_f(l, E, lam, 5.0, mode="sqrt")
-    bare = -math.sqrt(-2.0 * E)
-    # the residual attraction lifts V - E, so the decay is shallower
-    assert bare < with_exp < 0.0
+        cues.left_boundary_angle(step, 0.5, 0.0)
+    assert cues.right_boundary_angle(step, 0.5, 0.0) == pytest.approx(
+        -math.atan(1.0))
+    with pytest.raises(ThresholdError):
+        cues.right_boundary_angle(step, 1.0, 0.0)
 
 
 def test_boundary_angle_dispatch():
@@ -189,15 +184,3 @@ def test_domain_guards():
         cues.coulomb_infinity_cue_coeffs(l=0, E=0.1)
     with pytest.raises(DomainError):
         cues.quark_infinity_cue_coeffs(l=0, E=-0.5, omega=0.0)
-
-
-def test_quark_explicit_truncations_match_series():
-    l, E, omega = 0, -0.05, 0.007
-    t = 0.3
-    series = cues.quark_zero_cue_coeffs(l, E, omega, n_terms=4)
-    assert cues.quark_cue_zero(l, E, omega, t) == pytest.approx(
-        series.evaluate(t, n_terms=4))
-    t = 40.0
-    far = cues.quark_infinity_cue_coeffs(l, E, omega, n_terms=3)
-    assert cues.quark_cue_infinity(l, E, omega, t) == pytest.approx(
-        far.evaluate(t, n_terms=3))

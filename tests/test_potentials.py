@@ -82,7 +82,7 @@ def test_shifted_moves_values_and_tails():
     base = pot.SquareWell(depth=-1.0, left=0.0, right=2.0)
     v = pot.Shifted(base, 3.0)
     assert v.evaluate(1.0) == pytest.approx(2.0)
-    left, right = pot.expected_tails(v)
+    left, right = v.tails(0)
     assert left == pot.ConstantLevel(3.0)
     assert right == pot.ConstantLevel(3.0)
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spectral_defect as sd
-from spectral_defect.errors import DomainError, ThresholdError
+from spectral_defect.errors import (DomainError, IntervalSelectionError,
+                                    ThresholdError)
+from spectral_defect.potentials import Shifted
 
 
 def square_well_levels(depth, half_width):
@@ -57,6 +60,40 @@ def test_hydrogen_ground_state():
     assert result.eigenvalues[0].energy == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_coulomb_levels_scale_with_charge():
+    # charge Z: E_n = -Z^2 / (2 (n+1)^2), six levels of Z = 2 in the window
+    problem = sd.problem_for(sd.Coulomb(charge=2.0))
+    result = sd.find_eigenvalues(problem, -2.5, -0.05)
+    exact = [-2.0 / (n + 1) ** 2 for n in range(6)]
+    assert [ev.n for ev in result.eigenvalues] == list(range(6))
+    assert np.allclose(result.energies, exact, rtol=0.0, atol=1e-8)
+
+
+@st.composite
+def lattice_wells(draw, lattice=1.0 / 32.0, span=2.0):
+    """Piecewise-constant wells between zero tails, edges on a lattice."""
+    n_inner = draw(st.integers(1, 2))
+    cells = int(span / lattice)
+    edges = draw(st.lists(st.integers(-cells, cells), min_size=n_inner + 1,
+                          max_size=n_inner + 1, unique=True))
+    depths = draw(st.lists(st.floats(0.5, 4.0), min_size=n_inner,
+                           max_size=n_inner))
+    return sd.PiecewiseConstant(tuple(sorted(e * lattice for e in edges)),
+                                (0.0, *(-d for d in depths), 0.0))
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(well=lattice_wells(), offset=st.floats(-5.0, 5.0))
+def test_shifted_well_spectrum_moves_with_the_offset(well, offset):
+    e_min, e_max = min(well.values) + 1e-3, -0.1
+    plain = sd.find_eigenvalues(sd.problem_for(well), e_min, e_max)
+    shifted = sd.find_eigenvalues(sd.problem_for(Shifted(well, offset)),
+                                  e_min + offset, e_max + offset)
+    assert len(shifted.eigenvalues) == len(plain.eigenvalues)
+    assert np.allclose(shifted.energies, plain.energies + offset, rtol=0.0,
+                       atol=1e-8)
+
+
 def test_defect_angle_negative_below_ground():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     sample = sd.defect_angle(problem, -1.9)
@@ -101,6 +138,14 @@ def test_auto_interval_clears_residual_gate():
     for E in (-0.6, -0.01):
         assert boundary_residual(problem, E, a, "left") <= config.residual_tol
         assert boundary_residual(problem, E, b, "right") <= config.residual_tol
+
+
+def test_interval_selection_error_names_the_last_attempt():
+    problem = sd.problem_for(sd.Coulomb())
+    config = sd.SolveConfig(residual_tol=1e-300)
+    with pytest.raises(IntervalSelectionError,
+                       match=r"last tried t = \S+: cue residual \S+ at E ="):
+        sd.auto_interval(problem, -0.6, -0.1, config)
 
 
 def test_threshold_guard():
