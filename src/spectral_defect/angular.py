@@ -11,7 +11,7 @@ d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,15 +20,6 @@ from .errors import DomainError, IntegrationError
 from .potentials import ProblemSpec
 
 _EXPLICIT_METHODS = ("RK23", "RK45", "DOP853")
-
-
-@dataclass(frozen=True)
-class AngularState:
-    """Unwrapped angle (and optional log-amplitude change) at time t."""
-
-    t: float
-    alpha: float
-    log_rho: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -167,27 +158,10 @@ def integrate_angles(problem: ProblemSpec, energies, alpha_starts, a: float,
     return y, None
 
 
-def integrate_angle(problem: ProblemSpec, E: float, alpha_start: float,
-                    config: IntegratorConfig,
-                    with_amplitude: bool = False) -> AngularState:
-    """Angle (and optional log-amplitude change) at t = b of the interval."""
-    if problem.interval is None:
-        raise DomainError("integrate_angle needs an explicit interval; "
-                          "resolve it first (spectrum.auto_interval)")
-    a, b = problem.interval
-    alphas, logs = integrate_angles(problem, [E], [alpha_start], a, b,
-                                    config, with_amplitude=with_amplitude)
-    return AngularState(t=b, alpha=float(alphas[0]),
-                        log_rho=float(logs[0]) if logs is not None else None)
-
-
 def integrate_angle_sampled(problem: ProblemSpec, E: float,
-                            alpha_start: float, config: IntegratorConfig,
-                            t_eval):
-    """(t, alpha, log_rho) sampled on t_eval; used for reconstruction."""
-    if problem.interval is None:
-        raise DomainError("needs an explicit interval")
-    a, b = problem.interval
+                            alpha_start: float, a: float, b: float,
+                            config: IntegratorConfig, t_eval):
+    """(t, alpha, log_rho) over [a, b], sampled on t_eval."""
     potential = problem.effective_potential()
     fun = _angular_fun(potential, [E], with_amplitude=True)
     y0 = np.array([alpha_start, 0.0])

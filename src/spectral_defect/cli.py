@@ -23,10 +23,13 @@ from .errors import ConfigError, SpectralDefectError
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, SquareWell, Tabulated,
                          TruncatedOscillator, Yukawa, ConstantLevel,
-                         problem_for, validate_problem)
+                         problem_for)
 
 _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
              "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
+# [solve] keys of all commands together: one file serves every command
+_SOLVE_PARAMS = ("emin", "emax", "ceiling", "n", "samples", "grid",
+                 "grid_min", "grid_max", "grid_points")
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,23 @@ class RunConfig:
     scan_out: Optional[str] = None
 
 
+class _Section(dict):
+    """Raw values of one INI section; remembers the keys the parser read."""
+
+    def __init__(self, parser, name):
+        super().__init__(parser[name] if name in parser else {})
+        self.name = name
+        self.read = set()
+
+    def reject_unread(self):
+        for key in self:
+            if key not in self.read:
+                raise ConfigError(f"unknown key '{key}' in section "
+                                  f"[{self.name}]", key=key)
+
+
 def _get(section, key, cast, required=False, default=None):
+    section.read.add(key)
     if key not in section:
         if required:
             raise ConfigError(f"missing required key '{key}' in section "
@@ -56,8 +75,15 @@ def _get(section, key, cast, required=False, default=None):
                           f"[{section.name}]: {exc}", key=key)
 
 
-def _float_list(raw):
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+def _number(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _number_list(raw):
+    return tuple(_number(x) for x in raw.replace(",", " ").split())
 
 
 def _build_potential(section):
@@ -67,41 +93,45 @@ def _build_potential(section):
                           f"of {', '.join(_FAMILIES)}", key="family")
     if family == "truncated_oscillator":
         return TruncatedOscillator(
-            omega=_get(section, "omega", float, required=True),
-            cutoff_a=_get(section, "cutoff", float, required=True))
+            omega=_get(section, "omega", _number, required=True),
+            cutoff_a=_get(section, "cutoff", _number, required=True))
     if family == "hybrid_oscillator":
         return HybridOscillator(
-            omega_left=_get(section, "omega_left", float, required=True),
-            omega_right=_get(section, "omega_right", float, required=True))
+            omega_left=_get(section, "omega_left", _number, required=True),
+            omega_right=_get(section, "omega_right", _number, required=True))
     if family == "square_well":
-        return SquareWell(depth=_get(section, "depth", float, required=True),
-                          left=_get(section, "left", float, required=True),
-                          right=_get(section, "right", float, required=True))
+        return SquareWell(depth=_get(section, "depth", _number, required=True),
+                          left=_get(section, "left", _number, required=True),
+                          right=_get(section, "right", _number, required=True))
     if family == "piecewise":
         return PiecewiseConstant(
-            breakpoints_=_get(section, "breakpoints", _float_list,
+            breakpoints_=_get(section, "breakpoints", _number_list,
                               required=True),
-            values=_get(section, "values", _float_list, required=True))
+            values=_get(section, "values", _number_list, required=True))
     if family == "coulomb":
-        return Coulomb(charge=_get(section, "charge", float, default=1.0))
+        return Coulomb(charge=_get(section, "charge", _number, default=1.0))
     if family == "yukawa":
-        return Yukawa(screening_lambda=_get(section, "lambda", float,
+        return Yukawa(screening_lambda=_get(section, "lambda", _number,
                                             required=True))
     if family == "quark_hybrid":
-        return QuarkHybrid(omega=_get(section, "omega", float, required=True))
+        return QuarkHybrid(omega=_get(section, "omega", _number,
+                                      required=True))
     if family == "tabulated":
         path = _get(section, "file", str, required=True)
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.shape[1] != 2 or not np.all(np.isfinite(data)):
+            raise ConfigError(f"tabulated file {path!r} needs two columns "
+                              "of finite numbers, t and V", key="file")
         return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
 
 
-_INTEGRATOR_KEYS = {"rel_tol": ("rel_tol", float),
-                   "abs_tol": ("abs_tol", float),
+_INTEGRATOR_KEYS = {"rel_tol": ("rel_tol", _number),
+                   "abs_tol": ("abs_tol", _number),
                    "max_steps": ("max_steps", lambda raw: int(float(raw))),
                    "method": ("method", str)}
-_SOLVE_KEYS = {"e_tol": ("e_tol", float),
-               "residual_tol": ("residual_tol", float),
-               "kappa": ("kappa", float),
+_SOLVE_KEYS = {"e_tol": ("e_tol", _number),
+               "residual_tol": ("residual_tol", _number),
+               "kappa": ("kappa", _number),
                "n_terms": ("n_terms", int),
                "samples": ("scan_samples", int)}
 
@@ -114,7 +144,8 @@ def _fields(section, keys):
 
 def parse_config(text: str) -> RunConfig:
     """RunConfig from INI text; defaults applied for omitted tolerances."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -122,9 +153,6 @@ def parse_config(text: str) -> RunConfig:
     if "potential" not in parser:
         raise ConfigError("missing required section [potential]",
                           key="potential")
-    for name in ("domain", "tolerances"):
-        if name not in parser:
-            parser.add_section(name)
     try:
         return _build_run(parser)
     except ValueError as exc:
@@ -133,9 +161,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _build_run(parser):
-    potential = _build_potential(parser["potential"])
+    sections = [_Section(parser, name)
+                for name in ("potential", "domain", "tolerances", "solve")]
+    pot_section, domain, tol, solve = sections
+    solve.read.update(_SOLVE_PARAMS)
+    potential = _build_potential(pot_section)
 
-    domain = parser["domain"]
     kind = _get(domain, "kind", str.lower, default="wholeline")
     if kind not in ("wholeline", "halfline"):
         raise ConfigError(f"unknown domain kind {kind!r}", key="kind")
@@ -146,7 +177,7 @@ def _build_run(parser):
         raise ConfigError(f"{type(potential).__name__} lives on the half "
                           "line; set kind = halfline and l", key="kind")
 
-    a, b = _get(domain, "a", float), _get(domain, "b", float)
+    a, b = _get(domain, "a", _number), _get(domain, "b", _number)
     interval = None
     if a is not None or b is not None:
         if a is None or b is None:
@@ -155,7 +186,6 @@ def _build_run(parser):
         interval = (a, b)
 
     problem = problem_for(potential, l=l, interval=interval)
-    validate_problem(problem)
 
     offset = 0.0
     eref = _get(domain, "eref", str, default="absolute")
@@ -167,19 +197,12 @@ def _build_run(parser):
                               key="eref")
         offset = problem.right_tail.level
 
-    tol = parser["tolerances"]
     solve_config = spectrum.SolveConfig(
         integrator=IntegratorConfig(**_fields(tol, _INTEGRATOR_KEYS)),
         **_fields(tol, _SOLVE_KEYS))
-
-    params = {}
-    if "solve" in parser:
-        for key, raw in parser["solve"].items():
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"bad numeric value {raw!r} for key "
-                                  f"'{key}' in section [solve]", key=key)
+    for section in sections:
+        section.reject_unread()
+    params = {key: _get(solve, key, _number) for key in solve}
     return RunConfig(problem=problem, config=solve_config, params=params,
                      energy_offset=offset)
 
@@ -189,6 +212,14 @@ def _require_param(run, key):
         raise ConfigError(f"missing required key '{key}' in section [solve]",
                           key=key)
     return run.params[key]
+
+
+def _point_count(run, key, default):
+    count = int(run.params.get(key, default))
+    if count < 2:
+        raise ConfigError(f"'{key}' in section [solve] must be at least 2, "
+                          f"got {count}", key=key)
+    return count
 
 
 def _fmt(x):
@@ -243,7 +274,7 @@ def _cmd_solve(run):
 def _cmd_scan(run):
     emin = _require_param(run, "emin") + run.energy_offset
     emax = _require_param(run, "emax") + run.energy_offset
-    samples = int(run.params.get("samples", 128))
+    samples = _point_count(run, "samples", 128)
     energies = np.linspace(emin, emax, samples)
     sams = spectrum.defect_angles(run.problem, energies, run.config)
     _write_csv(run.scan_out or run.output, ["energy", "gamma"],
@@ -260,6 +291,7 @@ def _cmd_count(run):
 
 def _cmd_eigenfunction(run):
     n = int(_require_param(run, "n"))
+    points = _point_count(run, "grid_points", 2001)
     emin = _require_param(run, "emin") + run.energy_offset
     emax = _require_param(run, "emax") + run.energy_offset
     result = spectrum.find_eigenvalues(run.problem, emin, emax, run.config)
@@ -271,7 +303,6 @@ def _cmd_eigenfunction(run):
     a, b = result.problem.interval
     gmin = run.params.get("grid_min", a)
     gmax = run.params.get("grid_max", b)
-    points = int(run.params.get("grid_points", 2001))
     grid = np.linspace(gmin, gmax, points)
     ef = spectrum.reconstruct_eigenfunction(result.problem, match[0].energy,
                                             grid, run.config)

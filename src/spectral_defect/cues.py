@@ -196,7 +196,8 @@ class _SeriesTail:
 
     def residual(self, problem, E, t, n_terms):
         series = tail_cue_series(self, E, n_terms)
-        return verify_cue_residual(series, problem.potential, problem.l, E, t)
+        return verify_cue_residual(series, problem.potential, problem.l or 0,
+                                   E, t)
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ def _decay_rate(E):
 
 
 # ---------------------------------------------------------------------------
-# Cue constructors (unit charge for the Coulomb cues)
+# Cue constructors (unit charge for the Coulomb cue)
 # ---------------------------------------------------------------------------
 
 def oscillator_cue_coeffs(omega: float, E: float,
@@ -362,40 +363,10 @@ def oscillator_cue_coeffs(omega: float, E: float,
     return OscillatorTail(omega).cue_series(E, n_terms)
 
 
-def coulomb_zero_cue_coeffs(l: int, E: float,
-                            n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the Coulomb well, f = (l+1)/t + power series in t."""
-    return CoulombZeroSingularity(l).cue_series(E, n_terms)
-
-
-def yukawa_zero_cue_coeffs(l: int, E: float, screening_lambda: float,
-                           n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the Yukawa well."""
-    return YukawaZeroSingularity(l, screening_lambda).cue_series(E, n_terms)
-
-
-def quark_zero_cue_coeffs(l: int, E: float, omega: float,
-                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """0+ cue of the quark hybrid well (Coulomb plus confining term)."""
-    return QuarkZeroSingularity(omega, l).cue_series(E, n_terms)
-
-
 def coulomb_infinity_cue_coeffs(l: int, E: float,
                                 n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
     """Right-decaying Coulomb cue, f = -sqrt(2|E|) + series in 1/t."""
     return CoulombTail(l).cue_series(E, n_terms)
-
-
-def yukawa_infinity_cue_coeffs(l: int, E: float, screening_lambda: float,
-                               n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying Yukawa cue (see YukawaTail.cue_series)."""
-    return YukawaTail(l, screening_lambda).cue_series(E, n_terms)
-
-
-def quark_infinity_cue_coeffs(l: int, E: float, omega: float,
-                              n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying cue of the quark hybrid well, f = -omega t + series."""
-    return QuarkTail(omega, l).cue_series(E, n_terms)
 
 
 # ---------------------------------------------------------------------------

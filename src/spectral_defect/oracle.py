@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from .angular import IntegratorConfig, _integrate_vector
 from .errors import DomainError, ThresholdError
-from .potentials import ConstantLevel, HalfLine, ProblemSpec
+from .potentials import ConstantLevel, ProblemSpec
 from .spectrum import SolveConfig, auto_interval
 
 _RESCALE_LIMIT = 1e120
@@ -231,8 +231,8 @@ def _fd_interval(problem, e_ceiling, config):
         b = b + 16.0 / kappa
     else:
         b = 1.3 * b
-    if isinstance(problem.domain, HalfLine):
-        a = 0.0 if problem.domain.l > 0 else min(a, 1e-4)
+    if problem.l is not None:
+        a = 0.0 if problem.l > 0 else min(a, 1e-4)
         a = max(a, 1e-6)
     elif isinstance(left, ConstantLevel):
         kappa = math.sqrt(2.0 * max(left.level - e_ceiling, config.kappa))

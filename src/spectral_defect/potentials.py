@@ -6,7 +6,7 @@ workers.  Each family names its own boundary behaviour through tails(l);
 the tail classes live in `cues` and are re-exported here.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -251,8 +251,7 @@ class EffectiveRadial:
     l: int
 
     def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
-            raise ValueError("l must be a non-negative integer")
+        object.__setattr__(self, "l", _angular_momentum(self.l))
 
     half_line_only = True
 
@@ -304,16 +303,21 @@ def _require_half_line(t):
         raise DomainError("half-line potential evaluated at t <= 0")
 
 
+def _angular_momentum(l) -> int:
+    """l as an int; ValueError unless it is a non-negative integer."""
+    if l < 0 or int(l) != l:
+        raise ValueError("l must be a non-negative integer")
+    return int(l)
+
+
 def effective_radial(potential: PotentialSpec, l: int) -> PotentialSpec:
     """Half-line potential with the centrifugal term for angular momentum l.
 
     For l = 0 the input is returned unchanged (the barrier vanishes).
     """
-    if l < 0 or int(l) != l:
-        raise ValueError("l must be a non-negative integer")
     if l == 0:
         return potential
-    return EffectiveRadial(potential, int(l))
+    return EffectiveRadial(potential, l)
 
 
 # ---------------------------------------------------------------------------
@@ -321,53 +325,41 @@ def effective_radial(potential: PotentialSpec, l: int) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WholeLine:
-    pass
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    l: int = 0
-
-    def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
-            raise ValueError("l must be a non-negative integer")
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
-    """A potential, its domain, its tail classes and a working interval.
+    """A potential, its angular momentum and a working interval.
 
-    interval is None for automatic selection (see spectrum.auto_interval).
+    l is None on the whole line and a non-negative integer on the half line;
+    the tail classes follow from (potential, l) and are derived here, never
+    passed in.  interval is None for automatic selection (see
+    spectrum.auto_interval).
     """
 
     potential: PotentialSpec
-    domain: Union[WholeLine, HalfLine]
-    left_tail: TailClass
-    right_tail: TailClass
+    l: Optional[int] = None
     interval: Optional[Tuple[float, float]] = None
+    left_tail: TailClass = field(init=False)
+    right_tail: TailClass = field(init=False)
 
     def __post_init__(self):
+        if self.l is not None:
+            object.__setattr__(self, "l", _angular_momentum(self.l))
+        elif self.potential.half_line_only:
+            raise ValueError("half-line-only potential on the whole line")
         if self.interval is not None:
             a, b = self.interval
             if not a < b:
                 raise ValueError(f"need a < b, got interval ({a}, {b})")
-            if isinstance(self.domain, HalfLine) and not a > 0:
+            if self.l is not None and not a > 0:
                 raise ValueError(
                     "half-line problems must start at a > 0, never at the "
                     "singularity")
-        if isinstance(self.domain, WholeLine) and self.potential.half_line_only:
-            raise ValueError("half-line-only potential on the whole line")
-
-    @property
-    def l(self) -> int:
-        return self.domain.l if isinstance(self.domain, HalfLine) else 0
+        left, right = self.potential.tails(self.l or 0)
+        object.__setattr__(self, "left_tail", left)
+        object.__setattr__(self, "right_tail", right)
 
     def effective_potential(self) -> PotentialSpec:
         """The potential actually entering the angular equation."""
-        if isinstance(self.domain, HalfLine):
-            return effective_radial(self.potential, self.domain.l)
-        return self.potential
+        return effective_radial(self.potential, self.l or 0)
 
     def with_interval(self, a: float, b: float) -> "ProblemSpec":
         return replace(self, interval=(a, b))
@@ -377,22 +369,9 @@ class ProblemSpec:
         return min(self.left_tail.threshold, self.right_tail.threshold)
 
 
-def validate_problem(problem: ProblemSpec) -> None:
-    """Raise ConfigError when a tail class contradicts the potential."""
-    left, right = problem.potential.tails(problem.l)
-    for name, given, wanted in (("left_tail", problem.left_tail, left),
-                                ("right_tail", problem.right_tail, right)):
-        if type(given) is not type(wanted) or given != wanted:
-            raise ConfigError(
-                f"{name} {given!r} does not match the potential's asymptotic "
-                f"behaviour (expected {wanted!r})", key=name)
-
-
 def problem_for(potential: PotentialSpec, l: Optional[int] = None,
                 interval: Optional[Tuple[float, float]] = None) -> ProblemSpec:
-    """Assemble a ProblemSpec with the tails implied by the family."""
-    half = potential.half_line_only or l is not None
-    l_eff = int(l or 0)
-    left, right = potential.tails(l_eff)
-    domain = HalfLine(l_eff) if half else WholeLine()
-    return ProblemSpec(potential, domain, left, right, interval)
+    """ProblemSpec of the potential; half-line-only families get l = 0."""
+    if l is None and potential.half_line_only:
+        l = 0
+    return ProblemSpec(potential, l, interval)

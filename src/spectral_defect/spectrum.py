@@ -18,7 +18,7 @@ from . import cues
 from .angular import IntegratorConfig, integrate_angle_sampled, integrate_angles
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
-from .potentials import ConstantLevel, HalfLine, ProblemSpec, Shifted
+from .potentials import ConstantLevel, ProblemSpec, Shifted
 
 _ZERO_FLOOR = 1e-4          # radial problems never start below this
 _GROWTH = 1.5               # geometric interval growth factor
@@ -42,6 +42,9 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
         if self.scan_samples < 2:
             raise ValueError("need at least two scan samples")
+        if self.n_terms < 2:
+            raise ValueError("n_terms must be at least 2, the shortest cue "
+                             "series")
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,8 @@ def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
         if failure is None:
             return t
         last_t, t = t, grow(t)
+        if t == last_t:
+            break
     raise IntervalSelectionError(
         f"no admissible {side} boundary for E in [{E_lo}, {E_hi}] "
         f"(residual_tol={config.residual_tol}); last tried t = {last_t}: "
@@ -150,15 +155,14 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     bp = problem.potential.breakpoints()
     left_tail, right_tail = problem.left_tail, problem.right_tail
 
-    if isinstance(problem.domain, HalfLine):
+    if problem.l is not None:
         if isinstance(left_tail, ConstantLevel):
             raise DomainError("half-line problems need a 0+ singularity cue "
                               "on the left")
         # near the singularity the forbidden-region clearance does not apply
         a = _resolve_side(problem, "left", E_min, E_max, config, seed=1e-2,
-                          grow=lambda t: max(t / _GROWTH, _ZERO_FLOOR / 2),
+                          grow=lambda t: max(t / _GROWTH, _ZERO_FLOOR),
                           check_clearance=False)
-        a = max(a, _ZERO_FLOOR)
     else:
         if isinstance(left_tail, ConstantLevel):
             a = min(bp) if bp else -1.0
@@ -235,7 +239,7 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # Root finding on Gamma(E) = n pi (and the scaled variant)
 # ---------------------------------------------------------------------------
 
-def _scaled_defects(problem, energies, interval, config):
+def _scaled_defects(problem, energies, config, interval):
     """Defect of the squeezing-adapted chart; roots at n pi as well.
 
     Requires equal constant tails; the potential and energies are shifted so
@@ -246,10 +250,7 @@ def _scaled_defects(problem, energies, interval, config):
             and left.level == right.level):
         raise DomainError("the scaled chart needs equal constant tails")
     v0 = left.level
-    shifted = replace(
-        problem, potential=Shifted(problem.potential, -v0),
-        left_tail=ConstantLevel(0.0), right_tail=ConstantLevel(0.0),
-        interval=problem.interval)
+    shifted = replace(problem, potential=Shifted(problem.potential, -v0))
     energies = np.asarray(energies, dtype=float) - v0
     a, b = interval
     starts = np.full(energies.shape, math.pi / 4.0)
@@ -321,12 +322,10 @@ def _scan_and_bisect(sample_fn, E_min, E_max, config, enforce_monotone=True):
     return tuple(eigenvalues), scan
 
 
-def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
-                     config: SolveConfig = None) -> SpectrumResult:
-    """All eigenvalues in [E_min, E_max], bracketed via the monotone defect.
+def _solve(problem, E_min, E_max, config, defects, enforce_monotone=True):
+    """Scan and bisect on one interval, resolved at the energy extremes.
 
-    The interval is resolved once per run at the energy extremes; every
-    Gamma evaluation in the scan and the lock-step bisection shares it.
+    defects(problem, energies, config, interval) returns DefectSamples.
     """
     config = config or SolveConfig()
     if not E_min < E_max:
@@ -334,12 +333,23 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     interval = auto_interval(problem, E_min, E_max, config)
 
     def sample(energies):
-        return defect_angles(problem, energies, config, interval=interval)
+        return defects(problem, energies, config, interval)
 
-    eigenvalues, scan = _scan_and_bisect(sample, E_min, E_max, config)
+    eigenvalues, scan = _scan_and_bisect(sample, E_min, E_max, config,
+                                         enforce_monotone)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(*interval),
                           config=config)
+
+
+def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
+                     config: SolveConfig = None) -> SpectrumResult:
+    """All eigenvalues in [E_min, E_max], bracketed via the monotone defect.
+
+    The interval is resolved once per run at the energy extremes; every
+    Gamma evaluation in the scan and the lock-step bisection shares it.
+    """
+    return _solve(problem, E_min, E_max, config, defect_angles)
 
 
 def find_eigenvalues_scaled(problem: ProblemSpec, E_min: float, E_max: float,
@@ -349,19 +359,8 @@ def find_eigenvalues_scaled(problem: ProblemSpec, E_min: float, E_max: float,
     Cross-validates the plain pipeline: the total angular change satisfies
     (n + 1/2) pi at the same energies the plain defect crosses n pi.
     """
-    config = config or SolveConfig()
-    if not E_min < E_max:
-        raise DomainError("need E_min < E_max")
-    interval = auto_interval(problem, E_min, E_max, config)
-
-    def sample(energies):
-        return _scaled_defects(problem, energies, interval, config)
-
-    eigenvalues, scan = _scan_and_bisect(sample, E_min, E_max, config,
-                                         enforce_monotone=False)
-    return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
-                          problem=problem.with_interval(*interval),
-                          config=config)
+    return _solve(problem, E_min, E_max, config, _scaled_defects,
+                  enforce_monotone=False)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +384,7 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     alpha_a = cues.left_boundary_angle(problem, E_n, a, config.n_terms)
-    prob = problem.with_interval(a, b)
-    ts, alphas, logs = integrate_angle_sampled(prob, E_n, alpha_a,
+    ts, alphas, logs = integrate_angle_sampled(problem, E_n, alpha_a, a, b,
                                                config.integrator,
                                                t_eval=grid)
     # segment stitching may duplicate boundary points; keep grid points only

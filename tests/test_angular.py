@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import spectral_defect as sd
-from spectral_defect.angular import _angular_fun, _scaled_fun
+from spectral_defect.angular import (_angular_fun, _scaled_fun,
+                                     integrate_angles)
 from spectral_defect.errors import DomainError
 
 
@@ -13,6 +14,13 @@ FLAT = sd.PiecewiseConstant((0.0,), (0.0, 0.0))  # V identically zero
 
 def flat_problem(a, b):
     return sd.problem_for(FLAT, interval=(a, b))
+
+
+def terminal_angles(problem, energies, alpha_start, **kwargs):
+    """(alphas, log_rhos or None) at b of the problem's interval."""
+    a, b = problem.interval
+    return integrate_angles(problem, energies, alpha_start, a, b,
+                            sd.IntegratorConfig(), **kwargs)
 
 
 def test_rate_is_minus_one_at_vertical_angles():
@@ -45,9 +53,8 @@ def test_fixed_point_holds_for_flat_potential():
     fun = _angular_fun(FLAT, [E], with_amplitude=False)
     assert fun(1.0, np.array([alpha_star]))[0] == pytest.approx(
         0.0, abs=1e-15)
-    state = sd.integrate_angle(flat_problem(-5.0, 5.0), E, alpha_star,
-                               sd.IntegratorConfig())
-    assert state.alpha == pytest.approx(alpha_star, abs=1e-10)
+    alphas, _ = terminal_angles(flat_problem(-5.0, 5.0), [E], alpha_star)
+    assert alphas[0] == pytest.approx(alpha_star, abs=1e-10)
 
 
 def _rk4(f, t0, t1, y0, n):
@@ -76,7 +83,7 @@ def test_square_well_against_fixed_step_rk4():
         return 2.0 * (well.evaluate(t) - E) * c * c - s * s
 
     reference = _rk4(f, -1.0, 1.0, alpha0, 4000)
-    got = sd.integrate_angle(problem, E, alpha0, sd.IntegratorConfig()).alpha
+    got = terminal_angles(problem, [E], alpha0)[0][0]
     assert got == pytest.approx(reference, abs=1e-9)
 
 
@@ -84,8 +91,7 @@ def test_terminal_angle_decreases_with_energy():
     # d(rhs)/dE = -2 cos^2(alpha) <= 0, so higher E lags behind
     well = sd.SquareWell(depth=-3.0, left=-1.5, right=1.5)
     problem = sd.problem_for(well, interval=(-1.5, 1.5))
-    cfg = sd.IntegratorConfig()
-    alphas = [sd.integrate_angle(problem, E, 1.0, cfg).alpha
+    alphas = [terminal_angles(problem, [E], 1.0)[0][0]
               for E in (-2.5, -1.5, -0.5)]
     assert alphas[0] > alphas[1] > alphas[2]
 
@@ -93,9 +99,8 @@ def test_terminal_angle_decreases_with_energy():
 def test_pi_shift_equivariance():
     well = sd.SquareWell(depth=-2.0, left=-1.0, right=1.0)
     problem = sd.problem_for(well, interval=(-2.0, 2.0))
-    cfg = sd.IntegratorConfig()
-    base = sd.integrate_angle(problem, -0.7, 0.4, cfg).alpha
-    shifted = sd.integrate_angle(problem, -0.7, 0.4 + math.pi, cfg).alpha
+    base = terminal_angles(problem, [-0.7], 0.4)[0][0]
+    shifted = terminal_angles(problem, [-0.7], 0.4 + math.pi)[0][0]
     assert shifted - base == pytest.approx(math.pi, abs=1e-8)
 
 
@@ -114,16 +119,10 @@ def test_amplitude_recovers_flat_decay():
     k = math.sqrt(-2.0 * E)
     alpha_star = -math.atan(k)
     problem = flat_problem(0.0, 4.0)
-    state = sd.integrate_angle(problem, E, alpha_star, sd.IntegratorConfig(),
-                               with_amplitude=True)
+    _, log_rhos = terminal_angles(problem, [E], alpha_star,
+                                  with_amplitude=True)
     # rho^2 = psi^2 + psi'^2 scales like exp(-2kt) too
-    assert state.log_rho == pytest.approx(-k * 4.0, abs=1e-9)
-
-
-def test_integrate_angle_requires_interval():
-    problem = sd.problem_for(sd.SquareWell(-1.0, -1.0, 1.0))
-    with pytest.raises(DomainError):
-        sd.integrate_angle(problem, -0.5, 0.0, sd.IntegratorConfig())
+    assert log_rhos[0] == pytest.approx(-k * 4.0, abs=1e-9)
 
 
 def test_integrator_config_validation():

@@ -230,16 +230,40 @@ def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):
     assert all(float(line.split(":")[1]) < 1e-8 for line in mismatches)
 
 
-@pytest.mark.parametrize("text, key", [
-    (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'"),
-    (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega"),
-    (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'"),
-    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'"),
+TABULATED_CONFIG = """
+[potential]
+family = tabulated
+file = {dir}/one_column.csv
+"""
+
+
+@pytest.mark.parametrize("text, key, command", [
+    (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'", "solve"),
+    (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega", "solve"),
+    (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'", "solve"),
+    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'", "solve"),
+    (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve"),
+    (TABULATED_CONFIG, "two columns", "solve"),
+    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = 1\n", "n_terms", "solve"),
+    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = -3\n", "n_terms", "solve"),
+    (OSC_CONFIG + "samples = 0\n", "'samples'", "scan"),
+    (OSC_CONFIG + "samples = -5\n", "'samples'", "scan"),
+    (OSC_CONFIG + "n = 0\ngrid_points = 0\n", "'grid_points'",
+     "eigenfunction"),
+    (OSC_CONFIG.replace("omega = 1", "omega = %(x)s"), "'omega'", "solve"),
+    (WELL_CONFIG.replace("depth = -2", "depth = nan"), "'depth'", "count"),
+    (OSC_CONFIG.replace("omega = 1", "omega = inf"), "'omega'", "solve"),
+    (COULOMB_CONFIG.replace("family = coulomb",
+                            "family = coulomb\nchrage = 2"), "'chrage'",
+     "count"),
+    (OSC_CONFIG + "emxa = 2\n", "'emxa'", "solve"),
 ])
-def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, text, key):
+def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, text, key,
+                                              command):
+    (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
-    assert cli.main(["solve", str(cfg)]) == 2
+    cfg.write_text(text.replace("{dir}", str(tmp_path)))
+    assert cli.main([command, str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

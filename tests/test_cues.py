@@ -35,7 +35,7 @@ def test_oscillator_even_coefficients_vanish():
 def test_coulomb_zero_leading_coefficients():
     for l in (0, 1, 3):
         E = -0.21
-        series = cues.coulomb_zero_cue_coeffs(l, E)
+        series = cues.CoulombZeroSingularity(l).cue_series(E)
         assert series.coeffs[0] == pytest.approx(-1.0 / (l + 1))
         expect = -(2.0 * E * (l + 1) ** 2 + 1.0) / ((2 * l + 3) * (l + 1) ** 2)
         assert series.coeffs[1] == pytest.approx(expect)
@@ -43,14 +43,14 @@ def test_coulomb_zero_leading_coefficients():
 
 def test_yukawa_zero_matches_coulomb_in_the_unscreened_limit():
     E, l = -0.4, 1
-    coul = cues.coulomb_zero_cue_coeffs(l, E, n_terms=8)
-    yuk = cues.yukawa_zero_cue_coeffs(l, E, 1e-12, n_terms=8)
+    coul = cues.CoulombZeroSingularity(l).cue_series(E, n_terms=8)
+    yuk = cues.YukawaZeroSingularity(l, 1e-12).cue_series(E, n_terms=8)
     assert np.allclose(coul.coeffs, yuk.coeffs, atol=1e-9)
 
 
 def test_yukawa_zero_second_coefficient():
     E, l, lam = -0.4, 0, 0.6
-    series = cues.yukawa_zero_cue_coeffs(l, E, lam)
+    series = cues.YukawaZeroSingularity(l, lam).cue_series(E)
     a0 = -1.0 / (l + 1)
     expect = (2.0 * lam - 2.0 * E - a0 * a0) / (2 * l + 3)
     assert series.coeffs[1] == pytest.approx(expect)
@@ -58,15 +58,15 @@ def test_yukawa_zero_second_coefficient():
 
 def test_quark_zero_departs_from_coulomb_at_cubic_order():
     E, l, omega = -0.1, 0, 0.05
-    coul = cues.coulomb_zero_cue_coeffs(l, E, n_terms=6)
-    quark = cues.quark_zero_cue_coeffs(l, E, omega, n_terms=6)
+    coul = cues.CoulombZeroSingularity(l).cue_series(E, n_terms=6)
+    quark = cues.QuarkZeroSingularity(omega, l).cue_series(E, n_terms=6)
     assert np.allclose(coul.coeffs[:3], quark.coeffs[:3])
     diff = quark.coeffs[3] - coul.coeffs[3]
     assert diff == pytest.approx(omega * omega / (2 * l + 5))
 
 
 def test_quark_infinity_second_coefficient():
-    series = cues.quark_infinity_cue_coeffs(l=0, E=-0.2, omega=0.3)
+    series = cues.QuarkTail(omega=0.3, l=0).cue_series(-0.2)
     assert series.coeffs[1] == pytest.approx(1.0 / 0.3)
 
 
@@ -110,7 +110,7 @@ def test_coulomb_sentinels_scale_with_charge():
 
 
 def test_coulomb_zero_sentinel_is_exact_too():
-    series = cues.coulomb_zero_cue_coeffs(l=0, E=-0.5)
+    series = cues.CoulombZeroSingularity(l=0).cue_series(-0.5)
     assert series.evaluate(1e-3) == pytest.approx(1.0 / 1e-3 - 1.0)
     assert cues.verify_cue_residual(series, sd.Coulomb(), 0, -0.5,
                                     0.01) < 1e-12
@@ -183,4 +183,4 @@ def test_domain_guards():
     with pytest.raises(ThresholdError):
         cues.coulomb_infinity_cue_coeffs(l=0, E=0.1)
     with pytest.raises(DomainError):
-        cues.quark_infinity_cue_coeffs(l=0, E=-0.5, omega=0.0)
+        cues.QuarkTail(omega=0.0, l=0).cue_series(-0.5)

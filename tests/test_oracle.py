@@ -5,6 +5,7 @@ import pytest
 
 import spectral_defect as sd
 from spectral_defect import oracle
+from spectral_defect.angular import integrate_angles
 from spectral_defect.errors import DomainError
 
 
@@ -80,8 +81,9 @@ def test_phase_angle_agrees_with_angular_flow():
     alpha0 = 0.6
     start = oracle.PhaseState(t=-1.0, q=math.cos(alpha0), p=math.sin(alpha0))
     end = oracle.propagate_phase(problem, E, start, 1.0)
-    alpha = sd.integrate_angle(problem, E, alpha0,
-                               sd.IntegratorConfig()).alpha
+    alphas, _ = integrate_angles(problem, [E], [alpha0], -1.0, 1.0,
+                                 sd.IntegratorConfig())
+    alpha = alphas[0]
     wrapped = (end.angle() - alpha + math.pi / 2) % math.pi - math.pi / 2
     assert wrapped == pytest.approx(0.0, abs=1e-9)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectral_defect import potentials as pot
-from spectral_defect.errors import ConfigError, DomainError
+from spectral_defect.errors import DomainError
 
 
 def test_truncated_oscillator_matches_closed_form():
@@ -103,23 +103,14 @@ def test_array_evaluation_matches_scalar():
 
 def test_problem_for_wires_expected_tails():
     p = pot.problem_for(pot.Coulomb())
-    assert isinstance(p.domain, pot.HalfLine)
+    assert p.l == 0
     assert p.left_tail == pot.CoulombZeroSingularity(0)
     assert p.right_tail == pot.CoulombTail(0)
     assert p.threshold() == 0.0
 
     q = pot.problem_for(pot.TruncatedOscillator(1.0, 2.0))
-    assert isinstance(q.domain, pot.WholeLine)
+    assert q.l is None
     assert q.threshold() == pytest.approx(2.0)
-
-
-def test_validate_problem_rejects_wrong_tail():
-    p = pot.problem_for(pot.Coulomb())
-    bad = pot.ProblemSpec(p.potential, p.domain, p.left_tail,
-                          pot.ConstantLevel(0.0))
-    with pytest.raises(ConfigError) as err:
-        pot.validate_problem(bad)
-    assert err.value.key == "right_tail"
 
 
 def test_problem_spec_rejects_bad_interval():
@@ -131,5 +122,4 @@ def test_problem_spec_rejects_bad_interval():
 
 def test_half_line_only_potential_rejects_whole_line():
     with pytest.raises(ValueError):
-        pot.ProblemSpec(pot.Coulomb(), pot.WholeLine(),
-                        pot.CoulombZeroSingularity(0), pot.CoulombTail(0))
+        pot.ProblemSpec(pot.Coulomb())

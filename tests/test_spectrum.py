@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spectral_defect as sd
+from spectral_defect import cues
 from spectral_defect.errors import (DomainError, IntervalSelectionError,
                                     ThresholdError)
 from spectral_defect.potentials import Shifted
@@ -94,6 +95,17 @@ def test_shifted_well_spectrum_moves_with_the_offset(well, offset):
                        atol=1e-8)
 
 
+@settings(max_examples=5, deadline=None, database=None)
+@given(well=lattice_wells())
+def test_count_levels_agrees_with_found_levels(well):
+    e_min, e_max = min(well.values) + 1e-3, -0.1
+    problem = sd.problem_for(well)
+    levels = sd.find_eigenvalues(problem, e_min, e_max).energies
+    ceilings = [0.5 * (e1 + e2) for e1, e2 in zip(levels, levels[1:])]
+    for ceiling in ceilings + [e_max]:
+        assert sd.count_levels(problem, ceiling) == np.sum(levels <= ceiling)
+
+
 def test_defect_angle_negative_below_ground():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     sample = sd.defect_angle(problem, -1.9)
@@ -146,6 +158,22 @@ def test_interval_selection_error_names_the_last_attempt():
     with pytest.raises(IntervalSelectionError,
                        match=r"last tried t = \S+: cue residual \S+ at E ="):
         sd.auto_interval(problem, -0.6, -0.1, config)
+
+
+def test_failed_radial_left_search_stops_at_the_floor(monkeypatch):
+    calls = []
+    residual = cues.boundary_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(cues, "boundary_residual", counted)
+    with pytest.raises(IntervalSelectionError,
+                       match=r"left boundary .* last tried t = 0\.0001: "):
+        sd.auto_interval(sd.problem_for(sd.Coulomb()), -0.6, -0.01,
+                         sd.SolveConfig(residual_tol=1e-12))
+    assert len(calls) <= 15
 
 
 def test_threshold_guard():
