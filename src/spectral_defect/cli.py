@@ -12,8 +12,8 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -21,15 +21,15 @@ from . import oracle, spectrum
 from .angular import IntegratorConfig
 from .errors import ConfigError, SpectralDefectError
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
-                         ProblemSpec, QuarkHybrid, SquareWell, Tabulated,
-                         TruncatedOscillator, Yukawa, ConstantLevel,
+                         ProblemSpec, QuarkHybrid, Shifted, SquareWell,
+                         Tabulated, TruncatedOscillator, Yukawa, ConstantLevel,
                          problem_for)
 
 _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
              "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
-# [solve] keys of all commands together: one file serves every command
-_SOLVE_PARAMS = ("emin", "emax", "ceiling", "n", "samples", "grid",
-                 "grid_min", "grid_max", "grid_points")
+_SECTIONS = ("potential", "domain", "tolerances", "solve")
+# the command-line flags that override [tolerances] keys of the same name
+_TOLERANCE_FLAGS = ("e_tol", "rel_tol", "abs_tol", "residual_tol")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class RunConfig:
     problem: ProblemSpec
     config: spectrum.SolveConfig
     params: Dict[str, float]
-    energy_offset: float = 0.0
     fmt: str = "table"
     output: Optional[str] = None
     scan_out: Optional[str] = None
@@ -58,6 +57,14 @@ class _Section(dict):
             if key not in self.read:
                 raise ConfigError(f"unknown key '{key}' in section "
                                   f"[{self.name}]", key=key)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        """Constructor checks and file reads fail with the section's name."""
+        if isinstance(exc, (ValueError, OverflowError, OSError)):
+            raise ConfigError(f"section [{self.name}]: {exc}") from None
 
 
 def _get(section, key, cast, required=False, default=None):
@@ -84,6 +91,16 @@ def _number(raw):
 
 def _number_list(raw):
     return tuple(_number(x) for x in raw.replace(",", " ").split())
+
+
+def _integer(minimum):
+    """Cast to an int no smaller than minimum; fractions are rejected."""
+    def cast(raw):
+        value = _number(raw)
+        if value != int(value) or value < minimum:
+            raise ValueError(f"must be an integer of at least {minimum}")
+        return int(value)
+    return cast
 
 
 def _build_potential(section):
@@ -127,13 +144,18 @@ def _build_potential(section):
 
 _INTEGRATOR_KEYS = {"rel_tol": ("rel_tol", _number),
                    "abs_tol": ("abs_tol", _number),
-                   "max_steps": ("max_steps", lambda raw: int(float(raw))),
+                   "max_steps": ("max_steps", _integer(1)),
                    "method": ("method", str)}
 _SOLVE_KEYS = {"e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
                "kappa": ("kappa", _number),
                "n_terms": ("n_terms", int),
                "samples": ("scan_samples", int)}
+# [solve] keys of all commands together: one file serves every command
+_SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
+                 "n": _integer(0), "samples": _integer(2),
+                 "grid": _integer(64), "grid_min": _number,
+                 "grid_max": _number, "grid_points": _integer(2)}
 
 
 def _fields(section, keys):
@@ -142,30 +164,35 @@ def _fields(section, keys):
             for key, (name, cast) in keys.items() if key in section}
 
 
-def parse_config(text: str) -> RunConfig:
-    """RunConfig from INI text; defaults applied for omitted tolerances."""
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """RunConfig from INI text; defaults applied for omitted tolerances.
+
+    overrides are raw (section, key, value) strings laid over the file, as
+    the command-line flags are; they pass the same casts and checks.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}")
+    for section, key, value in overrides:
+        parser.read_dict({section: {key: value}})
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; the sections are "
+                              + ", ".join(f"[{s}]" for s in _SECTIONS))
     if "potential" not in parser:
         raise ConfigError("missing required section [potential]",
                           key="potential")
-    try:
-        return _build_run(parser)
-    except ValueError as exc:
-        # family, domain and config constructors validate their own fields
-        raise ConfigError(str(exc)) from None
+    return _build_run(parser)
 
 
 def _build_run(parser):
-    sections = [_Section(parser, name)
-                for name in ("potential", "domain", "tolerances", "solve")]
+    sections = [_Section(parser, name) for name in _SECTIONS]
     pot_section, domain, tol, solve = sections
-    solve.read.update(_SOLVE_PARAMS)
-    potential = _build_potential(pot_section)
+    with pot_section:
+        potential = _build_potential(pot_section)
 
     kind = _get(domain, "kind", str.lower, default="wholeline")
     if kind not in ("wholeline", "halfline"):
@@ -185,26 +212,28 @@ def _build_run(parser):
                               key="a" if a is None else "b")
         interval = (a, b)
 
-    problem = problem_for(potential, l=l, interval=interval)
-
-    offset = 0.0
     eref = _get(domain, "eref", str, default="absolute")
     if eref not in ("absolute", "tail"):
         raise ConfigError(f"unknown energy reference {eref!r}", key="eref")
+    with domain:
+        problem = problem_for(potential, l=l, interval=interval)
     if eref == "tail":
         if not isinstance(problem.right_tail, ConstantLevel):
             raise ConfigError("eref = tail needs a constant right tail",
                               key="eref")
-        offset = problem.right_tail.level
+        # every energy read or written is then relative to the tail level
+        problem = replace(problem, potential=Shifted(
+            potential, -problem.right_tail.level))
 
-    solve_config = spectrum.SolveConfig(
-        integrator=IntegratorConfig(**_fields(tol, _INTEGRATOR_KEYS)),
-        **_fields(tol, _SOLVE_KEYS))
+    with tol:
+        solve_config = spectrum.SolveConfig(
+            integrator=IntegratorConfig(**_fields(tol, _INTEGRATOR_KEYS)),
+            **_fields(tol, _SOLVE_KEYS))
+    params = {key: _get(solve, key, cast)
+              for key, cast in _SOLVE_PARAMS.items() if key in solve}
     for section in sections:
         section.reject_unread()
-    params = {key: _get(solve, key, _number) for key in solve}
-    return RunConfig(problem=problem, config=solve_config, params=params,
-                     energy_offset=offset)
+    return RunConfig(problem=problem, config=solve_config, params=params)
 
 
 def _require_param(run, key):
@@ -214,12 +243,9 @@ def _require_param(run, key):
     return run.params[key]
 
 
-def _point_count(run, key, default):
-    count = int(run.params.get(key, default))
-    if count < 2:
-        raise ConfigError(f"'{key}' in section [solve] must be at least 2, "
-                          f"got {count}", key=key)
-    return count
+def _solve(run):
+    return spectrum.find_eigenvalues(run.problem, _require_param(run, "emin"),
+                                     _require_param(run, "emax"), run.config)
 
 
 def _fmt(x):
@@ -249,16 +275,9 @@ def _write_csv(path, header, rows):
         out.close()
 
 
-def _eigen_rows(result, offset):
-    return [(ev.n, ev.energy - offset, ev.gamma_residual)
-            for ev in result.eigenvalues]
-
-
 def _cmd_solve(run):
-    emin = _require_param(run, "emin") + run.energy_offset
-    emax = _require_param(run, "emax") + run.energy_offset
-    result = spectrum.find_eigenvalues(run.problem, emin, emax, run.config)
-    rows = _eigen_rows(result, run.energy_offset)
+    result = _solve(run)
+    rows = [(ev.n, ev.energy, ev.gamma_residual) for ev in result.eigenvalues]
     if run.fmt == "csv":
         _write_csv(run.output, ["n", "energy", "gamma_residual"], rows)
     else:
@@ -267,43 +286,37 @@ def _cmd_solve(run):
         _emit(lines, run.output)
     if run.scan_out:
         _write_csv(run.scan_out, ["energy", "gamma"],
-                   [(s.E - run.energy_offset, s.gamma) for s in result.scan])
+                   [(s.E, s.gamma) for s in result.scan])
     return 0
 
 
 def _cmd_scan(run):
-    emin = _require_param(run, "emin") + run.energy_offset
-    emax = _require_param(run, "emax") + run.energy_offset
-    samples = _point_count(run, "samples", 128)
-    energies = np.linspace(emin, emax, samples)
+    energies = np.linspace(_require_param(run, "emin"),
+                           _require_param(run, "emax"),
+                           run.params.get("samples", 128))
     sams = spectrum.defect_angles(run.problem, energies, run.config)
-    _write_csv(run.scan_out or run.output, ["energy", "gamma"],
-               [(s.E - run.energy_offset, s.gamma) for s in sams])
+    _write_csv(run.output, ["energy", "gamma"], [(s.E, s.gamma) for s in sams])
     return 0
 
 
 def _cmd_count(run):
-    ceiling = _require_param(run, "ceiling") + run.energy_offset
-    n = spectrum.count_levels(run.problem, ceiling, run.config)
+    n = spectrum.count_levels(run.problem, _require_param(run, "ceiling"),
+                              run.config)
     _emit([str(n)], run.output)
     return 0
 
 
 def _cmd_eigenfunction(run):
-    n = int(_require_param(run, "n"))
-    points = _point_count(run, "grid_points", 2001)
-    emin = _require_param(run, "emin") + run.energy_offset
-    emax = _require_param(run, "emax") + run.energy_offset
-    result = spectrum.find_eigenvalues(run.problem, emin, emax, run.config)
+    n = _require_param(run, "n")
+    result = _solve(run)
     match = [ev for ev in result.eigenvalues if ev.n == n]
     if not match:
-        raise SpectralDefectError(
-            f"no branch n = {n} in [{emin}, {emax}]; found "
-            f"{[ev.n for ev in result.eigenvalues]}")
+        raise SpectralDefectError(f"no branch n = {n} in [emin, emax]; found "
+                                  f"{[ev.n for ev in result.eigenvalues]}")
     a, b = result.problem.interval
-    gmin = run.params.get("grid_min", a)
-    gmax = run.params.get("grid_max", b)
-    grid = np.linspace(gmin, gmax, points)
+    grid = np.linspace(run.params.get("grid_min", a),
+                       run.params.get("grid_max", b),
+                       run.params.get("grid_points", 2001))
     ef = spectrum.reconstruct_eigenfunction(result.problem, match[0].energy,
                                             grid, run.config)
     _write_csv(run.output, ["t", "psi"], list(zip(ef.t, ef.psi)))
@@ -311,11 +324,10 @@ def _cmd_eigenfunction(run):
 
 
 def _cmd_verify(run):
-    emin = _require_param(run, "emin") + run.energy_offset
-    emax = _require_param(run, "emax") + run.energy_offset
-    result = spectrum.find_eigenvalues(run.problem, emin, emax, run.config)
-    grid_size = int(run.params.get("grid", 8192))
-    fd = oracle.fd_eigenvalues(run.problem, emax, grid_size=grid_size,
+    result = _solve(run)
+    emin, emax = run.params["emin"], run.params["emax"]
+    fd = oracle.fd_eigenvalues(run.problem, emax,
+                               grid_size=run.params.get("grid", 8192),
                                config=run.config)
     fd_vals = [e for e in fd.energies if e >= emin]
     lines = [f"{'n':>4}  {'E_angular':>18}  {'E_fd':>18}  {'diff':>12}"
@@ -325,11 +337,11 @@ def _cmd_verify(run):
         if i < len(fd_vals):
             diff = ev.energy - fd_vals[i]
             err = fd.errors[list(fd.energies).index(fd_vals[i])]
-            lines.append(f"{ev.n:>4}  {_fmt(ev.energy - run.energy_offset):>18}"
-                         f"  {_fmt(fd_vals[i] - run.energy_offset):>18}"
-                         f"  {_fmt(diff):>12}  {_fmt(float(err)):>10}")
+            lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}  "
+                         f"{_fmt(fd_vals[i]):>18}  {_fmt(diff):>12}  "
+                         f"{_fmt(float(err)):>10}")
         else:
-            lines.append(f"{ev.n:>4}  {_fmt(ev.energy - run.energy_offset):>18}"
+            lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}"
                          f"  {'-':>18}  {'-':>12}  {'-':>10}")
             status = 1
     if len(fd_vals) != len(result.eigenvalues):
@@ -361,25 +373,6 @@ def run(config: RunConfig, command: str = "solve") -> int:
     return _COMMANDS[command](config)
 
 
-def _apply_overrides(run_cfg, args):
-    integ = run_cfg.config.integrator
-    if args.rel_tol is not None:
-        integ = replace(integ, rel_tol=args.rel_tol)
-    if args.abs_tol is not None:
-        integ = replace(integ, abs_tol=args.abs_tol)
-    cfg = replace(run_cfg.config, integrator=integ)
-    if args.e_tol is not None:
-        cfg = replace(cfg, e_tol=args.e_tol)
-    if args.residual_tol is not None:
-        cfg = replace(cfg, residual_tol=args.residual_tol)
-    problem = run_cfg.problem
-    if args.interval is not None:
-        problem = problem.with_interval(*args.interval)
-    return replace(run_cfg, config=cfg, problem=problem,
-                   fmt=args.format, output=args.output,
-                   scan_out=getattr(args, "scan_out", None))
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spectral-defect",
@@ -394,16 +387,16 @@ def _build_parser():
             ("verify", "cross-check against the matrix oracle")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="path to an INI configuration file")
-        p.add_argument("--e-tol", type=float, default=None)
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--abs-tol", type=float, default=None)
-        p.add_argument("--residual-tol", type=float, default=None)
-        p.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"),
-                       default=None)
-        p.add_argument("--format", choices=("table", "csv"), default="table")
+        for key in _TOLERANCE_FLAGS:
+            p.add_argument("--" + key.replace("_", "-"),
+                           help=f"override [tolerances] {key}")
+        p.add_argument("--interval", nargs=2, metavar=("A", "B"),
+                       help="override [domain] a and b")
         p.add_argument("--output", default=None,
                        help="write to this path instead of stdout")
         if name == "solve":
+            p.add_argument("--format", choices=("table", "csv"),
+                           default="table")
             p.add_argument("--scan-out", dest="scan_out", default=None,
                            help="also write the Gamma scan CSV here")
     return parser
@@ -411,10 +404,16 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = [("tolerances", key, getattr(args, key))
+                 for key in _TOLERANCE_FLAGS if getattr(args, key) is not None]
+    if args.interval is not None:
+        overrides += zip(("domain", "domain"), ("a", "b"), args.interval)
     try:
         with open(args.config) as fh:
-            run_cfg = parse_config(fh.read())
-        run_cfg = _apply_overrides(run_cfg, args)
+            run_cfg = parse_config(fh.read(), overrides)
+        run_cfg = replace(run_cfg, output=args.output,
+                          fmt=getattr(args, "format", "table"),
+                          scan_out=getattr(args, "scan_out", None))
         return run(run_cfg, args.command)
     except ConfigError as exc:
         print(f"spectral-defect: configuration error: {exc}", file=sys.stderr)

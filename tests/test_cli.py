@@ -1,6 +1,7 @@
 import csv
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import cli
@@ -182,31 +183,38 @@ def test_scan_out_writes_monotone_gamma(tmp_path):
     assert all(g2 >= g1 - 1e-9 for g1, g2 in zip(gammas, gammas[1:]))
 
 
-def test_eref_tail_shifts_energies(tmp_path):
-    cfg = tmp_path / "osc.ini"
-    cfg.write_text("""
-[potential]
-family = truncated_oscillator
-omega = 1
-cutoff = 2
-
-[domain]
-eref = tail
-
-[solve]
-emin = -1.999999
-emax = -0.002
-""")
+def _solved_energies(tmp_path, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
     out = tmp_path / "levels.csv"
-    code = cli.main(["solve", str(cfg), "--format", "csv",
-                     "--output", str(out)])
-    assert code == 0
+    assert cli.main(["solve", str(cfg), "--format", "csv",
+                     "--output", str(out)]) == 0
     with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    # tail level is 2, so tail-referred energies are E_abs - 2 < 0
-    assert len(rows) == 2
-    assert all(float(r["energy"]) < 0 for r in rows)
-    assert float(rows[0]["energy"]) == pytest.approx(0.49702 - 2.0, abs=1e-3)
+        return [float(row["energy"]) for row in csv.DictReader(fh)]
+
+
+def _count(tmp_path, text, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert cli.main(["count", str(cfg)]) == 0
+    return int(capsys.readouterr().out)
+
+
+def test_eref_tail_shifts_energies(tmp_path, capsys):
+    # the tail level of this oscillator is omega^2 cutoff^2 / 2 = 2
+    tail_text = OSC_CONFIG.replace(
+        "[solve]", "[domain]\neref = tail\n\n[solve]").replace(
+        "emin = 1e-6\nemax = 1.998", "emin = -1.999999\nemax = -0.002")
+    referred = _solved_energies(tmp_path, tail_text)
+    absolute = _solved_energies(tmp_path, OSC_CONFIG)
+    assert len(referred) == len(absolute) == 2
+    assert referred == pytest.approx([e - 2.0 for e in absolute], abs=1e-9)
+    for ceiling in (-1.0, -0.002):
+        tail_count = _count(tmp_path, tail_text + f"ceiling = {ceiling}\n",
+                            capsys)
+        abs_count = _count(tmp_path,
+                           OSC_CONFIG + f"ceiling = {ceiling + 2.0}\n", capsys)
+        assert tail_count == abs_count
 
 
 def test_verify_coulomb_skips_the_transfer_check(tmp_path, capsys):
@@ -237,36 +245,143 @@ file = {dir}/one_column.csv
 """
 
 
-@pytest.mark.parametrize("text, key, command", [
-    (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'", "solve"),
-    (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega", "solve"),
-    (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'", "solve"),
-    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'", "solve"),
-    (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve"),
-    (TABULATED_CONFIG, "two columns", "solve"),
-    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = 1\n", "n_terms", "solve"),
-    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = -3\n", "n_terms", "solve"),
-    (OSC_CONFIG + "samples = 0\n", "'samples'", "scan"),
-    (OSC_CONFIG + "samples = -5\n", "'samples'", "scan"),
+_BAD_VALUES = [
+    (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'", "solve", ""),
+    (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega", "solve", ""),
+    (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'", "solve", ""),
+    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'", "solve", ""),
+    (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve", ""),
+    (TABULATED_CONFIG, "two columns", "solve", ""),
+    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = 1\n", "n_terms", "solve",
+     ""),
+    (COULOMB_CONFIG + "\n[tolerances]\nn_terms = -3\n", "n_terms", "solve",
+     ""),
+    (OSC_CONFIG + "samples = 0\n", "'samples'", "scan", ""),
+    (OSC_CONFIG + "samples = -5\n", "'samples'", "scan", ""),
     (OSC_CONFIG + "n = 0\ngrid_points = 0\n", "'grid_points'",
-     "eigenfunction"),
-    (OSC_CONFIG.replace("omega = 1", "omega = %(x)s"), "'omega'", "solve"),
-    (WELL_CONFIG.replace("depth = -2", "depth = nan"), "'depth'", "count"),
-    (OSC_CONFIG.replace("omega = 1", "omega = inf"), "'omega'", "solve"),
+     "eigenfunction", ""),
+    (OSC_CONFIG.replace("omega = 1", "omega = %(x)s"), "'omega'", "solve", ""),
+    (WELL_CONFIG.replace("depth = -2", "depth = nan"), "'depth'", "count", ""),
+    (OSC_CONFIG.replace("omega = 1", "omega = inf"), "'omega'", "solve", ""),
+    (OSC_CONFIG.replace("omega = 1", "omega = 1e200"), "out of range",
+     "solve", ""),
     (COULOMB_CONFIG.replace("family = coulomb",
                             "family = coulomb\nchrage = 2"), "'chrage'",
-     "count"),
-    (OSC_CONFIG + "emxa = 2\n", "'emxa'", "solve"),
-])
-def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, text, key,
-                                              command):
+     "count", ""),
+    (OSC_CONFIG + "emxa = 2\n", "'emxa'", "solve", ""),
+    (OSC_CONFIG, "[tolerances]", "solve", "--e-tol -1"),
+    (OSC_CONFIG, "'rel_tol'", "solve", "--rel-tol nan"),
+    (OSC_CONFIG, "[tolerances]", "solve", "--residual-tol 0"),
+    (OSC_CONFIG, "[domain]", "solve", "--interval 5 1"),
+    (COULOMB_CONFIG, "[domain]", "solve", "--interval -1 1"),
+    (OSC_CONFIG, "'e_tol'", "solve", "--e-tol inf"),
+    (OSC_CONFIG + "n = 1.5\n", "'n'", "eigenfunction", ""),
+    (OSC_CONFIG + "grid = 10\n", "'grid'", "verify", ""),
+    (OSC_CONFIG + "\n[tolerance]\ne_tol = abc\n", "[tolerance]", "solve", ""),
+]
+
+
+def _bad_value_id(row):
+    """pytest's id of the first three columns; the flags follow if any."""
+    text, key, command, flags = row
+    parts = [text, key, command]
+    return "-".join(parts + [flags] if flags else parts)
+
+
+@pytest.mark.parametrize("text, key, command, flags", _BAD_VALUES,
+                         ids=[_bad_value_id(row) for row in _BAD_VALUES])
+def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, monkeypatch,
+                                              text, key, command, flags):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("a command ran"))
     (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text.replace("{dir}", str(tmp_path)))
-    assert cli.main([command, str(cfg)]) == 2
+    assert cli.main([command, str(cfg), *flags.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spectral-defect: configuration error: ")
     assert key in lines[0]
+
+
+# each family's own keys; every other known key is drawn at random
+_FAMILY_KEYS = {"truncated_oscillator": ("omega", "cutoff"),
+                "hybrid_oscillator": ("omega_left", "omega_right"),
+                "square_well": ("depth", "left", "right"),
+                "piecewise": ("breakpoints", "values"),
+                "coulomb": ("charge",), "yukawa": ("lambda",),
+                "quark_hybrid": ("omega",), "tabulated": ("file",),
+                "morse": ()}
+_KNOWN_KEYS = {
+    "potential": sorted({key for keys in _FAMILY_KEYS.values()
+                         for key in keys}),
+    "domain": ("kind", "l", "a", "b", "eref"),
+    "solve": ("emin", "emax", "ceiling", "n", "samples", "grid", "grid_min",
+              "grid_max", "grid_points"),
+    "tolerances": ("rel_tol", "abs_tol", "e_tol", "residual_tol", "kappa",
+                   "n_terms", "samples", "max_steps", "method"),
+}
+_ENTRIES = [(section, key) for section, keys in _KNOWN_KEYS.items()
+            for key in keys]
+# what --e-tol, --rel-tol, --abs-tol, --residual-tol and --interval set
+_FLAGS = [[("tolerances", "e_tol")], [("tolerances", "rel_tol")],
+          [("tolerances", "abs_tol")], [("tolerances", "residual_tol")],
+          [("domain", "a"), ("domain", "b")]]
+_NUMBERS = st.one_of(
+    st.floats(0, 10).map(repr), st.floats(-10, 0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 100).map(str),
+    st.sampled_from([f"1e{exponent}" for exponent in range(-400, 401, 20)]))
+_JUNK = st.one_of(
+    st.fractions(max_denominator=7).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "", "abc", "0 1"]))
+_CHOICES = {"kind": ("halfline", "wholeline"), "l": ("0", "1", "2"),
+            "eref": ("absolute", "tail"), "method": ("RK23", "DOP853", "FOO")}
+_LISTS = ("breakpoints", "values")
+
+
+def _value(draw, key):
+    """A choice, list or number as the key takes; junk one time in ten."""
+    if not draw(st.integers(0, 9)):
+        return draw(_JUNK)
+    if key in _CHOICES:
+        return draw(st.sampled_from(_CHOICES[key]))
+    if key in _LISTS:
+        return ", ".join(draw(st.lists(_NUMBERS, max_size=4)))
+    return draw(_NUMBERS)
+
+
+@st.composite
+def ini_runs(draw):
+    """INI text over the known keys, plus flag overrides laid over it.
+
+    The family's own keys are always drawn, and half the files put the
+    problem on the half line, so most get past the required-key checks.
+    """
+    family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
+    entries = {("potential", key): None for key in _FAMILY_KEYS[family]}
+    if draw(st.booleans()):
+        entries.update({("domain", "kind"): "halfline", ("domain", "l"): None})
+    entries.update(dict.fromkeys(draw(st.lists(st.sampled_from(_ENTRIES),
+                                                max_size=6))))
+    sections = {"potential": [f"family = {family}"]}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(
+            f"{key} = {value or _value(draw, key)}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                   for name, lines in sections.items())
+    flags = draw(st.lists(st.sampled_from(_FLAGS), max_size=3))
+    return text, [(section, key, _value(draw, key))
+                  for flag in flags for section, key in flag]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ini_runs())
+def test_parse_config_returns_a_run_or_a_config_error(ini_run):
+    text, overrides = ini_run
+    try:
+        run = cli.parse_config(text, overrides)
+    except ConfigError:
+        return
+    assert isinstance(run, cli.RunConfig)
