@@ -18,7 +18,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import oracle, spectrum
-from .angular import IntegratorConfig
 from .errors import ConfigError, SpectralDefectError
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, Shifted, SquareWell,
@@ -142,11 +141,9 @@ def _build_potential(section):
         return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
 
 
-_INTEGRATOR_KEYS = {"rel_tol": ("rel_tol", _number),
-                   "abs_tol": ("abs_tol", _number),
-                   "max_steps": ("max_steps", _integer(1)),
-                   "method": ("method", str)}
-_SOLVE_KEYS = {"e_tol": ("e_tol", _number),
+_SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
+               "abs_tol": ("abs_tol", _number),
+               "e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
                "kappa": ("kappa", _number),
                "n_terms": ("n_terms", int),
@@ -156,12 +153,6 @@ _SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
                  "n": _integer(0), "samples": _integer(2),
                  "grid": _integer(64), "grid_min": _number,
                  "grid_max": _number, "grid_points": _integer(2)}
-
-
-def _fields(section, keys):
-    """Constructor keywords for the keys present; defaults apply otherwise."""
-    return {name: _get(section, key, cast)
-            for key, (name, cast) in keys.items() if key in section}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -226,9 +217,10 @@ def _build_run(parser):
             potential, -problem.right_tail.level))
 
     with tol:
-        solve_config = spectrum.SolveConfig(
-            integrator=IntegratorConfig(**_fields(tol, _INTEGRATOR_KEYS)),
-            **_fields(tol, _SOLVE_KEYS))
+        # keys left out keep the SolveConfig defaults
+        solve_config = spectrum.SolveConfig(**{
+            name: _get(tol, key, cast)
+            for key, (name, cast) in _SOLVE_KEYS.items() if key in tol})
     params = {key: _get(solve, key, cast)
               for key, cast in _SOLVE_PARAMS.items() if key in solve}
     for section in sections:
@@ -351,7 +343,7 @@ def _cmd_verify(run):
     try:
         for ev in result.eigenvalues:
             mism = oracle.transfer_mismatch(result.problem, ev.energy,
-                                            run.config.integrator)
+                                            run.config)
             lines.append(f"transfer mismatch at n={ev.n}: {_fmt(abs(mism))}")
     except SpectralDefectError:
         lines.append("transfer-matrix check skipped (needs constant tails)")
@@ -373,8 +365,15 @@ def run(config: RunConfig, command: str = "solve") -> int:
     return _COMMANDS[command](config)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors on one line, like every other command-line error."""
+
+    def error(self, message):
+        self.exit(2, f"spectral-defect: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spectral-defect",
         description="Discrete Schroedinger spectra from the angular Riccati "
                     "flow and the monotone defect angle.")
@@ -414,7 +413,9 @@ def main(argv=None) -> int:
         run_cfg = replace(run_cfg, output=args.output,
                           fmt=getattr(args, "format", "table"),
                           scan_out=getattr(args, "scan_out", None))
-        return run(run_cfg, args.command)
+        # overflow on the way to a typed failure is reported by that failure
+        with np.errstate(all="ignore"):
+            return run(run_cfg, args.command)
     except ConfigError as exc:
         print(f"spectral-defect: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -66,7 +66,8 @@ class CueSeries:
         if len(self.coeffs) < 2:
             raise ValueError("need at least two series coefficients")
         if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("series coefficients must be finite")
+            # extreme potential parameters overflow a series: not a code bug
+            raise DomainError("series coefficients must be finite")
         if self.variable not in (INVERSE_T, DIRECT_T):
             raise ValueError(f"unknown series variable {self.variable!r}")
 

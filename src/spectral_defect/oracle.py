@@ -7,14 +7,14 @@ shooting pipeline is minimal by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .angular import IntegratorConfig, _integrate_vector
+from .angular import _integrate_vector
 from .errors import DomainError, ThresholdError
 from .potentials import ConstantLevel, ProblemSpec
 from .spectrum import SolveConfig, auto_interval
@@ -83,9 +83,9 @@ def _propagate(potential, E, t0, t1, y0, config):
 
 def propagate_phase(problem: ProblemSpec, E: float, start: PhaseState,
                     t_end: float,
-                    config: IntegratorConfig = None) -> PhaseState:
+                    config: SolveConfig = None) -> PhaseState:
     """Integrate dq/dt = p, dp/dt = 2[V - E] q from the start state."""
-    config = config or IntegratorConfig()
+    config = config or SolveConfig()
     potential = problem.effective_potential()
     y, exp = _propagate(potential, E, start.t, t_end,
                         [start.q, start.p], config)
@@ -94,9 +94,9 @@ def propagate_phase(problem: ProblemSpec, E: float, start: PhaseState,
 
 
 def transfer_matrix(problem: ProblemSpec, E: float,
-                    config: IntegratorConfig = None) -> TransferMatrix:
+                    config: SolveConfig = None) -> TransferMatrix:
     """u(b, a) over the compact support, from the two canonical states."""
-    config = config or IntegratorConfig()
+    config = config or SolveConfig()
     a, b = _support_interval(problem)
     potential = problem.effective_potential()
     cols = []
@@ -131,7 +131,7 @@ def _support_interval(problem):
 
 
 def transfer_mismatch(problem: ProblemSpec, E: float,
-                      config: IntegratorConfig = None) -> float:
+                      config: SolveConfig = None) -> float:
     """Signed angle (mod pi, in (-pi/2, pi/2]) between u(b,a) e+ and e-.
 
     Zero exactly at eigenvalues: the expanding direction must be carried
@@ -149,10 +149,10 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
 
 
 def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
-                        config: IntegratorConfig = None,
+                        config: SolveConfig = None,
                         xtol: float = 1e-12) -> float:
     """Root of the transfer mismatch inside a bracket around one level."""
-    config = config or IntegratorConfig()
+    config = config or SolveConfig()
 
     def f(E):
         return transfer_mismatch(problem, E, config)

@@ -6,6 +6,7 @@ workers.  Each family names its own boundary behaviour through tails(l);
 the tail classes live in `cues` and are re-exported here.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
@@ -40,6 +41,10 @@ class TruncatedOscillator:
     def __post_init__(self):
         _check_positive("omega", self.omega)
         _check_positive("cutoff_a", self.cutoff_a)
+        if not math.isfinite(self.tails(0)[0].level):
+            raise ValueError(f"the tail level omega^2 cutoff_a^2 / 2 "
+                             f"overflows for omega = {self.omega!r}, "
+                             f"cutoff_a = {self.cutoff_a!r}")
 
     half_line_only = False
 

@@ -8,14 +8,15 @@ superlinear method.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from . import cues
-from .angular import IntegratorConfig, integrate_angle_sampled, integrate_angles
+from .angular import (_integrate_vector, _scaled_fun, integrate_angle_sampled,
+                      integrate_angles)
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
 from .potentials import ConstantLevel, ProblemSpec, Shifted
@@ -28,9 +29,10 @@ _MAX_REFINE_ROUNDS = 14     # scan refinement rounds before bracketing
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tolerances and knobs shared by the spectrum operations."""
+    """Integrator tolerances and the knobs of the spectrum and oracle."""
 
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-12
     e_tol: float = 1e-10
     residual_tol: float = 1e-10
     kappa: float = 1e-3
@@ -38,7 +40,8 @@ class SolveConfig:
     scan_samples: int = 64
 
     def __post_init__(self):
-        if not (self.e_tol > 0 and self.residual_tol > 0 and self.kappa > 0):
+        if not all(tol > 0 for tol in (self.rel_tol, self.abs_tol, self.e_tol,
+                                       self.residual_tol, self.kappa)):
             raise ValueError("tolerances must be positive")
         if self.scan_samples < 2:
             raise ValueError("need at least two scan samples")
@@ -212,8 +215,7 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     a, b = interval
     starts = np.array([cues.left_boundary_angle(problem, E, a, config.n_terms)
                        for E in energies])
-    alphas, _ = integrate_angles(problem, energies, starts, a, b,
-                                 config.integrator)
+    alphas, _ = integrate_angles(problem, energies, starts, a, b, config)
     out = []
     for E, alpha_b in zip(energies, alphas):
         alpha_minus = cues.right_boundary_angle(problem, float(E), b,
@@ -251,11 +253,12 @@ def _scaled_defects(problem, energies, config, interval):
         raise DomainError("the scaled chart needs equal constant tails")
     v0 = left.level
     shifted = replace(problem, potential=Shifted(problem.potential, -v0))
+    potential = shifted.effective_potential()
     energies = np.asarray(energies, dtype=float) - v0
     a, b = interval
     starts = np.full(energies.shape, math.pi / 4.0)
-    alphas, _ = integrate_angles(shifted, energies, starts, a, b,
-                                 config.integrator, chart="scaled")
+    alphas, _, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
+                                     starts, config, potential.breakpoints())
     return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al),
                          alpha_b=float(al))
             for E, al in zip(energies, alphas)]
@@ -385,8 +388,7 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     alpha_a = cues.left_boundary_angle(problem, E_n, a, config.n_terms)
     ts, alphas, logs = integrate_angle_sampled(problem, E_n, alpha_a, a, b,
-                                               config.integrator,
-                                               t_eval=grid)
+                                               config, t_eval=grid)
     # segment stitching may duplicate boundary points; keep grid points only
     idx = np.searchsorted(ts, grid)
     t_s, alpha_s, log_s = ts[idx], alphas[idx], logs[idx]

@@ -20,7 +20,7 @@ def terminal_angles(problem, energies, alpha_start, **kwargs):
     """(alphas, log_rhos or None) at b of the problem's interval."""
     a, b = problem.interval
     return integrate_angles(problem, energies, alpha_start, a, b,
-                            sd.IntegratorConfig(), **kwargs)
+                            sd.SolveConfig(), **kwargs)
 
 
 def test_rate_is_minus_one_at_vertical_angles():
@@ -127,8 +127,6 @@ def test_amplitude_recovers_flat_decay():
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
-        sd.IntegratorConfig(rel_tol=0.0)
+        sd.SolveConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
-        sd.IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError, match="RK23, RK45, DOP853"):
-        sd.IntegratorConfig(method="Radau")
+        sd.SolveConfig(abs_tol=0.0)

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,7 +81,7 @@ def test_unknown_family_rejected():
 def test_tolerance_overrides_parsed():
     text = OSC_CONFIG + "\n[tolerances]\nrel_tol = 1e-9\nsamples = 32\n"
     run = cli.parse_config(text)
-    assert run.config.integrator.rel_tol == 1e-9
+    assert run.config.rel_tol == 1e-9
     assert run.config.scan_samples == 32
 
 
@@ -249,7 +250,7 @@ _BAD_VALUES = [
     (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'", "solve", ""),
     (OSC_CONFIG.replace("omega = 1", "omega = -1"), "omega", "solve", ""),
     (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'", "solve", ""),
-    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'FOO'", "solve", ""),
+    (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'method'", "solve", ""),
     (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve", ""),
     (TABULATED_CONFIG, "two columns", "solve", ""),
     (COULOMB_CONFIG + "\n[tolerances]\nn_terms = 1\n", "n_terms", "solve",
@@ -265,6 +266,8 @@ _BAD_VALUES = [
     (OSC_CONFIG.replace("omega = 1", "omega = inf"), "'omega'", "solve", ""),
     (OSC_CONFIG.replace("omega = 1", "omega = 1e200"), "out of range",
      "solve", ""),
+    (OSC_CONFIG.replace("omega = 1", "omega = 1e154").replace(
+        "cutoff = 2", "cutoff = 1e154"), "[potential]", "count", ""),
     (COULOMB_CONFIG.replace("family = coulomb",
                             "family = coulomb\nchrage = 2"), "'chrage'",
      "count", ""),
@@ -305,6 +308,36 @@ def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, monkeypatch,
     assert key in lines[0]
 
 
+# solver failures and argparse errors: (INI text, argv, exit code)
+_ONE_LINE_FAILURES = [
+    ("[potential]\nfamily = quark_hybrid\nomega = 1e50\n[domain]\n"
+     "kind = halfline\nl = 0\n[solve]\nceiling = 1\n", "count {cfg}", 1),
+    ("[potential]\nfamily = hybrid_oscillator\nomega_left = 1e200\n"
+     "omega_right = 1\n[solve]\nemin = 0.1\nemax = 2\n", "solve {cfg}", 1),
+    (OSC_CONFIG, "scan {cfg} --format table", 2),
+    (OSC_CONFIG, "count {cfg} --bogus", 2),
+    (OSC_CONFIG, "solve", 2),
+]
+
+
+@pytest.mark.parametrize("text, argv, code", _ONE_LINE_FAILURES)
+def test_failures_print_one_line(tmp_path, capsys, text, argv, code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = cli.main(argv.format(cfg=cfg).split())
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
 # each family's own keys; every other known key is drawn at random
 _FAMILY_KEYS = {"truncated_oscillator": ("omega", "cutoff"),
                 "hybrid_oscillator": ("omega_left", "omega_right"),
@@ -320,7 +353,7 @@ _KNOWN_KEYS = {
     "solve": ("emin", "emax", "ceiling", "n", "samples", "grid", "grid_min",
               "grid_max", "grid_points"),
     "tolerances": ("rel_tol", "abs_tol", "e_tol", "residual_tol", "kappa",
-                   "n_terms", "samples", "max_steps", "method"),
+                   "n_terms", "samples"),
 }
 _ENTRIES = [(section, key) for section, keys in _KNOWN_KEYS.items()
             for key in keys]
@@ -337,7 +370,7 @@ _JUNK = st.one_of(
     st.fractions(max_denominator=7).map(str),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "", "abc", "0 1"]))
 _CHOICES = {"kind": ("halfline", "wholeline"), "l": ("0", "1", "2"),
-            "eref": ("absolute", "tail"), "method": ("RK23", "DOP853", "FOO")}
+            "eref": ("absolute", "tail")}
 _LISTS = ("breakpoints", "values")
 
 

@@ -82,7 +82,7 @@ def test_phase_angle_agrees_with_angular_flow():
     start = oracle.PhaseState(t=-1.0, q=math.cos(alpha0), p=math.sin(alpha0))
     end = oracle.propagate_phase(problem, E, start, 1.0)
     alphas, _ = integrate_angles(problem, [E], [alpha0], -1.0, 1.0,
-                                 sd.IntegratorConfig())
+                                 sd.SolveConfig())
     alpha = alphas[0]
     wrapped = (end.angle() - alpha + math.pi / 2) % math.pi - math.pi / 2
     assert wrapped == pytest.approx(0.0, abs=1e-9)
