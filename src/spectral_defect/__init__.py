@@ -5,8 +5,8 @@ from .cues import CueSeries, oscillator_cue_coeffs, verify_cue_residual
 from .errors import (ConfigError, DomainError, IntegrationError,
                      IntervalSelectionError, MonotonicityError,
                      SpectralDefectError, ThresholdError)
-from .oracle import (FdResult, PhaseState, TransferMatrix, fd_eigenvalues,
-                     propagate_phase, transfer_matrix, transfer_mismatch)
+from .oracle import (FdResult, TransferMatrix, fd_eigenvalues,
+                     transfer_matrix, transfer_mismatch)
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, SquareWell, Tabulated,
                          TruncatedOscillator, Yukawa, effective_radial,

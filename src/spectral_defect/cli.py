@@ -146,7 +146,6 @@ _SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
                "e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
                "kappa": ("kappa", _number),
-               "n_terms": ("n_terms", int),
                "samples": ("scan_samples", int)}
 # [solve] keys of all commands together: one file serves every command
 _SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
@@ -269,12 +268,12 @@ def _write_csv(path, header, rows):
 
 def _cmd_solve(run):
     result = _solve(run)
-    rows = [(ev.n, ev.energy, ev.gamma_residual) for ev in result.eigenvalues]
+    rows = [(ev.n, ev.energy, ev.width) for ev in result.eigenvalues]
     if run.fmt == "csv":
-        _write_csv(run.output, ["n", "energy", "gamma_residual"], rows)
+        _write_csv(run.output, ["n", "energy", "width"], rows)
     else:
-        lines = [f"{'n':>4}  {'E_n':>18}  {'gamma_residual':>14}"]
-        lines += [f"{n:>4}  {_fmt(e):>18}  {_fmt(g):>14}" for n, e, g in rows]
+        lines = [f"{'n':>4}  {'E_n':>18}  {'width':>14}"]
+        lines += [f"{n:>4}  {_fmt(e):>18}  {_fmt(w):>14}" for n, e, w in rows]
         _emit(lines, run.output)
     if run.scan_out:
         _write_csv(run.scan_out, ["energy", "gamma"],
@@ -365,8 +364,15 @@ def run(config: RunConfig, command: str = "solve") -> int:
     return _COMMANDS[command](config)
 
 
+class _ParserExit(Exception):
+    """argparse's exit (a usage error or --help): (status, stderr text)."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors on one line, like every other command-line error."""
+
+    def exit(self, status=0, message=None):
+        raise _ParserExit(status, message or "")
 
     def error(self, message):
         self.exit(2, f"spectral-defect: error: {message}\n")
@@ -402,12 +408,17 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = [("tolerances", key, getattr(args, key))
-                 for key in _TOLERANCE_FLAGS if getattr(args, key) is not None]
-    if args.interval is not None:
-        overrides += zip(("domain", "domain"), ("a", "b"), args.interval)
+    """Run one command and return its exit code: 0, 1 or 2.
+
+    Usage errors and --help return as well; main raises no SystemExit.
+    """
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = [("tolerances", key, getattr(args, key))
+                     for key in _TOLERANCE_FLAGS
+                     if getattr(args, key) is not None]
+        if args.interval is not None:
+            overrides += zip(("domain", "domain"), ("a", "b"), args.interval)
         with open(args.config) as fh:
             run_cfg = parse_config(fh.read(), overrides)
         run_cfg = replace(run_cfg, output=args.output,
@@ -416,6 +427,10 @@ def main(argv=None) -> int:
         # overflow on the way to a typed failure is reported by that failure
         with np.errstate(all="ignore"):
             return run(run_cfg, args.command)
+    except _ParserExit as exc:
+        status, message = exc.args
+        sys.stderr.write(message)
+        return status
     except ConfigError as exc:
         print(f"spectral-defect: configuration error: {exc}", file=sys.stderr)
         return 2

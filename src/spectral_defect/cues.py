@@ -28,39 +28,19 @@ DEFAULT_N_TERMS = 16
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearTerm:
-    """Leading behaviour f ~ slope * t (oscillator-dominated tails)."""
-    slope: float
-
-
-@dataclass(frozen=True)
-class ConstantTerm:
-    """Leading behaviour f ~ value (constant-coefficient tails)."""
-    value: float
-
-
-@dataclass(frozen=True)
-class PoleTerm:
-    """Leading behaviour f ~ coefficient / t (0+ singularities)."""
-    coefficient: float
-
-
-INVERSE_T = "inverse_t"
-DIRECT_T = "direct_t"
-
-
-@dataclass(frozen=True)
 class CueSeries:
     """Leading term plus correction series for a Riccati cue f(t).
 
-    For variable == "inverse_t", coeffs[i] multiplies t**-(i+1); for
-    "direct_t" it multiplies t**i.  The series is asymptotic: evaluation
+    f(t) = leading * t**power + sum(coeffs[i] * t**p_i).  power is 1 for
+    oscillator-dominated tails, 0 for constant-coefficient tails and -1 at
+    0+ singularities.  The series runs in 1/t (p_i = -(i+1)) for power >= 0
+    and in t (p_i = i) for power -1.  It is asymptotic: evaluation
     truncates at the smallest surviving term, never past `coeffs`.
     """
 
-    leading: Union[LinearTerm, ConstantTerm, PoleTerm]
+    leading: float
+    power: int
     coeffs: Tuple[float, ...]
-    variable: str
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
@@ -68,13 +48,10 @@ class CueSeries:
         if not all(math.isfinite(c) for c in self.coeffs):
             # extreme potential parameters overflow a series: not a code bug
             raise DomainError("series coefficients must be finite")
-        if self.variable not in (INVERSE_T, DIRECT_T):
-            raise ValueError(f"unknown series variable {self.variable!r}")
 
     def _powers(self):
-        if self.variable == INVERSE_T:
-            return np.arange(-1, -len(self.coeffs) - 1, -1)
-        return np.arange(len(self.coeffs))
+        index = np.arange(len(self.coeffs))
+        return -(index + 1) if self.power >= 0 else index
 
     def truncation_index(self, t: float) -> int:
         """Number of terms kept at t by the smallest-term rule."""
@@ -85,36 +62,20 @@ class CueSeries:
         smallest = live[np.argmin(mags[live])]
         return int(smallest) + 1
 
-    def evaluate(self, t: float, n_terms: int = None) -> float:
-        """f(t); n_terms overrides the smallest-term truncation."""
-        m = self.truncation_index(t) if n_terms is None else int(n_terms)
+    def evaluate(self, t: float) -> float:
+        """f(t), truncated by the smallest-term rule."""
+        m = self.truncation_index(t)
         c = np.asarray(self.coeffs[:m])
         tail = float(np.sum(c * float(t) ** self._powers()[:m]))
-        return self._leading_value(t) + tail
+        return self.leading * t ** self.power + tail
 
-    def derivative(self, t: float, n_terms: int = None) -> float:
+    def derivative(self, t: float) -> float:
         """f'(t), term-by-term, with the same truncation as evaluate."""
-        m = self.truncation_index(t) if n_terms is None else int(n_terms)
+        m = self.truncation_index(t)
         powers = self._powers()[:m]
         c = np.asarray(self.coeffs[:m])
         tail = float(np.sum(c * powers * float(t) ** (powers - 1)))
-        return self._leading_derivative(t) + tail
-
-    def _leading_value(self, t):
-        lead = self.leading
-        if isinstance(lead, LinearTerm):
-            return lead.slope * t
-        if isinstance(lead, ConstantTerm):
-            return lead.value
-        return lead.coefficient / t
-
-    def _leading_derivative(self, t):
-        lead = self.leading
-        if isinstance(lead, LinearTerm):
-            return lead.slope
-        if isinstance(lead, ConstantTerm):
-            return 0.0
-        return -lead.coefficient / (t * t)
+        return self.power * self.leading * t ** (self.power - 1) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +130,14 @@ class ConstantLevel:
     def threshold(self) -> float:
         return self.level
 
-    def boundary_angle(self, E, t, side, n_terms):
+    def boundary_angle(self, E, t, side):
         if not E < self.level:
             raise ThresholdError(
                 f"E = {E} not below {side} level {self.level}")
         angle = math.atan(math.sqrt(2.0 * (self.level - E)))
         return angle if side == "left" else -angle
 
-    def residual(self, problem, E, t, n_terms):
+    def residual(self, problem, E, t):
         v = problem.effective_potential().evaluate(t)
         k2 = 2.0 * (self.level - E)
         # constant-tail cue is exact only where V has settled to the level
@@ -192,11 +153,11 @@ class _SeriesTail:
 
     threshold = math.inf
 
-    def boundary_angle(self, E, t, side, n_terms):
-        return math.atan(tail_cue_series(self, E, n_terms).evaluate(t))
+    def boundary_angle(self, E, t, side):
+        return math.atan(tail_cue_series(self, E).evaluate(t))
 
-    def residual(self, problem, E, t, n_terms):
-        series = tail_cue_series(self, E, n_terms)
+    def residual(self, problem, E, t):
+        series = tail_cue_series(self, E)
         return verify_cue_residual(series, problem.potential, problem.l or 0,
                                    E, t)
 
@@ -216,7 +177,7 @@ class OscillatorTail(_SeriesTail):
         if not self.omega > 0:
             raise DomainError("oscillator cue needs omega > 0")
         coeffs = _linear_leading_series(self.omega, E, {}, n_terms)
-        return CueSeries(LinearTerm(-self.omega), coeffs, INVERSE_T)
+        return CueSeries(-self.omega, 1, coeffs)
 
     def seed(self, E_hi, kappa, support_edge):
         top = max(E_hi, 0.0)
@@ -279,7 +240,7 @@ class QuarkTail(_SeriesTail):
                               "omega -> 0 use the Coulomb cue instead")
         d = {1: -2.0, 2: float(self.l * (self.l + 1))}
         coeffs = _linear_leading_series(self.omega, E, d, n_terms)
-        return CueSeries(LinearTerm(-self.omega), coeffs, INVERSE_T)
+        return CueSeries(-self.omega, 1, coeffs)
 
     def seed(self, E_hi, kappa, support_edge):
         top = max(E_hi, 0.0)
@@ -339,13 +300,11 @@ TailClass = Union[
 
 def _constant_cue(E, d, n_terms):
     k = _decay_rate(E)
-    return CueSeries(ConstantTerm(-k), _constant_leading_series(k, d, n_terms),
-                     INVERSE_T)
+    return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
 
 
 def _pole_cue(l, c, n_terms):
-    return CueSeries(PoleTerm(l + 1.0), _pole_leading_series(l, c, n_terms),
-                     DIRECT_T)
+    return CueSeries(l + 1.0, -1, _pole_leading_series(l, c, n_terms))
 
 
 def _decay_rate(E):
@@ -384,26 +343,22 @@ def verify_cue_residual(series: CueSeries, potential, l: int, E: float,
     return abs(df + f * f - 2.0 * (v - E))
 
 
-def tail_cue_series(tail, E: float,
-                    n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
+def tail_cue_series(tail, E: float) -> CueSeries:
     """CueSeries of a series-backed tail; the pipeline builds each one here."""
-    return tail.cue_series(E, n_terms)
+    return tail.cue_series(E)
 
 
-def left_boundary_angle(problem, E: float, a: float,
-                        n_terms: int = DEFAULT_N_TERMS) -> float:
+def left_boundary_angle(problem, E: float, a: float) -> float:
     """Angle of the left-decaying cue at t = a, in (-pi/2, pi/2)."""
-    return problem.left_tail.boundary_angle(E, a, "left", n_terms)
+    return problem.left_tail.boundary_angle(E, a, "left")
 
 
-def right_boundary_angle(problem, E: float, b: float,
-                         n_terms: int = DEFAULT_N_TERMS) -> float:
+def right_boundary_angle(problem, E: float, b: float) -> float:
     """Angle of the right-decaying cue at t = b, in (-pi/2, pi/2)."""
-    return problem.right_tail.boundary_angle(E, b, "right", n_terms)
+    return problem.right_tail.boundary_angle(E, b, "right")
 
 
-def boundary_residual(problem, E: float, t: float, side: str,
-                      n_terms: int = DEFAULT_N_TERMS) -> float:
+def boundary_residual(problem, E: float, t: float, side: str) -> float:
     """Cue residual at a candidate boundary; 0 for exact constant tails."""
     tail = problem.left_tail if side == "left" else problem.right_tail
-    return tail.residual(problem, E, t, n_terms)
+    return tail.residual(problem, E, t)

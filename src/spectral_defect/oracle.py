@@ -1,14 +1,14 @@
 """Independent verification paths for the angular pipeline.
 
-Three deliberately different routes to the same spectra: direct phase-space
-integration of (psi, psi'), the symplectic transfer-matrix eigencondition,
-and a finite-difference matrix eigensolver.  Shared-bug risk with the
-shooting pipeline is minimal by construction.
+Two deliberately different routes to the same spectra: the symplectic
+transfer-matrix eigencondition, built by direct phase-space integration of
+(psi, psi'), and a finite-difference matrix eigensolver.  Shared-bug risk
+with the shooting pipeline is minimal by construction.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -20,24 +20,6 @@ from .potentials import ConstantLevel, ProblemSpec
 from .spectrum import SolveConfig, auto_interval
 
 _RESCALE_LIMIT = 1e120
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Point on the classical phase plane: q = psi, p = psi'.
-
-    The true components are q * 2**scale_exp, p * 2**scale_exp; only the
-    direction matters for spectral checks, so overflow is absorbed into the
-    exponent.
-    """
-
-    t: float
-    q: float
-    p: float
-    scale_exp: int = 0
-
-    def angle(self) -> float:
-        return math.atan2(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -79,18 +61,6 @@ def _propagate(potential, E, t0, t1, y0, config):
             y = y / 2.0 ** shift
             exp += shift
     return y, exp
-
-
-def propagate_phase(problem: ProblemSpec, E: float, start: PhaseState,
-                    t_end: float,
-                    config: SolveConfig = None) -> PhaseState:
-    """Integrate dq/dt = p, dp/dt = 2[V - E] q from the start state."""
-    config = config or SolveConfig()
-    potential = problem.effective_potential()
-    y, exp = _propagate(potential, E, start.t, t_end,
-                        [start.q, start.p], config)
-    return PhaseState(t=t_end, q=float(y[0]), p=float(y[1]),
-                      scale_exp=start.scale_exp + exp)
 
 
 def transfer_matrix(problem: ProblemSpec, E: float,

@@ -36,7 +36,6 @@ class SolveConfig:
     e_tol: float = 1e-10
     residual_tol: float = 1e-10
     kappa: float = 1e-3
-    n_terms: int = cues.DEFAULT_N_TERMS
     scan_samples: int = 64
 
     def __post_init__(self):
@@ -45,9 +44,6 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
         if self.scan_samples < 2:
             raise ValueError("need at least two scan samples")
-        if self.n_terms < 2:
-            raise ValueError("n_terms must be at least 2, the shortest cue "
-                             "series")
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,6 @@ class DefectSample:
 
     E: float
     gamma: float
-    alpha_b: float
 
     @property
     def n_below(self) -> int:
@@ -67,9 +62,11 @@ class DefectSample:
 
 @dataclass(frozen=True)
 class Eigenvalue:
+    """Level n at the midpoint of its final bracket, `width` wide in E."""
+
     n: int
     energy: float
-    gamma_residual: float
+    width: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
     extremes and, with check_clearance, V_eff(t) clears E_hi by kappa.
     """
     for E in (E_lo, E_hi):
-        residual = cues.boundary_residual(problem, E, t, side, config.n_terms)
+        residual = cues.boundary_residual(problem, E, t, side)
         if residual > config.residual_tol:
             return f"cue residual {residual:.3e} at E = {E}"
     if check_clearance:
@@ -213,15 +210,13 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
         interval = auto_interval(problem, float(energies.min()),
                                  float(energies.max()), config)
     a, b = interval
-    starts = np.array([cues.left_boundary_angle(problem, E, a, config.n_terms)
+    starts = np.array([cues.left_boundary_angle(problem, E, a)
                        for E in energies])
     alphas, _ = integrate_angles(problem, energies, starts, a, b, config)
     out = []
-    for E, alpha_b in zip(energies, alphas):
-        alpha_minus = cues.right_boundary_angle(problem, float(E), b,
-                                                config.n_terms)
-        out.append(DefectSample(E=float(E), gamma=alpha_minus - float(alpha_b),
-                                alpha_b=float(alpha_b)))
+    for E, alpha in zip(energies, alphas):
+        alpha_minus = cues.right_boundary_angle(problem, float(E), b)
+        out.append(DefectSample(E=float(E), gamma=alpha_minus - float(alpha)))
     return out
 
 
@@ -259,8 +254,7 @@ def _scaled_defects(problem, energies, config, interval):
     starts = np.full(energies.shape, math.pi / 4.0)
     alphas, _, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
                                      starts, config, potential.breakpoints())
-    return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al),
-                         alpha_b=float(al))
+    return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
             for E, al in zip(energies, alphas)]
 
 
@@ -301,7 +295,7 @@ def _scan_and_bisect(sample_fn, E_min, E_max, config, enforce_monotone=True):
         for n in range(n_lo, n_hi + 1):
             if n not in claimed:
                 claimed.add(n)
-                brackets.append([n, e1, e2, g1, g2])
+                brackets.append([n, e1, e2])
 
     for _ in range(200):
         active = [br for br in brackets if br[2] - br[1] > config.e_tol]
@@ -310,16 +304,12 @@ def _scan_and_bisect(sample_fn, E_min, E_max, config, enforce_monotone=True):
         mids = [0.5 * (br[1] + br[2]) for br in active]
         for br, sample in zip(active, sample_fn(mids)):
             if sample.gamma >= br[0] * math.pi:
-                br[2], br[4] = sample.E, sample.gamma
+                br[2] = sample.E
             else:
-                br[1], br[3] = sample.E, sample.gamma
+                br[1] = sample.E
 
-    eigenvalues = []
-    for n, e1, e2, g1, g2 in brackets:
-        E_n = 0.5 * (e1 + e2)
-        residual = min(abs(g1 - n * math.pi), abs(g2 - n * math.pi))
-        eigenvalues.append(Eigenvalue(n=n, energy=E_n,
-                                      gamma_residual=residual))
+    eigenvalues = [Eigenvalue(n=n, energy=0.5 * (e1 + e2), width=e2 - e1)
+                   for n, e1, e2 in brackets]
     eigenvalues.sort(key=lambda ev: ev.energy)
     scan = tuple(samples[e] for e in keys)
     return tuple(eigenvalues), scan
@@ -386,7 +376,7 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     a, b = interval
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
-    alpha_a = cues.left_boundary_angle(problem, E_n, a, config.n_terms)
+    alpha_a = cues.left_boundary_angle(problem, E_n, a)
     ts, alphas, logs = integrate_angle_sampled(problem, E_n, alpha_a, a, b,
                                                config, t_eval=grid)
     # segment stitching may duplicate boundary points; keep grid points only

@@ -124,6 +124,22 @@ def test_residual_shrinks_with_distance():
     assert res[0] > res[1] > res[2]
 
 
+@pytest.mark.parametrize("tail, E, power, t", [
+    (cues.OscillatorTail(1.0), 0.7, 1, 5.0),
+    (cues.CoulombTail(1), -0.3, 0, 5.0),
+    (cues.CoulombZeroSingularity(0), -0.3, -1, 0.3),
+], ids=["oscillator", "coulomb", "zero_singularity"])
+def test_derivative_matches_central_difference(tail, E, power, t):
+    # E is off every sentinel, so the series does not terminate
+    series = tail.cue_series(E)
+    assert series.power == power
+    h = 1e-5 * t
+    kept = {series.truncation_index(x) for x in (t - h, t, t + h)}
+    assert len(kept) == 1
+    slope = (series.evaluate(t + h) - series.evaluate(t - h)) / (2 * h)
+    assert series.derivative(t) == pytest.approx(slope, rel=1e-8)
+
+
 def test_smallest_term_truncation():
     series = cues.oscillator_cue_coeffs(omega=1.0, E=0.7, n_terms=16)
     # far out, more terms help before the asymptotic turnover

@@ -128,10 +128,9 @@ def test_count_levels_truncated_oscillator():
 
 
 def test_defect_sample_counting_rule():
-    assert sd.DefectSample(E=0.0, gamma=-0.3, alpha_b=0.0).n_below == 0
-    assert sd.DefectSample(E=0.0, gamma=0.1, alpha_b=0.0).n_below == 1
-    assert sd.DefectSample(E=0.0, gamma=3.5 * math.pi,
-                           alpha_b=0.0).n_below == 4
+    assert sd.DefectSample(E=0.0, gamma=-0.3).n_below == 0
+    assert sd.DefectSample(E=0.0, gamma=0.1).n_below == 1
+    assert sd.DefectSample(E=0.0, gamma=3.5 * math.pi).n_below == 4
 
 
 def test_defect_angle_increases_with_energy():
@@ -235,8 +234,12 @@ def test_solve_config_validation():
         sd.SolveConfig(scan_samples=1)
 
 
-def test_gamma_residual_reported():
-    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
-    result = sd.find_eigenvalues(problem, -1.9, -0.1)
+@pytest.mark.parametrize("potential, E_min, E_max", [
+    (sd.SquareWell(-2.0, -1.0, 1.0), -1.9, -0.1),
+    (sd.Coulomb(), -0.6, -0.1),
+], ids=["square_well", "hydrogen"])
+def test_bracket_width_reported(potential, E_min, E_max):
+    result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
+    assert result.eigenvalues
     for ev in result.eigenvalues:
-        assert ev.gamma_residual < 1e-6
+        assert 0 < ev.width <= result.config.e_tol
