@@ -92,27 +92,23 @@ def _scaled_fun(potential, energies):
 
 
 def integrate_angles(problem: ProblemSpec, energies, alpha_starts, a: float,
-                     b: float, config, with_amplitude: bool = False):
+                     b: float, config):
     """Batched angle integration over [a, b]; one component per energy.
 
     Sharing one adaptive mesh across the batch keeps every component within
     tolerance (the controller steps on the worst one) and amortizes the
     per-step cost of the scan and of lock-step bisection.  config is the
     SolveConfig; only its rel_tol and abs_tol are read.
-    Returns (alphas_at_b, log_rhos_at_b or None).
+    Returns the pair (alphas_at_b, None); integrate_angle_sampled carries
+    the log-amplitude.
     """
     potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     alpha_starts = np.broadcast_to(
         np.asarray(alpha_starts, dtype=float), energies.shape)
-    fun = _angular_fun(potential, energies, with_amplitude)
-    y0 = (np.concatenate([alpha_starts, np.zeros_like(alpha_starts)])
-          if with_amplitude else alpha_starts)
-    y, _, _ = _integrate_vector(fun, a, b, y0, config,
+    fun = _angular_fun(potential, energies, with_amplitude=False)
+    y, _, _ = _integrate_vector(fun, a, b, alpha_starts, config,
                                 potential.breakpoints())
-    n = energies.size
-    if with_amplitude:
-        return y[:n], y[n:]
     return y, None
 
 

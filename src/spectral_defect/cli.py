@@ -21,8 +21,7 @@ from . import oracle, spectrum
 from .errors import ConfigError, SpectralDefectError
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, Shifted, SquareWell,
-                         Tabulated, TruncatedOscillator, Yukawa, ConstantLevel,
-                         problem_for)
+                         Tabulated, TruncatedOscillator, Yukawa, ConstantLevel)
 
 _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
              "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
@@ -146,7 +145,7 @@ _SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
                "e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
                "kappa": ("kappa", _number),
-               "samples": ("scan_samples", int)}
+               "samples": ("scan_samples", _integer(2))}
 # [solve] keys of all commands together: one file serves every command
 _SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
                  "n": _integer(0), "samples": _integer(2),
@@ -187,12 +186,9 @@ def _build_run(parser):
     kind = _get(domain, "kind", str.lower, default="wholeline")
     if kind not in ("wholeline", "halfline"):
         raise ConfigError(f"unknown domain kind {kind!r}", key="kind")
-    l = None
-    if kind == "halfline":
-        l = _get(domain, "l", int, required=True)
-    elif potential.half_line_only:
-        raise ConfigError(f"{type(potential).__name__} lives on the half "
-                          "line; set kind = halfline and l", key="kind")
+    # ProblemSpec checks l and that the family belongs on the chosen line
+    l = _get(domain, "l", _number, required=True) if kind == "halfline" \
+        else None
 
     a, b = _get(domain, "a", _number), _get(domain, "b", _number)
     interval = None
@@ -206,7 +202,7 @@ def _build_run(parser):
     if eref not in ("absolute", "tail"):
         raise ConfigError(f"unknown energy reference {eref!r}", key="eref")
     with domain:
-        problem = problem_for(potential, l=l, interval=interval)
+        problem = ProblemSpec(potential, l, interval)
     if eref == "tail":
         if not isinstance(problem.right_tail, ConstantLevel):
             raise ConfigError("eref = tail needs a constant right tail",

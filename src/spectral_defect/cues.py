@@ -7,9 +7,10 @@ its smallest term.  arctan(f) at the working-interval endpoint is the
 boundary angle fed to the angular integration.
 
 The tail classes live here, one per kind of boundary: each knows its energy
-threshold, its cue series, the boundary angle and residual built from it and
-where a right boundary search starts.  `potentials` imports this module, so
-problems and potentials are duck-typed here.
+threshold, its cue series, the boundary angle and residual built from it,
+how it bounds and pads its side of the working interval and whether it puts
+a problem on the half line.  `potentials` imports this module, so problems
+and potentials are duck-typed here.
 """
 
 import math
@@ -18,9 +19,11 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ThresholdError
+from .errors import DomainError, IntervalSelectionError, ThresholdError
 
 DEFAULT_N_TERMS = 16
+_ZERO_FLOOR = 1e-4          # radial problems never start below this
+_GROWTH = 1.5               # geometric interval growth factor
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +128,26 @@ class ConstantLevel:
     """
 
     level: float
+    half_line = False
 
     @property
     def threshold(self) -> float:
         return self.level
+
+    def bound(self, problem, side, E_lo, E_hi, config):
+        """The support edge on this side, once E_hi clears the level."""
+        if self.level - E_hi < config.kappa:
+            raise ThresholdError(
+                f"E_max = {E_hi} does not clear the {side} level "
+                f"{self.level} by kappa = {config.kappa}")
+        # without breakpoints the support is taken as [-1, 1]
+        bp = problem.potential.breakpoints() or (-1.0, 1.0)
+        return min(bp) if side == "left" else max(bp)
+
+    def fd_edge(self, t, side, E, config):
+        """t moved 16 decay lengths outward, deep into the decay zone."""
+        pad = 16.0 / math.sqrt(2.0 * max(self.level - E, config.kappa))
+        return t - pad if side == "left" else t + pad
 
     def boundary_angle(self, E, t, side):
         if not E < self.level:
@@ -147,11 +166,27 @@ class ConstantLevel:
 class _SeriesTail:
     """A tail whose decaying solution is known through its cue series.
 
-    Subclasses provide cue_series(E, n_terms) and, when they can sit on the
-    right, seed(E_hi, kappa, support_edge): where the boundary search starts.
+    Subclasses provide cue_series(E, n_terms) and, unless they sit at a 0+
+    singularity, seed(E_hi, kappa, support_edge): the distance from the
+    origin where the boundary search starts.
     """
 
     threshold = math.inf
+    half_line = False
+
+    def bound(self, problem, side, E_lo, E_hi, config):
+        """Grow outward from the seed until the residual and clearance pass."""
+        bp = problem.potential.breakpoints()
+        if side == "left":
+            seed = -self.seed(E_hi, config.kappa, abs(min(bp)) if bp else None)
+        else:
+            seed = self.seed(E_hi, config.kappa, max(bp) if bp else None)
+        return _resolve_side(problem, side, E_lo, E_hi, config, seed,
+                             grow=lambda t: t * _GROWTH)
+
+    def fd_edge(self, t, side, E, config):
+        """t moved 30 % further from the origin."""
+        return 1.3 * t
 
     def boundary_angle(self, E, t, side):
         return math.atan(tail_cue_series(self, E).evaluate(t))
@@ -248,8 +283,28 @@ class QuarkTail(_SeriesTail):
         return max(1.3 * turn, 4.0 / math.sqrt(self.omega))
 
 
+class _ZeroSingularity(_SeriesTail):
+    """A left boundary at the 0+ singularity: the problem's half-line tail.
+
+    Subclasses carry the angular momentum l.
+    """
+
+    half_line = True
+
+    def bound(self, problem, side, E_lo, E_hi, config):
+        """Shrink toward the singularity, floored at 1e-4."""
+        # near the singularity the forbidden-region clearance does not apply
+        return _resolve_side(problem, side, E_lo, E_hi, config, seed=1e-2,
+                             grow=lambda t: max(t / _GROWTH, _ZERO_FLOOR),
+                             check_clearance=False)
+
+    def fd_edge(self, t, side, E, config):
+        """A wall at the origin, nearer it than the floor for l = 0."""
+        return max(0.0 if self.l > 0 else min(t, _ZERO_FLOOR), 1e-6)
+
+
 @dataclass(frozen=True)
-class CoulombZeroSingularity(_SeriesTail):
+class CoulombZeroSingularity(_ZeroSingularity):
     """Left boundary at the 0+ singularity of a Coulomb-type well."""
 
     l: int
@@ -262,7 +317,7 @@ class CoulombZeroSingularity(_SeriesTail):
 
 
 @dataclass(frozen=True)
-class YukawaZeroSingularity(_SeriesTail):
+class YukawaZeroSingularity(_ZeroSingularity):
     """Left boundary at the 0+ singularity of a Yukawa well."""
 
     l: int
@@ -280,7 +335,7 @@ class YukawaZeroSingularity(_SeriesTail):
 
 
 @dataclass(frozen=True)
-class QuarkZeroSingularity(_SeriesTail):
+class QuarkZeroSingularity(_ZeroSingularity):
     """Left boundary at the 0+ singularity of the quark hybrid well."""
 
     omega: float
@@ -362,3 +417,45 @@ def boundary_residual(problem, E: float, t: float, side: str) -> float:
     """Cue residual at a candidate boundary; 0 for exact constant tails."""
     tail = problem.left_tail if side == "left" else problem.right_tail
     return tail.residual(problem, E, t)
+
+
+# ---------------------------------------------------------------------------
+# Boundary search used by the series tails
+# ---------------------------------------------------------------------------
+
+def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
+    """Why t fails as a boundary, or None when it passes.
+
+    t passes when the cue residual is within tolerance at both energy
+    extremes and, with check_clearance, V_eff(t) clears E_hi by kappa.
+    """
+    for E in (E_lo, E_hi):
+        residual = boundary_residual(problem, E, t, side)
+        if residual > config.residual_tol:
+            return f"cue residual {residual:.3e} at E = {E}"
+    if check_clearance:
+        clearance = problem.effective_potential().evaluate(t) - E_hi
+        if not clearance >= config.kappa:
+            return f"V - E_max = {clearance:.3e} is below kappa"
+    return None
+
+
+def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
+                  check_clearance=True):
+    """Grow a candidate boundary geometrically until the gates pass."""
+    t = seed
+    for _ in range(200):
+        try:
+            failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
+                                    check_clearance)
+        except (DomainError, ThresholdError, OverflowError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is None:
+            return t
+        last_t, t = t, grow(t)
+        if t == last_t:
+            break
+    raise IntervalSelectionError(
+        f"no admissible {side} boundary for E in [{E_lo}, {E_hi}] "
+        f"(residual_tol={config.residual_tol}); last tried t = {last_t}: "
+        f"{failure}")

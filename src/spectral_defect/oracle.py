@@ -195,18 +195,5 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
 def _fd_interval(problem, e_ceiling, config):
     """Auto interval padded so Dirichlet walls sit deep in the decay zone."""
     a, b = auto_interval(problem, e_ceiling - 1e-9, e_ceiling, config)
-    left, right = problem.left_tail, problem.right_tail
-    if isinstance(right, ConstantLevel):
-        kappa = math.sqrt(2.0 * max(right.level - e_ceiling, config.kappa))
-        b = b + 16.0 / kappa
-    else:
-        b = 1.3 * b
-    if problem.l is not None:
-        a = 0.0 if problem.l > 0 else min(a, 1e-4)
-        a = max(a, 1e-6)
-    elif isinstance(left, ConstantLevel):
-        kappa = math.sqrt(2.0 * max(left.level - e_ceiling, config.kappa))
-        a = a - 16.0 / kappa
-    else:
-        a = 1.3 * a
-    return a, b
+    return (problem.left_tail.fd_edge(a, "left", e_ceiling, config),
+            problem.right_tail.fd_edge(b, "right", e_ceiling, config))

@@ -46,8 +46,6 @@ class TruncatedOscillator:
                              f"overflows for omega = {self.omega!r}, "
                              f"cutoff_a = {self.cutoff_a!r}")
 
-    half_line_only = False
-
     def breakpoints(self):
         return (-self.cutoff_a, self.cutoff_a)
 
@@ -70,8 +68,6 @@ class HybridOscillator:
     def __post_init__(self):
         _check_positive("omega_left", self.omega_left)
         _check_positive("omega_right", self.omega_right)
-
-    half_line_only = False
 
     def breakpoints(self):
         return (0.0,)
@@ -99,8 +95,6 @@ class SquareWell:
             raise ValueError("depth must be <= 0")
         if not self.left < self.right:
             raise ValueError("left edge must be below right edge")
-
-    half_line_only = False
 
     def breakpoints(self):
         return (self.left, self.right)
@@ -132,8 +126,6 @@ class PiecewiseConstant:
         object.__setattr__(self, "breakpoints_", bp)
         object.__setattr__(self, "values", vals)
 
-    half_line_only = False
-
     def breakpoints(self):
         return self.breakpoints_
 
@@ -154,8 +146,6 @@ class Coulomb:
 
     def __post_init__(self):
         _check_positive("charge", self.charge)
-
-    half_line_only = True
 
     def breakpoints(self):
         return ()
@@ -178,8 +168,6 @@ class Yukawa:
     def __post_init__(self):
         _check_positive("screening_lambda", self.screening_lambda)
 
-    half_line_only = True
-
     def breakpoints(self):
         return ()
 
@@ -200,8 +188,6 @@ class QuarkHybrid:
 
     def __post_init__(self):
         _check_positive("omega", self.omega)
-
-    half_line_only = True
 
     def breakpoints(self):
         return ()
@@ -235,8 +221,6 @@ class Tabulated:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "vs", vs)
 
-    half_line_only = False
-
     def breakpoints(self):
         return self.ts
 
@@ -257,8 +241,8 @@ class EffectiveRadial:
 
     def __post_init__(self):
         object.__setattr__(self, "l", _angular_momentum(self.l))
-
-    half_line_only = True
+        if not self.base.tails(self.l)[0].half_line:
+            raise ValueError(_NO_ZERO_CUE)
 
     def breakpoints(self):
         return self.base.breakpoints()
@@ -277,10 +261,6 @@ class Shifted:
 
     base: "PotentialSpec"
     offset: float
-
-    @property
-    def half_line_only(self):
-        return self.base.half_line_only
 
     def breakpoints(self):
         return self.base.breakpoints()
@@ -301,6 +281,9 @@ PotentialSpec = Union[
     TruncatedOscillator, HybridOscillator, SquareWell, PiecewiseConstant,
     Coulomb, Yukawa, QuarkHybrid, Tabulated, EffectiveRadial, Shifted,
 ]
+
+
+_NO_ZERO_CUE = "half-line problems need a 0+ singularity cue on the left"
 
 
 def _require_half_line(t):
@@ -333,9 +316,10 @@ def effective_radial(potential: PotentialSpec, l: int) -> PotentialSpec:
 class ProblemSpec:
     """A potential, its angular momentum and a working interval.
 
-    l is None on the whole line and a non-negative integer on the half line;
-    the tail classes follow from (potential, l) and are derived here, never
-    passed in.  interval is None for automatic selection (see
+    l is None on the whole line and a non-negative integer on the half line,
+    where only a family whose left tail is a 0+ singularity fits; the tail
+    classes follow from (potential, l) and are derived here, never passed
+    in.  interval is None for automatic selection (see
     spectrum.auto_interval).
     """
 
@@ -348,8 +332,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.l is not None:
             object.__setattr__(self, "l", _angular_momentum(self.l))
-        elif self.potential.half_line_only:
-            raise ValueError("half-line-only potential on the whole line")
+        left, right = self.potential.tails(self.l or 0)
+        if left.half_line != (self.l is not None):
+            raise ValueError(_NO_ZERO_CUE if self.l is not None else
+                             "half-line-only potential on the whole line")
+        object.__setattr__(self, "left_tail", left)
+        object.__setattr__(self, "right_tail", right)
         if self.interval is not None:
             a, b = self.interval
             if not a < b:
@@ -358,9 +346,6 @@ class ProblemSpec:
                 raise ValueError(
                     "half-line problems must start at a > 0, never at the "
                     "singularity")
-        left, right = self.potential.tails(self.l or 0)
-        object.__setattr__(self, "left_tail", left)
-        object.__setattr__(self, "right_tail", right)
 
     def effective_potential(self) -> PotentialSpec:
         """The potential actually entering the angular equation."""
@@ -376,7 +361,7 @@ class ProblemSpec:
 
 def problem_for(potential: PotentialSpec, l: Optional[int] = None,
                 interval: Optional[Tuple[float, float]] = None) -> ProblemSpec:
-    """ProblemSpec of the potential; half-line-only families get l = 0."""
-    if l is None and potential.half_line_only:
+    """ProblemSpec of the potential; families with a 0+ cue get l = 0."""
+    if l is None and potential.tails(0)[0].half_line:
         l = 0
     return ProblemSpec(potential, l, interval)

@@ -21,8 +21,6 @@ from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
 from .potentials import ConstantLevel, ProblemSpec, Shifted
 
-_ZERO_FLOOR = 1e-4          # radial problems never start below this
-_GROWTH = 1.5               # geometric interval growth factor
 _MONOTONE_JITTER = 1e-9     # integrator noise allowance on Gamma scans
 _MAX_REFINE_ROUNDS = 14     # scan refinement rounds before bracketing
 
@@ -100,51 +98,14 @@ class EigenfunctionSamples:
 # Interval selection
 # ---------------------------------------------------------------------------
 
-def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
-    """Why t fails as a boundary, or None when it passes.
-
-    t passes when the cue residual is within tolerance at both energy
-    extremes and, with check_clearance, V_eff(t) clears E_hi by kappa.
-    """
-    for E in (E_lo, E_hi):
-        residual = cues.boundary_residual(problem, E, t, side)
-        if residual > config.residual_tol:
-            return f"cue residual {residual:.3e} at E = {E}"
-    if check_clearance:
-        clearance = problem.effective_potential().evaluate(t) - E_hi
-        if not clearance >= config.kappa:
-            return f"V - E_max = {clearance:.3e} is below kappa"
-    return None
-
-
-def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
-                  check_clearance=True):
-    """Grow a candidate boundary geometrically until the gates pass."""
-    t = seed
-    for _ in range(200):
-        try:
-            failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
-                                    check_clearance)
-        except (DomainError, ThresholdError, OverflowError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        if failure is None:
-            return t
-        last_t, t = t, grow(t)
-        if t == last_t:
-            break
-    raise IntervalSelectionError(
-        f"no admissible {side} boundary for E in [{E_lo}, {E_hi}] "
-        f"(residual_tol={config.residual_tol}); last tried t = {last_t}: "
-        f"{failure}")
-
-
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                   config: SolveConfig) -> Tuple[float, float]:
     """Working interval [a, b]: cues valid outside, tails cleared by kappa.
 
-    Boundaries grow geometrically from family seeds until the cue residual
-    passes at both energy extremes; radial left boundaries shrink toward the
-    singularity instead, floored at 1e-4.
+    Each tail class bounds its own side (see `cues`): constant tails at the
+    support edge, series tails by geometric growth from a family seed until
+    the cue residual passes at both energy extremes, and 0+ singularities
+    by shrinking toward the singularity, floored at 1e-4.
     """
     if problem.interval is not None:
         return problem.interval
@@ -152,40 +113,8 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
         raise ThresholdError(
             f"E_max = {E_max} is not below the tail threshold "
             f"{problem.threshold()}")
-    bp = problem.potential.breakpoints()
-    left_tail, right_tail = problem.left_tail, problem.right_tail
-
-    if problem.l is not None:
-        if isinstance(left_tail, ConstantLevel):
-            raise DomainError("half-line problems need a 0+ singularity cue "
-                              "on the left")
-        # near the singularity the forbidden-region clearance does not apply
-        a = _resolve_side(problem, "left", E_min, E_max, config, seed=1e-2,
-                          grow=lambda t: max(t / _GROWTH, _ZERO_FLOOR),
-                          check_clearance=False)
-    else:
-        if isinstance(left_tail, ConstantLevel):
-            a = min(bp) if bp else -1.0
-            if left_tail.level - E_max < config.kappa:
-                raise ThresholdError(
-                    f"E_max = {E_max} does not clear the left level "
-                    f"{left_tail.level} by kappa = {config.kappa}")
-        else:
-            seed = left_tail.seed(E_max, config.kappa,
-                                  abs(min(bp)) if bp else None)
-            a = _resolve_side(problem, "left", E_min, E_max, config,
-                              seed=-seed, grow=lambda t: t * _GROWTH)
-
-    if isinstance(right_tail, ConstantLevel):
-        b = max(bp) if bp else max(a + 2.0, 1.0)
-        if right_tail.level - E_max < config.kappa:
-            raise ThresholdError(
-                f"E_max = {E_max} does not clear the right level "
-                f"{right_tail.level} by kappa = {config.kappa}")
-    else:
-        seed = right_tail.seed(E_max, config.kappa, max(bp) if bp else None)
-        b = _resolve_side(problem, "right", E_min, E_max, config, seed=seed,
-                          grow=lambda t: t * _GROWTH)
+    a = problem.left_tail.bound(problem, "left", E_min, E_max, config)
+    b = problem.right_tail.bound(problem, "right", E_min, E_max, config)
     if not a < b:
         raise IntervalSelectionError(f"degenerate interval ({a}, {b})")
     return a, b
@@ -371,9 +300,9 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     """
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
-    interval = auto_interval(problem, E_n, E_n + 1e-14, config) \
-        if problem.interval is None else problem.interval
-    a, b = interval
+    # no call when the interval is set: auto_interval calls count selections
+    a, b = problem.interval or auto_interval(problem, E_n, E_n + 1e-14,
+                                             config)
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     alpha_a = cues.left_boundary_angle(problem, E_n, a)

@@ -5,7 +5,7 @@ import pytest
 
 import spectral_defect as sd
 from spectral_defect.angular import (_angular_fun, _scaled_fun,
-                                     integrate_angles)
+                                     integrate_angle_sampled, integrate_angles)
 from spectral_defect.errors import DomainError
 
 
@@ -16,11 +16,11 @@ def flat_problem(a, b):
     return sd.problem_for(FLAT, interval=(a, b))
 
 
-def terminal_angles(problem, energies, alpha_start, **kwargs):
-    """(alphas, log_rhos or None) at b of the problem's interval."""
+def terminal_angles(problem, energies, alpha_start):
+    """(alphas, None) at b of the problem's interval."""
     a, b = problem.interval
     return integrate_angles(problem, energies, alpha_start, a, b,
-                            sd.SolveConfig(), **kwargs)
+                            sd.SolveConfig())
 
 
 def test_rate_is_minus_one_at_vertical_angles():
@@ -119,10 +119,12 @@ def test_amplitude_recovers_flat_decay():
     k = math.sqrt(-2.0 * E)
     alpha_star = -math.atan(k)
     problem = flat_problem(0.0, 4.0)
-    _, log_rhos = terminal_angles(problem, [E], alpha_star,
-                                  with_amplitude=True)
+    ts, _, log_rhos = integrate_angle_sampled(problem, E, alpha_star, 0.0,
+                                              4.0, sd.SolveConfig(),
+                                              t_eval=[4.0])
     # rho^2 = psi^2 + psi'^2 scales like exp(-2kt) too
-    assert log_rhos[0] == pytest.approx(-k * 4.0, abs=1e-9)
+    assert ts[-1] == 4.0
+    assert log_rhos[-1] == pytest.approx(-k * 4.0, abs=1e-9)
 
 
 def test_integrator_config_validation():

@@ -78,6 +78,19 @@ def test_unknown_family_rejected():
     assert "morse" in str(err.value)
 
 
+@pytest.mark.parametrize("text, read, value", [
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 1e3\n",
+     lambda run: run.config.scan_samples, 1000),
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 64.0\n",
+     lambda run: run.config.scan_samples, 64),
+    (COULOMB_CONFIG.replace("l = 0", "l = 1.0"), lambda run: run.problem.l, 1),
+], ids=["samples_1e3", "samples_64.0", "l_1.0"])
+def test_integer_keys_take_integral_numbers(text, read, value):
+    got = read(cli.parse_config(text))
+    assert got == value
+    assert type(got) is int
+
+
 def test_tolerance_overrides_parsed():
     text = OSC_CONFIG + "\n[tolerances]\nrel_tol = 1e-9\nsamples = 32\n"
     run = cli.parse_config(text)
@@ -245,6 +258,25 @@ family = tabulated
 file = {dir}/one_column.csv
 """
 
+# a constant-tail family has no 0+ singularity, so no half-line problem
+HALF_LINE_WELL_CONFIG = """
+[potential]
+family = square_well
+depth = -2
+left = 1
+right = 2
+
+[domain]
+kind = halfline
+l = 0
+a = 1e-3
+b = 12
+
+[solve]
+emin = -1.9
+emax = -0.05
+"""
+
 
 _BAD_VALUES = [
     (COULOMB_CONFIG.replace("l = 0", "l = one"), "'l'", "solve", ""),
@@ -252,6 +284,12 @@ _BAD_VALUES = [
     (OSC_CONFIG + "\n[tolerances]\ne_tol = abc\n", "'e_tol'", "solve", ""),
     (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'method'", "solve", ""),
     (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve", ""),
+    (COULOMB_CONFIG.replace("l = 0", "l = 1.5"), "non-negative", "solve", ""),
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 1.5\n", "'samples'", "solve",
+     ""),
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 1\n", "'samples'", "solve", ""),
+    (HALF_LINE_WELL_CONFIG, "[domain]", "solve", ""),
+    (HALF_LINE_WELL_CONFIG, "[domain]", "verify", ""),
     (TABULATED_CONFIG, "two columns", "solve", ""),
     (COULOMB_CONFIG + "\n[tolerances]\nn_terms = 1\n", "n_terms", "solve",
      ""),

@@ -123,3 +123,13 @@ def test_problem_spec_rejects_bad_interval():
 def test_half_line_only_potential_rejects_whole_line():
     with pytest.raises(ValueError):
         pot.ProblemSpec(pot.Coulomb())
+
+
+def test_half_line_problem_needs_a_zero_singularity():
+    # a constant-tail family would be solved with its whole-line left cue
+    with pytest.raises(ValueError, match="0\\+ singularity"):
+        pot.ProblemSpec(pot.SquareWell(-2.0, 1.0, 2.0), l=0,
+                        interval=(1e-3, 12.0))
+    # nor would a centrifugal barrier over a constant-tail family
+    with pytest.raises(ValueError, match="0\\+ singularity"):
+        pot.effective_radial(pot.SquareWell(-2.0, 1.0, 2.0), 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spectral_defect as sd
-from spectral_defect import cues
+from spectral_defect import cues, oracle
 from spectral_defect.errors import (DomainError, IntervalSelectionError,
                                     ThresholdError)
 from spectral_defect.potentials import Shifted
@@ -188,6 +188,28 @@ def test_explicit_interval_is_respected():
                              interval=(-9.0, 9.0))
     assert sd.auto_interval(problem, -1.9, -0.1, sd.SolveConfig()) == \
         (-9.0, 9.0)
+
+
+@pytest.mark.parametrize("problem, E_min, E_max, interval, fd_interval", [
+    (sd.problem_for(sd.Coulomb()), -0.6, -0.0045,
+     (0.01, 450.0000000000001), (0.0001, 585.0000000000001)),
+    (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01,
+     (0.01, 262.5), (1e-06, 341.25)),
+    (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), 1e-6, 5.0,
+     (-27.748986467977538, 9.249662155992512),
+     (-36.0736824083708, 12.024560802790266)),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 7.998,
+     (-4.0, 4.0), (-256.9822128134843, 256.9822128134843)),
+    (sd.problem_for(sd.PiecewiseConstant((), (0.0,))), -0.9, -0.05,
+     (-1.0, 1.0), (-51.596442562694065, 51.596442562694065)),
+], ids=["coulomb_l0", "coulomb_l1", "hybrid", "truncated", "flat"])
+def test_pinned_intervals(problem, E_min, E_max, interval, fd_interval):
+    # one case per kind of boundary rule: 0+ shrink (l = 0 and l > 0),
+    # series growth, constant support edge and constant edge without
+    # breakpoints; each tuple is exact, so any drift in a rule shows
+    config = sd.SolveConfig()
+    assert sd.auto_interval(problem, E_min, E_max, config) == interval
+    assert oracle._fd_interval(problem, E_max, config) == fd_interval
 
 
 def test_scaled_pipeline_matches_plain():
