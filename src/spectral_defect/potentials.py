@@ -248,7 +248,7 @@ class EffectiveRadial:
         return self.base.breakpoints()
 
     def evaluate(self, t):
-        _require_half_line(t)
+        # the base family guards the half line (see __post_init__)
         return self.base.evaluate(t) + 0.5 * self.l * (self.l + 1) / (t * t)
 
     def tails(self, l):
@@ -287,7 +287,8 @@ _NO_ZERO_CUE = "half-line problems need a 0+ singularity cue on the left"
 
 
 def _require_half_line(t):
-    if np.any(np.asarray(t) <= 0):
+    # the integrator passes float t; np.any costs as much as the RHS itself
+    if t <= 0 if isinstance(t, float) else np.any(np.asarray(t) <= 0):
         raise DomainError("half-line potential evaluated at t <= 0")
 
 

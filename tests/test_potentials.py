@@ -49,6 +49,33 @@ def test_coulomb_and_yukawa_half_line_guard():
         pot.Yukawa(screening_lambda=0.5).evaluate(0.0)
 
 
+@pytest.mark.parametrize("potential, t", [
+    (pot.Coulomb(), np.float64(0.0)),
+    (pot.Yukawa(screening_lambda=0.5), -1.0),
+    (pot.QuarkHybrid(omega=0.1), 0.0),
+    (pot.EffectiveRadial(pot.Coulomb(), 1), -0.5),
+    (pot.EffectiveRadial(pot.Yukawa(0.5), 2), np.array([0.5, 0.0, 2.0])),
+    (pot.QuarkHybrid(omega=0.1), np.array([[1.0, -3.0]])),
+])
+def test_half_line_guard_rejects_scalars_and_arrays(potential, t):
+    with pytest.raises(DomainError):
+        potential.evaluate(t)
+
+
+@pytest.mark.parametrize("potential, closed_form", [
+    (pot.Coulomb(charge=2.0), lambda t: -2.0 / t),
+    (pot.Yukawa(0.5), lambda t: -np.exp(-0.5 * t) / t),
+    (pot.QuarkHybrid(omega=0.1), lambda t: -1.0 / t + 0.5 * 0.1**2 * t * t),
+    (pot.EffectiveRadial(pot.Coulomb(), 1),
+     lambda t: -1.0 / t + 1.0 / (t * t)),
+])
+def test_half_line_guard_passes_positive_scalars(potential, closed_form):
+    for t in (1e-4, 0.7, np.float64(3.0), 250.0):
+        value = potential.evaluate(t)
+        assert value == closed_form(t)
+        assert value == potential.evaluate(np.array([t]))[0]
+
+
 def test_yukawa_value():
     v = pot.Yukawa(screening_lambda=0.25)
     t = 3.0
