@@ -97,7 +97,8 @@ def integrate_angles(problem: ProblemSpec, energies, alpha_starts, a: float,
 
     Sharing one adaptive mesh across the batch keeps every component within
     tolerance (the controller steps on the worst one) and amortizes the
-    per-step cost of the scan and of lock-step bisection.  config is the
+    per-step cost of the scan and of lock-step bracket splitting: a pass
+    costs nearly the same at 10 energies as at 150.  config is the
     SolveConfig; only its rel_tol and abs_tol are read.
     Returns the pair (alphas_at_b, None); integrate_angle_sampled carries
     the log-amplitude.

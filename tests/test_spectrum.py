@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spectral_defect as sd
-from spectral_defect import cues, oracle
+from spectral_defect import cues, oracle, spectrum
+from spectral_defect.angular import integrate_angles
 from spectral_defect.errors import (DomainError, IntervalSelectionError,
                                     ThresholdError)
 from spectral_defect.potentials import Shifted
@@ -265,3 +266,48 @@ def test_bracket_width_reported(potential, E_min, E_max):
     assert result.eigenvalues
     for ev in result.eigenvalues:
         assert 0 < ev.width <= result.config.e_tol
+
+
+def _seeded_lattice_wells(count, seed=2026, lattice=1.0 / 64.0, span=3.0):
+    """Random wells drawn as in acceptance criterion 3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_inner = int(rng.integers(1, 4))
+        cells = int(span / lattice)
+        edges = np.sort(rng.choice(np.arange(-cells, cells + 1),
+                                   size=n_inner + 1, replace=False))
+        depths = -rng.uniform(0.5, 4.0, size=n_inner)
+        well = sd.PiecewiseConstant(tuple(edges * lattice),
+                                    (0.0, *depths, 0.0))
+        yield well, min(well.values) + 0.02, -0.02
+
+
+@pytest.mark.parametrize(
+    "potential, E_min, E_max",
+    [(sd.Coulomb(), -0.6, -0.03), *_seeded_lattice_wells(8)],
+    ids=["hydrogen", *(f"well{i}" for i in range(8))])
+def test_split_brackets_keep_the_n_pi_certificate(potential, E_min, E_max):
+    result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
+    e_tol = result.config.e_tol
+    assert result.eigenvalues
+    for ev in result.eigenvalues:
+        assert 0 < ev.width <= e_tol
+        below, above = sd.defect_angles(
+            result.problem, [ev.energy - 10 * e_tol, ev.energy + 10 * e_tol],
+            interval=result.problem.interval)
+        assert below.gamma < ev.n * math.pi <= above.gamma
+
+
+def test_hydrogen_pass_budget(monkeypatch):
+    passes = []
+
+    def counted(problem, energies, *args):
+        passes.append(len(energies))
+        return integrate_angles(problem, energies, *args)
+
+    monkeypatch.setattr(spectrum, "integrate_angles", counted)
+    result = sd.find_eigenvalues(sd.problem_for(sd.Coulomb()), -0.6, -0.0045)
+    assert len(passes) <= 12
+    assert [ev.n for ev in result.eigenvalues] == list(range(10))
+    for ev in result.eigenvalues:
+        assert abs(ev.energy + 0.5 / (ev.n + 1) ** 2) < 1e-8
