@@ -273,7 +273,7 @@ def _solve(problem, E_min, E_max, config, defects, enforce_monotone=True):
         return defects(problem, energies, config, interval)
 
     eigenvalues, scan = _scan_and_split(sample, E_min, E_max, config,
-                                         enforce_monotone)
+                                        enforce_monotone)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(*interval),
                           config=config)

@@ -257,17 +257,6 @@ def test_solve_config_validation():
         sd.SolveConfig(scan_samples=1)
 
 
-@pytest.mark.parametrize("potential, E_min, E_max", [
-    (sd.SquareWell(-2.0, -1.0, 1.0), -1.9, -0.1),
-    (sd.Coulomb(), -0.6, -0.1),
-], ids=["square_well", "hydrogen"])
-def test_bracket_width_reported(potential, E_min, E_max):
-    result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
-    assert result.eigenvalues
-    for ev in result.eigenvalues:
-        assert 0 < ev.width <= result.config.e_tol
-
-
 def _seeded_lattice_wells(count, seed=2026, lattice=1.0 / 64.0, span=3.0):
     """Random wells drawn as in acceptance criterion 3."""
     rng = np.random.default_rng(seed)
@@ -284,9 +273,10 @@ def _seeded_lattice_wells(count, seed=2026, lattice=1.0 / 64.0, span=3.0):
 
 @pytest.mark.parametrize(
     "potential, E_min, E_max",
-    [(sd.Coulomb(), -0.6, -0.03), *_seeded_lattice_wells(8)],
-    ids=["hydrogen", *(f"well{i}" for i in range(8))])
-def test_split_brackets_keep_the_n_pi_certificate(potential, E_min, E_max):
+    [(sd.SquareWell(-2.0, -1.0, 1.0), -1.9, -0.1),
+     (sd.Coulomb(), -0.6, -0.03), *_seeded_lattice_wells(8)],
+    ids=["square_well", "hydrogen", *(f"well{i}" for i in range(8))])
+def test_brackets_are_narrow_and_certified(potential, E_min, E_max):
     result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
     e_tol = result.config.e_tol
     assert result.eigenvalues
