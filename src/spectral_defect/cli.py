@@ -17,11 +17,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from . import oracle, spectrum
+from . import cues, oracle, spectrum
 from .errors import ConfigError, SpectralDefectError
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, Shifted, SquareWell,
-                         Tabulated, TruncatedOscillator, Yukawa, ConstantLevel)
+                         Tabulated, TruncatedOscillator, Yukawa)
 
 _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
              "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
@@ -204,12 +204,11 @@ def _build_run(parser):
     with domain:
         problem = ProblemSpec(potential, l, interval)
     if eref == "tail":
-        if not isinstance(problem.right_tail, ConstantLevel):
-            raise ConfigError("eref = tail needs a constant right tail",
-                              key="eref")
+        _, level = cues.constant_levels(
+            problem.left_tail, problem.right_tail,
+            ConfigError("eref = tail needs constant tails", key="eref"))
         # every energy read or written is then relative to the tail level
-        problem = replace(problem, potential=Shifted(
-            potential, -problem.right_tail.level))
+        problem = replace(problem, potential=Shifted(potential, -level))
 
     with tol:
         # keys left out keep the SolveConfig defaults
@@ -399,7 +398,8 @@ def _build_parser():
             p.add_argument("--format", choices=("table", "csv"),
                            default="table")
             p.add_argument("--scan-out", dest="scan_out", default=None,
-                           help="also write the Gamma scan CSV here")
+                           help="also write every Gamma sample of the solve "
+                                "as CSV here")
     return parser
 
 

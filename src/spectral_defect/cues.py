@@ -140,8 +140,11 @@ class ConstantLevel:
             raise ThresholdError(
                 f"E_max = {E_hi} does not clear the {side} level "
                 f"{self.level} by kappa = {config.kappa}")
-        # without breakpoints the support is taken as [-1, 1]
-        bp = problem.potential.breakpoints() or (-1.0, 1.0)
+        bp = problem.potential.breakpoints()
+        if len(bp) < 2:
+            # no support to bound: take [-1, 1] about the step, if any
+            centre = bp[0] if bp else 0.0
+            bp = (centre - 1.0, centre + 1.0)
         return min(bp) if side == "left" else max(bp)
 
     def fd_edge(self, t, side, E, config):
@@ -351,6 +354,14 @@ TailClass = Union[
     ConstantLevel, OscillatorTail, CoulombTail, YukawaTail, QuarkTail,
     CoulombZeroSingularity, YukawaZeroSingularity, QuarkZeroSingularity,
 ]
+
+
+def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
+    """(left, right) levels of two constant tails; raises error otherwise."""
+    if not (isinstance(left, ConstantLevel)
+            and isinstance(right, ConstantLevel)):
+        raise error
+    return left.level, right.level
 
 
 def _constant_cue(E, d, n_terms):

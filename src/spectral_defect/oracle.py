@@ -14,9 +14,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
+from . import cues
 from .angular import _integrate_vector
 from .errors import DomainError, ThresholdError
-from .potentials import ConstantLevel, ProblemSpec
+from .potentials import ProblemSpec
 from .spectrum import SolveConfig, auto_interval
 
 _RESCALE_LIMIT = 1e120
@@ -81,17 +82,9 @@ def transfer_matrix(problem: ProblemSpec, E: float,
     return TransferMatrix(matrix=u, scale_exp=common)
 
 
-def _tail_levels(problem):
-    """(left, right) tail levels; DomainError unless both are constant."""
-    left, right = problem.left_tail, problem.right_tail
-    if not (isinstance(left, ConstantLevel)
-            and isinstance(right, ConstantLevel)):
-        raise DomainError("transfer matrices need constant tails")
-    return left.level, right.level
-
-
 def _support_interval(problem):
-    _tail_levels(problem)
+    cues.constant_levels(problem.left_tail, problem.right_tail,
+                         DomainError("transfer matrices need constant tails"))
     if problem.interval is not None:
         return problem.interval
     bp = problem.potential.breakpoints()
@@ -107,7 +100,9 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
     Zero exactly at eigenvalues: the expanding direction must be carried
     onto the shrinking one.
     """
-    left, right = _tail_levels(problem)
+    left, right = cues.constant_levels(
+        problem.left_tail, problem.right_tail,
+        DomainError("transfer matrices need constant tails"))
     if not (E < left and E < right):
         raise ThresholdError("E must lie below both tail levels")
     u = transfer_matrix(problem, E, config).matrix

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cues import (ConstantLevel, CoulombTail, CoulombZeroSingularity,
                    OscillatorTail, QuarkTail, QuarkZeroSingularity, TailClass,
-                   YukawaTail, YukawaZeroSingularity)
+                   YukawaTail, YukawaZeroSingularity, constant_levels)
 from .errors import ConfigError, DomainError
 
 
@@ -269,12 +269,11 @@ class Shifted:
         return self.base.evaluate(t) + self.offset
 
     def tails(self, l):
-        left, right = self.base.tails(l)
-        if not (isinstance(left, ConstantLevel)
-                and isinstance(right, ConstantLevel)):
-            raise ConfigError("shifted potentials support constant tails only")
-        return (ConstantLevel(left.level + self.offset),
-                ConstantLevel(right.level + self.offset))
+        left, right = constant_levels(
+            *self.base.tails(l),
+            ConfigError("shifted potentials support constant tails only"))
+        return (ConstantLevel(left + self.offset),
+                ConstantLevel(right + self.offset))
 
 
 PotentialSpec = Union[

@@ -1,12 +1,13 @@
 """Spectral defect angle and eigenvalue location.
 
 Gamma(E) = alpha_minus(b, E) - alpha(b, E) is strictly increasing in E, so
-every crossing Gamma = n pi brackets exactly one eigenvalue and the sign of
-Gamma - n pi certifies every bracket.  Near an eigenvalue Gamma is nearly
-step-shaped (exactly a step in the infinite-interval limit), so brackets
-shrink by that sign rule instead of a superlinear method.  Each pass splits
-every bracket _SPLIT ways: a batched pass costs nearly the same at 10
-energies as at 150, so 8 pieces gain 3 bits per level for the price of 1.
+every crossing Gamma = n pi brackets exactly one eigenvalue, and the level
+count n_below(E) of a sample certifies every bracket.  Near an eigenvalue
+Gamma is nearly step-shaped (exactly a step in the infinite-interval
+limit), so a solve keeps every Gamma sample and, pass by pass, splits each
+adjacent pair across which n_below rises _SPLIT ways: a batched pass costs
+nearly the same at 10 energies as at 150, so 8 pieces gain 3 bits per
+level for the price of 1.  Every bracket is an adjacent pair of samples.
 """
 
 import math
@@ -21,10 +22,9 @@ from .angular import (_integrate_vector, _scaled_fun, integrate_angle_sampled,
                       integrate_angles)
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
-from .potentials import ConstantLevel, ProblemSpec, Shifted
+from .potentials import ProblemSpec, Shifted
 
 _MONOTONE_JITTER = 1e-9     # integrator noise allowance on Gamma scans
-_MAX_REFINE_ROUNDS = 14     # scan refinement rounds before bracketing
 _SPLIT = 8                  # pieces each bracket is cut into per pass
 
 
@@ -72,6 +72,8 @@ class Eigenvalue:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """Levels of one solve and every Gamma sample it took (scan, by E)."""
+
     eigenvalues: Tuple[Eigenvalue, ...]
     scan: Tuple[DefectSample, ...]
     problem: ProblemSpec
@@ -174,11 +176,11 @@ def _scaled_defects(problem, energies, config, interval):
     Requires equal constant tails; the potential and energies are shifted so
     the tails sit at zero and E < 0, where the chart is defined.
     """
-    left, right = problem.left_tail, problem.right_tail
-    if not (isinstance(left, ConstantLevel) and isinstance(right, ConstantLevel)
-            and left.level == right.level):
-        raise DomainError("the scaled chart needs equal constant tails")
-    v0 = left.level
+    error = DomainError("the scaled chart needs equal constant tails")
+    v0, right = cues.constant_levels(problem.left_tail, problem.right_tail,
+                                     error)
+    if right != v0:
+        raise error
     shifted = replace(problem, potential=Shifted(problem.potential, -v0))
     potential = shifted.effective_potential()
     energies = np.asarray(energies, dtype=float) - v0
@@ -190,73 +192,45 @@ def _scaled_defects(problem, energies, config, interval):
             for E, al in zip(energies, alphas)]
 
 
-def _interior(e1, e2):
-    """The _SPLIT - 1 evenly spaced energies strictly inside (e1, e2)."""
-    return list(np.linspace(e1, e2, _SPLIT + 1)[1:-1])
-
-
 def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
-    """Adaptive scan, pi-crossing bracketing and lock-step splitting.
+    """Scan, then split every sample pair across which the level count rises.
 
-    Every pass cuts each active interval into _SPLIT pieces and evaluates
-    all their interior energies in one sample_fn call.  A bracket for
-    level n keeps Gamma < n pi at its left end and Gamma >= n pi at its
-    right end: the piece kept ends at the first point with Gamma >= n pi.
+    Each pass cuts every adjacent pair (e1, e2) wider than e_tol with
+    n_below(e1) < n_below(e2) into _SPLIT pieces and evaluates the new
+    energies in one sample_fn call, until no pair qualifies or none has
+    room for a new energy strictly inside (float resolution).  Level n is
+    the first adjacent pair with n_below(e1) <= n < n_below(e2).
     enforce_monotone is dropped for the scaled chart, whose defect only
-    crosses each multiple of pi once but may wiggle in between (the
-    chart itself depends on E); single-crossing keeps that sign rule
-    exact either way.
+    crosses each multiple of pi once but may wiggle in between (the chart
+    itself depends on E); single-crossing keeps the count rule exact
+    either way.
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
-    samples = {E: s for E, s in zip(Es, sample_fn(Es))}
-
-    for _ in range(_MAX_REFINE_ROUNDS):
+    samples = dict(zip(Es, sample_fn(Es)))
+    while True:
         keys = sorted(samples)
-        inner = [E for e1, e2 in zip(keys, keys[1:])
-                 if abs(samples[e2].gamma - samples[e1].gamma) > math.pi / 2
-                 and e2 - e1 > config.e_tol
-                 for E in _interior(e1, e2)]
+        inner = sorted({E for e1, e2 in zip(keys, keys[1:])
+                        if e2 - e1 > config.e_tol
+                        and samples[e2].n_below > samples[e1].n_below
+                        for E in np.linspace(e1, e2, _SPLIT + 1)[1:-1]
+                        if e1 < E < e2})
         if not inner:
             break
         samples.update(zip(inner, sample_fn(inner)))
 
-    keys = sorted(samples)
-    gammas = [samples[e].gamma for e in keys]
-    drops = [g2 - g1 for g1, g2 in zip(gammas, gammas[1:])]
+    scan = tuple(samples[E] for E in keys)
+    drops = [s2.gamma - s1.gamma for s1, s2 in zip(scan, scan[1:])]
     if enforce_monotone and drops and min(drops) < -_MONOTONE_JITTER:
         raise MonotonicityError(
             f"defect angle decreased by {-min(drops):.3e} along the scan; "
             "the integrator or a cue is misconfigured")
 
-    brackets = []
-    claimed = set()
-    for (e1, e2), (g1, g2) in zip(zip(keys, keys[1:]),
-                                  zip(gammas, gammas[1:])):
-        n_lo = max(0, math.ceil(g1 / math.pi - 1e-13))
-        n_hi = math.floor(g2 / math.pi + 1e-13)
-        for n in range(n_lo, n_hi + 1):
-            if n not in claimed:
-                claimed.add(n)
-                brackets.append([n, e1, e2])
-
-    for _ in range(200):
-        active = [br for br in brackets if br[2] - br[1] > config.e_tol]
-        if not active:
-            break
-        points = [_interior(br[1], br[2]) for br in active]
-        found = sample_fn([E for pts in points for E in pts])
-        for i, (br, pts) in enumerate(zip(active, points)):
-            inner = found[i * (_SPLIT - 1):(i + 1) * (_SPLIT - 1)]
-            ends = [br[1]] + pts + [br[2]]
-            k = next((j for j, sample in enumerate(inner)
-                      if sample.gamma >= br[0] * math.pi), _SPLIT - 1)
-            br[1], br[2] = ends[k], ends[k + 1]
-
-    eigenvalues = [Eigenvalue(n=n, energy=0.5 * (e1 + e2), width=e2 - e1)
-                   for n, e1, e2 in brackets]
-    eigenvalues.sort(key=lambda ev: ev.energy)
-    scan = tuple(samples[e] for e in keys)
-    return tuple(eigenvalues), scan
+    levels = {}  # in energy order: each level is kept at its first pair
+    for e1, e2 in zip(keys, keys[1:]):
+        for n in range(samples[e1].n_below, samples[e2].n_below):
+            levels.setdefault(n, Eigenvalue(n=n, energy=0.5 * (e1 + e2),
+                                            width=e2 - e1))
+    return tuple(levels.values()), scan
 
 
 def _solve(problem, E_min, E_max, config, defects, enforce_monotone=True):
@@ -284,9 +258,10 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     """All eigenvalues in [E_min, E_max], bracketed via the monotone defect.
 
     The interval is resolved once per run at the energy extremes; every
-    Gamma evaluation in the scan and the lock-step splitting shares it.
-    Each final bracket is at most config.e_tol wide, often narrower: the
-    last pass cuts it _SPLIT ways.
+    Gamma sample shares it, and result.scan holds them all.  Level n's
+    bracket is an adjacent pair of samples whose n_below steps past n, at
+    most config.e_tol wide (the last pass cuts it _SPLIT ways) unless float
+    resolution stops the splitting first.
     """
     return _solve(problem, E_min, E_max, config, defect_angles)
 

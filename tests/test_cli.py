@@ -319,6 +319,8 @@ _BAD_VALUES = [
     (OSC_CONFIG + "n = 1.5\n", "'n'", "eigenfunction", ""),
     (OSC_CONFIG + "grid = 10\n", "'grid'", "verify", ""),
     (OSC_CONFIG + "\n[tolerance]\ne_tol = abc\n", "[tolerance]", "solve", ""),
+    (COULOMB_CONFIG.replace("l = 0", "l = 0\neref = tail"), "eref", "solve",
+     ""),
 ]
 
 

@@ -114,11 +114,16 @@ def test_defect_angle_negative_below_ground():
     assert sample.n_below == 0
 
 
-def test_flat_potential_has_no_levels():
-    flat = sd.PiecewiseConstant((0.0,), (0.0, 0.0))
-    problem = sd.problem_for(flat, interval=(-3.0, 3.0))
-    assert sd.count_levels(problem, -0.05) == 0
-    result = sd.find_eigenvalues(problem, -0.9, -0.05)
+@pytest.mark.parametrize("potential, interval, E_min, E_max", [
+    (sd.PiecewiseConstant((0.0,), (0.0, 0.0)), (-3.0, 3.0), -0.9, -0.05),
+    (sd.PiecewiseConstant((0.0,), (0.0, 1.0)), None, -0.5, -0.01),
+], ids=["flat", "step"])
+def test_flat_potential_has_no_levels(potential, interval, E_min, E_max):
+    # a single breakpoint bounds no support; the step used to get the
+    # degenerate interval (0, 0)
+    problem = sd.problem_for(potential, interval=interval)
+    assert sd.count_levels(problem, E_max) == 0
+    result = sd.find_eigenvalues(problem, E_min, E_max)
     assert result.eigenvalues == ()
 
 
@@ -203,11 +208,13 @@ def test_explicit_interval_is_respected():
      (-4.0, 4.0), (-256.9822128134843, 256.9822128134843)),
     (sd.problem_for(sd.PiecewiseConstant((), (0.0,))), -0.9, -0.05,
      (-1.0, 1.0), (-51.596442562694065, 51.596442562694065)),
-], ids=["coulomb_l0", "coulomb_l1", "hybrid", "truncated", "flat"])
+    (sd.problem_for(sd.PiecewiseConstant((0.0,), (0.0, 1.0))), -0.5, -0.01,
+     (-1.0, 1.0), (-114.13708498984761, 12.25756071568467)),
+], ids=["coulomb_l0", "coulomb_l1", "hybrid", "truncated", "flat", "step"])
 def test_pinned_intervals(problem, E_min, E_max, interval, fd_interval):
     # one case per kind of boundary rule: 0+ shrink (l = 0 and l > 0),
-    # series growth, constant support edge and constant edge without
-    # breakpoints; each tuple is exact, so any drift in a rule shows
+    # series growth, constant support edge and constant edge with no
+    # breakpoint or one; each tuple is exact, so any drift in a rule shows
     config = sd.SolveConfig()
     assert sd.auto_interval(problem, E_min, E_max, config) == interval
     assert oracle._fd_interval(problem, E_max, config) == fd_interval
@@ -279,16 +286,22 @@ def _seeded_lattice_wells(count, seed=2026, lattice=1.0 / 64.0, span=3.0):
 def test_brackets_are_narrow_and_certified(potential, E_min, E_max):
     result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
     e_tol = result.config.e_tol
+    # (midpoint, width) of every pair of neighbouring samples
+    pairs = {(0.5 * (s1.E + s2.E), s2.E - s1.E): (s1, s2)
+             for s1, s2 in zip(result.scan, result.scan[1:])}
     assert result.eigenvalues
     for ev in result.eigenvalues:
         assert 0 < ev.width <= e_tol
+        s1, s2 = pairs[ev.energy, ev.width]
+        assert s1.n_below <= ev.n < s2.n_below
         below, above = sd.defect_angles(
             result.problem, [ev.energy - 10 * e_tol, ev.energy + 10 * e_tol],
             interval=result.problem.interval)
         assert below.gamma < ev.n * math.pi <= above.gamma
 
 
-def test_hydrogen_pass_budget(monkeypatch):
+def _counted_passes(monkeypatch):
+    """The batch size of every integration pass a solve makes from now on."""
     passes = []
 
     def counted(problem, energies, *args):
@@ -296,8 +309,37 @@ def test_hydrogen_pass_budget(monkeypatch):
         return integrate_angles(problem, energies, *args)
 
     monkeypatch.setattr(spectrum, "integrate_angles", counted)
-    result = sd.find_eigenvalues(sd.problem_for(sd.Coulomb()), -0.6, -0.0045)
-    assert len(passes) <= 12
-    assert [ev.n for ev in result.eigenvalues] == list(range(10))
+    return passes
+
+
+def _hydrogen_levels(count):
+    return [-0.5 / (n + 1) ** 2 for n in range(count)]
+
+
+@pytest.mark.parametrize("potential, E_min, E_max, budget, levels, tol", [
+    (sd.Coulomb(), -0.6, -0.0045, 12, _hydrogen_levels(10), 1e-8),
+    (sd.Coulomb(), -0.6, -0.05, 10, _hydrogen_levels(3), 1e-8),
+    # the truncated oscillator's ladder, as in acceptance criterion 2
+    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 12,
+     [n + 0.5 for n in range(8)], 0.1),
+], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
+def test_hydrogen_pass_budget(monkeypatch, potential, E_min, E_max, budget,
+                              levels, tol):
+    passes = _counted_passes(monkeypatch)
+    result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
+    assert len(passes) <= budget
+    assert [ev.n for ev in result.eigenvalues] == list(range(len(levels)))
+    assert np.allclose(result.energies, levels, rtol=0.0, atol=tol)
+
+
+def test_splitting_stops_at_float_resolution(monkeypatch):
+    # an e_tol below the float spacing near the levels cannot be met; the
+    # brackets stop one float step or so wide instead of collapsing to 0
+    passes = _counted_passes(monkeypatch)
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    result = sd.find_eigenvalues(problem, -1.9, -0.1,
+                                 sd.SolveConfig(e_tol=1e-20))
+    assert len(passes) <= 20
+    assert len(result.eigenvalues) == 2
     for ev in result.eigenvalues:
-        assert abs(ev.energy + 0.5 / (ev.n + 1) ** 2) < 1e-8
+        assert 0 < ev.width <= 4 * np.spacing(abs(ev.energy))
