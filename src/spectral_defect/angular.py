@@ -8,9 +8,14 @@ which is globally regular: at vertical angles the rate is exactly -1, so
 trajectories cross them transversally and alpha can be integrated as an
 ordinary unwrapped real variable.  The log-amplitude co-integrates as
 d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
+
+Breakpoints have one home, `_integrate_vector`, through which every
+integration of the package runs.  Where V jumps the rate of the flow does,
+so each piece between breakpoints is integrated as its own smooth problem
+whose right-hand side sees t only strictly inside the piece.
 """
 
-from typing import Sequence
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,43 +25,44 @@ from .potentials import ProblemSpec
 
 
 # ---------------------------------------------------------------------------
-# Segment-split adaptive integration
+# Piecewise adaptive integration
 # ---------------------------------------------------------------------------
 
-def _segment_points(a: float, b: float, breakpoints: Sequence[float]):
-    inner = sorted(p for p in set(breakpoints) if a < p < b)
-    return [a] + inner + [b]
+def _inside(fun, s0, s1):
+    """fun with t held one float step inside [s0, s1]."""
+    lo, hi = math.nextafter(s0, s1), math.nextafter(s1, s0)
+    return lambda t, y: fun(min(max(t, lo), hi), y)
 
 
 def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
-    """Integrate y' = fun(t, y) over [a, b], split at breakpoints.
+    """Integrate y' = fun(t, y) over [a, b], cut at the breakpoints inside.
 
     DOP853 at config.rel_tol and config.abs_tol: at 1e-12 a high-order pair
-    is much cheaper than a 4(5) pair.  Returns (y_final, t_points,
-    y_points); the sampled arrays are only collected when t_eval is given.
+    is much cheaper than a 4(5) pair.  With breakpoints, fun sees t clamped
+    one float step inside each piece, so no stage reads V across a jump at
+    a cut, a or b.  Returns (y_end, y_at_t_eval): the state at b and, for
+    ascending t_eval inside [a, b], one state column per point, read from
+    the dense output of the piece that holds it (a point on a cut from the
+    piece that starts there); None without t_eval.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    ts_out, ys_out = [], []
-    for s0, s1 in zip(*(lambda p: (p[:-1], p[1:]))(
-            _segment_points(a, b, breakpoints))):
-        kwargs = {}
-        if t_eval is not None:
-            sel = [t for t in t_eval if s0 <= t <= s1]
-            kwargs["t_eval"] = sorted(set(sel + [s1]))
-        sol = solve_ivp(fun, (s0, s1), y, method="DOP853",
-                        rtol=config.rel_tol, atol=config.abs_tol,
-                        dense_output=False, **kwargs)
+    cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    groups = ([None] * (len(cuts) - 1) if t_eval is None else
+              np.split(np.asarray(t_eval, dtype=float),
+                       np.searchsorted(t_eval, cuts[1:-1])))
+    sampled = []
+    for s0, s1, ts in zip(cuts, cuts[1:], groups):
+        sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
+                        (s0, s1), y, method="DOP853", rtol=config.rel_tol,
+                        atol=config.abs_tol, dense_output=ts is not None)
         if not sol.success:
             raise IntegrationError(
                 f"integrator stopped at t = {sol.t[-1]}: {sol.message}",
                 t_reached=float(sol.t[-1]))
-        if t_eval is not None:
-            ts_out.append(sol.t)
-            ys_out.append(sol.y)
         y = sol.y[:, -1]
-    if t_eval is not None:
-        return y, np.concatenate(ts_out), np.concatenate(ys_out, axis=1)
-    return y, None, None
+        if ts is not None:
+            sampled.append(sol.sol(ts) if ts.size else sol.y[:, :0])
+    return y, None if t_eval is None else np.concatenate(sampled, axis=1)
 
 
 def _angular_fun(potential, energies, with_amplitude):
@@ -108,18 +114,21 @@ def integrate_angles(problem: ProblemSpec, energies, alpha_starts, a: float,
     alpha_starts = np.broadcast_to(
         np.asarray(alpha_starts, dtype=float), energies.shape)
     fun = _angular_fun(potential, energies, with_amplitude=False)
-    y, _, _ = _integrate_vector(fun, a, b, alpha_starts, config,
-                                potential.breakpoints())
+    y, _ = _integrate_vector(fun, a, b, alpha_starts, config,
+                             potential.breakpoints())
     return y, None
 
 
 def integrate_angle_sampled(problem: ProblemSpec, E: float,
                             alpha_start: float, a: float, b: float,
                             config, t_eval):
-    """(t, alpha, log_rho) over [a, b], sampled on t_eval."""
+    """(t, alpha, log_rho) at exactly the points of t_eval, sorted.
+
+    t_eval must lie inside [a, b]; log_rho is 0 at a.
+    """
     potential = problem.effective_potential()
     fun = _angular_fun(potential, [E], with_amplitude=True)
-    y0 = np.array([alpha_start, 0.0])
-    _, ts, ys = _integrate_vector(fun, a, b, y0, config,
-                                  potential.breakpoints(), t_eval=list(t_eval))
+    ts = np.sort(np.asarray(t_eval, dtype=float))
+    _, ys = _integrate_vector(fun, a, b, [alpha_start, 0.0], config,
+                              potential.breakpoints(), t_eval=ts)
     return ts, ys[0], ys[1]

@@ -28,6 +28,10 @@ _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
 _SECTIONS = ("potential", "domain", "tolerances", "solve")
 # the command-line flags that override [tolerances] keys of the same name
 _TOLERANCE_FLAGS = ("e_tol", "rel_tol", "abs_tol", "residual_tol")
+# verify fails a level whose |E_angular - E_fd| exceeds
+# max(_FD_ERR_FACTOR * fd_err, _FD_DIFF_FLOOR)
+_FD_ERR_FACTOR = 10.0
+_FD_DIFF_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -315,24 +319,25 @@ def _cmd_verify(run):
     fd = oracle.fd_eigenvalues(run.problem, emax,
                                grid_size=run.params.get("grid", 8192),
                                config=run.config)
-    fd_vals = [e for e in fd.energies if e >= emin]
+    fd_levels = [(e, err) for e, err in zip(fd.energies, fd.errors)
+                 if e >= emin]
     lines = [f"{'n':>4}  {'E_angular':>18}  {'E_fd':>18}  {'diff':>12}"
              f"  {'fd_err':>10}"]
     status = 0
-    for i, ev in enumerate(result.eigenvalues):
-        if i < len(fd_vals):
-            diff = ev.energy - fd_vals[i]
-            err = fd.errors[list(fd.energies).index(fd_vals[i])]
-            lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}  "
-                         f"{_fmt(fd_vals[i]):>18}  {_fmt(diff):>12}  "
-                         f"{_fmt(float(err)):>10}")
-        else:
-            lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}"
-                         f"  {'-':>18}  {'-':>12}  {'-':>10}")
+    for ev, (fd_e, err) in zip(result.eigenvalues, fd_levels):
+        diff = ev.energy - fd_e
+        lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}  {_fmt(fd_e):>18}  "
+                     f"{_fmt(diff):>12}  {_fmt(float(err)):>10}")
+        if abs(diff) > max(_FD_ERR_FACTOR * err, _FD_DIFF_FLOOR):
+            lines.append(f"level n={ev.n} disagrees: |diff| > max("
+                         f"{_FD_ERR_FACTOR:g} fd_err, {_FD_DIFF_FLOOR:g})")
             status = 1
-    if len(fd_vals) != len(result.eigenvalues):
+    for ev in result.eigenvalues[len(fd_levels):]:
+        lines.append(f"{ev.n:>4}  {_fmt(ev.energy):>18}"
+                     f"  {'-':>18}  {'-':>12}  {'-':>10}")
+    if len(fd_levels) != len(result.eigenvalues):
         lines.append(f"count mismatch: angular {len(result.eigenvalues)}, "
-                     f"finite-difference {len(fd_vals)}")
+                     f"finite-difference {len(fd_levels)}")
         status = 1
     try:
         for ev in result.eigenvalues:

@@ -119,6 +119,12 @@ def _pole_leading_series(l, c, n_terms):
 # Tail classes
 # ---------------------------------------------------------------------------
 
+def _decay_padded(t, side, gap, config):
+    """t moved outward by 16 decay lengths 1/sqrt(2 gap), gap >= kappa."""
+    pad = 16.0 / math.sqrt(2.0 * max(gap, config.kappa))
+    return t - pad if side == "left" else t + pad
+
+
 @dataclass(frozen=True)
 class ConstantLevel:
     """V identically equal to `level` beyond the boundary.
@@ -149,8 +155,7 @@ class ConstantLevel:
 
     def fd_edge(self, t, side, E, config):
         """t moved 16 decay lengths outward, deep into the decay zone."""
-        pad = 16.0 / math.sqrt(2.0 * max(self.level - E, config.kappa))
-        return t - pad if side == "left" else t + pad
+        return _decay_padded(t, side, self.level - E, config)
 
     def boundary_angle(self, E, t, side):
         if not E < self.level:
@@ -188,8 +193,11 @@ class _SeriesTail:
                              grow=lambda t: t * _GROWTH)
 
     def fd_edge(self, t, side, E, config):
-        """t moved 30 % further from the origin."""
-        return 1.3 * t
+        """16 decay lengths beyond t below a finite threshold, else t moved
+        30 % further from the origin."""
+        if math.isinf(self.threshold):
+            return 1.3 * t
+        return _decay_padded(t, side, self.threshold - E, config)
 
     def boundary_angle(self, E, t, side):
         return math.atan(tail_cue_series(self, E).evaluate(t))
@@ -302,8 +310,8 @@ class _ZeroSingularity(_SeriesTail):
                              check_clearance=False)
 
     def fd_edge(self, t, side, E, config):
-        """A wall at the origin, nearer it than the floor for l = 0."""
-        return max(0.0 if self.l > 0 else min(t, _ZERO_FLOOR), 1e-6)
+        """A wall at the origin; the grid nodes sit strictly beyond it."""
+        return 0.0
 
 
 @dataclass(frozen=True)

@@ -36,50 +36,36 @@ class TransferMatrix:
 
 
 def _phase_fun(potential, E):
+    """(q, p)' of both canonical solutions at once, y = (q1, q2, p1, p2)."""
     def fun(t, y):
-        return np.array([y[1], 2.0 * (potential.evaluate(t) - E) * y[0]])
+        return np.concatenate(
+            [y[2:], 2.0 * (potential.evaluate(t) - E) * y[:2]])
     return fun
 
 
-def _propagate(potential, E, t0, t1, y0, config):
-    """(q, p) propagation with power-of-two rescaling on overflow."""
+def transfer_matrix(problem: ProblemSpec, E: float,
+                    config: SolveConfig = None) -> TransferMatrix:
+    """u(b, a) over the compact support, both canonical columns in one pass.
+
+    The integrator cuts at the breakpoints; checkpoints at most 5 apart
+    rescale by a power of two before growth can overflow.
+    """
+    config = config or SolveConfig()
+    a, b = _support_interval(problem)
+    potential = problem.effective_potential()
     fun = _phase_fun(potential, E)
-    breaks = [p for p in potential.breakpoints() if t0 < p < t1]
-    points = [t0] + sorted(breaks) + [t1]
-    # extra cuts so growth between rescale checks stays representable
-    refined = []
-    for s0, s1 in zip(points, points[1:]):
-        pieces = max(1, int(math.ceil((s1 - s0) / 5.0)))
-        refined.extend(np.linspace(s0, s1, pieces + 1)[:-1])
-    refined.append(t1)
-    y = np.asarray(y0, dtype=float)
+    y = np.array([1.0, 0.0, 0.0, 1.0])
     exp = 0
-    for s0, s1 in zip(refined, refined[1:]):
-        y, _, _ = _integrate_vector(fun, s0, s1, y, config, ())
+    checkpoints = np.linspace(a, b, max(1, math.ceil((b - a) / 5.0)) + 1)
+    for s0, s1 in zip(checkpoints, checkpoints[1:]):
+        y, _ = _integrate_vector(fun, s0, s1, y, config,
+                                 potential.breakpoints())
         peak = np.max(np.abs(y))
         if peak > _RESCALE_LIMIT:
             shift = int(math.floor(math.log2(peak)))
             y = y / 2.0 ** shift
             exp += shift
-    return y, exp
-
-
-def transfer_matrix(problem: ProblemSpec, E: float,
-                    config: SolveConfig = None) -> TransferMatrix:
-    """u(b, a) over the compact support, from the two canonical states."""
-    config = config or SolveConfig()
-    a, b = _support_interval(problem)
-    potential = problem.effective_potential()
-    cols = []
-    exps = []
-    for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        y, exp = _propagate(potential, E, a, b, y0, config)
-        cols.append(y)
-        exps.append(exp)
-    common = max(exps)
-    u = np.column_stack([c / 2.0 ** (common - e)
-                         for c, e in zip(cols, exps)])
-    return TransferMatrix(matrix=u, scale_exp=common)
+    return TransferMatrix(matrix=y.reshape(2, 2), scale_exp=exp)
 
 
 def _support_interval(problem):

@@ -186,8 +186,8 @@ def _scaled_defects(problem, energies, config, interval):
     energies = np.asarray(energies, dtype=float) - v0
     a, b = interval
     starts = np.full(energies.shape, math.pi / 4.0)
-    alphas, _, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
-                                     starts, config, potential.breakpoints())
+    alphas, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
+                                  starts, config, potential.breakpoints())
     return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
             for E, al in zip(energies, alphas)]
 
@@ -298,11 +298,8 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     alpha_a = cues.left_boundary_angle(problem, E_n, a)
-    ts, alphas, logs = integrate_angle_sampled(problem, E_n, alpha_a, a, b,
-                                               config, t_eval=grid)
-    # segment stitching may duplicate boundary points; keep grid points only
-    idx = np.searchsorted(ts, grid)
-    t_s, alpha_s, log_s = ts[idx], alphas[idx], logs[idx]
+    t_s, alpha_s, log_s = integrate_angle_sampled(problem, E_n, alpha_a, a,
+                                                  b, config, t_eval=grid)
     log_shift = log_s - np.max(log_s)
     psi = np.exp(log_shift) * np.cos(alpha_s)
     norm = math.sqrt(trapezoid(psi * psi, t_s))

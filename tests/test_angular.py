@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import spectral_defect as sd
+from spectral_defect import angular, cues
 from spectral_defect.angular import (_angular_fun, _scaled_fun,
                                      integrate_angle_sampled, integrate_angles)
 from spectral_defect.errors import DomainError
 
 
 FLAT = sd.PiecewiseConstant((0.0,), (0.0, 0.0))  # V identically zero
+# jumps at -1, 0 and 1, right-continuous: evaluate(0.0) reads -1, not -2
+STEPS = sd.PiecewiseConstant((-1.0, 0.0, 1.0), (0.0, -2.0, -1.0, 0.0))
 
 
 def flat_problem(a, b):
@@ -125,6 +128,50 @@ def test_amplitude_recovers_flat_decay():
     # rho^2 = psi^2 + psi'^2 scales like exp(-2kt) too
     assert ts[-1] == 4.0
     assert log_rhos[-1] == pytest.approx(-k * 4.0, abs=1e-9)
+
+
+def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
+    seen = []
+    evaluate = sd.PiecewiseConstant.evaluate
+
+    def recording(self, t):
+        seen.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", recording)
+    sd.defect_angles(sd.problem_for(STEPS), np.linspace(-1.99, -0.01, 64))
+    assert seen
+    assert not set(seen) & set(STEPS.breakpoints())
+
+
+def test_piecewise_solve_rhs_budget(monkeypatch):
+    # each piece is smooth, so the error estimate rejects no step at a jump
+    nfev = []
+    solve_ivp = angular.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(angular, "solve_ivp", counting)
+    result = sd.find_eigenvalues(sd.problem_for(STEPS), -1.99, -0.01)
+    assert len(result.eigenvalues) == 1
+    assert sum(nfev) <= 8000
+
+
+def test_sampled_states_are_exactly_the_grid():
+    # 0.0 is both a grid node and an inner breakpoint
+    problem = sd.problem_for(STEPS, interval=(-1.0, 1.0))
+    E = -1.1
+    alpha_a = cues.left_boundary_angle(problem, E, -1.0)
+    grid = np.linspace(-1.0, 1.0, 401)
+    ts, alphas, log_rhos = integrate_angle_sampled(
+        problem, E, alpha_a, -1.0, 1.0, sd.SolveConfig(), t_eval=grid)
+    assert np.array_equal(ts, grid)
+    assert alphas.shape == log_rhos.shape == grid.shape
+    alpha_b = terminal_angles(problem, [E], alpha_a)[0][0]
+    assert alphas[-1] == pytest.approx(alpha_b, abs=1e-8)
 
 
 def test_integrator_config_validation():

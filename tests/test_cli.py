@@ -1,11 +1,14 @@
 import csv
 import warnings
+from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
-from spectral_defect import cli
+from spectral_defect import cli, oracle
 from spectral_defect.errors import ConfigError
 
 
@@ -238,6 +241,45 @@ def test_verify_coulomb_skips_the_transfer_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "transfer-matrix check skipped (needs constant tails)" in out
     assert "transfer mismatch" not in out
+
+
+def _verify_rows(out):
+    """(n, diff, fd_err) of each level row of the verify table."""
+    rows = [line.split() for line in out.splitlines()[1:]]
+    return [(int(r[0]), float(r[3]), float(r[4])) for r in rows
+            if len(r) == 5 and r[0].isdigit()]
+
+
+def test_verify_hydrogen_agrees_with_the_fd_oracle(tmp_path, capsys):
+    # the fd walls sit at the origin and 16 decay lengths past b; a wall
+    # delta from the origin would shift level n by 2 delta / (n + 1)^3,
+    # which the Richardson error estimate cannot see
+    cfg = tmp_path / "hydrogen.ini"
+    cfg.write_text(COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05"))
+    assert cli.main(["verify", str(cfg)]) == 0
+    rows = _verify_rows(capsys.readouterr().out)
+    assert [n for n, _, _ in rows] == [0, 1, 2]
+    assert all(abs(diff) <= 1e-8 for _, diff, _ in rows)
+
+
+@pytest.mark.parametrize("shift, code", [(0.0, 0), (1e-6, 1)])
+def test_verify_fails_a_level_beyond_the_fd_error(tmp_path, capsys,
+                                                  monkeypatch, shift, code):
+    fd_eigenvalues = oracle.fd_eigenvalues
+
+    def shifted(*args, **kwargs):
+        fd = fd_eigenvalues(*args, **kwargs)
+        return replace(fd, energies=fd.energies + shift,
+                       errors=np.full(len(fd), 1e-9))
+
+    monkeypatch.setattr(oracle, "fd_eigenvalues", shifted)
+    cfg = tmp_path / "hydrogen.ini"
+    cfg.write_text(COULOMB_CONFIG)
+    assert cli.main(["verify", str(cfg)]) == code
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "disagrees" in line]
+    assert [line.split(":")[0] for line in failed] == \
+        ["level n=0 disagrees"] * code
 
 
 def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spectral_defect as sd
-from spectral_defect import oracle
+from spectral_defect import angular, oracle
 from spectral_defect.angular import integrate_angles
 from spectral_defect.errors import DomainError
 
@@ -71,6 +71,23 @@ def test_rescaling_keeps_entries_finite():
     k = math.sqrt(2.0 * (2.0 - (-2.0)))
     out = tm.matrix @ np.array([1.0, 0.0])
     assert out[1] / out[0] == pytest.approx(k, rel=1e-8)
+
+
+def test_transfer_matrix_is_one_propagation(monkeypatch):
+    # both columns in one pass: one solve_ivp per rescale checkpoint, and
+    # (-4, 4) spans two of them
+    calls = []
+    solve_ivp = angular.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(angular, "solve_ivp", counting)
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    tm = oracle.transfer_matrix(problem, 2.5)
+    assert len(calls) == 2
+    assert tm.det == pytest.approx(1.0, abs=1e-8)
 
 
 def test_phase_angle_agrees_with_angular_flow():

@@ -198,9 +198,9 @@ def test_explicit_interval_is_respected():
 
 @pytest.mark.parametrize("problem, E_min, E_max, interval, fd_interval", [
     (sd.problem_for(sd.Coulomb()), -0.6, -0.0045,
-     (0.01, 450.0000000000001), (0.0001, 585.0000000000001)),
+     (0.01, 450.0000000000001), (0.0, 618.6548085423137)),
     (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01,
-     (0.01, 262.5), (1e-06, 341.25)),
+     (0.01, 262.5), (0.0, 375.6370849898476)),
     (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), 1e-6, 5.0,
      (-27.748986467977538, 9.249662155992512),
      (-36.0736824083708, 12.024560802790266)),
