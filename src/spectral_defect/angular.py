@@ -9,10 +9,13 @@ trajectories cross them transversally and alpha can be integrated as an
 ordinary unwrapped real variable.  The log-amplitude co-integrates as
 d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
 
-Breakpoints have one home, `_integrate_vector`, through which every
-integration of the package runs.  Where V jumps the rate of the flow does,
-so each piece between breakpoints is integrated as its own smooth problem
-whose right-hand side sees t only strictly inside the piece.
+The spectrum module integrates the left angle forward from a and the right
+angle backward from b, both to one matching point c (`integrate_angles`);
+the flow is the same in either direction.  Breakpoints have one home,
+`_integrate_vector`, through which every integration of the package runs,
+in either direction.  Where V jumps the rate of the flow does, so each
+piece between breakpoints is integrated as its own smooth problem whose
+right-hand side sees t only strictly inside the piece.
 """
 
 import math
@@ -29,29 +32,34 @@ from .potentials import ProblemSpec
 # ---------------------------------------------------------------------------
 
 def _inside(fun, s0, s1):
-    """fun with t held one float step inside [s0, s1]."""
-    lo, hi = math.nextafter(s0, s1), math.nextafter(s1, s0)
+    """fun with t held one float step inside the piece between s0 and s1."""
+    lo, hi = sorted((math.nextafter(s0, s1), math.nextafter(s1, s0)))
     return lambda t, y: fun(min(max(t, lo), hi), y)
 
 
 def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
-    """Integrate y' = fun(t, y) over [a, b], cut at the breakpoints inside.
+    """Integrate y' = fun(t, y) from a to b, cut at the breakpoints between.
 
-    DOP853 at config.rel_tol and config.abs_tol: at 1e-12 a high-order pair
-    is much cheaper than a 4(5) pair.  With breakpoints, fun sees t clamped
-    one float step inside each piece, so no stage reads V across a jump at
-    a cut, a or b.  Returns (y_end, y_at_t_eval): the state at b and, for
-    ascending t_eval inside [a, b], one state column per point, read from
-    the dense output of the piece that holds it (a point on a cut from the
-    piece that starts there); None without t_eval.
+    b < a integrates right to left.  DOP853 at config.rel_tol and
+    config.abs_tol: at 1e-12 a high-order pair is much cheaper than a 4(5)
+    pair.  With breakpoints, fun sees t clamped one float step inside each
+    piece, so no stage reads V across a jump at a cut, a or b.  Returns
+    (y_end, y_at_t_eval): the state at b and, for ascending t_eval inside
+    [a, b] with a < b, one state column per point, read from the dense
+    output of the piece that holds it (a point on a cut from the piece that
+    starts there); None without t_eval.  With a == b, y_end is y0.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    y = np.array(y0, dtype=float, ndmin=1)
+    lo, hi = sorted((a, b))
+    cuts = [a] + sorted((p for p in set(breakpoints) if lo < p < hi),
+                        reverse=bool(b < a)) + [b]
     groups = ([None] * (len(cuts) - 1) if t_eval is None else
               np.split(np.asarray(t_eval, dtype=float),
                        np.searchsorted(t_eval, cuts[1:-1])))
     sampled = []
     for s0, s1, ts in zip(cuts, cuts[1:], groups):
+        if s0 == s1:
+            continue    # an empty half of a pass: no RHS call, none at a cut
         sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
                         (s0, s1), y, method="DOP853", rtol=config.rel_tol,
                         atol=config.abs_tol, dense_output=ts is not None)
@@ -97,26 +105,30 @@ def _scaled_fun(potential, energies):
     return fun
 
 
-def integrate_angles(problem: ProblemSpec, energies, alpha_starts, a: float,
-                     b: float, config):
-    """Batched angle integration over [a, b]; one component per energy.
+def integrate_angles(problem: ProblemSpec, energies, left_starts,
+                     right_starts, a: float, c: float, b: float, config):
+    """Batched angle integration of both halves to the matching point c.
 
-    Sharing one adaptive mesh across the batch keeps every component within
-    tolerance (the controller steps on the worst one) and amortizes the
-    per-step cost of the scan and of lock-step bracket splitting: a pass
-    costs nearly the same at 10 energies as at 150.  config is the
-    SolveConfig; only its rel_tol and abs_tol are read.
-    Returns the pair (alphas_at_b, None); integrate_angle_sampled carries
-    the log-amplitude.
+    The left angles run forward from a to c and the right angles backward
+    from b to c, one component per energy; either half may be empty (c at
+    a or b).  Sharing one adaptive mesh across the batch keeps every
+    component within tolerance (the controller steps on the worst one) and
+    amortizes the per-step cost of the scan and of lock-step bracket
+    splitting: a pass costs nearly the same at 10 energies as at 150.
+    config is the SolveConfig; only its rel_tol and abs_tol are read.
+    Returns the pair (alpha_left_at_c, alpha_right_at_c);
+    integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    alpha_starts = np.broadcast_to(
-        np.asarray(alpha_starts, dtype=float), energies.shape)
     fun = _angular_fun(potential, energies, with_amplitude=False)
-    y, _ = _integrate_vector(fun, a, b, alpha_starts, config,
-                             potential.breakpoints())
-    return y, None
+    halves = []
+    for start, s0 in ((left_starts, a), (right_starts, b)):
+        y0 = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
+        y, _ = _integrate_vector(fun, s0, c, y0, config,
+                                 potential.breakpoints())
+        halves.append(y)
+    return tuple(halves)
 
 
 def integrate_angle_sampled(problem: ProblemSpec, E: float,

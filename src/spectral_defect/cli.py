@@ -316,9 +316,13 @@ def _cmd_eigenfunction(run):
 def _cmd_verify(run):
     result = _solve(run)
     emin, emax = run.params["emin"], run.params["emax"]
-    fd = oracle.fd_eigenvalues(run.problem, emax,
-                               grid_size=run.params.get("grid", 8192),
-                               config=run.config)
+    # walls padded for the top level found, not for the ceiling: a ceiling
+    # just under a tail level would put them far out on a coarse grid
+    top = result.eigenvalues[-1].energy if result.eigenvalues else emax
+    fd = oracle.fd_eigenvalues(
+        run.problem, emax, grid_size=run.params.get("grid", 8192),
+        interval=oracle.fd_interval(run.problem, top, run.config),
+        config=run.config)
     fd_levels = [(e, err) for e, err in zip(fd.energies, fd.errors)
                  if e >= emin]
     lines = [f"{'n':>4}  {'E_angular':>18}  {'E_fd':>18}  {'diff':>12}"

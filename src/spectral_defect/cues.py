@@ -183,7 +183,15 @@ class _SeriesTail:
     half_line = False
 
     def bound(self, problem, side, E_lo, E_hi, config):
-        """Grow outward from the seed until the residual and clearance pass."""
+        """Grow outward from the seed until the residual and clearance pass.
+
+        A finite threshold must clear E_hi by more than kappa, or the
+        clearance gate would push the boundary out without end.
+        """
+        if self.threshold - E_hi <= config.kappa:
+            raise ThresholdError(
+                f"E_max = {E_hi} does not clear the {side} threshold "
+                f"{self.threshold} by more than kappa = {config.kappa}")
         bp = problem.potential.breakpoints()
         if side == "left":
             seed = -self.seed(E_hi, config.kappa, abs(min(bp)) if bp else None)
@@ -247,8 +255,9 @@ class CoulombTail(_SeriesTail):
 
     def seed(self, E_hi, kappa, support_edge):
         seed = max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
-        # clearing the tail by kappa forces charge/b <= |E_hi| - kappa
-        return max(seed, 1.05 * self.charge / max(abs(E_hi) - kappa, 1e-12))
+        # clearing the tail by kappa forces charge/b <= |E_hi| - kappa,
+        # which bound keeps positive
+        return max(seed, 1.05 * self.charge / (abs(E_hi) - kappa))
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
     config = config or SolveConfig()
     potential = problem.effective_potential()
     if interval is None:
-        interval = _fd_interval(problem, E_ceiling, config)
+        interval = fd_interval(problem, E_ceiling, config)
     a, b = interval
     coarse = _fd_levels(potential, a, b, grid_size, E_ceiling)
     fine = _fd_levels(potential, a, b, 2 * grid_size + 1, E_ceiling)
@@ -173,8 +173,14 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
                     interval=(a, b))
 
 
-def _fd_interval(problem, e_ceiling, config):
-    """Auto interval padded so Dirichlet walls sit deep in the decay zone."""
-    a, b = auto_interval(problem, e_ceiling - 1e-9, e_ceiling, config)
-    return (problem.left_tail.fd_edge(a, "left", e_ceiling, config),
-            problem.right_tail.fd_edge(b, "right", e_ceiling, config))
+def fd_interval(problem: ProblemSpec, E: float,
+                config: SolveConfig = None) -> Tuple[float, float]:
+    """Auto interval at E, each side padded by its tail's `fd_edge`.
+
+    The Dirichlet walls then sit deep in the decay zone of a level at E
+    and of every level below it.
+    """
+    config = config or SolveConfig()
+    a, b = auto_interval(problem, E - 1e-9, E, config)
+    return (problem.left_tail.fd_edge(a, "left", E, config),
+            problem.right_tail.fd_edge(b, "right", E, config))

@@ -1,13 +1,23 @@
 """Spectral defect angle and eigenvalue location.
 
-Gamma(E) = alpha_minus(b, E) - alpha(b, E) is strictly increasing in E, so
-every crossing Gamma = n pi brackets exactly one eigenvalue, and the level
-count n_below(E) of a sample certifies every bracket.  Near an eigenvalue
-Gamma is nearly step-shaped (exactly a step in the infinite-interval
-limit), so a solve keeps every Gamma sample and, pass by pass, splits each
-adjacent pair across which n_below rises _SPLIT ways: a batched pass costs
-nearly the same at 10 energies as at 150, so 8 pieces gain 3 bits per
-level for the price of 1.  Every bracket is an adjacent pair of samples.
+The left angle runs forward from a, the right cue's angle backward from b,
+and both meet at one matching point c (`_matching_point`):
+
+    Gamma(E) = alpha_R(c, E) - alpha_L(c, E).
+
+Gamma is strictly increasing in E, so every crossing Gamma = n pi brackets
+exactly one eigenvalue, and the level count n_below(E) of a sample
+certifies every bracket.  Both angles solve one pi-periodic flow, so two
+solutions n pi apart at one t stay so at every t: n_below does not depend
+on c, and c only sets how smooth Gamma is.  Measured at b, Gamma is a near
+step of height pi at each level; at an interior c it is smooth.
+
+A solve keeps every Gamma sample and, pass by pass, splits each adjacent
+pair across which n_below rises _SPLIT ways: a batched pass costs nearly
+the same at 10 energies as at 150, so 8 pieces gain 3 bits per level for
+the price of 1.  A pair that holds one level also gets a secant step on
+the smooth Gamma in the same pass.  Every bracket is an adjacent pair of
+samples.
 """
 
 import math
@@ -26,6 +36,7 @@ from .potentials import ProblemSpec, Shifted
 
 _MONOTONE_JITTER = 1e-9     # integrator noise allowance on Gamma scans
 _SPLIT = 8                  # pieces each bracket is cut into per pass
+_MATCH_GRID = 4001          # points on which the matching point is sought
 
 
 @dataclass(frozen=True)
@@ -129,11 +140,41 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
 # Defect angle
 # ---------------------------------------------------------------------------
 
+def _matching_point(problem: ProblemSpec, interval) -> float:
+    """c: the first minimum of V_eff on 4001 points spanning [a, b].
+
+    The points are geometric on the half line and uniform on the whole
+    line.  c depends on the problem and interval alone, so every sample of
+    a solve shares one Gamma.  Near the well's bottom both halves arrive
+    from their forbidden sides, where the flow pulls them onto the decaying
+    directions, so Gamma is smooth in E there.
+    """
+    a, b = interval
+    grid = (np.geomspace if problem.l is not None else np.linspace)(
+        a, b, _MATCH_GRID)
+    v = problem.effective_potential().evaluate(grid)
+    return float(grid[np.argmin(v)])
+
+
+def _defects_at(problem, energies, config, interval, c):
+    """Gamma at the matching point c for each energy, one pass."""
+    a, b = interval
+    lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
+    rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
+    alpha_l, alpha_r = integrate_angles(problem, energies, lefts, rights, a,
+                                        c, b, config)
+    return [DefectSample(E=float(E), gamma=float(r - l))
+            for E, l, r in zip(energies, alpha_l, alpha_r)]
+
+
 def defect_angles(problem: ProblemSpec, energies: Sequence[float],
                   config: SolveConfig = None,
                   interval: Optional[Tuple[float, float]] = None
                   ) -> List[DefectSample]:
-    """Batched Gamma(E) evaluation on a shared interval."""
+    """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
+
+    c is the interval's matching point (`_matching_point`).
+    """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     threshold = problem.threshold()
@@ -143,20 +184,13 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     if interval is None:
         interval = auto_interval(problem, float(energies.min()),
                                  float(energies.max()), config)
-    a, b = interval
-    starts = np.array([cues.left_boundary_angle(problem, E, a)
-                       for E in energies])
-    alphas, _ = integrate_angles(problem, energies, starts, a, b, config)
-    out = []
-    for E, alpha in zip(energies, alphas):
-        alpha_minus = cues.right_boundary_angle(problem, float(E), b)
-        out.append(DefectSample(E=float(E), gamma=alpha_minus - float(alpha)))
-    return out
+    return _defects_at(problem, energies, config, interval,
+                       _matching_point(problem, interval))
 
 
 def defect_angle(problem: ProblemSpec, E: float,
                  config: SolveConfig = None) -> DefectSample:
-    """Gamma(E) = alpha_minus(b, E) - alpha(b, E) on the resolved interval."""
+    """Gamma(E) at the matching point of the resolved interval."""
     return defect_angles(problem, [E], config)[0]
 
 
@@ -192,14 +226,36 @@ def _scaled_defects(problem, energies, config, interval):
             for E, al in zip(energies, alphas)]
 
 
+def _secant_points(e1, s1, e2, s2, last_root, e_tol):
+    """x and x -+ d for the one level n on the pair (e1, e2).
+
+    x is the regula-falsi root of Gamma = n pi on the pair.  d is w / 16 on
+    the level's first step and |x - x_prev| after it, clamped to
+    [e_tol / 4, w / 4]; all three points are clamped 1 % of w inside.
+    last_root maps each level to its latest x and is updated here.
+    """
+    n, w = s1.n_below, e2 - e1
+    # n_below(e1) = n < n_below(e2) puts gamma_1 < n pi <= gamma_2
+    x = e1 + w * (n * math.pi - s1.gamma) / (s2.gamma - s1.gamma)
+    d = abs(x - last_root[n]) if n in last_root else w / 16
+    last_root[n] = x
+    d = min(max(d, e_tol / 4), w / 4)
+    lo, hi = e1 + 0.01 * w, e2 - 0.01 * w
+    return [min(max(E, lo), hi) for E in (x - d, x, x + d)]
+
+
 def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     """Scan, then split every sample pair across which the level count rises.
 
     Each pass cuts every adjacent pair (e1, e2) wider than e_tol with
-    n_below(e1) < n_below(e2) into _SPLIT pieces and evaluates the new
-    energies in one sample_fn call, until no pair qualifies or none has
-    room for a new energy strictly inside (float resolution).  Level n is
-    the first adjacent pair with n_below(e1) <= n < n_below(e2).
+    n_below(e1) < n_below(e2) into _SPLIT pieces, so every such pair
+    shrinks at least _SPLIT-fold per pass.  A pair holding exactly one
+    level also gets the three points of a secant step on Gamma
+    (`_secant_points`), which close in on a smooth Gamma superlinearly;
+    doublets and pairs holding several levels are only split.  All new
+    energies are evaluated in one sample_fn call, until no pair qualifies
+    or none has room for a new energy strictly inside (float resolution).
+    Level n is the first adjacent pair with n_below(e1) <= n < n_below(e2).
     enforce_monotone is dropped for the scaled chart, whose defect only
     crosses each multiple of pi once but may wiggle in between (the chart
     itself depends on E); single-crossing keeps the count rule exact
@@ -207,15 +263,23 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = dict(zip(Es, sample_fn(Es)))
+    last_root = {}
     while True:
         keys = sorted(samples)
-        inner = sorted({E for e1, e2 in zip(keys, keys[1:])
-                        if e2 - e1 > config.e_tol
-                        and samples[e2].n_below > samples[e1].n_below
-                        for E in np.linspace(e1, e2, _SPLIT + 1)[1:-1]
-                        if e1 < E < e2})
+        inner = set()
+        for e1, e2 in zip(keys, keys[1:]):
+            s1, s2 = samples[e1], samples[e2]
+            rise = s2.n_below - s1.n_below
+            if not (e2 - e1 > config.e_tol and rise > 0):
+                continue
+            points = list(np.linspace(e1, e2, _SPLIT + 1)[1:-1])
+            if rise == 1:
+                points += _secant_points(e1, s1, e2, s2, last_root,
+                                         config.e_tol)
+            inner.update(E for E in points if e1 < E < e2)
         if not inner:
             break
+        inner = sorted(inner)
         samples.update(zip(inner, sample_fn(inner)))
 
     scan = tuple(samples[E] for E in keys)
@@ -258,9 +322,11 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     """All eigenvalues in [E_min, E_max], bracketed via the monotone defect.
 
     The interval is resolved once per run at the energy extremes; every
-    Gamma sample shares it, and result.scan holds them all.  Level n's
-    bracket is an adjacent pair of samples whose n_below steps past n, at
-    most config.e_tol wide (the last pass cuts it _SPLIT ways) unless float
+    Gamma sample shares it and its matching point c, and result.scan holds
+    them all.  Gamma = alpha_R(c) - alpha_L(c).  Each pass splits every
+    bracket _SPLIT ways and adds a secant step on Gamma inside each bracket
+    that holds one level.  Level n's bracket is an adjacent pair of samples
+    whose n_below steps past n, at most config.e_tol wide unless float
     resolution stops the splitting first.
     """
     return _solve(problem, E_min, E_max, config, defect_angles)

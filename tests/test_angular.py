@@ -20,10 +20,11 @@ def flat_problem(a, b):
 
 
 def terminal_angles(problem, energies, alpha_start):
-    """(alphas, None) at b of the problem's interval."""
+    """The left angles at b of the problem's interval (c = b)."""
     a, b = problem.interval
-    return integrate_angles(problem, energies, alpha_start, a, b,
-                            sd.SolveConfig())
+    alpha_l, _ = integrate_angles(problem, energies, alpha_start, 0.0, a, b,
+                                  b, sd.SolveConfig())
+    return alpha_l
 
 
 def test_rate_is_minus_one_at_vertical_angles():
@@ -56,7 +57,7 @@ def test_fixed_point_holds_for_flat_potential():
     fun = _angular_fun(FLAT, [E], with_amplitude=False)
     assert fun(1.0, np.array([alpha_star]))[0] == pytest.approx(
         0.0, abs=1e-15)
-    alphas, _ = terminal_angles(flat_problem(-5.0, 5.0), [E], alpha_star)
+    alphas = terminal_angles(flat_problem(-5.0, 5.0), [E], alpha_star)
     assert alphas[0] == pytest.approx(alpha_star, abs=1e-10)
 
 
@@ -86,7 +87,7 @@ def test_square_well_against_fixed_step_rk4():
         return 2.0 * (well.evaluate(t) - E) * c * c - s * s
 
     reference = _rk4(f, -1.0, 1.0, alpha0, 4000)
-    got = terminal_angles(problem, [E], alpha0)[0][0]
+    got = terminal_angles(problem, [E], alpha0)[0]
     assert got == pytest.approx(reference, abs=1e-9)
 
 
@@ -94,7 +95,7 @@ def test_terminal_angle_decreases_with_energy():
     # d(rhs)/dE = -2 cos^2(alpha) <= 0, so higher E lags behind
     well = sd.SquareWell(depth=-3.0, left=-1.5, right=1.5)
     problem = sd.problem_for(well, interval=(-1.5, 1.5))
-    alphas = [terminal_angles(problem, [E], 1.0)[0][0]
+    alphas = [terminal_angles(problem, [E], 1.0)[0]
               for E in (-2.5, -1.5, -0.5)]
     assert alphas[0] > alphas[1] > alphas[2]
 
@@ -102,8 +103,8 @@ def test_terminal_angle_decreases_with_energy():
 def test_pi_shift_equivariance():
     well = sd.SquareWell(depth=-2.0, left=-1.0, right=1.0)
     problem = sd.problem_for(well, interval=(-2.0, 2.0))
-    base = terminal_angles(problem, [-0.7], 0.4)[0][0]
-    shifted = terminal_angles(problem, [-0.7], 0.4 + math.pi)[0][0]
+    base = terminal_angles(problem, [-0.7], 0.4)[0]
+    shifted = terminal_angles(problem, [-0.7], 0.4 + math.pi)[0]
     assert shifted - base == pytest.approx(math.pi, abs=1e-8)
 
 
@@ -135,13 +136,33 @@ def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
     evaluate = sd.PiecewiseConstant.evaluate
 
     def recording(self, t):
-        seen.append(t)
+        # the RHS reads one float t per call; the search for the matching
+        # point reads a whole grid at once and is no stage of the flow
+        if np.ndim(t) == 0:
+            seen.append(t)
         return evaluate(self, t)
 
     monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", recording)
     sd.defect_angles(sd.problem_for(STEPS), np.linspace(-1.99, -0.01, 64))
     assert seen
     assert not set(seen) & set(STEPS.breakpoints())
+
+
+def test_halves_meet_where_one_flow_would_pass():
+    # the right half runs b -> c over the jumps at 1 and 0: started from
+    # where the forward flow ends, it must land where that flow passed c
+    problem = sd.problem_for(STEPS, interval=(-2.0, 2.0))
+    config = sd.SolveConfig()
+    energies, starts = [-1.5, -0.3], [0.7, -0.4]
+    at_b = terminal_angles(problem, energies, starts)
+    alpha_l, alpha_r = integrate_angles(problem, energies, starts, at_b,
+                                        -2.0, -0.5, 2.0, config)
+    assert alpha_r == pytest.approx(alpha_l, abs=1e-8)
+    # with c = a the left half is empty and the right one runs all the way
+    alpha_l, alpha_r = integrate_angles(problem, energies, starts, at_b,
+                                        -2.0, -2.0, 2.0, config)
+    assert np.array_equal(alpha_l, starts)
+    assert alpha_r == pytest.approx(starts, abs=1e-8)
 
 
 def test_piecewise_solve_rhs_budget(monkeypatch):
@@ -170,7 +191,7 @@ def test_sampled_states_are_exactly_the_grid():
         problem, E, alpha_a, -1.0, 1.0, sd.SolveConfig(), t_eval=grid)
     assert np.array_equal(ts, grid)
     assert alphas.shape == log_rhos.shape == grid.shape
-    alpha_b = terminal_angles(problem, [E], alpha_a)[0][0]
+    alpha_b = terminal_angles(problem, [E], alpha_a)[0]
     assert alphas[-1] == pytest.approx(alpha_b, abs=1e-8)
 
 

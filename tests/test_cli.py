@@ -294,6 +294,18 @@ def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):
     assert all(float(line.split(":")[1]) < 1e-8 for line in mismatches)
 
 
+def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
+    # the ceiling sits 2e-3 under the tail level 8; walls padded there
+    # stood at +-257 and gave fd_err 3.1e-5 at n = 0
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
+                   .replace("emax = 1.998", "emax = 7.998"))
+    assert cli.main(["verify", str(cfg)]) == 0
+    rows = _verify_rows(capsys.readouterr().out)
+    assert [n for n, _, _ in rows] == list(range(8))
+    assert rows[0][2] <= 1e-6
+
+
 TABULATED_CONFIG = """
 [potential]
 family = tabulated

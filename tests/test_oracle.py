@@ -98,8 +98,8 @@ def test_phase_angle_agrees_with_angular_flow():
     alpha0 = 0.6
     q, p = oracle.transfer_matrix(problem, E).matrix @ np.array(
         [math.cos(alpha0), math.sin(alpha0)])
-    alphas, _ = integrate_angles(problem, [E], [alpha0], -1.0, 1.0,
-                                 sd.SolveConfig())
+    alphas, _ = integrate_angles(problem, [E], [alpha0], [0.0], -1.0, 1.0,
+                                 1.0, sd.SolveConfig())
     alpha = alphas[0]
     wrapped = (math.atan2(p, q) - alpha + math.pi / 2) % math.pi - math.pi / 2
     assert wrapped == pytest.approx(0.0, abs=1e-9)

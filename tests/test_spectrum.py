@@ -107,6 +107,26 @@ def test_count_levels_agrees_with_found_levels(well):
         assert sd.count_levels(problem, ceiling) == np.sum(levels <= ceiling)
 
 
+@settings(max_examples=8, deadline=None, database=None)
+@given(well=lattice_wells(), where=st.floats(0.0, 1.0))
+def test_level_count_does_not_depend_on_the_matching_point(well, where):
+    # both halves solve one pi-periodic flow, so Gamma at any c lies in the
+    # same (n - 1) pi .. n pi band: only its shape depends on c
+    config = sd.SolveConfig()
+    problem = sd.problem_for(well)
+    e_min, e_max = min(well.values) + 0.02, -0.02
+    interval = sd.auto_interval(problem, e_min, e_max, config)
+    a, b = interval
+    energies = np.linspace(e_min, e_max, 16)
+    counts = []
+    for c in (a, b, a + where * (b - a)):
+        samples = spectrum._defects_at(problem, energies, config, interval, c)
+        gammas = [s.gamma for s in samples]
+        assert min(np.diff(gammas)) >= -spectrum._MONOTONE_JITTER
+        counts.append([s.n_below for s in samples])
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_defect_angle_negative_below_ground():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     sample = sd.defect_angle(problem, -1.9)
@@ -217,7 +237,7 @@ def test_pinned_intervals(problem, E_min, E_max, interval, fd_interval):
     # breakpoint or one; each tuple is exact, so any drift in a rule shows
     config = sd.SolveConfig()
     assert sd.auto_interval(problem, E_min, E_max, config) == interval
-    assert oracle._fd_interval(problem, E_max, config) == fd_interval
+    assert oracle.fd_interval(problem, E_max, config) == fd_interval
 
 
 def test_scaled_pipeline_matches_plain():
@@ -317,10 +337,10 @@ def _hydrogen_levels(count):
 
 
 @pytest.mark.parametrize("potential, E_min, E_max, budget, levels, tol", [
-    (sd.Coulomb(), -0.6, -0.0045, 12, _hydrogen_levels(10), 1e-8),
-    (sd.Coulomb(), -0.6, -0.05, 10, _hydrogen_levels(3), 1e-8),
+    (sd.Coulomb(), -0.6, -0.0045, 8, _hydrogen_levels(10), 1e-8),
+    (sd.Coulomb(), -0.6, -0.05, 7, _hydrogen_levels(3), 1e-8),
     # the truncated oscillator's ladder, as in acceptance criterion 2
-    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 12,
+    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 8,
      [n + 0.5 for n in range(8)], 0.1),
 ], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
 def test_hydrogen_pass_budget(monkeypatch, potential, E_min, E_max, budget,
