@@ -26,7 +26,8 @@ class IntervalSelectionError(SpectralDefectError):
 
 
 class MonotonicityError(SpectralDefectError):
-    """The defect-angle scan decreased beyond numerical jitter.
+    """The defect-angle scan decreased beyond numerical jitter, or a cue
+    starts off the branch that decays outward, on which the increase rests.
 
     This signals a misconfigured integrator or cue, not a property of the
     problem: the defect angle is strictly increasing in E.

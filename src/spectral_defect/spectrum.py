@@ -157,10 +157,22 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
 
 
 def _defects_at(problem, energies, config, interval, c):
-    """Gamma at the matching point c for each energy, one pass."""
+    """Gamma at the matching point c for each energy, one pass.
+
+    Gamma increases with E only when each half starts on its decaying
+    branch: psi'/psi > 0 at a and < 0 at b.  A cue on the growing branch
+    (a flipped sign) can leave Gamma_c monotone and the levels wrong, so
+    its start angle is checked before the pass.
+    """
     a, b = interval
     lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
     rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
+    for side, angles, sign in (("left", lefts, 1.0), ("right", rights, -1.0)):
+        wrong = [E for E, al in zip(energies, angles) if not sign * al > 0]
+        if wrong:
+            raise MonotonicityError(
+                f"the {side} cue at E = {wrong[0]} is not on the branch "
+                f"that decays to the {side}; a cue is misconfigured")
     alpha_l, alpha_r = integrate_angles(problem, energies, lefts, rights, a,
                                         c, b, config)
     return [DefectSample(E=float(E), gamma=float(r - l))
@@ -169,11 +181,12 @@ def _defects_at(problem, energies, config, interval, c):
 
 def defect_angles(problem: ProblemSpec, energies: Sequence[float],
                   config: SolveConfig = None,
-                  interval: Optional[Tuple[float, float]] = None
-                  ) -> List[DefectSample]:
+                  interval: Optional[Tuple[float, float]] = None,
+                  c: Optional[float] = None) -> List[DefectSample]:
     """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
 
-    c is the interval's matching point (`_matching_point`).
+    c defaults to the interval's matching point (`_matching_point`); a
+    solve finds it once and passes it to every pass.
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -184,8 +197,9 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     if interval is None:
         interval = auto_interval(problem, float(energies.min()),
                                  float(energies.max()), config)
-    return _defects_at(problem, energies, config, interval,
-                       _matching_point(problem, interval))
+    if c is None:
+        c = _matching_point(problem, interval)
+    return _defects_at(problem, energies, config, interval, c)
 
 
 def defect_angle(problem: ProblemSpec, E: float,
@@ -204,7 +218,7 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # Root finding on Gamma(E) = n pi (and the scaled variant)
 # ---------------------------------------------------------------------------
 
-def _scaled_defects(problem, energies, config, interval):
+def _scaled_sampler(problem, config, interval):
     """Defect of the squeezing-adapted chart; roots at n pi as well.
 
     Requires equal constant tails; the potential and energies are shifted so
@@ -217,13 +231,24 @@ def _scaled_defects(problem, energies, config, interval):
         raise error
     shifted = replace(problem, potential=Shifted(problem.potential, -v0))
     potential = shifted.effective_potential()
-    energies = np.asarray(energies, dtype=float) - v0
     a, b = interval
-    starts = np.full(energies.shape, math.pi / 4.0)
-    alphas, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
-                                  starts, config, potential.breakpoints())
-    return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
-            for E, al in zip(energies, alphas)]
+
+    def sample(energies):
+        energies = np.asarray(energies, dtype=float) - v0
+        starts = np.full(energies.shape, math.pi / 4.0)
+        alphas, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
+                                      starts, config, potential.breakpoints())
+        return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
+                for E, al in zip(energies, alphas)]
+
+    return sample
+
+
+def _matched_sampler(problem, config, interval):
+    """Gamma_c batches through defect_angles, c found once per solve."""
+    c = _matching_point(problem, interval)
+    return lambda energies: defect_angles(problem, energies, config, interval,
+                                          c)
 
 
 def _secant_points(e1, s1, e2, s2, last_root, e_tol):
@@ -297,21 +322,18 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     return tuple(levels.values()), scan
 
 
-def _solve(problem, E_min, E_max, config, defects, enforce_monotone=True):
+def _solve(problem, E_min, E_max, config, sampler, enforce_monotone=True):
     """Scan and split on one interval, resolved at the energy extremes.
 
-    defects(problem, energies, config, interval) returns DefectSamples.
+    sampler(problem, config, interval) returns the function that maps a
+    batch of energies to their DefectSamples.
     """
     config = config or SolveConfig()
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     interval = auto_interval(problem, E_min, E_max, config)
-
-    def sample(energies):
-        return defects(problem, energies, config, interval)
-
-    eigenvalues, scan = _scan_and_split(sample, E_min, E_max, config,
-                                        enforce_monotone)
+    eigenvalues, scan = _scan_and_split(sampler(problem, config, interval),
+                                        E_min, E_max, config, enforce_monotone)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(*interval),
                           config=config)
@@ -329,7 +351,7 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     whose n_below steps past n, at most config.e_tol wide unless float
     resolution stops the splitting first.
     """
-    return _solve(problem, E_min, E_max, config, defect_angles)
+    return _solve(problem, E_min, E_max, config, _matched_sampler)
 
 
 def find_eigenvalues_scaled(problem: ProblemSpec, E_min: float, E_max: float,
@@ -339,7 +361,7 @@ def find_eigenvalues_scaled(problem: ProblemSpec, E_min: float, E_max: float,
     Cross-validates the plain pipeline: the total angular change satisfies
     (n + 1/2) pi at the same energies the plain defect crosses n pi.
     """
-    return _solve(problem, E_min, E_max, config, _scaled_defects,
+    return _solve(problem, E_min, E_max, config, _scaled_sampler,
                   enforce_monotone=False)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spectral_defect as sd
-from spectral_defect import angular, cues
+from spectral_defect import angular, cues, spectrum
 from spectral_defect.angular import (_angular_fun, _scaled_fun,
                                      integrate_angle_sampled, integrate_angles)
 from spectral_defect.errors import DomainError
@@ -132,20 +132,27 @@ def test_amplitude_recovers_flat_decay():
 
 
 def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
-    seen = []
+    problem = sd.problem_for(STEPS)
+    e_min, e_max = -1.99, -0.01
+    a, b = sd.auto_interval(problem, e_min, e_max, sd.SolveConfig())
+    grid = np.linspace(a, b, spectrum._MATCH_GRID)
+    calls = []
     evaluate = sd.PiecewiseConstant.evaluate
 
     def recording(self, t):
-        # the RHS reads one float t per call; the search for the matching
-        # point reads a whole grid at once and is no stage of the flow
-        if np.ndim(t) == 0:
-            seen.append(t)
+        calls.append(np.array(t, dtype=float))
         return evaluate(self, t)
 
     monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", recording)
-    sd.defect_angles(sd.problem_for(STEPS), np.linspace(-1.99, -0.01, 64))
-    assert seen
-    assert not set(seen) & set(STEPS.breakpoints())
+    sd.find_eigenvalues(problem, e_min, e_max)
+    # the one search for the matching point reads V on its whole grid,
+    # ends and jumps included; every other call is a stage of the flow
+    searches = [t for t in calls if np.array_equal(t, grid)]
+    stages = [t for t in calls if not np.array_equal(t, grid)]
+    assert len(searches) == 1
+    assert stages
+    assert not np.isin(np.concatenate([t.ravel() for t in stages]),
+                       STEPS.breakpoints()).any()
 
 
 def test_halves_meet_where_one_flow_would_pass():

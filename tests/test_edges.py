@@ -3,7 +3,6 @@ a misconfigured cue."""
 
 import time
 
-import numpy as np
 import pytest
 
 import spectral_defect as sd
@@ -48,15 +47,22 @@ def test_threshold_within_kappa_raises_up_front(potential, fraction):
     assert time.perf_counter() - start < 1.0
 
 
-def test_a_flipped_right_cue_breaks_monotonicity(monkeypatch):
-    well = sd.PiecewiseConstant((-1.765625, 0.15625, 0.625, 1.75),
-                                (0.0, -2.47, -2.01, -3.65, 0.0))
-    problem = sd.problem_for(well)
-    result = sd.find_eigenvalues(problem, -3.63, -0.02)
-    assert np.all(np.diff([s.gamma for s in result.scan]) > 0)
-    right_boundary_angle = cues.right_boundary_angle
-    monkeypatch.setattr(cues, "right_boundary_angle",
-                        lambda problem, E, b:
-                        -right_boundary_angle(problem, E, b))
-    with pytest.raises(MonotonicityError):
-        sd.find_eigenvalues(problem, -3.63, -0.02)
+@pytest.mark.parametrize("potential, window, levels, side", [
+    (sd.SquareWell(-4.0, -1.0, 1.0), (-3.9, -0.1), 2, "right"),
+    (sd.SquareWell(-4.0, -1.0, 1.0), (-3.9, -0.1), 2, "left"),
+    (sd.TruncatedOscillator(1.0, 2.0), (1e-6, 1.998), 2, "right"),
+], ids=["square-right", "square-left", "truncated-right"])
+def test_a_flipped_cue_breaks_monotonicity(monkeypatch, potential, window,
+                                           levels, side):
+    # on these wells Gamma_c stays monotone with the right cue flipped (the
+    # constant tail holds the growing direction fixed), so the scan's drop
+    # check would pass wrong levels; the start-angle check must catch it
+    problem = sd.problem_for(potential)
+    result = sd.find_eigenvalues(problem, *window)
+    assert len(result.eigenvalues) == levels
+    name = f"{side}_boundary_angle"
+    boundary_angle = getattr(cues, name)
+    monkeypatch.setattr(cues, name, lambda problem, E, t:
+                        -boundary_angle(problem, E, t))
+    with pytest.raises(MonotonicityError, match=f"decays to the {side}"):
+        sd.find_eigenvalues(problem, *window)

@@ -9,7 +9,7 @@ import spectral_defect as sd
 from spectral_defect import cues, oracle, spectrum
 from spectral_defect.angular import integrate_angles
 from spectral_defect.errors import (DomainError, IntervalSelectionError,
-                                    ThresholdError)
+                                    MonotonicityError, ThresholdError)
 from spectral_defect.potentials import Shifted
 
 
@@ -125,6 +125,13 @@ def test_level_count_does_not_depend_on_the_matching_point(well, where):
         assert min(np.diff(gammas)) >= -spectrum._MONOTONE_JITTER
         counts.append([s.n_below for s in samples])
     assert counts[0] == counts[1] == counts[2]
+    # a right cue with its sign flipped sits on the growing branch
+    right_boundary_angle = cues.right_boundary_angle
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cues, "right_boundary_angle", lambda problem, E, t:
+                      -right_boundary_angle(problem, E, t))
+        with pytest.raises(MonotonicityError):
+            sd.find_eigenvalues(problem, e_min, e_max)
 
 
 def test_defect_angle_negative_below_ground():
