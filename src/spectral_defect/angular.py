@@ -16,6 +16,16 @@ the flow is the same in either direction.  Breakpoints have one home,
 in either direction.  Where V jumps the rate of the flow does, so each
 piece between breakpoints is integrated as its own smooth problem whose
 right-hand side sees t only strictly inside the piece.
+
+Where V is constant the flow is a Moebius flow with the fixed points
+alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
+`PiecewiseConstant` and `SquareWell` every piece is constant, so
+`integrate_angles` takes each one in closed form (`_plateau_step`) and
+makes no `solve_ivp` call.  The adaptive flow still runs for every other
+family, for the eigenfunction sampler (which needs the log-amplitude at
+grid points), for the scaled chart, and for the transfer-matrix oracle,
+which integrates (psi, psi') on purpose: it is the independent check of
+the closed form.
 """
 
 import math
@@ -24,7 +34,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
-from .potentials import ProblemSpec
+from .potentials import PiecewiseConstant, ProblemSpec, SquareWell
+
+# families whose potential is constant on every piece between breakpoints
+_PLATEAU_FAMILIES = (PiecewiseConstant, SquareWell)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +50,8 @@ def _inside(fun, s0, s1):
     return lambda t, y: fun(min(max(t, lo), hi), y)
 
 
-def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
+def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None,
+                      plateau=None):
     """Integrate y' = fun(t, y) from a to b, cut at the breakpoints between.
 
     b < a integrates right to left.  DOP853 at config.rel_tol and
@@ -48,6 +62,8 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
     [a, b] with a < b, one state column per point, read from the dense
     output of the piece that holds it (a point on a cut from the piece that
     starts there); None without t_eval.  With a == b, y_end is y0.
+    plateau(s0, s1, y), given without t_eval, takes every piece in closed
+    form instead (see `_plateau`): fun is then never called.
     """
     y = np.array(y0, dtype=float, ndmin=1)
     lo, hi = sorted((a, b))
@@ -60,6 +76,9 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
     for s0, s1, ts in zip(cuts, cuts[1:], groups):
         if s0 == s1:
             continue    # an empty half of a pass: no RHS call, none at a cut
+        if plateau is not None:
+            y = plateau(s0, s1, y)
+            continue
         sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
                         (s0, s1), y, method="DOP853", rtol=config.rel_tol,
                         atol=config.abs_tol, dense_output=ts is not None)
@@ -105,6 +124,84 @@ def _scaled_fun(potential, energies):
     return fun
 
 
+# ---------------------------------------------------------------------------
+# Closed-form propagation where V is constant
+# ---------------------------------------------------------------------------
+
+def _plateau_step(v, energies, alpha, delta):
+    """The angles after a step delta (either sign) over a piece where V = v.
+
+    Each angle is read as m pi + x with |x| <= pi/2, a frame in which
+    (psi, psi') = (cos x, sin x), so psi >= 0.  The piece carries that state
+    exactly, up to a positive factor, and counts the signed number of zeros
+    of psi crossed (`turns`, positive forward); alpha drops pi per zero.
+    With q = 2 (v - E) and k = sqrt|q|:
+
+    - q > 0: sin(atan(k) +- x) are the components of the state along the
+      fixed directions tan(alpha) = +-k; their ratio r is the ratio of
+      the two exponential solutions.  The component that decays in the
+      direction of travel (`fade`) scales by e^{-2k|delta|} <= 1, the other
+      (`keep`) stays; psi ~ keep + fade and psi' ~ +-k (keep - fade).  psi
+      changes sign, at most once, where 1 + r does.
+    - q < 0: (psi, psi'/k) rotates by k delta; the Pruefer phase beta with
+      psi ~ cos(beta) advances by k delta, and the zero count is the integer
+      nearest beta / pi whose parity is the sign of psi.
+    - q = 0: the shear (psi, psi') -> (psi + psi' delta, psi').
+    """
+    q = 2.0 * (v - energies)
+    k = np.sqrt(np.abs(q))
+    sign = math.copysign(1.0, delta)
+    m = np.round(alpha / math.pi)
+    x = alpha - m * math.pi
+    cx, sx = np.cos(x), np.sin(x)
+    psi, dpsi = cx + delta * sx, sx.copy()
+    up, down = q > 0, q < 0
+    if up.any():
+        ku, xu = k[up], x[up]
+        theta = np.arctan(ku)
+        keep = np.sin(theta + sign * xu)
+        fade = np.sin(theta - sign * xu)
+        rate = -2.0 * ku * abs(delta)
+        # psi = keep + fade e^rate: a short piece adds the change to psi at
+        # the start, a long one scales fade, so that no sum of terms of
+        # order one leaves a small psi (a state that left the repelling
+        # direction would lose its digits)
+        short = rate > -0.5
+        em, faded = fade * np.expm1(rate), fade * np.exp(rate)
+        psi[up] = np.where(short, 2.0 * np.sin(theta) * cx[up] + em,
+                           keep + faded)
+        dpsi[up] = ku * np.where(short, 2.0 * np.cos(theta) * sx[up]
+                                 - sign * em, sign * (keep - faded))
+    turns = sign * (psi < 0)    # q >= 0: one zero at most
+    if down.any():
+        kd = k[down]
+        phase = kd * delta
+        c, s = np.cos(phase), np.sin(phase)
+        psi[down] = cx[down] * c + sx[down] * (s / kd)
+        dpsi[down] = sx[down] * c - kd * cx[down] * s
+        beta = np.arctan2(-sx[down], kd * cx[down]) + phase
+        odd = psi[down] < 0
+        turns[down] = 2.0 * np.round((beta / math.pi - odd) / 2.0) + odd
+    flip = np.where(psi < 0, -1.0, 1.0)
+    return (m - turns) * math.pi + np.arctan2(flip * dpsi, flip * psi)
+
+
+def _plateau(potential, energies):
+    """Closed-form step of `_integrate_vector` for a piecewise-constant
+    family, or None for any other potential.
+
+    V is read once per piece, at its midpoint.
+    """
+    if not isinstance(potential, _PLATEAU_FAMILIES):
+        return None
+
+    def step(s0, s1, alpha):
+        v = potential.evaluate(0.5 * (s0 + s1))
+        return _plateau_step(v, energies, alpha, s1 - s0)
+
+    return step
+
+
 def integrate_angles(problem: ProblemSpec, energies, left_starts,
                      right_starts, a: float, c: float, b: float, config):
     """Batched angle integration of both halves to the matching point c.
@@ -114,7 +211,9 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     a or b).  Sharing one adaptive mesh across the batch keeps every
     component within tolerance (the controller steps on the worst one) and
     amortizes the per-step cost of the scan and of lock-step bracket
-    splitting: a pass costs nearly the same at 10 energies as at 150.
+    splitting: a pass costs nearly the same at 10 energies as at 150.  On a
+    piecewise-constant family every piece is taken in closed form instead
+    (`_plateau`), at a cost linear in the batch and in the pieces.
     config is the SolveConfig; only its rel_tol and abs_tol are read.
     Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
@@ -122,11 +221,12 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     fun = _angular_fun(potential, energies, with_amplitude=False)
+    plateau = _plateau(potential, energies)
     halves = []
     for start, s0 in ((left_starts, a), (right_starts, b)):
         y0 = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
         y, _ = _integrate_vector(fun, s0, c, y0, config,
-                                 potential.breakpoints())
+                                 potential.breakpoints(), plateau=plateau)
         halves.append(y)
     return tuple(halves)
 

@@ -32,6 +32,9 @@ _TOLERANCE_FLAGS = ("e_tol", "rel_tol", "abs_tol", "residual_tol")
 # max(_FD_ERR_FACTOR * fd_err, _FD_DIFF_FLOOR)
 _FD_ERR_FACTOR = 10.0
 _FD_DIFF_FLOOR = 1e-9
+# and one across which the transfer mismatch keeps its sign on
+# E -+ max(_TRANSFER_BOUND, 10 e_tol)
+_TRANSFER_BOUND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -343,11 +346,20 @@ def _cmd_verify(run):
         lines.append(f"count mismatch: angular {len(result.eigenvalues)}, "
                      f"finite-difference {len(fd_levels)}")
         status = 1
+    bound = max(_TRANSFER_BOUND, 10.0 * run.config.e_tol)
     try:
         for ev in result.eigenvalues:
-            mism = oracle.transfer_mismatch(result.problem, ev.energy,
-                                            run.config)
-            lines.append(f"transfer mismatch at n={ev.n}: {_fmt(abs(mism))}")
+            lo, hi = (oracle.transfer_mismatch(result.problem, ev.energy + d,
+                                               run.config)
+                      for d in (-bound, bound))
+            lines.append(f"transfer mismatch at n={ev.n} on E -+ {bound:g}: "
+                         f"{_fmt(lo)}, {_fmt(hi)}")
+            # the mismatch is an angle mod pi: a jump between -+pi/2 is no
+            # root
+            if not (lo * hi < 0 and abs(hi - lo) < math.pi / 2):
+                lines.append(f"level n={ev.n} fails the transfer check: no "
+                             f"root of the mismatch within {bound:g}")
+                status = 1
     except SpectralDefectError:
         lines.append("transfer-matrix check skipped (needs constant tails)")
     _emit(lines, run.output)

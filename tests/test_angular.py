@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
-from spectral_defect import angular, cues, spectrum
-from spectral_defect.angular import (_angular_fun, _scaled_fun,
-                                     integrate_angle_sampled, integrate_angles)
+from spectral_defect import angular, cues, oracle
+from spectral_defect.angular import (_angular_fun, _integrate_vector,
+                                     _scaled_fun, integrate_angle_sampled,
+                                     integrate_angles)
 from spectral_defect.errors import DomainError
 
 
@@ -131,11 +133,24 @@ def test_amplitude_recovers_flat_decay():
     assert log_rhos[-1] == pytest.approx(-k * 4.0, abs=1e-9)
 
 
+def _counting_ivp(monkeypatch):
+    """The nfev of every solve_ivp call the package makes, in order."""
+    nfev = []
+    solve_ivp = angular.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(angular, "solve_ivp", counting)
+    return nfev
+
+
 def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
-    problem = sd.problem_for(STEPS)
-    e_min, e_max = -1.99, -0.01
-    a, b = sd.auto_interval(problem, e_min, e_max, sd.SolveConfig())
-    grid = np.linspace(a, b, spectrum._MATCH_GRID)
+    # the transfer-matrix oracle still integrates across the jumps of STEPS,
+    # here with every jump inside the interval
+    problem = sd.problem_for(STEPS, interval=(-2.0, 2.0))
     calls = []
     evaluate = sd.PiecewiseConstant.evaluate
 
@@ -144,14 +159,9 @@ def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
         return evaluate(self, t)
 
     monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", recording)
-    sd.find_eigenvalues(problem, e_min, e_max)
-    # the one search for the matching point reads V on its whole grid,
-    # ends and jumps included; every other call is a stage of the flow
-    searches = [t for t in calls if np.array_equal(t, grid)]
-    stages = [t for t in calls if not np.array_equal(t, grid)]
-    assert len(searches) == 1
-    assert stages
-    assert not np.isin(np.concatenate([t.ravel() for t in stages]),
+    oracle.transfer_matrix(problem, -1.1)
+    assert calls
+    assert not np.isin(np.concatenate([t.ravel() for t in calls]),
                        STEPS.breakpoints()).any()
 
 
@@ -172,20 +182,26 @@ def test_halves_meet_where_one_flow_would_pass():
     assert alpha_r == pytest.approx(starts, abs=1e-8)
 
 
-def test_piecewise_solve_rhs_budget(monkeypatch):
+def test_transfer_root_rhs_budget(monkeypatch):
     # each piece is smooth, so the error estimate rejects no step at a jump
-    nfev = []
-    solve_ivp = angular.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(angular, "solve_ivp", counting)
-    result = sd.find_eigenvalues(sd.problem_for(STEPS), -1.99, -0.01)
+    problem = sd.problem_for(STEPS)
+    result = sd.find_eigenvalues(problem, -1.99, -0.01)
     assert len(result.eigenvalues) == 1
+    E = result.energies[0]
+    nfev = _counting_ivp(monkeypatch)
+    root = oracle.eigencondition_root(problem, E - 1e-3, E + 1e-3)
+    assert root == pytest.approx(E, abs=1e-9)
     assert sum(nfev) <= 8000
+
+
+@pytest.mark.parametrize("well, e_min", [
+    (STEPS, -1.99), (sd.SquareWell(-4.0, -1.0, 1.0), -3.99)],
+    ids=["piecewise", "square"])
+def test_constant_pieces_make_no_ivp_call(monkeypatch, well, e_min):
+    nfev = _counting_ivp(monkeypatch)
+    result = sd.find_eigenvalues(sd.problem_for(well), e_min, -0.01)
+    assert result.eigenvalues
+    assert nfev == []
 
 
 def test_sampled_states_are_exactly_the_grid():
@@ -207,3 +223,89 @@ def test_integrator_config_validation():
         sd.SolveConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         sd.SolveConfig(abs_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Closed form on constant pieces against the adaptive flow
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lattice_wells(draw, lattice=1.0 / 64.0, span=3.0):
+    """Wells as in acceptance criterion 3: 1-3 inner segments on a lattice."""
+    n_inner = draw(st.integers(1, 3))
+    cells = int(span / lattice)
+    edges = draw(st.lists(st.integers(-cells, cells), min_size=n_inner + 1,
+                          max_size=n_inner + 1, unique=True))
+    depths = draw(st.lists(st.floats(0.5, 4.0), min_size=n_inner,
+                           max_size=n_inner))
+    return sd.PiecewiseConstant(tuple(sorted(e * lattice for e in edges)),
+                                (0.0, *(-d for d in depths), 0.0))
+
+
+def closed_gammas(problem, energies, interval, c):
+    return np.array([s.gamma for s in sd.defect_angles(
+        problem, energies, interval=interval, c=c)])
+
+
+def adaptive_gammas(problem, energies, interval, c):
+    """Gamma_c by the adaptive flow on every piece: the reference."""
+    potential = problem.effective_potential()
+    fun = _angular_fun(potential, energies, with_amplitude=False)
+    (a, b), halves = interval, []
+    for boundary_angle, s0 in ((cues.left_boundary_angle, a),
+                               (cues.right_boundary_angle, b)):
+        starts = [boundary_angle(problem, E, s0) for E in energies]
+        y, _ = _integrate_vector(fun, s0, c, starts, sd.SolveConfig(),
+                                 potential.breakpoints())
+        halves.append(y)
+    return halves[1] - halves[0]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(well=lattice_wells(), where=st.floats(0.0, 1.0))
+def test_closed_form_matches_the_adaptive_flow(well, where):
+    problem = sd.problem_for(well)
+    e_min, e_max = min(well.values) + 0.02, -0.02
+    a, b = sd.auto_interval(problem, e_min, e_max, sd.SolveConfig())
+    energies = np.linspace(e_min, e_max, 16)
+    for c in (a, b, a + where * (b - a)):
+        assert closed_gammas(problem, energies, (a, b), c) == pytest.approx(
+            adaptive_gammas(problem, energies, (a, b), c), abs=1e-10)
+
+
+@pytest.mark.parametrize("turns", [0.5, 2.5])
+def test_a_zero_of_psi_at_the_end_of_a_piece(turns):
+    # V = 0, E = 1/2 turns alpha at rate -1; psi = cos(t) vanishes at the
+    # end of the piece, where the rounded psi and phase may disagree
+    end = turns * math.pi
+    alphas = terminal_angles(flat_problem(0.0, end), [0.5], 0.0)
+    assert alphas[0] == pytest.approx(-end, abs=1e-12)
+
+
+TERRACE = sd.PiecewiseConstant((-1.0, 0.0, 1.5), (0.0, -3.0, -1.0, 0.0))
+
+
+def test_long_constant_tails_keep_gamma_finite():
+    # k |delta| reaches 1e3 at E = -0.5 on tails 1e3 long
+    problem = sd.problem_for(TERRACE)
+    energies = np.linspace(-2.9, -0.05, 12)
+    auto = sd.auto_interval(problem, -2.9, -0.05, sd.SolveConfig())
+    wide = (auto[0] - 1e3, auto[1] + 1e3)
+    gammas = closed_gammas(sd.problem_for(TERRACE, interval=wide), energies,
+                           wide, 0.2)
+    assert np.all(np.isfinite(gammas))
+    assert gammas == pytest.approx(
+        closed_gammas(problem, energies, auto, 0.2), abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-12, -1e-12])
+def test_energy_at_a_plateau_level(q):
+    # E at the inner plateau V = -1 (q = 2 (V - E) = 0) and a hair either
+    # side of it, next to energies in the well and above the plateau
+    problem = sd.problem_for(TERRACE)
+    energies = np.array([-1.0 - q / 2.0, -2.0, -0.5])
+    interval = (-1.0, 1.5)
+    for c in (-1.0, 1.5, 0.7):
+        assert closed_gammas(problem, energies, interval, c) == \
+            pytest.approx(adaptive_gammas(problem, energies, interval, c),
+                          abs=1e-10)

@@ -290,8 +290,36 @@ def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):
     mismatches = [line for line in lines
                   if line.startswith("transfer mismatch")]
     assert [line.split(":")[0] for line in mismatches] == [
-        "transfer mismatch at n=0", "transfer mismatch at n=1"]
-    assert all(float(line.split(":")[1]) < 1e-8 for line in mismatches)
+        "transfer mismatch at n=0 on E -+ 1e-09",
+        "transfer mismatch at n=1 on E -+ 1e-09"]
+    for line in mismatches:
+        lo, hi = (float(x) for x in line.split(":")[1].split(","))
+        assert lo * hi < 0 and max(abs(lo), abs(hi)) < 1e-3
+
+
+@pytest.mark.parametrize("shift, code", [(0.0, 0), (1e-6, 1)])
+def test_verify_gates_the_transfer_mismatch(tmp_path, capsys, monkeypatch,
+                                            shift, code):
+    # the a = 4 oscillator with level n = 3 moved off by shift; the fd gate
+    # there is 10 fd_err ~ 4e-5, so only the transfer check sees 1e-6
+    find_eigenvalues = sd.find_eigenvalues
+
+    def patched(*args, **kwargs):
+        result = find_eigenvalues(*args, **kwargs)
+        levels = [replace(ev, energy=ev.energy + shift) if ev.n == 3 else ev
+                  for ev in result.eigenvalues]
+        return replace(result, eigenvalues=tuple(levels))
+
+    monkeypatch.setattr(cli.spectrum, "find_eigenvalues", patched)
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
+                   .replace("emax = 1.998", "emax = 7.998"))
+    assert cli.main(["verify", str(cfg)]) == code
+    out = capsys.readouterr().out
+    assert "disagrees" not in out
+    failed = [line for line in out.splitlines() if "fails" in line]
+    assert failed == ["level n=3 fails the transfer check: no root of the "
+                      "mismatch within 1e-09"] * code
 
 
 def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
