@@ -12,15 +12,15 @@ d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
 The spectrum module integrates the left angle forward from a and the right
 angle backward from b, both to one matching point c (`integrate_angles`);
 the flow is the same in either direction.  Breakpoints have one home,
-`_integrate_vector`, through which every integration of the package runs,
-in either direction.  Where V jumps the rate of the flow does, so each
-piece between breakpoints is integrated as its own smooth problem whose
-right-hand side sees t only strictly inside the piece.
+`_cuts`, through which every integration of the package runs, in either
+direction.  Where V jumps the rate of the flow does, so each piece between
+breakpoints is integrated as its own smooth problem whose right-hand side
+sees t only strictly inside the piece (`_integrate_vector`).
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 `PiecewiseConstant` and `SquareWell` every piece is constant, so
-`integrate_angles` takes each one in closed form (`_plateau_step`) and
+`integrate_angles` takes each one in closed form (`_plateau_flow`) and
 makes no `solve_ivp` call.  The adaptive flow still runs for every other
 family, for the eigenfunction sampler (which needs the log-amplitude at
 grid points), for the scaled chart, and for the transfer-matrix oracle,
@@ -50,8 +50,15 @@ def _inside(fun, s0, s1):
     return lambda t, y: fun(min(max(t, lo), hi), y)
 
 
-def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None,
-                      plateau=None):
+def _cuts(a, b, breakpoints):
+    """a, the breakpoints strictly between a and b in the order of travel
+    from a to b, and b: the ends of the pieces of an integration."""
+    lo, hi = sorted((a, b))
+    return [a] + sorted((p for p in set(breakpoints) if lo < p < hi),
+                        reverse=bool(b < a)) + [b]
+
+
+def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
     """Integrate y' = fun(t, y) from a to b, cut at the breakpoints between.
 
     b < a integrates right to left.  DOP853 at config.rel_tol and
@@ -62,13 +69,9 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None,
     [a, b] with a < b, one state column per point, read from the dense
     output of the piece that holds it (a point on a cut from the piece that
     starts there); None without t_eval.  With a == b, y_end is y0.
-    plateau(s0, s1, y), given without t_eval, takes every piece in closed
-    form instead (see `_plateau`): fun is then never called.
     """
     y = np.array(y0, dtype=float, ndmin=1)
-    lo, hi = sorted((a, b))
-    cuts = [a] + sorted((p for p in set(breakpoints) if lo < p < hi),
-                        reverse=bool(b < a)) + [b]
+    cuts = _cuts(a, b, breakpoints)
     groups = ([None] * (len(cuts) - 1) if t_eval is None else
               np.split(np.asarray(t_eval, dtype=float),
                        np.searchsorted(t_eval, cuts[1:-1])))
@@ -76,9 +79,6 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None,
     for s0, s1, ts in zip(cuts, cuts[1:], groups):
         if s0 == s1:
             continue    # an empty half of a pass: no RHS call, none at a cut
-        if plateau is not None:
-            y = plateau(s0, s1, y)
-            continue
         sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
                         (s0, s1), y, method="DOP853", rtol=config.rel_tol,
                         atol=config.abs_tol, dense_output=ts is not None)
@@ -186,20 +186,26 @@ def _plateau_step(v, energies, alpha, delta):
     return (m - turns) * math.pi + np.arctan2(flip * dpsi, flip * psi)
 
 
-def _plateau(potential, energies):
-    """Closed-form step of `_integrate_vector` for a piecewise-constant
-    family, or None for any other potential.
+def _plateau_flow(potential, energies):
+    """flow(s0, s1, alpha): the angles carried from s0 to s1 (either order)
+    in closed form, piece by piece, for a piecewise-constant family; None
+    for any other potential.
 
     V is read once per piece, at its midpoint.
     """
     if not isinstance(potential, _PLATEAU_FAMILIES):
         return None
 
-    def step(s0, s1, alpha):
-        v = potential.evaluate(0.5 * (s0 + s1))
-        return _plateau_step(v, energies, alpha, s1 - s0)
+    def flow(s0, s1, alpha):
+        alpha = np.array(alpha, dtype=float)
+        cuts = _cuts(s0, s1, potential.breakpoints())
+        for p0, p1 in zip(cuts, cuts[1:]):
+            if p0 != p1:
+                v = potential.evaluate(0.5 * (p0 + p1))
+                alpha = _plateau_step(v, energies, alpha, p1 - p0)
+        return alpha
 
-    return step
+    return flow
 
 
 def integrate_angles(problem: ProblemSpec, energies, left_starts,
@@ -213,22 +219,24 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     amortizes the per-step cost of the scan and of lock-step bracket
     splitting: a pass costs nearly the same at 10 energies as at 150.  On a
     piecewise-constant family every piece is taken in closed form instead
-    (`_plateau`), at a cost linear in the batch and in the pieces.
+    (`_plateau_flow`), at a cost linear in the batch and in the pieces.
     config is the SolveConfig; only its rel_tol and abs_tol are read.
     Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    fun = _angular_fun(potential, energies, with_amplitude=False)
-    plateau = _plateau(potential, energies)
-    halves = []
-    for start, s0 in ((left_starts, a), (right_starts, b)):
-        y0 = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
-        y, _ = _integrate_vector(fun, s0, c, y0, config,
-                                 potential.breakpoints(), plateau=plateau)
-        halves.append(y)
-    return tuple(halves)
+    flow = _plateau_flow(potential, energies)
+    if flow is None:
+        fun = _angular_fun(potential, energies, with_amplitude=False)
+
+        def flow(s0, s1, alpha):
+            return _integrate_vector(fun, s0, s1, alpha, config,
+                                     potential.breakpoints())[0]
+
+    return tuple(flow(s0, c, np.broadcast_to(np.asarray(start, dtype=float),
+                                             energies.shape))
+                 for start, s0 in ((left_starts, a), (right_starts, b)))
 
 
 def integrate_angle_sampled(problem: ProblemSpec, E: float,

@@ -32,8 +32,8 @@ _TOLERANCE_FLAGS = ("e_tol", "rel_tol", "abs_tol", "residual_tol")
 # max(_FD_ERR_FACTOR * fd_err, _FD_DIFF_FLOOR)
 _FD_ERR_FACTOR = 10.0
 _FD_DIFF_FLOOR = 1e-9
-# and one across which the transfer mismatch keeps its sign on
-# E -+ max(_TRANSFER_BOUND, 10 e_tol)
+# and one whose transfer mismatch changes sign on no E -+ d with
+# _TRANSFER_BOUND <= d <= max(_TRANSFER_BOUND, 10 e_tol)
 _TRANSFER_BOUND = 1e-9
 
 
@@ -316,6 +316,29 @@ def _cmd_eigenfunction(run):
     return 0
 
 
+def _brackets_a_root(lo, hi):
+    # the mismatch is an angle mod pi: a jump between -+pi/2 is no root
+    return lo * hi < 0 and abs(hi - lo) < math.pi / 2
+
+
+def _transfer_bracket(problem, E, bound, config):
+    """(d, mismatch at E - d, mismatch at E + d) for the first d, from
+    bound down by factors of 8 to _TRANSFER_BOUND, that brackets a root.
+
+    The mismatch is steep at a level (about 2e6 rad per unit energy at
+    n = 0 on the a = 4 oscillator), so a wide bound can wrap it past
+    -+pi/2 on a correct level; a bracket at any d <= bound still places a
+    root within bound.  Without one, the last (smallest) d is returned.
+    """
+    d = bound
+    while True:
+        lo, hi = (oracle.transfer_mismatch(problem, E + s, config)
+                  for s in (-d, d))
+        if _brackets_a_root(lo, hi) or d <= _TRANSFER_BOUND:
+            return d, lo, hi
+        d = max(d / 8.0, _TRANSFER_BOUND)
+
+
 def _cmd_verify(run):
     result = _solve(run)
     emin, emax = run.params["emin"], run.params["emax"]
@@ -349,14 +372,11 @@ def _cmd_verify(run):
     bound = max(_TRANSFER_BOUND, 10.0 * run.config.e_tol)
     try:
         for ev in result.eigenvalues:
-            lo, hi = (oracle.transfer_mismatch(result.problem, ev.energy + d,
-                                               run.config)
-                      for d in (-bound, bound))
-            lines.append(f"transfer mismatch at n={ev.n} on E -+ {bound:g}: "
+            d, lo, hi = _transfer_bracket(result.problem, ev.energy, bound,
+                                          run.config)
+            lines.append(f"transfer mismatch at n={ev.n} on E -+ {d:g}: "
                          f"{_fmt(lo)}, {_fmt(hi)}")
-            # the mismatch is an angle mod pi: a jump between -+pi/2 is no
-            # root
-            if not (lo * hi < 0 and abs(hi - lo) < math.pi / 2):
+            if not _brackets_a_root(lo, hi):
                 lines.append(f"level n={ev.n} fails the transfer check: no "
                              f"root of the mismatch within {bound:g}")
                 status = 1

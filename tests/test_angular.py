@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
-from spectral_defect import angular, cues, oracle
+from spectral_defect import angular, cues, oracle, spectrum
 from spectral_defect.angular import (_angular_fun, _integrate_vector,
                                      _scaled_fun, integrate_angle_sampled,
                                      integrate_angles)
@@ -163,6 +163,35 @@ def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
     assert calls
     assert not np.isin(np.concatenate([t.ravel() for t in calls]),
                        STEPS.breakpoints()).any()
+
+
+@pytest.mark.parametrize("well, interval, e_min, e_max", [
+    (STEPS, (-3.0, 3.0), -1.99, -0.01),
+    (sd.TruncatedOscillator(1.0, 2.0), (-4.0, 4.0), 0.1, 1.9)],
+    ids=["piecewise", "truncated"])
+def test_a_solve_reads_v_at_a_breakpoint_only_to_find_c(
+        monkeypatch, well, interval, e_min, e_max):
+    # the one search for the matching point reads V on its whole grid, ends
+    # and jumps included; every other call (a closed-form piece on STEPS,
+    # a stage of the flow across the kinks at +-2 of the oscillator) stays
+    # off the breakpoints
+    problem = sd.problem_for(well, interval=interval)
+    grid = np.linspace(*interval, spectrum._MATCH_GRID)
+    calls = []
+    evaluate = type(well).evaluate
+
+    def recording(self, t):
+        calls.append(np.array(t, dtype=float))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(type(well), "evaluate", recording)
+    assert sd.find_eigenvalues(problem, e_min, e_max).eigenvalues
+    searches = [t for t in calls if np.array_equal(t, grid)]
+    others = [t for t in calls if not np.array_equal(t, grid)]
+    assert len(searches) == 1
+    assert others
+    assert not np.isin(np.concatenate([t.ravel() for t in others]),
+                       well.breakpoints()).any()
 
 
 def test_halves_meet_where_one_flow_would_pass():

@@ -322,6 +322,24 @@ def test_verify_gates_the_transfer_mismatch(tmp_path, capsys, monkeypatch,
                       "mismatch within 1e-09"] * code
 
 
+def test_verify_transfer_check_holds_at_a_coarse_e_tol(tmp_path, capsys):
+    # bound 10 e_tol = 1e-6 wraps the mismatch past -+pi/2 at n = 0 (slope
+    # ~2e6 rad per unit energy); a narrower bracket still places the root
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
+                   .replace("emax = 1.998", "emax = 7.998")
+                   + "\n[tolerances]\ne_tol = 1e-7\n")
+    assert cli.main(["verify", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "fails" not in out
+    spans = [float(line.split(":")[0].split()[-1])
+             for line in out.splitlines()
+             if line.startswith("transfer mismatch")]
+    assert len(spans) == 8
+    assert all(1e-9 <= d <= 1e-6 for d in spans)
+    assert min(spans) < 1e-6
+
+
 def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
     # the ceiling sits 2e-3 under the tail level 8; walls padded there
     # stood at +-257 and gave fd_err 3.1e-5 at n = 0
