@@ -19,13 +19,13 @@ sees t only strictly inside the piece (`_integrate_vector`).
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
-`PiecewiseConstant` and `SquareWell` every piece is constant, so
-`integrate_angles` takes each one in closed form (`_plateau_flow`) and
-makes no `solve_ivp` call.  The adaptive flow still runs for every other
-family, for the eigenfunction sampler (which needs the log-amplitude at
-grid points), for the scaled chart, and for the transfer-matrix oracle,
-which integrates (psi, psi') on purpose: it is the independent check of
-the closed form.
+`PiecewiseConstant` and `SquareWell`, shifted or not, every piece is
+constant, so `integrate_angles` takes each one in closed form
+(`_plateau_flow`) and makes no `solve_ivp` call.  The adaptive flow still
+runs for every other family, for the eigenfunction sampler (which needs the
+log-amplitude at grid points), for the scaled chart, and for the
+transfer-matrix oracle, which integrates (psi, psi') on purpose: it is the
+independent check of the closed form.
 """
 
 import math
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
-from .potentials import PiecewiseConstant, ProblemSpec, SquareWell
+from .potentials import PiecewiseConstant, ProblemSpec, Shifted, SquareWell
 
 # families whose potential is constant on every piece between breakpoints
 _PLATEAU_FAMILIES = (PiecewiseConstant, SquareWell)
@@ -189,11 +189,15 @@ def _plateau_step(v, energies, alpha, delta):
 def _plateau_flow(potential, energies):
     """flow(s0, s1, alpha): the angles carried from s0 to s1 (either order)
     in closed form, piece by piece, for a piecewise-constant family; None
-    for any other potential.
+    for any other potential.  A `Shifted` plateau family (what `eref =
+    tail` solves) is one too.
 
     V is read once per piece, at its midpoint.
     """
-    if not isinstance(potential, _PLATEAU_FAMILIES):
+    base = potential
+    while isinstance(base, Shifted):
+        base = base.base
+    if not isinstance(base, _PLATEAU_FAMILIES):
         return None
 
     def flow(s0, s1, alpha):

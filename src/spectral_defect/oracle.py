@@ -102,7 +102,12 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
 def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
                         config: SolveConfig = None,
                         xtol: float = 1e-12) -> float:
-    """Root of the transfer mismatch inside a bracket around one level."""
+    """Root of the transfer mismatch inside a bracket around one level.
+
+    The mismatch also changes sign where it wraps from pi/2 to -pi/2;
+    brentq converges on that jump as on a root, so a result whose mismatch
+    is more than pi/4 from zero raises instead.
+    """
     config = config or SolveConfig()
 
     def f(E):
@@ -112,7 +117,12 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     if f_lo * f_hi > 0:
         raise DomainError(
             f"mismatch does not change sign on [{E_lo}, {E_hi}]")
-    return brentq(f, E_lo, E_hi, xtol=xtol)
+    root = brentq(f, E_lo, E_hi, xtol=xtol)
+    if abs(f(root)) > math.pi / 4:
+        raise DomainError(
+            f"the mismatch wraps past pi/2 on [{E_lo}, {E_hi}] instead of "
+            "crossing zero; narrow the bracket around one level")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,15 @@ solutions n pi apart at one t stay so at every t: n_below does not depend
 on c, and c only sets how smooth Gamma is.  Measured at b, Gamma is a near
 step of height pi at each level; at an interior c it is smooth.
 
-A solve keeps every Gamma sample and, pass by pass, splits each adjacent
-pair across which n_below rises _SPLIT ways: a batched pass costs nearly
-the same at 10 energies as at 150, so 8 pieces gain 3 bits per level for
-the price of 1.  A pair that holds one level also gets a secant step on
-the smooth Gamma in the same pass.  Every bracket is an adjacent pair of
+A solve keeps every Gamma sample and, pass by pass, cuts each adjacent
+pair across which n_below rises by k into _SPLIT * k pieces: a batched pass
+costs nearly the same at 10 energies as at 150, so 8 pieces gain 3 bits
+per level for the price of 1.  In the same pass every level of such a pair
+gets one root step: inverse interpolation of E(Gamma) through the nearest
+samples, with two points placed on either side of the estimate at about
+twice its error.  Gamma is smooth, so the step usually brackets the level
+to e_tol within a few passes; the cuts guarantee progress where it does
+not (doublets, a step-shaped Gamma).  Every bracket is an adjacent pair of
 samples.
 """
 
@@ -34,7 +38,7 @@ from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
 from .potentials import ProblemSpec, Shifted
 
-_MONOTONE_JITTER = 1e-9     # integrator noise allowance on Gamma scans
+_MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
 _SPLIT = 8                  # pieces each bracket is cut into per pass
 _MATCH_GRID = 4001          # points on which the matching point is sought
 
@@ -251,56 +255,86 @@ def _matched_sampler(problem, config, interval):
                                           c)
 
 
-def _secant_points(e1, s1, e2, s2, last_root, e_tol):
-    """x and x -+ d for the one level n on the pair (e1, e2).
+def _inverse_root(energies, gammas, target):
+    """E at Gamma = target on the Lagrange polynomial E(Gamma) through the
+    points (gammas, energies); the gammas must be distinct."""
+    x = 0.0
+    for j, (e_j, g_j) in enumerate(zip(energies, gammas)):
+        weight = 1.0
+        for m, g_m in enumerate(gammas):
+            if m != j:
+                weight *= (target - g_m) / (g_j - g_m)
+        x += e_j * weight
+    return x
 
-    x is the regula-falsi root of Gamma = n pi on the pair.  d is w / 16 on
-    the level's first step and |x - x_prev| after it, clamped to
-    [e_tol / 4, w / 4]; all three points are clamped 1 % of w inside.
-    last_root maps each level to its latest x and is updated here.
+
+def _root_points(keys, samples, i, n, e_tol):
+    """x and x -+ d for level n on the pair (keys[i], keys[i + 1]).
+
+    x is the root of Gamma = n pi on the inverse polynomial E(Gamma) through
+    the samples keys[i - 1 .. i + 2] that exist, and x' the root with the
+    outer sample whose Gamma lies farthest from n pi dropped (the node that
+    weighs least at n pi); d = 2 |x - x'|, clamped to
+    [e_tol / 4, w / 4].  When those Gamma are not strictly increasing or x
+    falls outside the pair, x is the regula-falsi root on the pair and
+    d = w / 16.  All three points sit min(w / 100, e_tol / 4) inside.
     """
-    n, w = s1.n_below, e2 - e1
-    # n_below(e1) = n < n_below(e2) puts gamma_1 < n pi <= gamma_2
-    x = e1 + w * (n * math.pi - s1.gamma) / (s2.gamma - s1.gamma)
-    d = abs(x - last_root[n]) if n in last_root else w / 16
-    last_root[n] = x
+    e1, e2 = keys[i], keys[i + 1]
+    w, target = e2 - e1, n * math.pi
+    near = keys[max(i - 1, 0):i + 3]
+    gammas = [samples[E].gamma for E in near]
+    outer = [j for j, E in enumerate(near) if not e1 <= E <= e2]
+    x = None
+    if outer and all(g1 < g2 for g1, g2 in zip(gammas, gammas[1:])):
+        x = _inverse_root(near, gammas, target)
+    if x is not None and e1 < x < e2:
+        far = max(outer, key=lambda j: abs(gammas[j] - target))
+        fewer = [j for j in range(len(near)) if j != far]
+        d = 2.0 * abs(x - _inverse_root([near[j] for j in fewer],
+                                        [gammas[j] for j in fewer], target))
+    else:
+        # n_below(e1) <= n < n_below(e2) puts gamma_1 < n pi <= gamma_2
+        s1, s2 = samples[e1], samples[e2]
+        x = e1 + w * (target - s1.gamma) / (s2.gamma - s1.gamma)
+        d = w / 16
     d = min(max(d, e_tol / 4), w / 4)
-    lo, hi = e1 + 0.01 * w, e2 - 0.01 * w
+    margin = min(0.01 * w, e_tol / 4)
+    lo, hi = e1 + margin, e2 - margin
     return [min(max(E, lo), hi) for E in (x - d, x, x + d)]
 
 
 def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     """Scan, then split every sample pair across which the level count rises.
 
-    Each pass cuts every adjacent pair (e1, e2) wider than e_tol with
-    n_below(e1) < n_below(e2) into _SPLIT pieces, so every such pair
-    shrinks at least _SPLIT-fold per pass.  A pair holding exactly one
-    level also gets the three points of a secant step on Gamma
-    (`_secant_points`), which close in on a smooth Gamma superlinearly;
-    doublets and pairs holding several levels are only split.  All new
-    energies are evaluated in one sample_fn call, until no pair qualifies
-    or none has room for a new energy strictly inside (float resolution).
-    Level n is the first adjacent pair with n_below(e1) <= n < n_below(e2).
+    Each pass cuts every adjacent pair (e1, e2) wider than e_tol that holds
+    k = n_below(e2) - n_below(e1) > 0 levels into _SPLIT * k pieces, so
+    every such pair shrinks at least _SPLIT-fold per pass.  Each of its
+    levels also gets the three points of one inverse-interpolation root
+    step on Gamma (`_root_points`), which close in on a smooth Gamma
+    superlinearly and bracket the root in the same pass; the cuts keep
+    doublets and step-shaped Gamma converging.  All new energies are
+    evaluated in one sample_fn call, until no pair qualifies or none has
+    room for a new energy strictly inside (float resolution).  Level n is
+    the first adjacent pair with n_below(e1) <= n < n_below(e2).
     enforce_monotone is dropped for the scaled chart, whose defect only
     crosses each multiple of pi once but may wiggle in between (the chart
     itself depends on E); single-crossing keeps the count rule exact
-    either way.
+    either way.  Integrator noise on Gamma grows with the angle
+    accumulated, so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = dict(zip(Es, sample_fn(Es)))
-    last_root = {}
     while True:
         keys = sorted(samples)
         inner = set()
-        for e1, e2 in zip(keys, keys[1:]):
+        for i, (e1, e2) in enumerate(zip(keys, keys[1:])):
             s1, s2 = samples[e1], samples[e2]
             rise = s2.n_below - s1.n_below
             if not (e2 - e1 > config.e_tol and rise > 0):
                 continue
-            points = list(np.linspace(e1, e2, _SPLIT + 1)[1:-1])
-            if rise == 1:
-                points += _secant_points(e1, s1, e2, s2, last_root,
-                                         config.e_tol)
+            points = list(np.linspace(e1, e2, _SPLIT * rise + 1)[1:-1])
+            for n in range(s1.n_below, s2.n_below):
+                points += _root_points(keys, samples, i, n, config.e_tol)
             inner.update(E for E in points if e1 < E < e2)
         if not inner:
             break
@@ -308,10 +342,12 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
         samples.update(zip(inner, sample_fn(inner)))
 
     scan = tuple(samples[E] for E in keys)
-    drops = [s2.gamma - s1.gamma for s1, s2 in zip(scan, scan[1:])]
-    if enforce_monotone and drops and min(drops) < -_MONOTONE_JITTER:
+    drops = [s1.gamma - s2.gamma for s1, s2 in zip(scan, scan[1:])
+             if s1.gamma - s2.gamma > _MONOTONE_JITTER * max(1.0,
+                                                             abs(s1.gamma))]
+    if enforce_monotone and drops:
         raise MonotonicityError(
-            f"defect angle decreased by {-min(drops):.3e} along the scan; "
+            f"defect angle decreased by {max(drops):.3e} along the scan; "
             "the integrator or a cue is misconfigured")
 
     levels = {}  # in energy order: each level is kept at its first pair
@@ -345,9 +381,10 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
 
     The interval is resolved once per run at the energy extremes; every
     Gamma sample shares it and its matching point c, and result.scan holds
-    them all.  Gamma = alpha_R(c) - alpha_L(c).  Each pass splits every
-    bracket _SPLIT ways and adds a secant step on Gamma inside each bracket
-    that holds one level.  Level n's bracket is an adjacent pair of samples
+    them all.  Gamma = alpha_R(c) - alpha_L(c).  Each pass cuts every
+    bracket _SPLIT ways per level it holds and adds one inverse-interpolation
+    root step per level (`_root_points`).  Level n's bracket is an adjacent
+    pair of samples
     whose n_below steps past n, at most config.e_tol wide unless float
     resolution stops the splitting first.
     """

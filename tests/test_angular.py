@@ -10,6 +10,7 @@ from spectral_defect.angular import (_angular_fun, _integrate_vector,
                                      _scaled_fun, integrate_angle_sampled,
                                      integrate_angles)
 from spectral_defect.errors import DomainError
+from spectral_defect.potentials import Shifted
 
 
 FLAT = sd.PiecewiseConstant((0.0,), (0.0, 0.0))  # V identically zero
@@ -231,6 +232,19 @@ def test_constant_pieces_make_no_ivp_call(monkeypatch, well, e_min):
     result = sd.find_eigenvalues(sd.problem_for(well), e_min, -0.01)
     assert result.eigenvalues
     assert nfev == []
+
+
+def test_shifted_constant_pieces_make_no_ivp_call(monkeypatch):
+    # what `eref = tail` solves: the shifted steps stay in closed form
+    well = sd.PiecewiseConstant((-1.0, 0.2, 1.0), (0.0, -3.0, -1.0, 0.0))
+    plain = sd.find_eigenvalues(sd.problem_for(well), -2.99, -0.01)
+    nfev = _counting_ivp(monkeypatch)
+    shifted = sd.find_eigenvalues(sd.problem_for(Shifted(well, 5.0)),
+                                  2.01, 4.99)
+    assert nfev == []
+    assert len(shifted.eigenvalues) == len(plain.eigenvalues) == 2
+    assert np.allclose(shifted.energies, plain.energies + 5.0, rtol=0.0,
+                       atol=plain.config.e_tol)
 
 
 def test_sampled_states_are_exactly_the_grid():

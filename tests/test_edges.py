@@ -20,8 +20,9 @@ def double_well(barrier):
 @pytest.mark.parametrize("barrier", [2.0, 6.0, 10.0, 16.0])
 def test_doublets_match_the_fd_oracle(barrier):
     # splittings run from 3.5e-3 (barrier 2) past e_tol (barrier 10) to
-    # exact degeneracy (barrier 16): a bracket holding two levels is split,
-    # never given a secant step; the jumps sit on nodes of both fd grids
+    # exact degeneracy (barrier 16): a bracket holding two levels is cut 16
+    # ways and gets one root step per level; the jumps sit on nodes of both
+    # fd grids
     problem = sd.problem_for(double_well(barrier))
     result = sd.find_eigenvalues(problem, -4.0 + 1e-3, -0.1)
     fd = oracle.fd_eigenvalues(problem, -0.1, grid_size=24575,

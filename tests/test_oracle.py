@@ -115,6 +115,17 @@ def test_eigencondition_agrees_with_defect_pipeline():
         assert abs(oracle.transfer_mismatch(problem, root)) < 1e-8
 
 
+def test_eigencondition_root_rejects_the_wrap():
+    # the mismatch jumps from pi/2 to -pi/2 at -0.49946 on this bracket, a
+    # sign change brentq takes for the root; the only level is -1.11235
+    problem = sd.problem_for(
+        sd.PiecewiseConstant((-1.0, 0.0, 1.0), (0.0, -2.0, -1.0, 0.0)))
+    with pytest.raises(DomainError, match=r"\[-1.99, -0.01\]"):
+        oracle.eigencondition_root(problem, -1.99, -0.01)
+    assert oracle.eigencondition_root(problem, -1.2, -1.0) == \
+        pytest.approx(-1.11235, abs=1e-5)
+
+
 def test_transfer_requires_constant_tails():
     problem = sd.problem_for(sd.Coulomb())
     with pytest.raises(DomainError):

@@ -72,9 +72,9 @@ def test_coulomb_levels_scale_with_charge():
 
 
 @st.composite
-def lattice_wells(draw, lattice=1.0 / 32.0, span=2.0):
+def lattice_wells(draw, lattice=1.0 / 32.0, span=2.0, max_inner=2):
     """Piecewise-constant wells between zero tails, edges on a lattice."""
-    n_inner = draw(st.integers(1, 2))
+    n_inner = draw(st.integers(1, max_inner))
     cells = int(span / lattice)
     edges = draw(st.lists(st.integers(-cells, cells), min_size=n_inner + 1,
                           max_size=n_inner + 1, unique=True))
@@ -327,6 +327,47 @@ def test_brackets_are_narrow_and_certified(potential, E_min, E_max):
         assert below.gamma < ev.n * math.pi <= above.gamma
 
 
+@settings(max_examples=10, deadline=None, database=None)
+@given(well=lattice_wells(lattice=1.0 / 64.0, span=3.0, max_inner=3))
+def test_root_step_finds_what_splitting_alone_finds(well):
+    # the root step only adds energies inside certified pairs, so the cuts
+    # alone must reach the same levels; wells as in acceptance criterion 3
+    problem = sd.problem_for(well)
+    e_min, e_max = min(well.values) + 0.02, -0.02
+    result = sd.find_eigenvalues(problem, e_min, e_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_root_points", lambda *args: [])
+        split = sd.find_eigenvalues(problem, e_min, e_max)
+    assert [ev.n for ev in result.eigenvalues] == \
+        [ev.n for ev in split.eigenvalues]
+    assert np.allclose(result.energies, split.energies, rtol=0.0,
+                       atol=result.config.e_tol)
+
+
+def _dropping_sampler(drop):
+    """Gamma near 225 (the deep oscillator's) with one level at E = 0.3 and
+    a drop of `drop` at E = 0.7."""
+    def sample(energies):
+        return [spectrum.DefectSample(
+            E=float(E), gamma=225.0 + math.pi * (E >= 0.3) - drop * (E >= 0.7))
+            for E in energies]
+    return sample
+
+
+def test_monotone_allowance_scales_with_gamma():
+    # TruncatedOscillator(1, 12) on (0, 71.99) drops 1.5e-9 at Gamma ~ 225,
+    # noise that an absolute 1e-9 allowance took for a broken cue
+    config = sd.SolveConfig()
+    levels, scan = spectrum._scan_and_split(_dropping_sampler(1.5e-9), 0.0,
+                                            1.0, config)
+    assert [ev.n for ev in levels] == [72]
+    assert abs(levels[0].energy - 0.3) <= config.e_tol
+    assert min(s2.gamma - s1.gamma for s1, s2 in zip(scan, scan[1:])) \
+        == pytest.approx(-1.5e-9)
+    with pytest.raises(MonotonicityError, match="decreased by 1.000e-06"):
+        spectrum._scan_and_split(_dropping_sampler(1e-6), 0.0, 1.0, config)
+
+
 def _counted_passes(monkeypatch):
     """The batch size of every integration pass a solve makes from now on."""
     passes = []
@@ -344,10 +385,10 @@ def _hydrogen_levels(count):
 
 
 @pytest.mark.parametrize("potential, E_min, E_max, budget, levels, tol", [
-    (sd.Coulomb(), -0.6, -0.0045, 8, _hydrogen_levels(10), 1e-8),
-    (sd.Coulomb(), -0.6, -0.05, 7, _hydrogen_levels(3), 1e-8),
+    (sd.Coulomb(), -0.6, -0.0045, 4, _hydrogen_levels(10), 1e-8),
+    (sd.Coulomb(), -0.6, -0.05, 4, _hydrogen_levels(3), 1e-8),
     # the truncated oscillator's ladder, as in acceptance criterion 2
-    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 8,
+    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 4,
      [n + 0.5 for n in range(8)], 0.1),
 ], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
 def test_hydrogen_pass_budget(monkeypatch, potential, E_min, E_max, budget,
