@@ -17,13 +17,24 @@ direction.  Where V jumps the rate of the flow does, so each piece between
 breakpoints is integrated as its own smooth problem whose right-hand side
 sees t only strictly inside the piece (`_integrate_vector`).
 
+alpha turns at rates between 1 and k^2 = 2 |V - E|, and the step controller
+must resolve the fast part.  `integrate_angles` therefore integrates the
+scaled (modified Pruefer) angle theta, tan(theta) = psi' / (S psi), with S
+frozen on each of a few pieces at about the k of the piece's midpoint
+(`_chart_flow`), so that theta turns at a nearly uniform rate.  With S
+constant the theta flow is exact and as cheap as the alpha flow
+(`_chart_fun`; S = 1 is alpha), and each angle is recharted exactly at
+every cut on the same branch (`_rechart`), so Gamma and n_below are those
+of alpha.  The scaled chart of `find_eigenvalues_scaled` is the same flow
+on one piece with S = sqrt(2 |E|).
+
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 `PiecewiseConstant` and `SquareWell`, shifted or not, every piece is
 constant, so `integrate_angles` takes each one in closed form
 (`_plateau_flow`) and makes no `solve_ivp` call.  The adaptive flow still
 runs for every other family, for the eigenfunction sampler (which needs the
-log-amplitude at grid points), for the scaled chart, and for the
+log-amplitude at grid points, in alpha), for the scaled chart, and for the
 transfer-matrix oracle, which integrates (psi, psi') on purpose: it is the
 independent check of the closed form.
 """
@@ -33,11 +44,21 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, IntegrationError
+from .errors import IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted, SquareWell
 
 # families whose potential is constant on every piece between breakpoints
 _PLATEAU_FAMILIES = (PiecewiseConstant, SquareWell)
+
+# The scaled chart (`_chart_flow`): S = (q^2 + _CHART_FLOOR^2)^(1/4) stays
+# at least sqrt(0.1) ~ 0.32 on a piece whose midpoint sits at a turning point
+# (q = 0), so no chart there is more than ~3x off the plain angle; 1 loses
+# the gain on hydrogen and 2 kappa loses on its low levels.  _CHART_PIECES
+# pieces span [a, b]: enough for S to follow a Coulomb well over its
+# geometric span, few enough that each piece's solve_ivp start-up (a step
+# size search and a short first step) stays a small share of a pass.
+_CHART_FLOOR = 0.1
+_CHART_PIECES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -92,36 +113,48 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
     return y, None if t_eval is None else np.concatenate(sampled, axis=1)
 
 
-def _angular_fun(potential, energies, with_amplitude):
-    energies = np.asarray(energies, dtype=float)
-    n = energies.size
-
+def _amplitude_fun(potential, E):
+    """(alpha, log rho)' of one energy: the eigenfunction sampler's flow."""
     def fun(t, y):
-        v = potential.evaluate(t)
-        alpha = y[:n]
-        c = np.cos(alpha)
-        s = np.sin(alpha)
-        dalpha = 2.0 * (v - energies) * c * c - s * s
-        if not with_amplitude:
-            return dalpha
-        dlog = (v - energies + 0.5) * 2.0 * s * c
-        return np.concatenate([dalpha, dlog])
+        q = potential.evaluate(t) - E
+        c, s = np.cos(y[0]), np.sin(y[0])
+        return np.array([2.0 * q * c * c - s * s, (q + 0.5) * 2.0 * s * c])
 
     return fun
 
 
-def _scaled_fun(potential, energies):
+def _chart_fun(potential, energies, scale):
+    """theta' in the chart tan(theta) = psi' / (S psi), S = scale > 0.
+
+    S is one positive number per energy (or one for all), frozen over the
+    integration; with h = (V - E) / S the flow is exact for any such S:
+
+        theta' = (h - S/2) + (h + S/2) cos(2 theta).
+
+    S = 1 is the plain angle alpha.
+    """
     energies = np.asarray(energies, dtype=float)
-    if not np.all(energies < 0):
-        raise DomainError("scaled angular chart requires E < 0")
-    roots = np.sqrt(2.0 * np.abs(energies))
+    half = 0.5 * np.asarray(scale, dtype=float)
+    inverse = 1.0 / np.asarray(scale, dtype=float)
 
     def fun(t, y):
-        v = potential.evaluate(t)
-        c = np.cos(y)
-        return roots * np.cos(2.0 * y) + (2.0 / roots) * v * c * c
+        h = (potential.evaluate(t) - energies) * inverse
+        return (h - half) + (h + half) * np.cos(2.0 * y)
 
     return fun
+
+
+def _rechart(angles, ratio):
+    """The angles in the chart whose tangent is ratio times theirs.
+
+    Each angle is read as m pi + x with |x| <= pi/2 and keeps m: the charts
+    agree on every multiple of pi/2, so Gamma and n_below do not move.
+    atan2 is continuous through x = +-pi/2, where rounding may leave |x| an
+    ulp past pi/2.
+    """
+    m = np.round(angles / math.pi)
+    x = angles - m * math.pi
+    return m * math.pi + np.arctan2(ratio * np.sin(x), np.cos(x))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +245,41 @@ def _plateau_flow(potential, energies):
     return flow
 
 
+def _span_points(problem: ProblemSpec, a: float, b: float, n: int):
+    """n points spanning [a, b], ends exact: geometric on the half line,
+    uniform on the whole line."""
+    return (np.geomspace if problem.l is not None else np.linspace)(a, b, n)
+
+
+def _chart_flow(potential, energies, grid, config):
+    """flow(s0, s1, alpha): the angles carried from s0 to s1 (either order)
+    by the adaptive flow in a chart frozen per piece.
+
+    The pieces are cut at the grid points and at the breakpoints.  On each,
+    every energy gets its own S = (q^2 + _CHART_FLOOR^2)^(1/4), with
+    q = 2 (V - E) read at the piece's midpoint, off the breakpoints; the
+    angle is recharted exactly at each cut (`_rechart`) and returned as
+    alpha.
+    """
+    breakpoints = potential.breakpoints()
+
+    def flow(s0, s1, alpha):
+        if s0 == s1:
+            return alpha
+        theta, scale = alpha, 1.0
+        cuts = _cuts(s0, s1, (*breakpoints, *grid))
+        for p0, p1 in zip(cuts, cuts[1:]):
+            q = 2.0 * (potential.evaluate(0.5 * (p0 + p1)) - energies)
+            new = (q * q + _CHART_FLOOR**2) ** 0.25
+            theta = _rechart(theta, scale / new)
+            theta, _ = _integrate_vector(_chart_fun(potential, energies, new),
+                                         p0, p1, theta, config, breakpoints)
+            scale = new
+        return _rechart(theta, scale)
+
+    return flow
+
+
 def integrate_angles(problem: ProblemSpec, energies, left_starts,
                      right_starts, a: float, c: float, b: float, config):
     """Batched angle integration of both halves to the matching point c.
@@ -221,23 +289,20 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     a or b).  Sharing one adaptive mesh across the batch keeps every
     component within tolerance (the controller steps on the worst one) and
     amortizes the per-step cost of the scan and of lock-step bracket
-    splitting: a pass costs nearly the same at 10 energies as at 150.  On a
-    piecewise-constant family every piece is taken in closed form instead
-    (`_plateau_flow`), at a cost linear in the batch and in the pieces.
-    config is the SolveConfig; only its rel_tol and abs_tol are read.
-    Returns the pair (alpha_left_at_c, alpha_right_at_c);
+    splitting: a pass costs nearly the same at 10 energies as at 150.  The
+    adaptive flow runs in the scaled chart of `_chart_flow` on the
+    _CHART_PIECES pieces of `_span_points` over [a, b], cut again at c and
+    the breakpoints.  On a piecewise-constant family every piece is taken
+    in closed form instead (`_plateau_flow`), at a cost linear in the batch
+    and in the pieces.  config is the SolveConfig; only its rel_tol and
+    abs_tol are read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    flow = _plateau_flow(potential, energies)
-    if flow is None:
-        fun = _angular_fun(potential, energies, with_amplitude=False)
-
-        def flow(s0, s1, alpha):
-            return _integrate_vector(fun, s0, s1, alpha, config,
-                                     potential.breakpoints())[0]
-
+    flow = _plateau_flow(potential, energies) or _chart_flow(
+        potential, energies, _span_points(problem, a, b, _CHART_PIECES + 1),
+        config)
     return tuple(flow(s0, c, np.broadcast_to(np.asarray(start, dtype=float),
                                              energies.shape))
                  for start, s0 in ((left_starts, a), (right_starts, b)))
@@ -251,8 +316,8 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float,
     t_eval must lie inside [a, b]; log_rho is 0 at a.
     """
     potential = problem.effective_potential()
-    fun = _angular_fun(potential, [E], with_amplitude=True)
     ts = np.sort(np.asarray(t_eval, dtype=float))
-    _, ys = _integrate_vector(fun, a, b, [alpha_start, 0.0], config,
+    _, ys = _integrate_vector(_amplitude_fun(potential, E), a, b,
+                              [alpha_start, 0.0], config,
                               potential.breakpoints(), t_eval=ts)
     return ts, ys[0], ys[1]

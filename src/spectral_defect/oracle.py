@@ -145,9 +145,28 @@ class FdResult:
 
 
 def _fd_levels(potential, a, b, n, e_ceiling):
+    """Levels below e_ceiling of the Dirichlet three-point matrix.
+
+    A node reads V at itself, unless a breakpoint lies strictly inside its
+    cell (t - h/2, t + h/2) and off the node: then it reads the mean of V
+    over the cell, taken piece by piece at the pieces' midpoints.  A jump
+    read at one side of it would move the levels by O(h) and spoil the
+    Richardson step; on a grid whose nodes or cell edges hold the
+    breakpoints nothing changes.
+    """
     h = (b - a) / (n + 1)
     t = a + h * np.arange(1, n + 1)
     v = np.asarray(potential.evaluate(t), dtype=float)
+    breakpoints = np.unique(potential.breakpoints())
+    for i in np.unique(np.rint((breakpoints - a) / h).astype(int) - 1):
+        if not 0 <= i < n:
+            continue
+        left, right = t[i] - 0.5 * h, t[i] + 0.5 * h
+        inside = breakpoints[(left < breakpoints) & (breakpoints < right)]
+        if np.any(inside != t[i]):
+            cuts = np.concatenate([[left], inside, [right]])
+            v[i] = np.dot(np.diff(cuts), potential.evaluate(
+                0.5 * (cuts[:-1] + cuts[1:]))) / h
     diag = 1.0 / h**2 + v
     off = np.full(n - 1, -0.5 / h**2)
     lo = float(np.min(v)) - 1.0

@@ -32,8 +32,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from . import cues
-from .angular import (_integrate_vector, _scaled_fun, integrate_angle_sampled,
-                      integrate_angles)
+from .angular import (_chart_fun, _integrate_vector, _span_points,
+                      integrate_angle_sampled, integrate_angles)
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
 from .potentials import ProblemSpec, Shifted
@@ -153,9 +153,7 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
     from their forbidden sides, where the flow pulls them onto the decaying
     directions, so Gamma is smooth in E there.
     """
-    a, b = interval
-    grid = (np.geomspace if problem.l is not None else np.linspace)(
-        a, b, _MATCH_GRID)
+    grid = _span_points(problem, *interval, _MATCH_GRID)
     v = problem.effective_potential().evaluate(grid)
     return float(grid[np.argmin(v)])
 
@@ -226,7 +224,9 @@ def _scaled_sampler(problem, config, interval):
     """Defect of the squeezing-adapted chart; roots at n pi as well.
 
     Requires equal constant tails; the potential and energies are shifted so
-    the tails sit at zero and E < 0, where the chart is defined.
+    the tails sit at zero and E < 0.  The chart is `_chart_fun`'s with
+    S = sqrt(2 |E|) over all of [a, b], in which the free flow holds the
+    two exponential directions at +-pi/4.
     """
     error = DomainError("the scaled chart needs equal constant tails")
     v0, right = cues.constant_levels(problem.left_tail, problem.right_tail,
@@ -239,9 +239,12 @@ def _scaled_sampler(problem, config, interval):
 
     def sample(energies):
         energies = np.asarray(energies, dtype=float) - v0
+        if not np.all(energies < 0):
+            raise DomainError("the scaled chart needs every E below the tails")
+        fun = _chart_fun(potential, energies, np.sqrt(-2.0 * energies))
         starts = np.full(energies.shape, math.pi / 4.0)
-        alphas, _ = _integrate_vector(_scaled_fun(potential, energies), a, b,
-                                      starts, config, potential.breakpoints())
+        alphas, _ = _integrate_vector(fun, a, b, starts, config,
+                                      potential.breakpoints())
         return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
                 for E, al in zip(energies, alphas)]
 

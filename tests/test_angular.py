@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
-from spectral_defect.angular import (_angular_fun, _integrate_vector,
-                                     _scaled_fun, integrate_angle_sampled,
+from spectral_defect.angular import (_amplitude_fun, _chart_fun,
+                                     _integrate_vector, _rechart,
+                                     integrate_angle_sampled,
                                      integrate_angles)
-from spectral_defect.errors import DomainError
 from spectral_defect.potentials import Shifted
 
 
@@ -34,7 +34,7 @@ def test_rate_is_minus_one_at_vertical_angles():
     # at alpha = pi/2 the potential term is multiplied by cos^2 = 0
     for v in (5.0, -3.0, 0.0):
         well = sd.PiecewiseConstant((0.0,), (v, v))
-        fun = _angular_fun(well, [-1.0, 2.0, 0.0, -1.0], with_amplitude=False)
+        fun = _chart_fun(well, [-1.0, 2.0, 0.0, -1.0], 1.0)
         alphas = np.array([math.pi / 2, math.pi / 2, -math.pi / 2,
                            -math.pi / 2])
         assert np.allclose(fun(0.3, alphas), -1.0, rtol=0.0, atol=1e-15)
@@ -42,22 +42,22 @@ def test_rate_is_minus_one_at_vertical_angles():
 
 def test_rate_at_horizontal_angle():
     well = sd.PiecewiseConstant((0.0,), (1.5, 1.5))
-    fun = _angular_fun(well, [-0.5, 1.5], with_amplitude=False)
+    fun = _chart_fun(well, [-0.5, 1.5], 1.0)
     assert fun(0.0, np.zeros(2)) == pytest.approx([4.0, 0.0])
 
 
 def test_log_amplitude_rhs_vanishes_on_axes():
-    fun = _angular_fun(FLAT, [-1.0, -1.0], with_amplitude=True)
-    rates = fun(0.0, np.array([0.0, math.pi / 2, 0.0, 0.0]))
-    assert rates[2] == 0.0
-    assert rates[3] == pytest.approx(0.0, abs=1e-15)
+    fun = _amplitude_fun(FLAT, -1.0)
+    assert fun(0.0, np.array([0.0, 0.0]))[1] == 0.0
+    assert fun(0.0, np.array([math.pi / 2, 0.0]))[1] == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_fixed_point_holds_for_flat_potential():
     """For V = 0 and E = -1/2 the angle arctan(1) is stationary."""
     E = -0.5
     alpha_star = math.atan(math.sqrt(2.0 * (0.0 - E)))
-    fun = _angular_fun(FLAT, [E], with_amplitude=False)
+    fun = _chart_fun(FLAT, [E], 1.0)
     assert fun(1.0, np.array([alpha_star]))[0] == pytest.approx(
         0.0, abs=1e-15)
     alphas = terminal_angles(flat_problem(-5.0, 5.0), [E], alpha_star)
@@ -113,11 +113,10 @@ def test_pi_shift_equivariance():
 
 def test_scaled_rhs_fixed_angles():
     """Free squeezing flow holds the diagonal directions +-pi/4."""
-    fun = _scaled_fun(FLAT, [-0.5, -0.5, -2.0, -2.0])
+    energies = np.array([-0.5, -0.5, -2.0, -2.0])
+    fun = _chart_fun(FLAT, energies, np.sqrt(-2.0 * energies))
     alphas = np.array([math.pi / 4, -math.pi / 4] * 2)
     assert np.allclose(fun(1.0, alphas), 0.0, rtol=0.0, atol=1e-14)
-    with pytest.raises(DomainError):
-        _scaled_fun(FLAT, [-0.5, 0.5])
 
 
 def test_amplitude_recovers_flat_decay():
@@ -293,7 +292,7 @@ def closed_gammas(problem, energies, interval, c):
 def adaptive_gammas(problem, energies, interval, c):
     """Gamma_c by the adaptive flow on every piece: the reference."""
     potential = problem.effective_potential()
-    fun = _angular_fun(potential, energies, with_amplitude=False)
+    fun = _chart_fun(potential, energies, 1.0)
     (a, b), halves = interval, []
     for boundary_angle, s0 in ((cues.left_boundary_angle, a),
                                (cues.right_boundary_angle, b)):
@@ -352,3 +351,78 @@ def test_energy_at_a_plateau_level(q):
         assert closed_gammas(problem, energies, interval, c) == \
             pytest.approx(adaptive_gammas(problem, energies, interval, c),
                           abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The scaled chart of the adaptive flow
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_rechart_keeps_the_branch_and_round_trips(scale):
+    # alpha = m pi + x: +-pi/2 is a fixed point of every chart, and an ulp
+    # either side of it must not move the angle to a neighbouring branch
+    for m in range(-30, 31):
+        for x in (-math.pi / 2, -1.0, -1e-3, 0.3, 1.5, math.pi / 2):
+            alpha = m * math.pi + x
+            alphas = np.array([np.nextafter(alpha, -np.inf), alpha,
+                               np.nextafter(alpha, np.inf)])
+            theta = _rechart(alphas, 1.0 / scale)
+            if abs(x) == math.pi / 2:
+                assert np.abs(theta - alphas).max() <= 1e-9
+            else:
+                offset = theta - m * math.pi
+                assert np.all(np.abs(offset) < math.pi / 2)
+                assert np.all(np.sign(offset) == np.sign(x))
+            assert _rechart(theta, scale) == pytest.approx(
+                alphas, rel=0.0, abs=1e-12 * max(1.0, abs(alpha)))
+
+
+@st.composite
+def smooth_problems(draw):
+    """An oscillator or a Coulomb well with l <= 2, and energies below its
+    threshold that cover a few levels."""
+    kind = draw(st.sampled_from(["truncated", "hybrid", "coulomb"]))
+    if kind == "coulomb":
+        charge, l = draw(st.floats(0.8, 2.0)), draw(st.integers(0, 2))
+        top = -0.5 * charge**2 / (l + 1) ** 2
+        return (sd.problem_for(sd.Coulomb(charge), l=l),
+                np.linspace(1.15 * top, 0.21 * top, 6))
+    if kind == "truncated":
+        omega, cutoff = draw(st.floats(0.5, 2.0)), draw(st.floats(1.5, 4.0))
+        well = sd.TruncatedOscillator(omega, cutoff)
+        ceiling = 0.5 * omega**2 * cutoff**2
+    else:
+        well = sd.HybridOscillator(draw(st.floats(0.5, 2.0)),
+                                   draw(st.floats(0.5, 2.0)))
+        ceiling = 6.0
+    return sd.problem_for(well), np.linspace(0.05, 0.95 * ceiling, 6)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(case=smooth_problems())
+def test_chart_flow_matches_the_plain_flow(case):
+    problem, energies = case
+    interval = sd.auto_interval(problem, energies[0], energies[-1],
+                                sd.SolveConfig())
+    c = spectrum._matching_point(problem, interval)
+    samples = sd.defect_angles(problem, energies, interval=interval, c=c)
+    plain = [spectrum.DefectSample(E=E, gamma=g) for E, g in zip(
+        energies, adaptive_gammas(problem, energies, interval, c))]
+    for got, want in zip(samples, plain):
+        tol = 1e-10 * max(1.0, abs(want.gamma))
+        assert got.gamma == pytest.approx(want.gamma, rel=0.0, abs=tol)
+        # an energy on a level puts Gamma on n pi, where either count holds
+        if abs(math.remainder(want.gamma, math.pi)) > tol:
+            assert got.n_below == want.n_below
+
+
+@pytest.mark.parametrize("problem, e_min, e_max, budget", [
+    (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01, 21_823),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 8.0 - 2e-3,
+     8_686)], ids=["hydrogen-l1", "oscillator-a4"])
+def test_chart_solve_rhs_budget(monkeypatch, problem, e_min, e_max, budget):
+    # 1.05 x the RHS evaluations measured with the chart (plain angle:
+    # 30,700 and 22,600)
+    nfev = _counting_ivp(monkeypatch)
+    assert sd.find_eigenvalues(problem, e_min, e_max).eigenvalues
+    assert sum(nfev) <= budget

@@ -282,6 +282,33 @@ def test_verify_fails_a_level_beyond_the_fd_error(tmp_path, capsys,
         ["level n=0 disagrees"] * code
 
 
+@pytest.mark.parametrize("shift, code", [(0.0, 0), (1e-4, 1)])
+def test_verify_fails_a_square_well_level_off_by_1e_4(tmp_path, capsys,
+                                                      monkeypatch, shift,
+                                                      code):
+    # the jumps at -+1 fall inside fd cells, whose nodes read the cell mean
+    # of V: fd_err ~1e-6 instead of ~5e-4, so the fd gate sees 1e-4
+    find_eigenvalues = sd.find_eigenvalues
+
+    def patched(*args, **kwargs):
+        result = find_eigenvalues(*args, **kwargs)
+        levels = [replace(ev, energy=ev.energy + shift) if ev.n == 0 else ev
+                  for ev in result.eigenvalues]
+        return replace(result, eigenvalues=tuple(levels))
+
+    monkeypatch.setattr(cli.spectrum, "find_eigenvalues", patched)
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_CONFIG)
+    assert cli.main(["verify", str(cfg)]) == code
+    out = capsys.readouterr().out
+    rows = _verify_rows(out)
+    assert [n for n, _, _ in rows] == [0, 1]
+    assert all(err < 1e-5 for _, _, err in rows)
+    failed = [line for line in out.splitlines() if "disagrees" in line]
+    assert [line.split(":")[0] for line in failed] == \
+        ["level n=0 disagrees"] * code
+
+
 def test_verify_truncated_oscillator_reports_each_level(tmp_path, capsys):
     cfg = tmp_path / "osc.ini"
     cfg.write_text(OSC_CONFIG)

@@ -262,6 +262,15 @@ def test_scaled_pipeline_needs_constant_tails():
         sd.find_eigenvalues_scaled(problem, -0.6, -0.1)
 
 
+def test_scaled_pipeline_needs_energies_below_the_tails():
+    # a set interval skips the threshold check; the chart S = sqrt(2 |E|)
+    # is then refused at E >= 0
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0),
+                             interval=(-3.0, 3.0))
+    with pytest.raises(DomainError):
+        sd.find_eigenvalues_scaled(problem, -1.5, 0.5)
+
+
 def test_eigenfunction_nodes_match_branch_index():
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
     result = sd.find_eigenvalues(problem, 1e-6, 4.0)
