@@ -26,12 +26,13 @@ constant the theta flow is exact and as cheap as the alpha flow
 (`_chart_fun`; S = 1 is alpha), and each angle is recharted exactly at
 every cut on the same branch (`_rechart`), so Gamma and n_below are those
 of alpha.  The scaled chart of `find_eigenvalues_scaled` is the same flow
-on one piece with S = sqrt(2 |E|).
+on one piece over [a, b] with S = sqrt(2 (v0 - E)), v0 the tail level; its
+angle at b is recharted to alpha there.
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
-`PiecewiseConstant` and `SquareWell`, shifted or not, every piece is
-constant, so `integrate_angles` takes each one in closed form
+`PiecewiseConstant` (`SquareWell` builds one), shifted or not, every piece
+is constant, so `integrate_angles` takes each one in closed form
 (`_plateau_flow`) and makes no `solve_ivp` call.  The adaptive flow still
 runs for every other family, for the eigenfunction sampler (which needs the
 log-amplitude at grid points, in alpha), for the scaled chart, and for the
@@ -45,10 +46,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .potentials import PiecewiseConstant, ProblemSpec, Shifted, SquareWell
-
-# families whose potential is constant on every piece between breakpoints
-_PLATEAU_FAMILIES = (PiecewiseConstant, SquareWell)
+from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 
 # The scaled chart (`_chart_flow`): S = (q^2 + _CHART_FLOOR^2)^(1/4) stays
 # at least sqrt(0.1) ~ 0.32 on a piece whose midpoint sits at a turning point
@@ -221,16 +219,16 @@ def _plateau_step(v, energies, alpha, delta):
 
 def _plateau_flow(potential, energies):
     """flow(s0, s1, alpha): the angles carried from s0 to s1 (either order)
-    in closed form, piece by piece, for a piecewise-constant family; None
-    for any other potential.  A `Shifted` plateau family (what `eref =
-    tail` solves) is one too.
+    in closed form, piece by piece, for a `PiecewiseConstant`; None for
+    any other potential.  A `Shifted` one (what `eref = tail` solves) is
+    one too.
 
     V is read once per piece, at its midpoint.
     """
     base = potential
     while isinstance(base, Shifted):
         base = base.base
-    if not isinstance(base, _PLATEAU_FAMILIES):
+    if not isinstance(base, PiecewiseConstant):
         return None
 
     def flow(s0, s1, alpha):

@@ -83,33 +83,6 @@ class HybridOscillator:
 
 
 @dataclass(frozen=True)
-class SquareWell:
-    """Constant well of the given (non-positive) depth on [left, right]."""
-
-    depth: float
-    left: float
-    right: float
-
-    def __post_init__(self):
-        if self.depth > 0:
-            raise ValueError("depth must be <= 0")
-        if not self.left < self.right:
-            raise ValueError("left edge must be below right edge")
-
-    def breakpoints(self):
-        return (self.left, self.right)
-
-    def evaluate(self, t):
-        t = np.asarray(t)
-        inside = (t >= self.left) & (t <= self.right)
-        out = np.where(inside, self.depth, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def tails(self, l):
-        return ConstantLevel(0.0), ConstantLevel(0.0)
-
-
-@dataclass(frozen=True)
 class PiecewiseConstant:
     """Step potential: values[i] on (breakpoints[i-1], breakpoints[i])."""
 
@@ -136,6 +109,15 @@ class PiecewiseConstant:
 
     def tails(self, l):
         return ConstantLevel(self.values[0]), ConstantLevel(self.values[-1])
+
+
+def SquareWell(depth: float, left: float, right: float) -> PiecewiseConstant:
+    """Constant well of the given (non-positive) depth on [left, right)."""
+    if depth > 0:
+        raise ValueError("depth must be <= 0")
+    if not left < right:
+        raise ValueError("left edge must be below right edge")
+    return PiecewiseConstant((left, right), (0.0, depth, 0.0))
 
 
 @dataclass(frozen=True)
@@ -277,8 +259,8 @@ class Shifted:
 
 
 PotentialSpec = Union[
-    TruncatedOscillator, HybridOscillator, SquareWell, PiecewiseConstant,
-    Coulomb, Yukawa, QuarkHybrid, Tabulated, EffectiveRadial, Shifted,
+    TruncatedOscillator, HybridOscillator, PiecewiseConstant, Coulomb,
+    Yukawa, QuarkHybrid, Tabulated, EffectiveRadial, Shifted,
 ]
 
 

@@ -25,22 +25,23 @@ samples.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from . import cues
-from .angular import (_chart_fun, _integrate_vector, _span_points,
+from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
                       integrate_angle_sampled, integrate_angles)
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
-from .potentials import ProblemSpec, Shifted
+from .potentials import ProblemSpec
 
 _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
 _SPLIT = 8                  # pieces each bracket is cut into per pass
 _MATCH_GRID = 4001          # points on which the matching point is sought
+_NODE_FLOOR = 1e-6          # |psi| under this share of its peak: no node
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,10 @@ class EigenfunctionSamples:
     log_rho: np.ndarray
     psi: np.ndarray
 
-    def node_count(self, rel_floor: float = 1e-6) -> int:
+    def node_count(self) -> int:
         """Sign changes of psi, ignoring sub-floor wiggle in the tails."""
         psi = self.psi
-        keep = np.abs(psi) > rel_floor * np.max(np.abs(psi))
+        keep = np.abs(psi) > _NODE_FLOOR * np.max(np.abs(psi))
         signs = np.sign(psi[keep])
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
@@ -221,32 +222,34 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # ---------------------------------------------------------------------------
 
 def _scaled_sampler(problem, config, interval):
-    """Defect of the squeezing-adapted chart; roots at n pi as well.
+    """Gamma at b, integrated in one squeezing-adapted chart over [a, b].
 
-    Requires equal constant tails; the potential and energies are shifted so
-    the tails sit at zero and E < 0.  The chart is `_chart_fun`'s with
-    S = sqrt(2 |E|) over all of [a, b], in which the free flow holds the
-    two exponential directions at +-pi/4.
+    Requires equal constant tails at a level v0 and every E below it.  The
+    chart is `_chart_fun`'s with S = k = sqrt(2 (v0 - E)), in which the
+    free flow holds the two exponential directions at +-pi/4: the left
+    angle starts at pi/4 and runs to b without a cut, independent of the
+    matching point and of the closed form.  theta(b) is read out in alpha
+    (`_rechart`), and Gamma = -atan(k) - alpha(b) is the plain defect at b.
     """
     error = DomainError("the scaled chart needs equal constant tails")
     v0, right = cues.constant_levels(problem.left_tail, problem.right_tail,
                                      error)
     if right != v0:
         raise error
-    shifted = replace(problem, potential=Shifted(problem.potential, -v0))
-    potential = shifted.effective_potential()
+    potential = problem.effective_potential()
     a, b = interval
 
     def sample(energies):
-        energies = np.asarray(energies, dtype=float) - v0
-        if not np.all(energies < 0):
+        energies = np.asarray(energies, dtype=float)
+        if not np.all(energies < v0):
             raise DomainError("the scaled chart needs every E below the tails")
-        fun = _chart_fun(potential, energies, np.sqrt(-2.0 * energies))
+        k = np.sqrt(2.0 * (v0 - energies))
         starts = np.full(energies.shape, math.pi / 4.0)
-        alphas, _ = _integrate_vector(fun, a, b, starts, config,
-                                      potential.breakpoints())
-        return [DefectSample(E=float(E) + v0, gamma=-math.pi / 4.0 - float(al))
-                for E, al in zip(energies, alphas)]
+        theta, _ = _integrate_vector(_chart_fun(potential, energies, k), a, b,
+                                     starts, config, potential.breakpoints())
+        gammas = -np.arctan(k) - _rechart(theta, k)
+        return [DefectSample(E=float(E), gamma=float(g))
+                for E, g in zip(energies, gammas)]
 
     return sample
 
@@ -306,7 +309,7 @@ def _root_points(keys, samples, i, n, e_tol):
     return [min(max(E, lo), hi) for E in (x - d, x, x + d)]
 
 
-def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
+def _scan_and_split(sample_fn, E_min, E_max, config):
     """Scan, then split every sample pair across which the level count rises.
 
     Each pass cuts every adjacent pair (e1, e2) wider than e_tol that holds
@@ -318,12 +321,10 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     doublets and step-shaped Gamma converging.  All new energies are
     evaluated in one sample_fn call, until no pair qualifies or none has
     room for a new energy strictly inside (float resolution).  Level n is
-    the first adjacent pair with n_below(e1) <= n < n_below(e2).
-    enforce_monotone is dropped for the scaled chart, whose defect only
-    crosses each multiple of pi once but may wiggle in between (the chart
-    itself depends on E); single-crossing keeps the count rule exact
-    either way.  Integrator noise on Gamma grows with the angle
-    accumulated, so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
+    the first adjacent pair with n_below(e1) <= n < n_below(e2).  Gamma
+    must not decrease along the final scan, for every sampler; integrator
+    noise on Gamma grows with the angle accumulated, so a drop is allowed
+    _MONOTONE_JITTER * max(1, |Gamma|).
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = dict(zip(Es, sample_fn(Es)))
@@ -348,7 +349,7 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     drops = [s1.gamma - s2.gamma for s1, s2 in zip(scan, scan[1:])
              if s1.gamma - s2.gamma > _MONOTONE_JITTER * max(1.0,
                                                              abs(s1.gamma))]
-    if enforce_monotone and drops:
+    if drops:
         raise MonotonicityError(
             f"defect angle decreased by {max(drops):.3e} along the scan; "
             "the integrator or a cue is misconfigured")
@@ -361,7 +362,7 @@ def _scan_and_split(sample_fn, E_min, E_max, config, enforce_monotone=True):
     return tuple(levels.values()), scan
 
 
-def _solve(problem, E_min, E_max, config, sampler, enforce_monotone=True):
+def _solve(problem, E_min, E_max, config, sampler):
     """Scan and split on one interval, resolved at the energy extremes.
 
     sampler(problem, config, interval) returns the function that maps a
@@ -372,7 +373,7 @@ def _solve(problem, E_min, E_max, config, sampler, enforce_monotone=True):
         raise DomainError("need E_min < E_max")
     interval = auto_interval(problem, E_min, E_max, config)
     eigenvalues, scan = _scan_and_split(sampler(problem, config, interval),
-                                        E_min, E_max, config, enforce_monotone)
+                                        E_min, E_max, config)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(*interval),
                           config=config)
@@ -398,11 +399,13 @@ def find_eigenvalues_scaled(problem: ProblemSpec, E_min: float, E_max: float,
                             config: SolveConfig = None) -> SpectrumResult:
     """Eigenvalues via the squeezing-adapted chart (equal constant tails).
 
-    Cross-validates the plain pipeline: the total angular change satisfies
-    (n + 1/2) pi at the same energies the plain defect crosses n pi.
+    Cross-validates the plain pipeline by another route to the same Gamma:
+    one adaptive pass over [a, b] in the chart with S = sqrt(2 (v0 - E))
+    (`_scaled_sampler`), read out at b rather than at the matching point.
+    The levels, the level count and the monotonicity check are those of
+    `find_eigenvalues`.
     """
-    return _solve(problem, E_min, E_max, config, _scaled_sampler,
-                  enforce_monotone=False)
+    return _solve(problem, E_min, E_max, config, _scaled_sampler)
 
 
 # ---------------------------------------------------------------------------

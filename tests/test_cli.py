@@ -428,6 +428,10 @@ _BAD_VALUES = [
      "eigenfunction", ""),
     (OSC_CONFIG.replace("omega = 1", "omega = %(x)s"), "'omega'", "solve", ""),
     (WELL_CONFIG.replace("depth = -2", "depth = nan"), "'depth'", "count", ""),
+    (WELL_CONFIG.replace("depth = -2", "depth = 2"), "depth must be <= 0",
+     "count", ""),
+    (WELL_CONFIG.replace("left = -1", "left = 1"), "left edge must be below",
+     "count", ""),
     (OSC_CONFIG.replace("omega = 1", "omega = inf"), "'omega'", "solve", ""),
     (OSC_CONFIG.replace("omega = 1", "omega = 1e200"), "out of range",
      "solve", ""),

@@ -145,6 +145,19 @@ def test_fd_matches_defect_pipeline_on_truncated_oscillator():
         assert got == pytest.approx(ev.energy, abs=1e-6)
 
 
+@pytest.mark.parametrize("right", [0.5, 1.0])
+def test_square_well_levels_match_the_fd_oracle(right):
+    # the right edge falls on a node of both fd grids; that node must read
+    # the outer level, as the step is right-continuous
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, right))
+    result = sd.find_eigenvalues(problem, -2.0 + 1e-3, -0.1)
+    fd = oracle.fd_eigenvalues(problem, -0.1, grid_size=24575,
+                               interval=(-24.0, 24.0))
+    assert len(fd) == len(result.eigenvalues) > 0
+    for ev, fd_e, err in zip(result.eigenvalues, fd.energies, fd.errors):
+        assert abs(ev.energy - fd_e) <= err
+
+
 def test_fd_rejects_tiny_grid():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     with pytest.raises(DomainError):

@@ -247,13 +247,19 @@ def test_pinned_intervals(problem, E_min, E_max, interval, fd_interval):
     assert oracle.fd_interval(problem, E_max, config) == fd_interval
 
 
-def test_scaled_pipeline_matches_plain():
-    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
-    plain = sd.find_eigenvalues(problem, 1e-6, 2.0 - 2e-3)
-    scaled = sd.find_eigenvalues_scaled(problem, 1e-6, 2.0 - 2e-3)
-    assert len(plain.eigenvalues) == len(scaled.eigenvalues) == 2
+@pytest.mark.parametrize("cutoff, levels", [(2.0, 2), (4.0, 8)])
+def test_scaled_pipeline_matches_plain(cutoff, levels):
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, cutoff))
+    ceiling = cutoff**2 / 2.0 - 2e-3
+    plain = sd.find_eigenvalues(problem, 1e-6, ceiling)
+    scaled = sd.find_eigenvalues_scaled(problem, 1e-6, ceiling)
+    assert len(plain.eigenvalues) == len(scaled.eigenvalues) == levels
     for a, b in zip(plain.eigenvalues, scaled.eigenvalues):
         assert a.energy == pytest.approx(b.energy, abs=1e-8)
+    # the scaled Gamma is the plain defect at b, monotone like Gamma_c
+    for s1, s2 in zip(scaled.scan, scaled.scan[1:]):
+        assert s1.gamma - s2.gamma <= \
+            spectrum._MONOTONE_JITTER * max(1.0, abs(s1.gamma))
 
 
 def test_scaled_pipeline_needs_constant_tails():
@@ -263,8 +269,8 @@ def test_scaled_pipeline_needs_constant_tails():
 
 
 def test_scaled_pipeline_needs_energies_below_the_tails():
-    # a set interval skips the threshold check; the chart S = sqrt(2 |E|)
-    # is then refused at E >= 0
+    # a set interval skips the threshold check; the scaled chart then
+    # refuses every E at or above the tail level 0
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0),
                              interval=(-3.0, 3.0))
     with pytest.raises(DomainError):
