@@ -13,8 +13,7 @@ from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          problem_for)
 from .spectrum import (DefectSample, Eigenvalue, EigenfunctionSamples,
                        SolveConfig, SpectrumResult, auto_interval,
-                       count_levels, defect_angle, defect_angles,
-                       find_eigenvalues,
+                       count_levels, defect_angles, find_eigenvalues,
                        find_eigenvalues_scaled, reconstruct_eigenfunction)
 
 __version__ = "0.1.0"

@@ -10,12 +10,13 @@ ordinary unwrapped real variable.  The log-amplitude co-integrates as
 d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
 
 The spectrum module integrates the left angle forward from a and the right
-angle backward from b, both to one matching point c (`integrate_angles`);
-the flow is the same in either direction.  Breakpoints have one home,
-`_cuts`, through which every integration of the package runs, in either
-direction.  Where V jumps the rate of the flow does, so each piece between
-breakpoints is integrated as its own smooth problem whose right-hand side
-sees t only strictly inside the piece (`_integrate_vector`).
+angle backward from b, both to one matching point c (`integrate_angles`,
+and `integrate_angle_sampled` for the eigenfunction); the flow is the same
+in either direction.  Breakpoints have one home, `_cuts`, through which
+every integration of the package runs, in either direction.  Where V jumps
+the rate of the flow does, so each piece between breakpoints is integrated
+as its own smooth problem whose right-hand side sees t only strictly
+inside the piece (`_integrate_vector`).
 
 alpha turns at rates between 1 and k^2 = 2 |V - E|, and the step controller
 must resolve the fast part.  `integrate_angles` therefore integrates the
@@ -77,38 +78,39 @@ def _cuts(a, b, breakpoints):
                         reverse=bool(b < a)) + [b]
 
 
-def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=None):
+def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=()):
     """Integrate y' = fun(t, y) from a to b, cut at the breakpoints between.
 
-    b < a integrates right to left.  DOP853 at config.rel_tol and
-    config.abs_tol: at 1e-12 a high-order pair is much cheaper than a 4(5)
-    pair.  With breakpoints, fun sees t clamped one float step inside each
-    piece, so no stage reads V across a jump at a cut, a or b.  Returns
-    (y_end, y_at_t_eval): the state at b and, for ascending t_eval inside
-    [a, b] with a < b, one state column per point, read from the dense
-    output of the piece that holds it (a point on a cut from the piece that
-    starts there); None without t_eval.  With a == b, y_end is y0.
+    b < a integrates right to left.  DOP853 with config.rel_tol as both the
+    relative and the absolute tolerance: at 1e-12 a high-order pair is much
+    cheaper than a 4(5) pair.  With breakpoints, fun sees t clamped one
+    float step inside each piece, so no stage reads V across a jump at a
+    cut, a or b.  Returns (y_end, y_at_t_eval): the state at b (y0 when
+    a == b) and one state column per point of t_eval, in its order, read
+    from the dense output of the piece that holds the point (a point on a
+    cut from the piece that starts there, in the order of travel); a point
+    no piece holds keeps y0.
     """
     y = np.array(y0, dtype=float, ndmin=1)
+    t_eval = np.asarray(t_eval, dtype=float)
+    sampled = np.repeat(y[:, None], t_eval.size, axis=1)
     cuts = _cuts(a, b, breakpoints)
-    groups = ([None] * (len(cuts) - 1) if t_eval is None else
-              np.split(np.asarray(t_eval, dtype=float),
-                       np.searchsorted(t_eval, cuts[1:-1])))
-    sampled = []
-    for s0, s1, ts in zip(cuts, cuts[1:], groups):
+    for s0, s1 in zip(cuts, cuts[1:]):
         if s0 == s1:
             continue    # an empty half of a pass: no RHS call, none at a cut
+        lo, hi = sorted((s0, s1))
+        held = (lo <= t_eval) & (t_eval <= hi)
         sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
                         (s0, s1), y, method="DOP853", rtol=config.rel_tol,
-                        atol=config.abs_tol, dense_output=ts is not None)
+                        atol=config.rel_tol, dense_output=held.any())
         if not sol.success:
             raise IntegrationError(
                 f"integrator stopped at t = {sol.t[-1]}: {sol.message}",
                 t_reached=float(sol.t[-1]))
         y = sol.y[:, -1]
-        if ts is not None:
-            sampled.append(sol.sol(ts) if ts.size else sol.y[:, :0])
-    return y, None if t_eval is None else np.concatenate(sampled, axis=1)
+        if held.any():
+            sampled[:, held] = sol.sol(t_eval[held])
+    return y, sampled
 
 
 def _amplitude_fun(potential, E):
@@ -292,8 +294,8 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     _CHART_PIECES pieces of `_span_points` over [a, b], cut again at c and
     the breakpoints.  On a piecewise-constant family every piece is taken
     in closed form instead (`_plateau_flow`), at a cost linear in the batch
-    and in the pieces.  config is the SolveConfig; only its rel_tol and
-    abs_tol are read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
+    and in the pieces.  config is the SolveConfig; only its rel_tol is read.
+    Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
@@ -306,16 +308,29 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                  for start, s0 in ((left_starts, a), (right_starts, b)))
 
 
-def integrate_angle_sampled(problem: ProblemSpec, E: float,
-                            alpha_start: float, a: float, b: float,
+def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
+                            right_start, a: float, c: float, b: float,
                             config, t_eval):
     """(t, alpha, log_rho) at exactly the points of t_eval, sorted.
 
-    t_eval must lie inside [a, b]; log_rho is 0 at a.
+    The arguments are those of `integrate_angles`, for one energy.  Each
+    half runs from its own cue toward c and samples the points on its side
+    (c on the left), so each carries the solution that decays away from
+    its end.  The right half is joined to the left at c: its log_rho moves
+    to the left's value there and its alpha by the multiple of pi nearest
+    alpha_L(c) - alpha_R(c).  t_eval must lie inside [a, b]; log_rho is 0
+    at a.
     """
     potential = problem.effective_potential()
+    fun = _amplitude_fun(potential, E)
     ts = np.sort(np.asarray(t_eval, dtype=float))
-    _, ys = _integrate_vector(_amplitude_fun(potential, E), a, b,
-                              [alpha_start, 0.0], config,
-                              potential.breakpoints(), t_eval=ts)
+    left = ts <= c
+    (end_l, ys_l), (end_r, ys_r) = (
+        _integrate_vector(fun, s0, c, [start, 0.0], config,
+                          potential.breakpoints(), t_eval=ts[side])
+        for start, s0, side in ((left_start, a, left),
+                                (right_start, b, ~left)))
+    shift = end_l - end_r
+    shift[0] = math.pi * np.round(shift[0] / math.pi)
+    ys = np.concatenate([ys_l, ys_r + shift[:, None]], axis=1)
     return ts, ys[0], ys[1]

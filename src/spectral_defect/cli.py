@@ -8,8 +8,6 @@ delimiter and '.' decimal point regardless of locale.
 
 import argparse
 import configparser
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -27,7 +25,7 @@ _FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
              "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
 _SECTIONS = ("potential", "domain", "tolerances", "solve")
 # the command-line flags that override [tolerances] keys of the same name
-_TOLERANCE_FLAGS = ("e_tol", "rel_tol", "abs_tol", "residual_tol")
+_TOLERANCE_FLAGS = ("e_tol", "rel_tol", "residual_tol")
 # verify fails a level whose |E_angular - E_fd| exceeds
 # max(_FD_ERR_FACTOR * fd_err, _FD_DIFF_FLOOR)
 _FD_ERR_FACTOR = 10.0
@@ -35,6 +33,9 @@ _FD_DIFF_FLOOR = 1e-9
 # and one whose transfer mismatch changes sign on no E -+ d with
 # _TRANSFER_BOUND <= d <= max(_TRANSFER_BOUND, 10 e_tol)
 _TRANSFER_BOUND = 1e-9
+# the largest count a key takes: sample and grid counts beyond it would not
+# fit in memory
+_MAX_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,12 @@ def _number_list(raw):
 
 
 def _integer(minimum):
-    """Cast to an int no smaller than minimum; fractions are rejected."""
+    """Cast to an int from minimum to _MAX_COUNT; fractions are rejected."""
     def cast(raw):
         value = _number(raw)
-        if value != int(value) or value < minimum:
-            raise ValueError(f"must be an integer of at least {minimum}")
+        if value != int(value) or not minimum <= value <= _MAX_COUNT:
+            raise ValueError(f"must be an integer from {minimum} to "
+                             f"{_MAX_COUNT}")
         return int(value)
     return cast
 
@@ -148,7 +150,6 @@ def _build_potential(section):
 
 
 _SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
-               "abs_tol": ("abs_tol", _number),
                "e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
                "kappa": ("kappa", _number),
@@ -254,32 +255,23 @@ def _emit(lines, path):
         sys.stdout.write(text)
 
 
-def _write_csv(path, header, rows):
-    out = io.StringIO() if path is None else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) if isinstance(x, float) else x
-                             for x in row])
-        if path is None:
-            sys.stdout.write(out.getvalue())
-    finally:
-        out.close()
+def _csv(header, rows):
+    """CSV lines for `_emit`: the header, then one line of numbers per row."""
+    return [header] + [",".join(map(_fmt, row)) for row in rows]
 
 
 def _cmd_solve(run):
     result = _solve(run)
     rows = [(ev.n, ev.energy, ev.width) for ev in result.eigenvalues]
     if run.fmt == "csv":
-        _write_csv(run.output, ["n", "energy", "width"], rows)
+        _emit(_csv("n,energy,width", rows), run.output)
     else:
         lines = [f"{'n':>4}  {'E_n':>18}  {'width':>14}"]
         lines += [f"{n:>4}  {_fmt(e):>18}  {_fmt(w):>14}" for n, e, w in rows]
         _emit(lines, run.output)
     if run.scan_out:
-        _write_csv(run.scan_out, ["energy", "gamma"],
-                   [(s.E, s.gamma) for s in result.scan])
+        _emit(_csv("energy,gamma", [(s.E, s.gamma) for s in result.scan]),
+              run.scan_out)
     return 0
 
 
@@ -288,7 +280,7 @@ def _cmd_scan(run):
                            _require_param(run, "emax"),
                            run.params.get("samples", 128))
     sams = spectrum.defect_angles(run.problem, energies, run.config)
-    _write_csv(run.output, ["energy", "gamma"], [(s.E, s.gamma) for s in sams])
+    _emit(_csv("energy,gamma", [(s.E, s.gamma) for s in sams]), run.output)
     return 0
 
 
@@ -312,7 +304,7 @@ def _cmd_eigenfunction(run):
                        run.params.get("grid_points", 2001))
     ef = spectrum.reconstruct_eigenfunction(result.problem, match[0].energy,
                                             grid, run.config)
-    _write_csv(run.output, ["t", "psi"], list(zip(ef.t, ef.psi)))
+    _emit(_csv("t,psi", zip(ef.t, ef.psi)), run.output)
     return 0
 
 

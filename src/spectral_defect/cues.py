@@ -382,18 +382,14 @@ def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
 
 
 def _constant_cue(E, d, n_terms):
-    k = _decay_rate(E)
+    if not E < 0:
+        raise ThresholdError("decaying tail cue needs E < 0")
+    k = math.sqrt(-2.0 * E)
     return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
 
 
 def _pole_cue(l, c, n_terms):
     return CueSeries(l + 1.0, -1, _pole_leading_series(l, c, n_terms))
-
-
-def _decay_rate(E):
-    if not E < 0:
-        raise ThresholdError("decaying tail cue needs E < 0")
-    return math.sqrt(-2.0 * E)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .potentials import ProblemSpec
 from .spectrum import SolveConfig, auto_interval
 
 _RESCALE_LIMIT = 1e120
+_ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
 
 
 def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
-                        config: SolveConfig = None,
-                        xtol: float = 1e-12) -> float:
+                        config: SolveConfig = None) -> float:
     """Root of the transfer mismatch inside a bracket around one level.
 
     The mismatch also changes sign where it wraps from pi/2 to -pi/2;
@@ -117,7 +117,7 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     if f_lo * f_hi > 0:
         raise DomainError(
             f"mismatch does not change sign on [{E_lo}, {E_hi}]")
-    root = brentq(f, E_lo, E_hi, xtol=xtol)
+    root = brentq(f, E_lo, E_hi, xtol=_ROOT_XTOL)
     if abs(f(root)) > math.pi / 4:
         raise DomainError(
             f"the mismatch wraps past pi/2 on [{E_lo}, {E_hi}] instead of "
@@ -135,10 +135,6 @@ class FdResult:
 
     energies: np.ndarray
     errors: np.ndarray
-    interval: Tuple[float, float]
-
-    def __iter__(self):
-        return iter(self.energies)
 
     def __len__(self):
         return len(self.energies)
@@ -198,8 +194,7 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
     extrap = (4.0 * fine - coarse) / 3.0
     errors = np.abs(fine - coarse) / 3.0
     keep = extrap < E_ceiling
-    return FdResult(energies=extrap[keep], errors=errors[keep],
-                    interval=(a, b))
+    return FdResult(energies=extrap[keep], errors=errors[keep])
 
 
 def fd_interval(problem: ProblemSpec, E: float,

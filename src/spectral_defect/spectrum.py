@@ -42,6 +42,8 @@ _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
 _SPLIT = 8                  # pieces each bracket is cut into per pass
 _MATCH_GRID = 4001          # points on which the matching point is sought
 _NODE_FLOOR = 1e-6          # |psi| under this share of its peak: no node
+_MAX_LEVELS = 10**5         # levels one solve resolves: each takes
+                            # _SPLIT + 2 samples per pass
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,13 @@ class SolveConfig:
     """Integrator tolerances and the knobs of the spectrum and oracle."""
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
     e_tol: float = 1e-10
     residual_tol: float = 1e-10
     kappa: float = 1e-3
     scan_samples: int = 64
 
     def __post_init__(self):
-        if not all(tol > 0 for tol in (self.rel_tol, self.abs_tol, self.e_tol,
+        if not all(tol > 0 for tol in (self.rel_tol, self.e_tol,
                                        self.residual_tol, self.kappa)):
             raise ValueError("tolerances must be positive")
         if self.scan_samples < 2:
@@ -159,14 +160,30 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
     return float(grid[np.argmin(v)])
 
 
-def _defects_at(problem, energies, config, interval, c):
-    """Gamma at the matching point c for each energy, one pass.
+def defect_angles(problem: ProblemSpec, energies: Sequence[float],
+                  config: SolveConfig = None,
+                  interval: Optional[Tuple[float, float]] = None,
+                  c: Optional[float] = None) -> List[DefectSample]:
+    """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
 
-    Gamma increases with E only when each half starts on its decaying
-    branch: psi'/psi > 0 at a and < 0 at b.  A cue on the growing branch
-    (a flipped sign) can leave Gamma_c monotone and the levels wrong, so
-    its start angle is checked before the pass.
+    c defaults to the interval's matching point (`_matching_point`); a
+    solve finds it once and passes it to every pass.  Gamma increases with
+    E only when each half starts on its decaying branch: psi'/psi > 0 at a
+    and < 0 at b.  A cue on the growing branch (a flipped sign) can leave
+    Gamma_c monotone and the levels wrong, so its start angle is checked
+    before the pass.
     """
+    config = config or SolveConfig()
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    threshold = problem.threshold()
+    if not np.all(energies < threshold):
+        raise ThresholdError(
+            f"energies must lie below the tail threshold {threshold}")
+    if interval is None:
+        interval = auto_interval(problem, float(energies.min()),
+                                 float(energies.max()), config)
+    if c is None:
+        c = _matching_point(problem, interval)
     a, b = interval
     lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
     rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
@@ -182,39 +199,10 @@ def _defects_at(problem, energies, config, interval, c):
             for E, l, r in zip(energies, alpha_l, alpha_r)]
 
 
-def defect_angles(problem: ProblemSpec, energies: Sequence[float],
-                  config: SolveConfig = None,
-                  interval: Optional[Tuple[float, float]] = None,
-                  c: Optional[float] = None) -> List[DefectSample]:
-    """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
-
-    c defaults to the interval's matching point (`_matching_point`); a
-    solve finds it once and passes it to every pass.
-    """
-    config = config or SolveConfig()
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    threshold = problem.threshold()
-    if not np.all(energies < threshold):
-        raise ThresholdError(
-            f"energies must lie below the tail threshold {threshold}")
-    if interval is None:
-        interval = auto_interval(problem, float(energies.min()),
-                                 float(energies.max()), config)
-    if c is None:
-        c = _matching_point(problem, interval)
-    return _defects_at(problem, energies, config, interval, c)
-
-
-def defect_angle(problem: ProblemSpec, E: float,
-                 config: SolveConfig = None) -> DefectSample:
-    """Gamma(E) at the matching point of the resolved interval."""
-    return defect_angles(problem, [E], config)[0]
-
-
 def count_levels(problem: ProblemSpec, E_ceiling: float,
                  config: SolveConfig = None) -> int:
     """Number of eigenvalues at or below E_ceiling."""
-    return defect_angle(problem, E_ceiling, config).n_below
+    return defect_angles(problem, [E_ceiling], config)[0].n_below
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +316,10 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = dict(zip(Es, sample_fn(Es)))
+    count = samples[Es[-1]].n_below - samples[Es[0]].n_below
+    if count > _MAX_LEVELS:
+        raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more than "
+                          f"the {_MAX_LEVELS} one solve resolves")
     while True:
         keys = sorted(samples)
         inner = set()
@@ -418,8 +410,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                               ) -> EigenfunctionSamples:
     """psi = rho cos(alpha) on the grid, normalized by the trapezoid rule.
 
-    E_n should be an accepted eigenvalue; the node count of psi then equals
-    its branch index.
+    Both cues run toward the matching point c (`_matching_point`), where the
+    halves are joined (`integrate_angle_sampled`), so psi decays toward
+    both ends.  E_n should be an accepted eigenvalue; the node count of psi
+    then equals its branch index.
     """
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
@@ -428,9 +422,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                                              config)
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
-    alpha_a = cues.left_boundary_angle(problem, E_n, a)
-    t_s, alpha_s, log_s = integrate_angle_sampled(problem, E_n, alpha_a, a,
-                                                  b, config, t_eval=grid)
+    t_s, alpha_s, log_s = integrate_angle_sampled(
+        problem, E_n, cues.left_boundary_angle(problem, E_n, a),
+        cues.right_boundary_angle(problem, E_n, b), a,
+        _matching_point(problem, (a, b)), b, config, t_eval=grid)
     log_shift = log_s - np.max(log_s)
     psi = np.exp(log_shift) * np.cos(alpha_s)
     norm = math.sqrt(trapezoid(psi * psi, t_s))

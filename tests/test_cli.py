@@ -152,6 +152,40 @@ def test_count_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_scan_writes_the_requested_rows(tmp_path, capsys):
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG + "samples = 40\n")
+    assert cli.main(["scan", str(cfg)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    gammas = [float(row["gamma"]) for row in rows]
+    assert len(gammas) == 40
+    assert all(g2 >= g1 for g1, g2 in zip(gammas, gammas[1:]))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_eigenfunction_has_n_nodes(tmp_path, capsys, n):
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG + f"n = {n}\n")
+    assert cli.main(["eigenfunction", str(cfg)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    psi = np.array([float(row["psi"]) for row in rows])
+    signs = np.sign(psi[np.abs(psi) > 1e-6 * np.max(np.abs(psi))])
+    assert len(psi) == 2001
+    assert np.sum(signs[1:] * signs[:-1] < 0) == n
+
+
+def test_solve_table_matches_the_csv(tmp_path, capsys):
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG)
+    assert cli.main(["solve", str(cfg)]) == 0
+    table = [line.split() for line in
+             capsys.readouterr().out.splitlines()[1:]]
+    assert cli.main(["solve", str(cfg), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(n, e) for n, e, _ in table] == \
+        [(row["n"], row["energy"]) for row in rows] != []
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     code = cli.main(["solve", str(tmp_path / "nope.ini")])
     assert code == 2
@@ -379,6 +413,46 @@ def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
     assert rows[0][2] <= 1e-6
 
 
+YUKAWA_CONFIG = """
+[potential]
+family = yukawa
+lambda = 0.05
+
+[domain]
+kind = halfline
+l = 1
+
+[solve]
+emin = -0.12
+emax = -0.01
+"""
+
+# 61 samples of min(t^2 / 2, 4.5) on [-3, 3]: constant tails at 4.5
+TABULATED_WELL_CONFIG = """
+[potential]
+family = tabulated
+file = {dir}/well.csv
+
+[solve]
+emin = 0.01
+emax = 4.4
+"""
+
+
+@pytest.mark.parametrize("text", [YUKAWA_CONFIG, TABULATED_WELL_CONFIG],
+                         ids=["yukawa", "tabulated"])
+def test_verify_passes(tmp_path, capsys, text):
+    # the table file is written for both; only the tabulated run reads it
+    t = np.linspace(-3.0, 3.0, 61)
+    np.savetxt(tmp_path / "well.csv",
+               np.column_stack([t, np.minimum(0.5 * t * t, 4.5)]),
+               delimiter=",")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("{dir}", str(tmp_path)))
+    assert cli.main(["verify", str(cfg)]) == 0
+    assert _verify_rows(capsys.readouterr().out)
+
+
 TABULATED_CONFIG = """
 [potential]
 family = tabulated
@@ -452,6 +526,16 @@ _BAD_VALUES = [
     (OSC_CONFIG + "\n[tolerance]\ne_tol = abc\n", "[tolerance]", "solve", ""),
     (COULOMB_CONFIG.replace("l = 0", "l = 0\neref = tail"), "eref", "solve",
      ""),
+    # counts past cli._MAX_COUNT would not fit in memory
+    (OSC_CONFIG + "samples = 1e20\n", "'samples'", "scan", ""),
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 1e20\n", "'samples'", "solve",
+     ""),
+    (OSC_CONFIG + "grid = 1e20\n", "'grid'", "verify", ""),
+    (OSC_CONFIG + "n = 0\ngrid_points = 1e20\n", "'grid_points'",
+     "eigenfunction", ""),
+    # a removed key: rel_tol sets both integrator tolerances
+    (OSC_CONFIG + "\n[tolerances]\nabs_tol = 1e-12\n", "'abs_tol'", "solve",
+     ""),
 ]
 
 
@@ -488,6 +572,13 @@ _ONE_LINE_FAILURES = [
     (OSC_CONFIG, "scan {cfg} --format table", 2),
     (OSC_CONFIG, "count {cfg} --bogus", 2),
     (OSC_CONFIG, "solve", 2),
+    (OSC_CONFIG, "solve {cfg} --abs-tol 1e-12", 2),
+    # windows of ~1e148 and ~1e300 levels, past spectrum._MAX_LEVELS
+    ("[potential]\nfamily = piecewise\nbreakpoints = -1 1\n"
+     "values = 0 -1e300 0\n[solve]\nemin = -1e299\nemax = -0.1\n",
+     "solve {cfg}", 1),
+    ("[potential]\nfamily = square_well\ndepth = -2\nleft = -1e300\n"
+     "right = 1e300\n[solve]\nemin = -1.9\nemax = -0.1\n", "solve {cfg}", 1),
 ]
 
 
@@ -527,15 +618,13 @@ _KNOWN_KEYS = {
     "domain": ("kind", "l", "a", "b", "eref"),
     "solve": ("emin", "emax", "ceiling", "n", "samples", "grid", "grid_min",
               "grid_max", "grid_points"),
-    "tolerances": ("rel_tol", "abs_tol", "e_tol", "residual_tol", "kappa",
-                   "samples"),
+    "tolerances": ("rel_tol", "e_tol", "residual_tol", "kappa", "samples"),
 }
 _ENTRIES = [(section, key) for section, keys in _KNOWN_KEYS.items()
             for key in keys]
-# what --e-tol, --rel-tol, --abs-tol, --residual-tol and --interval set
+# what --e-tol, --rel-tol, --residual-tol and --interval set
 _FLAGS = [[("tolerances", "e_tol")], [("tolerances", "rel_tol")],
-          [("tolerances", "abs_tol")], [("tolerances", "residual_tol")],
-          [("domain", "a"), ("domain", "b")]]
+          [("tolerances", "residual_tol")], [("domain", "a"), ("domain", "b")]]
 _NUMBERS = st.one_of(
     st.floats(0, 10).map(repr), st.floats(-10, 0).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

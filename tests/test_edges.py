@@ -1,5 +1,5 @@
-"""The level-count guarantee at its edges: doublets, the tail threshold and
-a misconfigured cue."""
+"""The level-count guarantee at its edges: doublets, the tail threshold, a
+misconfigured cue and a well 72 levels deep."""
 
 import time
 
@@ -67,3 +67,13 @@ def test_a_flipped_cue_breaks_monotonicity(monkeypatch, potential, window,
                         -boundary_angle(problem, E, t))
     with pytest.raises(MonotonicityError, match=f"decays to the {side}"):
         sd.find_eigenvalues(problem, *window)
+
+
+def test_deep_truncated_oscillator_holds_every_level():
+    # the tail level 72 caps a well 72 levels deep; below the cutoff at
+    # |t| = 12 the bottom levels are those of the full oscillator
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 12.0))
+    result = sd.find_eigenvalues(problem, 0.0, 71.99)
+    assert [ev.n for ev in result.eigenvalues] == list(range(72))
+    for ev in result.eigenvalues[:10]:
+        assert abs(ev.energy - (ev.n + 0.5)) <= 1e-10

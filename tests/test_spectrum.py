@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
+from scipy.special import eval_genlaguerre
 
 import spectral_defect as sd
 from spectral_defect import cues, oracle, spectrum
@@ -120,7 +122,7 @@ def test_level_count_does_not_depend_on_the_matching_point(well, where):
     energies = np.linspace(e_min, e_max, 16)
     counts = []
     for c in (a, b, a + where * (b - a)):
-        samples = spectrum._defects_at(problem, energies, config, interval, c)
+        samples = sd.defect_angles(problem, energies, config, interval, c)
         gammas = [s.gamma for s in samples]
         assert min(np.diff(gammas)) >= -spectrum._MONOTONE_JITTER
         counts.append([s.n_below for s in samples])
@@ -136,7 +138,7 @@ def test_level_count_does_not_depend_on_the_matching_point(well, where):
 
 def test_defect_angle_negative_below_ground():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
-    sample = sd.defect_angle(problem, -1.9)
+    sample = sd.defect_angles(problem, [-1.9])[0]
     assert sample.gamma < 0.0
     assert sample.n_below == 0
 
@@ -211,7 +213,7 @@ def test_failed_radial_left_search_stops_at_the_floor(monkeypatch):
 def test_threshold_guard():
     problem = sd.problem_for(sd.Coulomb())
     with pytest.raises(ThresholdError):
-        sd.defect_angle(problem, 0.5)
+        sd.defect_angles(problem, [0.5])
     with pytest.raises(ThresholdError):
         sd.auto_interval(problem, -0.5, 0.1, sd.SolveConfig())
 
@@ -277,14 +279,39 @@ def test_scaled_pipeline_needs_energies_below_the_tails():
         sd.find_eigenvalues_scaled(problem, -1.5, 0.5)
 
 
-def test_eigenfunction_nodes_match_branch_index():
-    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
-    result = sd.find_eigenvalues(problem, 1e-6, 4.0)
+def _hydrogen_function(n, t):
+    """The closed-form l = 0 radial function u_n(t), unnormalized."""
+    rho = 2.0 * t / (n + 1)
+    return rho * np.exp(-rho / 2.0) * eval_genlaguerre(n, 1, rho)
+
+
+@pytest.mark.parametrize("potential, l, E_min, E_max, levels", [
+    (sd.TruncatedOscillator(1.0, 4.0), None, 1e-6, 4.0, 4),
+    (sd.Coulomb(), 0, -0.6, -0.05, 3),
+    (sd.Yukawa(0.05), 1, -0.12, -0.01, 2),
+], ids=["oscillator", "hydrogen", "yukawa"])
+def test_eigenfunction_nodes_match_branch_index(potential, l, E_min, E_max,
+                                                levels):
+    # past the last turning point a sweep from a alone picks up the
+    # solution that grows toward b: hydrogen n = 0 (interval (0.01, 32.14))
+    # then had a node and psi(b) at its peak, and both Yukawa levels
+    # (interval (0.01, 362.4)) peaked at b
+    result = sd.find_eigenvalues(sd.problem_for(potential, l=l), E_min, E_max)
+    assert len(result.eigenvalues) >= levels
     a, b = result.problem.interval
     grid = np.linspace(a, b, 1500)
-    for ev in result.eigenvalues[:4]:
+    for ev in result.eigenvalues[:levels]:
         ef = sd.reconstruct_eigenfunction(result.problem, ev.energy, grid)
         assert ef.node_count() == ev.n
+        if isinstance(potential, sd.Coulomb):
+            exact = _hydrogen_function(ev.n, ef.t)
+            exact /= math.sqrt(trapezoid(exact * exact, ef.t))
+            assert np.max(np.abs(ef.psi - exact)) <= 1e-8
+        elif isinstance(potential, sd.Yukawa):
+            # no closed form; b = 362.4 lies deep in both tails (the exact
+            # hydrogen n = 1, 2 functions are 8e-5 and 5e-2 of their peak at
+            # b = 32.14, the oscillator's b is its support edge)
+            assert abs(ef.psi[-1]) <= 1e-6 * np.max(np.abs(ef.psi))
 
 
 def test_eigenfunction_is_normalized():
@@ -294,7 +321,6 @@ def test_eigenfunction_is_normalized():
     grid = np.linspace(a, b, 2000)
     ef = sd.reconstruct_eigenfunction(result.problem,
                                       result.eigenvalues[0].energy, grid)
-    from scipy.integrate import trapezoid
     assert trapezoid(ef.psi**2, ef.t) == pytest.approx(1.0, abs=1e-6)
     assert ef.psi[np.argmax(np.abs(ef.psi))] > 0
 
