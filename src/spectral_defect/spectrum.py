@@ -12,16 +12,16 @@ solutions n pi apart at one t stay so at every t: n_below does not depend
 on c, and c only sets how smooth Gamma is.  Measured at b, Gamma is a near
 step of height pi at each level; at an interior c it is smooth.
 
-A solve keeps every Gamma sample and, pass by pass, cuts each adjacent
-pair across which n_below rises by k into _SPLIT * k pieces: a batched pass
-costs nearly the same at 10 energies as at 150, so 8 pieces gain 3 bits
-per level for the price of 1.  In the same pass every level of such a pair
-gets one root step: inverse interpolation of E(Gamma) through the nearest
-samples, with two points placed on either side of the estimate at about
-twice its error.  Gamma is smooth, so the step usually brackets the level
-to e_tol within a few passes; the cuts guarantee progress where it does
-not (doublets, a step-shaped Gamma).  Every bracket is an adjacent pair of
-samples.
+A solve builds the mesh of every pass once, next to c, from V alone
+(`angular.pass_mesh`), so a pass costs in proportion to its energies.  It
+keeps every Gamma sample and, pass by pass, cuts each adjacent pair across
+which n_below rises by k into _SPLIT * k pieces, 3 bits per level per
+pass.  In the same pass every level of such a pair gets one root step:
+inverse interpolation of E(Gamma) through the nearest samples, with two
+points placed on either side of the estimate at about twice its error.
+Gamma is smooth, so the step usually brackets the level to e_tol within a
+few passes; the cuts guarantee progress where it does not (doublets, a
+step-shaped Gamma).  Every bracket is an adjacent pair of samples.
 """
 
 import math
@@ -33,13 +33,16 @@ from scipy.integrate import trapezoid
 
 from . import cues
 from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
-                      integrate_angle_sampled, integrate_angles)
+                      integrate_angle_sampled, integrate_angles, pass_mesh)
 from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
                      ThresholdError)
 from .potentials import ProblemSpec
 
 _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
-_SPLIT = 8                  # pieces each bracket is cut into per pass
+_SPLIT = 8                  # pieces each bracket is cut into per pass;
+                            # set when a pass cost nearly the same at 10
+                            # energies as at 150, which the Magnus passes
+                            # do not (ROADMAP item 5)
 _MATCH_GRID = 4001          # points on which the matching point is sought
 _NODE_FLOOR = 1e-6          # |psi| under this share of its peak: no node
 _MAX_LEVELS = 10**5         # levels one solve resolves: each takes
@@ -160,18 +163,35 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
     return float(grid[np.argmin(v)])
 
 
+def _cue_angles(problem: ProblemSpec, energies, a: float, b: float):
+    """The start angles (lefts, rights) of both halves at the energies.
+
+    Gamma increases with E only when each half starts on its decaying
+    branch: psi'/psi > 0 at a and < 0 at b.  A cue on the growing branch
+    (a flipped sign) can leave Gamma_c monotone and the levels wrong, so
+    every start angle is checked here.
+    """
+    lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
+    rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
+    for side, angles, sign in (("left", lefts, 1.0), ("right", rights, -1.0)):
+        wrong = [E for E, al in zip(energies, angles) if not sign * al > 0]
+        if wrong:
+            raise MonotonicityError(
+                f"the {side} cue at E = {wrong[0]} is not on the branch "
+                f"that decays to the {side}; a cue is misconfigured")
+    return lefts, rights
+
+
 def defect_angles(problem: ProblemSpec, energies: Sequence[float],
                   config: SolveConfig = None,
                   interval: Optional[Tuple[float, float]] = None,
-                  c: Optional[float] = None) -> List[DefectSample]:
+                  c: Optional[float] = None, mesh=None) -> List[DefectSample]:
     """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
 
-    c defaults to the interval's matching point (`_matching_point`); a
-    solve finds it once and passes it to every pass.  Gamma increases with
-    E only when each half starts on its decaying branch: psi'/psi > 0 at a
-    and < 0 at b.  A cue on the growing branch (a flipped sign) can leave
-    Gamma_c monotone and the levels wrong, so its start angle is checked
-    before the pass.
+    c defaults to the interval's matching point (`_matching_point`) and
+    mesh to one built for the batch (`angular.pass_mesh`); a solve makes
+    both once and passes them to every pass.  Each cue's start angle is
+    checked to lie on its decaying branch (`_cue_angles`).
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -185,16 +205,9 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     if c is None:
         c = _matching_point(problem, interval)
     a, b = interval
-    lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
-    rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
-    for side, angles, sign in (("left", lefts, 1.0), ("right", rights, -1.0)):
-        wrong = [E for E, al in zip(energies, angles) if not sign * al > 0]
-        if wrong:
-            raise MonotonicityError(
-                f"the {side} cue at E = {wrong[0]} is not on the branch "
-                f"that decays to the {side}; a cue is misconfigured")
+    lefts, rights = _cue_angles(problem, energies, a, b)
     alpha_l, alpha_r = integrate_angles(problem, energies, lefts, rights, a,
-                                        c, b, config)
+                                        c, b, config, mesh)
     return [DefectSample(E=float(E), gamma=float(r - l))
             for E, l, r in zip(energies, alpha_l, alpha_r)]
 
@@ -209,10 +222,10 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # Root finding on Gamma(E) = n pi (and the scaled variant)
 # ---------------------------------------------------------------------------
 
-def _scaled_sampler(problem, config, interval):
+def _scaled_sampler(problem, config, interval, E_min, E_max):
     """Gamma at b, integrated in one squeezing-adapted chart over [a, b].
 
-    Requires equal constant tails at a level v0 and every E below it.  The
+    Requires equal constant tails at a level v0 and E_max below it.  The
     chart is `_chart_fun`'s with S = k = sqrt(2 (v0 - E)), in which the
     free flow holds the two exponential directions at +-pi/4: the left
     angle starts at pi/4 and runs to b without a cut, independent of the
@@ -224,13 +237,13 @@ def _scaled_sampler(problem, config, interval):
                                      error)
     if right != v0:
         raise error
+    if not E_max < v0:
+        raise DomainError("the scaled chart needs every E below the tails")
     potential = problem.effective_potential()
     a, b = interval
 
     def sample(energies):
         energies = np.asarray(energies, dtype=float)
-        if not np.all(energies < v0):
-            raise DomainError("the scaled chart needs every E below the tails")
         k = np.sqrt(2.0 * (v0 - energies))
         starts = np.full(energies.shape, math.pi / 4.0)
         theta, _ = _integrate_vector(_chart_fun(potential, energies, k), a, b,
@@ -242,11 +255,16 @@ def _scaled_sampler(problem, config, interval):
     return sample
 
 
-def _matched_sampler(problem, config, interval):
-    """Gamma_c batches through defect_angles, c found once per solve."""
+def _matched_sampler(problem, config, interval, E_min, E_max):
+    """Gamma_c batches through defect_angles, with c and the mesh of every
+    pass made once per solve, the mesh at the energy extremes."""
     c = _matching_point(problem, interval)
+    a, b = interval
+    ends = [E_min, E_max]
+    mesh = pass_mesh(problem, ends, *_cue_angles(problem, ends, a, b), a, c,
+                     b, config)
     return lambda energies: defect_angles(problem, energies, config, interval,
-                                          c)
+                                          c, mesh)
 
 
 def _inverse_root(energies, gammas, target):
@@ -357,15 +375,16 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
 def _solve(problem, E_min, E_max, config, sampler):
     """Scan and split on one interval, resolved at the energy extremes.
 
-    sampler(problem, config, interval) returns the function that maps a
-    batch of energies to their DefectSamples.
+    sampler(problem, config, interval, E_min, E_max) returns the function
+    that maps a batch of energies in [E_min, E_max] to their DefectSamples.
     """
     config = config or SolveConfig()
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     interval = auto_interval(problem, E_min, E_max, config)
-    eigenvalues, scan = _scan_and_split(sampler(problem, config, interval),
-                                        E_min, E_max, config)
+    eigenvalues, scan = _scan_and_split(
+        sampler(problem, config, interval, E_min, E_max), E_min, E_max,
+        config)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(*interval),
                           config=config)
@@ -376,11 +395,11 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     """All eigenvalues in [E_min, E_max], bracketed via the monotone defect.
 
     The interval is resolved once per run at the energy extremes; every
-    Gamma sample shares it and its matching point c, and result.scan holds
-    them all.  Gamma = alpha_R(c) - alpha_L(c).  Each pass cuts every
-    bracket _SPLIT ways per level it holds and adds one inverse-interpolation
-    root step per level (`_root_points`).  Level n's bracket is an adjacent
-    pair of samples
+    Gamma sample shares it, its matching point c and the mesh of the
+    passes, and result.scan holds them all.  Gamma = alpha_R(c) -
+    alpha_L(c).  Each pass cuts every bracket _SPLIT ways per level it
+    holds and adds one inverse-interpolation root step per level
+    (`_root_points`).  Level n's bracket is an adjacent pair of samples
     whose n_below steps past n, at most config.e_tol wide unless float
     resolution stops the splitting first.
     """

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
-from spectral_defect.angular import (_amplitude_fun, _chart_fun,
-                                     _integrate_vector, _rechart,
+from scipy.linalg import expm
+
+from spectral_defect.angular import (_amplitude_fun, _chart_fun, _compose,
+                                     _integrate_vector, _leaves, _lift,
+                                     _magnus, _product, _rechart, _steps,
                                      integrate_angle_sampled,
-                                     integrate_angles)
+                                     integrate_angles, pass_mesh)
 from spectral_defect.potentials import Shifted
 
 
@@ -224,13 +227,17 @@ def test_transfer_root_rhs_budget(monkeypatch):
     assert sum(nfev) <= 8000
 
 
-@pytest.mark.parametrize("well, e_min", [
-    (STEPS, -1.99), (sd.SquareWell(-4.0, -1.0, 1.0), -3.99)],
-    ids=["piecewise", "square"])
-def test_constant_pieces_make_no_ivp_call(monkeypatch, well, e_min):
+@pytest.mark.parametrize("problem, e_min, e_max", [
+    (sd.problem_for(STEPS), -1.99, -0.01),
+    (sd.problem_for(sd.SquareWell(-4.0, -1.0, 1.0)), -3.99, -0.01),
+    (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 8.0 - 2e-3),
+    (sd.problem_for(sd.QuarkHybrid(math.sqrt(5e-5))), -0.52, 0.05)],
+    ids=["piecewise", "square", "hydrogen-l1", "oscillator-a4", "quark"])
+def test_no_pass_makes_an_ivp_call(monkeypatch, problem, e_min, e_max):
+    # constant pieces go in closed form, every other family by Magnus steps
     nfev = _counting_ivp(monkeypatch)
-    result = sd.find_eigenvalues(sd.problem_for(well), e_min, -0.01)
-    assert result.eigenvalues
+    assert sd.find_eigenvalues(problem, e_min, e_max).eigenvalues
     assert nfev == []
 
 
@@ -289,7 +296,7 @@ def closed_gammas(problem, energies, interval, c):
         problem, energies, interval=interval, c=c)])
 
 
-def adaptive_gammas(problem, energies, interval, c):
+def adaptive_gammas(problem, energies, interval, c, config=sd.SolveConfig()):
     """Gamma_c by the adaptive flow on every piece: the reference."""
     potential = problem.effective_potential()
     fun = _chart_fun(potential, energies, 1.0)
@@ -297,7 +304,7 @@ def adaptive_gammas(problem, energies, interval, c):
     for boundary_angle, s0 in ((cues.left_boundary_angle, a),
                                (cues.right_boundary_angle, b)):
         starts = [boundary_angle(problem, E, s0) for E in energies]
-        y, _ = _integrate_vector(fun, s0, c, starts, sd.SolveConfig(),
+        y, _ = _integrate_vector(fun, s0, c, starts, config,
                                  potential.breakpoints())
         halves.append(y)
     return halves[1] - halves[0]
@@ -377,16 +384,173 @@ def test_rechart_keeps_the_branch_and_round_trips(scale):
                 alphas, rel=0.0, abs=1e-12 * max(1.0, abs(alpha)))
 
 
+# ---------------------------------------------------------------------------
+# Magnus steps and the lifted product
+# ---------------------------------------------------------------------------
+
+def _bcr_exponential(h, q):
+    """exp(Omega) of the Blanes-Casas-Ros approximant, by 2x2 matrices."""
+    def a(q):
+        return np.array([[0.0, 1.0], [q, 0.0]])
+
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    n = np.array([[0.0, 0.0], [1.0, 0.0]])
+    a1 = h * a(q[1])
+    a2 = math.sqrt(15.0) * h / 3.0 * (q[2] - q[0]) * n
+    a3 = 10.0 * h / 3.0 * (q[2] - 2.0 * q[1] + q[0]) * n
+    c1 = bracket(a1, a2)
+    omega = a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1,
+                                     a2 - bracket(a1, 2.0 * a3 + c1) / 60.0
+                                     ) / 240.0
+    return expm(omega)
+
+
+def _entries(m):
+    """The 2x2 map of one step and energy, scaled by its largest entry."""
+    m = np.reshape(m, (2, 2))
+    return m / np.abs(m).max()
+
+
+def test_magnus_map_is_the_exponential_of_the_approximant():
+    # closed form against matrix algebra and expm; backward is the inverse
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        h, E = rng.uniform(-1.5, 1.5), rng.uniform(-5.0, 5.0)
+        v = rng.uniform(-8.0, 8.0, 3)
+        got = _magnus(np.array([h]), v[None, :], np.array([E]))
+        want = _bcr_exponential(h, 2.0 * (v - E))
+        assert _entries(got) == pytest.approx(_entries(want), abs=1e-12)
+        back = _magnus(np.array([-h]), v[None, ::-1], np.array([E]))
+        assert _entries(np.linalg.inv(np.reshape(back, (2, 2)))) == \
+            pytest.approx(_entries(got), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [
+    [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]],
+    [[2.0, 1.0], [1.0, 1.0]],
+    [[1.0, 5.0], [0.0, 1.0]],
+    [[1e-3, 1.0], [-1.0, 1e-3]],
+    # a long forbidden step scaled by e^{-w}: det rounds to about 0
+    [[0.5, 0.5 / 3.0], [1.5, 0.5]]],
+    ids=["rotation", "hyperbolic", "shear", "near-half-turn", "singular"])
+def test_lift_keeps_the_branch_at_multiples_of_pi(m):
+    # f(k pi) = k pi + phi, and an ulp either side of k pi or of
+    # k pi + pi/2 (where the reading of x changes branch) stays there
+    m = np.array(m, dtype=float).ravel()
+    phi = math.atan2(m[2], m[0]) + 4.0 * math.pi
+    for k in range(-30, 31):
+        for x in (k * math.pi, k * math.pi + math.pi / 2):
+            xs = np.array([np.nextafter(x, -np.inf), x,
+                           np.nextafter(x, np.inf)])
+            fs = _lift(m, phi, xs)
+            assert np.ptp(fs) <= 1e-12 * max(1.0, abs(x))
+        assert _lift(m, phi, k * math.pi) == pytest.approx(
+            k * math.pi + phi, rel=0.0, abs=1e-12 * max(1.0, abs(k)))
+        assert _lift(m, phi, k * math.pi + 1.0) == pytest.approx(
+            _lift(m, phi, 1.0) + k * math.pi, rel=0.0,
+            abs=1e-12 * max(1.0, abs(k)))
+
+
+def test_tree_product_equals_the_left_to_right_fold():
+    # the left half of the 72-level well turns through some 36 pi at the
+    # top energies; 1,001 steps leave an odd step out of most rounds
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 12.0))
+    potential = problem.effective_potential()
+    energies = np.array([0.2, 30.0, 60.0, 71.5])
+    points = np.linspace(-14.0, 0.0, 1002)
+    m, phi = _leaves(_steps(potential, points[:-1], np.diff(points)),
+                     energies, potential)
+    tree_m, tree_phi = _product(m, phi)
+    fold = (m[:, 0], phi[0])
+    for j in range(1, len(phi)):
+        fold = _compose((m[:, j], phi[j]), fold)
+    assert np.array_equal(np.floor(tree_phi / math.pi),
+                          np.floor(fold[1] / math.pi))
+    assert np.all(np.abs(tree_phi - fold[1])
+                  <= 1e-12 * np.maximum(1.0, np.abs(fold[1])))
+    assert tree_phi.min() < -30.0 * math.pi
+    alphas = np.array([0.3, -1.2, 2.0, 0.0])
+    assert _lift(tree_m, tree_phi, alphas) == pytest.approx(
+        _lift(*fold, alphas), rel=0.0, abs=1e-10)
+
+
+def test_a_leaf_whose_correction_is_large_is_split():
+    # at E = 70 the plateau angle of the step [4, 7] of t^2 / 2 is about
+    # pi/2 off the Magnus map mod pi: corrected to it, the leaf would land
+    # a branch away from the flow; split, it keeps the flow's branch
+    well = sd.TruncatedOscillator(1.0, 12.0)
+    reads = []
+
+    class Recording:
+        def evaluate(self, t):
+            reads.append(np.size(t))
+            return well.evaluate(t)
+
+    energies = np.array([70.0])
+    step = _steps(well, np.array([4.0]), np.array([3.0]))
+    _, phi = _leaves(step, energies, Recording())
+    points = np.linspace(4.0, 7.0, 4001)
+    _, want = _product(*_leaves(_steps(well, points[:-1], np.diff(points)),
+                                energies, well))
+    assert reads
+    assert abs(phi[0, 0] - want[0]) < math.pi / 4
+
+
+def test_mesh_doubles_each_piece_to_its_own_count():
+    # the long constant tails converge at the first doubling; the kinks at
+    # +-4 cut the well into pieces of their own
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0),
+                             interval=(-1004.0, 1004.0))
+    energies = [1e-6, 7.998]
+    lefts, rights = spectrum._cue_angles(problem, energies, -1004.0, 1004.0)
+    left, right = pass_mesh(problem, energies, lefts, rights, -1004.0, 0.0,
+                            1004.0, sd.SolveConfig())
+    assert left.h.sum() == pytest.approx(1004.0)
+    assert right.h.sum() == pytest.approx(-1004.0)
+    tail = left.t < -4.0
+    assert tail.sum() == 32
+    assert (~tail).sum() > 32
+    assert pass_mesh(sd.problem_for(STEPS), energies, lefts, rights, -3.0,
+                     0.0, 3.0, sd.SolveConfig()) is None
+
+
+def test_a_rel_tol_below_the_rounding_stops_the_doubling():
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0),
+                             interval=(-3.0, 3.0))
+    energies = [0.5, 1.5]
+    lefts, rights = spectrum._cue_angles(problem, energies, -3.0, 3.0)
+    mesh = pass_mesh(problem, energies, lefts, rights, -3.0, 0.0, 3.0,
+                     sd.SolveConfig(rel_tol=1e-300))
+    # two pieces a half, each stopped at the cap
+    cap = angular._MAX_PIECE_STEPS
+    assert [steps.h.size for steps in mesh] == [2 * cap, 2 * cap]
+
+
 @st.composite
 def smooth_problems(draw):
-    """An oscillator or a Coulomb well with l <= 2, and energies below its
-    threshold that cover a few levels."""
-    kind = draw(st.sampled_from(["truncated", "hybrid", "coulomb"]))
+    """An oscillator, a Coulomb well with l <= 2 or a tabulated well, six
+    energies below its threshold that cover a few levels, and where to put
+    two more within 1e-8 of one of its levels."""
+    kind = draw(st.sampled_from(["truncated", "hybrid", "coulomb",
+                                 "tabulated"]))
+    near = (draw(st.floats(0.0, 1.0)),
+            draw(st.lists(st.floats(-1e-8, 1e-8), min_size=2, max_size=2)))
     if kind == "coulomb":
         charge, l = draw(st.floats(0.8, 2.0)), draw(st.integers(0, 2))
         top = -0.5 * charge**2 / (l + 1) ** 2
         return (sd.problem_for(sd.Coulomb(charge), l=l),
-                np.linspace(1.15 * top, 0.21 * top, 6))
+                np.linspace(1.15 * top, 0.21 * top, 6), near)
+    if kind == "tabulated":
+        # 3-12 samples of a well between zero tails
+        count, width = draw(st.integers(3, 12)), draw(st.floats(1.0, 4.0))
+        depths = draw(st.lists(st.floats(0.5, 4.0), min_size=count - 2,
+                               max_size=count - 2))
+        well = sd.Tabulated(tuple(np.linspace(-width, width, count)),
+                            (0.0, *(-d for d in depths), 0.0))
+        return (sd.problem_for(well),
+                np.linspace(-max(depths) + 0.02, -0.02, 6), near)
     if kind == "truncated":
         omega, cutoff = draw(st.floats(0.5, 2.0)), draw(st.floats(1.5, 4.0))
         well = sd.TruncatedOscillator(omega, cutoff)
@@ -395,14 +559,18 @@ def smooth_problems(draw):
         well = sd.HybridOscillator(draw(st.floats(0.5, 2.0)),
                                    draw(st.floats(0.5, 2.0)))
         ceiling = 6.0
-    return sd.problem_for(well), np.linspace(0.05, 0.95 * ceiling, 6)
+    return sd.problem_for(well), np.linspace(0.05, 0.95 * ceiling, 6), near
 
 
 @settings(max_examples=12, deadline=None, database=None)
 @given(case=smooth_problems())
-def test_chart_flow_matches_the_plain_flow(case):
-    problem, energies = case
-    interval = sd.auto_interval(problem, energies[0], energies[-1],
+def test_mesh_passes_match_the_plain_flow(case):
+    problem, energies, (where, offsets) = case
+    levels = sd.find_eigenvalues(problem, energies[0], energies[-1]).energies
+    if levels.size:
+        level = levels[min(int(where * levels.size), levels.size - 1)]
+        energies = np.concatenate([energies, level + np.array(offsets)])
+    interval = sd.auto_interval(problem, energies.min(), energies.max(),
                                 sd.SolveConfig())
     c = spectrum._matching_point(problem, interval)
     samples = sd.defect_angles(problem, energies, interval=interval, c=c)
@@ -416,13 +584,14 @@ def test_chart_flow_matches_the_plain_flow(case):
             assert got.n_below == want.n_below
 
 
-@pytest.mark.parametrize("problem, e_min, e_max, budget", [
-    (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01, 21_823),
-    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 8.0 - 2e-3,
-     8_686)], ids=["hydrogen-l1", "oscillator-a4"])
-def test_chart_solve_rhs_budget(monkeypatch, problem, e_min, e_max, budget):
-    # 1.05 x the RHS evaluations measured with the chart (plain angle:
-    # 30,700 and 22,600)
-    nfev = _counting_ivp(monkeypatch)
-    assert sd.find_eigenvalues(problem, e_min, e_max).eigenvalues
-    assert sum(nfev) <= budget
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+def test_hydrogen_passes_match_a_tight_plain_flow():
+    # the frozen scaled chart these passes replaced was 1.3e-11 off here
+    problem = sd.problem_for(sd.Coulomb())
+    energies = np.linspace(-0.6, -0.0045, 63)
+    interval = sd.auto_interval(problem, -0.6, -0.0045, sd.SolveConfig())
+    c = spectrum._matching_point(problem, interval)
+    want = adaptive_gammas(problem, energies, interval, c,
+                           sd.SolveConfig(rel_tol=1e-14))
+    got = closed_gammas(problem, energies, interval, c)
+    assert np.all(np.abs(got - want) <= 2e-12 * np.maximum(1.0, np.abs(want)))

@@ -1,8 +1,10 @@
 """The level-count guarantee at its edges: doublets, the tail threshold, a
-misconfigured cue and a well 72 levels deep."""
+misconfigured cue, a well 72 levels deep and tails 1,000 long."""
 
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 import spectral_defect as sd
@@ -77,3 +79,21 @@ def test_deep_truncated_oscillator_holds_every_level():
     assert [ev.n for ev in result.eigenvalues] == list(range(72))
     for ev in result.eigenvalues[:10]:
         assert abs(ev.energy - (ev.n + 0.5)) <= 1e-10
+
+
+def test_tails_a_thousand_long_solve_quietly_and_fast():
+    # each piece of the mesh doubles to its own step count, so the constant
+    # tails take few steps; a step count shared by all of [a, b] needed more
+    # than 2^15 and broke the scan
+    well = sd.TruncatedOscillator(1.0, 4.0)
+    auto = sd.find_eigenvalues(sd.problem_for(well), 1e-6, 7.998)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        wide = sd.find_eigenvalues(
+            sd.problem_for(well, interval=(-1004.0, 1004.0)), 1e-6, 7.998)
+        elapsed = time.perf_counter() - start
+    assert [ev.n for ev in wide.eigenvalues] == list(range(8))
+    assert np.allclose(wide.energies, auto.energies, rtol=0.0,
+                       atol=auto.config.e_tol)
+    assert elapsed < 1.0
