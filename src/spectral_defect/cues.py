@@ -30,6 +30,18 @@ _GROWTH = 1.5               # geometric interval growth factor
 # Series representation
 # ---------------------------------------------------------------------------
 
+def _scalar_or_array(x):
+    """A float for a single energy, the array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _ordered_sum(terms):
+    """Sum over the first axis, one term after another, so an energy's sum
+    is the same whatever batch it is in (np.sum's order depends on the
+    shape)."""
+    return np.add.accumulate(terms, axis=0)[-1] if len(terms) else 0.0
+
+
 @dataclass(frozen=True)
 class CueSeries:
     """Leading term plus correction series for a Riccati cue f(t).
@@ -39,46 +51,61 @@ class CueSeries:
     0+ singularities.  The series runs in 1/t (p_i = -(i+1)) for power >= 0
     and in t (p_i = i) for power -1.  It is asymptotic: evaluation
     truncates at the smallest surviving term, never past `coeffs`.
+
+    A series may hold a batch of energies: coeffs then has a trailing
+    energy axis, leading broadcasts against it, and each energy is
+    truncated at its own smallest term.  Evaluation returns a float for a
+    single energy and an array for a batch.
     """
 
-    leading: float
+    leading: Union[float, np.ndarray]
     power: int
-    coeffs: Tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) < 2:
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) < 2:
             raise ValueError("need at least two series coefficients")
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not np.all(np.isfinite(coeffs)):
             # extreme potential parameters overflow a series: not a code bug
             raise DomainError("series coefficients must be finite")
 
     def _powers(self):
+        """p_i, shaped to broadcast against coeffs."""
         index = np.arange(len(self.coeffs))
-        return -(index + 1) if self.power >= 0 else index
+        powers = -(index + 1) if self.power >= 0 else index
+        return powers.reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
 
-    def truncation_index(self, t: float) -> int:
+    def _truncated(self, t: float):
+        """(the terms of f at t, the mask of those kept, their count)."""
+        powers = self._powers()
+        terms = self.coeffs * float(t) ** powers
+        mags = np.abs(terms)
+        live = mags > 0
+        smallest = np.argmin(np.where(live, mags, np.inf), axis=0)
+        count = np.where(live.any(axis=0), smallest + 1, len(mags))
+        index = np.arange(len(mags)).reshape(powers.shape)
+        return terms, index < count, count
+
+    def truncation_index(self, t: float):
         """Number of terms kept at t by the smallest-term rule."""
-        mags = np.abs(np.asarray(self.coeffs) * float(t) ** self._powers())
-        live = np.nonzero(mags > 0)[0]
-        if live.size == 0:
-            return len(self.coeffs)
-        smallest = live[np.argmin(mags[live])]
-        return int(smallest) + 1
+        count = self._truncated(t)[2]
+        return int(count) if count.ndim == 0 else count
 
-    def evaluate(self, t: float) -> float:
+    def evaluate(self, t: float):
         """f(t), truncated by the smallest-term rule."""
-        m = self.truncation_index(t)
-        c = np.asarray(self.coeffs[:m])
-        tail = float(np.sum(c * float(t) ** self._powers()[:m]))
-        return self.leading * t ** self.power + tail
+        terms, kept, _ = self._truncated(t)
+        tail = _ordered_sum(np.where(kept, terms, 0.0))
+        return _scalar_or_array(self.leading * t ** self.power + tail)
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t: float):
         """f'(t), term-by-term, with the same truncation as evaluate."""
-        m = self.truncation_index(t)
-        powers = self._powers()[:m]
-        c = np.asarray(self.coeffs[:m])
-        tail = float(np.sum(c * powers * float(t) ** (powers - 1)))
-        return self.power * self.leading * t ** (self.power - 1) + tail
+        powers = self._powers()
+        terms = self.coeffs * powers * float(t) ** (powers - 1)
+        tail = _ordered_sum(np.where(self._truncated(t)[1], terms, 0.0))
+        return _scalar_or_array(
+            self.power * self.leading * t ** (self.power - 1) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -88,31 +115,33 @@ class CueSeries:
 # Substituting each ansatz into f' + f^2 = 2(V_eff - E) and matching powers
 # of t yields one linear recurrence per leading-term shape.  `d` holds the
 # inverse-power tail of the right-hand side (d[s] multiplies t**-s), `c` its
-# Taylor part (c[s] multiplies t**s, with s = -1 allowed).
+# Taylor part (c[s] multiplies t**s, with s = -1 allowed).  The energy-borne
+# inputs (E, k, c[0]) may be arrays; every coefficient then carries their
+# shape as a trailing axis.
 
 def _linear_leading_series(omega, E, d, n_terms):
-    a = np.zeros(n_terms + 1)
+    a = np.zeros((n_terms + 1,) + np.shape(E))
     a[1] = E / omega - 0.5
     for s in range(1, n_terms):
-        quad = np.dot(a[1:s], a[s - 1:0:-1])
+        quad = _ordered_sum(a[1:s] * a[s - 1:0:-1])
         a[s + 1] = (-(s - 1) * a[s - 1] + quad - d.get(s, 0.0)) / (2 * omega)
-    return tuple(a[1:])
+    return a[1:]
 
 
 def _constant_leading_series(k, d, n_terms):
-    b = np.zeros(n_terms + 1)
+    b = np.zeros((n_terms + 1,) + np.shape(k))
     for s in range(1, n_terms + 1):
-        quad = np.dot(b[1:s], b[s - 1:0:-1])
+        quad = _ordered_sum(b[1:s] * b[s - 1:0:-1])
         b[s] = (-(s - 1) * b[s - 1] + quad - d.get(s, 0.0)) / (2 * k)
-    return tuple(b[1:])
+    return b[1:]
 
 
 def _pole_leading_series(l, c, n_terms):
-    a = np.zeros(n_terms)
+    a = np.zeros((n_terms,) + np.broadcast(*c.values()).shape)
     for s in range(n_terms):
-        quad = np.dot(a[:s], a[s - 1::-1]) if s else 0.0
+        quad = _ordered_sum(a[:s] * a[s - 1::-1]) if s else 0.0
         a[s] = (c.get(s - 1, 0.0) - quad) / (s + 2 * l + 2)
-    return tuple(a)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +187,13 @@ class ConstantLevel:
         return _decay_padded(t, side, self.level - E, config)
 
     def boundary_angle(self, E, t, side):
-        if not E < self.level:
+        E = np.asarray(E, dtype=float)
+        above = _first_not_below(E, self.level)
+        if above is not None:
             raise ThresholdError(
-                f"E = {E} not below {side} level {self.level}")
-        angle = math.atan(math.sqrt(2.0 * (self.level - E)))
-        return angle if side == "left" else -angle
+                f"E = {above} not below {side} level {self.level}")
+        angle = np.arctan(np.sqrt(2.0 * (self.level - E)))
+        return _scalar_or_array(angle if side == "left" else -angle)
 
     def residual(self, problem, E, t):
         v = problem.effective_potential().evaluate(t)
@@ -208,7 +239,8 @@ class _SeriesTail:
         return _decay_padded(t, side, self.threshold - E, config)
 
     def boundary_angle(self, E, t, side):
-        return math.atan(tail_cue_series(self, E).evaluate(t))
+        series = tail_cue_series(self, np.asarray(E, dtype=float))
+        return _scalar_or_array(np.arctan(series.evaluate(t)))
 
     def residual(self, problem, E, t):
         series = tail_cue_series(self, E)
@@ -381,10 +413,18 @@ def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
     return left.level, right.level
 
 
+def _first_not_below(E, level):
+    """The first of the energies E (an array) not below level, or None."""
+    above = E[~(E < level)]
+    return float(above.flat[0]) if above.size else None
+
+
 def _constant_cue(E, d, n_terms):
-    if not E < 0:
-        raise ThresholdError("decaying tail cue needs E < 0")
-    k = math.sqrt(-2.0 * E)
+    E = np.asarray(E, dtype=float)
+    above = _first_not_below(E, 0.0)
+    if above is not None:
+        raise ThresholdError(f"decaying tail cue needs E < 0, not {above}")
+    k = np.sqrt(-2.0 * E)
     return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
 
 
@@ -422,19 +462,26 @@ def verify_cue_residual(series: CueSeries, potential, l: int, E: float,
     return abs(df + f * f - 2.0 * (v - E))
 
 
-def tail_cue_series(tail, E: float) -> CueSeries:
-    """CueSeries of a series-backed tail; the pipeline builds each one here."""
+def tail_cue_series(tail, E) -> CueSeries:
+    """CueSeries of a series-backed tail at one energy or a batch; the
+    pipeline builds each one here."""
     return tail.cue_series(E)
 
 
-def left_boundary_angle(problem, E: float, a: float) -> float:
-    """Angle of the left-decaying cue at t = a, in (-pi/2, pi/2)."""
-    return problem.left_tail.boundary_angle(E, a, "left")
+def left_boundary_angle(problem, energies, a: float):
+    """Angle of the left-decaying cue at t = a, in (-pi/2, pi/2).
+
+    A float for one energy, an array for an array of energies.
+    """
+    return problem.left_tail.boundary_angle(energies, a, "left")
 
 
-def right_boundary_angle(problem, E: float, b: float) -> float:
-    """Angle of the right-decaying cue at t = b, in (-pi/2, pi/2)."""
-    return problem.right_tail.boundary_angle(E, b, "right")
+def right_boundary_angle(problem, energies, b: float):
+    """Angle of the right-decaying cue at t = b, in (-pi/2, pi/2).
+
+    A float for one energy, an array for an array of energies.
+    """
+    return problem.right_tail.boundary_angle(energies, b, "right")
 
 
 def boundary_residual(problem, E: float, t: float, side: str) -> float:

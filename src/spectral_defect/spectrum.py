@@ -13,15 +13,17 @@ on c, and c only sets how smooth Gamma is.  Measured at b, Gamma is a near
 step of height pi at each level; at an interior c it is smooth.
 
 A solve builds the mesh of every pass once, next to c, from V alone
-(`angular.pass_mesh`), so a pass costs in proportion to its energies.  It
-keeps every Gamma sample and, pass by pass, cuts each adjacent pair across
-which n_below rises by k into _SPLIT * k pieces, 3 bits per level per
-pass.  In the same pass every level of such a pair gets one root step:
-inverse interpolation of E(Gamma) through the nearest samples, with two
-points placed on either side of the estimate at about twice its error.
-Gamma is smooth, so the step usually brackets the level to e_tol within a
-few passes; the cuts guarantee progress where it does not (doublets, a
-step-shaped Gamma).  Every bracket is an adjacent pair of samples.
+(`angular.pass_mesh`), so a pass costs in proportion to its energies, and
+a solve's cost is the number of energies it evaluates.  It keeps every
+Gamma sample and, pass by pass, cuts each adjacent pair across which
+n_below rises by k into _SPLIT * k = 2 k equal pieces, so every bracket at
+least halves per pass for 2 k - 1 energies.  In the same pass every level
+of such a pair gets one root step: inverse interpolation of E(Gamma)
+through the nearest samples, with two points placed on either side of the
+estimate at about twice its error.  Gamma is smooth, so the step usually
+brackets the level to e_tol within a few passes; the cuts guarantee
+progress where it does not (doublets, a step-shaped Gamma).  Every bracket
+is an adjacent pair of samples.
 """
 
 import math
@@ -39,14 +41,13 @@ from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
 from .potentials import ProblemSpec
 
 _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
-_SPLIT = 8                  # pieces each bracket is cut into per pass;
-                            # set when a pass cost nearly the same at 10
-                            # energies as at 150, which the Magnus passes
-                            # do not (ROADMAP item 5)
+_SPLIT = 2                  # pieces per level each bracket is cut into
+                            # per pass: the fewest that still halve it, as
+                            # a pass costs in proportion to its energies
 _MATCH_GRID = 4001          # points on which the matching point is sought
 _NODE_FLOOR = 1e-6          # |psi| under this share of its peak: no node
-_MAX_LEVELS = 10**5         # levels one solve resolves: each takes
-                            # _SPLIT + 2 samples per pass
+_MAX_LEVELS = 10**5         # levels one solve resolves: each takes up
+                            # to _SPLIT + 3 new samples per pass
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,15 @@ def _cue_angles(problem: ProblemSpec, energies, a: float, b: float):
     Gamma increases with E only when each half starts on its decaying
     branch: psi'/psi > 0 at a and < 0 at b.  A cue on the growing branch
     (a flipped sign) can leave Gamma_c monotone and the levels wrong, so
-    every start angle is checked here.
+    every start angle is checked here.  Each side's angles come from one
+    call for the whole batch.
     """
-    lefts = [cues.left_boundary_angle(problem, E, a) for E in energies]
-    rights = [cues.right_boundary_angle(problem, E, b) for E in energies]
+    energies = np.asarray(energies, dtype=float)
+    lefts = cues.left_boundary_angle(problem, energies, a)
+    rights = cues.right_boundary_angle(problem, energies, b)
     for side, angles, sign in (("left", lefts, 1.0), ("right", rights, -1.0)):
-        wrong = [E for E, al in zip(energies, angles) if not sign * al > 0]
-        if wrong:
+        wrong = energies[~(sign * np.asarray(angles) > 0)]
+        if wrong.size:
             raise MonotonicityError(
                 f"the {side} cue at E = {wrong[0]} is not on the branch "
                 f"that decays to the {side}; a cue is misconfigured")
@@ -319,18 +322,20 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     """Scan, then split every sample pair across which the level count rises.
 
     Each pass cuts every adjacent pair (e1, e2) wider than e_tol that holds
-    k = n_below(e2) - n_below(e1) > 0 levels into _SPLIT * k pieces, so
-    every such pair shrinks at least _SPLIT-fold per pass.  Each of its
+    k = n_below(e2) - n_below(e1) > 0 levels into _SPLIT * k = 2 k equal
+    pieces, so every such pair at least halves per pass.  Each of its
     levels also gets the three points of one inverse-interpolation root
     step on Gamma (`_root_points`), which close in on a smooth Gamma
     superlinearly and bracket the root in the same pass; the cuts keep
-    doublets and step-shaped Gamma converging.  All new energies are
-    evaluated in one sample_fn call, until no pair qualifies or none has
-    room for a new energy strictly inside (float resolution).  Level n is
-    the first adjacent pair with n_below(e1) <= n < n_below(e2).  Gamma
-    must not decrease along the final scan, for every sampler; integrator
-    noise on Gamma grows with the angle accumulated, so a drop is allowed
-    _MONOTONE_JITTER * max(1, |Gamma|).
+    doublets and step-shaped Gamma converging.  A pass costs in
+    proportion to its energies, so the cuts are the fewest that still
+    guarantee the halving, and a pair gets at most 5 k - 1 new energies.
+    All new energies are evaluated in one sample_fn call, until no pair
+    qualifies or none has room for a new energy strictly inside (float
+    resolution).  Level n is the first adjacent pair with n_below(e1) <= n
+    < n_below(e2).  Gamma must not decrease along the final scan, for
+    every sampler; integrator noise on Gamma grows with the angle
+    accumulated, so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
     """
     Es = list(np.linspace(E_min, E_max, config.scan_samples))
     samples = dict(zip(Es, sample_fn(Es)))
@@ -397,11 +402,12 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     The interval is resolved once per run at the energy extremes; every
     Gamma sample shares it, its matching point c and the mesh of the
     passes, and result.scan holds them all.  Gamma = alpha_R(c) -
-    alpha_L(c).  Each pass cuts every bracket _SPLIT ways per level it
-    holds and adds one inverse-interpolation root step per level
-    (`_root_points`).  Level n's bracket is an adjacent pair of samples
-    whose n_below steps past n, at most config.e_tol wide unless float
-    resolution stops the splitting first.
+    alpha_L(c).  Each pass cuts a bracket holding k levels into _SPLIT * k
+    = 2 k equal pieces, so that it at least halves, and adds one
+    inverse-interpolation root step per level (`_root_points`).  Level n's
+    bracket is an adjacent pair of samples whose n_below steps past n, at
+    most config.e_tol wide unless float resolution stops the splitting
+    first.
     """
     return _solve(problem, E_min, E_max, config, _matched_sampler)
 

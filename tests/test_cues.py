@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
-from spectral_defect import cues
-from spectral_defect.errors import DomainError, ThresholdError
+from spectral_defect import cues, spectrum
+from spectral_defect.errors import (DomainError, MonotonicityError,
+                                    ThresholdError)
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +202,118 @@ def test_domain_guards():
         cues.coulomb_infinity_cue_coeffs(l=0, E=0.1)
     with pytest.raises(DomainError):
         cues.QuarkTail(omega=0.0, l=0).cue_series(-0.5)
+
+
+# ---------------------------------------------------------------------------
+# Batches of energies
+# ---------------------------------------------------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# each tail class with the energies below its threshold and the boundary
+# points t at which the pipeline uses it
+TAIL_CASES = {
+    "constant": (st.builds(cues.ConstantLevel, _floats(-3.0, 3.0)),
+                 -4.0, 0.0, _floats(-5.0, 5.0)),
+    "oscillator": (st.builds(cues.OscillatorTail, _floats(0.2, 3.0)),
+                   -2.0, 30.0, _floats(3.0, 40.0)),
+    "coulomb": (st.builds(cues.CoulombTail, st.integers(0, 4),
+                          _floats(0.5, 3.0)),
+                -2.0, -1e-3, _floats(5.0, 400.0)),
+    "yukawa": (st.builds(cues.YukawaTail, st.integers(0, 4),
+                         _floats(0.01, 1.0)),
+               -2.0, -1e-3, _floats(5.0, 400.0)),
+    "quark": (st.builds(cues.QuarkTail, _floats(0.005, 2.0),
+                        st.integers(0, 4)), -2.0, 20.0, _floats(5.0, 400.0)),
+    "coulomb_zero": (st.builds(cues.CoulombZeroSingularity, st.integers(0, 4),
+                               _floats(0.5, 3.0)), -2.0, 2.0,
+                     _floats(1e-4, 0.5)),
+    "yukawa_zero": (st.builds(cues.YukawaZeroSingularity, st.integers(0, 4),
+                              _floats(0.01, 1.0)), -2.0, 2.0,
+                    _floats(1e-4, 0.5)),
+    "quark_zero": (st.builds(cues.QuarkZeroSingularity, _floats(0.005, 2.0),
+                             st.integers(0, 4)), -2.0, 2.0,
+                   _floats(1e-4, 0.5)),
+}
+
+
+@st.composite
+def tail_batches(draw):
+    """(tail, energies, t, side): a tail class, energies below its
+    threshold, a boundary point and the side the tail sits on."""
+    tails, lo, hi, points = TAIL_CASES[draw(st.sampled_from(
+        sorted(TAIL_CASES)))]
+    tail = draw(tails)
+    hi = min(hi, tail.threshold - 1e-3)
+    energies = draw(st.lists(_floats(lo, hi), min_size=1, max_size=12))
+    side = "left" if isinstance(tail, cues._ZeroSingularity) else draw(
+        st.sampled_from(["left", "right"]))
+    t = draw(points)
+    if side == "left" and not isinstance(tail, cues._ZeroSingularity):
+        t = -t
+    return tail, np.array(energies), t, side
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(tail_batches())
+def test_batched_angles_equal_the_per_energy_angles(case):
+    tail, energies, t, side = case
+    batch = tail.boundary_angle(energies, t, side)
+    assert isinstance(batch, np.ndarray) and batch.shape == energies.shape
+    single = [tail.boundary_angle(E, t, side) for E in energies]
+    assert all(isinstance(angle, float) for angle in single)
+    assert np.max(np.abs(batch - single)) <= 1e-15
+
+
+@pytest.mark.parametrize("tail, bad", [
+    (cues.ConstantLevel(1.0), 1.0),
+    (cues.ConstantLevel(1.0), 2.5),
+    (cues.CoulombTail(0), 0.0),
+    (cues.YukawaTail(1, 0.1), 0.3),
+], ids=["at-level", "above-level", "coulomb-at-0", "yukawa-above-0"])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_batch_raises_the_threshold_error_of_its_first_bad_energy(
+        tail, bad, where):
+    energies = np.insert(np.linspace(-0.9, -0.1, 4), where, [bad, bad + 1])
+    with pytest.raises(ThresholdError) as single:
+        tail.boundary_angle(bad, 20.0, "right")
+    with pytest.raises(ThresholdError) as batch:
+        tail.boundary_angle(energies, 20.0, "right")
+    assert str(batch.value) == str(single.value)
+    assert str(bad) in str(batch.value)
+    assert str(bad + 1) not in str(batch.value)
+
+
+def test_a_batch_raises_the_domain_error_of_one_overflowing_energy():
+    # E = omega / 2 ends the oscillator series at once; any other E
+    # overflows it at omega = 1e-150
+    tail = cues.OscillatorTail(1e-150)
+    sentinel = 0.5e-150
+    assert tail.boundary_angle(sentinel, 5.0, "right") == pytest.approx(
+        math.atan(-1e-150 * 5.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="finite"):
+            tail.boundary_angle(1.0, 5.0, "right")
+        with pytest.raises(DomainError, match="finite"):
+            tail.boundary_angle(np.array([sentinel, 1.0]), 5.0, "right")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_wrong_cue_in_a_batch_names_the_first_wrong_energy(monkeypatch,
+                                                             side):
+    # the cue is flipped only at E > -0.5; the batch is out of order, and
+    # the first wrong energy in it is -0.3, not the lowest one, -0.45
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    name = f"{side}_boundary_angle"
+    boundary_angle = getattr(cues, name)
+    monkeypatch.setattr(cues, name, lambda problem, E, t: np.where(
+        np.asarray(E) > -0.5, -1.0, 1.0) * boundary_angle(problem, E, t))
+    energies = np.array([-1.5, -0.3, -0.9, -0.45, -0.2])
+    with pytest.raises(MonotonicityError,
+                       match=rf"{side} cue at E = -0\.3 is not"):
+        spectrum._cue_angles(problem, energies, -1.0, 1.0)
+    lefts, rights = spectrum._cue_angles(problem, energies[[0, 2]], -1.0,
+                                         1.0)
+    assert lefts.shape == rights.shape == (2,)

@@ -19,14 +19,17 @@ def double_well(barrier):
                                 (0.0, -4.0, 0.0, -4.0, 0.0))
 
 
-@pytest.mark.parametrize("barrier", [2.0, 6.0, 10.0, 16.0])
-def test_doublets_match_the_fd_oracle(barrier):
+@pytest.mark.parametrize("barrier, energies", [
+    (2.0, 121), (6.0, 161), (10.0, 142), (16.0, 118)],
+    ids=["2.0", "6.0", "10.0", "16.0"])
+def test_doublets_match_the_fd_oracle(barrier, energies):
     # splittings run from 3.5e-3 (barrier 2) past e_tol (barrier 10) to
-    # exact degeneracy (barrier 16): a bracket holding two levels is cut 16
+    # exact degeneracy (barrier 16): a bracket holding two levels is cut 4
     # ways and gets one root step per level; the jumps sit on nodes of both
     # fd grids
     problem = sd.problem_for(double_well(barrier))
     result = sd.find_eigenvalues(problem, -4.0 + 1e-3, -0.1)
+    assert len(result.scan) <= energies
     fd = oracle.fd_eigenvalues(problem, -0.1, grid_size=24575,
                                interval=(-24.0, 24.0))
     assert [ev.n for ev in result.eigenvalues] == list(range(len(fd))) \
@@ -77,6 +80,7 @@ def test_deep_truncated_oscillator_holds_every_level():
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 12.0))
     result = sd.find_eigenvalues(problem, 0.0, 71.99)
     assert [ev.n for ev in result.eigenvalues] == list(range(72))
+    assert len(result.scan) <= 1298
     for ev in result.eigenvalues[:10]:
         assert abs(ev.energy - (ev.n + 0.5)) <= 1e-10
 

@@ -425,17 +425,21 @@ def _hydrogen_levels(count):
     return [-0.5 / (n + 1) ** 2 for n in range(count)]
 
 
-@pytest.mark.parametrize("potential, E_min, E_max, budget, levels, tol", [
-    (sd.Coulomb(), -0.6, -0.0045, 4, _hydrogen_levels(10), 1e-8),
-    (sd.Coulomb(), -0.6, -0.05, 4, _hydrogen_levels(3), 1e-8),
-    # the truncated oscillator's ladder, as in acceptance criterion 2
-    (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 4,
-     [n + 0.5 for n in range(8)], 0.1),
-], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
-def test_hydrogen_pass_budget(monkeypatch, potential, E_min, E_max, budget,
-                              levels, tol):
+@pytest.mark.parametrize(
+    "potential, E_min, E_max, energies, budget, levels, tol", [
+        (sd.Coulomb(), -0.6, -0.0045, 207, 6, _hydrogen_levels(10), 1e-8),
+        (sd.Coulomb(), -0.6, -0.05, 96, 4, _hydrogen_levels(3), 1e-8),
+        # the truncated oscillator's ladder, as in acceptance criterion 2
+        (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 139, 4,
+         [n + 0.5 for n in range(8)], 0.1),
+    ], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
+def test_energy_and_pass_budget(monkeypatch, potential, E_min, E_max,
+                                energies, budget, levels, tol):
+    # a pass costs in proportion to its energies, so the energies a solve
+    # evaluates are its cost
     passes = _counted_passes(monkeypatch)
     result = sd.find_eigenvalues(sd.problem_for(potential), E_min, E_max)
+    assert len(result.scan) == sum(passes) <= energies
     assert len(passes) <= budget
     assert [ev.n for ev in result.eigenvalues] == list(range(len(levels)))
     assert np.allclose(result.energies, levels, rtol=0.0, atol=tol)
