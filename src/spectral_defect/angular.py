@@ -19,10 +19,11 @@ smooth problem, and no integration reads V at a cut.
 
 `integrate_angles` propagates (psi, psi') instead of alpha.  Each step of a
 mesh built once per solve from V alone (`pass_mesh`) maps it by exp(Omega),
-Omega the sixth-order Magnus approximant from V at three Gauss nodes
-(`_magnus`), in closed form.  The steps are joined by a lifted product: each
-map m is carried with phi = f(0), f the increasing lift of m's action on
-angles, and (B, phi_B) after (A, phi_A) is (B A, f_B(phi_A)) (`_lift`,
+Omega the sixth-order Magnus approximant from V at three Gauss nodes, in
+closed form (`_magnus`); the part of Omega that does not depend on E is
+built with the mesh (`_omega`).  The steps are joined by a lifted product:
+each map m is carried with phi = f(0), f the increasing lift of m's action
+on angles, and (B, phi_B) after (A, phi_A) is (B A, f_B(phi_A)) (`_lift`,
 `_compose`).  The product is associative, so it is taken as a pairwise tree
 over all steps and energies at once (`_product`), and the angle it hands
 on is unwrapped: n_below is exact.  A leaf's phi is the plateau angle of
@@ -46,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 
 
@@ -246,67 +247,106 @@ _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _PIECE_STEPS = 16           # steps of a piece before its first doubling
 _MAX_PIECE_STEPS = 2**14    # the doubling stops here: a rel_tol that it
                             # cannot meet sooner is below the rounding
-_BLOCK = 2048               # step-energies one tree product holds at once
+_BLOCK = 4096               # step-energies one tree product holds at once
 _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
+_MAX_SPLITS = 6             # halvings of one step before a pass gives up
 
 
 class _Steps(NamedTuple):
-    """Mesh steps in the order of travel: start t, signed width h and V at
-    the Gauss nodes t + _GAUSS h, one row per step."""
+    """Mesh steps in the order of travel, one row per step: start t, signed
+    width h, V at the Gauss nodes t + _GAUSS h, and the coefficients of
+    Omega that do not depend on E (`_omega`).  A solve builds them once,
+    with its mesh, and every pass reads them."""
 
     t: np.ndarray
     h: np.ndarray
     v: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    r: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
 
 
-_NO_STEPS = _Steps(np.empty(0), np.empty(0), np.empty((0, 3)))
+_NO_STEPS = _Steps(np.empty(0), np.empty(0), np.empty((0, 3)),
+                   *np.empty((5, 0)))
 
 
-def _steps(potential, t, h):
-    """The steps that start at t and are h wide; V is read at their nodes."""
-    nodes = t[:, None] + h[:, None] * _GAUSS
-    return _Steps(t, h, np.reshape(potential.evaluate(nodes.ravel()),
-                                   nodes.shape))
-
-
-def _magnus(h, v, energies):
-    """exp(Omega) of every step (rows) at every energy (columns), as its
-    entries (m00, m01, m10, m11) stacked on a first axis.
+def _omega(h, v):
+    """(p0, p1, r, s0, s1) of steps h wide with V = v at their Gauss nodes.
 
     Omega is the sixth-order Magnus approximant of Blanes, Casas and Ros
     (BIT 40, 2000) for (psi, psi')' = A(q) (psi, psi'), A(q) = [[0, 1],
-    [q, 0]], from q = 2 (V - E) at the three Gauss nodes:
+    [q, 0]], from q = 2 (V - E) at the three nodes:
 
         a1 = h A(q2),  a2 = sqrt(15) h / 3 (q3 - q1) N,
         a3 = 10 h / 3 (q3 - 2 q2 + q1) N,      N = [[0, 0], [1, 0]],
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + [a1, a2],
                                 a2 - [a1, 2 a3 + [a1, a2]] / 60] / 240,
 
-    expanded here to Omega = [[p, r], [s, -p]].  The method is symmetric:
-    a step taken backward (h < 0, nodes in the order of travel) is the
+    expanded here to Omega = [[p, r], [s, -p]].  dq/dE = -2 at every node,
+    so q3 - q1 and q3 - 2 q2 + q1 do not depend on E, nor does r, and p and
+    s are affine in q2: p = p0 + p1 q2, s = s0 + s1 q2.
+    """
+    beta = 2.0 * math.sqrt(15.0) / 3.0 * h * (v[:, 2] - v[:, 0])   # a2 / N
+    gamma = 20.0 / 3.0 * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])   # a3 / N
+    hbb = h * beta * beta
+    return (h * beta * (h * gamma / 30.0 - 20.0) / 240.0,
+            h * h * h * beta / 180.0,
+            h + h * h * (hbb - 20.0 * gamma) / 3600.0,
+            gamma / 12.0 + h * (gamma * gamma - 30.0 * beta * beta) / 3600.0,
+            h + h * h * (20.0 * gamma + hbb) / 3600.0)
+
+
+def _steps(potential, t, h):
+    """The steps that start at t and are h wide; V is read at their nodes,
+    and Omega's energy-free coefficients are built from it."""
+    nodes = t[:, None] + h[:, None] * _GAUSS
+    v = np.reshape(potential.evaluate(nodes.ravel()), nodes.shape)
+    return _Steps(t, h, v, *_omega(h, v))
+
+
+def _magnus(steps, q2):
+    """exp(Omega) of every step (rows) at every energy (columns), as its
+    entries (m00, m01, m10, m11) stacked on a first axis; q2 = 2 (V - E)
+    at each step's middle node, one column per energy.
+
+    Omega = [[p, r], [s, -p]] with p = p0 + p1 q2, s = s0 + s1 q2 and r
+    from the step's coefficients (`_omega`), so a pass forms only the two
+    affine forms, w^2 and the closed form.  The method is symmetric: a
+    step taken backward (h < 0, nodes in the order of travel) is the
     inverse of the same step forward.  Omega^2 = w^2 I with
     w^2 = p^2 + r s, so exp(Omega) = cosh(w) + sinh(w) Omega / w, or the
     cos and sin of |w| where w^2 < 0.  Where w^2 > 0 the map is scaled by
     e^{-w}, so that no entry overflows on a long forbidden step; the angles
     see only its direction.
     """
-    h = h[:, None]
-    q1, q2, q3 = (2.0 * (v[:, i, None] - energies) for i in range(3))
-    beta = math.sqrt(15.0) / 3.0 * h * (q3 - q1)        # a2 = beta N
-    gamma = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)       # a3 = gamma N
-    p = h * beta * (h * (4.0 / 3.0 * h * q2 + gamma / 30.0) - 20.0) / 240.0
-    r = h + h * h * (h * beta * beta - 20.0 * gamma) / 3600.0
-    s = h * q2 + gamma / 12.0 + h * (h * q2 * (20.0 * gamma + h * beta * beta)
-                                     + gamma * gamma - 30.0 * beta * beta
-                                     ) / 3600.0
-    w2 = p * p + r * s
+    p = steps.p1[:, None] * q2
+    p += steps.p0[:, None]
+    s = steps.s1[:, None] * q2
+    s += steps.s0[:, None]
+    r = steps.r[:, None]
+    w2 = p * p
+    w2 += r * s
     w = np.sqrt(np.abs(w2))
-    grows, moves = w2 > 0, w > 0
-    em = np.expm1(-2.0 * w)
-    cos = np.where(grows, 1.0 + 0.5 * em, np.cos(w))
-    sin = np.where(moves, np.where(grows, -0.5 * em, np.sin(w))
-                   / np.where(moves, w, 1.0), 1.0)
-    return np.stack([cos + sin * p, sin * r, sin * s, cos - sin * p])
+    cos, sin = np.empty(w.shape), np.empty(w.shape)
+    grows = w2 > 0      # each branch is evaluated where it holds only
+    wg = w[grows]
+    em = np.expm1(-2.0 * wg)
+    cos[grows] = 1.0 + 0.5 * em
+    sin[grows] = -0.5 * em / wg
+    turns = ~grows
+    wt = w[turns]
+    moves = wt > 0
+    cos[turns] = np.cos(wt)
+    sin[turns] = np.where(moves, np.sin(wt) / np.where(moves, wt, 1.0), 1.0)
+    m = np.empty((4,) + q2.shape)
+    np.multiply(sin, p, out=m[1])
+    np.add(cos, m[1], out=m[0])
+    np.subtract(cos, m[1], out=m[3])
+    np.multiply(sin, r, out=m[1])
+    np.multiply(sin, s, out=m[2])
+    return m
 
 
 def _lift(m, phi, x):
@@ -325,19 +365,33 @@ def _lift(m, phi, x):
     x0 = x - k * math.pi
     c, s = np.cos(x0), np.sin(x0)
     m00, m01, m10, m11 = m
-    det = m00 * m11 - m01 * m10
-    det = np.where(det > 0, det, 0.0)
-    dot = m00 * (m00 * c + m01 * s) + m10 * (m10 * c + m11 * s)
-    return k * math.pi + phi + np.arctan2(det * s, dot)
+    det = m00 * m11
+    det -= m01 * m10
+    det = np.where(det > 0, det, 0.0) * s
+    dot = m00 * c
+    dot += m01 * s
+    dot *= m00
+    part = m10 * c
+    part += m11 * s
+    part *= m10
+    dot += part
+    angle = np.arctan2(det, dot)
+    angle += phi
+    angle += k * math.pi
+    return angle
 
 
 def _compose(later, earlier):
     """(B A, f_B(phi_A)) for later = (B, phi_B) after earlier = (A, phi_A),
-    scaled by its largest entry: the action is projective."""
+    scaled by its largest entry: the action is projective.  The four
+    entries of B A are written into one array and scaled in place."""
     (b, phi_b), (a, phi_a) = later, earlier
-    m = np.stack([b[0] * a[0] + b[1] * a[2], b[0] * a[1] + b[1] * a[3],
-                  b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3]])
-    return m / np.abs(m).max(axis=0), _lift(b, phi_b, phi_a)
+    m = np.empty(b.shape)
+    for j in (0, 1):    # column j of B A: rows (m0j, m1j) = B (a0j, a1j)
+        np.multiply(b[::2], a[j], out=m[j::2])
+        m[j::2] += b[1::2] * a[j + 2]
+    m /= np.abs(m).max(axis=0)
+    return m, _lift(b, phi_b, phi_a)
 
 
 def _product(m, phi):
@@ -348,8 +402,10 @@ def _product(m, phi):
         n = len(phi) - len(phi) % 2
         pm, pphi = _compose((m[:, 1:n:2], phi[1:n:2]),
                             (m[:, :n:2], phi[:n:2]))
-        m = np.concatenate([pm, m[:, n:]], axis=1)
-        phi = np.concatenate([pphi, phi[n:]])
+        if n < len(phi):    # the odd step out joins the next round
+            pm = np.concatenate([pm, m[:, n:]], axis=1)
+            pphi = np.concatenate([pphi, phi[n:]])
+        m, phi = pm, pphi
     return m[:, 0], phi[0]
 
 
@@ -360,11 +416,16 @@ def _plateau_angle(q, h):
     k = sqrt(-q), whose Pruefer phase k h counts the zeros crossed
     (`_rechart` of it to alpha keeps the branch)."""
     k = np.sqrt(np.abs(q))
-    return np.where(q > 0, np.arctan(k * np.tanh(k * h)),
-                    -_rechart(k * h, k))
+    kh = k * h
+    angle = np.empty(q.shape)
+    up = q > 0          # each branch is evaluated where it holds only
+    angle[up] = np.arctan(k[up] * np.tanh(kh[up]))
+    down = ~up
+    angle[down] = -_rechart(kh[down], k[down])
+    return angle
 
 
-def _leaves(steps, energies, potential):
+def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
     """(m, phi) of every step (rows) at every energy (columns).
 
     m is the Magnus map (`_magnus`).  phi is the closed-form angle of the
@@ -373,20 +434,30 @@ def _leaves(steps, energies, potential):
     angle of m e(0).  Where the step resolves V the two maps are close
     and the correction small; a step whose correction exceeds _LEAF_SLACK
     at any energy is split in two, V read at the halves' nodes, and gets
-    the product of their leaves.
+    the product of their leaves.  A step still split after `splits` more
+    halvings raises IntegrationError: the halves double at each one, and
+    where no width resolves the step (|E| so large that Omega's terms
+    overflow) they would fill the memory.  The correction is taken mod
+    pi, so it cannot see a plateau angle more than 3 pi / 4 off the step's
+    lift: on a mesh from `pass_mesh` no step is that coarse, because its
+    doubling goes on until the angle each piece hands on settles.
     """
-    m = _magnus(steps.h, steps.v, energies)
-    phi = _plateau_angle(2.0 * (steps.v[:, 1, None] - energies),
-                         steps.h[:, None])
+    q2 = 2.0 * (steps.v[:, 1, None] - energies)
+    m = _magnus(steps, q2)
+    phi = _plateau_angle(q2, steps.h[:, None])
     turn = np.arctan2(m[2], m[0]) - phi
     turn -= math.pi * np.round(turn / math.pi)
     phi += turn
     split = (np.abs(turn) > _LEAF_SLACK).any(axis=1)
     if split.any():
         t, h = steps.t[split], 0.5 * steps.h[split]
+        if not splits:
+            raise IntegrationError(
+                f"the step from t = {t[0]:g} is split {_MAX_SPLITS} times "
+                "and still does not resolve V", t_reached=float(t[0]))
         halves = _steps(potential, np.stack([t, t + h], axis=1).ravel(),
                         np.repeat(h, 2))
-        hm, hphi = _leaves(halves, energies, potential)
+        hm, hphi = _leaves(halves, energies, potential, splits - 1)
         m[:, split], phi[split] = _compose((hm[:, 1::2], hphi[1::2]),
                                            (hm[:, ::2], hphi[::2]))
     return m, phi
@@ -395,9 +466,11 @@ def _leaves(steps, energies, potential):
 def _carry(steps, energies, alpha, potential):
     """alpha carried over the steps, one column per energy.
 
-    The leaves are reduced by the tree in blocks of at most _BLOCK
-    step-energies, which bounds the memory of a pass, and each block's
-    lift is applied to alpha in order.
+    The leaves are built from the steps' stored coefficients (`_magnus`)
+    and reduced by the tree in blocks of at most _BLOCK step-energies,
+    which bounds the memory of a pass, and each block's lift is applied
+    to alpha in order.  A block of one step or of every step hands on the
+    same angles up to rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
@@ -459,6 +532,18 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     return tuple(mesh)
 
 
+def _check_coverage(mesh, a, c, b):
+    """DomainError unless the halves of mesh run from a and from b to c."""
+    slack = 1e-12 * max(abs(a), abs(b))    # the rounding of the step ends
+    for steps, start, side in zip(mesh, (a, b), ("left", "right")):
+        ends = ((steps.t[0], steps.t[-1] + steps.h[-1]) if steps.h.size
+                else (c, c))
+        if abs(ends[0] - start) > slack or abs(ends[1] - c) > slack:
+            raise DomainError(
+                f"the {side} half of the mesh runs from {ends[0]} to "
+                f"{ends[1]}, not from {start} to {c}")
+
+
 def integrate_angles(problem: ProblemSpec, energies, left_starts,
                      right_starts, a: float, c: float, b: float, config,
                      mesh=None):
@@ -470,10 +555,16 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     `pass_mesh` by the lifted Magnus product, at a cost linear in the
     steps and in the batch, and V is read only where a leaf is split (a
     solve builds one mesh and passes it to every pass).  Without a mesh
-    one is built from the batch's lowest and highest energy.  On a piecewise-constant family
-    every piece is taken in closed form instead (`_plateau_flow`) and no
-    mesh is used.  config is the SolveConfig; only its rel_tol is read.
-    Returns the pair (alpha_left_at_c, alpha_right_at_c);
+    one is built from the batch's lowest and highest energy.  A given
+    mesh must run from a to c on the left and from b to c on the right,
+    its ends equal to those up to rounding, or DomainError is raised; a
+    half is empty where c is its end.  What that check cannot see is a
+    mesh too coarse for V: a leaf whose plateau angle is more than 3 pi / 4
+    off the step's lift goes unnoticed (`_leaves`), and it is the
+    doubling of `pass_mesh` that resolves it.  On a piecewise-constant
+    family every piece is taken in closed form instead (`_plateau_flow`)
+    and no mesh is used.  config is the SolveConfig; only its rel_tol is
+    read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
@@ -487,6 +578,8 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
         ends = [np.argmin(energies), np.argmax(energies)]
         mesh = pass_mesh(problem, energies[ends], starts[0][ends],
                          starts[1][ends], a, c, b, config)
+    else:
+        _check_coverage(mesh, a, c, b)
     return tuple(_carry(steps, energies, start, potential)
                  for steps, start in zip(mesh, starts))
 

@@ -151,6 +151,9 @@ def _fd_levels(potential, a, b, n, e_ceiling):
     breakpoints nothing changes.
     """
     h = (b - a) / (n + 1)
+    if not 0.0 < h * h < math.inf:
+        raise DomainError(f"the fd grid step {h:g} on [{a:g}, {b:g}] has no "
+                          "finite nonzero square")
     t = a + h * np.arange(1, n + 1)
     v = np.asarray(potential.evaluate(t), dtype=float)
     breakpoints = np.unique(potential.breakpoints())

@@ -36,8 +36,8 @@ from scipy.integrate import trapezoid
 from . import cues
 from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
                       integrate_angle_sampled, integrate_angles, pass_mesh)
-from .errors import (DomainError, IntervalSelectionError, MonotonicityError,
-                     ThresholdError)
+from .errors import (DomainError, IntegrationError, IntervalSelectionError,
+                     MonotonicityError, ThresholdError)
 from .potentials import ProblemSpec
 
 _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
@@ -194,7 +194,8 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     c defaults to the interval's matching point (`_matching_point`) and
     mesh to one built for the batch (`angular.pass_mesh`); a solve makes
     both once and passes them to every pass.  Each cue's start angle is
-    checked to lie on its decaying branch (`_cue_angles`).
+    checked to lie on its decaying branch (`_cue_angles`), and a Gamma
+    that is not finite raises IntegrationError.
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -211,8 +212,13 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     lefts, rights = _cue_angles(problem, energies, a, b)
     alpha_l, alpha_r = integrate_angles(problem, energies, lefts, rights, a,
                                         c, b, config, mesh)
-    return [DefectSample(E=float(E), gamma=float(r - l))
-            for E, l, r in zip(energies, alpha_l, alpha_r)]
+    gammas = alpha_r - alpha_l
+    if not np.all(np.isfinite(gammas)):
+        raise IntegrationError(f"Gamma is not finite at E = "
+                               f"{energies[~np.isfinite(gammas)][0]} on "
+                               f"[{a:g}, {b:g}]")
+    return [DefectSample(E=float(E), gamma=float(g))
+            for E, g in zip(energies, gammas)]
 
 
 def count_levels(problem: ProblemSpec, E_ceiling: float,

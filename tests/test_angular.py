@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
 from scipy.linalg import expm
 
-from spectral_defect.angular import (_amplitude_fun, _chart_fun, _compose,
-                                     _integrate_vector, _leaves, _lift,
-                                     _magnus, _product, _rechart, _steps,
+from spectral_defect.angular import (_GAUSS, _amplitude_fun, _carry,
+                                     _chart_fun, _compose, _integrate_vector,
+                                     _leaves, _lift, _magnus, _omega,
+                                     _product, _rechart, _steps,
                                      integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
+from spectral_defect.errors import DomainError
 from spectral_defect.potentials import Shifted
 
 
@@ -413,16 +416,33 @@ def _entries(m):
     return m / np.abs(m).max()
 
 
+class _NodeValues:
+    """A potential that reads the given V at the three nodes of a step."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def evaluate(self, t):
+        return self.v
+
+
+def _magnus_step(t, h, v, E):
+    """The Magnus map of one step at one energy, V = v at its nodes in the
+    order of travel, its coefficients built as a mesh builds them."""
+    step = _steps(_NodeValues(v), np.array([t]), np.array([h]))
+    return _magnus(step, 2.0 * (step.v[:, 1, None] - np.array([E])))
+
+
 def test_magnus_map_is_the_exponential_of_the_approximant():
     # closed form against matrix algebra and expm; backward is the inverse
     rng = np.random.default_rng(3)
     for _ in range(40):
         h, E = rng.uniform(-1.5, 1.5), rng.uniform(-5.0, 5.0)
         v = rng.uniform(-8.0, 8.0, 3)
-        got = _magnus(np.array([h]), v[None, :], np.array([E]))
+        got = _magnus_step(0.0, h, v, E)
         want = _bcr_exponential(h, 2.0 * (v - E))
         assert _entries(got) == pytest.approx(_entries(want), abs=1e-12)
-        back = _magnus(np.array([-h]), v[None, ::-1], np.array([E]))
+        back = _magnus_step(h, -h, v[::-1], E)
         assert _entries(np.linalg.inv(np.reshape(back, (2, 2)))) == \
             pytest.approx(_entries(got), abs=1e-12)
 
@@ -498,6 +518,16 @@ def test_a_leaf_whose_correction_is_large_is_split():
     assert abs(phi[0, 0] - want[0]) < math.pi / 4
 
 
+def test_a_step_no_halving_resolves_raises():
+    # at E = -1e300 Omega's p term overflows w^2 on any width a few
+    # halvings reach: the pass stops instead of doubling the halves on
+    well = sd.TruncatedOscillator(1.0, 2.0)
+    step = _steps(well, np.array([-2.0]), np.array([0.5]))
+    with pytest.raises(sd.IntegrationError, match="split 6 times"), \
+            np.errstate(over="ignore"):
+        _leaves(step, np.array([-1e300]), well)
+
+
 def test_mesh_doubles_each_piece_to_its_own_count():
     # the long constant tails converge at the first doubling; the kinks at
     # +-4 cut the well into pieces of their own
@@ -562,14 +592,21 @@ def smooth_problems(draw):
     return sd.problem_for(well), np.linspace(0.05, 0.95 * ceiling, 6), near
 
 
+def _with_near_level(problem, energies, near):
+    """The energies, and two more within 1e-8 of a level among them."""
+    where, offsets = near
+    levels = sd.find_eigenvalues(problem, energies[0], energies[-1]).energies
+    if not levels.size:
+        return energies
+    level = levels[min(int(where * levels.size), levels.size - 1)]
+    return np.concatenate([energies, level + np.array(offsets)])
+
+
 @settings(max_examples=12, deadline=None, database=None)
 @given(case=smooth_problems())
 def test_mesh_passes_match_the_plain_flow(case):
-    problem, energies, (where, offsets) = case
-    levels = sd.find_eigenvalues(problem, energies[0], energies[-1]).energies
-    if levels.size:
-        level = levels[min(int(where * levels.size), levels.size - 1)]
-        energies = np.concatenate([energies, level + np.array(offsets)])
+    problem, energies, near = case
+    energies = _with_near_level(problem, energies, near)
     interval = sd.auto_interval(problem, energies.min(), energies.max(),
                                 sd.SolveConfig())
     c = spectrum._matching_point(problem, interval)
@@ -595,3 +632,93 @@ def test_hydrogen_passes_match_a_tight_plain_flow():
                            sd.SolveConfig(rel_tol=1e-14))
     got = closed_gammas(problem, energies, interval, c)
     assert np.all(np.abs(got - want) <= 2e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _solve_mesh(problem, energies, interval=None):
+    """The interval, c, start angles and mesh a solve over the energies
+    would use."""
+    config = sd.SolveConfig()
+    interval = interval or sd.auto_interval(problem, energies.min(),
+                                            energies.max(), config)
+    (a, b), c = interval, spectrum._matching_point(problem, interval)
+    starts = spectrum._cue_angles(problem, energies, a, b)
+    ends = [np.argmin(energies), np.argmax(energies)]
+    mesh = pass_mesh(problem, energies[ends], starts[0][ends],
+                     starts[1][ends], a, c, b, config)
+    return (a, c, b), starts, mesh
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(case=smooth_problems())
+def test_the_angles_handed_on_do_not_depend_on_the_block(case):
+    # one step a block, three, or every step of the half in one block
+    problem, energies, near = case
+    energies = _with_near_level(problem, energies, near)
+    _, starts, mesh = _solve_mesh(problem, energies)
+    potential = problem.effective_potential()
+    most = max(steps.h.size for steps in mesh)
+    carried = []
+    for block in (1, 3, most):
+        with mock.patch.object(angular, "_BLOCK", block * energies.size):
+            carried.append([_carry(steps, energies, start, potential)
+                            for steps, start in zip(mesh, starts)])
+    for got in carried[:-1]:
+        for alpha, want in zip(got, carried[-1]):
+            assert np.array_equal(np.floor(alpha / math.pi),
+                                  np.floor(want / math.pi))
+            assert np.all(np.abs(alpha - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_stored_coefficients_match_their_steps():
+    # the kinks at +-4 cut each half into pieces that pass_mesh joins, and
+    # blocks of three steps straddle the joins
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0),
+                             interval=(-7.0, 9.0))
+    potential = problem.effective_potential()
+    energies = np.array([0.3, 2.5, 7.9])
+    (a, c, b), starts, mesh = _solve_mesh(problem, energies, (-7.0, 9.0))
+    seen, leaves = [], angular._leaves
+
+    def recording(steps, *args):
+        seen.append(steps)
+        return leaves(steps, *args)
+
+    with mock.patch.object(angular, "_leaves", recording), \
+            mock.patch.object(angular, "_BLOCK", 3 * energies.size):
+        integrate_angles(problem, energies, *starts, a, c, b,
+                         sd.SolveConfig(), mesh)
+    assert len(seen) >= sum(steps.h.size for steps in mesh) // 3
+    for steps in (*mesh, *seen):
+        nodes = steps.t[:, None] + steps.h[:, None] * _GAUSS
+        assert np.array_equal(steps.v, potential.evaluate(nodes))
+        assert np.array_equal(np.stack(steps[3:]),
+                              np.stack(_omega(steps.h, steps.v)))
+
+
+def test_a_mesh_for_another_interval_is_refused():
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    energies = np.array([0.3, 1.2, 6.0])
+    (a, c, b), _, mesh = _solve_mesh(problem, energies, (-6.0, 6.0))
+    assert c == 0.0
+    for interval, at in (((-5.0, 6.0), c), ((-6.0, 6.5), c),
+                         ((-6.0, 6.0), 1.0), ((-6.0, 6.0), -6.0)):
+        with pytest.raises(DomainError, match="half of the mesh runs"):
+            sd.defect_angles(problem, energies, interval=interval, c=at,
+                             mesh=mesh)
+    own = sd.defect_angles(problem, energies, interval=(a, b), c=c,
+                           mesh=mesh)
+    assert [s.n_below for s in own] == [0, 1, 6]
+
+
+def test_an_empty_half_needs_c_at_its_end():
+    # hydrogen puts c at a: the left half of its mesh is empty
+    problem = sd.problem_for(sd.Coulomb())
+    energies = np.array([-0.6, -0.1])
+    (a, c, b), starts, mesh = _solve_mesh(problem, energies)
+    assert c == a and mesh[0].h.size == 0
+    config = sd.SolveConfig()
+    integrate_angles(problem, energies, *starts, a, c, b, config, mesh)
+    with pytest.raises(DomainError, match="left half"):
+        integrate_angles(problem, energies, *starts, a, 2.0 * a, b, config,
+                         mesh)

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -579,6 +582,10 @@ _ONE_LINE_FAILURES = [
      "solve {cfg}", 1),
     ("[potential]\nfamily = square_well\ndepth = -2\nleft = -1e300\n"
      "right = 1e300\n[solve]\nemin = -1.9\nemax = -0.1\n", "solve {cfg}", 1),
+    # an fd grid step whose square overflows, and mesh steps whose Omega
+    # does (Gamma would be nan)
+    (WELL_CONFIG, "verify {cfg} --interval -1 1e300", 1),
+    (OSC_CONFIG, "solve {cfg} --interval 2 1e300", 1),
 ]
 
 
@@ -682,3 +689,86 @@ def test_parse_config_returns_a_run_or_a_config_error(ini_run):
     except ConfigError:
         return
     assert isinstance(run, cli.RunConfig)
+
+
+# end-to-end runs of cli.main: three cheap problems, a coarse e_tol and a
+# small fd grid, with a few keys and flags drawn from the fuzzer's values
+_RUN_BASES = {
+    "square_well": ({"family": "square_well", "depth": "-2", "left": "-1",
+                     "right": "1"}, {}, ("-1.9", "-0.1")),
+    "truncated_oscillator": ({"family": "truncated_oscillator",
+                              "omega": "1", "cutoff": "2"}, {},
+                             ("1e-6", "1.998")),
+    "coulomb": ({"family": "coulomb"}, {"kind": "halfline", "l": "0"},
+                ("-0.6", "-0.1")),
+}
+_RUN_ENTRIES = [("solve", key) for key in ("emin", "emax", "ceiling", "n",
+                                           "samples", "grid")] + [
+    ("domain", key) for key in ("kind", "l", "a", "b", "eref")] + [
+    ("tolerances", key) for key in ("e_tol", "rel_tol", "residual_tol")]
+# no number between 10 and 1e300: a window of many levels or a long
+# interval is slow, not wrong
+_RUN_NUMBERS = st.sampled_from(["-3", "-1", "-0.5", "0", "1e-3", "0.25", "1",
+                                "2", "2.5", "1e-9", "1e300", "-1e300"])
+_RUN_JUNK = st.sampled_from(["nan", "-nan", "inf", "-inf", "", "abc", "0 1",
+                             "1/3"])
+_RUN_FLAGS = {"e_tol": "--e-tol", "rel_tol": "--rel-tol",
+              "residual_tol": "--residual-tol"}
+
+
+def _run_value(draw, key=None):
+    """A choice the key takes or one of _RUN_NUMBERS; junk one time in
+    five."""
+    if not draw(st.integers(0, 4)):
+        return draw(_RUN_JUNK)
+    return draw(st.sampled_from(_CHOICES[key]) if key in _CHOICES
+                else _RUN_NUMBERS)
+
+
+@st.composite
+def cli_runs(draw):
+    """A command, the INI text of one of _RUN_BASES with up to two values
+    replaced, and up to two flags."""
+    family = draw(st.sampled_from(sorted(_RUN_BASES)))
+    potential, domain, (emin, emax) = _RUN_BASES[family]
+    sections = {"potential": dict(potential), "domain": dict(domain),
+                "solve": {"emin": emin, "emax": emax, "ceiling": emax,
+                          "n": "1", "samples": "16", "grid": "256"},
+                "tolerances": {"e_tol": "1e-6"}}
+    keys = [("potential", key) for key in potential if key != "family"]
+    for section, key in draw(st.lists(st.sampled_from(keys + _RUN_ENTRIES),
+                                      max_size=2)):
+        sections[section][key] = _run_value(draw, key)
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in entries.items())
+                   for name, entries in sections.items() if entries)
+    flags = []
+    for key in draw(st.lists(st.sampled_from([*_RUN_FLAGS, "interval"]),
+                             max_size=2)):
+        if key == "interval":
+            flags += ["--interval", _run_value(draw), _run_value(draw)]
+        else:
+            flags += [_RUN_FLAGS[key], _run_value(draw)]
+    command = draw(st.sampled_from(["solve", "scan", "count",
+                                    "eigenfunction", "verify"]))
+    return command, text, flags
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(cli_runs())
+def test_every_command_exits_with_a_code_and_at_most_one_line(cli_run):
+    command, text, flags = cli_run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/run.ini"
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, cfg, *flags, "--output",
+                             f"{tmp}/out"])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) <= 1, lines
+    assert "Traceback" not in err.getvalue()
