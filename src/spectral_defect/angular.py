@@ -21,13 +21,19 @@ smooth problem, and no integration reads V at a cut.
 mesh built once per solve from V alone (`pass_mesh`) maps it by exp(Omega),
 Omega the sixth-order Magnus approximant from V at three Gauss nodes, in
 closed form (`_magnus`); the part of Omega that does not depend on E is
-built with the mesh (`_omega`).  The steps are joined by a lifted product:
-each map m is carried with phi = f(0), f the increasing lift of m's action
-on angles, and (B, phi_B) after (A, phi_A) is (B A, f_B(phi_A)) (`_lift`,
-`_compose`).  The product is associative, so it is taken as a pairwise tree
-over all steps and energies at once (`_product`), and the angle it hands
-on is unwrapped: n_below is exact.  A leaf's phi is the plateau angle of
-the step, whose zero count is exact, corrected mod pi to the Magnus map.
+built with the mesh (`_omega`).  The steps are joined by a lifted product
+of nodes (m, n): m a map scaled by its largest entry and oriented, its
+first column not pointing left (m00 >= 0; -m acts on angles as m does),
+and n an integer count of half turns, so that phi = f(0) = n pi + theta(m)
+for f the increasing lift of m's action on angles and theta(m) =
+atan2(m10, m00) in [-pi/2, pi/2].  (B, n_B) after (A, n_A) is the node of
+B A with phi = f_B(phi_A), which needs no transcendental function: n grows
+by n_A + n_B, and by the sign of a10 where B A's first column crossed the
+vertical (`_compose`).  The product is associative, so it is taken as a
+pairwise tree over all steps and energies at once (`_product`), and the
+angle it hands on is unwrapped: n_below is exact.  A leaf's n is read off
+the plateau angle of the step, whose zero count is exact, corrected mod pi
+to the Magnus map; the root's theta is read once per block (`_carry`).
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
@@ -144,8 +150,12 @@ def _rechart(angles, ratio):
     ulp past pi/2.
     """
     m = np.round(angles / math.pi)
-    x = angles - m * math.pi
-    return m * math.pi + np.arctan2(ratio * np.sin(x), np.cos(x))
+    m *= math.pi
+    x = angles - m
+    y = np.sin(x)
+    y *= ratio
+    m += np.arctan2(y, np.cos(x, out=x), out=y)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +257,7 @@ _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _PIECE_STEPS = 16           # steps of a piece before its first doubling
 _MAX_PIECE_STEPS = 2**14    # the doubling stops here: a rel_tol that it
                             # cannot meet sooner is below the rounding
-_BLOCK = 4096               # step-energies one tree product holds at once
+_BLOCK = 8192               # step-energies one tree product holds at once
 _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
 _MAX_SPLITS = 6             # halvings of one step before a pass gives up
 
@@ -321,31 +331,39 @@ def _magnus(steps, q2):
     e^{-w}, so that no entry overflows on a long forbidden step; the angles
     see only its direction.
     """
-    p = steps.p1[:, None] * q2
+    m = np.empty((4,) + q2.shape)
+    # the map's rows hold the work: a leaf's peak memory sets how wide a
+    # block fits in the same memory
+    p, s, w2 = m[0], m[2], m[3]
+    np.multiply(steps.p1[:, None], q2, out=p)
     p += steps.p0[:, None]
-    s = steps.s1[:, None] * q2
+    np.multiply(steps.s1[:, None], q2, out=s)
     s += steps.s0[:, None]
     r = steps.r[:, None]
-    w2 = p * p
-    w2 += r * s
-    w = np.sqrt(np.abs(w2))
-    cos, sin = np.empty(w.shape), np.empty(w.shape)
+    np.multiply(p, p, out=w2)
+    w2 += np.multiply(r, s, out=m[1])
     grows = w2 > 0      # each branch is evaluated where it holds only
-    wg = w[grows]
-    em = np.expm1(-2.0 * wg)
-    cos[grows] = 1.0 + 0.5 * em
-    sin[grows] = -0.5 * em / wg
     turns = ~grows
-    wt = w[turns]
-    moves = wt > 0
-    cos[turns] = np.cos(wt)
-    sin[turns] = np.where(moves, np.sin(wt) / np.where(moves, wt, 1.0), 1.0)
-    m = np.empty((4,) + q2.shape)
-    np.multiply(sin, p, out=m[1])
-    np.add(cos, m[1], out=m[0])
-    np.subtract(cos, m[1], out=m[3])
+    w = np.sqrt(np.abs(w2, out=m[1]), out=m[1])
+    # where w^2 > 0, cos = e^{-w} cosh(w) = 1 + em / 2 and
+    # sin = e^{-w} sinh(w) / w = -em / (2 w), em = e^{-2w} - 1
+    cos, sin = np.empty(q2.shape), w2
+    np.multiply(w, -2.0, out=cos, where=grows)
+    np.expm1(cos, out=cos, where=grows)
+    np.multiply(cos, -0.5, out=sin, where=grows)
+    np.divide(sin, w, out=sin, where=grows)
+    np.multiply(cos, 0.5, out=cos, where=grows)
+    np.add(cos, 1.0, out=cos, where=grows)
+    np.cos(w, out=cos, where=turns)
+    moves = turns & (w > 0)
+    np.sin(w, out=sin, where=moves)
+    np.divide(sin, w, out=sin, where=moves)
+    np.copyto(sin, 1.0, where=turns & ~moves)
+    p *= sin
+    s *= sin
     np.multiply(sin, r, out=m[1])
-    np.multiply(sin, s, out=m[2])
+    np.subtract(cos, p, out=m[3])
+    p += cos
     return m
 
 
@@ -382,31 +400,48 @@ def _lift(m, phi, x):
 
 
 def _compose(later, earlier):
-    """(B A, f_B(phi_A)) for later = (B, phi_B) after earlier = (A, phi_A),
-    scaled by its largest entry: the action is projective.  The four
-    entries of B A are written into one array and scaled in place."""
-    (b, phi_b), (a, phi_a) = later, earlier
+    """The node of later = (B, n_B) after earlier = (A, n_A): B A scaled
+    by its largest entry (the action is projective), negated where its
+    first column points left (m00 < 0), and n_A + n_B plus, where it was
+    negated, the sign of a10.
+
+    phi = f_B(phi_A) = (n_A + n_B) pi + f_B(theta_A), and f_B(theta_A) is
+    theta_B turned toward theta_A by less than pi, with the sign of
+    theta_A, because det B > 0.  So it lies in (-3 pi / 2, 3 pi / 2), and
+    B A e(0) points along it: where that column does not point left it is
+    theta(B A), and where it does, theta(-B A) plus pi times the sign of
+    theta_A, which is the sign of a10.  A column on the vertical reads the
+    same phi either way.  No transcendental function is called.  The four
+    entries of B A are written into one array and scaled in place, the
+    negation riding on the scale.
+    """
+    (b, n_b), (a, n_a) = later, earlier
     m = np.empty(b.shape)
     for j in (0, 1):    # column j of B A: rows (m0j, m1j) = B (a0j, a1j)
         np.multiply(b[::2], a[j], out=m[j::2])
         m[j::2] += b[1::2] * a[j + 2]
-    m /= np.abs(m).max(axis=0)
-    return m, _lift(b, phi_b, phi_a)
+    left = m[0] < 0
+    scale = np.abs(m).max(axis=0)
+    np.negative(scale, out=scale, where=left)
+    m /= scale
+    n = np.copysign(left, a[2])
+    n += n_a
+    n += n_b
+    return m, n
 
 
-def _product(m, phi):
-    """(m, phi) of the composition of the steps along phi's first axis (the
-    second axis of m), the first step applied first: a pairwise tree, each
-    round of which is one vectorized `_compose`."""
-    while len(phi) > 1:
-        n = len(phi) - len(phi) % 2
-        pm, pphi = _compose((m[:, 1:n:2], phi[1:n:2]),
-                            (m[:, :n:2], phi[:n:2]))
-        if n < len(phi):    # the odd step out joins the next round
-            pm = np.concatenate([pm, m[:, n:]], axis=1)
-            pphi = np.concatenate([pphi, phi[n:]])
-        m, phi = pm, pphi
-    return m[:, 0], phi[0]
+def _product(m, n):
+    """The node (m, n) of the composition of the steps along n's first axis
+    (the second axis of m), the first step applied first: a pairwise tree,
+    each round of which is one vectorized `_compose`."""
+    while len(n) > 1:
+        k = len(n) - len(n) % 2
+        pm, pn = _compose((m[:, 1:k:2], n[1:k:2]), (m[:, :k:2], n[:k:2]))
+        if k < len(n):      # the odd step out joins the next round
+            pm = np.concatenate([pm, m[:, k:]], axis=1)
+            pn = np.concatenate([pn, n[k:]])
+        m, n = pm, pn
+    return m[:, 0], n[0]
 
 
 def _plateau_angle(q, h):
@@ -415,39 +450,45 @@ def _plateau_angle(q, h):
     k = sqrt(q), which never vanishes, or to (cos(k h), -k sin(k h)),
     k = sqrt(-q), whose Pruefer phase k h counts the zeros crossed
     (`_rechart` of it to alpha keeps the branch)."""
-    k = np.sqrt(np.abs(q))
-    kh = k * h
-    angle = np.empty(q.shape)
+    k = np.abs(q)
+    np.sqrt(k, out=k)
+    angle = k * h       # k h until each branch replaces it
     up = q > 0          # each branch is evaluated where it holds only
-    angle[up] = np.arctan(k[up] * np.tanh(kh[up]))
+    angle[up] = np.arctan(k[up] * np.tanh(angle[up]))
     down = ~up
-    angle[down] = -_rechart(kh[down], k[down])
+    angle[down] = -_rechart(angle[down], k[down])
     return angle
 
 
 def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
-    """(m, phi) of every step (rows) at every energy (columns).
+    """The node (m, n) of every step (rows) at every energy (columns).
 
-    m is the Magnus map (`_magnus`).  phi is the closed-form angle of the
-    plateau step from alpha = 0 with V at the step's midpoint
-    (`_plateau_angle`), whose zero count is exact, corrected mod pi to the
-    angle of m e(0).  Where the step resolves V the two maps are close
-    and the correction small; a step whose correction exceeds _LEAF_SLACK
-    at any energy is split in two, V read at the halves' nodes, and gets
-    the product of their leaves.  A step still split after `splits` more
-    halvings raises IntegrationError: the halves double at each one, and
-    where no width resolves the step (|E| so large that Omega's terms
-    overflow) they would fill the memory.  The correction is taken mod
-    pi, so it cannot see a plateau angle more than 3 pi / 4 off the step's
-    lift: on a mesh from `pass_mesh` no step is that coarse, because its
-    doubling goes on until the angle each piece hands on settles.
+    m is the Magnus map (`_magnus`), oriented as a node's is: negated
+    where its first column points left.  n is the integer nearest
+    (plateau - theta(m)) / pi, plateau the closed-form angle of the step
+    from alpha = 0 with V at its midpoint (`_plateau_angle`), whose zero
+    count is exact: phi = n pi + theta(m) is the plateau angle corrected
+    mod pi to the angle of m e(0).  Where the step resolves V the two maps
+    are close and the correction small; a step whose correction exceeds
+    _LEAF_SLACK at any energy is split in two, V read at the halves'
+    nodes, and gets the product of their leaves.  A step still split after
+    `splits` more halvings raises IntegrationError: the halves double at
+    each one, and where no width resolves the step (|E| so large that
+    Omega's terms overflow) they would fill the memory.  The correction is
+    taken mod pi, so it cannot see a plateau angle more than 3 pi / 4 off
+    the step's lift: on a mesh from `pass_mesh` no step is that coarse,
+    because its doubling goes on until the angle each piece hands on
+    settles.
     """
-    q2 = 2.0 * (steps.v[:, 1, None] - energies)
+    q2 = steps.v[:, 1, None] - energies
+    q2 *= 2.0
+    plateau = _plateau_angle(q2, steps.h[:, None])
     m = _magnus(steps, q2)
-    phi = _plateau_angle(q2, steps.h[:, None])
-    turn = np.arctan2(m[2], m[0]) - phi
-    turn -= math.pi * np.round(turn / math.pi)
-    phi += turn
+    np.negative(m, out=m, where=m[0] < 0)
+    turn = np.arctan2(m[2], m[0], out=q2)     # q2 is spent
+    turn -= plateau
+    n = np.round(turn / -math.pi)
+    turn += math.pi * n
     split = (np.abs(turn) > _LEAF_SLACK).any(axis=1)
     if split.any():
         t, h = steps.t[split], 0.5 * steps.h[split]
@@ -457,10 +498,10 @@ def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
                 "and still does not resolve V", t_reached=float(t[0]))
         halves = _steps(potential, np.stack([t, t + h], axis=1).ravel(),
                         np.repeat(h, 2))
-        hm, hphi = _leaves(halves, energies, potential, splits - 1)
-        m[:, split], phi[split] = _compose((hm[:, 1::2], hphi[1::2]),
-                                           (hm[:, ::2], hphi[::2]))
-    return m, phi
+        hm, hn = _leaves(halves, energies, potential, splits - 1)
+        m[:, split], n[split] = _compose((hm[:, 1::2], hn[1::2]),
+                                         (hm[:, ::2], hn[::2]))
+    return m, n
 
 
 def _carry(steps, energies, alpha, potential):
@@ -468,14 +509,16 @@ def _carry(steps, energies, alpha, potential):
 
     The leaves are built from the steps' stored coefficients (`_magnus`)
     and reduced by the tree in blocks of at most _BLOCK step-energies,
-    which bounds the memory of a pass, and each block's lift is applied
-    to alpha in order.  A block of one step or of every step hands on the
-    same angles up to rounding.
+    which bounds the memory of a pass.  The root (m, n) of each block is
+    read as the lifted map with phi = n pi + theta(m), one arctan2 per
+    energy, and its lift is applied to alpha in order.  A block of one
+    step or of every step hands on the same angles up to rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
         block = _Steps(*(x[i:i + width] for x in steps))
-        alpha = _lift(*_product(*_leaves(block, energies, potential)), alpha)
+        m, n = _product(*_leaves(block, energies, potential))
+        alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
     return alpha
 
 

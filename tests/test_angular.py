@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
@@ -12,8 +13,8 @@ from scipy.linalg import expm
 from spectral_defect.angular import (_GAUSS, _amplitude_fun, _carry,
                                      _chart_fun, _compose, _integrate_vector,
                                      _leaves, _lift, _magnus, _omega,
-                                     _product, _rechart, _steps,
-                                     integrate_angle_sampled,
+                                     _product, _rechart, _span_steps,
+                                     _steps, integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
 from spectral_defect.errors import DomainError
 from spectral_defect.potentials import Shifted
@@ -473,6 +474,11 @@ def test_lift_keeps_the_branch_at_multiples_of_pi(m):
             abs=1e-12 * max(1.0, abs(k)))
 
 
+def _phi(m, n):
+    """phi = f(0) of the node (m, n): n pi + theta(m)."""
+    return math.pi * n + np.arctan2(m[2], m[0])
+
+
 def test_tree_product_equals_the_left_to_right_fold():
     # the left half of the 72-level well turns through some 36 pi at the
     # top energies; 1,001 steps leave an odd step out of most rounds
@@ -480,20 +486,21 @@ def test_tree_product_equals_the_left_to_right_fold():
     potential = problem.effective_potential()
     energies = np.array([0.2, 30.0, 60.0, 71.5])
     points = np.linspace(-14.0, 0.0, 1002)
-    m, phi = _leaves(_steps(potential, points[:-1], np.diff(points)),
-                     energies, potential)
-    tree_m, tree_phi = _product(m, phi)
-    fold = (m[:, 0], phi[0])
-    for j in range(1, len(phi)):
-        fold = _compose((m[:, j], phi[j]), fold)
+    m, n = _leaves(_steps(potential, points[:-1], np.diff(points)),
+                   energies, potential)
+    tree = _product(m, n)
+    fold = (m[:, 0], n[0])
+    for j in range(1, len(n)):
+        fold = _compose((m[:, j], n[j]), fold)
+    tree_phi, fold_phi = _phi(*tree), _phi(*fold)
     assert np.array_equal(np.floor(tree_phi / math.pi),
-                          np.floor(fold[1] / math.pi))
-    assert np.all(np.abs(tree_phi - fold[1])
-                  <= 1e-12 * np.maximum(1.0, np.abs(fold[1])))
+                          np.floor(fold_phi / math.pi))
+    assert np.all(np.abs(tree_phi - fold_phi)
+                  <= 1e-12 * np.maximum(1.0, np.abs(fold_phi)))
     assert tree_phi.min() < -30.0 * math.pi
     alphas = np.array([0.3, -1.2, 2.0, 0.0])
-    assert _lift(tree_m, tree_phi, alphas) == pytest.approx(
-        _lift(*fold, alphas), rel=0.0, abs=1e-10)
+    assert _lift(tree[0], tree_phi, alphas) == pytest.approx(
+        _lift(fold[0], fold_phi, alphas), rel=0.0, abs=1e-10)
 
 
 def test_a_leaf_whose_correction_is_large_is_split():
@@ -510,12 +517,84 @@ def test_a_leaf_whose_correction_is_large_is_split():
 
     energies = np.array([70.0])
     step = _steps(well, np.array([4.0]), np.array([3.0]))
-    _, phi = _leaves(step, energies, Recording())
+    phi = _phi(*_leaves(step, energies, Recording()))
     points = np.linspace(4.0, 7.0, 4001)
-    _, want = _product(*_leaves(_steps(well, points[:-1], np.diff(points)),
-                                energies, well))
+    want = _phi(*_product(*_leaves(
+        _steps(well, points[:-1], np.diff(points)), energies, well)))
     assert reads
     assert abs(phi[0, 0] - want[0]) < math.pi / 4
+
+
+def _node(m, n):
+    """The node of one 2x2 map (rows m00 m01, m10 m11) and n half turns,
+    as a tree holds it: one column, entries on the first axis."""
+    return np.reshape(np.array(m, dtype=float), (4, 1)), np.array([float(n)])
+
+
+@st.composite
+def magnus_pairs(draw):
+    """Two oriented Magnus maps of steps taken in one direction, as a pass
+    takes them, each with a count of half turns.  One step in three is
+    long and forbidden, its map of rank one to the rounding."""
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    nodes = []
+    for _ in range(2):
+        v = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=3,
+                                   max_size=3)))
+        h, E = draw(st.floats(0.0, 3.0)), draw(st.floats(-8.0, 8.0))
+        if draw(st.integers(0, 2)) == 0:
+            h, E = draw(st.floats(5.0, 40.0)), v.min() - 20.0
+        m = _magnus_step(0.0, sign * h, v, E)[:, 0, 0]
+        nodes.append(_node(-m if m[0] < 0 else m, draw(st.integers(-40, 40))))
+    return nodes
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pair=magnus_pairs())
+def test_composing_two_leaves_lifts_the_earlier_angle(pair):
+    # phi of (B, n_B) after (A, n_A) is f_B(phi_A), with no tolerance
+    # taken on which side of the vertical B A's first column falls.  Where
+    # B A e(0) cancels to the rounding (A e(0) on B's null line) neither
+    # form can tell its direction, and a pass never puts it there
+    later, earlier = pair
+    (b, _), (a, _) = pair
+    column = np.hypot(b[0] * a[0] + b[1] * a[2], b[2] * a[0] + b[3] * a[2])
+    assume(column[0] > 1e-8 * np.abs(b).max() * np.hypot(a[0], a[2])[0])
+    phi = _phi(*_compose(later, earlier))
+    want = _lift(later[0], _phi(*later), _phi(*earlier))
+    assert abs(phi[0] - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+
+
+@pytest.mark.parametrize("turns", [(0, 0), (3, -2)])
+def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
+    # B A's first column lands an ulp left of the vertical, on it with
+    # either sign of zero, or an ulp right of it, above the origin (B the
+    # quarter turn after a shear that leans A's column by a10) and below
+    # it (a shear by b01 after the quarter turn back, A's column leaning
+    # by a00); phi moves by no more than the column does
+    n_b, n_a = turns
+    ulp = math.ulp(0.0)
+    edges = [-ulp, -0.0, 0.0, ulp]
+    above = [(_node([b00, -1.0, 1.0, 0.0], n_b),
+              _node([1.0, 0.0, a10, 1.0], n_a))
+             for b00, a10 in ((0.0, ulp), (-0.0, 0.0), (0.0, 0.0),
+                              (0.0, -ulp))]
+    below = [(_node([1.0, b01, 0.0, 1.0], n_b),
+              _node([a00, 1.0, -1.0, 0.0], n_a))
+             for b01, a00 in ((ulp, 0.0), (0.0, -0.0), (0.0, 0.0),
+                              (0.0, ulp))]
+    for pairs, side in ((above, 1.0), (below, -1.0)):
+        columns = [(b[0] * a[0] + b[1] * a[2], b[2] * a[0] + b[3] * a[2])
+                   for (b, _), (a, _) in pairs]
+        assert [(x[0], math.copysign(1.0, x[0]), y[0]) for x, y in columns] \
+            == [(x, math.copysign(1.0, x), side) for x in edges]
+        want = (n_a + n_b) * math.pi + side * math.pi / 2
+        for later, earlier in pairs:
+            phi = _phi(*_compose(later, earlier))[0]
+            assert phi == pytest.approx(want, rel=0.0, abs=4e-16 * abs(want))
+            assert phi == pytest.approx(
+                _lift(later[0], _phi(*later), _phi(*earlier))[0],
+                rel=0.0, abs=4e-16 * abs(want))
 
 
 def test_a_step_no_halving_resolves_raises():
@@ -547,15 +626,31 @@ def test_mesh_doubles_each_piece_to_its_own_count():
 
 
 def test_a_rel_tol_below_the_rounding_stops_the_doubling():
+    # rel_tol = 1e-300 asks for more than the rounding gives: the smooth
+    # pieces [-2, 0] and [0, 2] double up to the cap, and the constant
+    # ones beyond +-2, whose Magnus steps are exact, stop short only where
+    # their angles at n and 2n steps met the tolerance
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0),
                              interval=(-3.0, 3.0))
-    energies = [0.5, 1.5]
-    lefts, rights = spectrum._cue_angles(problem, energies, -3.0, 3.0)
-    mesh = pass_mesh(problem, energies, lefts, rights, -3.0, 0.0, 3.0,
-                     sd.SolveConfig(rel_tol=1e-300))
-    # two pieces a half, each stopped at the cap
-    cap = angular._MAX_PIECE_STEPS
-    assert [steps.h.size for steps in mesh] == [2 * cap, 2 * cap]
+    potential = problem.effective_potential()
+    energies = np.array([0.5, 1.5])
+    config = sd.SolveConfig(rel_tol=1e-300)
+    starts = spectrum._cue_angles(problem, energies, -3.0, 3.0)
+    mesh = pass_mesh(problem, energies, *starts, -3.0, 0.0, 3.0, config)
+    cap, tol = angular._MAX_PIECE_STEPS, 63.0 * config.rel_tol / 4
+    for steps, start, end in zip(mesh, starts, (-3.0, 3.0)):
+        cut = math.copysign(2.0, end)
+        at = int(np.flatnonzero(steps.t == cut)[0])
+        tail = angular._Steps(*(x[:at] for x in steps))
+        assert steps.h.size - at == cap
+        assert tail.h.size <= cap
+        if tail.h.size < cap:
+            coarse = _carry(_span_steps(problem, potential, end, cut,
+                                        tail.h.size // 2),
+                            energies, start, potential)
+            fine = _carry(tail, energies, start, potential)
+            assert np.all(np.abs(fine - coarse)
+                          <= tol * np.maximum(1.0, np.abs(fine)))
 
 
 @st.composite
@@ -694,6 +789,21 @@ def test_stored_coefficients_match_their_steps():
         assert np.array_equal(steps.v, potential.evaluate(nodes))
         assert np.array_equal(np.stack(steps[3:]),
                               np.stack(_omega(steps.h, steps.v)))
+
+
+def test_a_hydrogen_solve_stays_in_its_memory():
+    # the traced peak of a solve grows with the tree's block, about 0.79 MB
+    # at _BLOCK = 8,192: a wider block fails here before it moves the
+    # process's peak RSS
+    problem = sd.problem_for(sd.Coulomb())
+    sd.find_eigenvalues(problem, -0.6, -0.0045)
+    tracemalloc.start()
+    try:
+        sd.find_eigenvalues(problem, -0.6, -0.0045)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
 
 
 def test_a_mesh_for_another_interval_is_refused():
