@@ -33,7 +33,8 @@ vertical (`_compose`).  The product is associative, so it is taken as a
 pairwise tree over all steps and energies at once (`_product`), and the
 angle it hands on is unwrapped: n_below is exact.  A leaf's n is read off
 the plateau angle of the step, whose zero count is exact, corrected mod pi
-to the Magnus map; the root's theta is read once per block (`_carry`).
+to the Magnus map (a large correction raises: only `pass_mesh` refines);
+the root's theta is read once per block (`_carry`).
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
@@ -259,7 +260,6 @@ _MAX_PIECE_STEPS = 2**14    # the doubling stops here: a rel_tol that it
                             # cannot meet sooner is below the rounding
 _BLOCK = 8192               # step-energies one tree product holds at once
 _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
-_MAX_SPLITS = 6             # halvings of one step before a pass gives up
 
 
 class _Steps(NamedTuple):
@@ -460,7 +460,7 @@ def _plateau_angle(q, h):
     return angle
 
 
-def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
+def _leaves(steps, energies):
     """The node (m, n) of every step (rows) at every energy (columns).
 
     m is the Magnus map (`_magnus`), oriented as a node's is: negated
@@ -469,16 +469,12 @@ def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
     from alpha = 0 with V at its midpoint (`_plateau_angle`), whose zero
     count is exact: phi = n pi + theta(m) is the plateau angle corrected
     mod pi to the angle of m e(0).  Where the step resolves V the two maps
-    are close and the correction small; a step whose correction exceeds
-    _LEAF_SLACK at any energy is split in two, V read at the halves'
-    nodes, and gets the product of their leaves.  A step still split after
-    `splits` more halvings raises IntegrationError: the halves double at
-    each one, and where no width resolves the step (|E| so large that
-    Omega's terms overflow) they would fill the memory.  The correction is
-    taken mod pi, so it cannot see a plateau angle more than 3 pi / 4 off
-    the step's lift: on a mesh from `pass_mesh` no step is that coarse,
-    because its doubling goes on until the angle each piece hands on
-    settles.
+    are close and the correction small; a correction beyond _LEAF_SLACK at
+    any energy raises IntegrationError naming the step, which is too wide
+    for V there.  The correction is taken mod pi, so it cannot see a
+    plateau angle more than 3 pi / 4 off the step's lift: on a mesh from
+    `pass_mesh` no step is that coarse, because its doubling goes on until
+    the angle each piece hands on settles.
     """
     q2 = steps.v[:, 1, None] - energies
     q2 *= 2.0
@@ -489,35 +485,30 @@ def _leaves(steps, energies, potential, splits=_MAX_SPLITS):
     turn -= plateau
     n = np.round(turn / -math.pi)
     turn += math.pi * n
-    split = (np.abs(turn) > _LEAF_SLACK).any(axis=1)
-    if split.any():
-        t, h = steps.t[split], 0.5 * steps.h[split]
-        if not splits:
-            raise IntegrationError(
-                f"the step from t = {t[0]:g} is split {_MAX_SPLITS} times "
-                "and still does not resolve V", t_reached=float(t[0]))
-        halves = _steps(potential, np.stack([t, t + h], axis=1).ravel(),
-                        np.repeat(h, 2))
-        hm, hn = _leaves(halves, energies, potential, splits - 1)
-        m[:, split], n[split] = _compose((hm[:, 1::2], hn[1::2]),
-                                         (hm[:, ::2], hn[::2]))
+    coarse = (np.abs(turn) > _LEAF_SLACK).any(axis=1)
+    if coarse.any():
+        t = float(steps.t[coarse][0])
+        raise IntegrationError(
+            f"the step from t = {t:g} is too wide to resolve V",
+            t_reached=t)
     return m, n
 
 
-def _carry(steps, energies, alpha, potential):
+def _carry(steps, energies, alpha):
     """alpha carried over the steps, one column per energy.
 
     The leaves are built from the steps' stored coefficients (`_magnus`)
     and reduced by the tree in blocks of at most _BLOCK step-energies,
     which bounds the memory of a pass.  The root (m, n) of each block is
     read as the lifted map with phi = n pi + theta(m), one arctan2 per
-    energy, and its lift is applied to alpha in order.  A block of one
-    step or of every step hands on the same angles up to rounding.
+    energy, and its lift is applied to alpha in order.  Near a doublet
+    behind a long forbidden stretch the blocking moves the angles by more
+    than the rounding: a block's product there is rank one to the rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
         block = _Steps(*(x[i:i + width] for x in steps))
-        m, n = _product(*_leaves(block, energies, potential))
+        m, n = _product(*_leaves(block, energies))
         alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
     return alpha
 
@@ -537,13 +528,15 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     half is cut at the breakpoints (`_cuts`), and each piece into
     `_span_points` steps.  The start angles are carried piece by piece in
     the direction of travel; a piece's step count doubles from
-    _PIECE_STEPS while the angle it hands on moves by more than
-    63 rel_tol max(1, |alpha|) / pieces between n and 2n steps at any of
-    the energies, and the finer count is kept.  For a sixth-order method
-    that move is 63 times the error of the finer count.  V is read at the
-    Gauss nodes only, never at a cut.  None for a potential with
-    `_constant_pieces`, whose passes take every piece in closed form.
-    config is the SolveConfig; only its rel_tol is read.
+    _PIECE_STEPS until the angle it hands on moves by at most
+    63 rel_tol max(1, |alpha|) / pieces at every energy from the last
+    count whose carry did not raise (`_leaves` raises on a step too wide
+    for V), and that finer count is kept: for a sixth-order method the
+    move is 63 times its error.  At _MAX_PIECE_STEPS the doubling stops,
+    and a carry that still raises is raised.  V is read at the Gauss nodes
+    only, never at a cut.  None for a potential with `_constant_pieces`,
+    whose passes take every piece in closed form.  config is the
+    SolveConfig; only its rel_tol is read.
     """
     potential = problem.effective_potential()
     if _constant_pieces(potential):
@@ -558,17 +551,22 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
         alpha = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
         parts = [_NO_STEPS]
         for p0, p1 in pieces:
-            n = _PIECE_STEPS
-            coarse = _carry(_span_steps(problem, potential, p0, p1, n),
-                            energies, alpha, potential)
+            n, coarse = _PIECE_STEPS, None
             while True:
-                n *= 2
                 steps = _span_steps(problem, potential, p0, p1, n)
-                fine = _carry(steps, energies, alpha, potential)
-                moved = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
-                if np.all(moved <= tol) or n >= _MAX_PIECE_STEPS:
-                    break
-                coarse = fine
+                try:
+                    fine = _carry(steps, energies, alpha)
+                except IntegrationError:    # a leaf too wide: not settled
+                    if n >= _MAX_PIECE_STEPS:
+                        raise
+                else:
+                    settled = coarse is not None and np.all(
+                        np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
+                        <= tol)
+                    if settled or n >= _MAX_PIECE_STEPS:
+                        break
+                    coarse = fine
+                n *= 2
             parts.append(steps)
             alpha = fine
         mesh.append(_Steps(*map(np.concatenate, zip(*parts))))
@@ -596,18 +594,18 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     from b to c, one component per energy; either half may be empty (c at
     a or b).  Each half is carried over its steps of the mesh from
     `pass_mesh` by the lifted Magnus product, at a cost linear in the
-    steps and in the batch, and V is read only where a leaf is split (a
-    solve builds one mesh and passes it to every pass).  Without a mesh
-    one is built from the batch's lowest and highest energy.  A given
-    mesh must run from a to c on the left and from b to c on the right,
-    its ends equal to those up to rounding, or DomainError is raised; a
-    half is empty where c is its end.  What that check cannot see is a
-    mesh too coarse for V: a leaf whose plateau angle is more than 3 pi / 4
-    off the step's lift goes unnoticed (`_leaves`), and it is the
-    doubling of `pass_mesh` that resolves it.  On a piecewise-constant
-    family every piece is taken in closed form instead (`_plateau_flow`)
-    and no mesh is used.  config is the SolveConfig; only its rel_tol is
-    read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
+    steps and in the batch; a pass over a given mesh reads no V (a solve
+    builds one mesh and passes it to every pass).  Without a mesh one is
+    built from the batch's lowest and highest energy.  A given mesh must
+    run from a to c on the left and from b to c on the right, its ends
+    equal to those up to rounding, or DomainError is raised; a half is
+    empty where c is its end.  A step too wide for V raises
+    IntegrationError naming it (`_leaves`), unless its plateau angle is
+    more than 3 pi / 4 off its lift, which no check sees; the doubling of
+    `pass_mesh` keeps both out.  On a piecewise-constant family every
+    piece is taken in closed form instead (`_plateau_flow`) and no mesh is
+    used.  config is the SolveConfig; only its rel_tol is read.  Returns
+    the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
@@ -623,7 +621,7 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                          starts[1][ends], a, c, b, config)
     else:
         _check_coverage(mesh, a, c, b)
-    return tuple(_carry(steps, energies, start, potential)
+    return tuple(_carry(steps, energies, start)
                  for steps, start in zip(mesh, starts))
 
 

@@ -152,8 +152,7 @@ def _build_potential(section):
 _SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
                "e_tol": ("e_tol", _number),
                "residual_tol": ("residual_tol", _number),
-               "kappa": ("kappa", _number),
-               "samples": ("scan_samples", _integer(2))}
+               "kappa": ("kappa", _number)}
 # [solve] keys of all commands together: one file serves every command
 _SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
                  "n": _integer(0), "samples": _integer(2),
@@ -317,10 +316,11 @@ def _transfer_bracket(problem, E, bound, config):
     """(d, mismatch at E - d, mismatch at E + d) for the first d, from
     bound down by factors of 8 to _TRANSFER_BOUND, that brackets a root.
 
-    The mismatch is steep at a level (about 2e6 rad per unit energy at
-    n = 0 on the a = 4 oscillator), so a wide bound can wrap it past
-    -+pi/2 on a correct level; a bracket at any d <= bound still places a
-    root within bound.  Without one, the last (smallest) d is returned.
+    A bound over which the mismatch turns by more than pi/2 (it turns
+    about 3.5 rad per unit energy at n = 0 on the a = 4 oscillator) can
+    wrap it past -+pi/2 on a correct level; a bracket at any d <= bound
+    still places a root within bound.  Without one, the last (smallest) d
+    is returned.
     """
     d = bound
     while True:

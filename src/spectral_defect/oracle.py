@@ -18,7 +18,7 @@ from . import cues
 from .angular import _integrate_vector
 from .errors import DomainError, ThresholdError
 from .potentials import ProblemSpec
-from .spectrum import SolveConfig, auto_interval
+from .spectrum import SolveConfig, _matching_point, auto_interval
 
 _RESCALE_LIMIT = 1e120
 _ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
@@ -37,35 +37,43 @@ class TransferMatrix:
 
 
 def _phase_fun(potential, E):
-    """(q, p)' of both canonical solutions at once, y = (q1, q2, p1, p2)."""
+    """(q, p)' of one or more solutions at once, y = (q1, .., p1, ..)."""
     def fun(t, y):
+        half = y.size // 2
         return np.concatenate(
-            [y[2:], 2.0 * (potential.evaluate(t) - E) * y[:2]])
+            [y[half:], 2.0 * (potential.evaluate(t) - E) * y[:half]])
     return fun
 
 
-def transfer_matrix(problem: ProblemSpec, E: float,
-                    config: SolveConfig = None) -> TransferMatrix:
-    """u(b, a) over the compact support, both canonical columns in one pass.
+def _propagate(potential, E, s0, s1, y, config):
+    """(y at s1 times 2**-exp, exp): y carried from s0 to s1 (either order).
 
     The integrator cuts at the breakpoints; checkpoints at most 5 apart
     rescale by a power of two before growth can overflow.
     """
-    config = config or SolveConfig()
-    a, b = _support_interval(problem)
-    potential = problem.effective_potential()
     fun = _phase_fun(potential, E)
-    y = np.array([1.0, 0.0, 0.0, 1.0])
     exp = 0
-    checkpoints = np.linspace(a, b, max(1, math.ceil((b - a) / 5.0)) + 1)
-    for s0, s1 in zip(checkpoints, checkpoints[1:]):
-        y, _ = _integrate_vector(fun, s0, s1, y, config,
+    checkpoints = np.linspace(s0, s1,
+                              max(1, math.ceil(abs(s1 - s0) / 5.0)) + 1)
+    for p0, p1 in zip(checkpoints, checkpoints[1:]):
+        y, _ = _integrate_vector(fun, p0, p1, y, config,
                                  potential.breakpoints())
         peak = np.max(np.abs(y))
         if peak > _RESCALE_LIMIT:
             shift = int(math.floor(math.log2(peak)))
             y = y / 2.0 ** shift
             exp += shift
+    return y, exp
+
+
+def transfer_matrix(problem: ProblemSpec, E: float,
+                    config: SolveConfig = None) -> TransferMatrix:
+    """u(b, a) over the compact support, both canonical columns in one pass
+    (`_propagate`)."""
+    a, b = _support_interval(problem)
+    y, exp = _propagate(problem.effective_potential(), E, a, b,
+                        np.array([1.0, 0.0, 0.0, 1.0]),
+                        config or SolveConfig())
     return TransferMatrix(matrix=y.reshape(2, 2), scale_exp=exp)
 
 
@@ -82,22 +90,32 @@ def _support_interval(problem):
 
 def transfer_mismatch(problem: ProblemSpec, E: float,
                       config: SolveConfig = None) -> float:
-    """Signed angle (mod pi, in (-pi/2, pi/2]) between u(b,a) e+ and e-.
+    """theta_L - theta_R mod pi, in (-pi/2, pi/2]: the angles of e+
+    carried forward from a and of e- carried backward from b to the
+    matching point c of the support [a, b] (`spectrum._matching_point`).
 
-    Zero exactly at eigenvalues: the expanding direction must be carried
-    onto the shrinking one.
+    e+ = (1, k_L) decays to the left of a and e- = (1, -k_R) to the right
+    of b, so the mismatch is zero exactly at eigenvalues.  Each direction
+    is carried only toward the well, not across the far tail, where it
+    would turn onto the growing direction whatever E is.
     """
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
         DomainError("transfer matrices need constant tails"))
     if not (E < left and E < right):
         raise ThresholdError("E must lie below both tail levels")
-    u = transfer_matrix(problem, E, config).matrix
-    e_plus = np.array([1.0, math.sqrt(2.0 * (left - E))])
-    k_minus = math.sqrt(2.0 * (right - E))
-    out = u @ e_plus
-    theta = math.atan2(out[1], out[0]) - math.atan(-k_minus)
-    return (theta + math.pi / 2) % math.pi - math.pi / 2
+    config = config or SolveConfig()
+    a, b = _support_interval(problem)
+    c = _matching_point(problem, (a, b))
+    potential = problem.effective_potential()
+    angles = []
+    for s0, slope in ((a, math.sqrt(2.0 * (left - E))),
+                      (b, -math.sqrt(2.0 * (right - E)))):
+        (q, p), _ = _propagate(potential, E, s0, c, np.array([1.0, slope]),
+                               config)
+        angles.append(math.atan2(p, q))
+    theta_l, theta_r = angles
+    return math.pi / 2 - (theta_r - theta_l + math.pi / 2) % math.pi
 
 
 def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,

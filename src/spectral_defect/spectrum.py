@@ -45,6 +45,8 @@ _SPLIT = 2                  # pieces per level each bracket is cut into
                             # per pass: the fewest that still halve it, as
                             # a pass costs in proportion to its energies
 _MATCH_GRID = 4001          # points on which the matching point is sought
+_SCAN_SAMPLES = 64          # energies of a solve's first pass: 8 to 64
+                            # move no level by more than 6e-11
 _NODE_FLOOR = 1e-6          # |psi| under this share of its peak: no node
 _MAX_LEVELS = 10**5         # levels one solve resolves: each takes up
                             # to _SPLIT + 3 new samples per pass
@@ -58,14 +60,11 @@ class SolveConfig:
     e_tol: float = 1e-10
     residual_tol: float = 1e-10
     kappa: float = 1e-3
-    scan_samples: int = 64
 
     def __post_init__(self):
         if not all(tol > 0 for tol in (self.rel_tol, self.e_tol,
                                        self.residual_tol, self.kappa)):
             raise ValueError("tolerances must be positive")
-        if self.scan_samples < 2:
-            raise ValueError("need at least two scan samples")
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     every sampler; integrator noise on Gamma grows with the angle
     accumulated, so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
     """
-    Es = list(np.linspace(E_min, E_max, config.scan_samples))
+    Es = list(np.linspace(E_min, E_max, _SCAN_SAMPLES))
     samples = dict(zip(Es, sample_fn(Es)))
     count = samples[Es[-1]].n_below - samples[Es[0]].n_below
     if count > _MAX_LEVELS:
@@ -443,8 +442,9 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
 
     Both cues run toward the matching point c (`_matching_point`), where the
     halves are joined (`integrate_angle_sampled`), so psi decays toward
-    both ends.  E_n should be an accepted eigenvalue; the node count of psi
-    then equals its branch index.
+    both ends; each start angle is checked to lie on its decaying branch
+    (`_cue_angles`).  E_n should be an accepted eigenvalue; the node count
+    of psi then equals its branch index.
     """
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
@@ -453,10 +453,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                                              config)
     if grid[0] < a or grid[-1] > b:
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
+    (left,), (right,) = _cue_angles(problem, [E_n], a, b)
     t_s, alpha_s, log_s = integrate_angle_sampled(
-        problem, E_n, cues.left_boundary_angle(problem, E_n, a),
-        cues.right_boundary_angle(problem, E_n, b), a,
-        _matching_point(problem, (a, b)), b, config, t_eval=grid)
+        problem, E_n, left, right, a, _matching_point(problem, (a, b)), b,
+        config, t_eval=grid)
     log_shift = log_s - np.max(log_s)
     psi = np.exp(log_shift) * np.cos(alpha_s)
     norm = math.sqrt(trapezoid(psi * psi, t_s))

@@ -486,8 +486,7 @@ def test_tree_product_equals_the_left_to_right_fold():
     potential = problem.effective_potential()
     energies = np.array([0.2, 30.0, 60.0, 71.5])
     points = np.linspace(-14.0, 0.0, 1002)
-    m, n = _leaves(_steps(potential, points[:-1], np.diff(points)),
-                   energies, potential)
+    m, n = _leaves(_steps(potential, points[:-1], np.diff(points)), energies)
     tree = _product(m, n)
     fold = (m[:, 0], n[0])
     for j in range(1, len(n)):
@@ -503,26 +502,65 @@ def test_tree_product_equals_the_left_to_right_fold():
         _lift(fold[0], fold_phi, alphas), rel=0.0, abs=1e-10)
 
 
-def test_a_leaf_whose_correction_is_large_is_split():
+def test_a_leaf_whose_correction_is_large_raises():
     # at E = 70 the plateau angle of the step [4, 7] of t^2 / 2 is about
     # pi/2 off the Magnus map mod pi: corrected to it, the leaf would land
-    # a branch away from the flow; split, it keeps the flow's branch
+    # a branch away from the flow, so it is refused
     well = sd.TruncatedOscillator(1.0, 12.0)
-    reads = []
-
-    class Recording:
-        def evaluate(self, t):
-            reads.append(np.size(t))
-            return well.evaluate(t)
-
-    energies = np.array([70.0])
     step = _steps(well, np.array([4.0]), np.array([3.0]))
-    phi = _phi(*_leaves(step, energies, Recording()))
-    points = np.linspace(4.0, 7.0, 4001)
-    want = _phi(*_product(*_leaves(
-        _steps(well, points[:-1], np.diff(points)), energies, well)))
-    assert reads
-    assert abs(phi[0, 0] - want[0]) < math.pi / 4
+    with pytest.raises(sd.IntegrationError, match="t = 4 is too wide") \
+            as caught:
+        _leaves(step, np.array([70.0]))
+    assert caught.value.t_reached == 4.0
+
+
+def test_a_coarse_mesh_handed_to_a_pass_raises():
+    # the left half is resolved but for its last step, [4, 7] at E = 70:
+    # the pass names that step instead of repairing it
+    well = sd.TruncatedOscillator(1.0, 12.0)
+    problem = sd.problem_for(well, interval=(-14.0, 14.0))
+    energies = np.array([20.0, 70.0])
+    starts = spectrum._cue_angles(problem, energies, -14.0, 14.0)
+
+    def steps(*pieces):
+        parts = [_span_steps(problem, well, *piece) for piece in pieces]
+        return angular._Steps(*map(np.concatenate, zip(*parts)))
+
+    mesh = (steps((-14.0, -12.0, 64), (-12.0, 4.0, 1024), (4.0, 7.0, 1)),
+            steps((14.0, 12.0, 64), (12.0, 7.0, 512)))
+    with pytest.raises(sd.IntegrationError, match="t = 4 is too wide") \
+            as caught:
+        integrate_angles(problem, energies, *starts, -14.0, 7.0, 14.0,
+                         sd.SolveConfig(), mesh)
+    assert caught.value.t_reached == 4.0
+
+
+def _counting_carry(counts):
+    """angular._carry, appending the step count of each call to counts."""
+    carry = angular._carry
+
+    def recording(steps, *args):
+        counts.append(steps.h.size)
+        return carry(steps, *args)
+
+    return recording
+
+
+def test_the_doubling_resolves_a_step_the_leaves_refuse():
+    # the piece [4, 7] at E = 70 starts as the one step that _leaves
+    # refuses: that count is unsettled, and the doubling goes on from 2
+    # steps to the angle of a fine carry
+    well = sd.TruncatedOscillator(1.0, 12.0)
+    problem = sd.problem_for(well)
+    energies, start, counts = np.array([70.0]), np.zeros(1), []
+    with mock.patch.object(angular, "_PIECE_STEPS", 1), \
+            mock.patch.object(angular, "_carry", _counting_carry(counts)):
+        left, right = pass_mesh(problem, energies, start, start, 4.0, 7.0,
+                                7.0, sd.SolveConfig())
+    assert counts[:3] == [1, 2, 4]
+    assert right.h.size == 0 and left.h.size == counts[-1]
+    fine = _carry(_span_steps(problem, well, 4.0, 7.0, 4096), energies, start)
+    assert _carry(left, energies, start) == pytest.approx(fine, rel=1e-12)
 
 
 def _node(m, n):
@@ -597,14 +635,18 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
                 rel=0.0, abs=4e-16 * abs(want))
 
 
-def test_a_step_no_halving_resolves_raises():
-    # at E = -1e300 Omega's p term overflows w^2 on any width a few
-    # halvings reach: the pass stops instead of doubling the halves on
-    well = sd.TruncatedOscillator(1.0, 2.0)
-    step = _steps(well, np.array([-2.0]), np.array([0.5]))
-    with pytest.raises(sd.IntegrationError, match="split 6 times"), \
-            np.errstate(over="ignore"):
-        _leaves(step, np.array([-1e300]), well)
+def test_a_step_no_doubling_resolves_raises_at_the_cap():
+    # at E = -1e300 Omega's p term overflows w^2 on any width: the
+    # doubling of the piece stops at its cap and raises there
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
+    counts = []
+    with mock.patch.object(angular, "_carry", _counting_carry(counts)), \
+            pytest.raises(sd.IntegrationError, match="t = -2 is too wide"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pass_mesh(problem, [-1e300], [0.0], [0.0], -2.0, -1.5, -1.5,
+                  sd.SolveConfig())
+    assert counts[-1] == angular._MAX_PIECE_STEPS
+    assert len(counts) == 11
 
 
 def test_mesh_doubles_each_piece_to_its_own_count():
@@ -647,8 +689,8 @@ def test_a_rel_tol_below_the_rounding_stops_the_doubling():
         if tail.h.size < cap:
             coarse = _carry(_span_steps(problem, potential, end, cut,
                                         tail.h.size // 2),
-                            energies, start, potential)
-            fine = _carry(tail, energies, start, potential)
+                            energies, start)
+            fine = _carry(tail, energies, start)
             assert np.all(np.abs(fine - coarse)
                           <= tol * np.maximum(1.0, np.abs(fine)))
 
@@ -750,12 +792,11 @@ def test_the_angles_handed_on_do_not_depend_on_the_block(case):
     problem, energies, near = case
     energies = _with_near_level(problem, energies, near)
     _, starts, mesh = _solve_mesh(problem, energies)
-    potential = problem.effective_potential()
     most = max(steps.h.size for steps in mesh)
     carried = []
     for block in (1, 3, most):
         with mock.patch.object(angular, "_BLOCK", block * energies.size):
-            carried.append([_carry(steps, energies, start, potential)
+            carried.append([_carry(steps, energies, start)
                             for steps, start in zip(mesh, starts)])
     for got in carried[:-1]:
         for alpha, want in zip(got, carried[-1]):

@@ -85,10 +85,8 @@ def test_unknown_family_rejected():
 
 
 @pytest.mark.parametrize("text, read, value", [
-    (OSC_CONFIG + "\n[tolerances]\nsamples = 1e3\n",
-     lambda run: run.config.scan_samples, 1000),
-    (OSC_CONFIG + "\n[tolerances]\nsamples = 64.0\n",
-     lambda run: run.config.scan_samples, 64),
+    (OSC_CONFIG + "samples = 1e3\n", lambda run: run.params["samples"], 1000),
+    (OSC_CONFIG + "samples = 64.0\n", lambda run: run.params["samples"], 64),
     (COULOMB_CONFIG.replace("l = 0", "l = 1.0"), lambda run: run.problem.l, 1),
 ], ids=["samples_1e3", "samples_64.0", "l_1.0"])
 def test_integer_keys_take_integral_numbers(text, read, value):
@@ -98,10 +96,9 @@ def test_integer_keys_take_integral_numbers(text, read, value):
 
 
 def test_tolerance_overrides_parsed():
-    text = OSC_CONFIG + "\n[tolerances]\nrel_tol = 1e-9\nsamples = 32\n"
+    text = OSC_CONFIG + "\n[tolerances]\nrel_tol = 1e-9\n"
     run = cli.parse_config(text)
     assert run.config.rel_tol == 1e-9
-    assert run.config.scan_samples == 32
 
 
 def test_solve_csv_round_trip(tmp_path):
@@ -386,22 +383,39 @@ def test_verify_gates_the_transfer_mismatch(tmp_path, capsys, monkeypatch,
                       "mismatch within 1e-09"] * code
 
 
-def test_verify_transfer_check_holds_at_a_coarse_e_tol(tmp_path, capsys):
-    # bound 10 e_tol = 1e-6 wraps the mismatch past -+pi/2 at n = 0 (slope
-    # ~2e6 rad per unit energy); a narrower bracket still places the root
-    cfg = tmp_path / "osc.ini"
-    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
-                   .replace("emax = 1.998", "emax = 7.998")
-                   + "\n[tolerances]\ne_tol = 1e-7\n")
-    assert cli.main(["verify", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "fails" not in out
-    spans = [float(line.split(":")[0].split()[-1])
-             for line in out.splitlines()
-             if line.startswith("transfer mismatch")]
+def test_the_transfer_bracket_shrinks_past_a_wrap():
+    # bound 0.5 wraps the mismatch past -+pi/2 on the three lowest levels
+    # of the a = 4 oscillator (slope ~3.5 rad per unit energy at n = 0);
+    # the bracket shrinks by factors of 8 until it places the root
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    result = sd.find_eigenvalues(problem, 1e-6, 7.998)
+    spans = []
+    for ev in result.eigenvalues:
+        d, lo, hi = cli._transfer_bracket(result.problem, ev.energy, 0.5,
+                                          result.config)
+        assert cli._brackets_a_root(lo, hi)
+        spans.append(d)
     assert len(spans) == 8
-    assert all(1e-9 <= d <= 1e-6 for d in spans)
-    assert min(spans) < 1e-6
+    assert spans[:3] == [0.0625] * 3
+
+
+@pytest.mark.parametrize("right", [5, 20, 64])
+def test_verify_passes_a_long_forbidden_tail(tmp_path, capsys, right):
+    # carried across a long tail to b, e+ turns onto the growing direction
+    # on both sides of a level; matched at c, the mismatch still changes
+    # sign there, by about Gamma' 1e-9
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_CONFIG.replace("emax = -0.002", "emax = -0.1"))
+    assert cli.main(["verify", str(cfg), "--interval", "-3", str(right)]) == 0
+    out = capsys.readouterr().out
+    mismatches = [line for line in out.splitlines()
+                  if line.startswith("transfer mismatch")]
+    assert [line.split(":")[0] for line in mismatches] == [
+        "transfer mismatch at n=0 on E -+ 1e-09",
+        "transfer mismatch at n=1 on E -+ 1e-09"]
+    for line in mismatches:
+        lo, hi = (float(x) for x in line.split(":")[1].split(","))
+        assert lo * hi < 0 and max(abs(lo), abs(hi)) < 1e-7
 
 
 def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
@@ -489,9 +503,8 @@ _BAD_VALUES = [
     (OSC_CONFIG + "\n[tolerances]\nmethod = FOO\n", "'method'", "solve", ""),
     (COULOMB_CONFIG.replace("l = 0", "l = -1"), "non-negative", "solve", ""),
     (COULOMB_CONFIG.replace("l = 0", "l = 1.5"), "non-negative", "solve", ""),
-    (OSC_CONFIG + "\n[tolerances]\nsamples = 1.5\n", "'samples'", "solve",
-     ""),
-    (OSC_CONFIG + "\n[tolerances]\nsamples = 1\n", "'samples'", "solve", ""),
+    (OSC_CONFIG + "samples = 1.5\n", "'samples'", "scan", ""),
+    (OSC_CONFIG + "samples = 1\n", "'samples'", "scan", ""),
     (HALF_LINE_WELL_CONFIG, "[domain]", "solve", ""),
     (HALF_LINE_WELL_CONFIG, "[domain]", "verify", ""),
     (TABULATED_CONFIG, "two columns", "solve", ""),
@@ -531,13 +544,14 @@ _BAD_VALUES = [
      ""),
     # counts past cli._MAX_COUNT would not fit in memory
     (OSC_CONFIG + "samples = 1e20\n", "'samples'", "scan", ""),
-    (OSC_CONFIG + "\n[tolerances]\nsamples = 1e20\n", "'samples'", "solve",
-     ""),
     (OSC_CONFIG + "grid = 1e20\n", "'grid'", "verify", ""),
     (OSC_CONFIG + "n = 0\ngrid_points = 1e20\n", "'grid_points'",
      "eigenfunction", ""),
-    # a removed key: rel_tol sets both integrator tolerances
+    # removed keys: rel_tol sets both integrator tolerances, and a solve
+    # scans spectrum._SCAN_SAMPLES energies first
     (OSC_CONFIG + "\n[tolerances]\nabs_tol = 1e-12\n", "'abs_tol'", "solve",
+     ""),
+    (OSC_CONFIG + "\n[tolerances]\nsamples = 64\n", "'samples'", "solve",
      ""),
 ]
 
@@ -625,7 +639,7 @@ _KNOWN_KEYS = {
     "domain": ("kind", "l", "a", "b", "eref"),
     "solve": ("emin", "emax", "ceiling", "n", "samples", "grid", "grid_min",
               "grid_max", "grid_points"),
-    "tolerances": ("rel_tol", "e_tol", "residual_tol", "kappa", "samples"),
+    "tolerances": ("rel_tol", "e_tol", "residual_tol", "kappa"),
 }
 _ENTRIES = [(section, key) for section, keys in _KNOWN_KEYS.items()
             for key in keys]

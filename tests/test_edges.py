@@ -19,15 +19,38 @@ def double_well(barrier):
                                 (0.0, -4.0, 0.0, -4.0, 0.0))
 
 
-@pytest.mark.parametrize("barrier, energies", [
-    (2.0, 121), (6.0, 161), (10.0, 142), (16.0, 118)],
-    ids=["2.0", "6.0", "10.0", "16.0"])
-def test_doublets_match_the_fd_oracle(barrier, energies):
+def ramped_double_well(barrier, r=0.01):
+    """double_well with each wall a ramp r wide: a `Tabulated` well, which
+    the passes take by Magnus steps, not in closed form."""
+    h = barrier / 2.0
+    return sd.Tabulated(
+        (-h - 2.0 - r, -h - 2.0, -h, -h + r, h - r, h, h + 2.0, h + 2.0 + r),
+        (0.0, -4.0, -4.0, 0.0, 0.0, -4.0, -4.0, 0.0))
+
+
+# ROADMAP item 3: past the long barrier a tree block's product is rank one
+# to the rounding, Gamma near the doublet drops by 7.6e-7 (barrier 10) and
+# 9.3e-8 (barrier 16), and the solve raises; mending item 3 flips these
+_RAMPED_DROP = pytest.mark.xfail(
+    strict=True, raises=MonotonicityError,
+    reason="ROADMAP item 3: the lifted product loses the doublet's "
+           "component over a long forbidden barrier")
+
+
+@pytest.mark.parametrize("well, energies", [
+    (double_well(2.0), 121), (double_well(6.0), 161),
+    (double_well(10.0), 142), (double_well(16.0), 118),
+    (ramped_double_well(2.0), 121), (ramped_double_well(6.0), 180),
+    pytest.param(ramped_double_well(10.0), 180, marks=_RAMPED_DROP),
+    pytest.param(ramped_double_well(16.0), 180, marks=_RAMPED_DROP)],
+    ids=["2.0", "6.0", "10.0", "16.0", "ramped-2.0", "ramped-6.0",
+         "ramped-10.0", "ramped-16.0"])
+def test_doublets_match_the_fd_oracle(well, energies):
     # splittings run from 3.5e-3 (barrier 2) past e_tol (barrier 10) to
     # exact degeneracy (barrier 16): a bracket holding two levels is cut 4
     # ways and gets one root step per level; the jumps sit on nodes of both
-    # fd grids
-    problem = sd.problem_for(double_well(barrier))
+    # fd grids, the ramps' kinks do not (fd_err ~1e-5)
+    problem = sd.problem_for(well)
     result = sd.find_eigenvalues(problem, -4.0 + 1e-3, -0.1)
     assert len(result.scan) <= energies
     fd = oracle.fd_eigenvalues(problem, -0.1, grid_size=24575,
@@ -62,7 +85,8 @@ def test_a_flipped_cue_breaks_monotonicity(monkeypatch, potential, window,
                                            levels, side):
     # on these wells Gamma_c stays monotone with the right cue flipped (the
     # constant tail holds the growing direction fixed), so the scan's drop
-    # check would pass wrong levels; the start-angle check must catch it
+    # check would pass wrong levels; the start-angle check must catch it,
+    # for the eigenfunction too
     problem = sd.problem_for(potential)
     result = sd.find_eigenvalues(problem, *window)
     assert len(result.eigenvalues) == levels
@@ -72,6 +96,10 @@ def test_a_flipped_cue_breaks_monotonicity(monkeypatch, potential, window,
                         -boundary_angle(problem, E, t))
     with pytest.raises(MonotonicityError, match=f"decays to the {side}"):
         sd.find_eigenvalues(problem, *window)
+    with pytest.raises(MonotonicityError, match=f"decays to the {side}"):
+        sd.reconstruct_eigenfunction(result.problem, result.energies[0],
+                                     np.linspace(*result.problem.interval,
+                                                 101))
 
 
 def test_deep_truncated_oscillator_holds_every_level():

@@ -328,8 +328,6 @@ def test_eigenfunction_is_normalized():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         sd.SolveConfig(e_tol=-1.0)
-    with pytest.raises(ValueError):
-        sd.SolveConfig(scan_samples=1)
 
 
 def _seeded_lattice_wells(count, seed=2026, lattice=1.0 / 64.0, span=3.0):
