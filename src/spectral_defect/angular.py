@@ -19,7 +19,7 @@ smooth problem, and no integration reads V at a cut.
 
 `integrate_angles` propagates (psi, psi') instead of alpha.  Each step of a
 mesh built once per solve from V alone (`pass_mesh`) maps it by exp(Omega),
-Omega the sixth-order Magnus approximant from V at three Gauss nodes, in
+Omega the eighth-order Magnus approximant from V at four Gauss nodes, in
 closed form (`_magnus`); the part of Omega that does not depend on E is
 built with the mesh (`_omega`).  The steps are joined by a lifted product
 of nodes (m, n): m a map scaled by its largest entry and oriented, its
@@ -254,7 +254,9 @@ def _span_points(problem: ProblemSpec, a: float, b: float, n: int):
 # Magnus steps on a mesh, joined by a lifted product
 # ---------------------------------------------------------------------------
 
-_GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_NODE = tuple(math.sqrt(3.0 / 7.0 + sign * 2.0 / 7.0 * math.sqrt(1.2)) / 2.0
+              for sign in (-1.0, 1.0))  # |t - midpoint| / h, inner and outer
+_GAUSS = 0.5 + np.array([-_NODE[1], -_NODE[0], _NODE[0], _NODE[1]])
 _PIECE_STEPS = 16           # steps of a piece before its first doubling
 _MAX_PIECE_STEPS = 2**14    # the doubling stops here: a rel_tol that it
                             # cannot meet sooner is below the rounding
@@ -264,48 +266,76 @@ _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
 
 class _Steps(NamedTuple):
     """Mesh steps in the order of travel, one row per step: start t, signed
-    width h, V at the Gauss nodes t + _GAUSS h, and the coefficients of
-    Omega that do not depend on E (`_omega`).  A solve builds them once,
-    with its mesh, and every pass reads them."""
+    width h, V at the Gauss nodes t + _GAUSS h, and from those V at the
+    midpoint of the cubic through them and the coefficients of Omega that
+    do not depend on E (`_omega`).  A solve builds them once, with its
+    mesh, and every pass reads them."""
 
     t: np.ndarray
     h: np.ndarray
     v: np.ndarray
+    vm: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
-    r: np.ndarray
+    p2: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
+    s2: np.ndarray
 
 
-_NO_STEPS = _Steps(np.empty(0), np.empty(0), np.empty((0, 3)),
-                   *np.empty((5, 0)))
+_NO_STEPS = _Steps(np.empty(0), np.empty(0), np.empty((0, 4)),
+                   *np.empty((9, 0)))
 
 
 def _omega(h, v):
-    """(p0, p1, r, s0, s1) of steps h wide with V = v at their Gauss nodes.
+    """(vm, p0, p1, p2, r0, r1, s0, s1, s2) of steps h wide with V = v at
+    their Gauss nodes.
 
-    Omega is the sixth-order Magnus approximant of Blanes, Casas and Ros
+    Omega is the eighth-order Magnus approximant of Blanes, Casas and Ros
     (BIT 40, 2000) for (psi, psi')' = A(q) (psi, psi'), A(q) = [[0, 1],
-    [q, 0]], from q = 2 (V - E) at the three nodes:
+    [q, 0]], q = 2 (V - E): the Magnus series cut after h^7 of q(t_m + x)
+    = c0 + c1 x + c2 x^2 + c3 x^3, the cubic through the four nodes, t_m
+    the step's midpoint.  Omega = [[p, r], [s, -p]] with
 
-        a1 = h A(q2),  a2 = sqrt(15) h / 3 (q3 - q1) N,
-        a3 = 10 h / 3 (q3 - 2 q2 + q1) N,      N = [[0, 0], [1, 0]],
-        Omega = a1 + a3 / 12 + [-20 a1 - a3 + [a1, a2],
-                                a2 - [a1, 2 a3 + [a1, a2]] / 60] / 240,
+        p = -c1 h^3 / 12 + h^5 (c0 c1 / 180 - c3 / 80)
+            + h^7 (13 c1 c2 / 15120 + c0 c3 / 1680 - c0^2 c1 / 1890),
+        r = h - c2 h^5 / 180 + h^7 (c1^2 / 7560 + c0 c2 / 1890),
+        s = c0 h + c2 h^3 / 12 + h^5 (c0 c2 / 180 - c1^2 / 120)
+            + h^7 (c2^2 / 3024 - c1 c3 / 420 + c0 c1^2 / 1080
+                   - c0^2 c2 / 1890).
 
-    expanded here to Omega = [[p, r], [s, -p]].  dq/dE = -2 at every node,
-    so q3 - q1 and q3 - 2 q2 + q1 do not depend on E, nor does r, and p and
-    s are affine in q2: p = p0 + p1 q2, s = s0 + s1 q2.
+    dq/dE = -2 at every node, so c1, c2 and c3 do not depend on E, and
+    c0 = 2 (vm - E), vm the cubic of V at the midpoint.  So p and s are
+    quadratic in c0 and r is affine in it: p = p0 + p1 u + p2 u^2,
+    r = r0 + r1 u and s = h (c0 + s0 + s1 u + s2 u^2), where u is c0 in
+    the terms past the leading c0 h (`_magnus` saturates it).  The cubic
+    is built from the sums and differences of the nodes symmetric about
+    t_m, scaled by powers of h, so that no power of h divides: a constant
+    V gives p = 0, r = h and s = c0 h exactly, and a step taken backward
+    (h < 0, nodes in the order of travel) is the inverse of the same step
+    forward, Omega changing sign.
     """
-    beta = 2.0 * math.sqrt(15.0) / 3.0 * h * (v[:, 2] - v[:, 0])   # a2 / N
-    gamma = 20.0 / 3.0 * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])   # a3 / N
-    hbb = h * beta * beta
-    return (h * beta * (h * gamma / 30.0 - 20.0) / 240.0,
-            h * h * h * beta / 180.0,
-            h + h * h * (hbb - 20.0 * gamma) / 3600.0,
-            gamma / 12.0 + h * (gamma * gamma - 30.0 * beta * beta) / 3600.0,
-            h + h * h * (20.0 * gamma + hbb) / 3600.0)
+    inner, outer = _NODE
+    spread = outer * outer - inner * inner
+    mid, far = 0.5 * (v[:, 1] + v[:, 2]), 0.5 * (v[:, 0] + v[:, 3])
+    rise = (v[:, 2] - v[:, 1]) / inner      # c1 h + c3 h^3 inner^2
+    vm = mid - (far - mid) * (inner * inner / spread)
+    e2 = 2.0 * (far - mid) / spread                           # c2 h^2
+    e3 = ((v[:, 3] - v[:, 0]) / outer - rise) / spread        # c3 h^3
+    e1 = rise - e3 * (inner * inner)                          # c1 h
+    hh = h * h
+    return (vm,
+            hh * (13.0 * hh * e1 * e2 / 15120.0 - e1 / 12.0 - e3 / 80.0),
+            hh * hh * (e1 / 180.0 + e3 / 1680.0),
+            hh * hh * hh * e1 / -1890.0,
+            h - h * hh * (e2 / 180.0 - hh * e1 * e1 / 7560.0),
+            h * hh * hh * e2 / 1890.0,
+            e2 / 12.0 + hh * (e2 * e2 / 3024.0 - e1 * e1 / 120.0
+                              - e1 * e3 / 420.0),
+            hh * (e2 / 180.0 + hh * e1 * e1 / 1080.0),
+            hh * hh * e2 / -1890.0)
 
 
 def _steps(potential, t, h):
@@ -316,38 +346,66 @@ def _steps(potential, t, h):
     return _Steps(t, h, v, *_omega(h, v))
 
 
-def _magnus(steps, q2):
-    """exp(Omega) of every step (rows) at every energy (columns), as its
-    entries (m00, m01, m10, m11) stacked on a first axis; q2 = 2 (V - E)
-    at each step's middle node, one column per energy.
+def _horner(u, coefficients, out):
+    """sum_k c_k u^k, one c_k per step (row), the highest power first."""
+    np.multiply(coefficients[0][:, None], u, out=out)
+    for c in coefficients[1:-1]:
+        out += c[:, None]
+        out *= u
+    out += coefficients[-1][:, None]
+    return out
 
-    Omega = [[p, r], [s, -p]] with p = p0 + p1 q2, s = s0 + s1 q2 and r
-    from the step's coefficients (`_omega`), so a pass forms only the two
-    affine forms, w^2 and the closed form.  The method is symmetric: a
-    step taken backward (h < 0, nodes in the order of travel) is the
-    inverse of the same step forward.  Omega^2 = w^2 I with
-    w^2 = p^2 + r s, so exp(Omega) = cosh(w) + sinh(w) Omega / w, or the
-    cos and sin of |w| where w^2 < 0.  Where w^2 > 0 the map is scaled by
-    e^{-w}, so that no entry overflows on a long forbidden step; the angles
-    see only its direction.
+
+def _magnus(steps, q):
+    """exp(Omega) of every step (rows) at every energy (columns), as its
+    entries (m00, m01, m10, m11) stacked on a first axis; q = 2 (vm - E),
+    c0 of `_omega`, one column per energy.
+
+    Omega = [[p, r], [s, -p]] is evaluated from the step's coefficients
+    (`_omega`) by Horner's rule in u = c0 / (1 + (c0 h^2 / 10)^2), the
+    leading c0 h of s taken as it is, and mapped by `_exponential`.
+    Successive terms of the series shrink by about c0 h^2 / 10.5, so where
+    c0 h^2 is large its truncation means nothing: saturated, a far
+    forbidden step stays close to its plateau map, and a resolved step
+    changes only at O(h^9).  The method is symmetric: a step taken
+    backward is the inverse of the same step forward.
     """
-    m = np.empty((4,) + q2.shape)
-    # the map's rows hold the work: a leaf's peak memory sets how wide a
-    # block fits in the same memory
-    p, s, w2 = m[0], m[2], m[3]
-    np.multiply(steps.p1[:, None], q2, out=p)
-    p += steps.p0[:, None]
-    np.multiply(steps.s1[:, None], q2, out=s)
-    s += steps.s0[:, None]
-    r = steps.r[:, None]
+    m = np.empty((4,) + q.shape)
+    # the map's rows hold the work (the last one u until the exponential):
+    # a leaf's peak memory sets how wide a block fits in the same memory
+    p, r, s, u = m
+    h = steps.h[:, None]
+    np.multiply(q, h * h * 0.1, out=u)
+    u *= u
+    u += 1.0
+    np.divide(q, u, out=u)
+    _horner(u, (steps.p2, steps.p1, steps.p0), p)
+    _horner(u, (steps.r1, steps.r0), r)
+    _horner(u, (steps.s2, steps.s1, steps.s0), s)
+    s += q
+    s *= h
+    return _exponential(m)
+
+
+def _exponential(m):
+    """exp(Omega) for Omega = [[p, r], [s, -p]], p, r and s the first
+    three rows of m, written over m as (m00, m01, m10, m11).
+
+    Omega^2 = w^2 I with w^2 = p^2 + r s, so exp(Omega) = cosh(w) +
+    sinh(w) Omega / w, or the cos and sin of |w| where w^2 < 0.  Where
+    w^2 > 0 the map is scaled by e^{-w}, so that no entry overflows on a
+    long forbidden step; the angles see only its direction.
+    """
+    p, r, s, w2 = m
     np.multiply(p, p, out=w2)
-    w2 += np.multiply(r, s, out=m[1])
+    w = np.multiply(r, s)
+    w2 += w
     grows = w2 > 0      # each branch is evaluated where it holds only
     turns = ~grows
-    w = np.sqrt(np.abs(w2, out=m[1]), out=m[1])
+    np.sqrt(np.abs(w2, out=w), out=w)
     # where w^2 > 0, cos = e^{-w} cosh(w) = 1 + em / 2 and
     # sin = e^{-w} sinh(w) / w = -em / (2 w), em = e^{-2w} - 1
-    cos, sin = np.empty(q2.shape), w2
+    cos, sin = np.empty(w.shape), w2
     np.multiply(w, -2.0, out=cos, where=grows)
     np.expm1(cos, out=cos, where=grows)
     np.multiply(cos, -0.5, out=sin, where=grows)
@@ -360,8 +418,8 @@ def _magnus(steps, q2):
     np.divide(sin, w, out=sin, where=moves)
     np.copyto(sin, 1.0, where=turns & ~moves)
     p *= sin
+    r *= sin
     s *= sin
-    np.multiply(sin, r, out=m[1])
     np.subtract(cos, p, out=m[3])
     p += cos
     return m
@@ -466,26 +524,27 @@ def _leaves(steps, energies):
     m is the Magnus map (`_magnus`), oriented as a node's is: negated
     where its first column points left.  n is the integer nearest
     (plateau - theta(m)) / pi, plateau the closed-form angle of the step
-    from alpha = 0 with V at its midpoint (`_plateau_angle`), whose zero
-    count is exact: phi = n pi + theta(m) is the plateau angle corrected
-    mod pi to the angle of m e(0).  Where the step resolves V the two maps
-    are close and the correction small; a correction beyond _LEAF_SLACK at
+    from alpha = 0 with V = vm, the cubic through the nodes at the step's
+    midpoint (`_plateau_angle`), whose zero count is exact: phi = n pi +
+    theta(m) is the plateau angle corrected mod pi to the angle of m e(0).
+    Where the step resolves V the two maps are close and the correction
+    small; a correction beyond _LEAF_SLACK, or one that is not finite, at
     any energy raises IntegrationError naming the step, which is too wide
     for V there.  The correction is taken mod pi, so it cannot see a
     plateau angle more than 3 pi / 4 off the step's lift: on a mesh from
     `pass_mesh` no step is that coarse, because its doubling goes on until
     the angle each piece hands on settles.
     """
-    q2 = steps.v[:, 1, None] - energies
-    q2 *= 2.0
-    plateau = _plateau_angle(q2, steps.h[:, None])
-    m = _magnus(steps, q2)
+    q = steps.vm[:, None] - energies
+    q *= 2.0
+    plateau = _plateau_angle(q, steps.h[:, None])
+    m = _magnus(steps, q)
     np.negative(m, out=m, where=m[0] < 0)
-    turn = np.arctan2(m[2], m[0], out=q2)     # q2 is spent
+    turn = np.arctan2(m[2], m[0], out=q)      # q is spent
     turn -= plateau
     n = np.round(turn / -math.pi)
     turn += math.pi * n
-    coarse = (np.abs(turn) > _LEAF_SLACK).any(axis=1)
+    coarse = ~(np.abs(turn) <= _LEAF_SLACK).all(axis=1)
     if coarse.any():
         t = float(steps.t[coarse][0])
         raise IntegrationError(
@@ -529,14 +588,14 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     `_span_points` steps.  The start angles are carried piece by piece in
     the direction of travel; a piece's step count doubles from
     _PIECE_STEPS until the angle it hands on moves by at most
-    63 rel_tol max(1, |alpha|) / pieces at every energy from the last
+    255 rel_tol max(1, |alpha|) / pieces at every energy from the last
     count whose carry did not raise (`_leaves` raises on a step too wide
-    for V), and that finer count is kept: for a sixth-order method the
-    move is 63 times its error.  At _MAX_PIECE_STEPS the doubling stops,
-    and a carry that still raises is raised.  V is read at the Gauss nodes
-    only, never at a cut.  None for a potential with `_constant_pieces`,
-    whose passes take every piece in closed form.  config is the
-    SolveConfig; only its rel_tol is read.
+    for V), and that finer count is kept: for an eighth-order method the
+    move between n and 2n steps is 2^8 - 1 = 255 times the error at 2n.
+    At _MAX_PIECE_STEPS the doubling stops, and a carry that still raises
+    is raised.  V is read at the Gauss nodes only, never at a cut.  None
+    for a potential with `_constant_pieces`, whose passes take every piece
+    in closed form.  config is the SolveConfig; only its rel_tol is read.
     """
     potential = problem.effective_potential()
     if _constant_pieces(potential):
@@ -545,7 +604,7 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     breakpoints = potential.breakpoints()
     halves = [[(p0, p1) for p0, p1 in zip(cuts, cuts[1:]) if p0 != p1]
               for cuts in (_cuts(a, c, breakpoints), _cuts(b, c, breakpoints))]
-    tol = 63.0 * config.rel_tol / max(1, sum(map(len, halves)))
+    tol = 255.0 * config.rel_tol / max(1, sum(map(len, halves)))
     mesh = []
     for pieces, start in zip(halves, (left_starts, right_starts)):
         alpha = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)

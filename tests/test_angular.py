@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -392,23 +393,22 @@ def test_rechart_keeps_the_branch_and_round_trips(scale):
 # Magnus steps and the lifted product
 # ---------------------------------------------------------------------------
 
-def _bcr_exponential(h, q):
-    """exp(Omega) of the Blanes-Casas-Ros approximant, by 2x2 matrices."""
-    def a(q):
-        return np.array([[0.0, 1.0], [q, 0.0]])
-
-    def bracket(x, y):
-        return x @ y - y @ x
-
-    n = np.array([[0.0, 0.0], [1.0, 0.0]])
-    a1 = h * a(q[1])
-    a2 = math.sqrt(15.0) * h / 3.0 * (q[2] - q[0]) * n
-    a3 = 10.0 * h / 3.0 * (q[2] - 2.0 * q[1] + q[0]) * n
-    c1 = bracket(a1, a2)
-    omega = a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1,
-                                     a2 - bracket(a1, 2.0 * a3 + c1) / 60.0
-                                     ) / 240.0
-    return expm(omega)
+def _series_exponential(h, q):
+    """expm of the Magnus series cut after h^7 for q = c0 + c1 x + c2 x^2
+    + c3 x^3 (x from the step's midpoint) through the values q at the four
+    nodes, c0 saturated to c0 / (1 + (c0 h^2 / 10)^2) past the leading
+    c0 h of s."""
+    x = (_GAUSS - 0.5) * h
+    c0, c1, c2, c3 = np.linalg.solve(np.vander(x, 4, increasing=True), q)
+    u = c0 / (1.0 + (c0 * h * h / 10.0) ** 2)
+    p = (-c1 * h**3 / 12.0 + h**5 * (u * c1 / 180.0 - c3 / 80.0)
+         + h**7 * (13.0 * c1 * c2 / 15120.0 + u * c3 / 1680.0
+                   - u * u * c1 / 1890.0))
+    r = h - c2 * h**5 / 180.0 + h**7 * (c1 * c1 / 7560.0 + u * c2 / 1890.0)
+    s = (c0 * h + c2 * h**3 / 12.0 + h**5 * (u * c2 / 180.0 - c1 * c1 / 120.0)
+         + h**7 * (c2 * c2 / 3024.0 - c1 * c3 / 420.0 + u * c1 * c1 / 1080.0
+                   - u * u * c2 / 1890.0))
+    return expm(np.array([[p, r], [s, -p]]))
 
 
 def _entries(m):
@@ -418,7 +418,7 @@ def _entries(m):
 
 
 class _NodeValues:
-    """A potential that reads the given V at the three nodes of a step."""
+    """A potential that reads the given V at the four nodes of a step."""
 
     def __init__(self, v):
         self.v = v
@@ -431,21 +431,86 @@ def _magnus_step(t, h, v, E):
     """The Magnus map of one step at one energy, V = v at its nodes in the
     order of travel, its coefficients built as a mesh builds them."""
     step = _steps(_NodeValues(v), np.array([t]), np.array([h]))
-    return _magnus(step, 2.0 * (step.v[:, 1, None] - np.array([E])))
+    return _magnus(step, 2.0 * (step.vm[:, None] - np.array([E])))
 
 
 def test_magnus_map_is_the_exponential_of_the_approximant():
-    # closed form against matrix algebra and expm; backward is the inverse
+    # closed form against matrix algebra and expm; backward is the inverse,
+    # up to a positive factor: its adjugate (a map of rank one to the
+    # rounding, a cubic far above E, has det 0 and no inverse to take)
     rng = np.random.default_rng(3)
     for _ in range(40):
         h, E = rng.uniform(-1.5, 1.5), rng.uniform(-5.0, 5.0)
-        v = rng.uniform(-8.0, 8.0, 3)
+        v = rng.uniform(-8.0, 8.0, 4)
         got = _magnus_step(0.0, h, v, E)
-        want = _bcr_exponential(h, 2.0 * (v - E))
+        want = _series_exponential(h, 2.0 * (v - E))
         assert _entries(got) == pytest.approx(_entries(want), abs=1e-12)
-        back = _magnus_step(h, -h, v[::-1], E)
-        assert _entries(np.linalg.inv(np.reshape(back, (2, 2)))) == \
+        b00, b01, b10, b11 = np.ravel(_magnus_step(h, -h, v[::-1], E))
+        assert _entries([b11, -b01, -b10, b00]) == \
             pytest.approx(_entries(got), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(v=st.floats(-1e4, 1e4), width=st.floats(1e-12, 40.0),
+       sign=st.sampled_from([-1.0, 1.0]),
+       energies=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=4))
+def test_a_constant_step_is_the_plateau_map_bit_for_bit(v, width, sign,
+                                                       energies):
+    # on a constant V the stored coefficients give p = 0, r = h and
+    # s = q h exactly, and a leaf's map is the closed form of that Omega
+    # to the last bit, whatever the width, down to 1e-12
+    h = sign * width
+    energies = np.array(energies)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        step = _steps(_NodeValues(np.full(4, v)), np.zeros(1), np.array([h]))
+        m, _ = _leaves(step, energies)
+        q = (v - energies) * 2.0
+        want = angular._exponential(np.stack(
+            [np.zeros_like(q), np.full_like(q, h), h * q, np.empty_like(q)]))
+    assert step.vm[0] == v and step.r0[0] == h
+    assert not np.any(np.stack([step.p0, step.p1, step.p2, step.r1,
+                                step.s0, step.s1, step.s2]))
+    np.negative(want, out=want, where=want[0] < 0)
+    assert m[:, 0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1e-12, 1e-9, 1e-6])
+def test_a_narrow_step_of_a_smooth_well_raises_no_warning(width):
+    # the cubic is built from node sums and differences, and no power of
+    # h divides them: steps this narrow near the Coulomb singularity,
+    # where V is some -1e2, build and map to the identity warning-free
+    potential = sd.problem_for(sd.Coulomb(), l=1).effective_potential()
+    t = np.array([0.01, 0.5, 3.0])
+    energies = np.array([-0.6, -0.01, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sign in (-1.0, 1.0):
+            h = np.full(3, sign * width)
+            m, n = _leaves(_steps(potential, t, h), energies)
+            assert not n.any()
+            assert np.abs(m[0] - 1.0).max() < 1e-3
+            assert np.abs(m[3] - 1.0).max() < 1e-3
+
+
+def test_one_step_errs_as_the_ninth_power_of_its_width():
+    # against 64 sub-steps, a step's error falls about 2^9 per halving of
+    # h (2^8 to 2^10 here; a sixth-order step falls about 2^7): an
+    # eighth-order method
+    potential = sd.problem_for(sd.Coulomb(), l=1).effective_potential()
+    energies, start = np.array([-0.2, -0.05, -0.01]), np.zeros(3)
+    errors = []
+    for h in (2.0, 1.0, 0.5, 0.25):
+        one = _carry(_steps(potential, np.array([3.0]), np.array([h])),
+                     energies, start)
+        points = np.linspace(3.0, 3.0 + h, 65)
+        fine = _carry(_steps(potential, points[:-1], np.diff(points)),
+                      energies, start)
+        errors.append(np.abs(one - fine))
+    errors = np.array(errors)
+    assert errors.min() > 1e-15     # above the rounding
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((2.0**8 < ratios) & (ratios < 2.0**10)), ratios
 
 
 @pytest.mark.parametrize("m", [
@@ -577,8 +642,8 @@ def magnus_pairs(draw):
     sign = draw(st.sampled_from([-1.0, 1.0]))
     nodes = []
     for _ in range(2):
-        v = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=3,
-                                   max_size=3)))
+        v = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=4,
+                                   max_size=4)))
         h, E = draw(st.floats(0.0, 3.0)), draw(st.floats(-8.0, 8.0))
         if draw(st.integers(0, 2)) == 0:
             h, E = draw(st.floats(5.0, 40.0)), v.min() - 20.0
@@ -636,15 +701,16 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
 
 
 def test_a_step_no_doubling_resolves_raises_at_the_cap():
-    # at E = -1e300 Omega's p term overflows w^2 on any width: the
-    # doubling of the piece stops at its cap and raises there
+    # at the lowest float E, q = 2 (V - E) overflows to inf and Omega is
+    # not finite on any width: the doubling of the piece stops at its cap
+    # and raises there
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
     counts = []
     with mock.patch.object(angular, "_carry", _counting_carry(counts)), \
             pytest.raises(sd.IntegrationError, match="t = -2 is too wide"), \
             np.errstate(over="ignore", invalid="ignore"):
-        pass_mesh(problem, [-1e300], [0.0], [0.0], -2.0, -1.5, -1.5,
-                  sd.SolveConfig())
+        pass_mesh(problem, [-np.finfo(float).max], [0.0], [0.0], -2.0, -1.5,
+                  -1.5, sd.SolveConfig())
     assert counts[-1] == angular._MAX_PIECE_STEPS
     assert len(counts) == 11
 
@@ -693,6 +759,36 @@ def test_a_rel_tol_below_the_rounding_stops_the_doubling():
             fine = _carry(tail, energies, start)
             assert np.all(np.abs(fine - coarse)
                           <= tol * np.maximum(1.0, np.abs(fine)))
+
+
+@pytest.mark.parametrize("problem, energies, half", [
+    (sd.problem_for(sd.Coulomb(), l=1), [-0.2, -0.01], 1),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), [1e-6, 7.998], 0)],
+    ids=["hydrogen-l1-right", "oscillator-a4-left"])
+def test_the_doubling_moves_shrink_as_an_eighth_order_method(problem,
+                                                             energies, half):
+    # pass_mesh settles a piece at a move of 255 times its tolerance
+    # because the move between n and 2n steps is 2^8 - 1 times the error
+    # at 2n: on the smooth piece that ends the half, from 32 steps on, each
+    # doubling shrinks the move 200-320x until it reaches the rounding
+    # (below 1e-14); the constant tail before it is exact at any count
+    potential = problem.effective_potential()
+    energies = np.array(energies)
+    (a, c, b), starts, _ = _solve_mesh(problem, energies)
+    cuts = angular._cuts((a, b)[half], c, potential.breakpoints())
+    alpha = starts[half]
+    for p0, p1 in zip(cuts[:-2], cuts[1:-1]):
+        alpha = _carry(_span_steps(problem, potential, p0, p1, 16), energies,
+                       alpha)
+    angles = [_carry(_span_steps(problem, potential, cuts[-2], c, n),
+                     energies, alpha) for n in 32 * 2 ** np.arange(8)]
+    moves = np.array([np.max(np.abs(fine - coarse)
+                             / np.maximum(1.0, np.abs(fine)))
+                      for coarse, fine in zip(angles, angles[1:])])
+    resolved = moves[1:] > 1e-14
+    ratios = moves[:-1][resolved] / moves[1:][resolved]
+    assert resolved.sum() >= 2 and moves[-1] < 1e-14
+    assert np.all((200.0 < ratios) & (ratios < 320.0)), ratios
 
 
 @st.composite
