@@ -34,7 +34,14 @@ pairwise tree over all steps and energies at once (`_product`), and the
 angle it hands on is unwrapped: n_below is exact.  A leaf's n is read off
 the plateau angle of the step, whose zero count is exact, corrected mod pi
 to the Magnus map (a large correction raises: only `pass_mesh` refines);
-the root's theta is read once per block (`_carry`).
+the root's theta is read once per block (`_carry`).  Leaves and nodes are
+held energy-major, (entry, energy, step), and the tree pairs along the
+last axis, so numpy's inner loops run over the steps, which are many.
+`pass_mesh` builds the first round of its doubling, every count up to
+_BATCH_STEPS of every piece of both halves, in one batch: one `_steps`
+and one `_nodes` call, and one tree over all those runs of steps at once
+(`_roots`); each piece then lifts its angle over the roots of all its
+counts in one call.
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
@@ -261,6 +268,8 @@ _PIECE_STEPS = 16           # steps of a piece before its first doubling
 _MAX_PIECE_STEPS = 2**14    # the doubling stops here: a rel_tol that it
                             # cannot meet sooner is below the rounding
 _BLOCK = 8192               # step-energies one tree product holds at once
+_BATCH_STEPS = 256          # the doubling's counts up to here are built in
+                            # one batch (`_first_round`)
 _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
 
 
@@ -347,19 +356,20 @@ def _steps(potential, t, h):
 
 
 def _horner(u, coefficients, out):
-    """sum_k c_k u^k, one c_k per step (row), the highest power first."""
-    np.multiply(coefficients[0][:, None], u, out=out)
+    """sum_k c_k u^k, one c_k per step (last axis), the highest power
+    first."""
+    np.multiply(coefficients[0], u, out=out)
     for c in coefficients[1:-1]:
-        out += c[:, None]
+        out += c
         out *= u
-    out += coefficients[-1][:, None]
+    out += coefficients[-1]
     return out
 
 
 def _magnus(steps, q):
-    """exp(Omega) of every step (rows) at every energy (columns), as its
-    entries (m00, m01, m10, m11) stacked on a first axis; q = 2 (vm - E),
-    c0 of `_omega`, one column per energy.
+    """exp(Omega) of every step at every energy, as its entries (m00, m01,
+    m10, m11) stacked on a first axis; q = 2 (vm - E), c0 of `_omega`, one
+    row per energy and one column per step.
 
     Omega = [[p, r], [s, -p]] is evaluated from the step's coefficients
     (`_omega`) by Horner's rule in u = c0 / (1 + (c0 h^2 / 10)^2), the
@@ -374,8 +384,7 @@ def _magnus(steps, q):
     # the map's rows hold the work (the last one u until the exponential):
     # a leaf's peak memory sets how wide a block fits in the same memory
     p, r, s, u = m
-    h = steps.h[:, None]
-    np.multiply(q, h * h * 0.1, out=u)
+    np.multiply(q, steps.h * steps.h * 0.1, out=u)
     u *= u
     u += 1.0
     np.divide(q, u, out=u)
@@ -383,7 +392,7 @@ def _magnus(steps, q):
     _horner(u, (steps.r1, steps.r0), r)
     _horner(u, (steps.s2, steps.s1, steps.s0), s)
     s += q
-    s *= h
+    s *= steps.h
     return _exponential(m)
 
 
@@ -427,7 +436,8 @@ def _exponential(m):
 
 def _lift(m, phi, x):
     """f(x) for the lifted map (m, phi): the increasing lift of m's action
-    on angles, f(x + pi) = f(x) + pi, with f(0) = phi.
+    on angles, f(x + pi) = f(x) + pi, with f(0) = phi.  m's entries are on
+    its first axis; the rest of m, phi and x broadcast.
 
     x is read as k pi + x0 with |x0| <= pi/2, and f(x) = k pi + phi plus
     the signed angle from m e(0) to m e(x0), e(x) = (cos x, sin x).  m
@@ -489,17 +499,48 @@ def _compose(later, earlier):
 
 
 def _product(m, n):
-    """The node (m, n) of the composition of the steps along n's first axis
-    (the second axis of m), the first step applied first: a pairwise tree,
-    each round of which is one vectorized `_compose`."""
-    while len(n) > 1:
-        k = len(n) - len(n) % 2
-        pm, pn = _compose((m[:, 1:k:2], n[1:k:2]), (m[:, :k:2], n[:k:2]))
-        if k < len(n):      # the odd step out joins the next round
-            pm = np.concatenate([pm, m[:, k:]], axis=1)
-            pn = np.concatenate([pn, n[k:]])
+    """The node (m, n) of the composition of the steps along n's last axis
+    (m's too), the first step applied first: a pairwise tree, each round
+    of which is one vectorized `_compose`."""
+    while n.shape[-1] > 1:
+        k = n.shape[-1] - n.shape[-1] % 2
+        pm, pn = _compose((m[..., 1:k:2], n[..., 1:k:2]),
+                          (m[..., :k:2], n[..., :k:2]))
+        if k < n.shape[-1]:     # the odd step out joins the next round
+            pm = np.concatenate([pm, m[..., k:]], axis=-1)
+            pn = np.concatenate([pn, n[..., k:]], axis=-1)
         m, n = pm, pn
-    return m[:, 0], n[0]
+    return m[..., 0], n[..., 0]
+
+
+def _roots(m, n, runs):
+    """The node of each run of steps along the last axis, one per run on
+    the last axis: `_product` of each run, bit for bit, in one tree.
+
+    runs are the lengths of the runs in order, powers of two, longest
+    first.  Each round pairs the steps of every run still longer than one
+    node in one `_compose`: every such run is even and starts at an even
+    offset, so no pair straddles two runs, and the pairs are those of
+    `_product`.  A run down to one node is finished; the shortest runs
+    finish first, and they are at the tail, from which they are taken.
+    """
+    root_m = np.empty(m.shape[:-1] + (len(runs),))
+    root_n = np.empty(n.shape[:-1] + (len(runs),))
+    live, length = len(runs), 1
+    while live:
+        done = live
+        while done and runs[done - 1] == length:
+            done -= 1
+        if done < live:     # runs done .. live - 1 are down to one node
+            cut = n.shape[-1] - (live - done)
+            root_m[..., done:live], root_n[..., done:live] = (m[..., cut:],
+                                                              n[..., cut:])
+            m, n, live = m[..., :cut], n[..., :cut], done
+        if live:
+            m, n = _compose((m[..., 1::2], n[..., 1::2]),
+                            (m[..., ::2], n[..., ::2]))
+            length *= 2
+    return root_m, root_n
 
 
 def _plateau_angle(q, h):
@@ -518,8 +559,10 @@ def _plateau_angle(q, h):
     return angle
 
 
-def _leaves(steps, energies):
-    """The node (m, n) of every step (rows) at every energy (columns).
+def _nodes(steps, energies):
+    """The node (m, n) of every step at every energy, and which steps are
+    too wide for V: m's entries on its first axis, then one row per energy
+    and one column per step, n's rows and columns those of m.
 
     m is the Magnus map (`_magnus`), oriented as a node's is: negated
     where its first column points left.  n is the integer nearest
@@ -528,47 +571,64 @@ def _leaves(steps, energies):
     midpoint (`_plateau_angle`), whose zero count is exact: phi = n pi +
     theta(m) is the plateau angle corrected mod pi to the angle of m e(0).
     Where the step resolves V the two maps are close and the correction
-    small; a correction beyond _LEAF_SLACK, or one that is not finite, at
-    any energy raises IntegrationError naming the step, which is too wide
-    for V there.  The correction is taken mod pi, so it cannot see a
-    plateau angle more than 3 pi / 4 off the step's lift: on a mesh from
-    `pass_mesh` no step is that coarse, because its doubling goes on until
-    the angle each piece hands on settles.
+    small; a step whose correction at any energy is beyond _LEAF_SLACK, or
+    not finite, is too wide for V there (`coarse`, one flag per step).
+    The correction is taken mod pi, so it cannot see a plateau angle more
+    than 3 pi / 4 off the step's lift: on a mesh from `pass_mesh` no step
+    is that coarse, because its doubling goes on until the angle each
+    piece hands on settles.
     """
-    q = steps.vm[:, None] - energies
+    q = steps.vm - energies[:, None]
     q *= 2.0
-    plateau = _plateau_angle(q, steps.h[:, None])
+    plateau = _plateau_angle(q, steps.h)
     m = _magnus(steps, q)
     np.negative(m, out=m, where=m[0] < 0)
     turn = np.arctan2(m[2], m[0], out=q)      # q is spent
     turn -= plateau
     n = np.round(turn / -math.pi)
     turn += math.pi * n
-    coarse = ~(np.abs(turn) <= _LEAF_SLACK).all(axis=1)
+    coarse = ~(np.abs(turn) <= _LEAF_SLACK).all(axis=0)
+    return m, n, coarse
+
+
+def _too_wide(t):
+    """The IntegrationError of the step from t, too wide to resolve V."""
+    return IntegrationError(f"the step from t = {t:g} is too wide to resolve V",
+                            t_reached=t)
+
+
+def _leaves(steps, energies):
+    """The nodes (m, n) of `_nodes`; a step too wide for V at any energy
+    raises IntegrationError naming the first such step."""
+    m, n, coarse = _nodes(steps, energies)
     if coarse.any():
-        t = float(steps.t[coarse][0])
-        raise IntegrationError(
-            f"the step from t = {t:g} is too wide to resolve V",
-            t_reached=t)
+        raise _too_wide(float(steps.t[coarse][0]))
     return m, n
 
 
+def _apply(m, n, alpha):
+    """alpha carried over the nodes (m, n) along their last axis: the lift
+    of their product, its phi = n pi + theta(m) read with one arctan2 per
+    energy."""
+    m, n = _product(m, n)
+    return _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
+
+
 def _carry(steps, energies, alpha):
-    """alpha carried over the steps, one column per energy.
+    """alpha carried over the steps, one component per energy.
 
     The leaves are built from the steps' stored coefficients (`_magnus`)
-    and reduced by the tree in blocks of at most _BLOCK step-energies,
-    which bounds the memory of a pass.  The root (m, n) of each block is
-    read as the lifted map with phi = n pi + theta(m), one arctan2 per
-    energy, and its lift is applied to alpha in order.  Near a doublet
-    behind a long forbidden stretch the blocking moves the angles by more
-    than the rounding: a block's product there is rank one to the rounding.
+    and reduced by the tree (`_apply`) in blocks of at most _BLOCK
+    step-energies, which bounds the memory of a pass; a step too wide for
+    V raises (`_leaves`).  Each block's root is applied to alpha in order.
+    Near a doublet behind a long forbidden stretch the blocking moves the
+    angles by more than the rounding: a block's product there is rank one
+    to the rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
         block = _Steps(*(x[i:i + width] for x in steps))
-        m, n = _product(*_leaves(block, energies))
-        alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
+        alpha = _apply(*_leaves(block, energies), alpha)
     return alpha
 
 
@@ -576,6 +636,91 @@ def _span_steps(problem, potential, p0, p1, n):
     """The n steps from p0 to p1 between `_span_points`."""
     points = _span_points(problem, p0, p1, n + 1)
     return _steps(potential, points[:-1], np.diff(points))
+
+
+def _first_round(problem, potential, pieces, energies):
+    """For each piece in turn, the first round of its doubling: (steps,
+    runs, m, phi), runs the (start, end, t) of each count's steps in steps
+    (t the first step too wide for V, or None), and (m, phi) the lifted
+    map of each count on m's and phi's last axis (the root of a count with
+    a step too wide means nothing).
+
+    The round holds the counts _PIECE_STEPS, 2 _PIECE_STEPS, ... up to
+    _BATCH_STEPS, the doubling's cap or as many as fit in _BLOCK
+    step-energies, and pieces are batched up to _BLOCK: one `_steps`, one
+    `_nodes` and one `_roots` call per batch, its runs of steps laid out
+    longest first, each count over every piece of the batch.  Count n's
+    points are its piece's finest count's `_span_points`, every
+    (finest / n)-th, which are those of n itself, bit for bit (either
+    spacing sets point i from i times the width over the count, and
+    halving that is exact).  _PIECE_STEPS is a power of two, as `_roots`
+    needs.
+    """
+    counts, n = [], _PIECE_STEPS
+    while n <= _BATCH_STEPS and (sum(counts) + n) * energies.size <= _BLOCK:
+        counts.append(n)
+        if n >= _MAX_PIECE_STEPS:
+            break
+        n *= 2
+    if not counts:
+        for _ in pieces:
+            yield _NO_STEPS, [], None, None
+        return
+    finest, group = counts[-1], _BLOCK // (sum(counts) * energies.size)
+    for i in range(0, len(pieces), group):
+        batch = pieces[i:i + group]
+        points = np.stack([_span_points(problem, p0, p1, finest + 1)
+                           for p0, p1 in batch])
+        grids = [points[:, ::finest // n] for n in reversed(counts)]
+        t = np.concatenate([grid[:, :-1].ravel() for grid in grids])
+        h = np.concatenate([grid[:, 1:].ravel() for grid in grids])
+        h -= t
+        steps = _steps(potential, t, h)
+        m, n, coarse = _nodes(steps, energies)
+        runs = np.repeat(counts[::-1], len(batch))
+        ends = np.cumsum(runs)
+        starts = ends - runs
+        wide = [None] * len(runs)
+        if coarse.any():
+            for r in np.flatnonzero(np.logical_or.reduceat(coarse, starts)):
+                wide[r] = float(t[starts[r]
+                                  + np.argmax(coarse[starts[r]:ends[r]])])
+            # the identity in their place: the tree composes only resolved
+            # steps, as a carry per count does, and no garbage (which may
+            # not be finite) reaches it
+            m[..., coarse] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+            n[..., coarse] = 0.0
+        m, n = _roots(m, n, runs)
+        phi = math.pi * n + np.arctan2(m[2], m[0])
+        # row k of index holds the runs of count k, one column per piece
+        index = np.arange(len(runs)).reshape(len(counts), len(batch))[::-1]
+        for piece in index.T:
+            yield (steps, [(starts[r], ends[r], wide[r]) for r in piece],
+                   m[..., piece], phi[..., piece])
+
+
+def _doubling(problem, potential, piece, energies, alpha, first):
+    """Each count of the piece's doubling in turn, from _PIECE_STEPS, as
+    (steps, angle): alpha carried over the steps, or the IntegrationError
+    of the first step too wide for V.  The counts of the first round
+    (`_first_round`) are lifted from alpha in one call; each count after
+    them is carried on its own (`_carry`)."""
+    steps, runs, m, phi = first
+    n = _PIECE_STEPS
+    if runs:
+        angles = _lift(m, phi, alpha[:, None])
+        for k, (i, j, t) in enumerate(runs):
+            yield (_Steps(*(x[i:j] for x in steps)),
+                   angles[:, k] if t is None else _too_wide(t))
+            n *= 2
+    while True:
+        steps = _span_steps(problem, potential, *piece, n)
+        try:
+            angle = _carry(steps, energies, alpha)
+        except IntegrationError as error:   # a leaf too wide
+            angle = error
+        yield steps, angle
+        n *= 2
 
 
 def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
@@ -589,13 +734,19 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     the direction of travel; a piece's step count doubles from
     _PIECE_STEPS until the angle it hands on moves by at most
     255 rel_tol max(1, |alpha|) / pieces at every energy from the last
-    count whose carry did not raise (`_leaves` raises on a step too wide
-    for V), and that finer count is kept: for an eighth-order method the
-    move between n and 2n steps is 2^8 - 1 = 255 times the error at 2n.
-    At _MAX_PIECE_STEPS the doubling stops, and a carry that still raises
-    is raised.  V is read at the Gauss nodes only, never at a cut.  None
-    for a potential with `_constant_pieces`, whose passes take every piece
-    in closed form.  config is the SolveConfig; only its rel_tol is read.
+    count with no step too wide for V (such a count is not settled), and
+    that finer count is kept: for an eighth-order method the move between
+    n and 2n steps is 2^8 - 1 = 255 times the error at 2n.  At
+    _MAX_PIECE_STEPS the doubling stops, and a count that still has a step
+    too wide raises IntegrationError naming it.  The counts up to
+    _BATCH_STEPS of every piece of both halves are built together, before
+    any angle is carried (`_first_round`), and each piece's are lifted
+    from its start angle in one call; a piece not settled by then doubles
+    one count per `_carry`.  The meshes are those of one `_carry` per
+    count, bit for bit.  V is read at the Gauss nodes only, never at a
+    cut.  None for a potential with `_constant_pieces`, whose passes take
+    every piece in closed form.  config is the SolveConfig; only its
+    rel_tol is read.
     """
     potential = problem.effective_potential()
     if _constant_pieces(potential):
@@ -605,28 +756,27 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     halves = [[(p0, p1) for p0, p1 in zip(cuts, cuts[1:]) if p0 != p1]
               for cuts in (_cuts(a, c, breakpoints), _cuts(b, c, breakpoints))]
     tol = 255.0 * config.rel_tol / max(1, sum(map(len, halves)))
+    rounds = _first_round(problem, potential, halves[0] + halves[1], energies)
     mesh = []
     for pieces, start in zip(halves, (left_starts, right_starts)):
         alpha = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
         parts = [_NO_STEPS]
-        for p0, p1 in pieces:
-            n, coarse = _PIECE_STEPS, None
-            while True:
-                steps = _span_steps(problem, potential, p0, p1, n)
-                try:
-                    fine = _carry(steps, energies, alpha)
-                except IntegrationError:    # a leaf too wide: not settled
+        for piece, first in zip(pieces, rounds):
+            coarse = None
+            for steps, fine in _doubling(problem, potential, piece, energies,
+                                         alpha, first):
+                n = steps.h.size
+                if isinstance(fine, IntegrationError):  # not settled
                     if n >= _MAX_PIECE_STEPS:
-                        raise
-                else:
-                    settled = coarse is not None and np.all(
+                        raise fine
+                    continue
+                if n >= _MAX_PIECE_STEPS or coarse is not None and np.all(
                         np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
-                        <= tol)
-                    if settled or n >= _MAX_PIECE_STEPS:
-                        break
-                    coarse = fine
-                n *= 2
-            parts.append(steps)
+                        <= tol):
+                    break
+                coarse = fine
+            # a copy: a view would hold on to the whole batch it came from
+            parts.append(_Steps(*(x.copy() for x in steps)))
             alpha = fine
         mesh.append(_Steps(*map(np.concatenate, zip(*parts))))
     return tuple(mesh)
@@ -661,9 +811,11 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     empty where c is its end.  A step too wide for V raises
     IntegrationError naming it (`_leaves`), unless its plateau angle is
     more than 3 pi / 4 off its lift, which no check sees; the doubling of
-    `pass_mesh` keeps both out.  On a piecewise-constant family every
-    piece is taken in closed form instead (`_plateau_flow`) and no mesh is
-    used.  config is the SolveConfig; only its rel_tol is read.  Returns
+    `pass_mesh` keeps both out.  Where both halves fit in _BLOCK
+    step-energies, one `_leaves` call builds the leaves of both, and each
+    half takes the product of its own.  On a piecewise-constant family
+    every piece is taken in closed form instead (`_plateau_flow`) and no
+    mesh is used.  config is the SolveConfig; only its rel_tol is read.  Returns
     the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
@@ -680,8 +832,15 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                          starts[1][ends], a, c, b, config)
     else:
         _check_coverage(mesh, a, c, b)
-    return tuple(_carry(steps, energies, start)
-                 for steps, start in zip(mesh, starts))
+    sizes = [steps.h.size for steps in mesh]
+    if sum(sizes) * energies.size > _BLOCK:
+        return tuple(_carry(steps, energies, start)
+                     for steps, start in zip(mesh, starts))
+    # both halves fit one block: one leaf build for both, a product each
+    m, n = _leaves(_Steps(*map(np.concatenate, zip(*mesh))), energies)
+    halves = (slice(0, sizes[0]), slice(sizes[0], None))
+    return tuple(_apply(m[..., half], n[..., half], start) if size else start
+                 for half, size, start in zip(halves, sizes, starts))
 
 
 def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,

@@ -8,6 +8,7 @@ delimiter and '.' decimal point regardless of locale.
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -406,7 +407,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"spectral-defect: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every `main` call shares it."""
     parser = _ArgumentParser(
         prog="spectral-defect",
         description="Discrete Schroedinger spectra from the angular Riccati "

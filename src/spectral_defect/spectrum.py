@@ -348,22 +348,25 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     if count > _MAX_LEVELS:
         raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more than "
                           f"the {_MAX_LEVELS} one solve resolves")
+    below = {E: s.n_below for E, s in samples.items()}
     while True:
         keys = sorted(samples)
+        counts = [below[E] for E in keys]
         inner = set()
-        for i, (e1, e2) in enumerate(zip(keys, keys[1:])):
-            s1, s2 = samples[e1], samples[e2]
-            rise = s2.n_below - s1.n_below
-            if not (e2 - e1 > config.e_tol and rise > 0):
+        for i, (lo, hi) in enumerate(zip(counts, counts[1:])):
+            e1, e2 = keys[i], keys[i + 1]
+            if not (hi > lo and e2 - e1 > config.e_tol):
                 continue
-            points = list(np.linspace(e1, e2, _SPLIT * rise + 1)[1:-1])
-            for n in range(s1.n_below, s2.n_below):
+            points = list(np.linspace(e1, e2, _SPLIT * (hi - lo) + 1)[1:-1])
+            for n in range(lo, hi):
                 points += _root_points(keys, samples, i, n, config.e_tol)
             inner.update(E for E in points if e1 < E < e2)
         if not inner:
             break
         inner = sorted(inner)
-        samples.update(zip(inner, sample_fn(inner)))
+        added = dict(zip(inner, sample_fn(inner)))
+        samples.update(added)
+        below.update((E, s.n_below) for E, s in added.items())
 
     scan = tuple(samples[E] for E in keys)
     drops = [s1.gamma - s2.gamma for s1, s2 in zip(scan, scan[1:])
@@ -375,8 +378,8 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
             "the integrator or a cue is misconfigured")
 
     levels = {}  # in energy order: each level is kept at its first pair
-    for e1, e2 in zip(keys, keys[1:]):
-        for n in range(samples[e1].n_below, samples[e2].n_below):
+    for (e1, e2), lo, hi in zip(zip(keys, keys[1:]), counts, counts[1:]):
+        for n in range(lo, hi):
             levels.setdefault(n, Eigenvalue(n=n, energy=0.5 * (e1 + e2),
                                             width=e2 - e1))
     return tuple(levels.values()), scan

@@ -472,7 +472,7 @@ def test_a_constant_step_is_the_plateau_map_bit_for_bit(v, width, sign,
     assert not np.any(np.stack([step.p0, step.p1, step.p2, step.r1,
                                 step.s0, step.s1, step.s2]))
     np.negative(want, out=want, where=want[0] < 0)
-    assert m[:, 0].tobytes() == want.tobytes()
+    assert m[..., 0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width", [1e-12, 1e-9, 1e-6])
@@ -553,9 +553,9 @@ def test_tree_product_equals_the_left_to_right_fold():
     points = np.linspace(-14.0, 0.0, 1002)
     m, n = _leaves(_steps(potential, points[:-1], np.diff(points)), energies)
     tree = _product(m, n)
-    fold = (m[:, 0], n[0])
-    for j in range(1, len(n)):
-        fold = _compose((m[:, j], n[j]), fold)
+    fold = (m[..., 0], n[..., 0])
+    for j in range(1, n.shape[-1]):
+        fold = _compose((m[..., j], n[..., j]), fold)
     tree_phi, fold_phi = _phi(*tree), _phi(*fold)
     assert np.array_equal(np.floor(tree_phi / math.pi),
                           np.floor(fold_phi / math.pi))
@@ -600,13 +600,15 @@ def test_a_coarse_mesh_handed_to_a_pass_raises():
     assert caught.value.t_reached == 4.0
 
 
-def _counting_carry(counts):
-    """angular._carry, appending the step count of each call to counts."""
-    carry = angular._carry
+def _counting_doubling(counts):
+    """angular._doubling, appending to counts the step count of each count
+    of a piece that the doubling tried."""
+    doubling = angular._doubling
 
-    def recording(steps, *args):
-        counts.append(steps.h.size)
-        return carry(steps, *args)
+    def recording(*args):
+        for steps, angle in doubling(*args):
+            counts.append(steps.h.size)
+            yield steps, angle
 
     return recording
 
@@ -619,7 +621,8 @@ def test_the_doubling_resolves_a_step_the_leaves_refuse():
     problem = sd.problem_for(well)
     energies, start, counts = np.array([70.0]), np.zeros(1), []
     with mock.patch.object(angular, "_PIECE_STEPS", 1), \
-            mock.patch.object(angular, "_carry", _counting_carry(counts)):
+            mock.patch.object(angular, "_doubling",
+                              _counting_doubling(counts)):
         left, right = pass_mesh(problem, energies, start, start, 4.0, 7.0,
                                 7.0, sd.SolveConfig())
     assert counts[:3] == [1, 2, 4]
@@ -706,7 +709,8 @@ def test_a_step_no_doubling_resolves_raises_at_the_cap():
     # and raises there
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
     counts = []
-    with mock.patch.object(angular, "_carry", _counting_carry(counts)), \
+    with mock.patch.object(angular, "_doubling",
+                           _counting_doubling(counts)), \
             pytest.raises(sd.IntegrationError, match="t = -2 is too wide"), \
             np.errstate(over="ignore", invalid="ignore"):
         pass_mesh(problem, [-np.finfo(float).max], [0.0], [0.0], -2.0, -1.5,
@@ -731,6 +735,111 @@ def test_mesh_doubles_each_piece_to_its_own_count():
     assert (~tail).sum() > 32
     assert pass_mesh(sd.problem_for(STEPS), energies, lefts, rights, -3.0,
                      0.0, 3.0, sd.SolveConfig()) is None
+
+
+def _one_carry_per_count(problem, energies, left_starts, right_starts, a, c,
+                         b, config):
+    """The mesh of pass_mesh's doubling, each count of each piece built
+    and carried on its own (one `_carry` per count)."""
+    potential = problem.effective_potential()
+    breakpoints = potential.breakpoints()
+    halves = [[(p0, p1) for p0, p1 in zip(cuts, cuts[1:]) if p0 != p1]
+              for cuts in (angular._cuts(a, c, breakpoints),
+                           angular._cuts(b, c, breakpoints))]
+    tol = 255.0 * config.rel_tol / max(1, sum(map(len, halves)))
+    mesh = []
+    for pieces, start in zip(halves, (left_starts, right_starts)):
+        alpha = np.broadcast_to(np.asarray(start, dtype=float),
+                                energies.shape)
+        parts = [angular._NO_STEPS]
+        for p0, p1 in pieces:
+            n, coarse = angular._PIECE_STEPS, None
+            while True:
+                steps = _span_steps(problem, potential, p0, p1, n)
+                try:
+                    fine = _carry(steps, energies, alpha)
+                except sd.IntegrationError:
+                    if n >= angular._MAX_PIECE_STEPS:
+                        raise
+                else:
+                    settled = coarse is not None and np.all(
+                        np.abs(fine - coarse)
+                        / np.maximum(1.0, np.abs(fine)) <= tol)
+                    if settled or n >= angular._MAX_PIECE_STEPS:
+                        break
+                    coarse = fine
+                n *= 2
+            parts.append(steps)
+            alpha = fine
+        mesh.append(angular._Steps(*map(np.concatenate, zip(*parts))))
+    return tuple(mesh)
+
+
+@pytest.mark.parametrize("problem, energies, interval", [
+    (sd.problem_for(sd.Coulomb(), l=0), [-0.6, -0.0045], None),
+    (sd.problem_for(sd.Coulomb(), l=1), [-0.2, -0.01], None),
+    (sd.problem_for(sd.Coulomb(), l=2), [-0.1, -0.01], None),
+    (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), [1e-6, 5.0], None),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), [1e-6, 7.998],
+     (-1004.0, 1004.0))],
+    ids=["hydrogen-l0", "hydrogen-l1", "hydrogen-l2", "hybrid",
+         "oscillator-a4-wide"])
+def test_the_batched_doubling_builds_the_mesh_of_one_carry_per_count(
+        problem, energies, interval):
+    # the first round of every piece of both halves is built in one batch;
+    # the mesh is the one a carry per count builds, to the last bit
+    energies = np.array(energies)
+    (a, c, b), starts, mesh = _solve_mesh(problem, energies, interval)
+    want = _one_carry_per_count(problem, energies, *starts, a, c, b,
+                                sd.SolveConfig())
+    for got, ref in zip(mesh, want):
+        assert got.h.size == ref.h.size
+        for x, y in zip(got, ref):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    if interval:    # the kinks at +-4 cut each half into two pieces
+        assert all(np.sum(steps.t == cut) == 1
+                   for steps, cut in zip(mesh, (-4.0, 4.0)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(powers=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+       energies=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_one_tree_over_runs_gives_each_runs_product(powers, energies, seed):
+    # runs of power-of-two lengths, longest first, side by side on the
+    # last axis: each root is its run's own product, to the last bit
+    runs = [2**k for k in sorted(powers, reverse=True)]
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4, energies, sum(runs)))
+    m *= np.where(m[0] < 0, -1.0, 1.0)
+    n = rng.integers(-9, 10, (energies, sum(runs))).astype(float)
+    root_m, root_n = angular._roots(m, n, runs)
+    ends = np.cumsum(runs)
+    for r, (start, end) in enumerate(zip(ends - runs, ends)):
+        want_m, want_n = _product(m[..., start:end], n[..., start:end])
+        assert root_m[..., r].tobytes() == want_m.tobytes()
+        assert root_n[..., r].tobytes() == want_n.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(half_line=st.booleans(), ends=st.tuples(
+           st.floats(1e-9, 1e4), st.floats(1e-9, 1e4), st.booleans()),
+       coarse=st.integers(0, 8), finer=st.integers(1, 6))
+def test_strided_points_are_those_of_the_coarser_count(half_line, ends,
+                                                       coarse, finer):
+    # every (finest / n)-th point of the finest count's span is the span
+    # of n steps itself, bit for bit, geometric or uniform, either way
+    p0, p1, negative = ends
+    assume(p0 != p1)
+    if half_line:
+        problem = sd.problem_for(sd.Coulomb(), l=0)
+    else:
+        problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+        p0 = -p0 if negative else p0
+    n = 2**coarse
+    finest = n * 2**finer
+    points = angular._span_points(problem, p0, p1, finest + 1)
+    want = angular._span_points(problem, p0, p1, n + 1)
+    assert points[::finest // n].tobytes() == want.tobytes()
 
 
 def test_a_rel_tol_below_the_rounding_stops_the_doubling():

@@ -186,6 +186,26 @@ def test_solve_table_matches_the_csv(tmp_path, capsys):
         [(row["n"], row["energy"]) for row in rows] != []
 
 
+def test_main_carries_no_state_between_calls(tmp_path, capsys):
+    # every call parses with the one parser of the process: a --format csv
+    # call leaves the next plain solve a table, and a usage error after a
+    # good call is still one line and exit code 2
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG)
+    assert cli.main(["solve", str(cfg), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("n,energy,width\n")
+    assert cli.main(["solve", str(cfg)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["n", "E_n", "width"] and "," not in table[0]
+    assert len(table) == 3
+    assert cli.main(["solve", str(cfg), "--format", "xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "invalid choice: 'xml'" in captured.err
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == table
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     code = cli.main(["solve", str(tmp_path / "nope.ini")])
     assert code == 2
