@@ -38,10 +38,11 @@ the root's theta is read once per block (`_carry`).  Leaves and nodes are
 held energy-major, (entry, energy, step), and the tree pairs along the
 last axis, so numpy's inner loops run over the steps, which are many.
 `pass_mesh` builds the first round of its doubling, every count up to
-_BATCH_STEPS of every piece of both halves, in one batch: one `_steps`
-and one `_nodes` call, and one tree over all those runs of steps at once
-(`_roots`); each piece then lifts its angle over the roots of all its
-counts in one call.
+_BATCH_STEPS of every piece of both halves, in one batch of a piece a
+row: one `_steps` and one `_nodes` call, and one tree over all those runs
+of steps at once (`_roots`).  One loop then settles each piece: its angle
+is lifted over the roots of its first-round counts in one call, and each
+later count is carried on its own (`_carry`), as each half of a pass is.
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
@@ -55,6 +56,7 @@ alpha by `_rechart`), and for the transfer-matrix oracle, which integrates
 (psi, psi') on purpose: those are the independent checks of the passes.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -591,44 +593,34 @@ def _nodes(steps, energies):
     return m, n, coarse
 
 
-def _too_wide(t):
-    """The IntegrationError of the step from t, too wide to resolve V."""
-    return IntegrationError(f"the step from t = {t:g} is too wide to resolve V",
-                            t_reached=t)
-
-
 def _leaves(steps, energies):
     """The nodes (m, n) of `_nodes`; a step too wide for V at any energy
     raises IntegrationError naming the first such step."""
     m, n, coarse = _nodes(steps, energies)
     if coarse.any():
-        raise _too_wide(float(steps.t[coarse][0]))
+        t = float(steps.t[coarse][0])
+        raise IntegrationError(
+            f"the step from t = {t:g} is too wide to resolve V", t_reached=t)
     return m, n
-
-
-def _apply(m, n, alpha):
-    """alpha carried over the nodes (m, n) along their last axis: the lift
-    of their product, its phi = n pi + theta(m) read with one arctan2 per
-    energy."""
-    m, n = _product(m, n)
-    return _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
 
 
 def _carry(steps, energies, alpha):
     """alpha carried over the steps, one component per energy.
 
     The leaves are built from the steps' stored coefficients (`_magnus`)
-    and reduced by the tree (`_apply`) in blocks of at most _BLOCK
+    and reduced by the tree (`_product`) in blocks of at most _BLOCK
     step-energies, which bounds the memory of a pass; a step too wide for
-    V raises (`_leaves`).  Each block's root is applied to alpha in order.
-    Near a doublet behind a long forbidden stretch the blocking moves the
+    V raises (`_leaves`).  Each block's root, its phi = n pi + theta(m)
+    read with one arctan2 per energy, is lifted onto alpha in order.  Near
+    a doublet behind a long forbidden stretch the blocking moves the
     angles by more than the rounding: a block's product there is rank one
     to the rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
         block = _Steps(*(x[i:i + width] for x in steps))
-        alpha = _apply(*_leaves(block, energies), alpha)
+        m, n = _product(*_leaves(block, energies))
+        alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
     return alpha
 
 
@@ -639,22 +631,21 @@ def _span_steps(problem, potential, p0, p1, n):
 
 
 def _first_round(problem, potential, pieces, energies):
-    """For each piece in turn, the first round of its doubling: (steps,
-    runs, m, phi), runs the (start, end, t) of each count's steps in steps
-    (t the first step too wide for V, or None), and (m, phi) the lifted
-    map of each count on m's and phi's last axis (the root of a count with
-    a step too wide means nothing).
+    """For each piece in turn, the first round of its doubling: (steps, m,
+    phi, wide), steps those of all its counts, the longest first, and
+    (m, phi) the lifted map of each count on m's and phi's last axis, the
+    shortest first, with wide whether the count has a step too wide for V
+    (its map then means nothing).
 
     The round holds the counts _PIECE_STEPS, 2 _PIECE_STEPS, ... up to
     _BATCH_STEPS, the doubling's cap or as many as fit in _BLOCK
-    step-energies, and pieces are batched up to _BLOCK: one `_steps`, one
-    `_nodes` and one `_roots` call per batch, its runs of steps laid out
-    longest first, each count over every piece of the batch.  Count n's
-    points are its piece's finest count's `_span_points`, every
-    (finest / n)-th, which are those of n itself, bit for bit (either
-    spacing sets point i from i times the width over the count, and
-    halving that is exact).  _PIECE_STEPS is a power of two, as `_roots`
-    needs.
+    step-energies, and pieces are batched up to _BLOCK, one piece a row:
+    one `_steps`, one `_nodes` and one `_roots` call per batch, the runs
+    of steps of each row laid out longest first.  Count n's points are its
+    piece's finest count's `_span_points`, every (finest / n)-th, which
+    are those of n itself, bit for bit (either spacing sets point i from i
+    times the width over the count, and halving that is exact).
+    _PIECE_STEPS is a power of two, as `_roots` needs.
     """
     counts, n = [], _PIECE_STEPS
     while n <= _BATCH_STEPS and (sum(counts) + n) * energies.size <= _BLOCK:
@@ -662,65 +653,37 @@ def _first_round(problem, potential, pieces, energies):
         if n >= _MAX_PIECE_STEPS:
             break
         n *= 2
-    if not counts:
+    if not counts:      # at this many energies no count fits in _BLOCK
         for _ in pieces:
-            yield _NO_STEPS, [], None, None
+            yield (_NO_STEPS, np.empty((4, energies.size, 0)),
+                   np.empty((energies.size, 0)), np.empty(0, bool))
         return
-    finest, group = counts[-1], _BLOCK // (sum(counts) * energies.size)
+    runs, total = counts[::-1], sum(counts)
+    group = _BLOCK // (total * energies.size)
     for i in range(0, len(pieces), group):
         batch = pieces[i:i + group]
-        points = np.stack([_span_points(problem, p0, p1, finest + 1)
+        points = np.stack([_span_points(problem, p0, p1, runs[0] + 1)
                            for p0, p1 in batch])
-        grids = [points[:, ::finest // n] for n in reversed(counts)]
-        t = np.concatenate([grid[:, :-1].ravel() for grid in grids])
-        h = np.concatenate([grid[:, 1:].ravel() for grid in grids])
+        grids = [points[:, ::runs[0] // n] for n in runs]
+        t = np.concatenate([grid[:, :-1] for grid in grids], axis=1)
+        h = np.concatenate([grid[:, 1:] for grid in grids], axis=1)
         h -= t
-        steps = _steps(potential, t, h)
+        steps = _steps(potential, t.ravel(), h.ravel())
         m, n, coarse = _nodes(steps, energies)
-        runs = np.repeat(counts[::-1], len(batch))
-        ends = np.cumsum(runs)
-        starts = ends - runs
-        wide = [None] * len(runs)
+        wide = np.logical_or.reduceat(coarse.reshape(len(batch), total),
+                                      np.cumsum(runs) - runs, axis=1)
         if coarse.any():
-            for r in np.flatnonzero(np.logical_or.reduceat(coarse, starts)):
-                wide[r] = float(t[starts[r]
-                                  + np.argmax(coarse[starts[r]:ends[r]])])
             # the identity in their place: the tree composes only resolved
             # steps, as a carry per count does, and no garbage (which may
             # not be finite) reaches it
             m[..., coarse] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
             n[..., coarse] = 0.0
-        m, n = _roots(m, n, runs)
+        m, n = _roots(m.reshape(4, energies.size, len(batch), total),
+                      n.reshape(energies.size, len(batch), total), runs)
         phi = math.pi * n + np.arctan2(m[2], m[0])
-        # row k of index holds the runs of count k, one column per piece
-        index = np.arange(len(runs)).reshape(len(counts), len(batch))[::-1]
-        for piece in index.T:
-            yield (steps, [(starts[r], ends[r], wide[r]) for r in piece],
-                   m[..., piece], phi[..., piece])
-
-
-def _doubling(problem, potential, piece, energies, alpha, first):
-    """Each count of the piece's doubling in turn, from _PIECE_STEPS, as
-    (steps, angle): alpha carried over the steps, or the IntegrationError
-    of the first step too wide for V.  The counts of the first round
-    (`_first_round`) are lifted from alpha in one call; each count after
-    them is carried on its own (`_carry`)."""
-    steps, runs, m, phi = first
-    n = _PIECE_STEPS
-    if runs:
-        angles = _lift(m, phi, alpha[:, None])
-        for k, (i, j, t) in enumerate(runs):
-            yield (_Steps(*(x[i:j] for x in steps)),
-                   angles[:, k] if t is None else _too_wide(t))
-            n *= 2
-    while True:
-        steps = _span_steps(problem, potential, *piece, n)
-        try:
-            angle = _carry(steps, energies, alpha)
-        except IntegrationError as error:   # a leaf too wide
-            angle = error
-        yield steps, angle
-        n *= 2
+        for j in range(len(batch)):
+            yield (_Steps(*(x[j * total:(j + 1) * total] for x in steps)),
+                   m[:, :, j, ::-1], phi[:, j, ::-1], wide[j, ::-1])
 
 
 def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
@@ -740,13 +703,14 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     _MAX_PIECE_STEPS the doubling stops, and a count that still has a step
     too wide raises IntegrationError naming it.  The counts up to
     _BATCH_STEPS of every piece of both halves are built together, before
-    any angle is carried (`_first_round`), and each piece's are lifted
-    from its start angle in one call; a piece not settled by then doubles
-    one count per `_carry`.  The meshes are those of one `_carry` per
-    count, bit for bit.  V is read at the Gauss nodes only, never at a
-    cut.  None for a potential with `_constant_pieces`, whose passes take
-    every piece in closed form.  config is the SolveConfig; only its
-    rel_tol is read.
+    any angle is carried (`_first_round`).  One loop then walks each
+    piece's counts: those of the first round are lifted from its start
+    angle in one call, and every other count, and a first-round count with
+    a step too wide, goes through `_carry`, which raises where such a step
+    is left at the cap.  The meshes are those of one `_carry` per count,
+    bit for bit.  V is read at the Gauss nodes only, never at a cut.  None
+    for a potential with `_constant_pieces`, whose passes take every piece
+    in closed form.  config is the SolveConfig; only its rel_tol is read.
     """
     potential = problem.effective_potential()
     if _constant_pieces(potential):
@@ -761,14 +725,21 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     for pieces, start in zip(halves, (left_starts, right_starts)):
         alpha = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
         parts = [_NO_STEPS]
-        for piece, first in zip(pieces, rounds):
-            coarse = None
-            for steps, fine in _doubling(problem, potential, piece, energies,
-                                         alpha, first):
-                n = steps.h.size
-                if isinstance(fine, IntegrationError):  # not settled
+        for piece, (batch, m, phi, wide) in zip(pieces, rounds):
+            lifted, coarse = _lift(m, phi, alpha[:, None]), None
+            for k in itertools.count():
+                n = _PIECE_STEPS << k
+                if k < wide.size:   # the shorter counts follow count n
+                    end = batch.h.size - n + _PIECE_STEPS
+                    steps = _Steps(*(x[end - n:end] for x in batch))
+                else:
+                    steps = _span_steps(problem, potential, *piece, n)
+                try:    # a count the round could not lift is carried
+                    fine = (_carry(steps, energies, alpha)
+                            if k >= wide.size or wide[k] else lifted[:, k])
+                except IntegrationError:    # a step too wide: not settled
                     if n >= _MAX_PIECE_STEPS:
-                        raise fine
+                        raise
                     continue
                 if n >= _MAX_PIECE_STEPS or coarse is not None and np.all(
                         np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
@@ -811,12 +782,11 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     empty where c is its end.  A step too wide for V raises
     IntegrationError naming it (`_leaves`), unless its plateau angle is
     more than 3 pi / 4 off its lift, which no check sees; the doubling of
-    `pass_mesh` keeps both out.  Where both halves fit in _BLOCK
-    step-energies, one `_leaves` call builds the leaves of both, and each
-    half takes the product of its own.  On a piecewise-constant family
-    every piece is taken in closed form instead (`_plateau_flow`) and no
-    mesh is used.  config is the SolveConfig; only its rel_tol is read.  Returns
-    the pair (alpha_left_at_c, alpha_right_at_c);
+    `pass_mesh` keeps both out.  Each half is carried on its own
+    (`_carry`), in blocks of _BLOCK step-energies.  On a piecewise-constant
+    family every piece is taken in closed form instead (`_plateau_flow`)
+    and no mesh is used.  config is the SolveConfig; only its rel_tol is
+    read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
     integrate_angle_sampled carries the log-amplitude.
     """
     potential = problem.effective_potential()
@@ -832,15 +802,8 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                          starts[1][ends], a, c, b, config)
     else:
         _check_coverage(mesh, a, c, b)
-    sizes = [steps.h.size for steps in mesh]
-    if sum(sizes) * energies.size > _BLOCK:
-        return tuple(_carry(steps, energies, start)
-                     for steps, start in zip(mesh, starts))
-    # both halves fit one block: one leaf build for both, a product each
-    m, n = _leaves(_Steps(*map(np.concatenate, zip(*mesh))), energies)
-    halves = (slice(0, sizes[0]), slice(sizes[0], None))
-    return tuple(_apply(m[..., half], n[..., half], start) if size else start
-                 for half, size, start in zip(halves, sizes, starts))
+    return tuple(_carry(steps, energies, start)
+                 for steps, start in zip(mesh, starts))
 
 
 def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,

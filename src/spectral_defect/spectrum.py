@@ -346,8 +346,8 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     samples = dict(zip(Es, sample_fn(Es)))
     count = samples[Es[-1]].n_below - samples[Es[0]].n_below
     if count > _MAX_LEVELS:
-        raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more than "
-                          f"the {_MAX_LEVELS} one solve resolves")
+        raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more "
+                          f"than the {_MAX_LEVELS} one solve resolves")
     below = {E: s.n_below for E, s in samples.items()}
     while True:
         keys = sorted(samples)

@@ -600,33 +600,54 @@ def test_a_coarse_mesh_handed_to_a_pass_raises():
     assert caught.value.t_reached == 4.0
 
 
-def _counting_doubling(counts):
-    """angular._doubling, appending to counts the step count of each count
-    of a piece that the doubling tried."""
-    doubling = angular._doubling
+def _counting_carry(carried):
+    """angular._carry, appending to carried the step count of each count
+    it is handed and whether it raised."""
+    carry = angular._carry
 
-    def recording(*args):
-        for steps, angle in doubling(*args):
-            counts.append(steps.h.size)
-            yield steps, angle
+    def recording(steps, *args):
+        try:
+            alpha = carry(steps, *args)
+        except sd.IntegrationError:
+            carried.append((steps.h.size, True))
+            raise
+        carried.append((steps.h.size, False))
+        return alpha
 
     return recording
 
 
 def test_the_doubling_resolves_a_step_the_leaves_refuse():
     # the piece [4, 7] at E = 70 starts as the one step that _leaves
-    # refuses: that count is unsettled, and the doubling goes on from 2
-    # steps to the angle of a fine carry
+    # refuses: the first round flags that count too wide, and _carry,
+    # which takes it instead of the round's lift, refuses it, so it is
+    # unsettled; the doubling goes on from 2 steps (the mesh of a carry per
+    # count 1, 2, 4, ...) to the angle of a fine carry
     well = sd.TruncatedOscillator(1.0, 12.0)
     problem = sd.problem_for(well)
-    energies, start, counts = np.array([70.0]), np.zeros(1), []
-    with mock.patch.object(angular, "_PIECE_STEPS", 1), \
-            mock.patch.object(angular, "_doubling",
-                              _counting_doubling(counts)):
-        left, right = pass_mesh(problem, energies, start, start, 4.0, 7.0,
-                                7.0, sd.SolveConfig())
-    assert counts[:3] == [1, 2, 4]
-    assert right.h.size == 0 and left.h.size == counts[-1]
+    energies, start, rounds, carried = np.array([70.0]), np.zeros(1), [], []
+    first_round = angular._first_round
+
+    def recording(*args):
+        for piece in first_round(*args):
+            rounds.append(piece)
+            yield piece
+
+    with mock.patch.object(angular, "_PIECE_STEPS", 1):
+        with mock.patch.object(angular, "_first_round", recording), \
+                mock.patch.object(angular, "_carry",
+                                  _counting_carry(carried)):
+            left, right = pass_mesh(problem, energies, start, start, 4.0,
+                                    7.0, 7.0, sd.SolveConfig())
+        want, _ = _one_carry_per_count(problem, energies, start, start, 4.0,
+                                       7.0, 7.0, sd.SolveConfig())
+    (_, m, _, wide), = rounds
+    assert m.shape[-1] == wide.size == 9        # the counts 1, 2, ..., 256
+    assert wide[:3].tolist() == [True, False, False]
+    assert carried == [(1, True)]
+    assert right.h.size == 0 and left.h.size > 4
+    for x, y in zip(left, want):
+        assert x.tobytes() == y.tobytes()
     fine = _carry(_span_steps(problem, well, 4.0, 7.0, 4096), energies, start)
     assert _carry(left, energies, start) == pytest.approx(fine, rel=1e-12)
 
@@ -706,17 +727,17 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
 def test_a_step_no_doubling_resolves_raises_at_the_cap():
     # at the lowest float E, q = 2 (V - E) overflows to inf and Omega is
     # not finite on any width: the doubling of the piece stops at its cap
-    # and raises there
+    # and raises there; every count is too wide, so each, the first
+    # round's too, is handed to _carry, which refuses it
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
-    counts = []
-    with mock.patch.object(angular, "_doubling",
-                           _counting_doubling(counts)), \
+    carried = []
+    with mock.patch.object(angular, "_carry", _counting_carry(carried)), \
             pytest.raises(sd.IntegrationError, match="t = -2 is too wide"), \
             np.errstate(over="ignore", invalid="ignore"):
         pass_mesh(problem, [-np.finfo(float).max], [0.0], [0.0], -2.0, -1.5,
                   -1.5, sd.SolveConfig())
-    assert counts[-1] == angular._MAX_PIECE_STEPS
-    assert len(counts) == 11
+    assert carried == [(angular._PIECE_STEPS << k, True) for k in range(11)]
+    assert carried[-1][0] == angular._MAX_PIECE_STEPS
 
 
 def test_mesh_doubles_each_piece_to_its_own_count():
@@ -775,15 +796,26 @@ def _one_carry_per_count(problem, energies, left_starts, right_starts, a, c,
     return tuple(mesh)
 
 
+def _tabulated_41():
+    """41 samples of V = -2 e^{-t^2} (1 + 0.3 sin 3t) on [-3, 3], its ends
+    0: a well of 41 pieces, more than one batch of the first round holds
+    (8 at two energies)."""
+    t = np.linspace(-3.0, 3.0, 41)
+    v = -2.0 * np.exp(-t * t) * (1.0 + 0.3 * np.sin(3.0 * t))
+    v[[0, -1]] = 0.0
+    return sd.Tabulated(tuple(t), tuple(v))
+
+
 @pytest.mark.parametrize("problem, energies, interval", [
     (sd.problem_for(sd.Coulomb(), l=0), [-0.6, -0.0045], None),
     (sd.problem_for(sd.Coulomb(), l=1), [-0.2, -0.01], None),
     (sd.problem_for(sd.Coulomb(), l=2), [-0.1, -0.01], None),
     (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), [1e-6, 5.0], None),
     (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), [1e-6, 7.998],
-     (-1004.0, 1004.0))],
+     (-1004.0, 1004.0)),
+    (sd.problem_for(_tabulated_41()), [-2.0, -0.05], None)],
     ids=["hydrogen-l0", "hydrogen-l1", "hydrogen-l2", "hybrid",
-         "oscillator-a4-wide"])
+         "oscillator-a4-wide", "tabulated-41"])
 def test_the_batched_doubling_builds_the_mesh_of_one_carry_per_count(
         problem, energies, interval):
     # the first round of every piece of both halves is built in one batch;
