@@ -6,11 +6,16 @@ represented as a leading term plus a finite asymptotic series, truncated at
 its smallest term.  arctan(f) at the working-interval endpoint is the
 boundary angle fed to the angular integration.
 
-The tail classes live here, one per kind of boundary: each knows its energy
-threshold, its cue series, the boundary angle and residual built from it,
-how it bounds and pads its side of the working interval and whether it puts
-a problem on the half line.  `potentials` imports this module, so problems
-and potentials are duck-typed here.
+The tail classes live here, one per asymptotic shape of a boundary: a
+constant level, an oscillator tail, a Coulomb tail and the 0+ singularities
+of the Coulomb and Yukawa wells.  Each knows its energy threshold, its cue
+series, the boundary angle and residual built from it, how it bounds and
+pads its side of the working interval and whether it puts a problem on the
+half line.  A family picks its tails by their parameters: the quark
+hybrid's are the oscillator tail with a unit charge and the Coulomb 0+
+singularity with its omega, and the Yukawa far tail is a Coulomb tail of
+zero charge.  `potentials` imports this module, so problems and potentials
+are duck-typed here.
 """
 
 import math
@@ -206,8 +211,8 @@ class _SeriesTail:
     """A tail whose decaying solution is known through its cue series.
 
     Subclasses provide cue_series(E, n_terms) and, unless they sit at a 0+
-    singularity, seed(E_hi, kappa, support_edge): the distance from the
-    origin where the boundary search starts.
+    singularity, seed(E_hi, kappa): the distance from the origin where the
+    boundary search starts.
     """
 
     threshold = math.inf
@@ -223,11 +228,9 @@ class _SeriesTail:
             raise ThresholdError(
                 f"E_max = {E_hi} does not clear the {side} threshold "
                 f"{self.threshold} by more than kappa = {config.kappa}")
-        bp = problem.potential.breakpoints()
+        seed = self.seed(E_hi, config.kappa)
         if side == "left":
-            seed = -self.seed(E_hi, config.kappa, abs(min(bp)) if bp else None)
-        else:
-            seed = self.seed(E_hi, config.kappa, max(bp) if bp else None)
+            seed = -seed
         return _resolve_side(problem, side, E_lo, E_hi, config, seed,
                              grow=lambda t: t * _GROWTH)
 
@@ -250,31 +253,45 @@ class _SeriesTail:
 
 @dataclass(frozen=True)
 class OscillatorTail(_SeriesTail):
-    """V ~ omega^2 t^2 / 2 as |t| grows."""
+    """V ~ -charge/t + omega^2 t^2 / 2 as |t| grows, angular momentum l.
+
+    At charge 0 and l = 0 it is the pure harmonic tail; the quark hybrid's
+    far tail has charge 1.
+    """
 
     omega: float
+    l: int = 0
+    charge: float = 0.0
 
     def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
-        """f = -omega t + series, valid as t -> +infinity.
+        """f = -omega t + series in 1/t, valid as t -> +infinity.
 
-        Evaluated at negative t it gives the left-decaying cue: only odd
-        inverse powers survive, so the series is odd like the exact f.
+        Evaluated at negative t it gives the left-decaying cue only at
+        charge 0: then only odd inverse powers survive, so the series is
+        odd like the exact f.  A charge's -charge/t does not mirror.
         """
         if not self.omega > 0:
-            raise DomainError("oscillator cue needs omega > 0")
-        coeffs = _linear_leading_series(self.omega, E, {}, n_terms)
+            raise DomainError("oscillator cue needs omega > 0; for "
+                              "omega -> 0 use the Coulomb cue instead")
+        d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
+        coeffs = _linear_leading_series(self.omega, E, d, n_terms)
         return CueSeries(-self.omega, 1, coeffs)
 
-    def seed(self, E_hi, kappa, support_edge):
-        top = max(E_hi, 0.0)
-        turn = math.sqrt(2.0 * max(top, kappa)) / self.omega
-        return max(1.3 * turn, 4.0 / math.sqrt(self.omega),
-                   support_edge or 0.0)
+    def seed(self, E_hi, kappa):
+        top = max(E_hi, 0.0, kappa)
+        turn = math.sqrt(2.0 * top + 2.0 * self.charge) / self.omega
+        return max(1.3 * turn, 4.0 / math.sqrt(self.omega))
 
 
 @dataclass(frozen=True)
 class CoulombTail(_SeriesTail):
-    """V ~ -charge/t as t -> +infinity, angular momentum l."""
+    """V ~ -charge/t as t -> +infinity, angular momentum l.
+
+    Charge 0 is the Yukawa far tail: the screened charge decays faster than
+    every inverse power, so the series sees only the centrifugal tail; the
+    residual against the actual potential accounts for the neglected
+    exponential.
+    """
 
     l: int
     charge: float = 1.0
@@ -282,57 +299,19 @@ class CoulombTail(_SeriesTail):
 
     def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
         """f = -sqrt(2|E|) + series in 1/t."""
+        E = np.asarray(E, dtype=float)
+        above = _first_not_below(E, 0.0)
+        if above is not None:
+            raise ThresholdError(f"decaying tail cue needs E < 0, not {above}")
+        k = np.sqrt(-2.0 * E)
         d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
-        return _constant_cue(E, d, n_terms)
+        return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
 
-    def seed(self, E_hi, kappa, support_edge):
+    def seed(self, E_hi, kappa):
         seed = max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
         # clearing the tail by kappa forces charge/b <= |E_hi| - kappa,
         # which bound keeps positive
         return max(seed, 1.05 * self.charge / (abs(E_hi) - kappa))
-
-
-@dataclass(frozen=True)
-class YukawaTail(_SeriesTail):
-    """V ~ -exp(-lambda t)/t as t -> +infinity."""
-
-    l: int
-    screening_lambda: float
-    threshold = 0.0
-
-    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
-        """f = -sqrt(2|E|) + series in 1/t.
-
-        The screened charge decays faster than every inverse power, so the
-        series sees only the centrifugal tail; the residual against the
-        actual potential accounts for the neglected exponential.
-        """
-        return _constant_cue(E, {2: float(self.l * (self.l + 1))}, n_terms)
-
-    def seed(self, E_hi, kappa, support_edge):
-        return max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
-
-
-@dataclass(frozen=True)
-class QuarkTail(_SeriesTail):
-    """V ~ -1/t + omega^2 t^2 / 2 as t -> +infinity."""
-
-    omega: float
-    l: int
-
-    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
-        """f = -omega t + series in 1/t."""
-        if not self.omega > 0:
-            raise DomainError("quark infinity cue needs omega > 0; for "
-                              "omega -> 0 use the Coulomb cue instead")
-        d = {1: -2.0, 2: float(self.l * (self.l + 1))}
-        coeffs = _linear_leading_series(self.omega, E, d, n_terms)
-        return CueSeries(-self.omega, 1, coeffs)
-
-    def seed(self, E_hi, kappa, support_edge):
-        top = max(E_hi, 0.0)
-        turn = math.sqrt(2.0 * max(top, kappa) + 2.0) / self.omega
-        return max(1.3 * turn, 4.0 / math.sqrt(self.omega))
 
 
 class _ZeroSingularity(_SeriesTail):
@@ -357,15 +336,17 @@ class _ZeroSingularity(_SeriesTail):
 
 @dataclass(frozen=True)
 class CoulombZeroSingularity(_ZeroSingularity):
-    """Left boundary at the 0+ singularity of a Coulomb-type well."""
+    """Left boundary at the 0+ singularity of V = -charge/t + omega^2 t^2/2:
+    the Coulomb well at omega 0, the quark hybrid well at charge 1."""
 
     l: int
     charge: float = 1.0
+    omega: float = 0.0
 
     def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
-        """f = (l+1)/t + power series in t."""
-        return _pole_cue(self.l, {-1: -2.0 * self.charge, 0: -2.0 * E},
-                         n_terms)
+        """f = (l+1)/t + power series in t; omega enters at order t^3."""
+        c = {-1: -2.0 * self.charge, 0: -2.0 * E, 2: self.omega * self.omega}
+        return _pole_cue(self.l, c, n_terms)
 
 
 @dataclass(frozen=True)
@@ -386,23 +367,8 @@ class YukawaZeroSingularity(_ZeroSingularity):
         return _pole_cue(self.l, c, n_terms)
 
 
-@dataclass(frozen=True)
-class QuarkZeroSingularity(_ZeroSingularity):
-    """Left boundary at the 0+ singularity of the quark hybrid well."""
-
-    omega: float
-    l: int
-
-    def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
-        """Coulomb 0+ cue plus the confining term from order t^3 on."""
-        c = {-1: -2.0, 0: -2.0 * E, 2: self.omega * self.omega}
-        return _pole_cue(self.l, c, n_terms)
-
-
-TailClass = Union[
-    ConstantLevel, OscillatorTail, CoulombTail, YukawaTail, QuarkTail,
-    CoulombZeroSingularity, YukawaZeroSingularity, QuarkZeroSingularity,
-]
+TailClass = Union[ConstantLevel, OscillatorTail, CoulombTail,
+                  CoulombZeroSingularity, YukawaZeroSingularity]
 
 
 def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
@@ -417,15 +383,6 @@ def _first_not_below(E, level):
     """The first of the energies E (an array) not below level, or None."""
     above = E[~(E < level)]
     return float(above.flat[0]) if above.size else None
-
-
-def _constant_cue(E, d, n_terms):
-    E = np.asarray(E, dtype=float)
-    above = _first_not_below(E, 0.0)
-    if above is not None:
-        raise ThresholdError(f"decaying tail cue needs E < 0, not {above}")
-    k = np.sqrt(-2.0 * E)
-    return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
 
 
 def _pole_cue(l, c, n_terms):

@@ -51,6 +51,9 @@ def _propagate(potential, E, s0, s1, y, config):
     The integrator cuts at the breakpoints; checkpoints at most 5 apart
     rescale by a power of two before growth can overflow.
     """
+    if not math.isfinite(E):
+        # the integrator would step on without end
+        raise DomainError(f"E must be finite, not {E}")
     fun = _phase_fun(potential, E)
     exp = 0
     checkpoints = np.linspace(s0, s1,
@@ -201,8 +204,9 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
     Two grids (h and h/2) feed a Richardson step that removes the leading
     h^2 error and estimates what is left.
     """
-    if grid_size < 64:
-        raise DomainError("grid_size must be at least 64")
+    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 64):
+        raise DomainError(f"grid_size must be an integer of at least 64, "
+                          f"not {grid_size!r}")
     config = config or SolveConfig()
     potential = problem.effective_potential()
     if interval is None:

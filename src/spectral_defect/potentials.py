@@ -2,8 +2,12 @@
 
 All quantities are dimensionless with hbar = m = 1.  Potentials evaluate on
 scalars or numpy arrays; instances are immutable and safe to share between
-workers.  Each family names its own boundary behaviour through tails(l);
-the tail classes live in `cues` and are re-exported here.
+workers.  Each family names its own boundary behaviour through tails(l):
+one tail class per asymptotic shape, with the family's parameters (the
+Yukawa far tail is a Coulomb tail of zero charge, the quark hybrid's tails
+are the oscillator tail and the Coulomb 0+ singularity with a unit charge
+and its omega).  The tail classes live in `cues` and are re-exported
+here.
 """
 
 import math
@@ -13,8 +17,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .cues import (ConstantLevel, CoulombTail, CoulombZeroSingularity,
-                   OscillatorTail, QuarkTail, QuarkZeroSingularity, TailClass,
-                   YukawaTail, YukawaZeroSingularity, constant_levels)
+                   OscillatorTail, TailClass, YukawaZeroSingularity,
+                   constant_levels)
 from .errors import ConfigError, DomainError
 
 
@@ -158,8 +162,9 @@ class Yukawa:
         return -np.exp(-self.screening_lambda * t) / t
 
     def tails(self, l):
-        lam = self.screening_lambda
-        return YukawaZeroSingularity(l, lam), YukawaTail(l, lam)
+        # the screened charge leaves a pure centrifugal far tail
+        return (YukawaZeroSingularity(l, self.screening_lambda),
+                CoulombTail(l, 0.0))
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,8 @@ class QuarkHybrid:
         return -1.0 / t + 0.5 * self.omega**2 * t * t
 
     def tails(self, l):
-        return QuarkZeroSingularity(self.omega, l), QuarkTail(self.omega, l)
+        return (CoulombZeroSingularity(l, 1.0, self.omega),
+                OscillatorTail(self.omega, l, 1.0))
 
 
 @dataclass(frozen=True)
@@ -322,8 +328,8 @@ class ProblemSpec:
         object.__setattr__(self, "right_tail", right)
         if self.interval is not None:
             a, b = self.interval
-            if not a < b:
-                raise ValueError(f"need a < b, got interval ({a}, {b})")
+            if not (a < b and math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"need finite a < b, got interval ({a}, {b})")
             if self.l is not None and not a > 0:
                 raise ValueError(
                     "half-line problems must start at a > 0, never at the "

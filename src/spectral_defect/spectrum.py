@@ -198,6 +198,8 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not energies.size:
+        raise DomainError("energies must hold at least one energy")
     threshold = problem.threshold()
     if not np.all(energies < threshold):
         raise ThresholdError(
@@ -392,6 +394,9 @@ def _solve(problem, E_min, E_max, config, sampler):
     that maps a batch of energies in [E_min, E_max] to their DefectSamples.
     """
     config = config or SolveConfig()
+    for name, E in (("E_min", E_min), ("E_max", E_max)):
+        if not math.isfinite(E):
+            raise DomainError(f"{name} must be finite, not {E}")
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     interval = auto_interval(problem, E_min, E_max, config)
@@ -451,10 +456,12 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     """
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
+    if not grid.size:
+        raise DomainError("grid must hold at least one point")
     # no call when the interval is set: auto_interval calls count selections
     a, b = problem.interval or auto_interval(problem, E_n, E_n + 1e-14,
                                              config)
-    if grid[0] < a or grid[-1] > b:
+    if not np.all((a <= grid) & (grid <= b)):
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     (left,), (right,) = _cue_angles(problem, [E_n], a, b)
     t_s, alpha_s, log_s = integrate_angle_sampled(

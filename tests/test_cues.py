@@ -61,14 +61,15 @@ def test_yukawa_zero_second_coefficient():
 def test_quark_zero_departs_from_coulomb_at_cubic_order():
     E, l, omega = -0.1, 0, 0.05
     coul = cues.CoulombZeroSingularity(l).cue_series(E, n_terms=6)
-    quark = cues.QuarkZeroSingularity(omega, l).cue_series(E, n_terms=6)
+    quark = cues.CoulombZeroSingularity(l, 1.0, omega).cue_series(E,
+                                                                  n_terms=6)
     assert np.allclose(coul.coeffs[:3], quark.coeffs[:3])
     diff = quark.coeffs[3] - coul.coeffs[3]
     assert diff == pytest.approx(omega * omega / (2 * l + 5))
 
 
 def test_quark_infinity_second_coefficient():
-    series = cues.QuarkTail(omega=0.3, l=0).cue_series(-0.2)
+    series = cues.OscillatorTail(omega=0.3, l=0, charge=1.0).cue_series(-0.2)
     assert series.coeffs[1] == pytest.approx(1.0 / 0.3)
 
 
@@ -109,6 +110,28 @@ def test_coulomb_sentinels_scale_with_charge():
     for series, t in ((far, 30.0), (near, 1e-2)):
         assert cues.verify_cue_residual(series, well, 0, -Z * Z / 2.0,
                                         t) < 1e-12
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_families_take_the_shared_tail_classes_with_their_parameters(l):
+    lam, omega = 0.05, 0.1
+    assert sd.Yukawa(lam).tails(l) == (cues.YukawaZeroSingularity(l, lam),
+                                       cues.CoulombTail(l, 0.0))
+    assert sd.QuarkHybrid(omega).tails(l) == (
+        cues.CoulombZeroSingularity(l, 1.0, omega),
+        cues.OscillatorTail(omega, l, 1.0))
+    assert sd.HybridOscillator(0.5, 1.0).tails(l) == (
+        cues.OscillatorTail(0.5), cues.OscillatorTail(1.0))
+    # a screened charge has no 1/t term: the far cue starts at 1/t^2
+    k = math.sqrt(0.6)
+    series = cues.CoulombTail(l, 0.0).cue_series(-0.3)
+    assert series.coeffs[0] == 0.0
+    assert series.coeffs[1] == pytest.approx(-l * (l + 1) / (2.0 * k))
+    # the far tails fit the families' own potentials
+    for well, E, t in ((sd.Yukawa(lam), -0.05, 800.0),
+                       (sd.QuarkHybrid(omega), 0.2, 60.0)):
+        far = well.tails(l)[1].cue_series(E)
+        assert cues.verify_cue_residual(far, well, l, E, t) < 1e-12
 
 
 def test_coulomb_zero_sentinel_is_exact_too():
@@ -201,7 +224,7 @@ def test_domain_guards():
     with pytest.raises(ThresholdError):
         cues.coulomb_infinity_cue_coeffs(l=0, E=0.1)
     with pytest.raises(DomainError):
-        cues.QuarkTail(omega=0.0, l=0).cue_series(-0.5)
+        cues.OscillatorTail(omega=0.0, l=0, charge=1.0).cue_series(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +242,21 @@ TAIL_CASES = {
                  -4.0, 0.0, _floats(-5.0, 5.0)),
     "oscillator": (st.builds(cues.OscillatorTail, _floats(0.2, 3.0)),
                    -2.0, 30.0, _floats(3.0, 40.0)),
+    # charge 0 is the Yukawa far tail
     "coulomb": (st.builds(cues.CoulombTail, st.integers(0, 4),
-                          _floats(0.5, 3.0)),
+                          st.just(0.0) | _floats(0.5, 3.0)),
                 -2.0, -1e-3, _floats(5.0, 400.0)),
-    "yukawa": (st.builds(cues.YukawaTail, st.integers(0, 4),
-                         _floats(0.01, 1.0)),
-               -2.0, -1e-3, _floats(5.0, 400.0)),
-    "quark": (st.builds(cues.QuarkTail, _floats(0.005, 2.0),
-                        st.integers(0, 4)), -2.0, 20.0, _floats(5.0, 400.0)),
+    "quark": (st.builds(cues.OscillatorTail, _floats(0.005, 2.0),
+                        st.integers(0, 4), st.just(1.0)),
+              -2.0, 20.0, _floats(5.0, 400.0)),
     "coulomb_zero": (st.builds(cues.CoulombZeroSingularity, st.integers(0, 4),
                                _floats(0.5, 3.0)), -2.0, 2.0,
                      _floats(1e-4, 0.5)),
     "yukawa_zero": (st.builds(cues.YukawaZeroSingularity, st.integers(0, 4),
                               _floats(0.01, 1.0)), -2.0, 2.0,
                     _floats(1e-4, 0.5)),
-    "quark_zero": (st.builds(cues.QuarkZeroSingularity, _floats(0.005, 2.0),
-                             st.integers(0, 4)), -2.0, 2.0,
+    "quark_zero": (st.builds(cues.CoulombZeroSingularity, st.integers(0, 4),
+                             st.just(1.0), _floats(0.005, 2.0)), -2.0, 2.0,
                    _floats(1e-4, 0.5)),
 }
 
@@ -271,7 +293,7 @@ def test_batched_angles_equal_the_per_energy_angles(case):
     (cues.ConstantLevel(1.0), 1.0),
     (cues.ConstantLevel(1.0), 2.5),
     (cues.CoulombTail(0), 0.0),
-    (cues.YukawaTail(1, 0.1), 0.3),
+    (cues.CoulombTail(1, 0.0), 0.3),
 ], ids=["at-level", "above-level", "coulomb-at-0", "yukawa-above-0"])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_a_batch_raises_the_threshold_error_of_its_first_bad_energy(

@@ -158,6 +158,17 @@ def test_square_well_levels_match_the_fd_oracle(right):
         assert abs(ev.energy - fd_e) <= err
 
 
+@pytest.mark.parametrize("call, E", [
+    (oracle.transfer_matrix, math.nan), (oracle.transfer_matrix, math.inf),
+    (oracle.transfer_matrix, -math.inf), (oracle.transfer_mismatch, -math.inf),
+], ids=["matrix-nan", "matrix-inf", "matrix-minus-inf", "mismatch-minus-inf"])
+def test_the_transfer_oracle_rejects_a_non_finite_energy(call, E):
+    # solve_ivp once stepped on without end at E = nan or inf
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    with pytest.raises(DomainError, match=r"\bE must be finite"):
+        call(problem, E)
+
+
 def test_fd_rejects_tiny_grid():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     with pytest.raises(DomainError):

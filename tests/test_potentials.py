@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ def test_problem_spec_rejects_bad_interval():
         pot.problem_for(pot.Coulomb(), interval=(-1.0, 5.0))
     with pytest.raises(ValueError):
         pot.problem_for(pot.SquareWell(-1.0, 0.0, 1.0), interval=(3.0, 2.0))
+
+
+@pytest.mark.parametrize("a, b", [(-3.0, math.inf), (-math.inf, 3.0),
+                                  (math.nan, 3.0), (-3.0, math.nan)])
+def test_problem_spec_rejects_a_non_finite_end(a, b):
+    # an infinite b once sent find_eigenvalues_scaled and
+    # reconstruct_eigenfunction into an integration without end
+    well = pot.SquareWell(-2.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pot.problem_for(well, interval=(a, b))
+    with pytest.raises(ValueError, match="finite"):
+        pot.problem_for(well).with_interval(a, b)
 
 
 def test_half_line_only_potential_rejects_whole_line():

@@ -325,6 +325,21 @@ def test_eigenfunction_is_normalized():
     assert ef.psi[np.argmax(np.abs(ef.psi))] > 0
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda p: sd.reconstruct_eigenfunction(p, -1.5, []), "grid"),
+    (lambda p: sd.reconstruct_eigenfunction(p, -1.5, [0.0, math.nan]),
+     "grid"),
+    (lambda p: sd.defect_angles(p, []), "energies"),
+    (lambda p: oracle.fd_eigenvalues(p, -0.1, grid_size=64.5), "grid_size"),
+    (lambda p: sd.find_eigenvalues(p, -math.inf, -0.1), "E_min"),
+], ids=["empty-grid", "nan-grid-point", "no-energies", "fractional-grid-size",
+        "infinite-e-min"])
+def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
+                                                                   name):
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        call(sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0)))
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         sd.SolveConfig(e_tol=-1.0)
