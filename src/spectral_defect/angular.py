@@ -54,14 +54,17 @@ points), for the scaled chart of `find_eigenvalues_scaled` (the theta flow
 of `_chart_fun` on one piece over [a, b], its angle at b recharted to
 alpha by `_rechart`), and for the transfer-matrix oracle, which integrates
 (psi, psi') on purpose: those are the independent checks of the passes.
+Its integrator, scipy's `solve_ivp`, is imported on first use (the module
+attribute `solve_ivp`, which a caller may replace), so that a solve, a
+scan or a count loads numpy only.
 """
 
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted
@@ -70,6 +73,15 @@ from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 # ---------------------------------------------------------------------------
 # Piecewise adaptive integration
 # ---------------------------------------------------------------------------
+
+def __getattr__(name):
+    """`solve_ivp`, imported from scipy and bound here on first access."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global solve_ivp
+    from scipy.integrate import solve_ivp
+    return solve_ivp
+
 
 def _inside(fun, s0, s1):
     """fun with t held one float step inside the piece between s0 and s1."""
@@ -98,6 +110,8 @@ def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=()):
     cut from the piece that starts there, in the order of travel); a point
     no piece holds keeps y0.
     """
+    # read through the module, so that a replaced `solve_ivp` is the one run
+    solve_ivp = sys.modules[__name__].solve_ivp
     y = np.array(y0, dtype=float, ndmin=1)
     t_eval = np.asarray(t_eval, dtype=float)
     sampled = np.repeat(y[:, None], t_eval.size, axis=1)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import cues
 from .angular import _integrate_vector
@@ -129,6 +127,8 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     brentq converges on that jump as on a root, so a result whose mismatch
     is more than pi/4 from zero raises instead.
     """
+    from scipy.optimize import brentq
+
     config = config or SolveConfig()
 
     def f(E):
@@ -171,6 +171,8 @@ def _fd_levels(potential, a, b, n, e_ceiling):
     Richardson step; on a grid whose nodes or cell edges hold the
     breakpoints nothing changes.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = (b - a) / (n + 1)
     if not 0.0 < h * h < math.inf:
         raise DomainError(f"the fd grid step {h:g} on [{a:g}, {b:g}] has no "

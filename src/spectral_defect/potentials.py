@@ -88,7 +88,11 @@ class HybridOscillator:
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Step potential: values[i] on (breakpoints[i-1], breakpoints[i])."""
+    """Step potential: values[i] on (breakpoints[i-1], breakpoints[i]).
+
+    The fields are tuples; read-only arrays of both, built once and kept
+    outside the fields, let `evaluate` find a piece in O(log n).
+    """
 
     breakpoints_: Tuple[float, ...]
     values: Tuple[float, ...]
@@ -102,13 +106,16 @@ class PiecewiseConstant:
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints_", bp)
         object.__setattr__(self, "values", vals)
+        for name, entries in (("_edges", bp), ("_levels", vals)):
+            array = np.array(entries, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def breakpoints(self):
         return self.breakpoints_
 
     def evaluate(self, t):
-        idx = np.searchsorted(self.breakpoints_, t, side="right")
-        out = np.asarray(self.values)[idx]
+        out = self._levels[np.searchsorted(self._edges, t, side="right")]
         return float(out) if np.isscalar(t) else out
 
     def tails(self, l):

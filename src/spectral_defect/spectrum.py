@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import cues
 from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
@@ -193,13 +192,17 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     c defaults to the interval's matching point (`_matching_point`) and
     mesh to one built for the batch (`angular.pass_mesh`); a solve makes
     both once and passes them to every pass.  Each cue's start angle is
-    checked to lie on its decaying branch (`_cue_angles`), and a Gamma
-    that is not finite raises IntegrationError.
+    checked to lie on its decaying branch (`_cue_angles`).  An energy that
+    is not finite raises DomainError, and a Gamma that is not finite
+    IntegrationError.
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if not energies.size:
         raise DomainError("energies must hold at least one energy")
+    if not np.all(np.isfinite(energies)):
+        raise DomainError(f"energies must be finite, not E = "
+                          f"{energies[~np.isfinite(energies)][0]}")
     threshold = problem.threshold()
     if not np.all(energies < threshold):
         raise ThresholdError(
@@ -454,6 +457,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     (`_cue_angles`).  E_n should be an accepted eigenvalue; the node count
     of psi then equals its branch index.
     """
+    if not math.isfinite(E_n):
+        raise DomainError(f"E_n must be finite, not {E_n}")
+    from scipy.integrate import trapezoid     # np.trapezoid needs numpy 2
+
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
     if not grid.size:

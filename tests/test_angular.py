@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
@@ -454,11 +454,15 @@ def test_magnus_map_is_the_exponential_of_the_approximant():
 @given(v=st.floats(-1e4, 1e4), width=st.floats(1e-12, 40.0),
        sign=st.sampled_from([-1.0, 1.0]),
        energies=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=4))
+@example(v=-0.0, width=1.0, sign=-1.0, energies=[0.0])
 def test_a_constant_step_is_the_plateau_map_bit_for_bit(v, width, sign,
                                                        energies):
     # on a constant V the stored coefficients give p = 0, r = h and
     # s = q h exactly, and a leaf's map is the closed form of that Omega
-    # to the last bit, whatever the width, down to 1e-12
+    # to the last bit, whatever the width, down to 1e-12.  The leaf forms
+    # s as (Horner sum + q) h, the sum of zero coefficients +0.0, so the
+    # closed form does too: at q = -0.0 and h < 0 its s is -0.0, where
+    # h q would give +0.0
     h = sign * width
     energies = np.array(energies)
     with warnings.catch_warnings():
@@ -467,7 +471,8 @@ def test_a_constant_step_is_the_plateau_map_bit_for_bit(v, width, sign,
         m, _ = _leaves(step, energies)
         q = (v - energies) * 2.0
         want = angular._exponential(np.stack(
-            [np.zeros_like(q), np.full_like(q, h), h * q, np.empty_like(q)]))
+            [np.zeros_like(q), np.full_like(q, h), (0.0 + q) * h,
+             np.empty_like(q)]))
     assert step.vm[0] == v and step.r0[0] == h
     assert not np.any(np.stack([step.p0, step.p1, step.p2, step.r1,
                                 step.s0, step.s1, step.s2]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_defect import potentials as pot
 from spectral_defect.errors import DomainError
@@ -37,6 +38,30 @@ def test_hybrid_oscillator_sides():
 def test_square_well_and_piecewise_agree():
     assert pot.SquareWell(-2, -1, 1) == pot.PiecewiseConstant((-1, 1),
                                                               (0, -2, 0))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(),
+       edges=st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=40,
+                      unique=True),
+       points=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=20))
+def test_a_step_well_reads_v_as_its_tuples_bit_for_bit(data, edges, points):
+    # evaluate reads arrays cached at construction; the values are those
+    # the tuples give, scalar or array, on breakpoints and off them
+    edges = sorted(edges)
+    values = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=len(edges) + 1,
+                                max_size=len(edges) + 1))
+    well = pot.PiecewiseConstant(tuple(edges), tuple(values))
+    t = np.array(points + edges)
+    want = np.asarray(well.values)[
+        np.searchsorted(well.breakpoints_, t, side="right")]
+    assert well.evaluate(t).tobytes() == want.tobytes()
+    scalars = [well.evaluate(x) for x in t.tolist()]
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == want.tobytes()
+    assert well == pot.PiecewiseConstant(tuple(edges), tuple(values))
+    assert hash(well) == hash(pot.PiecewiseConstant(tuple(edges),
+                                                    tuple(values)))
 
 
 @pytest.mark.parametrize("potential, t", [

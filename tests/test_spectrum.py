@@ -332,8 +332,14 @@ def test_eigenfunction_is_normalized():
     (lambda p: sd.defect_angles(p, []), "energies"),
     (lambda p: oracle.fd_eigenvalues(p, -0.1, grid_size=64.5), "grid_size"),
     (lambda p: sd.find_eigenvalues(p, -math.inf, -0.1), "E_min"),
+    (lambda p: sd.defect_angles(p, [-math.inf]), "energies"),
+    (lambda p: sd.count_levels(p, -math.inf), "energies"),
+    (lambda p: sd.defect_angles(sd.problem_for(sd.Coulomb()),
+                                [-math.inf, -0.1]), "energies"),
+    (lambda p: sd.reconstruct_eigenfunction(p, math.nan, [0.0]), "E_n"),
 ], ids=["empty-grid", "nan-grid-point", "no-energies", "fractional-grid-size",
-        "infinite-e-min"])
+        "infinite-e-min", "minus-inf-energy", "minus-inf-ceiling",
+        "coulomb-minus-inf-energy", "nan-eigenfunction-energy"])
 def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
                                                                    name):
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
