@@ -1,7 +1,7 @@
 """Eigenvalues of 1-d and radial Schroedinger wells via the angular Riccati
 flow and the monotone spectral defect angle."""
 
-from .cues import CueSeries, oscillator_cue_coeffs, verify_cue_residual
+from .cues import CueSeries, verify_cue_residual
 from .errors import (ConfigError, DomainError, IntegrationError,
                      IntervalSelectionError, MonotonicityError,
                      SpectralDefectError, ThresholdError)

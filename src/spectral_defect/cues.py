@@ -118,27 +118,27 @@ class CueSeries:
 # ---------------------------------------------------------------------------
 #
 # Substituting each ansatz into f' + f^2 = 2(V_eff - E) and matching powers
-# of t yields one linear recurrence per leading-term shape.  `d` holds the
+# of t yields one linear recurrence per kind of series.  `d` holds the
 # inverse-power tail of the right-hand side (d[s] multiplies t**-s), `c` its
 # Taylor part (c[s] multiplies t**s, with s = -1 allowed).  The energy-borne
 # inputs (E, k, c[0]) may be arrays; every coefficient then carries their
 # shape as a trailing axis.
 
-def _linear_leading_series(omega, E, d, n_terms):
-    a = np.zeros((n_terms + 1,) + np.shape(E))
-    a[1] = E / omega - 0.5
-    for s in range(1, n_terms):
+def _inverse_power_series(k, d, n_terms, first=None):
+    """Coefficients of t**-1 ... t**-n_terms of f = -k t**p + series.
+
+    The t**-s balance fixes the coefficient of t**-(s + p).  An oscillator's
+    -k t (p = 1) also fixes the t**-1 coefficient, passed as `first`; a
+    constant -k (p = 0) leaves it to the loop.
+    """
+    p = 0 if first is None else 1
+    a = np.zeros((n_terms + 1,) + np.shape(first if p else k))
+    if p:
+        a[1] = first
+    for s in range(1, n_terms + 1 - p):
         quad = _ordered_sum(a[1:s] * a[s - 1:0:-1])
-        a[s + 1] = (-(s - 1) * a[s - 1] + quad - d.get(s, 0.0)) / (2 * omega)
+        a[s + p] = (-(s - 1) * a[s - 1] + quad - d.get(s, 0.0)) / (2 * k)
     return a[1:]
-
-
-def _constant_leading_series(k, d, n_terms):
-    b = np.zeros((n_terms + 1,) + np.shape(k))
-    for s in range(1, n_terms + 1):
-        quad = _ordered_sum(b[1:s] * b[s - 1:0:-1])
-        b[s] = (-(s - 1) * b[s - 1] + quad - d.get(s, 0.0)) / (2 * k)
-    return b[1:]
 
 
 def _pole_leading_series(l, c, n_terms):
@@ -180,6 +180,10 @@ class ConstantLevel:
             raise ThresholdError(
                 f"E_max = {E_hi} does not clear the {side} level "
                 f"{self.level} by kappa = {config.kappa}")
+        return self.support_edge(problem, side)
+
+    def support_edge(self, problem, side):
+        """The outermost breakpoint on this side; V is the level beyond it."""
         bp = problem.potential.breakpoints()
         if len(bp) < 2:
             # no support to bound: take [-1, 1] about the step, if any
@@ -274,7 +278,8 @@ class OscillatorTail(_SeriesTail):
             raise DomainError("oscillator cue needs omega > 0; for "
                               "omega -> 0 use the Coulomb cue instead")
         d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
-        coeffs = _linear_leading_series(self.omega, E, d, n_terms)
+        coeffs = _inverse_power_series(self.omega, d, n_terms,
+                                       E / self.omega - 0.5)
         return CueSeries(-self.omega, 1, coeffs)
 
     def seed(self, E_hi, kappa):
@@ -305,7 +310,7 @@ class CoulombTail(_SeriesTail):
             raise ThresholdError(f"decaying tail cue needs E < 0, not {above}")
         k = np.sqrt(-2.0 * E)
         d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
-        return CueSeries(-k, 0, _constant_leading_series(k, d, n_terms))
+        return CueSeries(-k, 0, _inverse_power_series(k, d, n_terms))
 
     def seed(self, E_hi, kappa):
         seed = max(10.0, 3.0 / math.sqrt(2.0 * abs(E_hi)))
@@ -387,22 +392,6 @@ def _first_not_below(E, level):
 
 def _pole_cue(l, c, n_terms):
     return CueSeries(l + 1.0, -1, _pole_leading_series(l, c, n_terms))
-
-
-# ---------------------------------------------------------------------------
-# Cue constructors (unit charge for the Coulomb cue)
-# ---------------------------------------------------------------------------
-
-def oscillator_cue_coeffs(omega: float, E: float,
-                          n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying cue of the pure harmonic tail, f = -omega t + series."""
-    return OscillatorTail(omega).cue_series(E, n_terms)
-
-
-def coulomb_infinity_cue_coeffs(l: int, E: float,
-                                n_terms: int = DEFAULT_N_TERMS) -> CueSeries:
-    """Right-decaying Coulomb cue, f = -sqrt(2|E|) + series in 1/t."""
-    return CoulombTail(l).cue_series(E, n_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,22 @@ def _support_interval(problem):
     return min(bp), max(bp)
 
 
+def _settled(problem, interval):
+    """interval with each end that reaches past a constant tail's support
+    edge (`cues.ConstantLevel.support_edge`) moved onto that edge.
+
+    V is the tail level on the stretch cut off, so a cue or a decaying
+    direction is as exact at the edge as at the end.  An interval that
+    misses the support is returned as it is.
+    """
+    lo, hi = a, b = interval
+    if isinstance(problem.left_tail, cues.ConstantLevel):
+        lo = max(a, problem.left_tail.support_edge(problem, "left"))
+    if isinstance(problem.right_tail, cues.ConstantLevel):
+        hi = min(b, problem.right_tail.support_edge(problem, "right"))
+    return (lo, hi) if lo < hi else (a, b)
+
+
 def transfer_mismatch(problem: ProblemSpec, E: float,
                       config: SolveConfig = None) -> float:
     """theta_L - theta_R mod pi, in (-pi/2, pi/2]: the angles of e+
@@ -98,7 +114,9 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
     e+ = (1, k_L) decays to the left of a and e- = (1, -k_R) to the right
     of b, so the mismatch is zero exactly at eigenvalues.  Each direction
     is carried only toward the well, not across the far tail, where it
-    would turn onto the growing direction whatever E is.
+    would turn onto the growing direction whatever E is; an end that
+    reaches past the support starts at its edge (`_settled`), so the cost
+    does not grow with the length of a constant tail.
     """
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
@@ -106,7 +124,7 @@ def transfer_mismatch(problem: ProblemSpec, E: float,
     if not (E < left and E < right):
         raise ThresholdError("E must lie below both tail levels")
     config = config or SolveConfig()
-    a, b = _support_interval(problem)
+    a, b = _settled(problem, _support_interval(problem))
     c = _matching_point(problem, (a, b))
     potential = problem.effective_potential()
     angles = []
@@ -229,9 +247,11 @@ def fd_interval(problem: ProblemSpec, E: float,
     """Auto interval at E, each side padded by its tail's `fd_edge`.
 
     The Dirichlet walls then sit deep in the decay zone of a level at E
-    and of every level below it.
+    and of every level below it.  An end that reaches past a constant
+    tail's support edge is padded from that edge (`_settled`), so a long
+    explicit interval does not coarsen the grid.
     """
     config = config or SolveConfig()
-    a, b = auto_interval(problem, E - 1e-9, E, config)
+    a, b = _settled(problem, auto_interval(problem, E - 1e-9, E, config))
     return (problem.left_tail.fd_edge(a, "left", E, config),
             problem.right_tail.fd_edge(b, "right", E, config))

@@ -27,6 +27,14 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
+def _cache_arrays(potential, **entries):
+    """Set each entry on the frozen potential as a read-only float array."""
+    for name, values in entries.items():
+        array = np.array(values, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(potential, name, array)
+
+
 # ---------------------------------------------------------------------------
 # Potential families
 # ---------------------------------------------------------------------------
@@ -106,10 +114,7 @@ class PiecewiseConstant:
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints_", bp)
         object.__setattr__(self, "values", vals)
-        for name, entries in (("_edges", bp), ("_levels", vals)):
-            array = np.array(entries, dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        _cache_arrays(self, _edges=bp, _levels=vals)
 
     def breakpoints(self):
         return self.breakpoints_
@@ -200,7 +205,9 @@ class Tabulated:
     """Piecewise-linear interpolation of (t, V) samples.
 
     Clamps to the endpoint values outside the sampled range, consistent with
-    a compactly supported deformation between constant tails.
+    a compactly supported deformation between constant tails.  The fields
+    are tuples; `evaluate` reads read-only arrays of both, built once and
+    kept outside the fields.
     """
 
     ts: Tuple[float, ...]
@@ -215,12 +222,13 @@ class Tabulated:
             raise ValueError("sample abscissae must be strictly increasing")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "vs", vs)
+        _cache_arrays(self, _ts=ts, _vs=vs)
 
     def breakpoints(self):
         return self.ts
 
     def evaluate(self, t):
-        out = np.interp(t, self.ts, self.vs)
+        out = np.interp(t, self._ts, self._vs)
         return float(out) if np.isscalar(t) else out
 
     def tails(self, l):

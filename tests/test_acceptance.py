@@ -152,19 +152,18 @@ def test_criterion_5_scaled_flow_reconciliation():
 
 
 def test_criterion_6_cue_residual_decay():
-    from spectral_defect.cues import (coulomb_infinity_cue_coeffs,
-                                      oscillator_cue_coeffs,
+    from spectral_defect.cues import (CoulombTail, OscillatorTail,
                                       verify_cue_residual)
     pure = sd.HybridOscillator(1.0, 1.0)
 
-    series = oscillator_cue_coeffs(omega=1.0, E=0.7, n_terms=6)
+    series = OscillatorTail(1.0).cue_series(0.7, 6)
     ts = np.geomspace(5.0, 50.0, 16)
     res = [verify_cue_residual(series, pure, 0, 0.7, t) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
     slope_ok = abs(slope - (-6.0)) < 0.5
 
-    osc_exact = oscillator_cue_coeffs(omega=1.0, E=0.5)
-    coul_exact = coulomb_infinity_cue_coeffs(l=0, E=-0.5)
+    osc_exact = OscillatorTail(1.0).cue_series(0.5)
+    coul_exact = CoulombTail(0).cue_series(-0.5)
     sentinel_ok = (verify_cue_residual(osc_exact, pure, 0, 0.5, 10.0) <= 1e-13
                    and verify_cue_residual(coul_exact, sd.Coulomb(), 0, -0.5,
                                            40.0) <= 1e-13)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
-from spectral_defect import cli, oracle
+from spectral_defect import angular, cli, oracle
 from spectral_defect.errors import ConfigError
 
 
@@ -438,6 +438,38 @@ def test_verify_passes_a_long_forbidden_tail(tmp_path, capsys, right):
         assert lo * hi < 0 and max(abs(lo), abs(hi)) < 1e-7
 
 
+def test_verify_on_a_long_interval_starts_at_the_support(tmp_path, capsys,
+                                                         monkeypatch):
+    # past the well's edges V is the tail level, so the transfer check
+    # starts each direction at an edge and the fd walls are padded from
+    # it: on (-3, 10000) the fd grid keeps the default step, the levels
+    # pass, and the transfer checks cost what they cost on (-3, 64)
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_CONFIG.replace("emax = -0.002", "emax = -0.1"))
+    calls = []
+    solve_ivp = angular.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(angular, "solve_ivp", counting)
+    levels, counts = [], []
+    for interval in ([], ["--interval", "-3", "64"],
+                     ["--interval", "-3", "10000"]):
+        calls.clear()
+        assert cli.main(["verify", str(cfg), *interval]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.split()[0].isdigit()]
+        levels.append([float(row[1]) for row in rows])
+        counts.append(len(calls))
+    default, short, long = levels
+    assert len(default) == 2
+    assert np.allclose(long, default, rtol=0.0, atol=1e-9)
+    assert np.allclose(short, default, rtol=0.0, atol=1e-9)
+    assert counts[2] == counts[1] > 0
+
+
 def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
     # the ceiling sits 2e-3 under the tail level 8; walls padded there
     # stood at +-257 and gave fd_err 3.1e-5 at n = 0
@@ -616,9 +648,10 @@ _ONE_LINE_FAILURES = [
      "solve {cfg}", 1),
     ("[potential]\nfamily = square_well\ndepth = -2\nleft = -1e300\n"
      "right = 1e300\n[solve]\nemin = -1.9\nemax = -0.1\n", "solve {cfg}", 1),
-    # an fd grid step whose square overflows, and mesh steps whose Omega
-    # does (Gamma would be nan)
-    (WELL_CONFIG, "verify {cfg} --interval -1 1e300", 1),
+    # an fd grid step whose square overflows (an interval wholly past the
+    # well keeps its ends), and mesh steps whose Omega does (Gamma would be
+    # nan)
+    (WELL_CONFIG, "verify {cfg} --interval 1e299 1e300", 1),
     (OSC_CONFIG, "solve {cfg} --interval 2 1e300", 1),
 ]
 

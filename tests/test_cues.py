@@ -15,7 +15,7 @@ from spectral_defect.errors import (DomainError, MonotonicityError,
 # ---------------------------------------------------------------------------
 
 def test_oscillator_first_coefficient():
-    series = cues.oscillator_cue_coeffs(omega=1.3, E=0.7)
+    series = cues.OscillatorTail(1.3).cue_series(0.7)
     assert series.coeffs[0] == pytest.approx(0.7 / 1.3 - 0.5)
 
 
@@ -23,13 +23,13 @@ def test_oscillator_third_coefficient():
     # a3 = a1 (a1 - 1) / (2 omega) follows from the recurrence by hand
     omega, E = 1.0, 0.7
     a1 = E / omega - 0.5
-    series = cues.oscillator_cue_coeffs(omega, E)
+    series = cues.OscillatorTail(omega).cue_series(E)
     assert series.coeffs[2] == pytest.approx(a1 * (a1 - 1.0) / (2.0 * omega))
 
 
 def test_oscillator_even_coefficients_vanish():
     """Only odd inverse powers survive, matching the odd exact cue."""
-    series = cues.oscillator_cue_coeffs(omega=0.8, E=1.1, n_terms=12)
+    series = cues.OscillatorTail(0.8).cue_series(1.1, 12)
     assert np.allclose(series.coeffs[1::2], 0.0, atol=1e-15)
     assert any(abs(c) > 0 for c in series.coeffs[::2])
 
@@ -79,7 +79,7 @@ def test_quark_infinity_second_coefficient():
 
 def test_exact_oscillator_sentinel():
     """E = omega/2 terminates the series: the ground-state cue is exact."""
-    series = cues.oscillator_cue_coeffs(omega=1.0, E=0.5)
+    series = cues.OscillatorTail(1.0).cue_series(0.5)
     assert np.allclose(series.coeffs, 0.0, atol=1e-15)
     pure = sd.HybridOscillator(1.0, 1.0)
     for t in (3.0, 10.0, 25.0):
@@ -88,7 +88,7 @@ def test_exact_oscillator_sentinel():
 
 def test_exact_coulomb_sentinel():
     # hydrogen ground state: f = 1/t - 1 solves the Riccati identity exactly
-    series = cues.coulomb_infinity_cue_coeffs(l=0, E=-0.5)
+    series = cues.CoulombTail(0).cue_series(-0.5)
     assert series.coeffs[0] == pytest.approx(1.0)
     assert np.allclose(series.coeffs[1:], 0.0, atol=1e-15)
     for t in (5.0, 40.0):
@@ -142,7 +142,7 @@ def test_coulomb_zero_sentinel_is_exact_too():
 
 
 def test_residual_shrinks_with_distance():
-    series = cues.oscillator_cue_coeffs(omega=1.0, E=0.7, n_terms=10)
+    series = cues.OscillatorTail(1.0).cue_series(0.7, 10)
     pure = sd.HybridOscillator(1.0, 1.0)
     res = [cues.verify_cue_residual(series, pure, 0, 0.7, t)
            for t in (4.0, 8.0, 16.0)]
@@ -166,7 +166,7 @@ def test_derivative_matches_central_difference(tail, E, power, t):
 
 
 def test_smallest_term_truncation():
-    series = cues.oscillator_cue_coeffs(omega=1.0, E=0.7, n_terms=16)
+    series = cues.OscillatorTail(1.0).cue_series(0.7, 16)
     # far out, more terms help before the asymptotic turnover
     assert series.truncation_index(20.0) >= series.truncation_index(2.0)
     m = series.truncation_index(5.0)
@@ -220,9 +220,9 @@ def test_constant_tail_angles_are_exact():
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        cues.oscillator_cue_coeffs(omega=-1.0, E=0.5)
+        cues.OscillatorTail(-1.0).cue_series(0.5)
     with pytest.raises(ThresholdError):
-        cues.coulomb_infinity_cue_coeffs(l=0, E=0.1)
+        cues.CoulombTail(0).cue_series(0.1)
     with pytest.raises(DomainError):
         cues.OscillatorTail(omega=0.0, l=0, charge=1.0).cue_series(-0.5)
 

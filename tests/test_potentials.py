@@ -91,6 +91,37 @@ def test_quark_hybrid_value():
     assert v.evaluate(2.0) == pytest.approx(-0.5 + 0.5 * 0.01 * 4.0)
 
 
+class _Untouchable:
+    """A sequence that raises when it is iterated, indexed or converted."""
+
+    def _refuse(self, *args):
+        raise AssertionError("evaluate read a tuple field")
+
+    __iter__ = __getitem__ = __len__ = __array__ = _refuse
+
+
+@pytest.mark.parametrize("potential, fields, reference", [
+    (pot.PiecewiseConstant((-1.0, 0.5, 2.0), (0.0, -2.0, -0.5, 1.0)),
+     ("breakpoints_", "values"),
+     lambda well, t: np.asarray(well.values)[
+         np.searchsorted(well.breakpoints_, t, side="right")]),
+    (pot.Tabulated((-1.0, 0.0, 0.5, 2.0), (0.0, -3.0, -1.0, 0.25)),
+     ("ts", "vs"), lambda well, t: np.interp(t, well.ts, well.vs)),
+], ids=["piecewise", "tabulated"])
+def test_evaluate_reads_only_the_cached_arrays(potential, fields, reference):
+    # a read costs O(log n) only if no call converts the tuples anew: with
+    # them replaced by sequences that refuse every read, scalar and array
+    # reads still give the values the tuples give, bit for bit
+    t = np.array([-3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0, 5.0])
+    want = reference(potential, t)
+    for name in fields:
+        object.__setattr__(potential, name, _Untouchable())
+    assert potential.evaluate(t).tobytes() == want.tobytes()
+    scalars = [potential.evaluate(x) for x in t.tolist()]
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == want.tobytes()
+
+
 def test_tabulated_interpolates_and_clamps():
     v = pot.Tabulated(ts=(0.0, 1.0, 2.0), vs=(-1.0, -3.0, 0.0))
     assert v.evaluate(0.5) == pytest.approx(-2.0)
