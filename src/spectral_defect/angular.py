@@ -29,26 +29,28 @@ for f the increasing lift of m's action on angles and theta(m) =
 atan2(m10, m00) in [-pi/2, pi/2].  (B, n_B) after (A, n_A) is the node of
 B A with phi = f_B(phi_A), which needs no transcendental function: n grows
 by n_A + n_B, and by the sign of a10 where B A's first column crossed the
-vertical (`_compose`).  The product is associative, so it is taken as a
-pairwise tree over all steps and energies at once (`_product`), and the
-angle it hands on is unwrapped: n_below is exact.  A leaf's n is read off
-the plateau angle of the step, whose zero count is exact, corrected mod pi
-to the Magnus map (a large correction raises: only `pass_mesh` refines);
-the root's theta is read once per block (`_carry`).  Leaves and nodes are
-held energy-major, (entry, energy, step), and the tree pairs along the
-last axis, so numpy's inner loops run over the steps, which are many.
-`pass_mesh` builds the first round of its doubling, every count up to
-_BATCH_STEPS of every piece of both halves, in one batch of a piece a
-row: one `_steps` and one `_nodes` call, and one tree over all those runs
-of steps at once (`_roots`).  One loop then settles each piece: its angle
-is lifted over the roots of its first-round counts in one call, and each
-later count is carried on its own (`_carry`), as each half of a pass is.
+vertical (`_compose`).  The product is associative, so it is taken by one
+pairwise tree over runs of steps of power-of-two lengths and all energies
+at once (`_roots`), the runs' roots composed from the last (`_product`),
+and the angle it hands on is unwrapped: n_below is exact.  A leaf's n is
+read off the plateau angle of the step, whose zero count is exact,
+corrected mod pi to the Magnus map (a large correction raises: only
+`pass_mesh` refines); the root's theta is read once per block (`_carry`).
+Leaves and nodes are held energy-major, (entry, energy, step), and the tree
+pairs along the last axis, so numpy's inner loops run over the steps, which
+are many.  `pass_mesh` builds the first round of its doubling, every count
+up to _BATCH_STEPS of every piece of both halves, in one batch of a piece a
+row: one `_steps` and one `_nodes` call, and the same tree over all those
+runs of steps at once.  One loop then settles each piece: its angle is
+lifted over the roots of its first-round counts in one call, and each later
+count is carried on its own (`_carry`), as each half of a pass is.
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 `PiecewiseConstant` (`SquareWell` builds one), shifted or not, every piece
-is constant, so `integrate_angles` takes each one in closed form
-(`_plateau_flow`) and needs no mesh.  The adaptive flow (`_integrate_vector`)
+is constant: a solve builds one mesh for it too, whose steps are its
+pieces, V read once per piece, and every pass takes each step in closed
+form at its level (`_plateau_flow`).  The adaptive flow (`_integrate_vector`)
 runs for the eigenfunction sampler (which needs the log-amplitude at grid
 points), for the scaled chart of `find_eigenvalues_scaled` (the theta flow
 of `_chart_fun` on one piece over [a, b], its angle at b recharted to
@@ -252,18 +254,13 @@ def _constant_pieces(potential):
     return isinstance(potential, PiecewiseConstant)
 
 
-def _plateau_flow(potential, energies, s0, s1, alpha):
-    """The angles carried from s0 to s1 (either order) in closed form,
-    piece by piece, over a potential with `_constant_pieces`.
-
-    V is read once per piece, at its midpoint.
-    """
+def _plateau_flow(steps, energies, alpha):
+    """alpha carried in closed form over the steps of a potential with
+    `_constant_pieces`, one step a piece (`pass_mesh`): each step's vm is
+    its piece's level and h its signed width."""
     alpha = np.array(alpha, dtype=float)
-    cuts = _cuts(s0, s1, potential.breakpoints())
-    for p0, p1 in zip(cuts, cuts[1:]):
-        if p0 != p1:
-            v = potential.evaluate(0.5 * (p0 + p1))
-            alpha = _plateau_step(v, energies, alpha, p1 - p0)
+    for v, h in zip(steps.vm, steps.h):
+        alpha = _plateau_step(v, energies, alpha, h)
     return alpha
 
 
@@ -516,29 +513,31 @@ def _compose(later, earlier):
 
 def _product(m, n):
     """The node (m, n) of the composition of the steps along n's last axis
-    (m's too), the first step applied first: a pairwise tree, each round
-    of which is one vectorized `_compose`."""
-    while n.shape[-1] > 1:
-        k = n.shape[-1] - n.shape[-1] % 2
-        pm, pn = _compose((m[..., 1:k:2], n[..., 1:k:2]),
-                          (m[..., :k:2], n[..., :k:2]))
-        if k < n.shape[-1]:     # the odd step out joins the next round
-            pm = np.concatenate([pm, m[..., k:]], axis=-1)
-            pn = np.concatenate([pn, n[..., k:]], axis=-1)
-        m, n = pm, pn
-    return m[..., 0], n[..., 0]
+    (m's too), the first step applied first: the roots of the runs its
+    length's binary digits cut, longest first (`_roots`), composed from
+    the last, which pairs the steps as rounds of pairs would, an odd node
+    out joining the next round."""
+    width = n.shape[-1]
+    runs = [1 << k for k in reversed(range(width.bit_length()))
+            if width >> k & 1]
+    m, n = _roots(m, n, runs)
+    node = m[..., -1], n[..., -1]
+    for j in reversed(range(len(runs) - 1)):
+        node = _compose(node, (m[..., j], n[..., j]))
+    return node
 
 
 def _roots(m, n, runs):
     """The node of each run of steps along the last axis, one per run on
-    the last axis: `_product` of each run, bit for bit, in one tree.
+    the last axis, in one pairwise tree: the one tree of the passes and
+    of the mesh's first round.
 
     runs are the lengths of the runs in order, powers of two, longest
     first.  Each round pairs the steps of every run still longer than one
     node in one `_compose`: every such run is even and starts at an even
-    offset, so no pair straddles two runs, and the pairs are those of
-    `_product`.  A run down to one node is finished; the shortest runs
-    finish first, and they are at the tail, from which they are taken.
+    offset, so no pair straddles two runs.  A run down to one node is
+    finished; the shortest runs finish first, and they are at the tail,
+    from which they are taken.
     """
     root_m = np.empty(m.shape[:-1] + (len(runs),))
     root_n = np.empty(n.shape[:-1] + (len(runs),))
@@ -622,13 +621,12 @@ def _carry(steps, energies, alpha):
     """alpha carried over the steps, one component per energy.
 
     The leaves are built from the steps' stored coefficients (`_magnus`)
-    and reduced by the tree (`_product`) in blocks of at most _BLOCK
-    step-energies, which bounds the memory of a pass; a step too wide for
-    V raises (`_leaves`).  Each block's root, its phi = n pi + theta(m)
-    read with one arctan2 per energy, is lifted onto alpha in order.  Near
-    a doublet behind a long forbidden stretch the blocking moves the
-    angles by more than the rounding: a block's product there is rank one
-    to the rounding.
+    and reduced (`_product`) in blocks of at most _BLOCK step-energies,
+    which bounds the memory of a pass; a step too wide for V raises
+    (`_leaves`).  Each block's root, its phi = n pi + theta(m) read with
+    one arctan2 per energy, is lifted onto alpha in order.  Near a doublet
+    behind a long forbidden stretch the blocking moves the angles by more
+    than the rounding: a block's product there is rank one to the rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
@@ -659,7 +657,8 @@ def _first_round(problem, potential, pieces, energies):
     piece's finest count's `_span_points`, every (finest / n)-th, which
     are those of n itself, bit for bit (either spacing sets point i from i
     times the width over the count, and halving that is exact).
-    _PIECE_STEPS is a power of two, as `_roots` needs.
+    _PIECE_STEPS is a power of two, as `_roots` needs.  The energies are
+    at most two (`pass_mesh`), so the round holds at least one count.
     """
     counts, n = [], _PIECE_STEPS
     while n <= _BATCH_STEPS and (sum(counts) + n) * energies.size <= _BLOCK:
@@ -667,11 +666,6 @@ def _first_round(problem, potential, pieces, energies):
         if n >= _MAX_PIECE_STEPS:
             break
         n *= 2
-    if not counts:      # at this many energies no count fits in _BLOCK
-        for _ in pieces:
-            yield (_NO_STEPS, np.empty((4, energies.size, 0)),
-                   np.empty((energies.size, 0)), np.empty(0, bool))
-        return
     runs, total = counts[::-1], sum(counts)
     group = _BLOCK // (total * energies.size)
     for i in range(0, len(pieces), group):
@@ -704,51 +698,63 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
               a: float, c: float, b: float, config):
     """The steps (left, right) of both halves of `integrate_angles`.
 
-    The arguments are those of `integrate_angles`, for the energies that
-    bound the passes the mesh serves (a solve's E_min and E_max).  Each
-    half is cut at the breakpoints (`_cuts`), and each piece into
-    `_span_points` steps.  The start angles are carried piece by piece in
-    the direction of travel; a piece's step count doubles from
-    _PIECE_STEPS until the angle it hands on moves by at most
-    255 rel_tol max(1, |alpha|) / pieces at every energy from the last
-    count with no step too wide for V (such a count is not settled), and
-    that finer count is kept: for an eighth-order method the move between
-    n and 2n steps is 2^8 - 1 = 255 times the error at 2n.  At
-    _MAX_PIECE_STEPS the doubling stops, and a count that still has a step
-    too wide raises IntegrationError naming it.  The counts up to
-    _BATCH_STEPS of every piece of both halves are built together, before
-    any angle is carried (`_first_round`).  One loop then walks each
-    piece's counts: those of the first round are lifted from its start
-    angle in one call, and every other count, and a first-round count with
-    a step too wide, goes through `_carry`, which raises where such a step
-    is left at the cap.  The meshes are those of one `_carry` per count,
-    bit for bit.  V is read at the Gauss nodes only, never at a cut.  None
-    for a potential with `_constant_pieces`, whose passes take every piece
-    in closed form.  config is the SolveConfig; only its rel_tol is read.
+    The arguments are those of `integrate_angles`; the mesh is built for
+    the batch's lowest and highest energy (one where they are equal), which
+    bound the passes it serves (a solve's E_min and E_max).  Each half is
+    cut at the breakpoints (`_cuts`).  With `_constant_pieces` a piece is
+    one step, `_span_steps`' at n = 1, whose vm is the piece's level
+    (`_plateau_flow`); otherwise it is cut into `_span_points` steps.  The
+    start angles are carried piece by piece in the direction of travel; a
+    piece's step count doubles from _PIECE_STEPS until the angle it hands
+    on moves by at most 255 rel_tol max(1, |alpha|) / pieces at every
+    energy from the last count with no step too wide for V (such a count
+    is not settled), and that finer count is kept: for an eighth-order
+    method the move between n and 2n steps is 2^8 - 1 = 255 times the
+    error at 2n.  At _MAX_PIECE_STEPS the doubling stops, and a count that
+    still has a step too wide raises IntegrationError naming it.  The
+    counts up to _BATCH_STEPS of every piece of both halves are built
+    together, before any angle is carried (`_first_round`).  One loop then
+    walks each piece's counts: those of the first round are lifted from
+    its start angle in one call, one with a step too wide left unsettled,
+    and every later count goes through `_carry`, which raises on such a
+    step, as a first-round count too wide at the cap does there.  The
+    meshes are those of one `_carry` per count, bit for bit.  V is read at
+    the Gauss nodes only, never at a cut.  config is the SolveConfig; only
+    its rel_tol is read.
     """
     potential = problem.effective_potential()
-    if _constant_pieces(potential):
-        return None
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
     breakpoints = potential.breakpoints()
     halves = [[(p0, p1) for p0, p1 in zip(cuts, cuts[1:]) if p0 != p1]
               for cuts in (_cuts(a, c, breakpoints), _cuts(b, c, breakpoints))]
+    if _constant_pieces(potential):     # each piece's ends are its points
+        edges, cut = np.reshape(halves[0] + halves[1], (-1, 2)), len(halves[0])
+        steps = _steps(potential, edges[:, 0], edges[:, 1] - edges[:, 0])
+        return (_Steps(*(x[:cut] for x in steps)),
+                _Steps(*(x[cut:] for x in steps)))
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    lo, hi = np.argmin(energies), np.argmax(energies)
+    ends = [lo] if lo == hi else [lo, hi]
+    starts = [np.broadcast_to(np.asarray(start, dtype=float),
+                              energies.shape)[ends]
+              for start in (left_starts, right_starts)]
+    energies = energies[ends]
     tol = 255.0 * config.rel_tol / max(1, sum(map(len, halves)))
     rounds = _first_round(problem, potential, halves[0] + halves[1], energies)
     mesh = []
-    for pieces, start in zip(halves, (left_starts, right_starts)):
-        alpha = np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
+    for pieces, alpha in zip(halves, starts):
         parts = [_NO_STEPS]
         for piece, (batch, m, phi, wide) in zip(pieces, rounds):
             lifted, coarse = _lift(m, phi, alpha[:, None]), None
             for k in itertools.count():
                 n = _PIECE_STEPS << k
                 if k < wide.size:   # the shorter counts follow count n
+                    if wide[k] and n < _MAX_PIECE_STEPS:
+                        continue    # a step too wide: not settled
                     end = batch.h.size - n + _PIECE_STEPS
                     steps = _Steps(*(x[end - n:end] for x in batch))
                 else:
                     steps = _span_steps(problem, potential, *piece, n)
-                try:    # a count the round could not lift is carried
+                try:    # a count past the round, or at the cap, is carried
                     fine = (_carry(steps, energies, alpha)
                             if k >= wide.size or wide[k] else lifted[:, k])
                 except IntegrationError:    # a step too wide: not settled
@@ -790,33 +796,29 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     `pass_mesh` by the lifted Magnus product, at a cost linear in the
     steps and in the batch; a pass over a given mesh reads no V (a solve
     builds one mesh and passes it to every pass).  Without a mesh one is
-    built from the batch's lowest and highest energy.  A given mesh must
-    run from a to c on the left and from b to c on the right, its ends
-    equal to those up to rounding, or DomainError is raised; a half is
-    empty where c is its end.  A step too wide for V raises
-    IntegrationError naming it (`_leaves`), unless its plateau angle is
-    more than 3 pi / 4 off its lift, which no check sees; the doubling of
-    `pass_mesh` keeps both out.  Each half is carried on its own
-    (`_carry`), in blocks of _BLOCK step-energies.  On a piecewise-constant
-    family every piece is taken in closed form instead (`_plateau_flow`)
-    and no mesh is used.  config is the SolveConfig; only its rel_tol is
-    read.  Returns the pair (alpha_left_at_c, alpha_right_at_c);
-    integrate_angle_sampled carries the log-amplitude.
+    built for the batch (`pass_mesh`).  A given mesh must run from a to c
+    on the left and from b to c on the right, its ends equal to those up
+    to rounding, or DomainError is raised; a half is empty where c is its
+    end.  A step too wide for V raises IntegrationError naming it
+    (`_leaves`), unless its plateau angle is more than 3 pi / 4 off its
+    lift, which no check sees; the doubling of `pass_mesh` keeps both out.
+    Each half is carried on its own (`_carry`), in blocks of _BLOCK
+    step-energies.  On a piecewise-constant family the mesh is the pieces,
+    each taken in closed form instead (`_plateau_flow`).  config is the
+    SolveConfig; only its rel_tol is read.  Returns the pair
+    (alpha_left_at_c, alpha_right_at_c); integrate_angle_sampled carries
+    the log-amplitude.
     """
-    potential = problem.effective_potential()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     starts = [np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
               for start in (left_starts, right_starts)]
-    if _constant_pieces(potential):
-        return tuple(_plateau_flow(potential, energies, s0, c, start)
-                     for start, s0 in zip(starts, (a, b)))
     if mesh is None:
-        ends = [np.argmin(energies), np.argmax(energies)]
-        mesh = pass_mesh(problem, energies[ends], starts[0][ends],
-                         starts[1][ends], a, c, b, config)
+        mesh = pass_mesh(problem, energies, *starts, a, c, b, config)
     else:
         _check_coverage(mesh, a, c, b)
-    return tuple(_carry(steps, energies, start)
+    carry = (_plateau_flow if _constant_pieces(problem.effective_potential())
+             else _carry)
+    return tuple(carry(steps, energies, start)
                  for steps, start in zip(mesh, starts))
 
 

@@ -430,8 +430,9 @@ def right_boundary_angle(problem, energies, b: float):
     return problem.right_tail.boundary_angle(energies, b, "right")
 
 
-def boundary_residual(problem, E: float, t: float, side: str) -> float:
-    """Cue residual at a candidate boundary; 0 for exact constant tails."""
+def boundary_residual(problem, E, t: float, side: str):
+    """Cue residual at a candidate boundary, a float for one energy and an
+    array for an array of energies; 0 for exact constant tails."""
     tail = problem.left_tail if side == "left" else problem.right_tail
     return tail.residual(problem, E, t)
 
@@ -444,10 +445,11 @@ def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
     """Why t fails as a boundary, or None when it passes.
 
     t passes when the cue residual is within tolerance at both energy
-    extremes and, with check_clearance, V_eff(t) clears E_hi by kappa.
+    extremes, taken in one batch (one cue series for both), and, with
+    check_clearance, V_eff(t) clears E_hi by kappa.
     """
-    for E in (E_lo, E_hi):
-        residual = boundary_residual(problem, E, t, side)
+    residuals = boundary_residual(problem, np.array([E_lo, E_hi]), t, side)
+    for E, residual in zip((E_lo, E_hi), residuals):
         if residual > config.residual_tol:
             return f"cue residual {residual:.3e} at E = {E}"
     if check_clearance:

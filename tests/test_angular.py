@@ -549,6 +549,44 @@ def _phi(m, n):
     return math.pi * n + np.arctan2(m[2], m[0])
 
 
+def _round_product(m, n):
+    """The pairwise tree by rounds that `_product` replaces: each round
+    composes neighbouring nodes, and an odd node out joins the next."""
+    while n.shape[-1] > 1:
+        k = n.shape[-1] - n.shape[-1] % 2
+        pm, pn = _compose((m[..., 1:k:2], n[..., 1:k:2]),
+                          (m[..., :k:2], n[..., :k:2]))
+        if k < n.shape[-1]:     # the odd step out joins the next round
+            pm = np.concatenate([pm, m[..., k:]], axis=-1)
+            pn = np.concatenate([pn, n[..., k:]], axis=-1)
+        m, n = pm, pn
+    return m[..., 0], n[..., 0]
+
+
+def _random_nodes(rng, energies, width):
+    """Oriented random maps and integer half-turn counts, energy-major."""
+    m = rng.standard_normal((4, energies, width))
+    m *= np.where(m[0] < 0, -1.0, 1.0)
+    n = rng.integers(-9, 10, (energies, width)).astype(float)
+    return m, n
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(width=st.integers(1, 4097), energies=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(width=1, energies=1, seed=0)
+@example(width=4095, energies=2, seed=1)
+@example(width=4096, energies=1, seed=2)
+@example(width=4097, energies=3, seed=3)
+def test_a_blocks_product_is_the_tree_by_rounds(width, energies, seed):
+    # the runs of the block's binary digits, each one tree, composed from
+    # the last: the pairs of the tree by rounds, to the last bit
+    m, n = _random_nodes(np.random.default_rng(seed), energies, width)
+    got, want = _product(m, n), _round_product(m, n)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_tree_product_equals_the_left_to_right_fold():
     # the left half of the 72-level well turns through some 36 pi at the
     # top energies; 1,001 steps leave an odd step out of most rounds
@@ -624,10 +662,10 @@ def _counting_carry(carried):
 
 def test_the_doubling_resolves_a_step_the_leaves_refuse():
     # the piece [4, 7] at E = 70 starts as the one step that _leaves
-    # refuses: the first round flags that count too wide, and _carry,
-    # which takes it instead of the round's lift, refuses it, so it is
-    # unsettled; the doubling goes on from 2 steps (the mesh of a carry per
-    # count 1, 2, 4, ...) to the angle of a fine carry
+    # refuses: the first round flags that count too wide, so it is
+    # unsettled and carried by no one; the doubling goes on from 2 steps,
+    # lifted by the round (the mesh of a carry per count 1, 2, 4, ...), to
+    # the angle of a fine carry
     well = sd.TruncatedOscillator(1.0, 12.0)
     problem = sd.problem_for(well)
     energies, start, rounds, carried = np.array([70.0]), np.zeros(1), [], []
@@ -649,7 +687,7 @@ def test_the_doubling_resolves_a_step_the_leaves_refuse():
     (_, m, _, wide), = rounds
     assert m.shape[-1] == wide.size == 9        # the counts 1, 2, ..., 256
     assert wide[:3].tolist() == [True, False, False]
-    assert carried == [(1, True)]
+    assert carried == []
     assert right.h.size == 0 and left.h.size > 4
     for x, y in zip(left, want):
         assert x.tobytes() == y.tobytes()
@@ -732,8 +770,9 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
 def test_a_step_no_doubling_resolves_raises_at_the_cap():
     # at the lowest float E, q = 2 (V - E) overflows to inf and Omega is
     # not finite on any width: the doubling of the piece stops at its cap
-    # and raises there; every count is too wide, so each, the first
-    # round's too, is handed to _carry, which refuses it
+    # and raises there; every count is too wide, so the first round's
+    # (16 ... 256) are left unsettled, and each later one is handed to
+    # _carry, which refuses it
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
     carried = []
     with mock.patch.object(angular, "_carry", _counting_carry(carried)), \
@@ -741,8 +780,23 @@ def test_a_step_no_doubling_resolves_raises_at_the_cap():
             np.errstate(over="ignore", invalid="ignore"):
         pass_mesh(problem, [-np.finfo(float).max], [0.0], [0.0], -2.0, -1.5,
                   -1.5, sd.SolveConfig())
-    assert carried == [(angular._PIECE_STEPS << k, True) for k in range(11)]
+    assert carried == [(angular._PIECE_STEPS << k, True)
+                       for k in range(5, 11)]
     assert carried[-1][0] == angular._MAX_PIECE_STEPS
+
+
+def test_a_first_round_count_at_the_cap_raises_naming_its_step():
+    # with the cap inside the first round, the count there is the last
+    # one: too wide, it is carried, and the carry names its step
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 2.0))
+    carried = []
+    with mock.patch.object(angular, "_MAX_PIECE_STEPS", 64), \
+            mock.patch.object(angular, "_carry", _counting_carry(carried)), \
+            pytest.raises(sd.IntegrationError, match="t = -2 is too wide"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        pass_mesh(problem, [-np.finfo(float).max], [0.0], [0.0], -2.0, -1.5,
+                  -1.5, sd.SolveConfig())
+    assert carried == [(64, True)]
 
 
 def test_mesh_doubles_each_piece_to_its_own_count():
@@ -759,8 +813,41 @@ def test_mesh_doubles_each_piece_to_its_own_count():
     tail = left.t < -4.0
     assert tail.sum() == 32
     assert (~tail).sum() > 32
-    assert pass_mesh(sd.problem_for(STEPS), energies, lefts, rights, -3.0,
-                     0.0, 3.0, sd.SolveConfig()) is None
+
+
+@pytest.mark.parametrize("well", [STEPS, Shifted(STEPS, 5.0)],
+                         ids=["steps", "shifted"])
+def test_a_step_well_mesh_is_its_pieces(well):
+    # one step a piece in the order of travel, cut at the jumps: V at the
+    # piece's midpoint as vm (what the closed form reads) and the signed
+    # width as h; the two energies' starts do not matter
+    problem = sd.problem_for(well, interval=(-3.0, 3.0))
+    mesh = pass_mesh(problem, [-1.5, -0.3], [0.7, -0.4], 0.0, -3.0, -0.5,
+                     3.0, sd.SolveConfig())
+    for steps, ends in zip(mesh, ([-3.0, -1.0, -0.5], [3.0, 1.0, 0.0, -0.5])):
+        ends = np.array(ends)
+        assert steps.h.size == ends.size - 1
+        assert steps.t.tobytes() == ends[:-1].tobytes()
+        assert steps.h.tobytes() == np.diff(ends).tobytes()
+        assert steps.vm.tobytes() == np.array(
+            [well.evaluate(0.5 * (p0 + p1))
+             for p0, p1 in zip(ends, ends[1:])]).tobytes()
+
+
+def test_a_step_well_mesh_that_stops_short_of_c_is_refused():
+    problem = sd.problem_for(STEPS, interval=(-3.0, 3.0))
+    energies, starts = np.array([-1.5, -0.3]), ([0.7, -0.4], [0.1, 0.2])
+    config = sd.SolveConfig()
+    mesh = pass_mesh(problem, energies, *starts, -3.0, -0.5, 3.0, config)
+    with pytest.raises(DomainError, match="left half of the mesh runs"):
+        integrate_angles(problem, energies, *starts, -3.0, 0.5, 3.0, config,
+                         mesh)
+    alpha_l, alpha_r = integrate_angles(problem, energies, *starts, -3.0,
+                                        -0.5, 3.0, config, mesh)
+    want = integrate_angles(problem, energies, *starts, -3.0, -0.5, 3.0,
+                            config)
+    assert alpha_l.tobytes() == want[0].tobytes()
+    assert alpha_r.tobytes() == want[1].tobytes()
 
 
 def _one_carry_per_count(problem, energies, left_starts, right_starts, a, c,
@@ -845,14 +932,12 @@ def test_one_tree_over_runs_gives_each_runs_product(powers, energies, seed):
     # runs of power-of-two lengths, longest first, side by side on the
     # last axis: each root is its run's own product, to the last bit
     runs = [2**k for k in sorted(powers, reverse=True)]
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((4, energies, sum(runs)))
-    m *= np.where(m[0] < 0, -1.0, 1.0)
-    n = rng.integers(-9, 10, (energies, sum(runs))).astype(float)
+    m, n = _random_nodes(np.random.default_rng(seed), energies, sum(runs))
     root_m, root_n = angular._roots(m, n, runs)
     ends = np.cumsum(runs)
     for r, (start, end) in enumerate(zip(ends - runs, ends)):
-        want_m, want_n = _product(m[..., start:end], n[..., start:end])
+        want_m, want_n = _round_product(m[..., start:end],
+                                        n[..., start:end])
         assert root_m[..., r].tobytes() == want_m.tobytes()
         assert root_n[..., r].tobytes() == want_n.tobytes()
 
@@ -1021,9 +1106,7 @@ def _solve_mesh(problem, energies, interval=None):
                                             energies.max(), config)
     (a, b), c = interval, spectrum._matching_point(problem, interval)
     starts = spectrum._cue_angles(problem, energies, a, b)
-    ends = [np.argmin(energies), np.argmax(energies)]
-    mesh = pass_mesh(problem, energies[ends], starts[0][ends],
-                     starts[1][ends], a, c, b, config)
+    mesh = pass_mesh(problem, energies, *starts, a, c, b, config)
     return (a, c, b), starts, mesh
 
 

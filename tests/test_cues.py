@@ -339,3 +339,56 @@ def test_a_wrong_cue_in_a_batch_names_the_first_wrong_energy(monkeypatch,
     lefts, rights = spectrum._cue_angles(problem, energies[[0, 2]], -1.0,
                                          1.0)
     assert lefts.shape == rights.shape == (2,)
+
+
+@pytest.mark.parametrize("problem, E_lo, E_hi", [
+    (sd.problem_for(sd.Coulomb(), l=0), -0.6, -0.0045),
+    (sd.problem_for(sd.Coulomb(), l=2), -0.1, -0.01),
+    (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), 1e-6, 5.0),
+    (sd.problem_for(sd.QuarkHybrid(0.1), l=1), -0.2, 0.6),
+    (sd.problem_for(sd.Yukawa(0.05), l=1), -0.2, -0.002)],
+    ids=["hydrogen-l0", "hydrogen-l2", "hybrid", "quark", "yukawa"])
+def test_a_candidate_boundary_is_gated_by_one_batched_series(
+        monkeypatch, problem, E_lo, E_hi):
+    # the interval search asks for both energy extremes' residuals in one
+    # call, one cue series for the two, and each is the residual of its
+    # energy alone to the last bit, so the interval does not move
+    builds, calls, build = [], [], cues.tail_cue_series
+    residual = cues.boundary_residual
+
+    def counted_build(tail, E):
+        builds.append(np.shape(E))
+        return build(tail, E)
+
+    def counted_residual(problem, E, t, side):
+        calls.append((np.shape(E), t, side))
+        return residual(problem, E, t, side)
+
+    monkeypatch.setattr(cues, "tail_cue_series", counted_build)
+    monkeypatch.setattr(cues, "boundary_residual", counted_residual)
+    sd.auto_interval(problem, E_lo, E_hi, sd.SolveConfig())
+    assert calls and all(shape == (2,) for shape, _, _ in calls)
+    assert builds == [(2,)] * len(builds)
+    series_sides = {side for side, tail in (("left", problem.left_tail),
+                                            ("right", problem.right_tail))
+                    if not isinstance(tail, cues.ConstantLevel)}
+    assert len(builds) == sum(side in series_sides for *_, side in calls)
+    for _, t, side in calls:
+        batch = residual(problem, np.array([E_lo, E_hi]), t, side)
+        single = [residual(problem, E, t, side) for E in (E_lo, E_hi)]
+        assert batch.tobytes() == np.array(single).tobytes()
+
+
+def test_a_failing_candidate_names_its_first_failing_energy():
+    problem = sd.problem_for(sd.Coulomb())
+    energies = np.array([-0.6, -0.01])
+    low, high = cues.boundary_residual(problem, energies, 40.0, "right")
+    assert low < high
+    for tol, named in ((0.5 * low, -0.6), (math.sqrt(low * high), -0.01)):
+        failure = cues._tail_failure(problem, "right", 40.0, *energies,
+                                     sd.SolveConfig(residual_tol=tol), False)
+        assert failure == f"cue residual {(low, high)[named == -0.01]:.3e} " \
+                          f"at E = {named}"
+    assert cues._tail_failure(problem, "right", 40.0, *energies,
+                              sd.SolveConfig(residual_tol=2.0 * high),
+                              False) is None
