@@ -49,13 +49,15 @@ Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 `PiecewiseConstant` (`SquareWell` builds one), shifted or not, every piece
 is constant: a solve builds one mesh for it too, whose steps are its
-pieces, V read once per piece, and every pass takes each step in closed
-form at its level (`_plateau_flow`).  The adaptive flow (`_integrate_vector`)
-runs for the eigenfunction sampler (which needs the log-amplitude at grid
-points), for the scaled chart of `find_eigenvalues_scaled` (the theta flow
-of `_chart_fun` on one piece over [a, b], its angle at b recharted to
-alpha by `_rechart`), and for the transfer-matrix oracle, which integrates
-(psi, psi') on purpose: those are the independent checks of the passes.
+pieces, V read once per piece at its midpoint (`_level_steps`), and every
+pass takes each step in closed form at its level (`_plateau_flow`).  The
+adaptive flow (`_integrate_vector`) runs for the eigenfunction sampler
+(which needs the log-amplitude at grid points, and fills a constant tail
+past the support in closed form), for the scaled chart of
+`find_eigenvalues_scaled` (the theta flow of `_chart_fun` on one piece
+over [a, b], its angle at b recharted to alpha by `_rechart`), and for the
+transfer-matrix oracle, which integrates (psi, psi') on purpose: those are
+the independent checks of the passes.
 Its integrator, scipy's `solve_ivp`, is imported on first use (the module
 attribute `solve_ivp`, which a caller may replace), so that a solve, a
 scan or a count loads numpy only.
@@ -68,6 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cues import ConstantLevel
 from .errors import DomainError, IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 
@@ -188,6 +191,16 @@ def _rechart(angles, ratio):
 # Closed-form propagation where V is constant
 # ---------------------------------------------------------------------------
 
+def _branch(where):
+    """The energies of a branch of `_plateau_step` as an index: the whole
+    batch as a slice, which gathers and scatters nothing, where every
+    energy is on the branch; None where none is; else the mask."""
+    count = np.count_nonzero(where)
+    if count == where.size:
+        return slice(None)
+    return where if count else None
+
+
 def _plateau_step(v, energies, alpha, delta):
     """The angles after a step delta (either sign) over a piece where V = v.
 
@@ -207,19 +220,22 @@ def _plateau_step(v, energies, alpha, delta):
       psi ~ cos(beta) advances by k delta, and the zero count is the integer
       nearest beta / pi whose parity is the sign of psi.
     - q = 0: the shear (psi, psi') -> (psi + psi' delta, psi').
+
+    Each branch, and each of the two forms of q > 0, is computed on the
+    energies it holds for (`_branch`), on the whole batch when it holds
+    for all.
     """
     q = 2.0 * (v - energies)
     k = np.sqrt(np.abs(q))
     sign = math.copysign(1.0, delta)
-    m = np.round(alpha / math.pi)
+    m = np.rint(alpha / math.pi)
     x = alpha - m * math.pi
     cx, sx = np.cos(x), np.sin(x)
     psi, dpsi = cx + delta * sx, sx.copy()
-    up, down = q > 0, q < 0
-    if up.any():
-        ku, xu = k[up], x[up]
+    up = _branch(q > 0)
+    if up is not None:
+        ku, xu, cu, su = k[up], x[up], cx[up], sx[up]
         theta = np.arctan(ku)
-        keep = np.sin(theta + sign * xu)
         fade = np.sin(theta - sign * xu)
         rate = -2.0 * ku * abs(delta)
         # psi = keep + fade e^rate: a short piece adds the change to psi at
@@ -227,23 +243,39 @@ def _plateau_step(v, energies, alpha, delta):
         # order one leaves a small psi (a state that left the repelling
         # direction would lose its digits)
         short = rate > -0.5
-        em, faded = fade * np.expm1(rate), fade * np.exp(rate)
-        psi[up] = np.where(short, 2.0 * np.sin(theta) * cx[up] + em,
-                           keep + faded)
-        dpsi[up] = ku * np.where(short, 2.0 * np.cos(theta) * sx[up]
-                                 - sign * em, sign * (keep - faded))
-    turns = sign * (psi < 0)    # q >= 0: one zero at most
-    if down.any():
-        kd = k[down]
+        psi_u, dpsi_u = np.empty(ku.shape), np.empty(ku.shape)
+        near = _branch(short)
+        if near is not None:
+            em = fade[near] * np.expm1(rate[near])
+            psi_u[near] = 2.0 * np.sin(theta[near]) * cu[near] + em
+            dpsi_u[near] = 2.0 * np.cos(theta[near]) * su[near] - sign * em
+        far = _branch(~short)
+        if far is not None:
+            keep = np.sin(theta[far] + sign * xu[far])
+            faded = fade[far] * np.exp(rate[far])
+            psi_u[far] = keep + faded
+            dpsi_u[far] = sign * (keep - faded)
+        psi[up] = psi_u
+        dpsi[up] = ku * dpsi_u
+    down = _branch(q < 0)
+    if down is not None:
+        kd, cd, sd = k[down], cx[down], sx[down]
         phase = kd * delta
         c, s = np.cos(phase), np.sin(phase)
-        psi[down] = cx[down] * c + sx[down] * (s / kd)
-        dpsi[down] = sx[down] * c - kd * cx[down] * s
-        beta = np.arctan2(-sx[down], kd * cx[down]) + phase
-        odd = psi[down] < 0
-        turns[down] = 2.0 * np.round((beta / math.pi - odd) / 2.0) + odd
-    flip = np.where(psi < 0, -1.0, 1.0)
-    return (m - turns) * math.pi + np.arctan2(flip * dpsi, flip * psi)
+        psi[down] = cd * c + sd * (s / kd)
+        dpsi[down] = sd * c - kd * cd * s
+        beta = np.arctan2(-sd, kd * cd) + phase
+    below = psi < 0
+    turns = sign * below    # q >= 0: one zero at most
+    if down is not None:
+        odd = below[down]
+        turns[down] = 2.0 * np.rint((beta / math.pi - odd) / 2.0) + odd
+    np.negative(psi, out=psi, where=below)
+    np.negative(dpsi, out=dpsi, where=below)
+    m -= turns
+    m *= math.pi
+    m += np.arctan2(dpsi, psi)
+    return m
 
 
 def _constant_pieces(potential):
@@ -259,7 +291,7 @@ def _plateau_flow(steps, energies, alpha):
     `_constant_pieces`, one step a piece (`pass_mesh`): each step's vm is
     its piece's level and h its signed width."""
     alpha = np.array(alpha, dtype=float)
-    for v, h in zip(steps.vm, steps.h):
+    for v, h in zip(steps.vm.tolist(), steps.h.tolist()):
         alpha = _plateau_step(v, energies, alpha, h)
     return alpha
 
@@ -290,8 +322,10 @@ class _Steps(NamedTuple):
     """Mesh steps in the order of travel, one row per step: start t, signed
     width h, V at the Gauss nodes t + _GAUSS h, and from those V at the
     midpoint of the cubic through them and the coefficients of Omega that
-    do not depend on E (`_omega`).  A solve builds them once, with its
-    mesh, and every pass reads them."""
+    do not depend on E (`_omega`).  Over a constant piece V is read once,
+    at the midpoint, and the rest is that of a constant step, in closed
+    form (`_level_steps`).  A solve builds them once, with its mesh, and
+    every pass reads them."""
 
     t: np.ndarray
     h: np.ndarray
@@ -366,6 +400,18 @@ def _steps(potential, t, h):
     nodes = t[:, None] + h[:, None] * _GAUSS
     v = np.reshape(potential.evaluate(nodes.ravel()), nodes.shape)
     return _Steps(t, h, v, *_omega(h, v))
+
+
+def _level_steps(potential, t, h):
+    """The steps that start at t and are h wide over pieces where V is
+    constant: V is read once a step, at its midpoint, and is the level at
+    every node; Omega is that of a constant step, p = 0, r = h and s = c0 h
+    (`_omega` gives it from four equal reads), so r0 = h and every other
+    coefficient is 0."""
+    level = potential.evaluate(t + 0.5 * h)
+    zero = np.zeros(h.shape)
+    return _Steps(t, h, np.repeat(level[:, None], 4, axis=1), level,
+                  zero, zero, zero, h, zero, zero, zero, zero)
 
 
 def _horner(u, coefficients, out):
@@ -702,25 +748,25 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     the batch's lowest and highest energy (one where they are equal), which
     bound the passes it serves (a solve's E_min and E_max).  Each half is
     cut at the breakpoints (`_cuts`).  With `_constant_pieces` a piece is
-    one step, `_span_steps`' at n = 1, whose vm is the piece's level
-    (`_plateau_flow`); otherwise it is cut into `_span_points` steps.  The
-    start angles are carried piece by piece in the direction of travel; a
-    piece's step count doubles from _PIECE_STEPS until the angle it hands
-    on moves by at most 255 rel_tol max(1, |alpha|) / pieces at every
-    energy from the last count with no step too wide for V (such a count
-    is not settled), and that finer count is kept: for an eighth-order
-    method the move between n and 2n steps is 2^8 - 1 = 255 times the
-    error at 2n.  At _MAX_PIECE_STEPS the doubling stops, and a count that
-    still has a step too wide raises IntegrationError naming it.  The
-    counts up to _BATCH_STEPS of every piece of both halves are built
-    together, before any angle is carried (`_first_round`).  One loop then
-    walks each piece's counts: those of the first round are lifted from
-    its start angle in one call, one with a step too wide left unsettled,
-    and every later count goes through `_carry`, which raises on such a
-    step, as a first-round count too wide at the cap does there.  The
-    meshes are those of one `_carry` per count, bit for bit.  V is read at
-    the Gauss nodes only, never at a cut.  config is the SolveConfig; only
-    its rel_tol is read.
+    one step, V read once at its midpoint (`_level_steps`), whose vm is the
+    piece's level (`_plateau_flow`); otherwise it is cut into
+    `_span_points` steps.  The start angles are carried piece by piece in
+    the direction of travel; a piece's step count doubles from _PIECE_STEPS
+    until the angle it hands on moves by at most 255 rel_tol max(1,
+    |alpha|) / pieces at every energy from the last count with no step too
+    wide for V (such a count is not settled), and that finer count is kept:
+    for an eighth-order method the move between n and 2n steps is 2^8 - 1 =
+    255 times the error at 2n.  At _MAX_PIECE_STEPS the doubling stops, and
+    a count that still has a step too wide raises IntegrationError naming
+    it.  The counts up to _BATCH_STEPS of every piece of both halves are
+    built together, before any angle is carried (`_first_round`).  One loop
+    then walks each piece's counts: those of the first round are lifted
+    from its start angle in one call, one with a step too wide left
+    unsettled, and every later count goes through `_carry`, which raises on
+    such a step, as a first-round count too wide at the cap does there.
+    The meshes are those of one `_carry` per count, bit for bit.  V is read
+    at the Gauss nodes only (at the midpoints only on constant pieces),
+    never at a cut.  config is the SolveConfig; only its rel_tol is read.
     """
     potential = problem.effective_potential()
     breakpoints = potential.breakpoints()
@@ -728,7 +774,7 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
               for cuts in (_cuts(a, c, breakpoints), _cuts(b, c, breakpoints))]
     if _constant_pieces(potential):     # each piece's ends are its points
         edges, cut = np.reshape(halves[0] + halves[1], (-1, 2)), len(halves[0])
-        steps = _steps(potential, edges[:, 0], edges[:, 1] - edges[:, 0])
+        steps = _level_steps(potential, edges[:, 0], edges[:, 1] - edges[:, 0])
         return (_Steps(*(x[:cut] for x in steps)),
                 _Steps(*(x[cut:] for x in steps)))
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -822,6 +868,22 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                  for steps, start in zip(mesh, starts))
 
 
+def _settled(problem, interval):
+    """interval with each end that reaches past a constant tail's support
+    edge (`cues.ConstantLevel.support_edge`) moved onto that edge.
+
+    V is the tail level on the stretch cut off, so a cue or a decaying
+    direction is as exact at the edge as at the end.  An interval that
+    misses the support is returned as it is.
+    """
+    lo, hi = a, b = interval
+    if isinstance(problem.left_tail, ConstantLevel):
+        lo = max(a, problem.left_tail.support_edge(problem, "left"))
+    if isinstance(problem.right_tail, ConstantLevel):
+        hi = min(b, problem.right_tail.support_edge(problem, "right"))
+    return (lo, hi) if lo < hi else (a, b)
+
+
 def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
                             right_start, a: float, c: float, b: float,
                             config, t_eval):
@@ -830,20 +892,42 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
     The arguments are those of `integrate_angles`, for one energy.  Each
     half runs from its own cue toward c and samples the points on its side
     (c on the left), so each carries the solution that decays away from
-    its end.  The right half is joined to the left at c: its log_rho moves
-    to the left's value there and its alpha by the multiple of pi nearest
+    its end.  An end past a constant tail's support edge is moved onto the
+    edge (`_settled`), and c into the settled interval: V is the level on
+    the stretch cut off, where the cue's angle +-atan(k), k = sqrt(2
+    (level - E)), is a fixed point of the flow and log_rho changes by k
+    per unit length, growing toward the well.  The points there are filled
+    in that closed form, so the cost does not grow with the length of the
+    tail.  The right half is joined to the left at c: its log_rho moves to
+    the left's value there and its alpha by the multiple of pi nearest
     alpha_L(c) - alpha_R(c).  t_eval must lie inside [a, b]; log_rho is 0
     at a.
     """
     potential = problem.effective_potential()
     fun = _amplitude_fun(potential, E)
     ts = np.sort(np.asarray(t_eval, dtype=float))
+    edges = _settled(problem, (a, b))
+    c = min(max(c, edges[0]), edges[1])
     left = ts <= c
-    (end_l, ys_l), (end_r, ys_r) = (
-        _integrate_vector(fun, s0, c, [start, 0.0], config,
-                          potential.breakpoints(), t_eval=ts[side])
-        for start, s0, side in ((left_start, a, left),
-                                (right_start, b, ~left)))
+    ends, samples = [], []
+    for start, s0, edge, tail, held in (
+            (left_start, a, edges[0], problem.left_tail, left),
+            (right_start, b, edges[1], problem.right_tail, ~left)):
+        rise = 0.0 if edge == s0 else math.sqrt(2.0 * (tail.level - E))
+        grid = ts[held]
+        beyond = (grid - edge) * (s0 - edge) > 0    # on the stretch cut off
+        end, ys = _integrate_vector(fun, edge, c,
+                                    [start, rise * abs(edge - s0)], config,
+                                    potential.breakpoints(),
+                                    t_eval=grid[~beyond])
+        if beyond.any():
+            flow, ys = ys, np.empty((2, grid.size))
+            ys[:, ~beyond] = flow
+            ys[0, beyond] = start
+            ys[1, beyond] = rise * np.abs(grid[beyond] - s0)
+        ends.append(end)
+        samples.append(ys)
+    (end_l, end_r), (ys_l, ys_r) = ends, samples
     shift = end_l - end_r
     shift[0] = math.pi * np.round(shift[0] / math.pi)
     ys = np.concatenate([ys_l, ys_r + shift[:, None]], axis=1)

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import cues
-from .angular import _integrate_vector
+from .angular import _integrate_vector, _settled
 from .errors import DomainError, ThresholdError
 from .potentials import ProblemSpec
 from .spectrum import SolveConfig, _matching_point, auto_interval
@@ -87,22 +87,6 @@ def _support_interval(problem):
     if not bp:
         raise DomainError("potential has no compact support to bracket")
     return min(bp), max(bp)
-
-
-def _settled(problem, interval):
-    """interval with each end that reaches past a constant tail's support
-    edge (`cues.ConstantLevel.support_edge`) moved onto that edge.
-
-    V is the tail level on the stretch cut off, so a cue or a decaying
-    direction is as exact at the edge as at the end.  An interval that
-    misses the support is returned as it is.
-    """
-    lo, hi = a, b = interval
-    if isinstance(problem.left_tail, cues.ConstantLevel):
-        lo = max(a, problem.left_tail.support_edge(problem, "left"))
-    if isinstance(problem.right_tail, cues.ConstantLevel):
-        hi = min(b, problem.right_tail.support_edge(problem, "right"))
-    return (lo, hi) if lo < hi else (a, b)
 
 
 def transfer_mismatch(problem: ProblemSpec, E: float,

@@ -28,13 +28,14 @@ is an adjacent pair of samples.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cues
-from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
-                      integrate_angle_sampled, integrate_angles, pass_mesh)
+from .angular import (_chart_fun, _integrate_vector, _rechart, _settled,
+                      _span_points, integrate_angle_sampled, integrate_angles,
+                      pass_mesh)
 from .errors import (DomainError, IntegrationError, IntervalSelectionError,
                      MonotonicityError, ThresholdError)
 from .potentials import ProblemSpec
@@ -66,9 +67,11 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class DefectSample:
-    """One (E, Gamma) evaluation; n_below counts levels at or below E."""
+class DefectSample(NamedTuple):
+    """One (E, Gamma) evaluation; n_below counts levels at or below E.
+
+    A named tuple, immutable and compared by value: a solve builds one per
+    Gamma sample, so it is built at the cost of a tuple."""
 
     E: float
     gamma: float
@@ -221,8 +224,7 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
         raise IntegrationError(f"Gamma is not finite at E = "
                                f"{energies[~np.isfinite(gammas)][0]} on "
                                f"[{a:g}, {b:g}]")
-    return [DefectSample(E=float(E), gamma=float(g))
-            for E, g in zip(energies, gammas)]
+    return list(map(DefectSample, energies.tolist(), gammas.tolist()))
 
 
 def count_levels(problem: ProblemSpec, E_ceiling: float,
@@ -262,8 +264,7 @@ def _scaled_sampler(problem, config, interval, E_min, E_max):
         theta, _ = _integrate_vector(_chart_fun(potential, energies, k), a, b,
                                      starts, config, potential.breakpoints())
         gammas = -np.arctan(k) - _rechart(theta, k)
-        return [DefectSample(E=float(E), gamma=float(g))
-                for E, g in zip(energies, gammas)]
+        return list(map(DefectSample, energies.tolist(), gammas.tolist()))
 
     return sample
 
@@ -342,44 +343,65 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
     guarantee the halving, and a pair gets at most 5 k - 1 new energies.
     All new energies are evaluated in one sample_fn call, until no pair
     qualifies or none has room for a new energy strictly inside (float
-    resolution).  Level n is the first adjacent pair with n_below(e1) <= n
-    < n_below(e2).  Gamma must not decrease along the final scan, for
-    every sampler; integrator noise on Gamma grows with the angle
-    accumulated, so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
+    resolution).  The first pass examines every pair of the scan; each
+    later one only the pairs inside the brackets the last pass cut, since
+    every other pair got no energy: it keeps its counts and width, and
+    where it qualified it has no room (the cuts, which do not depend on
+    its neighbours, found none).  The cuts are e1 + i (e2 - e1) / (2 k),
+    the arithmetic of `np.linspace`, and each sample's n_below is read
+    once.  Level n is the first adjacent pair with n_below(e1) <= n <
+    n_below(e2).  Gamma must not decrease along the final scan, for every
+    sampler; integrator noise on Gamma grows with the angle accumulated,
+    so a drop is allowed _MONOTONE_JITTER * max(1, |Gamma|).
     """
-    Es = list(np.linspace(E_min, E_max, _SCAN_SAMPLES))
-    samples = dict(zip(Es, sample_fn(Es)))
-    count = samples[Es[-1]].n_below - samples[Es[0]].n_below
+    keys = np.linspace(E_min, E_max, _SCAN_SAMPLES).tolist()
+    samples = dict(zip(keys, sample_fn(keys)))
+    counts = [samples[E].n_below for E in keys]
+    count = counts[-1] - counts[0]
     if count > _MAX_LEVELS:
         raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more "
                           f"than the {_MAX_LEVELS} one solve resolves")
-    below = {E: s.n_below for E, s in samples.items()}
+    pairs = range(len(keys) - 1)
     while True:
-        keys = sorted(samples)
-        counts = [below[E] for E in keys]
-        inner = set()
-        for i, (lo, hi) in enumerate(zip(counts, counts[1:])):
+        cuts = {}   # index of a pair that gets energies: them, sorted
+        for i in pairs:
+            lo, hi = counts[i], counts[i + 1]
             e1, e2 = keys[i], keys[i + 1]
             if not (hi > lo and e2 - e1 > config.e_tol):
                 continue
-            points = list(np.linspace(e1, e2, _SPLIT * (hi - lo) + 1)[1:-1])
+            div = _SPLIT * (hi - lo)
+            step = (e2 - e1) / div
+            points = [j * step + e1 for j in range(1, div)]
             for n in range(lo, hi):
                 points += _root_points(keys, samples, i, n, config.e_tol)
-            inner.update(E for E in points if e1 < E < e2)
-        if not inner:
+            inner = {E for E in points if e1 < E < e2}
+            if inner:
+                cuts[i] = sorted(inner)
+        if not cuts:
             break
-        inner = sorted(inner)
-        added = dict(zip(inner, sample_fn(inner)))
-        samples.update(added)
-        below.update((E, s.n_below) for E, s in added.items())
+        inner = [E for points in cuts.values() for E in points]
+        added = sample_fn(inner)
+        samples.update(zip(inner, added))
+        fresh = [s.n_below for s in added]
+        # splice each pair's energies in after its first end, and examine
+        # the pairs between its ends next
+        spliced, tallies, pairs, start = [], [], [], 0
+        for i, points in cuts.items():
+            spliced += keys[start:i + 1] + points
+            tallies += counts[start:i + 1] + fresh[:len(points)]
+            del fresh[:len(points)]
+            pairs += range(len(spliced) - len(points) - 1, len(spliced))
+            start = i + 1
+        keys, counts = spliced + keys[start:], tallies + counts[start:]
 
     scan = tuple(samples[E] for E in keys)
-    drops = [s1.gamma - s2.gamma for s1, s2 in zip(scan, scan[1:])
-             if s1.gamma - s2.gamma > _MONOTONE_JITTER * max(1.0,
-                                                             abs(s1.gamma))]
-    if drops:
+    gammas = np.array([s.gamma for s in scan])
+    drops = gammas[:-1] - gammas[1:]
+    drops = drops[drops > _MONOTONE_JITTER * np.maximum(1.0,
+                                                        np.abs(gammas[:-1]))]
+    if drops.size:
         raise MonotonicityError(
-            f"defect angle decreased by {max(drops):.3e} along the scan; "
+            f"defect angle decreased by {drops.max():.3e} along the scan; "
             "the integrator or a cue is misconfigured")
 
     levels = {}  # in energy order: each level is kept at its first pair
@@ -451,9 +473,11 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                               ) -> EigenfunctionSamples:
     """psi = rho cos(alpha) on the grid, normalized by the trapezoid rule.
 
-    Both cues run toward the matching point c (`_matching_point`), where the
-    halves are joined (`integrate_angle_sampled`), so psi decays toward
-    both ends; each start angle is checked to lie on its decaying branch
+    Both cues run toward the matching point c (`_matching_point`) of the
+    interval with its ends settled on the support (`angular._settled`),
+    where the halves are joined (`integrate_angle_sampled`), so psi decays
+    toward both ends and c does not depend on the length of a constant
+    tail; each start angle is checked to lie on its decaying branch
     (`_cue_angles`).  E_n should be an accepted eigenvalue; the node count
     of psi then equals its branch index.
     """
@@ -471,9 +495,9 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     if not np.all((a <= grid) & (grid <= b)):
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     (left,), (right,) = _cue_angles(problem, [E_n], a, b)
+    c = _matching_point(problem, _settled(problem, (a, b)))
     t_s, alpha_s, log_s = integrate_angle_sampled(
-        problem, E_n, left, right, a, _matching_point(problem, (a, b)), b,
-        config, t_eval=grid)
+        problem, E_n, left, right, a, c, b, config, t_eval=grid)
     log_shift = log_s - np.max(log_s)
     psi = np.exp(log_shift) * np.cos(alpha_s)
     norm = math.sqrt(trapezoid(psi * psi, t_s))

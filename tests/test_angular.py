@@ -14,8 +14,9 @@ from scipy.linalg import expm
 from spectral_defect.angular import (_GAUSS, _amplitude_fun, _carry,
                                      _chart_fun, _compose, _integrate_vector,
                                      _leaves, _lift, _magnus, _omega,
-                                     _product, _rechart, _span_steps,
-                                     _steps, integrate_angle_sampled,
+                                     _plateau_step, _product, _rechart,
+                                     _span_steps, _steps,
+                                     integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
 from spectral_defect.errors import DomainError
 from spectral_defect.potentials import Shifted
@@ -274,6 +275,47 @@ def test_sampled_states_are_exactly_the_grid():
     assert alphas[-1] == pytest.approx(alpha_b, abs=1e-8)
 
 
+def test_a_constant_tail_in_closed_form_is_the_flow_over_it():
+    # on (-4, 2) the tails (-4, -1) and (1, 2) of STEPS are filled in closed
+    # form; each half run by the adaptive flow from its own end agrees
+    problem = sd.problem_for(STEPS, interval=(-4.0, 2.0))
+    config, E, (a, c, b) = sd.SolveConfig(), -1.1, (-4.0, -0.5, 2.0)
+    (left,), (right,) = spectrum._cue_angles(problem, [E], a, b)
+    grid = np.linspace(a, b, 61)
+    ts, alphas, log_rhos = integrate_angle_sampled(problem, E, left, right,
+                                                   a, c, b, config, grid)
+    fun = _amplitude_fun(problem.effective_potential(), E)
+    (end_l, ys_l), (end_r, ys_r) = (
+        _integrate_vector(fun, s0, c, [start, 0.0], config,
+                          STEPS.breakpoints(), t_eval=grid[side])
+        for start, s0, side in ((left, a, grid <= c), (right, b, grid > c)))
+    shift = end_l - end_r
+    shift[0] = math.pi * np.round(shift[0] / math.pi)
+    want = np.concatenate([ys_l, ys_r + shift[:, None]], axis=1)
+    assert np.array_equal(ts, grid)
+    assert np.allclose(alphas, want[0], rtol=0.0, atol=1e-9)
+    assert np.allclose(log_rhos, want[1], rtol=0.0, atol=1e-9)
+    assert alphas[0] == left and log_rhos[0] == 0.0
+
+
+def test_a_long_constant_tail_costs_the_sampler_nothing(monkeypatch):
+    # the flow starts at the support edge -1, whatever a is: the same RHS
+    # evaluations at a = -1e5 as at a = -100, and the same psi
+    well = sd.SquareWell(-2.0, -1.0, 1.0)
+    E = sd.find_eigenvalues(sd.problem_for(well), -1.9, -0.1).energies[1]
+    grid = np.linspace(-1.0, 1.0, 201)
+    nfev = _counting_ivp(monkeypatch)
+    runs = []
+    for a in (-100.0, -100000.0):
+        nfev.clear()
+        ef = sd.reconstruct_eigenfunction(
+            sd.problem_for(well, interval=(a, 1.0)), E, grid)
+        runs.append((sum(nfev), ef.psi))
+    (near, psi_near), (far, psi_far) = runs
+    assert near == far > 0
+    assert np.max(np.abs(psi_far - psi_near)) <= 1e-10
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         sd.SolveConfig(rel_tol=0.0)
@@ -363,6 +405,20 @@ def test_energy_at_a_plateau_level(q):
         assert closed_gammas(problem, energies, interval, c) == \
             pytest.approx(adaptive_gammas(problem, energies, interval, c),
                           abs=1e-10)
+
+
+@pytest.mark.parametrize("v", [-3.0, -1.0, 0.0])
+@pytest.mark.parametrize("delta", [-20.0, -0.2, -1e-3, 0.05, 0.2, 20.0])
+def test_a_plateau_step_does_not_depend_on_its_batch(v, delta):
+    # each branch (q > 0 short or long, q < 0, q = 0) is computed on the
+    # whole batch when every energy is on it, else on the energies that
+    # are: each energy's angle is the same bits either way
+    energies = np.repeat([-3.5, -3.0, -1.0, -0.2, v], 3)
+    alphas = np.random.default_rng(7).uniform(-20.0, 20.0, energies.size)
+    batch = _plateau_step(v, energies, alphas, delta)
+    for i in range(energies.size):
+        alone = _plateau_step(v, energies[i:i + 1], alphas[i:i + 1], delta)
+        assert batch[i:i + 1].tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +888,51 @@ def test_a_step_well_mesh_is_its_pieces(well):
         assert steps.vm.tobytes() == np.array(
             [well.evaluate(0.5 * (p0 + p1))
              for p0, p1 in zip(ends, ends[1:])]).tobytes()
+
+
+def _step_well(pieces, seed):
+    """A random step well of `pieces` pieces on (-20, 20), zero outside."""
+    rng = np.random.default_rng(seed)
+    return sd.PiecewiseConstant(
+        tuple(np.sort(rng.uniform(-20.0, 20.0, pieces + 1))),
+        (0.0, *rng.uniform(-3.0, 0.0, pieces), 0.0))
+
+
+@pytest.mark.parametrize("pieces", [64, 1024])
+def test_a_step_well_solve_reads_v_twice_and_steps_once_a_piece(monkeypatch,
+                                                                 pieces):
+    # the work of a step-well solve scales with its pieces only through
+    # the closed-form steps: V is read once to find c and once for the
+    # mesh, and each pass takes each piece of each half in one step
+    well = _step_well(pieces, seed=pieces)
+    reads, steps, passes = [], [0], []
+    evaluate, plateau_step = sd.PiecewiseConstant.evaluate, _plateau_step
+
+    def reading(self, t):
+        reads.append(np.size(t))
+        return evaluate(self, t)
+
+    def stepping(*args):
+        steps[0] += 1
+        return plateau_step(*args)
+
+    def counted(problem, energies, lefts, rights, a, c, b, config, mesh):
+        before = steps[0]
+        angles = integrate_angles(problem, energies, lefts, rights, a, c, b,
+                                  config, mesh)
+        # every breakpoint is a piece's end, and c cuts one piece in two
+        passes.append((steps[0] - before,
+                       len(set(well.breakpoints()) | {c}) - 1))
+        return angles
+
+    monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", reading)
+    monkeypatch.setattr(angular, "_plateau_step", stepping)
+    monkeypatch.setattr(spectrum, "integrate_angles", counted)
+    assert sd.find_eigenvalues(sd.problem_for(well), -2.9, -0.05).eigenvalues
+    assert len(passes) >= 3
+    assert all(made == want for made, want in passes)
+    # the mesh reads V once a piece
+    assert reads == [spectrum._MATCH_GRID, passes[0][1]]
 
 
 def test_a_step_well_mesh_that_stops_short_of_c_is_refused():

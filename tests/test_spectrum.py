@@ -168,6 +168,17 @@ def test_defect_sample_counting_rule():
     assert sd.DefectSample(E=0.0, gamma=3.5 * math.pi).n_below == 4
 
 
+def test_defect_sample_is_an_immutable_value():
+    sample = sd.DefectSample(E=-1.5, gamma=0.1)
+    assert (sample.E, sample.gamma) == (-1.5, 0.1)
+    assert sample == sd.DefectSample(gamma=0.1, E=-1.5)
+    assert sample != sd.DefectSample(E=-1.5, gamma=0.2)
+    assert hash(sample) == hash(sd.DefectSample(E=-1.5, gamma=0.1))
+    for field in ("E", "gamma", "n_below"):
+        with pytest.raises(AttributeError):
+            setattr(sample, field, 0.0)
+
+
 def test_defect_angle_increases_with_energy():
     problem = sd.problem_for(sd.SquareWell(-4.0, -1.0, 1.0))
     samples = sd.defect_angles(problem, [-3.5, -2.0, -1.0, -0.2])
@@ -402,6 +413,75 @@ def test_root_step_finds_what_splitting_alone_finds(well):
         [ev.n for ev in split.eigenvalues]
     assert np.allclose(result.energies, split.energies, rtol=0.0,
                        atol=result.config.e_tol)
+
+
+def _scan_and_split_by_rescans(sample_fn, E_min, E_max, config):
+    """The search as it was before it revisited only the brackets it cut:
+    every pass rescans every pair, with one np.linspace per cut pair.  The
+    reference for `spectrum._scan_and_split`, which must match it bit for
+    bit."""
+    Es = list(np.linspace(E_min, E_max, spectrum._SCAN_SAMPLES))
+    samples = dict(zip(Es, sample_fn(Es)))
+    below = {E: s.n_below for E, s in samples.items()}
+    while True:
+        keys = sorted(samples)
+        counts = [below[E] for E in keys]
+        inner = set()
+        for i, (lo, hi) in enumerate(zip(counts, counts[1:])):
+            e1, e2 = keys[i], keys[i + 1]
+            if not (hi > lo and e2 - e1 > config.e_tol):
+                continue
+            points = list(np.linspace(e1, e2,
+                                      spectrum._SPLIT * (hi - lo) + 1)[1:-1])
+            for n in range(lo, hi):
+                points += spectrum._root_points(keys, samples, i, n,
+                                                config.e_tol)
+            inner.update(E for E in points if e1 < E < e2)
+        if not inner:
+            break
+        inner = sorted(inner)
+        added = dict(zip(inner, sample_fn(inner)))
+        samples.update(added)
+        below.update((E, s.n_below) for E, s in added.items())
+    levels = {}
+    for (e1, e2), lo, hi in zip(zip(keys, keys[1:]), counts, counts[1:]):
+        for n in range(lo, hi):
+            levels.setdefault(n, spectrum.Eigenvalue(
+                n=n, energy=0.5 * (e1 + e2), width=e2 - e1))
+    return tuple(levels.values()), tuple(samples[E] for E in keys)
+
+
+def _assert_search_is_the_rescans(problem, E_min, E_max, config):
+    interval = sd.auto_interval(problem, E_min, E_max, config)
+    sample_fn = spectrum._matched_sampler(problem, config, interval, E_min,
+                                          E_max)
+    got, want = (
+        [np.array([(ev.n, ev.energy, ev.width) for ev in levels]).tobytes(),
+         np.array([(s.E, s.gamma) for s in scan]).tobytes()]
+        for levels, scan in (
+            spectrum._scan_and_split(sample_fn, E_min, E_max, config),
+            _scan_and_split_by_rescans(sample_fn, E_min, E_max, config)))
+    assert got == want
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(well=lattice_wells(lattice=1.0 / 64.0, span=3.0, max_inner=3))
+def test_the_search_is_the_rescans_on_lattice_wells(well):
+    _assert_search_is_the_rescans(sd.problem_for(well),
+                                  min(well.values) + 1e-3, -0.02,
+                                  sd.SolveConfig())
+
+
+@pytest.mark.parametrize("problem, E_min, E_max", [
+    (sd.problem_for(sd.Coulomb()), -0.6, -0.0045),
+    (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01),
+    (sd.problem_for(sd.Coulomb(), l=2), -0.1, -0.01),
+    (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 7.998),
+], ids=["hydrogen_l0", "hydrogen_l1", "hydrogen_l2", "truncated_a4"])
+def test_the_search_is_the_rescans(problem, E_min, E_max):
+    # a later pass examines only the pairs inside the brackets the last one
+    # cut: every other pair got no energy, so a rescan finds nothing new
+    _assert_search_is_the_rescans(problem, E_min, E_max, sd.SolveConfig())
 
 
 def _dropping_sampler(drop):
