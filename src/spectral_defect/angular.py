@@ -6,8 +6,8 @@ The phase-plane angle alpha of (psi, psi') obeys
 
 which is globally regular: at vertical angles the rate is exactly -1, so
 trajectories cross them transversally and alpha can be integrated as an
-ordinary unwrapped real variable.  The log-amplitude co-integrates as
-d(log rho)/dt = [V - E + 1/2] sin(2 alpha) when eigenfunctions are needed.
+ordinary unwrapped real variable.  The log-amplitude of (psi, psi') obeys
+d(log rho)/dt = [V - E + 1/2] sin(2 alpha).
 
 The spectrum module carries the left angle forward from a and the right
 angle backward from b, both to one matching point c (`integrate_angles`,
@@ -51,16 +51,15 @@ alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 is constant: a solve builds one mesh for it too, whose steps are its
 pieces, V read once per piece at its midpoint (`_level_steps`), and every
 pass takes each step in closed form at its level (`_plateau_flow`).  The
-adaptive flow (`_integrate_vector`) runs for the eigenfunction sampler
-(which needs the log-amplitude at grid points, and fills a constant tail
-past the support in closed form), for the scaled chart of
-`find_eigenvalues_scaled` (the theta flow of `_chart_fun` on one piece
-over [a, b], its angle at b recharted to alpha by `_rechart`), and for the
-transfer-matrix oracle, which integrates (psi, psi') on purpose: those are
-the independent checks of the passes.
-Its integrator, scipy's `solve_ivp`, is imported on first use (the module
-attribute `solve_ivp`, which a caller may replace), so that a solve, a
-scan or a count loads numpy only.
+eigenfunction (`integrate_angle_sampled`) is carried over the mesh of
+`pass_mesh` at its energy, cut at the grid points, one leaf at a time
+(`_amplitudes`).  The adaptive flow (`_integrate_vector`) serves only the
+independent checks of the passes: the scaled chart of
+`find_eigenvalues_scaled` (the theta flow of `_chart_fun` over [a, b], its
+angle at b recharted to alpha by `_rechart`) and the transfer-matrix
+oracle, which integrates (psi, psi').  Its integrator, scipy's
+`solve_ivp`, is imported on first use (the module attribute `solve_ivp`,
+which a caller may replace), so that the rest loads numpy only.
 """
 
 import itertools
@@ -102,51 +101,31 @@ def _cuts(a, b, breakpoints):
                         reverse=bool(b < a)) + [b]
 
 
-def _integrate_vector(fun, a, b, y0, config, breakpoints, t_eval=()):
+def _integrate_vector(fun, a, b, y0, config, breakpoints):
     """Integrate y' = fun(t, y) from a to b, cut at the breakpoints between.
 
     b < a integrates right to left.  DOP853 with config.rel_tol as both the
     relative and the absolute tolerance: at 1e-12 a high-order pair is much
     cheaper than a 4(5) pair.  With breakpoints, fun sees t clamped one
     float step inside each piece, so no stage reads V across a jump at a
-    cut, a or b.  Returns (y_end, y_at_t_eval): the state at b (y0 when
-    a == b) and one state column per point of t_eval, in its order, read
-    from the dense output of the piece that holds the point (a point on a
-    cut from the piece that starts there, in the order of travel); a point
-    no piece holds keeps y0.
+    cut, a or b.  Returns the state at b (y0 when a == b).
     """
     # read through the module, so that a replaced `solve_ivp` is the one run
     solve_ivp = sys.modules[__name__].solve_ivp
     y = np.array(y0, dtype=float, ndmin=1)
-    t_eval = np.asarray(t_eval, dtype=float)
-    sampled = np.repeat(y[:, None], t_eval.size, axis=1)
     cuts = _cuts(a, b, breakpoints)
     for s0, s1 in zip(cuts, cuts[1:]):
         if s0 == s1:
-            continue    # an empty half of a pass: no RHS call, none at a cut
-        lo, hi = sorted((s0, s1))
-        held = (lo <= t_eval) & (t_eval <= hi)
+            continue    # an empty stretch: no RHS call, none at a cut
         sol = solve_ivp(_inside(fun, s0, s1) if breakpoints else fun,
                         (s0, s1), y, method="DOP853", rtol=config.rel_tol,
-                        atol=config.rel_tol, dense_output=held.any())
+                        atol=config.rel_tol)
         if not sol.success:
             raise IntegrationError(
                 f"integrator stopped at t = {sol.t[-1]}: {sol.message}",
                 t_reached=float(sol.t[-1]))
         y = sol.y[:, -1]
-        if held.any():
-            sampled[:, held] = sol.sol(t_eval[held])
-    return y, sampled
-
-
-def _amplitude_fun(potential, E):
-    """(alpha, log rho)' of one energy: the eigenfunction sampler's flow."""
-    def fun(t, y):
-        q = potential.evaluate(t) - E
-        c, s = np.cos(y[0]), np.sin(y[0])
-        return np.array([2.0 * q * c * c - s * s, (q + 0.5) * 2.0 * s * c])
-
-    return fun
+    return y
 
 
 def _chart_fun(potential, energies, scale):
@@ -426,18 +405,18 @@ def _horner(u, coefficients, out):
 
 
 def _magnus(steps, q):
-    """exp(Omega) of every step at every energy, as its entries (m00, m01,
-    m10, m11) stacked on a first axis; q = 2 (vm - E), c0 of `_omega`, one
-    row per energy and one column per step.
+    """Omega = [[p, r], [s, -p]] of every step at every energy, p, r and s
+    on a first axis over a row of work (`_exponential` maps it to exp(Omega)
+    in place); q = 2 (vm - E), c0 of `_omega`, one row per energy and one
+    column per step.
 
-    Omega = [[p, r], [s, -p]] is evaluated from the step's coefficients
-    (`_omega`) by Horner's rule in u = c0 / (1 + (c0 h^2 / 10)^2), the
-    leading c0 h of s taken as it is, and mapped by `_exponential`.
-    Successive terms of the series shrink by about c0 h^2 / 10.5, so where
-    c0 h^2 is large its truncation means nothing: saturated, a far
-    forbidden step stays close to its plateau map, and a resolved step
-    changes only at O(h^9).  The method is symmetric: a step taken
-    backward is the inverse of the same step forward.
+    p, r and s are evaluated from the step's coefficients (`_omega`) by
+    Horner's rule in u = c0 / (1 + (c0 h^2 / 10)^2), the leading c0 h of s
+    taken as it is.  Successive terms of the series shrink by about c0 h^2
+    / 10.5, so where c0 h^2 is large its truncation means nothing:
+    saturated, a far forbidden step stays close to its plateau map, and a
+    resolved step changes only at O(h^9).  The method is symmetric: a step
+    taken backward is the inverse of the same step forward.
     """
     m = np.empty((4,) + q.shape)
     # the map's rows hold the work (the last one u until the exponential):
@@ -452,7 +431,7 @@ def _magnus(steps, q):
     _horner(u, (steps.s2, steps.s1, steps.s0), s)
     s += q
     s *= steps.h
-    return _exponential(m)
+    return m
 
 
 def _exponential(m):
@@ -625,8 +604,8 @@ def _nodes(steps, energies):
     too wide for V: m's entries on its first axis, then one row per energy
     and one column per step, n's rows and columns those of m.
 
-    m is the Magnus map (`_magnus`), oriented as a node's is: negated
-    where its first column points left.  n is the integer nearest
+    m is the Magnus map exp(Omega) (`_magnus`), oriented as a node's is:
+    negated where its first column points left.  n is the integer nearest
     (plateau - theta(m)) / pi, plateau the closed-form angle of the step
     from alpha = 0 with V = vm, the cubic through the nodes at the step's
     midpoint (`_plateau_angle`), whose zero count is exact: phi = n pi +
@@ -642,7 +621,7 @@ def _nodes(steps, energies):
     q = steps.vm - energies[:, None]
     q *= 2.0
     plateau = _plateau_angle(q, steps.h)
-    m = _magnus(steps, q)
+    m = _exponential(_magnus(steps, q))
     np.negative(m, out=m, where=m[0] < 0)
     turn = np.arctan2(m[2], m[0], out=q)      # q is spent
     turn -= plateau
@@ -851,9 +830,7 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     Each half is carried on its own (`_carry`), in blocks of _BLOCK
     step-energies.  On a piecewise-constant family the mesh is the pieces,
     each taken in closed form instead (`_plateau_flow`).  config is the
-    SolveConfig; only its rel_tol is read.  Returns the pair
-    (alpha_left_at_c, alpha_right_at_c); integrate_angle_sampled carries
-    the log-amplitude.
+    SolveConfig; only its rel_tol is read.  Returns (alpha_L(c), alpha_R(c)).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     starts = [np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
@@ -884,6 +861,35 @@ def _settled(problem, interval):
     return (lo, hi) if lo < hi else (a, b)
 
 
+def _amplitudes(potential, points, E, alpha):
+    """(alpha, log rho) at energy E and the points, one row each, carried
+    from (alpha, 0) over the steps between them (`_steps`, `_level_steps`).
+
+    alpha is lifted over the leaves (`_leaves`) one step at a time, as by
+    `_lift`: a product of leaves is rank one to the rounding over a
+    forbidden stretch, and loses a state that enters it along its decaying
+    direction (a level of the far well of a double well).  log rho adds
+    log |m e(alpha)| + w a step, m being exp(Omega) scaled by e^{-w} where
+    w^2 = p^2 + r s > 0 (`_exponential`), so det m may underflow.
+    """
+    read = _level_steps if _constant_pieces(potential) else _steps
+    steps = read(potential, points[:-1], np.diff(points))
+    (m00, m01, m10, m11), n = _leaves(steps, np.array([E]))
+    p, r, s, _ = _magnus(steps, 2.0 * (steps.vm[None] - E))
+    rows = (m00, m01, m10, m11, np.maximum(m00 * m11 - m01 * m10, 0.0),
+            math.pi * n + np.arctan2(m10, m00),
+            np.sqrt(np.maximum(p * p + r * s, 0.0)))
+    out, log_rho = [(alpha, 0.0)], 0.0
+    for m00, m01, m10, m11, det, phi, w in zip(*np.concatenate(rows).tolist()):
+        k = round(alpha / math.pi) * math.pi
+        c, s = math.cos(alpha - k), math.sin(alpha - k)
+        x, y = m00 * c + m01 * s, m10 * c + m11 * s
+        log_rho += math.log(math.hypot(x, y)) + w
+        alpha = math.atan2(det * s, m00 * x + m10 * y) + phi + k
+        out.append((alpha, log_rho))
+    return np.array(out).T
+
+
 def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
                             right_start, a: float, c: float, b: float,
                             config, t_eval):
@@ -892,43 +898,33 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
     The arguments are those of `integrate_angles`, for one energy.  Each
     half runs from its own cue toward c and samples the points on its side
     (c on the left), so each carries the solution that decays away from
-    its end.  An end past a constant tail's support edge is moved onto the
-    edge (`_settled`), and c into the settled interval: V is the level on
-    the stretch cut off, where the cue's angle +-atan(k), k = sqrt(2
-    (level - E)), is a fixed point of the flow and log_rho changes by k
-    per unit length, growing toward the well.  The points there are filled
-    in that closed form, so the cost does not grow with the length of the
-    tail.  The right half is joined to the left at c: its log_rho moves to
-    the left's value there and its alpha by the multiple of pi nearest
-    alpha_L(c) - alpha_R(c).  t_eval must lie inside [a, b]; log_rho is 0
-    at a.
+    its end (`_amplitudes`): over its steps of the `pass_mesh` at E on the
+    interval settled on the support (`_settled`), c moved into it, and
+    over the stretch from its end to the settled edge, where V is the
+    tail's level, in one step more, so the cost does not grow with the
+    length of a constant tail; each step is cut at the points it holds.
+    Where psi is below about 1e-12 of its peak (a far tail, whose wide
+    steps the flow forgives) alpha and log_rho are only those of the
+    steps' maps.  The right half is joined to the left at c: its log_rho
+    moves to the left's value there and its alpha by the multiple of pi
+    nearest alpha_L(c) - alpha_R(c).  t_eval must lie inside [a, b];
+    log_rho is 0 at a.
     """
     potential = problem.effective_potential()
-    fun = _amplitude_fun(potential, E)
     ts = np.sort(np.asarray(t_eval, dtype=float))
-    edges = _settled(problem, (a, b))
-    c = min(max(c, edges[0]), edges[1])
-    left = ts <= c
+    lo, hi = _settled(problem, (a, b))
+    c = min(max(c, lo), hi)
+    mesh = pass_mesh(problem, E, left_start, right_start, lo, c, hi, config)
     ends, samples = [], []
-    for start, s0, edge, tail, held in (
-            (left_start, a, edges[0], problem.left_tail, left),
-            (right_start, b, edges[1], problem.right_tail, ~left)):
-        rise = 0.0 if edge == s0 else math.sqrt(2.0 * (tail.level - E))
-        grid = ts[held]
-        beyond = (grid - edge) * (s0 - edge) > 0    # on the stretch cut off
-        end, ys = _integrate_vector(fun, edge, c,
-                                    [start, rise * abs(edge - s0)], config,
-                                    potential.breakpoints(),
-                                    t_eval=grid[~beyond])
-        if beyond.any():
-            flow, ys = ys, np.empty((2, grid.size))
-            ys[:, ~beyond] = flow
-            ys[0, beyond] = start
-            ys[1, beyond] = rise * np.abs(grid[beyond] - s0)
-        ends.append(end)
-        samples.append(ys)
-    (end_l, end_r), (ys_l, ys_r) = ends, samples
-    shift = end_l - end_r
+    for steps, start, s0, grid, way in (
+            (mesh[0], left_start, a, ts[ts <= c], 1),
+            (mesh[1], right_start, b, ts[ts > c], -1)):
+        # the end, the steps' starts and the points, in the order of travel
+        travel = np.unique(np.concatenate([[s0], steps.t, grid, [c]]))[::way]
+        ys = _amplitudes(potential, travel, E, start)
+        ends.append(ys[:, -1])
+        samples.append(ys[:, ::way][:, np.searchsorted(travel[::way], grid)])
+    shift = ends[0] - ends[1]
     shift[0] = math.pi * np.round(shift[0] / math.pi)
-    ys = np.concatenate([ys_l, ys_r + shift[:, None]], axis=1)
+    ys = np.concatenate([samples[0], samples[1] + shift[:, None]], axis=1)
     return ts, ys[0], ys[1]

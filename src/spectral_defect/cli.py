@@ -298,12 +298,15 @@ def _cmd_eigenfunction(run):
     if not match:
         raise SpectralDefectError(f"no branch n = {n} in [emin, emax]; found "
                                   f"{[ev.n for ev in result.eigenvalues]}")
-    a, b = result.problem.interval
-    grid = np.linspace(run.params.get("grid_min", a),
-                       run.params.get("grid_max", b),
+    problem, E = result.problem, match[0].energy
+    # the interval, but no further than 16 decay lengths at E past a
+    # constant tail's support edge (`oracle.fd_interval`)
+    (a, b), (lo, hi) = problem.interval, oracle.fd_interval(problem, E,
+                                                           run.config)
+    grid = np.linspace(run.params.get("grid_min", max(a, lo)),
+                       run.params.get("grid_max", min(b, hi)),
                        run.params.get("grid_points", 2001))
-    ef = spectrum.reconstruct_eigenfunction(result.problem, match[0].energy,
-                                            grid, run.config)
+    ef = spectrum.reconstruct_eigenfunction(problem, E, grid, run.config)
     _emit(_csv("t,psi", zip(ef.t, ef.psi)), run.output)
     return 0
 

@@ -57,8 +57,8 @@ def _propagate(potential, E, s0, s1, y, config):
     checkpoints = np.linspace(s0, s1,
                               max(1, math.ceil(abs(s1 - s0) / 5.0)) + 1)
     for p0, p1 in zip(checkpoints, checkpoints[1:]):
-        y, _ = _integrate_vector(fun, p0, p1, y, config,
-                                 potential.breakpoints())
+        y = _integrate_vector(fun, p0, p1, y, config,
+                              potential.breakpoints())
         peak = np.max(np.abs(y))
         if peak > _RESCALE_LIMIT:
             shift = int(math.floor(math.log2(peak)))

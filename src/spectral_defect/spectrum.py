@@ -152,15 +152,17 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
 # ---------------------------------------------------------------------------
 
 def _matching_point(problem: ProblemSpec, interval) -> float:
-    """c: the first minimum of V_eff on 4001 points spanning [a, b].
+    """c: the first minimum of V_eff on 4001 points spanning [a, b], its
+    ends settled on the support (`angular._settled`).
 
     The points are geometric on the half line and uniform on the whole
-    line.  c depends on the problem and interval alone, so every sample of
-    a solve shares one Gamma.  Near the well's bottom both halves arrive
-    from their forbidden sides, where the flow pulls them onto the decaying
-    directions, so Gamma is smooth in E there.
+    line.  c depends on the problem and interval alone, and not on the
+    length of a constant tail, so every sample of a solve shares one Gamma.
+    Near the well's bottom both halves arrive from their forbidden sides,
+    where the flow pulls them onto the decaying directions, so Gamma is
+    smooth in E there.
     """
-    grid = _span_points(problem, *interval, _MATCH_GRID)
+    grid = _span_points(problem, *_settled(problem, interval), _MATCH_GRID)
     v = problem.effective_potential().evaluate(grid)
     return float(grid[np.argmin(v)])
 
@@ -261,8 +263,8 @@ def _scaled_sampler(problem, config, interval, E_min, E_max):
         energies = np.asarray(energies, dtype=float)
         k = np.sqrt(2.0 * (v0 - energies))
         starts = np.full(energies.shape, math.pi / 4.0)
-        theta, _ = _integrate_vector(_chart_fun(potential, energies, k), a, b,
-                                     starts, config, potential.breakpoints())
+        theta = _integrate_vector(_chart_fun(potential, energies, k), a, b,
+                                  starts, config, potential.breakpoints())
         gammas = -np.arctan(k) - _rechart(theta, k)
         return list(map(DefectSample, energies.tolist(), gammas.tolist()))
 
@@ -473,18 +475,15 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                               ) -> EigenfunctionSamples:
     """psi = rho cos(alpha) on the grid, normalized by the trapezoid rule.
 
-    Both cues run toward the matching point c (`_matching_point`) of the
-    interval with its ends settled on the support (`angular._settled`),
-    where the halves are joined (`integrate_angle_sampled`), so psi decays
-    toward both ends and c does not depend on the length of a constant
-    tail; each start angle is checked to lie on its decaying branch
-    (`_cue_angles`).  E_n should be an accepted eigenvalue; the node count
-    of psi then equals its branch index.
+    Both cues run toward the matching point c (`_matching_point`), where
+    the halves are joined (`integrate_angle_sampled`), so psi decays toward
+    both ends and c does not depend on the length of a constant tail; each
+    start angle is checked to lie on its decaying branch (`_cue_angles`).
+    E_n should be an accepted eigenvalue; the node count of psi then equals
+    its branch index.
     """
     if not math.isfinite(E_n):
         raise DomainError(f"E_n must be finite, not {E_n}")
-    from scipy.integrate import trapezoid     # np.trapezoid needs numpy 2
-
     config = config or SolveConfig()
     grid = np.asarray(sorted(grid), dtype=float)
     if not grid.size:
@@ -495,12 +494,13 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     if not np.all((a <= grid) & (grid <= b)):
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     (left,), (right,) = _cue_angles(problem, [E_n], a, b)
-    c = _matching_point(problem, _settled(problem, (a, b)))
+    c = _matching_point(problem, (a, b))
     t_s, alpha_s, log_s = integrate_angle_sampled(
         problem, E_n, left, right, a, c, b, config, t_eval=grid)
     log_shift = log_s - np.max(log_s)
     psi = np.exp(log_shift) * np.cos(alpha_s)
-    norm = math.sqrt(trapezoid(psi * psi, t_s))
+    # the trapezoid rule (np.trapezoid needs numpy 2)
+    norm = math.sqrt(np.sum(np.diff(t_s) * (psi[1:]**2 + psi[:-1]**2) / 2.0))
     if norm > 0:
         psi = psi / norm
     peak = np.argmax(np.abs(psi))

@@ -11,11 +11,11 @@ import spectral_defect as sd
 from spectral_defect import angular, cues, oracle, spectrum
 from scipy.linalg import expm
 
-from spectral_defect.angular import (_GAUSS, _amplitude_fun, _carry,
-                                     _chart_fun, _compose, _integrate_vector,
+from spectral_defect.angular import (_GAUSS, _carry, _chart_fun, _compose,
+                                     _cuts, _inside, _integrate_vector,
                                      _leaves, _lift, _magnus, _omega,
                                      _plateau_step, _product, _rechart,
-                                     _span_steps, _steps,
+                                     _settled, _span_steps, _steps,
                                      integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
 from spectral_defect.errors import DomainError
@@ -55,8 +55,48 @@ def test_rate_at_horizontal_angle():
     assert fun(0.0, np.zeros(2)) == pytest.approx([4.0, 0.0])
 
 
+def amplitude_fun(potential, E):
+    """(alpha, log rho)' of one energy: the adaptive flow that the sampler
+    is checked against,
+
+        d(log rho)/dt = [V - E + 1/2] sin(2 alpha)."""
+    def fun(t, y):
+        q = potential.evaluate(t) - E
+        c, s = np.cos(y[0]), np.sin(y[0])
+        return np.array([2.0 * q * c * c - s * s, (q + 0.5) * 2.0 * s * c])
+
+    return fun
+
+
+def adaptive_samples(problem, E, left, right, a, c, b, grid):
+    """(alpha, log rho) on the sorted grid by the adaptive flow of each half
+    from its own end, piece by piece, read from the dense output of the
+    piece that holds each point (a point no piece holds keeps its start),
+    and joined at c as the sampler joins: the reference."""
+    potential = problem.effective_potential()
+    fun, ends, samples = amplitude_fun(potential, E), [], []
+    for start, s0, held in ((left, a, grid <= c), (right, b, grid > c)):
+        y, points = np.array([start, 0.0]), grid[held]
+        ys = np.repeat(y[:, None], points.size, axis=1)     # c at s0 keeps y
+        cuts = _cuts(s0, c, potential.breakpoints())
+        for p0, p1 in zip(cuts, cuts[1:]):
+            if p0 == p1:
+                continue
+            sol = angular.solve_ivp(_inside(fun, p0, p1), (p0, p1), y,
+                                    method="DOP853", rtol=1e-12, atol=1e-12,
+                                    dense_output=True)
+            inside = (min(p0, p1) <= points) & (points <= max(p0, p1))
+            ys[:, inside] = sol.sol(points[inside])
+            y = sol.y[:, -1]
+        ends.append(y)
+        samples.append(ys)
+    shift = ends[0] - ends[1]
+    shift[0] = math.pi * np.round(shift[0] / math.pi)
+    return np.concatenate([samples[0], samples[1] + shift[:, None]], axis=1)
+
+
 def test_log_amplitude_rhs_vanishes_on_axes():
-    fun = _amplitude_fun(FLAT, -1.0)
+    fun = amplitude_fun(FLAT, -1.0)
     assert fun(0.0, np.array([0.0, 0.0]))[1] == 0.0
     assert fun(0.0, np.array([math.pi / 2, 0.0]))[1] == pytest.approx(
         0.0, abs=1e-15)
@@ -134,10 +174,11 @@ def test_amplitude_recovers_flat_decay():
     k = math.sqrt(-2.0 * E)
     alpha_star = -math.atan(k)
     problem = flat_problem(0.0, 4.0)
-    # c = b: the left half alone spans [a, b]
-    ts, _, log_rhos = integrate_angle_sampled(problem, E, alpha_star, 0.0,
-                                              0.0, 4.0, 4.0, sd.SolveConfig(),
-                                              t_eval=[4.0])
+    # c = b, moved onto the support edge 1: the right half carries the same
+    # decaying solution from 4 back to 1
+    ts, _, log_rhos = integrate_angle_sampled(problem, E, alpha_star,
+                                              alpha_star, 0.0, 4.0, 4.0,
+                                              sd.SolveConfig(), t_eval=[4.0])
     # rho^2 = psi^2 + psi'^2 scales like exp(-2kt) too
     assert ts[-1] == 4.0
     assert log_rhos[-1] == pytest.approx(-k * 4.0, abs=1e-9)
@@ -181,12 +222,13 @@ def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
     ids=["piecewise", "truncated"])
 def test_a_solve_reads_v_at_a_breakpoint_only_to_find_c(
         monkeypatch, well, interval, e_min, e_max):
-    # the one search for the matching point reads V on its whole grid, ends
-    # and jumps included; every other call (a closed-form piece on STEPS,
-    # a stage of the flow across the kinks at +-2 of the oscillator) stays
-    # off the breakpoints
+    # the one search for the matching point reads V on its whole grid, the
+    # interval settled on the support (+-1 on STEPS, +-2 on the
+    # oscillator), ends and jumps included; every other call (a
+    # closed-form piece on STEPS, a Magnus step across the kinks at +-2 of
+    # the oscillator) stays off the breakpoints
     problem = sd.problem_for(well, interval=interval)
-    grid = np.linspace(*interval, spectrum._MATCH_GRID)
+    grid = np.linspace(*_settled(problem, interval), spectrum._MATCH_GRID)
     calls = []
     evaluate = type(well).evaluate
 
@@ -233,18 +275,79 @@ def test_transfer_root_rhs_budget(monkeypatch):
     assert sum(nfev) <= 8000
 
 
-@pytest.mark.parametrize("problem, e_min, e_max", [
+ONE_OF_EACH = pytest.mark.parametrize("problem, e_min, e_max", [
     (sd.problem_for(STEPS), -1.99, -0.01),
     (sd.problem_for(sd.SquareWell(-4.0, -1.0, 1.0)), -3.99, -0.01),
     (sd.problem_for(sd.Coulomb(), l=1), -0.2, -0.01),
     (sd.problem_for(sd.TruncatedOscillator(1.0, 4.0)), 1e-6, 8.0 - 2e-3),
     (sd.problem_for(sd.QuarkHybrid(math.sqrt(5e-5))), -0.52, 0.05)],
     ids=["piecewise", "square", "hydrogen-l1", "oscillator-a4", "quark"])
+
+
+@ONE_OF_EACH
 def test_no_pass_makes_an_ivp_call(monkeypatch, problem, e_min, e_max):
     # constant pieces go in closed form, every other family by Magnus steps
     nfev = _counting_ivp(monkeypatch)
     assert sd.find_eigenvalues(problem, e_min, e_max).eigenvalues
     assert nfev == []
+
+
+@ONE_OF_EACH
+def test_the_sampler_is_the_adaptive_flow(monkeypatch, problem, e_min,
+                                          e_max):
+    # psi from the pass mesh at E, with no ivp call, is psi from the
+    # adaptive (alpha, log rho) flow within 1e-9, with the same nodes
+    result = sd.find_eigenvalues(problem, e_min, e_max)
+    ev = result.eigenvalues[min(1, len(result.eigenvalues) - 1)]
+    a, b = result.problem.interval
+    grid = np.linspace(a, b, 1001)
+    nfev = _counting_ivp(monkeypatch)
+    ef = sd.reconstruct_eigenfunction(result.problem, ev.energy, grid)
+    assert nfev == []
+    (left,), (right,) = spectrum._cue_angles(result.problem, [ev.energy], a,
+                                             b)
+    alpha, log_rho = adaptive_samples(
+        result.problem, ev.energy, left, right, a,
+        spectrum._matching_point(result.problem, (a, b)), b, grid)
+    psi = np.exp(log_rho - np.max(log_rho)) * np.cos(alpha)
+    psi /= math.sqrt(np.sum(np.diff(grid) * (psi[1:] ** 2 + psi[:-1] ** 2))
+                     / 2.0)
+    psi *= np.sign(np.dot(psi, ef.psi))
+    assert np.max(np.abs(ef.psi - psi)) <= 1e-9
+    assert ef.node_count() == ev.n
+
+
+def test_a_step_too_wide_for_det_m_keeps_its_growth():
+    # the barrier (-12, 12) at 400 grows by e^{682} at the levels in the
+    # wells; on a 3-point grid the right half crosses it in two steps, each
+    # scaled by an e^{-2w} that underflows det m, and log rho still reads
+    # the growth a 2001-point grid reads.  The levels are doublets split
+    # far below the rounding, so the growing part of the state that leaves
+    # one well is rounding, and the two grids agree to 1e-3 only
+    well = sd.PiecewiseConstant((-14.0, -12.0, 12.0, 14.0),
+                                (0.0, -4.0, 400.0, -4.0, 0.0))
+    result = sd.find_eigenvalues(sd.problem_for(well), -3.99, -0.01)
+    assert len(result.eigenvalues) == 4
+    for ev in result.eigenvalues:
+        coarse, fine = (sd.reconstruct_eigenfunction(
+            result.problem, ev.energy, np.linspace(-14.0, 14.0, n))
+            for n in (3, 2001))
+        assert np.all(np.isfinite(coarse.psi))
+        assert coarse.alpha == pytest.approx(fine.alpha[::1000], rel=0.0,
+                                             abs=1e-9)
+        assert coarse.log_rho[2] < -600.0
+        assert coarse.log_rho == pytest.approx(fine.log_rho[::1000],
+                                               rel=1e-3)
+        # the right half leaves the barrier at -12 on its growing direction
+        # (1, -kb) and turns in the left well in closed form: a product of
+        # leaves, rank one over the barrier, was 3e-4 rad off here
+        k, kb = (math.sqrt(2.0 * abs(v - ev.energy)) for v in (-4.0, 400.0))
+        well = (-14.0 < fine.t) & (fine.t < -12.0)
+        h = fine.t[well] + 12.0
+        turns = (fine.alpha[well] - np.arctan2(
+            -k * np.sin(k * h) - kb * np.cos(k * h),
+            np.cos(k * h) - kb / k * np.sin(k * h))) / math.pi
+        assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
 
 
 def test_shifted_constant_pieces_make_no_ivp_call(monkeypatch):
@@ -284,14 +387,7 @@ def test_a_constant_tail_in_closed_form_is_the_flow_over_it():
     grid = np.linspace(a, b, 61)
     ts, alphas, log_rhos = integrate_angle_sampled(problem, E, left, right,
                                                    a, c, b, config, grid)
-    fun = _amplitude_fun(problem.effective_potential(), E)
-    (end_l, ys_l), (end_r, ys_r) = (
-        _integrate_vector(fun, s0, c, [start, 0.0], config,
-                          STEPS.breakpoints(), t_eval=grid[side])
-        for start, s0, side in ((left, a, grid <= c), (right, b, grid > c)))
-    shift = end_l - end_r
-    shift[0] = math.pi * np.round(shift[0] / math.pi)
-    want = np.concatenate([ys_l, ys_r + shift[:, None]], axis=1)
+    want = adaptive_samples(problem, E, left, right, a, c, b, grid)
     assert np.array_equal(ts, grid)
     assert np.allclose(alphas, want[0], rtol=0.0, atol=1e-9)
     assert np.allclose(log_rhos, want[1], rtol=0.0, atol=1e-9)
@@ -299,20 +395,26 @@ def test_a_constant_tail_in_closed_form_is_the_flow_over_it():
 
 
 def test_a_long_constant_tail_costs_the_sampler_nothing(monkeypatch):
-    # the flow starts at the support edge -1, whatever a is: the same RHS
-    # evaluations at a = -1e5 as at a = -100, and the same psi
+    # the carry starts at the support edge -1, whatever a is: the same V
+    # reads at a = -1e5 as at a = -100, and the same psi
     well = sd.SquareWell(-2.0, -1.0, 1.0)
     E = sd.find_eigenvalues(sd.problem_for(well), -1.9, -0.1).energies[1]
     grid = np.linspace(-1.0, 1.0, 201)
-    nfev = _counting_ivp(monkeypatch)
+    reads, evaluate = [], sd.PiecewiseConstant.evaluate
+
+    def reading(self, t):
+        reads.append(np.size(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", reading)
     runs = []
     for a in (-100.0, -100000.0):
-        nfev.clear()
+        reads.clear()
         ef = sd.reconstruct_eigenfunction(
             sd.problem_for(well, interval=(a, 1.0)), E, grid)
-        runs.append((sum(nfev), ef.psi))
+        runs.append((list(reads), ef.psi))
     (near, psi_near), (far, psi_far) = runs
-    assert near == far > 0
+    assert near == far and near
     assert np.max(np.abs(psi_far - psi_near)) <= 1e-10
 
 
@@ -351,8 +453,8 @@ def adaptive_gammas(problem, energies, interval, c, config=sd.SolveConfig()):
     for boundary_angle, s0 in ((cues.left_boundary_angle, a),
                                (cues.right_boundary_angle, b)):
         starts = [boundary_angle(problem, E, s0) for E in energies]
-        y, _ = _integrate_vector(fun, s0, c, starts, config,
-                                 potential.breakpoints())
+        y = _integrate_vector(fun, s0, c, starts, config,
+                              potential.breakpoints())
         halves.append(y)
     return halves[1] - halves[0]
 
@@ -487,7 +589,8 @@ def _magnus_step(t, h, v, E):
     """The Magnus map of one step at one energy, V = v at its nodes in the
     order of travel, its coefficients built as a mesh builds them."""
     step = _steps(_NodeValues(v), np.array([t]), np.array([h]))
-    return _magnus(step, 2.0 * (step.vm[:, None] - np.array([E])))
+    return angular._exponential(
+        _magnus(step, 2.0 * (step.vm[:, None] - np.array([E]))))
 
 
 def test_magnus_map_is_the_exponential_of_the_approximant():

@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: solves run on numpy alone.
 
-scipy serves the independent checks only (the oracles, the eigenfunction
-sampler, the scaled chart), and is imported on their first call.  These
-tests import it themselves, so each case runs in a new interpreter.
+scipy serves the independent checks only (the oracles and the scaled
+chart), and is imported on their first call; the eigenfunction is carried
+over the pass mesh.  These tests import it themselves, so each case runs
+in a new interpreter.
 """
 
 import json
@@ -90,7 +91,7 @@ def _run_fresh(tmp_path, *pairs):
 
 def test_imports_and_solves_load_no_scipy(tmp_path):
     pairs = [(ini, command) for ini in ("osc", "hydrogen")
-             for command in ("solve", "scan", "count")]
+             for command in ("solve", "scan", "count", "eigenfunction")]
     steps = _run_fresh(tmp_path, *pairs, ("-", "square-well"))
     assert [s["step"] for s in steps] == (
         ["import"] + [f"{i} {c}" for i, c in pairs] + ["- square-well"])
@@ -99,7 +100,7 @@ def test_imports_and_solves_load_no_scipy(tmp_path):
         assert step["scipy"] == [], step["step"]
 
 
-@pytest.mark.parametrize("command", ["verify", "eigenfunction"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_the_checks_load_scipy_on_first_use(tmp_path, command):
     solve, check = _run_fresh(tmp_path, ("osc", "solve"),
                               ("osc", command))[1:]

@@ -317,7 +317,8 @@ def test_eigenfunction_nodes_match_branch_index(potential, l, E_min, E_max,
         if isinstance(potential, sd.Coulomb):
             exact = _hydrogen_function(ev.n, ef.t)
             exact /= math.sqrt(trapezoid(exact * exact, ef.t))
-            assert np.max(np.abs(ef.psi - exact)) <= 1e-8
+            # 2.4e-11, 1.2e-10 and 2.5e-10 at n = 0, 1 and 2
+            assert np.max(np.abs(ef.psi - exact)) <= 1e-9
         elif isinstance(potential, sd.Yukawa):
             # no closed form; b = 362.4 lies deep in both tails (the exact
             # hydrogen n = 1, 2 functions are 8e-5 and 5e-2 of their peak at
@@ -542,6 +543,23 @@ def test_energy_and_pass_budget(monkeypatch, potential, E_min, E_max,
     assert len(passes) <= budget
     assert [ev.n for ev in result.eigenvalues] == list(range(len(levels)))
     assert np.allclose(result.energies, levels, rtol=0.0, atol=tol)
+
+
+def test_a_long_constant_tail_costs_a_solve_nothing(monkeypatch):
+    # c is sought on the support, so a solve on (-1e5, 1) takes the passes
+    # and Gamma evaluations of one on (-100, 1), and finds the same levels
+    # (sought over the whole interval, c was -1e5: 18 passes, 192 energies)
+    well = sd.SquareWell(-2.0, -1.0, 1.0)
+    passes = _counted_passes(monkeypatch)
+    runs = []
+    for a in (-100.0, -100000.0):
+        passes.clear()
+        result = sd.find_eigenvalues(sd.problem_for(well, interval=(a, 1.0)),
+                                     -1.9, -0.1)
+        runs.append((len(passes), sum(passes), result.energies))
+    (near, near_evals, near_levels), (far, far_evals, far_levels) = runs
+    assert near == far == 3 and near_evals == far_evals == 80
+    assert np.allclose(far_levels, near_levels, rtol=0.0, atol=1e-10)
 
 
 def test_splitting_stops_at_float_resolution(monkeypatch):
