@@ -5,8 +5,7 @@ from .cues import CueSeries, verify_cue_residual
 from .errors import (ConfigError, DomainError, IntegrationError,
                      IntervalSelectionError, MonotonicityError,
                      SpectralDefectError, ThresholdError)
-from .oracle import (FdResult, TransferMatrix, fd_eigenvalues,
-                     transfer_matrix, transfer_mismatch)
+from .oracle import FdResult, fd_eigenvalues, transfer_mismatch
 from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, SquareWell, Tabulated,
                          TruncatedOscillator, Yukawa, effective_radial,

@@ -682,17 +682,15 @@ def _first_round(problem, potential, pieces, energies):
     piece's finest count's `_span_points`, every (finest / n)-th, which
     are those of n itself, bit for bit (either spacing sets point i from i
     times the width over the count, and halving that is exact).
-    _PIECE_STEPS is a power of two, as `_roots` needs.  The energies are
-    at most two (`pass_mesh`), so the round holds at least one count.
+    _PIECE_STEPS is a power of two, as `_roots` needs.  Whatever _BLOCK
+    is, the round holds the count _PIECE_STEPS and a batch one piece.
     """
-    counts, n = [], _PIECE_STEPS
-    while n <= _BATCH_STEPS and (sum(counts) + n) * energies.size <= _BLOCK:
-        counts.append(n)
-        if n >= _MAX_PIECE_STEPS:
-            break
-        n *= 2
+    counts = [_PIECE_STEPS]
+    while (counts[-1] < _MAX_PIECE_STEPS and 2 * counts[-1] <= _BATCH_STEPS
+           and (sum(counts) + 2 * counts[-1]) * energies.size <= _BLOCK):
+        counts.append(2 * counts[-1])
     runs, total = counts[::-1], sum(counts)
-    group = _BLOCK // (total * energies.size)
+    group = max(1, _BLOCK // (total * energies.size))
     for i in range(0, len(pieces), group):
         batch = pieces[i:i + group]
         points = np.stack([_span_points(problem, p0, p1, runs[0] + 1)

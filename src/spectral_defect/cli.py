@@ -313,26 +313,34 @@ def _cmd_eigenfunction(run):
 
 def _brackets_a_root(lo, hi):
     # the mismatch is an angle mod pi: a jump between -+pi/2 is no root
-    return lo * hi < 0 and abs(hi - lo) < math.pi / 2
+    return (lo * hi < 0) & (abs(hi - lo) < math.pi / 2)
 
 
-def _transfer_bracket(problem, E, bound, config):
-    """(d, mismatch at E - d, mismatch at E + d) for the first d, from
-    bound down by factors of 8 to _TRANSFER_BOUND, that brackets a root.
+def _transfer_brackets(problem, energies, bound, config):
+    """(d, mismatch at E - d, mismatch at E + d) for each level E, for the
+    first d, from bound down by factors of 8 to _TRANSFER_BOUND, that
+    brackets a root.
 
-    A bound over which the mismatch turns by more than pi/2 (it turns
-    about 3.5 rad per unit energy at n = 0 on the a = 4 oscillator) can
-    wrap it past -+pi/2 on a correct level; a bracket at any d <= bound
-    still places a root within bound.  Without one, the last (smallest) d
-    is returned.
+    Each shrink round is one oracle call, for E -+ d of every level that
+    has not bracketed yet.  A bound over which the mismatch turns by more
+    than pi/2 (it turns about 3.5 rad per unit energy at n = 0 on the a = 4
+    oscillator) can wrap it past -+pi/2 on a correct level; a bracket at
+    any d <= bound still places a root within bound.  Without one, the
+    last (smallest) d is returned.
     """
-    d = bound
-    while True:
-        lo, hi = (oracle.transfer_mismatch(problem, E + s, config)
-                  for s in (-d, d))
-        if _brackets_a_root(lo, hi) or d <= _TRANSFER_BOUND:
-            return d, lo, hi
-        d = max(d / 8.0, _TRANSFER_BOUND)
+    energies = np.asarray(energies, dtype=float)
+    d, lo, hi = (np.empty_like(energies) for _ in range(3))
+    todo, step = np.arange(energies.size), bound
+    while todo.size:
+        e = energies[todo]
+        lo[todo], hi[todo] = np.split(oracle.transfer_mismatch(
+            problem, np.concatenate([e - step, e + step]), config), 2)
+        d[todo] = step
+        if step <= _TRANSFER_BOUND:
+            break
+        todo = todo[~_brackets_a_root(lo[todo], hi[todo])]
+        step = max(step / 8.0, _TRANSFER_BOUND)
+    return np.stack([d, lo, hi], axis=1).tolist()
 
 
 def _cmd_verify(run):
@@ -367,17 +375,19 @@ def _cmd_verify(run):
         status = 1
     bound = max(_TRANSFER_BOUND, 10.0 * run.config.e_tol)
     try:
-        for ev in result.eigenvalues:
-            d, lo, hi = _transfer_bracket(result.problem, ev.energy, bound,
-                                          run.config)
+        brackets = _transfer_brackets(
+            result.problem, [ev.energy for ev in result.eigenvalues], bound,
+            run.config)
+    except SpectralDefectError:
+        lines.append("transfer-matrix check skipped (needs constant tails)")
+    else:
+        for ev, (d, lo, hi) in zip(result.eigenvalues, brackets):
             lines.append(f"transfer mismatch at n={ev.n} on E -+ {d:g}: "
                          f"{_fmt(lo)}, {_fmt(hi)}")
             if not _brackets_a_root(lo, hi):
                 lines.append(f"level n={ev.n} fails the transfer check: no "
                              f"root of the mismatch within {bound:g}")
                 status = 1
-    except SpectralDefectError:
-        lines.append("transfer-matrix check skipped (needs constant tails)")
     _emit(lines, run.output)
     return status
 

@@ -1,9 +1,10 @@
 """Independent verification paths for the angular pipeline.
 
-Two deliberately different routes to the same spectra: the symplectic
-transfer-matrix eigencondition, built by direct phase-space integration of
-(psi, psi'), and a finite-difference matrix eigensolver.  Shared-bug risk
-with the shooting pipeline is minimal by construction.
+Two deliberately different routes to the same spectra: the transfer
+eigencondition, built by direct phase-space integration of (psi, psi') for
+a whole batch of energies at once, and a finite-difference matrix
+eigensolver.  Shared-bug risk with the shooting pipeline is minimal by
+construction.
 """
 
 import math
@@ -22,20 +23,9 @@ _RESCALE_LIMIT = 1e120
 _ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Symplectic 2x2 evolution matrix u(b, a), times 2**scale_exp."""
-
-    matrix: np.ndarray
-    scale_exp: int = 0
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix)) * 4.0 ** self.scale_exp
-
-
 def _phase_fun(potential, E):
-    """(q, p)' of one or more solutions at once, y = (q1, .., p1, ..)."""
+    """(q, p)' of one or more solutions at once, y = (q1, .., p1, ..), at
+    one energy E or one per solution."""
     def fun(t, y):
         half = y.size // 2
         return np.concatenate(
@@ -43,82 +33,70 @@ def _phase_fun(potential, E):
     return fun
 
 
-def _propagate(potential, E, s0, s1, y, config):
-    """(y at s1 times 2**-exp, exp): y carried from s0 to s1 (either order).
+def _propagate(potential, energies, s0, s1, y, config):
+    """y, a (2, N) array of (q, p) columns, one per energy, carried from s0
+    to s1 (either order) in one integration.
 
-    The integrator cuts at the breakpoints; checkpoints at most 5 apart
-    rescale by a power of two before growth can overflow.
+    The integrator cuts at the breakpoints.  At checkpoints at most 5
+    apart, a column whose peak passes _RESCALE_LIMIT is divided by its own
+    power of two before growth can overflow; a column that never grows
+    past the limit comes back unscaled.
     """
-    if not math.isfinite(E):
-        # the integrator would step on without end
-        raise DomainError(f"E must be finite, not {E}")
-    fun = _phase_fun(potential, E)
-    exp = 0
+    fun = _phase_fun(potential, energies)
+    y = np.asarray(y, dtype=float)
     checkpoints = np.linspace(s0, s1,
                               max(1, math.ceil(abs(s1 - s0) / 5.0)) + 1)
     for p0, p1 in zip(checkpoints, checkpoints[1:]):
-        y = _integrate_vector(fun, p0, p1, y, config,
-                              potential.breakpoints())
-        peak = np.max(np.abs(y))
-        if peak > _RESCALE_LIMIT:
-            shift = int(math.floor(math.log2(peak)))
-            y = y / 2.0 ** shift
-            exp += shift
-    return y, exp
+        y = _integrate_vector(fun, p0, p1, y.ravel(), config,
+                              potential.breakpoints()).reshape(2, -1)
+        peak = np.max(np.abs(y), axis=0)
+        big = peak > _RESCALE_LIMIT
+        y[:, big] /= np.exp2(np.floor(np.log2(peak[big])))
+    return y
 
 
-def transfer_matrix(problem: ProblemSpec, E: float,
-                    config: SolveConfig = None) -> TransferMatrix:
-    """u(b, a) over the compact support, both canonical columns in one pass
-    (`_propagate`)."""
-    a, b = _support_interval(problem)
-    y, exp = _propagate(problem.effective_potential(), E, a, b,
-                        np.array([1.0, 0.0, 0.0, 1.0]),
-                        config or SolveConfig())
-    return TransferMatrix(matrix=y.reshape(2, 2), scale_exp=exp)
-
-
-def _support_interval(problem):
-    cues.constant_levels(problem.left_tail, problem.right_tail,
-                         DomainError("transfer matrices need constant tails"))
-    if problem.interval is not None:
-        return problem.interval
-    bp = problem.potential.breakpoints()
-    if not bp:
-        raise DomainError("potential has no compact support to bracket")
-    return min(bp), max(bp)
-
-
-def transfer_mismatch(problem: ProblemSpec, E: float,
-                      config: SolveConfig = None) -> float:
+def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     """theta_L - theta_R mod pi, in (-pi/2, pi/2]: the angles of e+
     carried forward from a and of e- carried backward from b to the
     matching point c of the support [a, b] (`spectrum._matching_point`).
 
-    e+ = (1, k_L) decays to the left of a and e- = (1, -k_R) to the right
-    of b, so the mismatch is zero exactly at eigenvalues.  Each direction
-    is carried only toward the well, not across the far tail, where it
-    would turn onto the growing direction whatever E is; an end that
-    reaches past the support starts at its edge (`_settled`), so the cost
-    does not grow with the length of a constant tail.
+    E is one energy (a float comes back) or an array of them (an array
+    comes back); each half is one `_propagate` call for all of them.  e+ =
+    (1, k_L) decays to the left of a and e- = (1, -k_R) to the right of b,
+    so the mismatch is zero exactly at eigenvalues.  Each direction is
+    carried only toward the well, not across the far tail, where it would
+    turn onto the growing direction whatever E is; an end that reaches
+    past the support starts at its edge (`_settled`), so the cost does not
+    grow with the length of a constant tail.
     """
+    energies = np.asarray(E, dtype=float)
+    if not np.all(np.isfinite(energies)):
+        # the integrator would step on without end
+        raise DomainError(f"E must be finite, not {E}")
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
         DomainError("transfer matrices need constant tails"))
-    if not (E < left and E < right):
+    if not (np.all(energies < left) and np.all(energies < right)):
         raise ThresholdError("E must lie below both tail levels")
     config = config or SolveConfig()
-    a, b = _settled(problem, _support_interval(problem))
+    support = problem.interval
+    if support is None:
+        bp = problem.potential.breakpoints()
+        if not bp:
+            raise DomainError("potential has no compact support to bracket")
+        support = min(bp), max(bp)
+    a, b = _settled(problem, support)
     c = _matching_point(problem, (a, b))
     potential = problem.effective_potential()
-    angles = []
-    for s0, slope in ((a, math.sqrt(2.0 * (left - E))),
-                      (b, -math.sqrt(2.0 * (right - E)))):
-        (q, p), _ = _propagate(potential, E, s0, c, np.array([1.0, slope]),
-                               config)
-        angles.append(math.atan2(p, q))
-    theta_l, theta_r = angles
-    return math.pi / 2 - (theta_r - theta_l + math.pi / 2) % math.pi
+    e = energies.ravel()
+    (q_l, p_l), (q_r, p_r) = (
+        _propagate(potential, e, s0, c, np.stack([np.ones_like(e), slope]),
+                   config)
+        for s0, slope in ((a, np.sqrt(2.0 * (left - e))),
+                          (b, -np.sqrt(2.0 * (right - e)))))
+    theta_l, theta_r = np.arctan2(p_l, q_l), np.arctan2(p_r, q_r)
+    mismatch = math.pi / 2 - (theta_r - theta_l + math.pi / 2) % math.pi
+    return cues._scalar_or_array(mismatch.reshape(energies.shape))
 
 
 def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,

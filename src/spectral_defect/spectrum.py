@@ -108,6 +108,14 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class EigenfunctionSamples:
+    """psi = rho cos(alpha) at the grid points t (`reconstruct_eigenfunction`).
+
+    psi is normalised by the trapezoid rule on the caller's grid only, so
+    the mass outside the grid (a constant tail's, say) is left out.  Where
+    |psi| is below about 1e-12 of its peak, alpha and log_rho are only
+    those of the mesh's wide far-tail steps; psi itself is resolved there.
+    """
+
     t: np.ndarray
     alpha: np.ndarray
     log_rho: np.ndarray

@@ -199,8 +199,8 @@ def _counting_ivp(monkeypatch):
 
 
 def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
-    # the transfer-matrix oracle still integrates across the jumps of STEPS,
-    # here with every jump inside the interval
+    # the transfer oracle still integrates across the jumps of STEPS, here
+    # with every jump inside the interval
     problem = sd.problem_for(STEPS, interval=(-2.0, 2.0))
     calls = []
     evaluate = sd.PiecewiseConstant.evaluate
@@ -210,7 +210,8 @@ def test_rhs_never_reads_v_at_a_breakpoint(monkeypatch):
         return evaluate(self, t)
 
     monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", recording)
-    oracle.transfer_matrix(problem, -1.1)
+    oracle._propagate(problem.effective_potential(), np.array([-1.1, -1.1]),
+                      -2.0, 2.0, np.eye(2), sd.SolveConfig())
     assert calls
     assert not np.isin(np.concatenate([t.ravel() for t in calls]),
                        STEPS.breakpoints()).any()
@@ -1333,6 +1334,19 @@ def test_the_angles_handed_on_do_not_depend_on_the_block(case):
                                   np.floor(want / math.pi))
             assert np.all(np.abs(alpha - want)
                           <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_a_block_below_two_first_counts_still_solves():
+    # at _BLOCK = 16 not even the first count of two energies fits: the
+    # first round keeps it and batches one piece a time, and the levels
+    # are the default's
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    want = sd.find_eigenvalues(problem, 1e-6, 7.998)
+    with mock.patch.object(angular, "_BLOCK", 16):
+        got = sd.find_eigenvalues(problem, 1e-6, 7.998)
+    assert len(got.eigenvalues) == len(want.eigenvalues) == 8
+    assert np.all(np.abs(got.energies - want.energies)
+                  <= want.config.e_tol)
 
 
 def test_stored_coefficients_match_their_steps():

@@ -409,14 +409,33 @@ def test_the_transfer_bracket_shrinks_past_a_wrap():
     # the bracket shrinks by factors of 8 until it places the root
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
     result = sd.find_eigenvalues(problem, 1e-6, 7.998)
-    spans = []
-    for ev in result.eigenvalues:
-        d, lo, hi = cli._transfer_bracket(result.problem, ev.energy, 0.5,
-                                          result.config)
-        assert cli._brackets_a_root(lo, hi)
-        spans.append(d)
+    brackets = cli._transfer_brackets(
+        result.problem, [ev.energy for ev in result.eigenvalues], 0.5,
+        result.config)
+    assert all(cli._brackets_a_root(lo, hi) for _, lo, hi in brackets)
+    spans = [d for d, _, _ in brackets]
     assert len(spans) == 8
     assert spans[:3] == [0.0625] * 3
+
+
+def test_verify_makes_two_solve_ivp_calls(tmp_path, capsys, monkeypatch):
+    # the transfer check on the a = 4 oscillator: one propagation per half
+    # for every level's E -+ d (16 scalar mismatches made 32 calls), and
+    # the solve and the fd oracle make none
+    calls = []
+    solve_ivp = angular.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(angular, "solve_ivp", counting)
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
+                   .replace("emax = 1.998", "emax = 7.998"))
+    assert cli.main(["verify", str(cfg)]) == 0
+    assert "transfer mismatch at n=7" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("right", [5, 20, 64])

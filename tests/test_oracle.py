@@ -21,12 +21,22 @@ def test_fd_reproduces_particle_in_a_box():
         assert abs(got - ref) < max(1e-8, 10 * err)
 
 
+def _transfer(problem, E):
+    """u(b, a) over the problem's interval, or its support without one: both
+    canonical columns carried at E in one `_propagate` call."""
+    bp = problem.potential.breakpoints()
+    a, b = problem.interval or (min(bp), max(bp))
+    return oracle._propagate(problem.effective_potential(),
+                             np.array([E, E]), a, b, np.eye(2),
+                             sd.SolveConfig())
+
+
 def test_transfer_matrix_closed_form_forbidden_region():
     """Over a constant stretch u = [[cosh ks, sinh(ks) k^-1], ...]."""
     level, E, length = 1.0, -0.5, 0.7
     flat = sd.PiecewiseConstant((0.0,), (level, level))
     problem = sd.problem_for(flat, interval=(0.0, length))
-    u = oracle.transfer_matrix(problem, E).matrix
+    u = _transfer(problem, E)
     k = math.sqrt(2.0 * (level - E))
     s = k * length
     expect = np.array([[math.cosh(s), math.sinh(s) / k],
@@ -38,7 +48,7 @@ def test_transfer_matrix_closed_form_allowed_region():
     depth, E, length = -2.0, -0.5, 1.3
     flat = sd.PiecewiseConstant((0.0,), (depth, depth))
     problem = sd.problem_for(flat, interval=(0.0, length))
-    u = oracle.transfer_matrix(problem, E).matrix
+    u = _transfer(problem, E)
     k = math.sqrt(2.0 * (E - depth))
     s = k * length
     expect = np.array([[math.cos(s), math.sin(s) / k],
@@ -49,27 +59,29 @@ def test_transfer_matrix_closed_form_allowed_region():
 def test_transfer_matrix_is_symplectic():
     # det(u) = 1; cancellation between the hyperbolic entries limits how
     # sharply this can be checked once forbidden stretches grow solutions
+    # (none grows past the rescale limit here, so no column is scaled)
     rng = np.random.default_rng(11)
     for _ in range(5):
         edges = np.sort(rng.uniform(-2.5, 2.5, size=3))
         vals = (0.0, *rng.uniform(-2.0, 0.0, size=2), 0.0)
         well = sd.PiecewiseConstant(tuple(edges), vals)
         problem = sd.problem_for(well)
-        tm = oracle.transfer_matrix(problem, rng.uniform(-1.5, -0.2))
-        assert tm.det == pytest.approx(1.0, abs=1e-6)
+        u = _transfer(problem, rng.uniform(-1.5, -0.2))
+        assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescaling_keeps_entries_finite():
     # a long forbidden stretch grows like exp(k length) ~ e^500; without
-    # rescaling the entries would overflow double precision
+    # rescaling the entries would overflow double precision, and with it
+    # each column ends at most at the rescale limit
     flat = sd.PiecewiseConstant((0.0,), (2.0, 2.0))
     problem = sd.problem_for(flat, interval=(0.0, 200.0))
-    tm = oracle.transfer_matrix(problem, -2.0)
-    assert np.all(np.isfinite(tm.matrix))
-    assert tm.scale_exp > 0
+    u = _transfer(problem, -2.0)
+    assert np.all(np.isfinite(u))
+    assert np.all(np.max(np.abs(u), axis=0) <= oracle._RESCALE_LIMIT)
     # the image of any state aligns with the expanding direction (1, k)
     k = math.sqrt(2.0 * (2.0 - (-2.0)))
-    out = tm.matrix @ np.array([1.0, 0.0])
+    out = u @ np.array([1.0, 0.0])
     assert out[1] / out[0] == pytest.approx(k, rel=1e-8)
 
 
@@ -85,9 +97,9 @@ def test_transfer_matrix_is_one_propagation(monkeypatch):
 
     monkeypatch.setattr(angular, "solve_ivp", counting)
     problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
-    tm = oracle.transfer_matrix(problem, 2.5)
+    u = _transfer(problem, 2.5)
     assert len(calls) == 2
-    assert tm.det == pytest.approx(1.0, abs=1e-8)
+    assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_phase_angle_agrees_with_angular_flow():
@@ -96,13 +108,26 @@ def test_phase_angle_agrees_with_angular_flow():
     problem = sd.problem_for(well, interval=(-1.0, 1.0))
     E = -0.8
     alpha0 = 0.6
-    q, p = oracle.transfer_matrix(problem, E).matrix @ np.array(
+    q, p = _transfer(problem, E) @ np.array(
         [math.cos(alpha0), math.sin(alpha0)])
     alphas, _ = integrate_angles(problem, [E], [alpha0], [0.0], -1.0, 1.0,
                                  1.0, sd.SolveConfig())
     alpha = alphas[0]
     wrapped = (math.atan2(p, q) - alpha + math.pi / 2) % math.pi - math.pi / 2
     assert wrapped == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_batched_mismatch_agrees_with_single_energies():
+    # one propagation per half for the whole batch; DOP853 then steps on
+    # the error of every column at once, so the values move only within
+    # the integrator's tolerance
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    energies = np.linspace(0.1, 7.9, 24)
+    batch = oracle.transfer_mismatch(problem, energies)
+    single = [oracle.transfer_mismatch(problem, float(E)) for E in energies]
+    assert isinstance(batch, np.ndarray) and batch.shape == energies.shape
+    assert all(isinstance(x, float) for x in single)
+    assert np.max(np.abs(batch - single)) <= 1e-10
 
 
 def test_eigencondition_agrees_with_defect_pipeline():
@@ -129,7 +154,7 @@ def test_eigencondition_root_rejects_the_wrap():
 def test_transfer_requires_constant_tails():
     problem = sd.problem_for(sd.Coulomb())
     with pytest.raises(DomainError):
-        oracle.transfer_matrix(problem, -0.5)
+        oracle.transfer_mismatch(problem, -0.5)
 
 
 def test_fd_matches_defect_pipeline_on_truncated_oscillator():
@@ -158,15 +183,18 @@ def test_square_well_levels_match_the_fd_oracle(right):
         assert abs(ev.energy - fd_e) <= err
 
 
-@pytest.mark.parametrize("call, E", [
-    (oracle.transfer_matrix, math.nan), (oracle.transfer_matrix, math.inf),
-    (oracle.transfer_matrix, -math.inf), (oracle.transfer_mismatch, -math.inf),
-], ids=["matrix-nan", "matrix-inf", "matrix-minus-inf", "mismatch-minus-inf"])
-def test_the_transfer_oracle_rejects_a_non_finite_energy(call, E):
-    # solve_ivp once stepped on without end at E = nan or inf
+@pytest.mark.parametrize("E", [
+    math.nan, math.inf, -math.inf, [-1.0, math.nan], [math.inf, -1.0],
+    [-1.0, -0.5, -math.inf]],
+    ids=["nan", "inf", "minus-inf", "batch-nan", "batch-inf",
+         "batch-minus-inf"])
+def test_the_transfer_oracle_rejects_a_non_finite_energy(E):
+    # solve_ivp once stepped on without end at E = nan or inf, and nan or
+    # +inf once reached the threshold test, whose error names no value
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     with pytest.raises(DomainError, match=r"\bE must be finite"):
-        call(problem, E)
+        oracle.transfer_mismatch(problem, np.array(E) if isinstance(E, list)
+                                 else E)
 
 
 def test_fd_rejects_tiny_grid():

@@ -337,6 +337,24 @@ def test_eigenfunction_is_normalized():
     assert ef.psi[np.argmax(np.abs(ef.psi))] > 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10 stage A: psi is "
+                   "normalised by the trapezoid rule on the caller's grid "
+                   "only, not over the whole line")
+def test_eigenfunction_is_normalized_over_the_whole_line():
+    # the square well's n = 1 on its support [-1, 1], where the printed
+    # grid stops, plus the exact constant tails psi(+-1)^2 / (2 kappa);
+    # this sum reads 2.214, so psi is 1.49x too large
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    result = sd.find_eigenvalues(problem, -1.9, -0.1)
+    E = result.eigenvalues[1].energy
+    grid = np.linspace(-1.0, 1.0, 2001)
+    ef = sd.reconstruct_eigenfunction(result.problem, E, grid)
+    kappa = math.sqrt(-2.0 * E)
+    tails = (ef.psi[0] ** 2 + ef.psi[-1] ** 2) / (2.0 * kappa)
+    assert trapezoid(ef.psi**2, ef.t) + tails == pytest.approx(1.0,
+                                                               abs=1e-9)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda p: sd.reconstruct_eigenfunction(p, -1.5, []), "grid"),
     (lambda p: sd.reconstruct_eigenfunction(p, -1.5, [0.0, math.nan]),
