@@ -50,16 +50,18 @@ alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 `PiecewiseConstant` (`SquareWell` builds one), shifted or not, every piece
 is constant: a solve builds one mesh for it too, whose steps are its
 pieces, V read once per piece at its midpoint (`_level_steps`), and every
-pass takes each step in closed form at its level (`_plateau_flow`).  The
-eigenfunction (`integrate_angle_sampled`) is carried over the mesh of
-`pass_mesh` at its energy, cut at the grid points, one leaf at a time
-(`_amplitudes`).  The adaptive flow (`_integrate_vector`) serves only the
-independent checks of the passes: the scaled chart of
-`find_eigenvalues_scaled` (the theta flow of `_chart_fun` over [a, b], its
-angle at b recharted to alpha by `_rechart`) and the transfer-matrix
-oracle, which integrates (psi, psi').  Its integrator, scipy's
-`solve_ivp`, is imported on first use (the module attribute `solve_ivp`,
-which a caller may replace), so that the rest loads numpy only.
+pass lifts the angles over each step's exact leaf on its own, with no
+product: its closed-form map, plateau angle and determinant
+(`_carry_levels`).  The eigenfunction (`integrate_angle_sampled`) is
+carried over the mesh of `pass_mesh` at its energy, cut at the grid
+points, one leaf at a time (`_amplitudes`).  The adaptive flow
+(`_integrate_vector`) serves only the independent checks of the passes:
+the scaled chart of `find_eigenvalues_scaled` (the theta flow of
+`_chart_fun` over [a, b], its angle at b recharted to alpha by `_rechart`)
+and the transfer-matrix oracle, which integrates (psi, psi').  Its
+integrator, scipy's `solve_ivp`, is imported on first use (the module
+attribute `solve_ivp`, which a caller may replace), so that the rest loads
+numpy only.
 """
 
 import itertools
@@ -166,113 +168,12 @@ def _rechart(angles, ratio):
     return m
 
 
-# ---------------------------------------------------------------------------
-# Closed-form propagation where V is constant
-# ---------------------------------------------------------------------------
-
-def _branch(where):
-    """The energies of a branch of `_plateau_step` as an index: the whole
-    batch as a slice, which gathers and scatters nothing, where every
-    energy is on the branch; None where none is; else the mask."""
-    count = np.count_nonzero(where)
-    if count == where.size:
-        return slice(None)
-    return where if count else None
-
-
-def _plateau_step(v, energies, alpha, delta):
-    """The angles after a step delta (either sign) over a piece where V = v.
-
-    Each angle is read as m pi + x with |x| <= pi/2, a frame in which
-    (psi, psi') = (cos x, sin x), so psi >= 0.  The piece carries that state
-    exactly, up to a positive factor, and counts the signed number of zeros
-    of psi crossed (`turns`, positive forward); alpha drops pi per zero.
-    With q = 2 (v - E) and k = sqrt|q|:
-
-    - q > 0: sin(atan(k) +- x) are the components of the state along the
-      fixed directions tan(alpha) = +-k; their ratio r is the ratio of
-      the two exponential solutions.  The component that decays in the
-      direction of travel (`fade`) scales by e^{-2k|delta|} <= 1, the other
-      (`keep`) stays; psi ~ keep + fade and psi' ~ +-k (keep - fade).  psi
-      changes sign, at most once, where 1 + r does.
-    - q < 0: (psi, psi'/k) rotates by k delta; the Pruefer phase beta with
-      psi ~ cos(beta) advances by k delta, and the zero count is the integer
-      nearest beta / pi whose parity is the sign of psi.
-    - q = 0: the shear (psi, psi') -> (psi + psi' delta, psi').
-
-    Each branch, and each of the two forms of q > 0, is computed on the
-    energies it holds for (`_branch`), on the whole batch when it holds
-    for all.
-    """
-    q = 2.0 * (v - energies)
-    k = np.sqrt(np.abs(q))
-    sign = math.copysign(1.0, delta)
-    m = np.rint(alpha / math.pi)
-    x = alpha - m * math.pi
-    cx, sx = np.cos(x), np.sin(x)
-    psi, dpsi = cx + delta * sx, sx.copy()
-    up = _branch(q > 0)
-    if up is not None:
-        ku, xu, cu, su = k[up], x[up], cx[up], sx[up]
-        theta = np.arctan(ku)
-        fade = np.sin(theta - sign * xu)
-        rate = -2.0 * ku * abs(delta)
-        # psi = keep + fade e^rate: a short piece adds the change to psi at
-        # the start, a long one scales fade, so that no sum of terms of
-        # order one leaves a small psi (a state that left the repelling
-        # direction would lose its digits)
-        short = rate > -0.5
-        psi_u, dpsi_u = np.empty(ku.shape), np.empty(ku.shape)
-        near = _branch(short)
-        if near is not None:
-            em = fade[near] * np.expm1(rate[near])
-            psi_u[near] = 2.0 * np.sin(theta[near]) * cu[near] + em
-            dpsi_u[near] = 2.0 * np.cos(theta[near]) * su[near] - sign * em
-        far = _branch(~short)
-        if far is not None:
-            keep = np.sin(theta[far] + sign * xu[far])
-            faded = fade[far] * np.exp(rate[far])
-            psi_u[far] = keep + faded
-            dpsi_u[far] = sign * (keep - faded)
-        psi[up] = psi_u
-        dpsi[up] = ku * dpsi_u
-    down = _branch(q < 0)
-    if down is not None:
-        kd, cd, sd = k[down], cx[down], sx[down]
-        phase = kd * delta
-        c, s = np.cos(phase), np.sin(phase)
-        psi[down] = cd * c + sd * (s / kd)
-        dpsi[down] = sd * c - kd * cd * s
-        beta = np.arctan2(-sd, kd * cd) + phase
-    below = psi < 0
-    turns = sign * below    # q >= 0: one zero at most
-    if down is not None:
-        odd = below[down]
-        turns[down] = 2.0 * np.rint((beta / math.pi - odd) / 2.0) + odd
-    np.negative(psi, out=psi, where=below)
-    np.negative(dpsi, out=dpsi, where=below)
-    m -= turns
-    m *= math.pi
-    m += np.arctan2(dpsi, psi)
-    return m
-
-
 def _constant_pieces(potential):
     """Whether every piece of the potential is constant: a
     `PiecewiseConstant`, shifted or not (what `eref = tail` solves)."""
     while isinstance(potential, Shifted):
         potential = potential.base
     return isinstance(potential, PiecewiseConstant)
-
-
-def _plateau_flow(steps, energies, alpha):
-    """alpha carried in closed form over the steps of a potential with
-    `_constant_pieces`, one step a piece (`pass_mesh`): each step's vm is
-    its piece's level and h its signed width."""
-    alpha = np.array(alpha, dtype=float)
-    for v, h in zip(steps.vm.tolist(), steps.h.tolist()):
-        alpha = _plateau_step(v, energies, alpha, h)
-    return alpha
 
 
 def _span_points(problem: ProblemSpec, a: float, b: float, n: int):
@@ -472,26 +373,33 @@ def _exponential(m):
     return m
 
 
-def _lift(m, phi, x):
+def _lift(m, phi, x, det=None):
     """f(x) for the lifted map (m, phi): the increasing lift of m's action
     on angles, f(x + pi) = f(x) + pi, with f(0) = phi.  m's entries are on
-    its first axis; the rest of m, phi and x broadcast.
+    its first axis; the rest of m, phi, x and det broadcast.
 
     x is read as k pi + x0 with |x0| <= pi/2, and f(x) = k pi + phi plus
     the signed angle from m e(0) to m e(x0), e(x) = (cos x, sin x).  m
     keeps the orientation (det m > 0), so that angle lies in (-pi, pi) and
     has the sign of det(m) sin(x0): atan2 gives it with no tolerance,
     continuously through x0 = 0 and through x0 = +-pi/2, where rounding
-    may leave |x0| an ulp past pi/2.  A det that rounds to zero or below
-    (m nearly singular after a long forbidden stretch) is taken as +0.
+    may leave |x0| an ulp past pi/2.  det is m's determinant where it is
+    known in closed form: a constant step's leaf, exp(Omega) scaled by
+    e^{-w}, has det e^{-2w} exactly (Omega is traceless), which its
+    entries lose to the rounding past w of about 18.  Without it (a node of
+    the tree) det is read from the entries, and one that rounds to zero or
+    below (m nearly singular after a long forbidden stretch) is taken as
+    +0.
     """
     k = np.round(x / math.pi)
     x0 = x - k * math.pi
     c, s = np.cos(x0), np.sin(x0)
     m00, m01, m10, m11 = m
-    det = m00 * m11
-    det -= m01 * m10
-    det = np.where(det > 0, det, 0.0) * s
+    if det is None:
+        det = m00 * m11
+        det -= m01 * m10
+        det = np.where(det > 0, det, 0.0)
+    det = det * s
     dot = m00 * c
     dot += m01 * s
     dot *= m00
@@ -661,6 +569,45 @@ def _carry(steps, energies, alpha):
     return alpha
 
 
+def _carry_levels(mesh, energies, starts):
+    """(alpha_L, alpha_R) carried from the starts over the halves of a mesh
+    of a potential with `_constant_pieces`, one step a piece (`pass_mesh`),
+    each step's vm its piece's level and h its signed width.
+
+    Each step's leaf is exact: m the closed form of Omega = [[0, h],
+    [q h, 0]], q = 2 (vm - E) (`_exponential`, the plateau map), phi its
+    plateau angle, whose zero count is exact (`_plateau_angle`), and det
+    e^{-2 |h| sqrt(q)} where q > 0, else 1.  The angles are lifted over the
+    steps one at a time (`_lift`), with no product: a product is rank one
+    to the rounding over a long forbidden piece and loses a doublet.  The
+    leaves of both halves are built together, in blocks of at most _BLOCK
+    step-energies; a leaf is elementwise, so neither the block nor the
+    batch changes a bit.
+    """
+    h = np.concatenate([steps.h for steps in mesh])
+    vm = np.concatenate([steps.vm for steps in mesh])
+    alphas, cut = list(starts), mesh[0].h.size
+    width = max(1, _BLOCK // energies.size)
+    for i in range(0, h.size, width):
+        hb = h[i:i + width]
+        q = vm[i:i + width] - energies[:, None]
+        q *= 2.0
+        m = np.zeros((4,) + q.shape)
+        m[1] = hb
+        np.multiply(q, hb, out=m[2])
+        m = _exponential(m)
+        phi = _plateau_angle(q, hb)
+        det = np.maximum(q, 0.0)
+        np.sqrt(det, out=det)
+        det *= -2.0 * np.abs(hb)
+        np.exp(det, out=det)
+        for j in range(hb.size):
+            half = int(i + j >= cut)
+            alphas[half] = _lift(m[:, :, j], phi[:, j], alphas[half],
+                                 det[:, j])
+    return tuple(alphas)
+
+
 def _span_steps(problem, potential, p0, p1, n):
     """The n steps from p0 to p1 between `_span_points`."""
     points = _span_points(problem, p0, p1, n + 1)
@@ -726,7 +673,8 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     bound the passes it serves (a solve's E_min and E_max).  Each half is
     cut at the breakpoints (`_cuts`).  With `_constant_pieces` a piece is
     one step, V read once at its midpoint (`_level_steps`), whose vm is the
-    piece's level (`_plateau_flow`); otherwise it is cut into
+    piece's level and whose leaf is exact (`_carry_levels`), so no angle is
+    carried and nothing is doubled; otherwise it is cut into
     `_span_points` steps.  The start angles are carried piece by piece in
     the direction of travel; a piece's step count doubles from _PIECE_STEPS
     until the angle it hands on moves by at most 255 rel_tol max(1,
@@ -827,7 +775,8 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     lift, which no check sees; the doubling of `pass_mesh` keeps both out.
     Each half is carried on its own (`_carry`), in blocks of _BLOCK
     step-energies.  On a piecewise-constant family the mesh is the pieces,
-    each taken in closed form instead (`_plateau_flow`).  config is the
+    and the angles of both halves are lifted over each piece's exact leaf
+    on its own instead, with no product (`_carry_levels`).  config is the
     SolveConfig; only its rel_tol is read.  Returns (alpha_L(c), alpha_R(c)).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -837,9 +786,9 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
         mesh = pass_mesh(problem, energies, *starts, a, c, b, config)
     else:
         _check_coverage(mesh, a, c, b)
-    carry = (_plateau_flow if _constant_pieces(problem.effective_potential())
-             else _carry)
-    return tuple(carry(steps, energies, start)
+    if _constant_pieces(problem.effective_potential()):
+        return _carry_levels(mesh, energies, starts)
+    return tuple(_carry(steps, energies, start)
                  for steps, start in zip(mesh, starts))
 
 

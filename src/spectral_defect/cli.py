@@ -150,10 +150,8 @@ def _build_potential(section):
         return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
 
 
-_SOLVE_KEYS = {"rel_tol": ("rel_tol", _number),
-               "e_tol": ("e_tol", _number),
-               "residual_tol": ("residual_tol", _number),
-               "kappa": ("kappa", _number)}
+# [tolerances] keys, each a SolveConfig field of the same name
+_SOLVE_KEYS = ("rel_tol", "e_tol", "residual_tol", "kappa")
 # [solve] keys of all commands together: one file serves every command
 _SOLVE_PARAMS = {"emin": _number, "emax": _number, "ceiling": _number,
                  "n": _integer(0), "samples": _integer(2),
@@ -221,8 +219,7 @@ def _build_run(parser):
     with tol:
         # keys left out keep the SolveConfig defaults
         solve_config = spectrum.SolveConfig(**{
-            name: _get(tol, key, cast)
-            for key, (name, cast) in _SOLVE_KEYS.items() if key in tol})
+            key: _get(tol, key, _number) for key in _SOLVE_KEYS if key in tol})
     params = {key: _get(solve, key, cast)
               for key, cast in _SOLVE_PARAMS.items() if key in solve}
     for section in sections:

@@ -67,7 +67,9 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     carried only toward the well, not across the far tail, where it would
     turn onto the growing direction whatever E is; an end that reaches
     past the support starts at its edge (`_settled`), so the cost does not
-    grow with the length of a constant tail.
+    grow with the length of a constant tail.  With no problem interval the
+    ends are the support edges themselves (`cues.ConstantLevel.
+    support_edge`: +-1 about the step with fewer than two breakpoints).
     """
     energies = np.asarray(E, dtype=float)
     if not np.all(np.isfinite(energies)):
@@ -79,13 +81,7 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     if not (np.all(energies < left) and np.all(energies < right)):
         raise ThresholdError("E must lie below both tail levels")
     config = config or SolveConfig()
-    support = problem.interval
-    if support is None:
-        bp = problem.potential.breakpoints()
-        if not bp:
-            raise DomainError("potential has no compact support to bracket")
-        support = min(bp), max(bp)
-    a, b = _settled(problem, support)
+    a, b = _settled(problem, problem.interval or (-math.inf, math.inf))
     c = _matching_point(problem, (a, b))
     potential = problem.effective_potential()
     e = energies.ravel()

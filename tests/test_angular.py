@@ -14,8 +14,8 @@ from scipy.linalg import expm
 from spectral_defect.angular import (_GAUSS, _carry, _chart_fun, _compose,
                                      _cuts, _inside, _integrate_vector,
                                      _leaves, _lift, _magnus, _omega,
-                                     _plateau_step, _product, _rechart,
-                                     _settled, _span_steps, _steps,
+                                     _product, _rechart, _settled,
+                                     _span_steps, _steps,
                                      integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
 from spectral_defect.errors import DomainError
@@ -512,16 +512,33 @@ def test_energy_at_a_plateau_level(q):
 
 @pytest.mark.parametrize("v", [-3.0, -1.0, 0.0])
 @pytest.mark.parametrize("delta", [-20.0, -0.2, -1e-3, 0.05, 0.2, 20.0])
-def test_a_plateau_step_does_not_depend_on_its_batch(v, delta):
-    # each branch (q > 0 short or long, q < 0, q = 0) is computed on the
-    # whole batch when every energy is on it, else on the energies that
-    # are: each energy's angle is the same bits either way
+def test_a_step_well_pass_does_not_depend_on_its_batch(v, delta):
+    # a step well's pass lifts each energy's angle over the exact leaves of
+    # its pieces, built elementwise in blocks of _BLOCK step-energies: each
+    # energy's angles are the same bits alone and in the batch, whatever the
+    # block, on every branch of the leaf (q > 0, q < 0, q = 0).  Four
+    # pieces of level v, |delta| wide, are crossed forward (delta > 0, the
+    # left half) or backward (delta < 0, the right half)
+    width = abs(delta)
+    problem = sd.problem_for(
+        sd.PiecewiseConstant((width, 2.0 * width, 3.0 * width), (v,) * 4),
+        interval=(0.0, 4.0 * width))
+    c = 4.0 * width if delta > 0 else 0.0
     energies = np.repeat([-3.5, -3.0, -1.0, -0.2, v], 3)
     alphas = np.random.default_rng(7).uniform(-20.0, 20.0, energies.size)
-    batch = _plateau_step(v, energies, alphas, delta)
-    for i in range(energies.size):
-        alone = _plateau_step(v, energies[i:i + 1], alphas[i:i + 1], delta)
-        assert batch[i:i + 1].tobytes() == alone.tobytes()
+
+    def angles(i):
+        return np.stack(integrate_angles(
+            problem, energies[i], alphas[i], alphas[i], 0.0, c, 4.0 * width,
+            sd.SolveConfig())).tobytes()
+
+    for block in (1, 16, 8192):
+        with mock.patch.object(angular, "_BLOCK", block):
+            batch = np.stack(integrate_angles(
+                problem, energies, alphas, alphas, 0.0, c, 4.0 * width,
+                sd.SolveConfig()))
+            for i in range(energies.size):
+                assert batch[:, i:i + 1].tobytes() == angles(slice(i, i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,10 +1024,11 @@ def test_a_step_well_solve_reads_v_twice_and_steps_once_a_piece(monkeypatch,
                                                                  pieces):
     # the work of a step-well solve scales with its pieces only through
     # the closed-form steps: V is read once to find c and once for the
-    # mesh, and each pass takes each piece of each half in one step
+    # mesh, and each pass lifts the angles over each piece of each half in
+    # one step
     well = _step_well(pieces, seed=pieces)
     reads, steps, passes = [], [0], []
-    evaluate, plateau_step = sd.PiecewiseConstant.evaluate, _plateau_step
+    evaluate = sd.PiecewiseConstant.evaluate
 
     def reading(self, t):
         reads.append(np.size(t))
@@ -1018,7 +1036,7 @@ def test_a_step_well_solve_reads_v_twice_and_steps_once_a_piece(monkeypatch,
 
     def stepping(*args):
         steps[0] += 1
-        return plateau_step(*args)
+        return _lift(*args)
 
     def counted(problem, energies, lefts, rights, a, c, b, config, mesh):
         before = steps[0]
@@ -1030,7 +1048,7 @@ def test_a_step_well_solve_reads_v_twice_and_steps_once_a_piece(monkeypatch,
         return angles
 
     monkeypatch.setattr(sd.PiecewiseConstant, "evaluate", reading)
-    monkeypatch.setattr(angular, "_plateau_step", stepping)
+    monkeypatch.setattr(angular, "_lift", stepping)
     monkeypatch.setattr(spectrum, "integrate_angles", counted)
     assert sd.find_eigenvalues(sd.problem_for(well), -2.9, -0.05).eigenvalues
     assert len(passes) >= 3

@@ -157,6 +157,28 @@ def test_transfer_requires_constant_tails():
         oracle.transfer_mismatch(problem, -0.5)
 
 
+def test_a_potential_with_no_breakpoints_is_matched_on_its_unit_support(
+        monkeypatch):
+    # with fewer than two breakpoints the support is +-1 about the step, as
+    # `auto_interval` takes it; on V = 0 each decaying direction is carried
+    # unchanged, so the mismatch is 2 atan(k) mod pi
+    starts = []
+    propagate = oracle._propagate
+
+    def recording(potential, energies, s0, s1, y, config):
+        starts.append(s0)
+        return propagate(potential, energies, s0, s1, y, config)
+
+    monkeypatch.setattr(oracle, "_propagate", recording)
+    problem = sd.problem_for(sd.PiecewiseConstant((), (0.0,)))
+    energies = np.array([-2.0, -0.5, -0.01])
+    mismatch = oracle.transfer_mismatch(problem, energies)
+    assert starts == [-1.0, 1.0]
+    want = 2.0 * np.arctan(np.sqrt(-2.0 * energies))
+    want[want > math.pi / 2] -= math.pi
+    assert mismatch == pytest.approx(want, abs=1e-10)
+
+
 def test_fd_matches_defect_pipeline_on_truncated_oscillator():
     # the interval is chosen so the potential kinks at +-2 fall exactly on
     # grid nodes of both nested grids; otherwise the Richardson step is
