@@ -22,28 +22,30 @@ mesh built once per solve from V alone (`pass_mesh`) maps it by exp(Omega),
 Omega the eighth-order Magnus approximant from V at four Gauss nodes, in
 closed form (`_magnus`); the part of Omega that does not depend on E is
 built with the mesh (`_omega`).  The steps are joined by a lifted product
-of nodes (m, n): m a map scaled by its largest entry and oriented, its
-first column not pointing left (m00 >= 0; -m acts on angles as m does),
-and n an integer count of half turns, so that phi = f(0) = n pi + theta(m)
-for f the increasing lift of m's action on angles and theta(m) =
-atan2(m10, m00) in [-pi/2, pi/2].  (B, n_B) after (A, n_A) is the node of
+of nodes (m, n, d): m a map scaled by its largest entry and oriented, its
+first column not pointing left (m00 >= 0; -m acts on angles as m does), n
+an integer count of half turns, so that phi = f(0) = n pi + theta(m) for f
+the increasing lift of m's action on angles and theta(m) = atan2(m10, m00)
+in [-pi/2, pi/2], and d its determinant, carried exactly from each leaf's
+e^{-2w} (`_exponential`).  (B, n_B, d_B) after (A, n_A, d_A) is the node of
 B A with phi = f_B(phi_A), which needs no transcendental function: n grows
 by n_A + n_B, and by the sign of a10 where B A's first column crossed the
-vertical (`_compose`).  The product is associative, so it is taken by one
-pairwise tree over runs of steps of power-of-two lengths and all energies
-at once (`_roots`), the runs' roots composed from the last (`_product`),
-and the angle it hands on is unwrapped: n_below is exact.  A leaf's n is
-read off the plateau angle of the step, whose zero count is exact,
-corrected mod pi to the Magnus map (a large correction raises: only
-`pass_mesh` refines); the root's theta is read once per block (`_carry`).
-Leaves and nodes are held energy-major, (entry, energy, step), and the tree
-pairs along the last axis, so numpy's inner loops run over the steps, which
-are many.  `pass_mesh` builds the first round of its doubling, every count
-up to _BATCH_STEPS of every piece of both halves, in one batch of a piece a
-row: one `_steps` and one `_nodes` call, and the same tree over all those
-runs of steps at once.  One loop then settles each piece: its angle is
-lifted over the roots of its first-round counts in one call, and each later
-count is carried on its own (`_carry`), as each half of a pass is.
+vertical, and d is d_A d_B over the scale squared (`_compose`).  The
+product is associative, so it is taken by one pairwise tree over runs of
+steps of power-of-two lengths and all energies at once (`_roots`), the
+runs' roots composed from the last (`_product`), and the angle it hands on
+is unwrapped: n_below is exact.  A leaf's n is read off the plateau angle
+of the step, whose zero count is exact, corrected mod pi to the Magnus map
+(a large correction raises: only `pass_mesh` refines); the root's theta is
+read once per block (`_carry`).  Leaves and nodes are held energy-major,
+(entry, energy, step), and the tree pairs along the last axis, so numpy's
+inner loops run over the steps, which are many.  `pass_mesh` builds the
+first round of its doubling, every count up to _BATCH_STEPS of every piece
+of both halves, in one batch of a piece a row: one `_steps` and one
+`_nodes` call, and the same tree over all those runs of steps at once.  One
+loop then settles each piece: its angle is lifted over the roots of its
+first-round counts in one call, and each later count is carried on its own
+(`_carry`), as each half of a pass is.
 
 Where V is constant the flow is a Moebius flow with the fixed points
 alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
@@ -51,7 +53,7 @@ alpha = +-atan(k) (mod pi), k = sqrt|2 (V - E)|, and solvable exactly.  For
 is constant: a solve builds one mesh for it too, whose steps are its
 pieces, V read once per piece at its midpoint (`_level_steps`), and every
 pass lifts the angles over each step's exact leaf on its own, with no
-product: its closed-form map, plateau angle and determinant
+product, for speed: its closed-form map, plateau angle and determinant
 (`_carry_levels`).  The eigenfunction (`integrate_angle_sampled`) is
 carried over the mesh of `pass_mesh` at its energy, cut at the grid
 points, one leaf at a time (`_amplitudes`).  The adaptive flow
@@ -200,16 +202,15 @@ _LEAF_SLACK = math.pi / 4   # largest mod-pi correction of a leaf's angle
 
 class _Steps(NamedTuple):
     """Mesh steps in the order of travel, one row per step: start t, signed
-    width h, V at the Gauss nodes t + _GAUSS h, and from those V at the
-    midpoint of the cubic through them and the coefficients of Omega that
-    do not depend on E (`_omega`).  Over a constant piece V is read once,
-    at the midpoint, and the rest is that of a constant step, in closed
-    form (`_level_steps`).  A solve builds them once, with its mesh, and
-    every pass reads them."""
+    width h, and from V at the Gauss nodes t + _GAUSS h, V at the midpoint
+    of the cubic through them and the coefficients of Omega that do not
+    depend on E (`_omega`).  Over a constant piece V is read once, at the
+    midpoint, and the rest is that of a constant step, in closed form
+    (`_level_steps`).  A solve builds them once, with its mesh, and every
+    pass reads them."""
 
     t: np.ndarray
     h: np.ndarray
-    v: np.ndarray
     vm: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
@@ -221,8 +222,7 @@ class _Steps(NamedTuple):
     s2: np.ndarray
 
 
-_NO_STEPS = _Steps(np.empty(0), np.empty(0), np.empty((0, 4)),
-                   *np.empty((9, 0)))
+_NO_STEPS = _Steps(*np.empty((11, 0)))
 
 
 def _omega(h, v):
@@ -279,7 +279,7 @@ def _steps(potential, t, h):
     and Omega's energy-free coefficients are built from it."""
     nodes = t[:, None] + h[:, None] * _GAUSS
     v = np.reshape(potential.evaluate(nodes.ravel()), nodes.shape)
-    return _Steps(t, h, v, *_omega(h, v))
+    return _Steps(t, h, *_omega(h, v))
 
 
 def _level_steps(potential, t, h):
@@ -288,10 +288,9 @@ def _level_steps(potential, t, h):
     every node; Omega is that of a constant step, p = 0, r = h and s = c0 h
     (`_omega` gives it from four equal reads), so r0 = h and every other
     coefficient is 0."""
-    level = potential.evaluate(t + 0.5 * h)
     zero = np.zeros(h.shape)
-    return _Steps(t, h, np.repeat(level[:, None], 4, axis=1), level,
-                  zero, zero, zero, h, zero, zero, zero, zero)
+    return _Steps(t, h, potential.evaluate(t + 0.5 * h), zero, zero, zero, h,
+                  zero, zero, zero, zero)
 
 
 def _horner(u, coefficients, out):
@@ -336,13 +335,15 @@ def _magnus(steps, q):
 
 
 def _exponential(m):
-    """exp(Omega) for Omega = [[p, r], [s, -p]], p, r and s the first
-    three rows of m, written over m as (m00, m01, m10, m11).
+    """(m, w): exp(Omega) for Omega = [[p, r], [s, -p]], p, r and s the
+    first three rows of m, written over m as (m00, m01, m10, m11), and w.
 
     Omega^2 = w^2 I with w^2 = p^2 + r s, so exp(Omega) = cosh(w) +
-    sinh(w) Omega / w, or the cos and sin of |w| where w^2 < 0.  Where
-    w^2 > 0 the map is scaled by e^{-w}, so that no entry overflows on a
-    long forbidden step; the angles see only its direction.
+    sinh(w) Omega / w, or the cos and sin of |w| where w^2 < 0 (w is then
+    returned as 0).  Where w^2 > 0 the map is scaled by e^{-w}, so that no
+    entry overflows on a long forbidden step; the angles see only its
+    direction.  Omega is traceless, so the map's det is e^{-2w} exactly;
+    its entries lose it past w of about 18, so every det is built from w.
     """
     p, r, s, w2 = m
     np.multiply(p, p, out=w2)
@@ -370,35 +371,31 @@ def _exponential(m):
     s *= sin
     np.subtract(cos, p, out=m[3])
     p += cos
-    return m
+    np.copyto(w, 0.0, where=turns)
+    return m, w
 
 
-def _lift(m, phi, x, det=None):
-    """f(x) for the lifted map (m, phi): the increasing lift of m's action
-    on angles, f(x + pi) = f(x) + pi, with f(0) = phi.  m's entries are on
-    its first axis; the rest of m, phi, x and det broadcast.
+def _lift(m, phi, x, det):
+    """f(x) for the lifted map (m, phi) of determinant det: the increasing
+    lift of m's action on angles, f(x + pi) = f(x) + pi, with f(0) = phi.
+    m's entries are on its first axis; the rest of m, phi, x and det
+    broadcast.
 
     x is read as k pi + x0 with |x0| <= pi/2, and f(x) = k pi + phi plus
     the signed angle from m e(0) to m e(x0), e(x) = (cos x, sin x).  m
     keeps the orientation (det m > 0), so that angle lies in (-pi, pi) and
     has the sign of det(m) sin(x0): atan2 gives it with no tolerance,
     continuously through x0 = 0 and through x0 = +-pi/2, where rounding
-    may leave |x0| an ulp past pi/2.  det is m's determinant where it is
-    known in closed form: a constant step's leaf, exp(Omega) scaled by
-    e^{-w}, has det e^{-2w} exactly (Omega is traceless), which its
-    entries lose to the rounding past w of about 18.  Without it (a node of
-    the tree) det is read from the entries, and one that rounds to zero or
-    below (m nearly singular after a long forbidden stretch) is taken as
-    +0.
+    may leave |x0| an ulp past pi/2.  det is the one every leaf and node
+    carries exactly (`_exponential`, `_compose`): read from the entries of
+    a map nearly singular (a long forbidden step or stretch) it is lost to
+    the rounding, and with it the small component that places the angle
+    near a doublet.
     """
     k = np.round(x / math.pi)
     x0 = x - k * math.pi
     c, s = np.cos(x0), np.sin(x0)
     m00, m01, m10, m11 = m
-    if det is None:
-        det = m00 * m11
-        det -= m01 * m10
-        det = np.where(det > 0, det, 0.0)
     det = det * s
     dot = m00 * c
     dot += m01 * s
@@ -414,10 +411,11 @@ def _lift(m, phi, x, det=None):
 
 
 def _compose(later, earlier):
-    """The node of later = (B, n_B) after earlier = (A, n_A): B A scaled
-    by its largest entry (the action is projective), negated where its
-    first column points left (m00 < 0), and n_A + n_B plus, where it was
-    negated, the sign of a10.
+    """The node of later = (B, n_B, d_B) after earlier = (A, n_A, d_A):
+    B A scaled by its largest entry (the action is projective), negated
+    where its first column points left (m00 < 0), n_A + n_B plus, where it
+    was negated, the sign of a10, and d_A d_B over the scale squared, the
+    det that the entries of a nearly singular B A lose.
 
     phi = f_B(phi_A) = (n_A + n_B) pi + f_B(theta_A), and f_B(theta_A) is
     theta_B turned toward theta_A by less than pi, with the sign of
@@ -429,7 +427,7 @@ def _compose(later, earlier):
     entries of B A are written into one array and scaled in place, the
     negation riding on the scale.
     """
-    (b, n_b), (a, n_a) = later, earlier
+    (b, n_b, d_b), (a, n_a, d_a) = later, earlier
     m = np.empty(b.shape)
     for j in (0, 1):    # column j of B A: rows (m0j, m1j) = B (a0j, a1j)
         np.multiply(b[::2], a[j], out=m[j::2])
@@ -438,29 +436,32 @@ def _compose(later, earlier):
     scale = np.abs(m).max(axis=0)
     np.negative(scale, out=scale, where=left)
     m /= scale
+    d = d_b * d_a
+    d /= scale
+    d /= scale
     n = np.copysign(left, a[2])
     n += n_a
     n += n_b
-    return m, n
+    return m, n, d
 
 
-def _product(m, n):
-    """The node (m, n) of the composition of the steps along n's last axis
-    (m's too), the first step applied first: the roots of the runs its
-    length's binary digits cut, longest first (`_roots`), composed from
-    the last, which pairs the steps as rounds of pairs would, an odd node
-    out joining the next round."""
+def _product(m, n, d):
+    """The node (m, n, d) of the composition of the steps along n's last
+    axis (m's and d's too), the first step applied first: the roots of the
+    runs its length's binary digits cut, longest first (`_roots`), composed
+    from the last, which pairs the steps as rounds of pairs would, an odd
+    node out joining the next round."""
     width = n.shape[-1]
     runs = [1 << k for k in reversed(range(width.bit_length()))
             if width >> k & 1]
-    m, n = _roots(m, n, runs)
-    node = m[..., -1], n[..., -1]
+    m, n, d = _roots(m, n, d, runs)
+    node = m[..., -1], n[..., -1], d[..., -1]
     for j in reversed(range(len(runs) - 1)):
-        node = _compose(node, (m[..., j], n[..., j]))
+        node = _compose(node, (m[..., j], n[..., j], d[..., j]))
     return node
 
 
-def _roots(m, n, runs):
+def _roots(m, n, d, runs):
     """The node of each run of steps along the last axis, one per run on
     the last axis, in one pairwise tree: the one tree of the passes and
     of the mesh's first round.
@@ -473,7 +474,7 @@ def _roots(m, n, runs):
     from which they are taken.
     """
     root_m = np.empty(m.shape[:-1] + (len(runs),))
-    root_n = np.empty(n.shape[:-1] + (len(runs),))
+    root_n, root_d = np.empty((2,) + n.shape[:-1] + (len(runs),))
     live, length = len(runs), 1
     while live:
         done = live
@@ -483,12 +484,13 @@ def _roots(m, n, runs):
             cut = n.shape[-1] - (live - done)
             root_m[..., done:live], root_n[..., done:live] = (m[..., cut:],
                                                               n[..., cut:])
-            m, n, live = m[..., :cut], n[..., :cut], done
+            root_d[..., done:live] = d[..., cut:]
+            m, n, d, live = m[..., :cut], n[..., :cut], d[..., :cut], done
         if live:
-            m, n = _compose((m[..., 1::2], n[..., 1::2]),
-                            (m[..., ::2], n[..., ::2]))
+            m, n, d = _compose((m[..., 1::2], n[..., 1::2], d[..., 1::2]),
+                               (m[..., ::2], n[..., ::2], d[..., ::2]))
             length *= 2
-    return root_m, root_n
+    return root_m, root_n, root_d
 
 
 def _plateau_angle(q, h):
@@ -508,46 +510,47 @@ def _plateau_angle(q, h):
 
 
 def _nodes(steps, energies):
-    """The node (m, n) of every step at every energy, and which steps are
-    too wide for V: m's entries on its first axis, then one row per energy
-    and one column per step, n's rows and columns those of m.
+    """(m, n, w, coarse): the node (m, n) of every step at every energy,
+    its scale w, and which steps are too wide for V: m's entries on its
+    first axis, then one row per energy and one column per step, n's and
+    w's rows and columns those of m.
 
-    m is the Magnus map exp(Omega) (`_magnus`), oriented as a node's is:
-    negated where its first column points left.  n is the integer nearest
-    (plateau - theta(m)) / pi, plateau the closed-form angle of the step
-    from alpha = 0 with V = vm, the cubic through the nodes at the step's
-    midpoint (`_plateau_angle`), whose zero count is exact: phi = n pi +
-    theta(m) is the plateau angle corrected mod pi to the angle of m e(0).
-    Where the step resolves V the two maps are close and the correction
-    small; a step whose correction at any energy is beyond _LEAF_SLACK, or
-    not finite, is too wide for V there (`coarse`, one flag per step).
-    The correction is taken mod pi, so it cannot see a plateau angle more
-    than 3 pi / 4 off the step's lift: on a mesh from `pass_mesh` no step
-    is that coarse, because its doubling goes on until the angle each
-    piece hands on settles.
+    m is the Magnus map exp(Omega) scaled by e^{-w} (`_exponential`),
+    oriented as a node's is: negated where its first column points left.  n
+    is the integer nearest (plateau - theta(m)) / pi, plateau the
+    closed-form angle of the step from alpha = 0 with V = vm, the cubic
+    through the nodes at the step's midpoint (`_plateau_angle`), whose zero
+    count is exact: phi = n pi + theta(m) is the plateau angle corrected
+    mod pi to the angle of m e(0).  Where the step resolves V the two maps
+    are close and the correction small; a step whose correction at any
+    energy is beyond _LEAF_SLACK, or not finite, is too wide for V there
+    (`coarse`, one flag per step).  The correction is taken mod pi, so it
+    cannot see a plateau angle more than 3 pi / 4 off the step's lift: on a
+    mesh from `pass_mesh` no step is that coarse, because its doubling goes
+    on until the angle each piece hands on settles.
     """
     q = steps.vm - energies[:, None]
     q *= 2.0
     plateau = _plateau_angle(q, steps.h)
-    m = _exponential(_magnus(steps, q))
+    m, w = _exponential(_magnus(steps, q))
     np.negative(m, out=m, where=m[0] < 0)
     turn = np.arctan2(m[2], m[0], out=q)      # q is spent
     turn -= plateau
     n = np.round(turn / -math.pi)
     turn += math.pi * n
     coarse = ~(np.abs(turn) <= _LEAF_SLACK).all(axis=0)
-    return m, n, coarse
+    return m, n, w, coarse
 
 
 def _leaves(steps, energies):
-    """The nodes (m, n) of `_nodes`; a step too wide for V at any energy
-    raises IntegrationError naming the first such step."""
-    m, n, coarse = _nodes(steps, energies)
+    """(m, n, w) of `_nodes`; a step too wide for V at any energy raises
+    IntegrationError naming the first such step."""
+    m, n, w, coarse = _nodes(steps, energies)
     if coarse.any():
         t = float(steps.t[coarse][0])
         raise IntegrationError(
             f"the step from t = {t:g} is too wide to resolve V", t_reached=t)
-    return m, n
+    return m, n, w
 
 
 def _carry(steps, energies, alpha):
@@ -557,15 +560,16 @@ def _carry(steps, energies, alpha):
     and reduced (`_product`) in blocks of at most _BLOCK step-energies,
     which bounds the memory of a pass; a step too wide for V raises
     (`_leaves`).  Each block's root, its phi = n pi + theta(m) read with
-    one arctan2 per energy, is lifted onto alpha in order.  Near a doublet
-    behind a long forbidden stretch the blocking moves the angles by more
-    than the rounding: a block's product there is rank one to the rounding.
+    one arctan2 per energy, is lifted onto alpha in order with its exact
+    det, built from e^{-2w} once per block (`_compose`), so the block does
+    not move the angles, even where its product is rank one to the rounding.
     """
     width = max(1, _BLOCK // energies.size)
     for i in range(0, steps.h.size, width):
         block = _Steps(*(x[i:i + width] for x in steps))
-        m, n = _product(*_leaves(block, energies))
-        alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha)
+        m, n, w = _leaves(block, energies)
+        m, n, d = _product(m, n, np.exp(-2.0 * w))
+        alpha = _lift(m, math.pi * n + np.arctan2(m[2], m[0]), alpha, d)
     return alpha
 
 
@@ -575,14 +579,14 @@ def _carry_levels(mesh, energies, starts):
     each step's vm its piece's level and h its signed width.
 
     Each step's leaf is exact: m the closed form of Omega = [[0, h],
-    [q h, 0]], q = 2 (vm - E) (`_exponential`, the plateau map), phi its
-    plateau angle, whose zero count is exact (`_plateau_angle`), and det
-    e^{-2 |h| sqrt(q)} where q > 0, else 1.  The angles are lifted over the
-    steps one at a time (`_lift`), with no product: a product is rank one
-    to the rounding over a long forbidden piece and loses a doublet.  The
-    leaves of both halves are built together, in blocks of at most _BLOCK
-    step-energies; a leaf is elementwise, so neither the block nor the
-    batch changes a bit.
+    [q h, 0]], q = 2 (vm - E), and its det e^{-2w} (`_exponential`, the
+    plateau map), and phi its plateau angle, whose zero count is exact
+    (`_plateau_angle`).  The angles are lifted over the steps one at a
+    time (`_lift`), with no product, for speed only: a product carries
+    its det as exactly, but a tree over a few pieces costs more than it
+    saves.  The leaves of both halves are built together, in blocks of at
+    most _BLOCK step-energies; a leaf is elementwise, so neither the block
+    nor the batch changes a bit.
     """
     h = np.concatenate([steps.h for steps in mesh])
     vm = np.concatenate([steps.vm for steps in mesh])
@@ -595,12 +599,9 @@ def _carry_levels(mesh, energies, starts):
         m = np.zeros((4,) + q.shape)
         m[1] = hb
         np.multiply(q, hb, out=m[2])
-        m = _exponential(m)
+        m, w = _exponential(m)
         phi = _plateau_angle(q, hb)
-        det = np.maximum(q, 0.0)
-        np.sqrt(det, out=det)
-        det *= -2.0 * np.abs(hb)
-        np.exp(det, out=det)
+        det = np.exp(-2.0 * w)
         for j in range(hb.size):
             half = int(i + j >= cut)
             alphas[half] = _lift(m[:, :, j], phi[:, j], alphas[half],
@@ -616,10 +617,10 @@ def _span_steps(problem, potential, p0, p1, n):
 
 def _first_round(problem, potential, pieces, energies):
     """For each piece in turn, the first round of its doubling: (steps, m,
-    phi, wide), steps those of all its counts, the longest first, and
-    (m, phi) the lifted map of each count on m's and phi's last axis, the
-    shortest first, with wide whether the count has a step too wide for V
-    (its map then means nothing).
+    phi, d, wide), steps those of all its counts, the longest first, and
+    (m, phi) the lifted map of each count and d its determinant on m's,
+    phi's and d's last axis, the shortest first, with wide whether the
+    count has a step too wide for V (its map then means nothing).
 
     The round holds the counts _PIECE_STEPS, 2 _PIECE_STEPS, ... up to
     _BATCH_STEPS, the doubling's cap or as many as fit in _BLOCK
@@ -647,7 +648,8 @@ def _first_round(problem, potential, pieces, energies):
         h = np.concatenate([grid[:, 1:] for grid in grids], axis=1)
         h -= t
         steps = _steps(potential, t.ravel(), h.ravel())
-        m, n, coarse = _nodes(steps, energies)
+        m, n, w, coarse = _nodes(steps, energies)
+        d = np.exp(-2.0 * w)
         wide = np.logical_or.reduceat(coarse.reshape(len(batch), total),
                                       np.cumsum(runs) - runs, axis=1)
         if coarse.any():
@@ -656,12 +658,15 @@ def _first_round(problem, potential, pieces, energies):
             # not be finite) reaches it
             m[..., coarse] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
             n[..., coarse] = 0.0
-        m, n = _roots(m.reshape(4, energies.size, len(batch), total),
-                      n.reshape(energies.size, len(batch), total), runs)
+            d[..., coarse] = 1.0
+        shape = energies.size, len(batch), total
+        m, n, d = _roots(m.reshape(4, *shape), n.reshape(shape),
+                         d.reshape(shape), runs)
         phi = math.pi * n + np.arctan2(m[2], m[0])
         for j in range(len(batch)):
             yield (_Steps(*(x[j * total:(j + 1) * total] for x in steps)),
-                   m[:, :, j, ::-1], phi[:, j, ::-1], wide[j, ::-1])
+                   m[:, :, j, ::-1], phi[:, j, ::-1], d[:, j, ::-1],
+                   wide[j, ::-1])
 
 
 def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
@@ -714,8 +719,8 @@ def pass_mesh(problem: ProblemSpec, energies, left_starts, right_starts,
     mesh = []
     for pieces, alpha in zip(halves, starts):
         parts = [_NO_STEPS]
-        for piece, (batch, m, phi, wide) in zip(pieces, rounds):
-            lifted, coarse = _lift(m, phi, alpha[:, None]), None
+        for piece, (batch, m, phi, d, wide) in zip(pieces, rounds):
+            lifted, coarse = _lift(m, phi, alpha[:, None], d), None
             for k in itertools.count():
                 n = _PIECE_STEPS << k
                 if k < wide.size:   # the shorter counts follow count n
@@ -810,22 +815,16 @@ def _settled(problem, interval):
 
 def _amplitudes(potential, points, E, alpha):
     """(alpha, log rho) at energy E and the points, one row each, carried
-    from (alpha, 0) over the steps between them (`_steps`, `_level_steps`).
+    from (alpha, 0) over the steps between them (`_steps`).
 
     alpha is lifted over the leaves (`_leaves`) one step at a time, as by
-    `_lift`: a product of leaves is rank one to the rounding over a
-    forbidden stretch, and loses a state that enters it along its decaying
-    direction (a level of the far well of a double well).  log rho adds
-    log |m e(alpha)| + w a step, m being exp(Omega) scaled by e^{-w} where
-    w^2 = p^2 + r s > 0 (`_exponential`), so det m may underflow.
+    `_lift`, each with its exact det e^{-2w}, w its scale (`_exponential`),
+    and log rho adds log |m e(alpha)| + w a step.
     """
-    read = _level_steps if _constant_pieces(potential) else _steps
-    steps = read(potential, points[:-1], np.diff(points))
-    (m00, m01, m10, m11), n = _leaves(steps, np.array([E]))
-    p, r, s, _ = _magnus(steps, 2.0 * (steps.vm[None] - E))
-    rows = (m00, m01, m10, m11, np.maximum(m00 * m11 - m01 * m10, 0.0),
-            math.pi * n + np.arctan2(m10, m00),
-            np.sqrt(np.maximum(p * p + r * s, 0.0)))
+    steps = _steps(potential, points[:-1], np.diff(points))
+    (m00, m01, m10, m11), n, w = _leaves(steps, np.array([E]))
+    rows = (m00, m01, m10, m11, np.exp(-2.0 * w),
+            math.pi * n + np.arctan2(m10, m00), w)
     out, log_rho = [(alpha, 0.0)], 0.0
     for m00, m01, m10, m11, det, phi, w in zip(*np.concatenate(rows).tolist()):
         k = round(alpha / math.pi) * math.pi

@@ -140,9 +140,27 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     Each tail class bounds its own side (see `cues`): constant tails at the
     support edge, series tails by geometric growth from a family seed until
     the cue residual passes at both energy extremes, and 0+ singularities
-    by shrinking toward the singularity, floored at 1e-4.
+    by shrinking toward the singularity, floored at 1e-4.  An explicit
+    interval is kept, but an end strictly inside a constant tail's support
+    edge where V is not the tail level raises: its cue would start the
+    tail where the potential has not settled to it.
     """
     if problem.interval is not None:
+        potential = problem.effective_potential()
+        for end, side, tail, inside in zip(
+                problem.interval, ("left", "right"),
+                (problem.left_tail, problem.right_tail), (1.0, -1.0)):
+            if not isinstance(tail, cues.ConstantLevel):
+                continue
+            edge = tail.support_edge(problem, side)
+            if inside * (end - edge) <= 0:
+                continue
+            v = float(potential.evaluate(np.array([end]))[0])
+            if v != tail.level:
+                raise IntervalSelectionError(
+                    f"the {side} end {end} lies inside the support edge "
+                    f"{edge}, where V = {v} is not the tail level "
+                    f"{tail.level}")
         return problem.interval
     if not E_max < problem.threshold():
         raise ThresholdError(

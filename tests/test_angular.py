@@ -604,8 +604,9 @@ class _NodeValues:
 
 
 def _magnus_step(t, h, v, E):
-    """The Magnus map of one step at one energy, V = v at its nodes in the
-    order of travel, its coefficients built as a mesh builds them."""
+    """(m, w): the Magnus map of one step at one energy and its scale, V =
+    v at its nodes in the order of travel, its coefficients built as a mesh
+    builds them."""
     step = _steps(_NodeValues(v), np.array([t]), np.array([h]))
     return angular._exponential(
         _magnus(step, 2.0 * (step.vm[:, None] - np.array([E]))))
@@ -619,10 +620,10 @@ def test_magnus_map_is_the_exponential_of_the_approximant():
     for _ in range(40):
         h, E = rng.uniform(-1.5, 1.5), rng.uniform(-5.0, 5.0)
         v = rng.uniform(-8.0, 8.0, 4)
-        got = _magnus_step(0.0, h, v, E)
+        got, _ = _magnus_step(0.0, h, v, E)
         want = _series_exponential(h, 2.0 * (v - E))
         assert _entries(got) == pytest.approx(_entries(want), abs=1e-12)
-        b00, b01, b10, b11 = np.ravel(_magnus_step(h, -h, v[::-1], E))
+        b00, b01, b10, b11 = np.ravel(_magnus_step(h, -h, v[::-1], E)[0])
         assert _entries([b11, -b01, -b10, b00]) == \
             pytest.approx(_entries(got), abs=1e-12)
 
@@ -645,9 +646,9 @@ def test_a_constant_step_is_the_plateau_map_bit_for_bit(v, width, sign,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         step = _steps(_NodeValues(np.full(4, v)), np.zeros(1), np.array([h]))
-        m, _ = _leaves(step, energies)
+        m, _, _ = _leaves(step, energies)
         q = (v - energies) * 2.0
-        want = angular._exponential(np.stack(
+        want, _ = angular._exponential(np.stack(
             [np.zeros_like(q), np.full_like(q, h), (0.0 + q) * h,
              np.empty_like(q)]))
     assert step.vm[0] == v and step.r0[0] == h
@@ -669,7 +670,7 @@ def test_a_narrow_step_of_a_smooth_well_raises_no_warning(width):
         warnings.simplefilter("error", RuntimeWarning)
         for sign in (-1.0, 1.0):
             h = np.full(3, sign * width)
-            m, n = _leaves(_steps(potential, t, h), energies)
+            m, n, _ = _leaves(_steps(potential, t, h), energies)
             assert not n.any()
             assert np.abs(m[0] - 1.0).max() < 1e-3
             assert np.abs(m[3] - 1.0).max() < 1e-3
@@ -705,47 +706,50 @@ def test_one_step_errs_as_the_ninth_power_of_its_width():
     ids=["rotation", "hyperbolic", "shear", "near-half-turn", "singular"])
 def test_lift_keeps_the_branch_at_multiples_of_pi(m):
     # f(k pi) = k pi + phi, and an ulp either side of k pi or of
-    # k pi + pi/2 (where the reading of x changes branch) stays there
+    # k pi + pi/2 (where the reading of x changes branch) stays there; det
+    # is read from the entries, where it rounds to 0 or below taken as +0
     m = np.array(m, dtype=float).ravel()
     phi = math.atan2(m[2], m[0]) + 4.0 * math.pi
+    det = max(m[0] * m[3] - m[1] * m[2], 0.0)
     for k in range(-30, 31):
         for x in (k * math.pi, k * math.pi + math.pi / 2):
             xs = np.array([np.nextafter(x, -np.inf), x,
                            np.nextafter(x, np.inf)])
-            fs = _lift(m, phi, xs)
+            fs = _lift(m, phi, xs, det)
             assert np.ptp(fs) <= 1e-12 * max(1.0, abs(x))
-        assert _lift(m, phi, k * math.pi) == pytest.approx(
+        assert _lift(m, phi, k * math.pi, det) == pytest.approx(
             k * math.pi + phi, rel=0.0, abs=1e-12 * max(1.0, abs(k)))
-        assert _lift(m, phi, k * math.pi + 1.0) == pytest.approx(
-            _lift(m, phi, 1.0) + k * math.pi, rel=0.0,
+        assert _lift(m, phi, k * math.pi + 1.0, det) == pytest.approx(
+            _lift(m, phi, 1.0, det) + k * math.pi, rel=0.0,
             abs=1e-12 * max(1.0, abs(k)))
 
 
-def _phi(m, n):
-    """phi = f(0) of the node (m, n): n pi + theta(m)."""
+def _phi(m, n, d):
+    """phi = f(0) of the node (m, n, d): n pi + theta(m)."""
     return math.pi * n + np.arctan2(m[2], m[0])
 
 
-def _round_product(m, n):
+def _round_product(m, n, d):
     """The pairwise tree by rounds that `_product` replaces: each round
     composes neighbouring nodes, and an odd node out joins the next."""
-    while n.shape[-1] > 1:
-        k = n.shape[-1] - n.shape[-1] % 2
-        pm, pn = _compose((m[..., 1:k:2], n[..., 1:k:2]),
-                          (m[..., :k:2], n[..., :k:2]))
-        if k < n.shape[-1]:     # the odd step out joins the next round
-            pm = np.concatenate([pm, m[..., k:]], axis=-1)
-            pn = np.concatenate([pn, n[..., k:]], axis=-1)
-        m, n = pm, pn
-    return m[..., 0], n[..., 0]
+    node = m, n, d
+    while node[1].shape[-1] > 1:
+        k = node[1].shape[-1] // 2 * 2
+        paired = _compose(tuple(x[..., 1:k:2] for x in node),
+                          tuple(x[..., :k:2] for x in node))
+        # an odd step out joins the next round
+        node = tuple(np.concatenate([p, x[..., k:]], axis=-1)
+                     for p, x in zip(paired, node))
+    return tuple(x[..., 0] for x in node)
 
 
 def _random_nodes(rng, energies, width):
-    """Oriented random maps and integer half-turn counts, energy-major."""
+    """Oriented random maps, integer half-turn counts and the maps'
+    determinants, energy-major."""
     m = rng.standard_normal((4, energies, width))
     m *= np.where(m[0] < 0, -1.0, 1.0)
     n = rng.integers(-9, 10, (energies, width)).astype(float)
-    return m, n
+    return m, n, m[0] * m[3] - m[1] * m[2]
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -758,8 +762,8 @@ def _random_nodes(rng, energies, width):
 def test_a_blocks_product_is_the_tree_by_rounds(width, energies, seed):
     # the runs of the block's binary digits, each one tree, composed from
     # the last: the pairs of the tree by rounds, to the last bit
-    m, n = _random_nodes(np.random.default_rng(seed), energies, width)
-    got, want = _product(m, n), _round_product(m, n)
+    m, n, d = _random_nodes(np.random.default_rng(seed), energies, width)
+    got, want = _product(m, n, d), _round_product(m, n, d)
     for x, y in zip(got, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -771,11 +775,13 @@ def test_tree_product_equals_the_left_to_right_fold():
     potential = problem.effective_potential()
     energies = np.array([0.2, 30.0, 60.0, 71.5])
     points = np.linspace(-14.0, 0.0, 1002)
-    m, n = _leaves(_steps(potential, points[:-1], np.diff(points)), energies)
-    tree = _product(m, n)
-    fold = (m[..., 0], n[..., 0])
+    m, n, w = _leaves(_steps(potential, points[:-1], np.diff(points)),
+                      energies)
+    node = m, n, np.exp(-2.0 * w)
+    tree = _product(*node)
+    fold = tuple(x[..., 0] for x in node)
     for j in range(1, n.shape[-1]):
-        fold = _compose((m[..., j], n[..., j]), fold)
+        fold = _compose(tuple(x[..., j] for x in node), fold)
     tree_phi, fold_phi = _phi(*tree), _phi(*fold)
     assert np.array_equal(np.floor(tree_phi / math.pi),
                           np.floor(fold_phi / math.pi))
@@ -783,8 +789,8 @@ def test_tree_product_equals_the_left_to_right_fold():
                   <= 1e-12 * np.maximum(1.0, np.abs(fold_phi)))
     assert tree_phi.min() < -30.0 * math.pi
     alphas = np.array([0.3, -1.2, 2.0, 0.0])
-    assert _lift(tree[0], tree_phi, alphas) == pytest.approx(
-        _lift(fold[0], fold_phi, alphas), rel=0.0, abs=1e-10)
+    assert _lift(tree[0], tree_phi, alphas, tree[2]) == pytest.approx(
+        _lift(fold[0], fold_phi, alphas, fold[2]), rel=0.0, abs=1e-10)
 
 
 def test_a_leaf_whose_correction_is_large_raises():
@@ -861,7 +867,7 @@ def test_the_doubling_resolves_a_step_the_leaves_refuse():
                                     7.0, 7.0, sd.SolveConfig())
         want, _ = _one_carry_per_count(problem, energies, start, start, 4.0,
                                        7.0, 7.0, sd.SolveConfig())
-    (_, m, _, wide), = rounds
+    (_, m, _, _, wide), = rounds
     assert m.shape[-1] == wide.size == 9        # the counts 1, 2, ..., 256
     assert wide[:3].tolist() == [True, False, False]
     assert carried == []
@@ -872,10 +878,12 @@ def test_the_doubling_resolves_a_step_the_leaves_refuse():
     assert _carry(left, energies, start) == pytest.approx(fine, rel=1e-12)
 
 
-def _node(m, n):
-    """The node of one 2x2 map (rows m00 m01, m10 m11) and n half turns,
-    as a tree holds it: one column, entries on the first axis."""
-    return np.reshape(np.array(m, dtype=float), (4, 1)), np.array([float(n)])
+def _node(m, n, d=1.0):
+    """The node of one 2x2 map (rows m00 m01, m10 m11), n half turns and
+    its determinant d, as a tree holds it: one column, entries on the first
+    axis."""
+    return (np.reshape(np.array(m, dtype=float), (4, 1)),
+            np.array([float(n)]), np.array([d]))
 
 
 @st.composite
@@ -891,8 +899,10 @@ def magnus_pairs(draw):
         h, E = draw(st.floats(0.0, 3.0)), draw(st.floats(-8.0, 8.0))
         if draw(st.integers(0, 2)) == 0:
             h, E = draw(st.floats(5.0, 40.0)), v.min() - 20.0
-        m = _magnus_step(0.0, sign * h, v, E)[:, 0, 0]
-        nodes.append(_node(-m if m[0] < 0 else m, draw(st.integers(-40, 40))))
+        m, w = _magnus_step(0.0, sign * h, v, E)
+        m = m[:, 0, 0]
+        nodes.append(_node(-m if m[0] < 0 else m, draw(st.integers(-40, 40)),
+                           math.exp(-2.0 * w[0, 0])))
     return nodes
 
 
@@ -904,11 +914,11 @@ def test_composing_two_leaves_lifts_the_earlier_angle(pair):
     # B A e(0) cancels to the rounding (A e(0) on B's null line) neither
     # form can tell its direction, and a pass never puts it there
     later, earlier = pair
-    (b, _), (a, _) = pair
+    (b, _, _), (a, _, _) = pair
     column = np.hypot(b[0] * a[0] + b[1] * a[2], b[2] * a[0] + b[3] * a[2])
     assume(column[0] > 1e-8 * np.abs(b).max() * np.hypot(a[0], a[2])[0])
     phi = _phi(*_compose(later, earlier))
-    want = _lift(later[0], _phi(*later), _phi(*earlier))
+    want = _lift(later[0], _phi(*later), _phi(*earlier), later[2])
     assert abs(phi[0] - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
 
 
@@ -932,7 +942,7 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
                               (0.0, ulp))]
     for pairs, side in ((above, 1.0), (below, -1.0)):
         columns = [(b[0] * a[0] + b[1] * a[2], b[2] * a[0] + b[3] * a[2])
-                   for (b, _), (a, _) in pairs]
+                   for (b, _, _), (a, _, _) in pairs]
         assert [(x[0], math.copysign(1.0, x[0]), y[0]) for x, y in columns] \
             == [(x, math.copysign(1.0, x), side) for x in edges]
         want = (n_a + n_b) * math.pi + side * math.pi / 2
@@ -940,7 +950,7 @@ def test_a_column_at_the_vertical_keeps_phi_continuous(turns):
             phi = _phi(*_compose(later, earlier))[0]
             assert phi == pytest.approx(want, rel=0.0, abs=4e-16 * abs(want))
             assert phi == pytest.approx(
-                _lift(later[0], _phi(*later), _phi(*earlier))[0],
+                _lift(later[0], _phi(*later), _phi(*earlier), later[2])[0],
                 rel=0.0, abs=4e-16 * abs(want))
 
 
@@ -1155,14 +1165,13 @@ def test_one_tree_over_runs_gives_each_runs_product(powers, energies, seed):
     # runs of power-of-two lengths, longest first, side by side on the
     # last axis: each root is its run's own product, to the last bit
     runs = [2**k for k in sorted(powers, reverse=True)]
-    m, n = _random_nodes(np.random.default_rng(seed), energies, sum(runs))
-    root_m, root_n = angular._roots(m, n, runs)
+    node = _random_nodes(np.random.default_rng(seed), energies, sum(runs))
+    roots = angular._roots(*node, runs)
     ends = np.cumsum(runs)
     for r, (start, end) in enumerate(zip(ends - runs, ends)):
-        want_m, want_n = _round_product(m[..., start:end],
-                                        n[..., start:end])
-        assert root_m[..., r].tobytes() == want_m.tobytes()
-        assert root_n[..., r].tobytes() == want_n.tobytes()
+        want = _round_product(*(x[..., start:end] for x in node))
+        for root, x in zip(roots, want):
+            assert root[..., r].tobytes() == x.tobytes()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1388,9 +1397,8 @@ def test_stored_coefficients_match_their_steps():
     assert len(seen) >= sum(steps.h.size for steps in mesh) // 3
     for steps in (*mesh, *seen):
         nodes = steps.t[:, None] + steps.h[:, None] * _GAUSS
-        assert np.array_equal(steps.v, potential.evaluate(nodes))
-        assert np.array_equal(np.stack(steps[3:]),
-                              np.stack(_omega(steps.h, steps.v)))
+        assert np.array_equal(np.stack(steps[2:]), np.stack(
+            _omega(steps.h, potential.evaluate(nodes))))
 
 
 def test_a_hydrogen_solve_stays_in_its_memory():

@@ -672,6 +672,10 @@ _ONE_LINE_FAILURES = [
     # nan)
     (WELL_CONFIG, "verify {cfg} --interval 1e299 1e300", 1),
     (OSC_CONFIG, "solve {cfg} --interval 2 1e300", 1),
+    # an end inside the a = 4 oscillator's support, where V is not the
+    # tail level its cue assumes
+    (OSC_CONFIG.replace("cutoff = 2", "cutoff = 4").replace(
+        "emax = 1.998", "emax = 7.998"), "solve {cfg} --interval -3 64", 1),
 ]
 
 

@@ -3,12 +3,13 @@ misconfigured cue, a well 72 levels deep and tails 1,000 long."""
 
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import spectral_defect as sd
-from spectral_defect import cues, oracle
+from spectral_defect import angular, cues, oracle
 from spectral_defect.errors import MonotonicityError, ThresholdError
 
 
@@ -28,21 +29,11 @@ def ramped_double_well(barrier, r=0.01):
         (0.0, -4.0, -4.0, 0.0, 0.0, -4.0, -4.0, 0.0))
 
 
-# ROADMAP item 3: past the long barrier a tree block's product is rank one
-# to the rounding, Gamma near the doublet drops by 7.6e-7 (barrier 10) and
-# 9.3e-8 (barrier 16), and the solve raises; mending item 3 flips these
-_RAMPED_DROP = pytest.mark.xfail(
-    strict=True, raises=MonotonicityError,
-    reason="ROADMAP item 3: the lifted product loses the doublet's "
-           "component over a long forbidden barrier")
-
-
 @pytest.mark.parametrize("well, energies", [
     (double_well(2.0), 121), (double_well(6.0), 161),
     (double_well(10.0), 142), (double_well(16.0), 118),
     (ramped_double_well(2.0), 121), (ramped_double_well(6.0), 180),
-    pytest.param(ramped_double_well(10.0), 180, marks=_RAMPED_DROP),
-    pytest.param(ramped_double_well(16.0), 180, marks=_RAMPED_DROP)],
+    (ramped_double_well(10.0), 180), (ramped_double_well(16.0), 180)],
     ids=["2.0", "6.0", "10.0", "16.0", "ramped-2.0", "ramped-6.0",
          "ramped-10.0", "ramped-16.0"])
 def test_doublets_match_the_fd_oracle(well, energies):
@@ -60,6 +51,36 @@ def test_doublets_match_the_fd_oracle(well, energies):
     for ev, fd_e, err in zip(result.eigenvalues, fd.energies, fd.errors):
         assert abs(ev.energy - fd_e) <= err
         assert ev.width <= result.config.e_tol
+
+
+@pytest.mark.parametrize("well", [
+    ramped_double_well(6.0), ramped_double_well(10.0),
+    ramped_double_well(16.0), double_well(10.0)],
+    ids=["ramped-6.0", "ramped-10.0", "ramped-16.0", "10.0"])
+def test_gamma_near_the_doublets_does_not_depend_on_the_block(well):
+    # past a long barrier a block's product is rank one to the rounding;
+    # with each node's determinant carried exactly, Gamma on and within
+    # 1e-9 of every doublet level is the same at every tree block, from
+    # one step-energy a block (32 over these 22 energies) to the whole
+    # half, and so are the levels
+    problem = sd.problem_for(well)
+    window = [-4.0 + 1e-3, -0.1]
+    result = sd.find_eigenvalues(problem, *window)
+    levels = result.energies
+    assert levels.size == 4
+    # the window's ends first: the mesh is the solve's, built at them
+    energies = np.concatenate([window, (levels[:, None] + np.array(
+        [0.0, -1e-10, 1e-10, -1e-9, 1e-9])).ravel()])
+    gammas = []
+    for block in (32, 256, 2048, 8192, 16384):
+        with mock.patch.object(angular, "_BLOCK", block):
+            gammas.append(np.array([s.gamma for s in sd.defect_angles(
+                problem, energies)]))
+            assert np.all(np.abs(sd.find_eigenvalues(problem, *window).energies
+                                 - levels) <= result.config.e_tol)
+    for got in gammas[:-1]:
+        assert np.all(np.abs(got - gammas[-1])
+                      <= 1e-12 * np.maximum(1.0, np.abs(gammas[-1])))
 
 
 @pytest.mark.parametrize("potential", [sd.Coulomb(), sd.Yukawa(0.1)],

@@ -236,6 +236,21 @@ def test_explicit_interval_is_respected():
         (-9.0, 9.0)
 
 
+def test_an_explicit_end_inside_a_constant_tails_support_raises():
+    # at -3 the a = 4 oscillator reads V = 4.5, not its tail level 8: the
+    # left cue would start the tail there, and the levels would be off by
+    # up to 0.37.  An end on the support edge or past it solves
+    well = sd.TruncatedOscillator(1.0, 4.0)
+    with pytest.raises(IntervalSelectionError, match="left end -3.0 .* edge "
+                       "-4.0, where V = 4.5 is not the tail level 8.0"):
+        sd.find_eigenvalues(sd.problem_for(well, interval=(-3.0, 64.0)),
+                            1e-6, 7.998)
+    for interval in ((-4.0, 64.0), (-5.0, 5.0)):
+        result = sd.find_eigenvalues(sd.problem_for(well, interval=interval),
+                                     1e-6, 7.998)
+        assert [ev.n for ev in result.eigenvalues] == list(range(8))
+
+
 @pytest.mark.parametrize("problem, E_min, E_max, interval, fd_interval", [
     (sd.problem_for(sd.Coulomb()), -0.6, -0.0045,
      (0.01, 450.0000000000001), (0.0, 618.6548085423137)),
