@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cues import ConstantLevel
+from .cues import settled
 from .errors import DomainError, IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 
@@ -499,13 +499,11 @@ def _plateau_angle(q, h):
     k = sqrt(q), which never vanishes, or to (cos(k h), -k sin(k h)),
     k = sqrt(-q), whose Pruefer phase k h counts the zeros crossed
     (`_rechart` of it to alpha keeps the branch)."""
-    k = np.abs(q)
-    np.sqrt(k, out=k)
-    angle = k * h       # k h until each branch replaces it
-    up = q > 0          # each branch is evaluated where it holds only
-    angle[up] = np.arctan(k[up] * np.tanh(angle[up]))
-    down = ~up
-    angle[down] = -_rechart(angle[down], k[down])
+    k = np.sqrt(np.abs(q))
+    kh = k * h
+    up = q > 0          # the rechart reads (0, 1) there, which it keeps
+    angle = -_rechart(np.where(up, 0.0, kh), np.where(up, 1.0, k))
+    np.arctan(k * np.tanh(kh), out=angle, where=up)
     return angle
 
 
@@ -797,22 +795,6 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
                  for steps, start in zip(mesh, starts))
 
 
-def _settled(problem, interval):
-    """interval with each end that reaches past a constant tail's support
-    edge (`cues.ConstantLevel.support_edge`) moved onto that edge.
-
-    V is the tail level on the stretch cut off, so a cue or a decaying
-    direction is as exact at the edge as at the end.  An interval that
-    misses the support is returned as it is.
-    """
-    lo, hi = a, b = interval
-    if isinstance(problem.left_tail, ConstantLevel):
-        lo = max(a, problem.left_tail.support_edge(problem, "left"))
-    if isinstance(problem.right_tail, ConstantLevel):
-        hi = min(b, problem.right_tail.support_edge(problem, "right"))
-    return (lo, hi) if lo < hi else (a, b)
-
-
 def _amplitudes(potential, points, E, alpha):
     """(alpha, log rho) at energy E and the points, one row each, carried
     from (alpha, 0) over the steps between them (`_steps`).
@@ -843,9 +825,9 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
 
     The arguments are those of `integrate_angles`, for one energy.  Each
     half runs from its own cue toward c and samples the points on its side
-    (c on the left), so each carries the solution that decays away from
-    its end (`_amplitudes`): over its steps of the `pass_mesh` at E on the
-    interval settled on the support (`_settled`), c moved into it, and
+    (c on the left), so each carries the solution that decays away from its
+    end (`_amplitudes`): over its steps of the `pass_mesh` at E on the
+    interval settled on the support (`cues.settled`), c moved into it, and
     over the stretch from its end to the settled edge, where V is the
     tail's level, in one step more, so the cost does not grow with the
     length of a constant tail; each step is cut at the points it holds.
@@ -858,7 +840,7 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
     """
     potential = problem.effective_potential()
     ts = np.sort(np.asarray(t_eval, dtype=float))
-    lo, hi = _settled(problem, (a, b))
+    lo, hi = settled(problem, (a, b))
     c = min(max(c, lo), hi)
     mesh = pass_mesh(problem, E, left_start, right_start, lo, c, hi, config)
     ends, samples = [], []

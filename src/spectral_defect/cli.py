@@ -371,12 +371,18 @@ def _cmd_verify(run):
                      f"finite-difference {len(fd_levels)}")
         status = 1
     bound = max(_TRANSFER_BOUND, 10.0 * run.config.e_tol)
+    problem = result.problem
+    skipped = SpectralDefectError(
+        "transfer-matrix check skipped (needs constant tails)")
     try:
+        cues.constant_levels(problem.left_tail, problem.right_tail, skipped)
         brackets = _transfer_brackets(
-            result.problem, [ev.energy for ev in result.eigenvalues], bound,
+            problem, [ev.energy for ev in result.eigenvalues], bound,
             run.config)
-    except SpectralDefectError:
-        lines.append("transfer-matrix check skipped (needs constant tails)")
+    except SpectralDefectError as exc:
+        lines.append(str(exc) if exc is skipped else "transfer-matrix check "
+                     f"failed: {type(exc).__name__}: {exc}")
+        status |= exc is not skipped
     else:
         for ev, (d, lo, hi) in zip(result.eigenvalues, brackets):
             lines.append(f"transfer mismatch at n={ev.n} on E -+ {d:g}: "

@@ -9,9 +9,9 @@ boundary angle fed to the angular integration.
 The tail classes live here, one per asymptotic shape of a boundary: a
 constant level, an oscillator tail, a Coulomb tail and the 0+ singularities
 of the Coulomb and Yukawa wells.  Each knows its energy threshold, its cue
-series, the boundary angle and residual built from it, how it bounds and
-pads its side of the working interval and whether it puts a problem on the
-half line.  A family picks its tails by their parameters: the quark
+series, the boundary angle and residual built from it, how it bounds, pads
+and settles its side of the working interval and whether it puts a problem
+on the half line.  A family picks its tails by their parameters: the quark
 hybrid's are the oscillator tail with a unit charge and the Coulomb 0+
 singularity with its omega, and the Yukawa far tail is a Coulomb tail of
 zero charge.  `potentials` imports this module, so problems and potentials
@@ -195,6 +195,26 @@ class ConstantLevel:
         """t moved 16 decay lengths outward, deep into the decay zone."""
         return _decay_padded(t, side, self.level - E, config)
 
+    def settle(self, problem, side, end):
+        """end, or the edge if it reaches past it.  An end inside the edge
+        is kept only on a flat stretch at the level: no breakpoint between
+        them, and V the level at the end and halfway to the edge."""
+        edge = self.support_edge(problem, side)
+        out = -1.0 if side == "left" else 1.0
+        if out * (end - edge) >= 0:
+            return edge
+        where = f"the {side} end {end} lies inside the support edge {edge}"
+        for t in sorted(problem.potential.breakpoints(), reverse=out < 0):
+            if out * (t - end) > 0 > out * (t - edge):
+                raise IntervalSelectionError(
+                    f"{where}, with the breakpoint {t} in between")
+        mid = 0.5 * (end + edge)
+        for v in problem.effective_potential().evaluate(np.array([end, mid])):
+            if v != self.level:
+                raise IntervalSelectionError(f"{where}, where V = {v} is not "
+                                             f"the tail level {self.level}")
+        return end
+
     def boundary_angle(self, E, t, side):
         E = np.asarray(E, dtype=float)
         above = _first_not_below(E, self.level)
@@ -244,6 +264,10 @@ class _SeriesTail:
         if math.isinf(self.threshold):
             return 1.3 * t
         return _decay_padded(t, side, self.threshold - E, config)
+
+    def settle(self, problem, side, end):
+        """end as given: a series tail has no support edge to settle on."""
+        return end
 
     def boundary_angle(self, E, t, side):
         series = tail_cue_series(self, np.asarray(E, dtype=float))
@@ -382,6 +406,13 @@ def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
             and isinstance(right, ConstantLevel)):
         raise error
     return left.level, right.level
+
+
+def settled(problem, interval):
+    """interval, its ends settled (`settle`) unless they cross on flat V."""
+    lo = problem.left_tail.settle(problem, "left", interval[0])
+    hi = problem.right_tail.settle(problem, "right", interval[1])
+    return (lo, hi) if lo < hi else interval
 
 
 def _first_not_below(E, level):

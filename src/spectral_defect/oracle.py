@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import cues
-from .angular import _integrate_vector, _settled
+from .angular import _integrate_vector
 from .errors import DomainError, ThresholdError
 from .potentials import ProblemSpec
 from .spectrum import SolveConfig, _matching_point, auto_interval
@@ -65,11 +65,9 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     (1, k_L) decays to the left of a and e- = (1, -k_R) to the right of b,
     so the mismatch is zero exactly at eigenvalues.  Each direction is
     carried only toward the well, not across the far tail, where it would
-    turn onto the growing direction whatever E is; an end that reaches
-    past the support starts at its edge (`_settled`), so the cost does not
-    grow with the length of a constant tail.  With no problem interval the
-    ends are the support edges themselves (`cues.ConstantLevel.
-    support_edge`: +-1 about the step with fewer than two breakpoints).
+    turn onto the growing direction whatever E is.  The ends are the
+    problem interval's (or +-inf) settled on the support (`cues.settled`),
+    so the cost does not grow with the length of a constant tail.
     """
     energies = np.asarray(E, dtype=float)
     if not np.all(np.isfinite(energies)):
@@ -81,7 +79,7 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     if not (np.all(energies < left) and np.all(energies < right)):
         raise ThresholdError("E must lie below both tail levels")
     config = config or SolveConfig()
-    a, b = _settled(problem, problem.interval or (-math.inf, math.inf))
+    a, b = cues.settled(problem, problem.interval or (-math.inf, math.inf))
     c = _matching_point(problem, (a, b))
     potential = problem.effective_potential()
     e = energies.ravel()
@@ -206,10 +204,10 @@ def fd_interval(problem: ProblemSpec, E: float,
 
     The Dirichlet walls then sit deep in the decay zone of a level at E
     and of every level below it.  An end that reaches past a constant
-    tail's support edge is padded from that edge (`_settled`), so a long
-    explicit interval does not coarsen the grid.
+    tail's support edge is padded from that edge (`cues.settled`), so a
+    long explicit interval does not coarsen the grid.
     """
     config = config or SolveConfig()
-    a, b = _settled(problem, auto_interval(problem, E - 1e-9, E, config))
+    a, b = cues.settled(problem, auto_interval(problem, E - 1e-9, E, config))
     return (problem.left_tail.fd_edge(a, "left", E, config),
             problem.right_tail.fd_edge(b, "right", E, config))

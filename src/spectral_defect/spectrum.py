@@ -33,9 +33,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cues
-from .angular import (_chart_fun, _integrate_vector, _rechart, _settled,
-                      _span_points, integrate_angle_sampled, integrate_angles,
-                      pass_mesh)
+from .angular import (_chart_fun, _integrate_vector, _rechart, _span_points,
+                      integrate_angle_sampled, integrate_angles, pass_mesh)
 from .errors import (DomainError, IntegrationError, IntervalSelectionError,
                      MonotonicityError, ThresholdError)
 from .potentials import ProblemSpec
@@ -141,26 +140,10 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     support edge, series tails by geometric growth from a family seed until
     the cue residual passes at both energy extremes, and 0+ singularities
     by shrinking toward the singularity, floored at 1e-4.  An explicit
-    interval is kept, but an end strictly inside a constant tail's support
-    edge where V is not the tail level raises: its cue would start the
-    tail where the potential has not settled to it.
+    interval is kept once its ends pass `cues.settled`.
     """
     if problem.interval is not None:
-        potential = problem.effective_potential()
-        for end, side, tail, inside in zip(
-                problem.interval, ("left", "right"),
-                (problem.left_tail, problem.right_tail), (1.0, -1.0)):
-            if not isinstance(tail, cues.ConstantLevel):
-                continue
-            edge = tail.support_edge(problem, side)
-            if inside * (end - edge) <= 0:
-                continue
-            v = float(potential.evaluate(np.array([end]))[0])
-            if v != tail.level:
-                raise IntervalSelectionError(
-                    f"the {side} end {end} lies inside the support edge "
-                    f"{edge}, where V = {v} is not the tail level "
-                    f"{tail.level}")
+        cues.settled(problem, problem.interval)
         return problem.interval
     if not E_max < problem.threshold():
         raise ThresholdError(
@@ -179,7 +162,7 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
 
 def _matching_point(problem: ProblemSpec, interval) -> float:
     """c: the first minimum of V_eff on 4001 points spanning [a, b], its
-    ends settled on the support (`angular._settled`).
+    ends settled on the support (`cues.settled`).
 
     The points are geometric on the half line and uniform on the whole
     line.  c depends on the problem and interval alone, and not on the
@@ -188,7 +171,7 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
     where the flow pulls them onto the decaying directions, so Gamma is
     smooth in E there.
     """
-    grid = _span_points(problem, *_settled(problem, interval), _MATCH_GRID)
+    grid = _span_points(problem, *cues.settled(problem, interval), _MATCH_GRID)
     v = problem.effective_potential().evaluate(grid)
     return float(grid[np.argmin(v)])
 

@@ -14,8 +14,8 @@ from scipy.linalg import expm
 from spectral_defect.angular import (_GAUSS, _carry, _chart_fun, _compose,
                                      _cuts, _inside, _integrate_vector,
                                      _leaves, _lift, _magnus, _omega,
-                                     _product, _rechart, _settled,
-                                     _span_steps, _steps,
+                                     _product, _rechart, _span_steps,
+                                     _steps,
                                      integrate_angle_sampled,
                                      integrate_angles, pass_mesh)
 from spectral_defect.errors import DomainError
@@ -229,7 +229,7 @@ def test_a_solve_reads_v_at_a_breakpoint_only_to_find_c(
     # closed-form piece on STEPS, a Magnus step across the kinks at +-2 of
     # the oscillator) stays off the breakpoints
     problem = sd.problem_for(well, interval=interval)
-    grid = np.linspace(*_settled(problem, interval), spectrum._MATCH_GRID)
+    grid = np.linspace(*cues.settled(problem, interval), spectrum._MATCH_GRID)
     calls = []
     evaluate = type(well).evaluate
 

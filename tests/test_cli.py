@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import spectral_defect as sd
 from spectral_defect import angular, cli, oracle
-from spectral_defect.errors import ConfigError
+from spectral_defect.errors import ConfigError, IntegrationError
 
 
 OSC_CONFIG = """
@@ -25,6 +25,9 @@ cutoff = 2
 emin = 1e-6
 emax = 1.998
 """
+
+OSC4_CONFIG = OSC_CONFIG.replace("cutoff = 2", "cutoff = 4").replace(
+    "emax = 1.998", "emax = 7.998")
 
 COULOMB_CONFIG = """
 [potential]
@@ -297,6 +300,23 @@ def test_verify_coulomb_skips_the_transfer_check(tmp_path, capsys):
     assert "transfer mismatch" not in out
 
 
+def test_verify_fails_when_the_transfer_oracle_fails(tmp_path, capsys,
+                                                    monkeypatch):
+    # only tails that are not both constant skip the transfer check
+    def failing(*args, **kwargs):
+        raise IntegrationError("the step size underflowed")
+
+    monkeypatch.setattr(cli.oracle, "transfer_mismatch", failing)
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC4_CONFIG)
+    assert cli.main(["verify", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out
+    assert [line for line in out.splitlines() if "transfer" in line] == [
+        "transfer-matrix check failed: IntegrationError: the step size "
+        "underflowed"]
+
+
 def _verify_rows(out):
     """(n, diff, fd_err) of each level row of the verify table."""
     rows = [line.split() for line in out.splitlines()[1:]]
@@ -393,8 +413,7 @@ def test_verify_gates_the_transfer_mismatch(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(cli.spectrum, "find_eigenvalues", patched)
     cfg = tmp_path / "osc.ini"
-    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
-                   .replace("emax = 1.998", "emax = 7.998"))
+    cfg.write_text(OSC4_CONFIG)
     assert cli.main(["verify", str(cfg)]) == code
     out = capsys.readouterr().out
     assert "disagrees" not in out
@@ -431,8 +450,7 @@ def test_verify_makes_two_solve_ivp_calls(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(angular, "solve_ivp", counting)
     cfg = tmp_path / "osc.ini"
-    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
-                   .replace("emax = 1.998", "emax = 7.998"))
+    cfg.write_text(OSC4_CONFIG)
     assert cli.main(["verify", str(cfg)]) == 0
     assert "transfer mismatch at n=7" in capsys.readouterr().out
     assert len(calls) == 2
@@ -493,8 +511,7 @@ def test_verify_pads_the_fd_walls_at_the_top_level(tmp_path, capsys):
     # the ceiling sits 2e-3 under the tail level 8; walls padded there
     # stood at +-257 and gave fd_err 3.1e-5 at n = 0
     cfg = tmp_path / "osc.ini"
-    cfg.write_text(OSC_CONFIG.replace("cutoff = 2", "cutoff = 4")
-                   .replace("emax = 1.998", "emax = 7.998"))
+    cfg.write_text(OSC4_CONFIG)
     assert cli.main(["verify", str(cfg)]) == 0
     rows = _verify_rows(capsys.readouterr().out)
     assert [n for n, _, _ in rows] == list(range(8))
@@ -667,15 +684,17 @@ _ONE_LINE_FAILURES = [
      "solve {cfg}", 1),
     ("[potential]\nfamily = square_well\ndepth = -2\nleft = -1e300\n"
      "right = 1e300\n[solve]\nemin = -1.9\nemax = -0.1\n", "solve {cfg}", 1),
-    # an fd grid step whose square overflows (an interval wholly past the
-    # well keeps its ends), and mesh steps whose Omega does (Gamma would be
-    # nan)
+    # intervals wholly past the well: a left end beyond the breakpoint 1
+    # (or 2) the left cue would skip
     (WELL_CONFIG, "verify {cfg} --interval 1e299 1e300", 1),
     (OSC_CONFIG, "solve {cfg} --interval 2 1e300", 1),
-    # an end inside the a = 4 oscillator's support, where V is not the
-    # tail level its cue assumes
-    (OSC_CONFIG.replace("cutoff = 2", "cutoff = 4").replace(
-        "emax = 1.998", "emax = 7.998"), "solve {cfg} --interval -3 64", 1),
+    # on the a = 4 oscillator: an end inside the support, where V is not
+    # the tail level its cue assumes, and an interval that misses the well
+    # though V is the level at both its ends
+    (OSC4_CONFIG, "solve {cfg} --interval -3 64", 1),
+    (OSC4_CONFIG, "solve {cfg} --interval -100 -50", 1),
+    (OSC4_CONFIG + "ceiling = 7.998\n", "count {cfg} --interval -100 -50",
+     1),
 ]
 
 

@@ -223,3 +223,10 @@ def test_fd_rejects_tiny_grid():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     with pytest.raises(DomainError):
         oracle.fd_eigenvalues(problem, -0.1, grid_size=16)
+
+
+def test_fd_walls_whose_grid_step_squares_to_infinity_raise():
+    # explicit walls are taken as given: (1e300 - 1e299) / 4097 ~ 2e296
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    with pytest.raises(DomainError, match="has no finite nonzero square"):
+        oracle.fd_eigenvalues(problem, -0.1, interval=(1e299, 1e300))

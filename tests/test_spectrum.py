@@ -251,6 +251,100 @@ def test_an_explicit_end_inside_a_constant_tails_support_raises():
         assert [ev.n for ev in result.eigenvalues] == list(range(8))
 
 
+OSC4 = sd.TruncatedOscillator(1.0, 4.0)
+_ENTRY_POINTS = {
+    "solve": lambda p: sd.find_eigenvalues(p, 1e-6, 7.998),
+    "count": lambda p: sd.count_levels(p, 7.998),
+    "defect_angles": lambda p: sd.defect_angles(sd.problem_for(OSC4), [7.9],
+                                                interval=p.interval),
+    "eigenfunction": lambda p: sd.reconstruct_eigenfunction(
+        p, 0.5, np.linspace(*p.interval, 9)),
+    "transfer": lambda p: oracle.transfer_mismatch(p, 0.5),
+    "fd": lambda p: oracle.fd_eigenvalues(p, 7.998),
+}
+
+
+@pytest.mark.parametrize("interval", [(-3.0, 64.0), (-100.0, -50.0)],
+                         ids=["inside", "off-support"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_an_end_no_cue_starts_from(entry,
+                                                             interval):
+    # V(-3) = 4.5 is not the level 8; (-100, -50) misses the well, though
+    # V(-50) is the level, as the breakpoint -4 lies between -50 and the
+    # right edge 4
+    with pytest.raises(IntervalSelectionError,
+                       match="V = 4.5 is not|breakpoint -4.0 in between"):
+        _ENTRY_POINTS[entry](sd.problem_for(OSC4, interval=interval))
+
+
+def test_an_end_on_a_flat_stretch_at_the_tail_level_solves():
+    well = sd.PiecewiseConstant((-3.0, -1.0, 1.0, 3.0),
+                                (0.0, 0.0, -2.0, 0.0, 0.0))
+    auto = sd.find_eigenvalues(sd.problem_for(well), -1.99, -0.01).energies
+    flat = sd.find_eigenvalues(sd.problem_for(well, interval=(-2.0, 2.0)),
+                               -1.99, -0.01).energies
+    assert np.allclose(auto, [-1.469687466, -0.203550742], rtol=0.0,
+                       atol=1e-9)
+    assert np.allclose(flat, auto, rtol=0.0, atol=1e-9)
+
+
+def test_settled_ends_that_cross_on_flat_v_keep_the_interval():
+    # with no breakpoint the support edges fall back to +-1: the left end 5
+    # is kept on the flat stretch and the right end 10 would move onto 1
+    problem = sd.problem_for(sd.PiecewiseConstant((), (0.0,)),
+                             interval=(5.0, 10.0))
+    assert cues.settled(problem, problem.interval) == (5.0, 10.0)
+    assert not sd.find_eigenvalues(problem, -0.9, -0.05).eigenvalues
+
+
+@pytest.mark.parametrize("interval, levels", [
+    ((-4.0, 64.0), [0.49999999178787924, 1.4999997004896055,
+                    2.4999947649610563, 3.499941586291944, 4.499530286005061,
+                    5.49706782670118, 6.484828917334264, 7.428251816286261]),
+    ((-5.0, 5.0), [0.4999999917878792, 1.4999997004896057, 2.4999947649610554,
+                   3.4999415862919454, 4.499530286005063, 5.497067826701176,
+                   6.484828917334264, 7.428251816286259]),
+    ((-10.0, 10.0), [0.49999999178787924, 1.4999997004896057,
+                     2.4999947649610563, 3.4999415862919454,
+                     4.499530286005063, 5.497067826701176, 6.484828917359263,
+                     7.428251816286259])])
+def test_an_interval_covering_the_support_keeps_its_levels_bit_for_bit(
+        interval, levels):
+    # the passes run on the interval as given; settling only checks it
+    result = sd.find_eigenvalues(sd.problem_for(OSC4, interval=interval),
+                                 1e-6, 7.998)
+    assert result.energies.tolist() == levels
+
+
+@st.composite
+def flat_edged_wells(draw):
+    """Piecewise-constant wells between zero tails whose outer pieces may
+    sit at the tail level, edges on a quarter lattice."""
+    n = draw(st.integers(2, 4))
+    edges = draw(st.lists(st.integers(-12, 12), min_size=n + 1,
+                          max_size=n + 1, unique=True))
+    values = draw(st.lists(st.sampled_from([0.0, -1.0, -2.5]), min_size=n,
+                           max_size=n))
+    return sd.PiecewiseConstant(tuple(e / 4.0 for e in sorted(edges)),
+                                (0.0, *values, 0.0))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(well=flat_edged_wells(), ends=st.lists(st.integers(-16, 16),
+                                               min_size=2, max_size=2,
+                                               unique=True))
+def test_an_explicit_interval_raises_or_keeps_the_auto_levels(well, ends):
+    a, b = sorted(e / 4.0 for e in ends)
+    auto = sd.find_eigenvalues(sd.problem_for(well), -2.49, -0.05).energies
+    try:
+        given_ = sd.find_eigenvalues(sd.problem_for(well, interval=(a, b)),
+                                     -2.49, -0.05).energies
+    except IntervalSelectionError:
+        return
+    assert len(given_) == len(auto)
+    assert np.allclose(given_, auto, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("problem, E_min, E_max, interval, fd_interval", [
     (sd.problem_for(sd.Coulomb()), -0.6, -0.0045,
      (0.01, 450.0000000000001), (0.0, 618.6548085423137)),
