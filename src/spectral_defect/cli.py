@@ -22,8 +22,6 @@ from .potentials import (Coulomb, HybridOscillator, PiecewiseConstant,
                          ProblemSpec, QuarkHybrid, Shifted, SquareWell,
                          Tabulated, TruncatedOscillator, Yukawa)
 
-_FAMILIES = ("truncated_oscillator", "hybrid_oscillator", "square_well",
-             "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated")
 _SECTIONS = ("potential", "domain", "tolerances", "solve")
 # the command-line flags that override [tolerances] keys of the same name
 _TOLERANCE_FLAGS = ("e_tol", "rel_tol", "residual_tol")
@@ -111,43 +109,42 @@ def _integer(minimum):
     return cast
 
 
-def _build_potential(section):
-    family = _get(section, "family", str, required=True)
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown potential family {family!r}; choose one "
-                          f"of {', '.join(_FAMILIES)}", key="family")
-    if family == "truncated_oscillator":
-        return TruncatedOscillator(
-            omega=_get(section, "omega", _number, required=True),
-            cutoff_a=_get(section, "cutoff", _number, required=True))
-    if family == "hybrid_oscillator":
-        return HybridOscillator(
-            omega_left=_get(section, "omega_left", _number, required=True),
-            omega_right=_get(section, "omega_right", _number, required=True))
-    if family == "square_well":
-        return SquareWell(depth=_get(section, "depth", _number, required=True),
-                          left=_get(section, "left", _number, required=True),
-                          right=_get(section, "right", _number, required=True))
-    if family == "piecewise":
-        return PiecewiseConstant(
-            breakpoints_=_get(section, "breakpoints", _number_list,
-                              required=True),
-            values=_get(section, "values", _number_list, required=True))
-    if family == "coulomb":
-        return Coulomb(charge=_get(section, "charge", _number, default=1.0))
-    if family == "yukawa":
-        return Yukawa(screening_lambda=_get(section, "lambda", _number,
-                                            required=True))
-    if family == "quark_hybrid":
-        return QuarkHybrid(omega=_get(section, "omega", _number,
-                                      required=True))
-    if family == "tabulated":
-        path = _get(section, "file", str, required=True)
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        if data.shape[1] != 2 or not np.all(np.isfinite(data)):
-            raise ConfigError(f"tabulated file {path!r} needs two columns "
-                              "of finite numbers, t and V", key="file")
-        return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
+def _required(section, key, cast=_number):
+    return _get(section, key, cast, required=True)
+
+
+def _given(section, keys):
+    """The keys present in the section as numbers; the rest keep defaults."""
+    return {key: _get(section, key, _number) for key in keys if key in section}
+
+
+def _tabulated(section):
+    path = _required(section, "file", str)
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 2 or not np.all(np.isfinite(data)):
+        raise ConfigError(f"tabulated file {path!r} needs two columns "
+                          "of finite numbers, t and V", key="file")
+    return Tabulated(ts=tuple(data[:, 0]), vs=tuple(data[:, 1]))
+
+
+# each family's builder from its [potential] section
+_FAMILIES = {
+    "truncated_oscillator": lambda s: TruncatedOscillator(
+        omega=_required(s, "omega"), cutoff_a=_required(s, "cutoff")),
+    "hybrid_oscillator": lambda s: HybridOscillator(
+        omega_left=_required(s, "omega_left"),
+        omega_right=_required(s, "omega_right")),
+    "square_well": lambda s: SquareWell(
+        depth=_required(s, "depth"), left=_required(s, "left"),
+        right=_required(s, "right")),
+    "piecewise": lambda s: PiecewiseConstant(
+        breakpoints_=_required(s, "breakpoints", _number_list),
+        values=_required(s, "values", _number_list)),
+    "coulomb": lambda s: Coulomb(**_given(s, ("charge",))),
+    "yukawa": lambda s: Yukawa(screening_lambda=_required(s, "lambda")),
+    "quark_hybrid": lambda s: QuarkHybrid(omega=_required(s, "omega")),
+    "tabulated": _tabulated,
+}
 
 
 # [tolerances] keys, each a SolveConfig field of the same name
@@ -186,15 +183,18 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 def _build_run(parser):
     sections = [_Section(parser, name) for name in _SECTIONS]
     pot_section, domain, tol, solve = sections
+    family = _required(pot_section, "family", str)
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown potential family {family!r}; choose one "
+                          f"of {', '.join(_FAMILIES)}", key="family")
     with pot_section:
-        potential = _build_potential(pot_section)
+        potential = _FAMILIES[family](pot_section)
 
     kind = _get(domain, "kind", str.lower, default="wholeline")
     if kind not in ("wholeline", "halfline"):
         raise ConfigError(f"unknown domain kind {kind!r}", key="kind")
     # ProblemSpec checks l and that the family belongs on the chosen line
-    l = _get(domain, "l", _number, required=True) if kind == "halfline" \
-        else None
+    l = _required(domain, "l") if kind == "halfline" else None
 
     a, b = _get(domain, "a", _number), _get(domain, "b", _number)
     interval = None
@@ -217,9 +217,7 @@ def _build_run(parser):
         problem = replace(problem, potential=Shifted(potential, -level))
 
     with tol:
-        # keys left out keep the SolveConfig defaults
-        solve_config = spectrum.SolveConfig(**{
-            key: _get(tol, key, _number) for key in _SOLVE_KEYS if key in tol})
+        solve_config = spectrum.SolveConfig(**_given(tol, _SOLVE_KEYS))
     params = {key: _get(solve, key, cast)
               for key, cast in _SOLVE_PARAMS.items() if key in solve}
     for section in sections:

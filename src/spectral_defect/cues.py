@@ -9,13 +9,13 @@ boundary angle fed to the angular integration.
 The tail classes live here, one per asymptotic shape of a boundary: a
 constant level, an oscillator tail, a Coulomb tail and the 0+ singularities
 of the Coulomb and Yukawa wells.  Each knows its energy threshold, its cue
-series, the boundary angle and residual built from it, how it bounds, pads
-and settles its side of the working interval and whether it puts a problem
-on the half line.  A family picks its tails by their parameters: the quark
-hybrid's are the oscillator tail with a unit charge and the Coulomb 0+
-singularity with its omega, and the Yukawa far tail is a Coulomb tail of
-zero charge.  `potentials` imports this module, so problems and potentials
-are duck-typed here.
+series and the boundary angle built from it, how it bounds, pads, settles
+and admits its side of the working interval and whether it puts a problem on
+the half line.  A family picks its tails by their parameters: a Coulomb well
+with an oscillator term, the quark hybrid among them, has the oscillator
+tail with its charge and the Coulomb 0+ singularity with its omega, and the
+Yukawa far tail is a Coulomb tail of zero charge.  `potentials` imports this
+module, so problems and potentials are duck-typed here.
 """
 
 import math
@@ -141,12 +141,13 @@ def _inverse_power_series(k, d, n_terms, first=None):
     return a[1:]
 
 
-def _pole_leading_series(l, c, n_terms):
+def _pole_cue(l, c, n_terms):
+    """The cue f = (l + 1)/t + series in t at a 0+ singularity."""
     a = np.zeros((n_terms,) + np.broadcast(*c.values()).shape)
     for s in range(n_terms):
         quad = _ordered_sum(a[:s] * a[s - 1::-1]) if s else 0.0
         a[s] = (c.get(s - 1, 0.0) - quad) / (s + 2 * l + 2)
-    return a
+    return CueSeries(l + 1.0, -1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,10 @@ class ConstantLevel:
                                              f"the tail level {self.level}")
         return end
 
+    def admit(self, problem, side, end, E_lo, E_hi, config):
+        """Raise unless the explicit end is valid: `settle` decides."""
+        self.settle(problem, side, end)
+
     def boundary_angle(self, E, t, side):
         E = np.asarray(E, dtype=float)
         above = _first_not_below(E, self.level)
@@ -223,12 +228,6 @@ class ConstantLevel:
                 f"E = {above} not below {side} level {self.level}")
         angle = np.arctan(np.sqrt(2.0 * (self.level - E)))
         return _scalar_or_array(angle if side == "left" else -angle)
-
-    def residual(self, problem, E, t):
-        v = problem.effective_potential().evaluate(t)
-        k2 = 2.0 * (self.level - E)
-        # constant-tail cue is exact only where V has settled to the level
-        return abs(2.0 * (v - E) - k2)
 
 
 class _SeriesTail:
@@ -269,22 +268,26 @@ class _SeriesTail:
         """end as given: a series tail has no support edge to settle on."""
         return end
 
+    def admit(self, problem, side, end, E_lo, E_hi, config):
+        """Raise unless the explicit end passes `bound`'s cue-residual gate
+        at E_lo and E_hi (its clearance test is for a chosen end only)."""
+        failure = _tail_failure(problem, side, end, E_lo, E_hi, config, False)
+        if failure is not None:
+            raise IntervalSelectionError(
+                f"the {side} end {end} fails the cue gate (residual_tol = "
+                f"{config.residual_tol}): {failure}")
+
     def boundary_angle(self, E, t, side):
         series = tail_cue_series(self, np.asarray(E, dtype=float))
         return _scalar_or_array(np.arctan(series.evaluate(t)))
-
-    def residual(self, problem, E, t):
-        series = tail_cue_series(self, E)
-        return verify_cue_residual(series, problem.potential, problem.l or 0,
-                                   E, t)
 
 
 @dataclass(frozen=True)
 class OscillatorTail(_SeriesTail):
     """V ~ -charge/t + omega^2 t^2 / 2 as |t| grows, angular momentum l.
 
-    At charge 0 and l = 0 it is the pure harmonic tail; the quark hybrid's
-    far tail has charge 1.
+    At charge 0 and l = 0 it is the pure harmonic tail; a Coulomb well with
+    an oscillator term has its charge here.
     """
 
     omega: float
@@ -365,8 +368,8 @@ class _ZeroSingularity(_SeriesTail):
 
 @dataclass(frozen=True)
 class CoulombZeroSingularity(_ZeroSingularity):
-    """Left boundary at the 0+ singularity of V = -charge/t + omega^2 t^2/2:
-    the Coulomb well at omega 0, the quark hybrid well at charge 1."""
+    """Left boundary at the 0+ singularity of V = -charge/t + omega^2 t^2/2,
+    the Coulomb well with its oscillator term (the quark hybrid's)."""
 
     l: int
     charge: float = 1.0
@@ -421,10 +424,6 @@ def _first_not_below(E, level):
     return float(above.flat[0]) if above.size else None
 
 
-def _pole_cue(l, c, n_terms):
-    return CueSeries(l + 1.0, -1, _pole_leading_series(l, c, n_terms))
-
-
 # ---------------------------------------------------------------------------
 # Boundary angles and residuals used by the spectrum module
 # ---------------------------------------------------------------------------
@@ -462,10 +461,12 @@ def right_boundary_angle(problem, energies, b: float):
 
 
 def boundary_residual(problem, E, t: float, side: str):
-    """Cue residual at a candidate boundary, a float for one energy and an
-    array for an array of energies; 0 for exact constant tails."""
+    """Cue residual of a series tail at a candidate boundary, a float for
+    one energy and an array for an array of energies (a constant tail's cue
+    is exact, and its `settle` decides where V has reached the level)."""
     tail = problem.left_tail if side == "left" else problem.right_tail
-    return tail.residual(problem, E, t)
+    return verify_cue_residual(tail_cue_series(tail, E), problem.potential,
+                               problem.l or 0, E, t)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +478,22 @@ def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
 
     t passes when the cue residual is within tolerance at both energy
     extremes, taken in one batch (one cue series for both), and, with
-    check_clearance, V_eff(t) clears E_hi by kappa.
+    check_clearance, V_eff(t) clears E_hi by kappa.  A series that cannot
+    be built or overflows at t (near 0 or infinity) fails too; an energy
+    above the threshold raises (`bound` checks it before any t).
     """
-    residuals = boundary_residual(problem, np.array([E_lo, E_hi]), t, side)
-    for E, residual in zip((E_lo, E_hi), residuals):
-        if residual > config.residual_tol:
-            return f"cue residual {residual:.3e} at E = {E}"
-    if check_clearance:
-        clearance = problem.effective_potential().evaluate(t) - E_hi
-        if not clearance >= config.kappa:
-            return f"V - E_max = {clearance:.3e} is below kappa"
+    try:
+        residuals = boundary_residual(problem, np.array([E_lo, E_hi]), t,
+                                      side)
+        for E, residual in zip((E_lo, E_hi), residuals):
+            if not residual <= config.residual_tol:     # nan fails too
+                return f"cue residual {residual:.3e} at E = {E}"
+        if check_clearance:
+            clearance = problem.effective_potential().evaluate(t) - E_hi
+            if not clearance >= config.kappa:
+                return f"V - E_max = {clearance:.3e} is below kappa"
+    except (DomainError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return None
 
 
@@ -495,11 +502,8 @@ def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
     """Grow a candidate boundary geometrically until the gates pass."""
     t = seed
     for _ in range(200):
-        try:
-            failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
-                                    check_clearance)
-        except (DomainError, ThresholdError, OverflowError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
+        failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
+                                check_clearance)
         if failure is None:
             return t
         last_t, t = t, grow(t)

@@ -4,10 +4,10 @@ All quantities are dimensionless with hbar = m = 1.  Potentials evaluate on
 scalars or numpy arrays; instances are immutable and safe to share between
 workers.  Each family names its own boundary behaviour through tails(l):
 one tail class per asymptotic shape, with the family's parameters (the
-Yukawa far tail is a Coulomb tail of zero charge, the quark hybrid's tails
-are the oscillator tail and the Coulomb 0+ singularity with a unit charge
-and its omega).  The tail classes live in `cues` and are re-exported
-here.
+Yukawa far tail is a Coulomb tail of zero charge, and a Coulomb well with
+an oscillator term, the quark hybrid among them, has the oscillator far
+tail with its charge).  The tail classes live in `cues` and are
+re-exported here.
 """
 
 import math
@@ -138,23 +138,35 @@ def SquareWell(depth: float, left: float, right: float) -> PiecewiseConstant:
 
 @dataclass(frozen=True)
 class Coulomb:
-    """Attractive Coulomb well V(t) = -charge / t on the half line."""
+    """Attractive Coulomb well on the half line, with an optional confining
+    oscillator term: V(t) = -charge / t + omega^2 t^2 / 2, omega >= 0."""
 
     charge: float = 1.0
+    omega: float = 0.0
 
     def __post_init__(self):
         _check_positive("charge", self.charge)
+        if not self.omega >= 0:
+            raise ValueError(f"omega must be non-negative, got {self.omega!r}")
 
     def breakpoints(self):
         return ()
 
     def evaluate(self, t):
         _require_half_line(t)
-        return -self.charge / t
+        return -self.charge / t + 0.5 * self.omega**2 * t * t
 
     def tails(self, l):
-        return (CoulombZeroSingularity(l, self.charge),
-                CoulombTail(l, self.charge))
+        far = (OscillatorTail(self.omega, l, self.charge) if self.omega > 0
+               else CoulombTail(l, self.charge))
+        return CoulombZeroSingularity(l, self.charge, self.omega), far
+
+
+def QuarkHybrid(omega: float) -> Coulomb:
+    """The quark hybrid well -1/t + omega^2 t^2 / 2, omega > 0: a unit
+    Coulomb charge confined by an oscillator term."""
+    _check_positive("omega", omega)
+    return Coulomb(1.0, omega)
 
 
 @dataclass(frozen=True)
@@ -177,27 +189,6 @@ class Yukawa:
         # the screened charge leaves a pure centrifugal far tail
         return (YukawaZeroSingularity(l, self.screening_lambda),
                 CoulombTail(l, 0.0))
-
-
-@dataclass(frozen=True)
-class QuarkHybrid:
-    """Coulomb attraction plus a weak confining oscillator term."""
-
-    omega: float
-
-    def __post_init__(self):
-        _check_positive("omega", self.omega)
-
-    def breakpoints(self):
-        return ()
-
-    def evaluate(self, t):
-        _require_half_line(t)
-        return -1.0 / t + 0.5 * self.omega**2 * t * t
-
-    def tails(self, l):
-        return (CoulombZeroSingularity(l, 1.0, self.omega),
-                OscillatorTail(self.omega, l, 1.0))
 
 
 @dataclass(frozen=True)
@@ -281,7 +272,7 @@ class Shifted:
 
 PotentialSpec = Union[
     TruncatedOscillator, HybridOscillator, PiecewiseConstant, Coulomb,
-    Yukawa, QuarkHybrid, Tabulated, EffectiveRadial, Shifted,
+    Yukawa, Tabulated, EffectiveRadial, Shifted,
 ]
 
 
@@ -289,7 +280,8 @@ _NO_ZERO_CUE = "half-line problems need a 0+ singularity cue on the left"
 
 
 def _require_half_line(t):
-    # the integrator passes float t; np.any costs as much as the RHS itself
+    # the cue gates read V at one float t, where np.any would cost more
+    # than V; the pass meshes read it on arrays
     if t <= 0 if isinstance(t, float) else np.any(np.asarray(t) <= 0):
         raise DomainError("half-line potential evaluated at t <= 0")
 

@@ -140,11 +140,15 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     support edge, series tails by geometric growth from a family seed until
     the cue residual passes at both energy extremes, and 0+ singularities
     by shrinking toward the singularity, floored at 1e-4.  An explicit
-    interval is kept once its ends pass `cues.settled`.
+    interval is kept once each end passes its tail's `admit`: a constant
+    tail's end must settle, a series tail's pass the cue-residual gate at
+    E_min and E_max.
     """
     if problem.interval is not None:
-        cues.settled(problem, problem.interval)
-        return problem.interval
+        a, b = problem.interval
+        problem.left_tail.admit(problem, "left", a, E_min, E_max, config)
+        problem.right_tail.admit(problem, "right", b, E_min, E_max, config)
+        return a, b
     if not E_max < problem.threshold():
         raise ThresholdError(
             f"E_max = {E_max} is not below the tail threshold "

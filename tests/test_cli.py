@@ -85,6 +85,11 @@ def test_unknown_family_rejected():
     with pytest.raises(ConfigError) as err:
         cli.parse_config("[potential]\nfamily = morse\n")
     assert "morse" in str(err.value)
+    # the message lists every family, in the order of the builders' dict
+    names = ["truncated_oscillator", "hybrid_oscillator", "square_well",
+             "piecewise", "coulomb", "yukawa", "quark_hybrid", "tabulated"]
+    assert list(cli._FAMILIES) == names
+    assert str(err.value).endswith("choose one of " + ", ".join(names))
 
 
 @pytest.mark.parametrize("text, read, value", [
@@ -695,6 +700,9 @@ _ONE_LINE_FAILURES = [
     (OSC4_CONFIG, "solve {cfg} --interval -100 -50", 1),
     (OSC4_CONFIG + "ceiling = 7.998\n", "count {cfg} --interval -100 -50",
      1),
+    # hydrogen: a right end where the Coulomb cue's residual is 3.8e-6
+    (COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05"),
+     "solve {cfg} --interval 0.01 16", 1),
 ]
 
 

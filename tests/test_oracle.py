@@ -205,6 +205,22 @@ def test_square_well_levels_match_the_fd_oracle(right):
         assert abs(ev.energy - fd_e) <= err
 
 
+@pytest.mark.parametrize("l, E_min, levels", [(0, -2.5, 4), (1, -0.6, 3)])
+def test_a_charged_coulomb_well_with_an_oscillator_term_matches_the_fd_oracle(
+        l, E_min, levels):
+    # charge 2 and omega 0.1 together: the cues of both tails carry both
+    problem = sd.problem_for(sd.Coulomb(2.0, 0.1), l=l)
+    result = sd.find_eigenvalues(problem, E_min, 0.3)
+    fd = oracle.fd_eigenvalues(
+        problem, 0.3, grid_size=8192,
+        interval=oracle.fd_interval(problem, result.energies[-1]))
+    keep = fd.energies >= E_min
+    assert len(result.eigenvalues) == np.count_nonzero(keep) == levels
+    for ev, fd_e, err in zip(result.eigenvalues, fd.energies[keep],
+                             fd.errors[keep]):
+        assert abs(ev.energy - fd_e) <= err
+
+
 @pytest.mark.parametrize("E", [
     math.nan, math.inf, -math.inf, [-1.0, math.nan], [math.inf, -1.0],
     [-1.0, -0.5, -math.inf]],

@@ -91,6 +91,30 @@ def test_quark_hybrid_value():
     assert v.evaluate(2.0) == pytest.approx(-0.5 + 0.5 * 0.01 * 4.0)
 
 
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_the_quark_hybrid_is_a_unit_coulomb_well_with_an_oscillator_term(l):
+    well = pot.QuarkHybrid(0.1)
+    assert type(well) is pot.Coulomb
+    assert well == pot.Coulomb(1.0, 0.1)
+    assert well.tails(l) == pot.Coulomb(1.0, 0.1).tails(l)
+    assert pot.Coulomb(2.0, 0.1).tails(l) == (
+        pot.CoulombZeroSingularity(l, 2.0, 0.1),
+        pot.OscillatorTail(0.1, l, 2.0))
+    assert pot.Coulomb(2.0).tails(l) == (pot.CoulombZeroSingularity(l, 2.0),
+                                         pot.CoulombTail(l, 2.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pot.Coulomb(omega=-1.0), lambda: pot.Coulomb(omega=math.nan),
+    lambda: pot.Coulomb(2.0, -1e-300), lambda: pot.QuarkHybrid(0.0),
+    lambda: pot.QuarkHybrid(-0.1), lambda: pot.QuarkHybrid(math.nan)],
+    ids=["negative", "nan", "tiny-negative", "hybrid-zero", "hybrid-negative",
+         "hybrid-nan"])
+def test_a_negative_or_nan_omega_is_refused(make):
+    with pytest.raises(ValueError, match="omega"):
+        make()
+
+
 class _Untouchable:
     """A sequence that raises when it is iterated, indexed or converted."""
 

@@ -316,6 +316,33 @@ def test_an_interval_covering_the_support_keeps_its_levels_bit_for_bit(
     assert result.energies.tolist() == levels
 
 
+@pytest.mark.parametrize("interval, match", [
+    # on (0.01, 16) the levels were off by up to 96 e_tol (n = 2 at
+    # -0.0555555459098); on (1, 30) the left cue turned onto the growing
+    # branch, and the failure blamed the cue
+    ((0.01, 16.0), r"right end 16\.0 fails the cue gate .*: cue residual "
+                   r"3\.77\de-06 at E = -0\.05"),
+    ((1.0, 30.0), r"left end 1\.0 fails the cue gate .*: cue residual"),
+    # the series overflows at an end this close to the singularity
+    ((1e-300, 20.0), r"left end 1e-300 fails the cue gate .*: OverflowError"),
+])
+def test_an_explicit_series_end_must_pass_the_cue_gate(interval, match):
+    problem = sd.problem_for(sd.Coulomb(), l=0, interval=interval)
+    with pytest.raises(IntervalSelectionError, match=match):
+        sd.find_eigenvalues(problem, -0.6, -0.05)
+
+
+@pytest.mark.parametrize("potential, l, E_min, E_max", [
+    (sd.Coulomb(), 0, -0.6, -0.05), (sd.QuarkHybrid(0.1), 1, -0.2, 0.6)])
+def test_the_auto_interval_given_explicitly_keeps_its_levels_bit_for_bit(
+        potential, l, E_min, E_max):
+    auto = sd.find_eigenvalues(sd.problem_for(potential, l), E_min, E_max)
+    given = sd.find_eigenvalues(
+        sd.problem_for(potential, l, auto.problem.interval), E_min, E_max)
+    assert [(ev.n, ev.energy, ev.width) for ev in given.eigenvalues] == \
+        [(ev.n, ev.energy, ev.width) for ev in auto.eigenvalues]
+
+
 @st.composite
 def flat_edged_wells(draw):
     """Piecewise-constant wells between zero tails whose outer pieces may
