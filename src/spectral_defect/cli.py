@@ -294,10 +294,10 @@ def _cmd_eigenfunction(run):
         raise SpectralDefectError(f"no branch n = {n} in [emin, emax]; found "
                                   f"{[ev.n for ev in result.eigenvalues]}")
     problem, E = result.problem, match[0].energy
-    # the interval, but no further than 16 decay lengths at E past a
-    # constant tail's support edge (`oracle.fd_interval`)
-    (a, b), (lo, hi) = problem.interval, oracle.fd_interval(problem, E,
-                                                           run.config)
+    # the solve's interval, but no further than 16 decay lengths at E past
+    # a constant tail's support edge (`oracle._walls`)
+    (a, b), (lo, hi) = problem.interval, oracle._walls(
+        problem, problem.interval, E, run.config)
     grid = np.linspace(run.params.get("grid_min", max(a, lo)),
                        run.params.get("grid_max", min(b, hi)),
                        run.params.get("grid_points", 2001))

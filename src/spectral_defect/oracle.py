@@ -200,14 +200,15 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
 
 def fd_interval(problem: ProblemSpec, E: float,
                 config: SolveConfig = None) -> Tuple[float, float]:
-    """Auto interval at E, each side padded by its tail's `fd_edge`.
-
-    The Dirichlet walls then sit deep in the decay zone of a level at E
-    and of every level below it.  An end that reaches past a constant
-    tail's support edge is padded from that edge (`cues.settled`), so a
-    long explicit interval does not coarsen the grid.
-    """
+    """The walls (`_walls`) of the auto or admitted interval at E."""
     config = config or SolveConfig()
-    a, b = cues.settled(problem, auto_interval(problem, E - 1e-9, E, config))
+    return _walls(problem, auto_interval(problem, E - 1e-9, E, config), E,
+                  config)
+
+
+def _walls(problem, interval, E, config):
+    """Each end settled (`cues.settled`), then padded by its tail's
+    `fd_edge`, deep in the decay zone of every level at or below E."""
+    a, b = cues.settled(problem, interval)
     return (problem.left_tail.fd_edge(a, "left", E, config),
             problem.right_tail.fd_edge(b, "right", E, config))

@@ -28,7 +28,7 @@ is an adjacent pair of samples.
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +180,14 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
     return float(grid[np.argmin(v)])
 
 
+def _window(problem: ProblemSpec, E_min: float, E_max: float,
+            config: SolveConfig):
+    """(a, c, b, mesh) at [E_min, E_max]: the admitted or automatic
+    interval (`auto_interval`), its matching point and mesh None."""
+    a, b = auto_interval(problem, E_min, E_max, config)
+    return a, _matching_point(problem, (a, b)), b, None
+
+
 def _cue_angles(problem: ProblemSpec, energies, a: float, b: float):
     """The start angles (lefts, rights) of both halves at the energies.
 
@@ -203,21 +211,20 @@ def _cue_angles(problem: ProblemSpec, energies, a: float, b: float):
 
 def defect_angles(problem: ProblemSpec, energies: Sequence[float],
                   config: SolveConfig = None,
-                  interval: Optional[Tuple[float, float]] = None,
-                  c: Optional[float] = None, mesh=None) -> List[DefectSample]:
+                  window=None) -> List[DefectSample]:
     """Batched Gamma(E) = alpha_R(c, E) - alpha_L(c, E) on a shared interval.
 
-    c defaults to the interval's matching point (`_matching_point`) and
-    mesh to one built for the batch (`angular.pass_mesh`); a solve makes
-    both once and passes them to every pass.  Each cue's start angle is
-    checked to lie on its decaying branch (`_cue_angles`).  An energy that
-    is not finite raises DomainError, and a Gamma that is not finite
-    IntegrationError.
+    The interval and c are `_window`'s for the energy extremes, and the
+    mesh is built for the batch (`angular.pass_mesh`).  window, private, is
+    a solve's (a, c, b, mesh), made once and passed to every pass.  Each
+    cue's start angle is checked to lie on its decaying branch
+    (`_cue_angles`).  Energies that are not a finite 1-d batch raise
+    DomainError, and a Gamma that is not finite IntegrationError.
     """
     config = config or SolveConfig()
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    if not energies.size:
-        raise DomainError("energies must hold at least one energy")
+    if energies.ndim != 1 or not energies.size:
+        raise DomainError("energies must be a nonempty 1-d batch")
     if not np.all(np.isfinite(energies)):
         raise DomainError(f"energies must be finite, not E = "
                           f"{energies[~np.isfinite(energies)][0]}")
@@ -225,12 +232,8 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     if not np.all(energies < threshold):
         raise ThresholdError(
             f"energies must lie below the tail threshold {threshold}")
-    if interval is None:
-        interval = auto_interval(problem, float(energies.min()),
-                                 float(energies.max()), config)
-    if c is None:
-        c = _matching_point(problem, interval)
-    a, b = interval
+    a, c, b, mesh = window or _window(problem, float(energies.min()),
+                                      float(energies.max()), config)
     lefts, rights = _cue_angles(problem, energies, a, b)
     alpha_l, alpha_r = integrate_angles(problem, energies, lefts, rights, a,
                                         c, b, config, mesh)
@@ -252,7 +255,7 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # Root finding on Gamma(E) = n pi (and the scaled variant)
 # ---------------------------------------------------------------------------
 
-def _scaled_sampler(problem, config, interval, E_min, E_max):
+def _scaled_sampler(problem, config, window, E_min, E_max):
     """Gamma at b, integrated in one squeezing-adapted chart over [a, b].
 
     Requires equal constant tails at a level v0 and E_max below it.  The
@@ -270,7 +273,7 @@ def _scaled_sampler(problem, config, interval, E_min, E_max):
     if not E_max < v0:
         raise DomainError("the scaled chart needs every E below the tails")
     potential = problem.effective_potential()
-    a, b = interval
+    a, _, b, _ = window
 
     def sample(energies):
         energies = np.asarray(energies, dtype=float)
@@ -284,16 +287,15 @@ def _scaled_sampler(problem, config, interval, E_min, E_max):
     return sample
 
 
-def _matched_sampler(problem, config, interval, E_min, E_max):
-    """Gamma_c batches through defect_angles, with c and the mesh of every
-    pass made once per solve, the mesh at the energy extremes."""
-    c = _matching_point(problem, interval)
-    a, b = interval
+def _matched_sampler(problem, config, window, E_min, E_max):
+    """Gamma_c batches through defect_angles on the solve's window, with
+    the mesh of every pass made once, at the energy extremes."""
+    a, c, b, _ = window
     ends = [E_min, E_max]
     mesh = pass_mesh(problem, ends, *_cue_angles(problem, ends, a, b), a, c,
                      b, config)
-    return lambda energies: defect_angles(problem, energies, config, interval,
-                                          c, mesh)
+    return lambda energies: defect_angles(problem, energies, config,
+                                          (a, c, b, mesh))
 
 
 def _inverse_root(energies, gammas, target):
@@ -430,7 +432,7 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
 def _solve(problem, E_min, E_max, config, sampler):
     """Scan and split on one interval, resolved at the energy extremes.
 
-    sampler(problem, config, interval, E_min, E_max) returns the function
+    sampler(problem, config, window, E_min, E_max) returns the function
     that maps a batch of energies in [E_min, E_max] to their DefectSamples.
     """
     config = config or SolveConfig()
@@ -439,12 +441,12 @@ def _solve(problem, E_min, E_max, config, sampler):
             raise DomainError(f"{name} must be finite, not {E}")
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
-    interval = auto_interval(problem, E_min, E_max, config)
+    window = _window(problem, E_min, E_max, config)
     eigenvalues, scan = _scan_and_split(
-        sampler(problem, config, interval, E_min, E_max), E_min, E_max,
+        sampler(problem, config, window, E_min, E_max), E_min, E_max,
         config)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
-                          problem=problem.with_interval(*interval),
+                          problem=problem.with_interval(window[0], window[2]),
                           config=config)
 
 
@@ -488,26 +490,23 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
                               ) -> EigenfunctionSamples:
     """psi = rho cos(alpha) on the grid, normalized by the trapezoid rule.
 
-    Both cues run toward the matching point c (`_matching_point`), where
-    the halves are joined (`integrate_angle_sampled`), so psi decays toward
-    both ends and c does not depend on the length of a constant tail; each
-    start angle is checked to lie on its decaying branch (`_cue_angles`).
-    E_n should be an accepted eigenvalue; the node count of psi then equals
-    its branch index.
+    The interval, admitted at E_n, and c are `_window`'s.  Both cues run
+    toward c, where the halves are joined (`integrate_angle_sampled`), so
+    psi decays toward both ends; each start angle is checked to lie on its
+    decaying branch (`_cue_angles`).  E_n should be an accepted
+    eigenvalue; the node count of psi then equals its branch index.
     """
     if not math.isfinite(E_n):
         raise DomainError(f"E_n must be finite, not {E_n}")
     config = config or SolveConfig()
-    grid = np.asarray(sorted(grid), dtype=float)
-    if not grid.size:
-        raise DomainError("grid must hold at least one point")
-    # no call when the interval is set: auto_interval calls count selections
-    a, b = problem.interval or auto_interval(problem, E_n, E_n + 1e-14,
-                                             config)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise DomainError("grid must be a nonempty 1-d array")
+    grid = np.sort(grid)
+    a, c, b, _ = _window(problem, E_n, E_n + 1e-14, config)
     if not np.all((a <= grid) & (grid <= b)):
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
     (left,), (right,) = _cue_angles(problem, [E_n], a, b)
-    c = _matching_point(problem, (a, b))
     t_s, alpha_s, log_s = integrate_angle_sampled(
         problem, E_n, left, right, a, c, b, config, t_eval=grid)
     log_shift = log_s - np.max(log_s)

@@ -442,8 +442,9 @@ def lattice_wells(draw, lattice=1.0 / 64.0, span=3.0):
 
 
 def closed_gammas(problem, energies, interval, c):
+    a, b = interval
     return np.array([s.gamma for s in sd.defect_angles(
-        problem, energies, interval=interval, c=c)])
+        problem, energies, window=(a, c, b, None))])
 
 
 def adaptive_gammas(problem, energies, interval, c, config=sd.SolveConfig()):
@@ -1303,12 +1304,11 @@ def _with_near_level(problem, energies, near):
 def test_mesh_passes_match_the_plain_flow(case):
     problem, energies, near = case
     energies = _with_near_level(problem, energies, near)
-    interval = sd.auto_interval(problem, energies.min(), energies.max(),
-                                sd.SolveConfig())
-    c = spectrum._matching_point(problem, interval)
-    samples = sd.defect_angles(problem, energies, interval=interval, c=c)
+    a, c, b, _ = spectrum._window(problem, energies.min(), energies.max(),
+                                  sd.SolveConfig())
+    samples = sd.defect_angles(problem, energies)
     plain = [spectrum.DefectSample(E=E, gamma=g) for E, g in zip(
-        energies, adaptive_gammas(problem, energies, interval, c))]
+        energies, adaptive_gammas(problem, energies, (a, b), c))]
     for got, want in zip(samples, plain):
         tol = 1e-10 * max(1.0, abs(want.gamma))
         assert got.gamma == pytest.approx(want.gamma, rel=0.0, abs=tol)
@@ -1424,10 +1424,9 @@ def test_a_mesh_for_another_interval_is_refused():
     for interval, at in (((-5.0, 6.0), c), ((-6.0, 6.5), c),
                          ((-6.0, 6.0), 1.0), ((-6.0, 6.0), -6.0)):
         with pytest.raises(DomainError, match="half of the mesh runs"):
-            sd.defect_angles(problem, energies, interval=interval, c=at,
-                             mesh=mesh)
-    own = sd.defect_angles(problem, energies, interval=(a, b), c=c,
-                           mesh=mesh)
+            sd.defect_angles(problem, energies,
+                             window=(interval[0], at, interval[1], mesh))
+    own = sd.defect_angles(problem, energies, window=(a, c, b, mesh))
     assert [s.n_below for s in own] == [0, 1, 6]
 
 

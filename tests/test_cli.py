@@ -703,6 +703,8 @@ _ONE_LINE_FAILURES = [
     # hydrogen: a right end where the Coulomb cue's residual is 3.8e-6
     (COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05"),
      "solve {cfg} --interval 0.01 16", 1),
+    (COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05\nn = 2"),
+     "eigenfunction {cfg} --interval 0.01 16", 1),
 ]
 
 

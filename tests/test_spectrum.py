@@ -11,7 +11,8 @@ import spectral_defect as sd
 from spectral_defect import cues, oracle, spectrum
 from spectral_defect.angular import integrate_angles
 from spectral_defect.errors import (DomainError, IntervalSelectionError,
-                                    MonotonicityError, ThresholdError)
+                                    MonotonicityError, SpectralDefectError,
+                                    ThresholdError)
 from spectral_defect.potentials import Shifted
 
 
@@ -117,12 +118,12 @@ def test_level_count_does_not_depend_on_the_matching_point(well, where):
     config = sd.SolveConfig()
     problem = sd.problem_for(well)
     e_min, e_max = min(well.values) + 0.02, -0.02
-    interval = sd.auto_interval(problem, e_min, e_max, config)
-    a, b = interval
+    a, b = sd.auto_interval(problem, e_min, e_max, config)
     energies = np.linspace(e_min, e_max, 16)
     counts = []
     for c in (a, b, a + where * (b - a)):
-        samples = sd.defect_angles(problem, energies, config, interval, c)
+        samples = sd.defect_angles(problem, energies, config,
+                                   (a, c, b, None))
         gammas = [s.gamma for s in samples]
         assert min(np.diff(gammas)) >= -spectrum._MONOTONE_JITTER
         counts.append([s.n_below for s in samples])
@@ -255,8 +256,7 @@ OSC4 = sd.TruncatedOscillator(1.0, 4.0)
 _ENTRY_POINTS = {
     "solve": lambda p: sd.find_eigenvalues(p, 1e-6, 7.998),
     "count": lambda p: sd.count_levels(p, 7.998),
-    "defect_angles": lambda p: sd.defect_angles(sd.problem_for(OSC4), [7.9],
-                                                interval=p.interval),
+    "defect_angles": lambda p: sd.defect_angles(p, [7.9]),
     "eigenfunction": lambda p: sd.reconstruct_eigenfunction(
         p, 0.5, np.linspace(*p.interval, 9)),
     "transfer": lambda p: oracle.transfer_mismatch(p, 0.5),
@@ -330,6 +330,47 @@ def test_an_explicit_series_end_must_pass_the_cue_gate(interval, match):
     problem = sd.problem_for(sd.Coulomb(), l=0, interval=interval)
     with pytest.raises(IntervalSelectionError, match=match):
         sd.find_eigenvalues(problem, -0.6, -0.05)
+
+
+_SERIES_ENTRY_POINTS = {
+    "solve": lambda p: sd.find_eigenvalues(p, -0.6, -0.05),
+    "count": lambda p: sd.count_levels(p, -0.05),
+    "defect_angles": lambda p: sd.defect_angles(p, [-0.05]),
+    # n = 2: psi came back with no error, though 16 fails the gate there
+    "eigenfunction": lambda p: sd.reconstruct_eigenfunction(
+        p, -1.0 / 18.0, np.linspace(*p.interval, 9)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SERIES_ENTRY_POINTS))
+def test_every_entry_point_gates_an_explicit_series_end(entry):
+    # the Coulomb cue's residual at 16 is 3.8e-6 at E = -0.05 and 3.3e-7
+    # at -1/18, far above residual_tol
+    problem = sd.problem_for(sd.Coulomb(), l=0, interval=(0.01, 16.0))
+    with pytest.raises(IntervalSelectionError,
+                       match=r"right end 16\.0 fails the cue gate"):
+        _SERIES_ENTRY_POINTS[entry](problem)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 7: a jump up in Gamma passes every check of a solve; "
+    "certified envelope counts would refuse the spurious level"))
+def test_a_pi_jump_in_gamma_is_refused(monkeypatch):
+    # alpha_R raised by pi above E = 3 adds a level at 3.0 to the eight of
+    # the a = 4 oscillator, and Gamma still rises.  A solve that raises, or
+    # one that finds the eight alone, passes
+    def jumped(problem, energies, *args):
+        alpha_l, alpha_r = integrate_angles(problem, energies, *args)
+        return alpha_l, alpha_r + np.where(np.asarray(energies) > 3.0,
+                                           math.pi, 0.0)
+
+    monkeypatch.setattr(spectrum, "integrate_angles", jumped)
+    try:
+        levels = sd.find_eigenvalues(sd.problem_for(OSC4), 1e-6,
+                                     7.998).energies
+    except SpectralDefectError:
+        return
+    assert levels.size == 8, f"a spurious level among {levels}"
 
 
 @pytest.mark.parametrize("potential, l, E_min, E_max", [
@@ -503,9 +544,14 @@ def test_eigenfunction_is_normalized_over_the_whole_line():
     (lambda p: sd.defect_angles(sd.problem_for(sd.Coulomb()),
                                 [-math.inf, -0.1]), "energies"),
     (lambda p: sd.reconstruct_eigenfunction(p, math.nan, [0.0]), "E_n"),
+    # a 2-d batch gave one sample of lists, and a 2-d grid a 2-d t
+    (lambda p: sd.defect_angles(p, [[-1.5, -1.0]]), "energies"),
+    (lambda p: sd.reconstruct_eigenfunction(p, -1.47, [[0.0, 0.5]]),
+     "grid"),
 ], ids=["empty-grid", "nan-grid-point", "no-energies", "fractional-grid-size",
         "infinite-e-min", "minus-inf-energy", "minus-inf-ceiling",
-        "coulomb-minus-inf-energy", "nan-eigenfunction-energy"])
+        "coulomb-minus-inf-energy", "nan-eigenfunction-energy",
+        "2-d-energies", "2-d-grid"])
 def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
                                                                    name):
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
@@ -548,8 +594,7 @@ def test_brackets_are_narrow_and_certified(potential, E_min, E_max):
         s1, s2 = pairs[ev.energy, ev.width]
         assert s1.n_below <= ev.n < s2.n_below
         below, above = sd.defect_angles(
-            result.problem, [ev.energy - 10 * e_tol, ev.energy + 10 * e_tol],
-            interval=result.problem.interval)
+            result.problem, [ev.energy - 10 * e_tol, ev.energy + 10 * e_tol])
         assert below.gamma < ev.n * math.pi <= above.gamma
 
 
@@ -607,8 +652,8 @@ def _scan_and_split_by_rescans(sample_fn, E_min, E_max, config):
 
 
 def _assert_search_is_the_rescans(problem, E_min, E_max, config):
-    interval = sd.auto_interval(problem, E_min, E_max, config)
-    sample_fn = spectrum._matched_sampler(problem, config, interval, E_min,
+    window = spectrum._window(problem, E_min, E_max, config)
+    sample_fn = spectrum._matched_sampler(problem, config, window, E_min,
                                           E_max)
     got, want = (
         [np.array([(ev.n, ev.energy, ev.width) for ev in levels]).tobytes(),
