@@ -323,7 +323,8 @@ def _magnus(steps, q):
     # a leaf's peak memory sets how wide a block fits in the same memory
     p, r, s, u = m
     np.multiply(q, steps.h * steps.h * 0.1, out=u)
-    u *= u
+    with np.errstate(over="ignore"):    # inf on a far forbidden step; then
+        u *= u                          # u = q / inf = 0, the saturated limit
     u += 1.0
     np.divide(q, u, out=u)
     _horner(u, (steps.p2, steps.p1, steps.p0), p)

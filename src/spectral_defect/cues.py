@@ -135,18 +135,22 @@ def _inverse_power_series(k, d, n_terms, first=None):
     a = np.zeros((n_terms + 1,) + np.shape(first if p else k))
     if p:
         a[1] = first
-    for s in range(1, n_terms + 1 - p):
-        quad = _ordered_sum(a[1:s] * a[s - 1:0:-1])
-        a[s + p] = (-(s - 1) * a[s - 1] + quad - d.get(s, 0.0)) / (2 * k)
+    # inf or nan at an extreme E, which CueSeries refuses: a failed gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, n_terms + 1 - p):
+            quad = _ordered_sum(a[1:s] * a[s - 1:0:-1])
+            a[s + p] = (-(s - 1) * a[s - 1] + quad - d.get(s, 0.0)) / (2 * k)
     return a[1:]
 
 
 def _pole_cue(l, c, n_terms):
     """The cue f = (l + 1)/t + series in t at a 0+ singularity."""
     a = np.zeros((n_terms,) + np.broadcast(*c.values()).shape)
-    for s in range(n_terms):
-        quad = _ordered_sum(a[:s] * a[s - 1::-1]) if s else 0.0
-        a[s] = (c.get(s - 1, 0.0) - quad) / (s + 2 * l + 2)
+    # inf or nan at an extreme E, which CueSeries refuses: a failed gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_terms):
+            quad = _ordered_sum(a[:s] * a[s - 1::-1]) if s else 0.0
+            a[s] = (c.get(s - 1, 0.0) - quad) / (s + 2 * l + 2)
     return CueSeries(l + 1.0, -1, a)
 
 

@@ -15,22 +15,13 @@ import numpy as np
 
 from . import cues
 from .angular import _integrate_vector
-from .errors import DomainError, ThresholdError
+from .errors import DomainError
 from .potentials import ProblemSpec
-from .spectrum import SolveConfig, _matching_point, auto_interval
+from .spectrum import (SolveConfig, _check_energies, _matching_point,
+                       auto_interval)
 
 _RESCALE_LIMIT = 1e120
 _ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
-
-
-def _phase_fun(potential, E):
-    """(q, p)' of one or more solutions at once, y = (q1, .., p1, ..), at
-    one energy E or one per solution."""
-    def fun(t, y):
-        half = y.size // 2
-        return np.concatenate(
-            [y[half:], 2.0 * (potential.evaluate(t) - E) * y[:half]])
-    return fun
 
 
 def _propagate(potential, energies, s0, s1, y, config):
@@ -42,7 +33,11 @@ def _propagate(potential, energies, s0, s1, y, config):
     power of two before growth can overflow; a column that never grows
     past the limit comes back unscaled.
     """
-    fun = _phase_fun(potential, energies)
+    def fun(t, y):      # (q, p)' of the columns, y = (q1, .., p1, ..)
+        half = y.size // 2
+        return np.concatenate(
+            [y[half:], 2.0 * (potential.evaluate(t) - energies) * y[:half]])
+
     y = np.asarray(y, dtype=float)
     checkpoints = np.linspace(s0, s1,
                               max(1, math.ceil(abs(s1 - s0) / 5.0)) + 1)
@@ -69,15 +64,10 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     problem interval's (or +-inf) settled on the support (`cues.settled`),
     so the cost does not grow with the length of a constant tail.
     """
-    energies = np.asarray(E, dtype=float)
-    if not np.all(np.isfinite(energies)):
-        # the integrator would step on without end
-        raise DomainError(f"E must be finite, not {E}")
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
         DomainError("transfer matrices need constant tails"))
-    if not (np.all(energies < left) and np.all(energies < right)):
-        raise ThresholdError("E must lie below both tail levels")
+    energies = _check_energies(problem, "E", E)
     config = config or SolveConfig()
     a, b = cues.settled(problem, problem.interval or (-math.inf, math.inf))
     c = _matching_point(problem, (a, b))
@@ -103,7 +93,8 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     """
     from scipy.optimize import brentq
 
-    config = config or SolveConfig()
+    for name, E in (("E_lo", E_lo), ("E_hi", E_hi)):
+        _check_energies(problem, name, E)
 
     def f(E):
         return transfer_mismatch(problem, E, config)
@@ -166,9 +157,8 @@ def _fd_levels(potential, a, b, n, e_ceiling):
     diag = 1.0 / h**2 + v
     off = np.full(n - 1, -0.5 / h**2)
     lo = float(np.min(v)) - 1.0
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
                             select_range=(lo, e_ceiling))
-    return vals
 
 
 def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
@@ -183,7 +173,8 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
     if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 64):
         raise DomainError(f"grid_size must be an integer of at least 64, "
                           f"not {grid_size!r}")
-    config = config or SolveConfig()
+    _check_energies(problem if interval is None else None, "E_ceiling",
+                    E_ceiling)
     potential = problem.effective_potential()
     if interval is None:
         interval = fd_interval(problem, E_ceiling, config)
@@ -201,6 +192,7 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
 def fd_interval(problem: ProblemSpec, E: float,
                 config: SolveConfig = None) -> Tuple[float, float]:
     """The walls (`_walls`) of the auto or admitted interval at E."""
+    _check_energies(problem, "E", E)
     config = config or SolveConfig()
     return _walls(problem, auto_interval(problem, E - 1e-9, E, config), E,
                   config)

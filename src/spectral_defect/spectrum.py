@@ -132,6 +132,22 @@ class EigenfunctionSamples:
 # Interval selection
 # ---------------------------------------------------------------------------
 
+def _check_energies(problem, name: str, E):
+    """E as an array, once each of its energies is finite (DomainError)
+    and below problem.threshold() (ThresholdError; problem None skips it);
+    either error names the caller's argument and its first bad value."""
+    energies = np.asarray(E, dtype=float)
+    bad = energies[~np.isfinite(energies)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite, not {bad.flat[0]}")
+    threshold = math.inf if problem is None else problem.threshold()
+    above = cues._first_not_below(energies, threshold)
+    if above is not None:
+        raise ThresholdError(
+            f"{name} = {above} is not below the tail threshold {threshold}")
+    return energies
+
+
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                   config: SolveConfig) -> Tuple[float, float]:
     """Working interval [a, b]: cues valid outside, tails cleared by kappa.
@@ -144,15 +160,13 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     tail's end must settle, a series tail's pass the cue-residual gate at
     E_min and E_max.
     """
+    for name, E in (("E_min", E_min), ("E_max", E_max)):
+        _check_energies(problem, name, E)
     if problem.interval is not None:
         a, b = problem.interval
         problem.left_tail.admit(problem, "left", a, E_min, E_max, config)
         problem.right_tail.admit(problem, "right", b, E_min, E_max, config)
         return a, b
-    if not E_max < problem.threshold():
-        raise ThresholdError(
-            f"E_max = {E_max} is not below the tail threshold "
-            f"{problem.threshold()}")
     a = problem.left_tail.bound(problem, "left", E_min, E_max, config)
     b = problem.right_tail.bound(problem, "right", E_min, E_max, config)
     if not a < b:
@@ -218,20 +232,13 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     mesh is built for the batch (`angular.pass_mesh`).  window, private, is
     a solve's (a, c, b, mesh), made once and passed to every pass.  Each
     cue's start angle is checked to lie on its decaying branch
-    (`_cue_angles`).  Energies that are not a finite 1-d batch raise
-    DomainError, and a Gamma that is not finite IntegrationError.
+    (`_cue_angles`).  Energies that are not a 1-d batch raise DomainError,
+    and a Gamma that is not finite IntegrationError.
     """
     config = config or SolveConfig()
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    energies = np.atleast_1d(_check_energies(problem, "energies", energies))
     if energies.ndim != 1 or not energies.size:
         raise DomainError("energies must be a nonempty 1-d batch")
-    if not np.all(np.isfinite(energies)):
-        raise DomainError(f"energies must be finite, not E = "
-                          f"{energies[~np.isfinite(energies)][0]}")
-    threshold = problem.threshold()
-    if not np.all(energies < threshold):
-        raise ThresholdError(
-            f"energies must lie below the tail threshold {threshold}")
     a, c, b, mesh = window or _window(problem, float(energies.min()),
                                       float(energies.max()), config)
     lefts, rights = _cue_angles(problem, energies, a, b)
@@ -248,6 +255,7 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
 def count_levels(problem: ProblemSpec, E_ceiling: float,
                  config: SolveConfig = None) -> int:
     """Number of eigenvalues at or below E_ceiling."""
+    _check_energies(problem, "E_ceiling", E_ceiling)
     return defect_angles(problem, [E_ceiling], config)[0].n_below
 
 
@@ -270,8 +278,6 @@ def _scaled_sampler(problem, config, window, E_min, E_max):
                                      error)
     if right != v0:
         raise error
-    if not E_max < v0:
-        raise DomainError("the scaled chart needs every E below the tails")
     potential = problem.effective_potential()
     a, _, b, _ = window
 
@@ -437,8 +443,7 @@ def _solve(problem, E_min, E_max, config, sampler):
     """
     config = config or SolveConfig()
     for name, E in (("E_min", E_min), ("E_max", E_max)):
-        if not math.isfinite(E):
-            raise DomainError(f"{name} must be finite, not {E}")
+        _check_energies(problem, name, E)
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     window = _window(problem, E_min, E_max, config)
@@ -496,13 +501,11 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     decaying branch (`_cue_angles`).  E_n should be an accepted
     eigenvalue; the node count of psi then equals its branch index.
     """
-    if not math.isfinite(E_n):
-        raise DomainError(f"E_n must be finite, not {E_n}")
+    _check_energies(problem, "E_n", E_n)
     config = config or SolveConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise DomainError("grid must be a nonempty 1-d array")
-    grid = np.sort(grid)
     a, c, b, _ = _window(problem, E_n, E_n + 1e-14, config)
     if not np.all((a <= grid) & (grid <= b)):
         raise DomainError(f"grid must lie inside the interval [{a}, {b}]")

@@ -235,6 +235,20 @@ def test_the_transfer_oracle_rejects_a_non_finite_energy(E):
                                  else E)
 
 
+def test_fd_between_given_walls_takes_a_ceiling_above_the_tails():
+    # the walls make a box, whose levels go on past the tail level 0
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    fd = oracle.fd_eigenvalues(problem, 0.5, interval=(-5.0, 5.0))
+    assert np.allclose(fd.energies, [-1.4697, -0.2008, 0.2682, 0.4189],
+                       rtol=0.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("E", [-0.5, 0.5])
+def test_the_transfer_oracle_refuses_series_tails_before_their_energies(E):
+    with pytest.raises(DomainError, match="need constant tails"):
+        oracle.transfer_mismatch(sd.problem_for(sd.Coulomb()), E)
+
+
 def test_fd_rejects_tiny_grid():
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -459,12 +461,26 @@ def test_scaled_pipeline_needs_constant_tails():
 
 
 def test_scaled_pipeline_needs_energies_below_the_tails():
-    # a set interval skips the threshold check; the scaled chart then
-    # refuses every E at or above the tail level 0
+    # a set interval once skipped the threshold check, and the scaled chart
+    # refused E at or above the tail level 0 itself (DomainError); every
+    # entry point now checks its energies up front, naming the argument
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0),
                              interval=(-3.0, 3.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ThresholdError, match=r"^E_max = 0\.5 is not below "
+                       r"the tail threshold 0\.0$"):
         sd.find_eigenvalues_scaled(problem, -1.5, 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=MonotonicityError, reason=(
+    "the scaled chart's Gamma drops by 1.4e-3 along the scan of the deep "
+    "a = 12 well on (1e-6, 60), where the plain pipeline finds 60 levels"))
+def test_scaled_pipeline_matches_plain_in_a_deep_well():
+    # on (1e-6, 30) both give 30 levels within 5.6e-11
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 12.0))
+    plain = sd.find_eigenvalues(problem, 1e-6, 60.0)
+    scaled = sd.find_eigenvalues_scaled(problem, 1e-6, 60.0)
+    assert len(plain.eigenvalues) == len(scaled.eigenvalues) == 60
+    assert np.allclose(scaled.energies, plain.energies, rtol=0.0, atol=1e-8)
 
 
 def _hydrogen_function(n, t):
@@ -540,7 +556,7 @@ def test_eigenfunction_is_normalized_over_the_whole_line():
     (lambda p: oracle.fd_eigenvalues(p, -0.1, grid_size=64.5), "grid_size"),
     (lambda p: sd.find_eigenvalues(p, -math.inf, -0.1), "E_min"),
     (lambda p: sd.defect_angles(p, [-math.inf]), "energies"),
-    (lambda p: sd.count_levels(p, -math.inf), "energies"),
+    (lambda p: sd.count_levels(p, -math.inf), "E_ceiling"),
     (lambda p: sd.defect_angles(sd.problem_for(sd.Coulomb()),
                                 [-math.inf, -0.1]), "energies"),
     (lambda p: sd.reconstruct_eigenfunction(p, math.nan, [0.0]), "E_n"),
@@ -556,6 +572,114 @@ def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
                                                                    name):
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0)))
+
+
+_SQUARE = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+_ENERGY_PROBLEMS = {
+    "square": _SQUARE,
+    "square-interval": _SQUARE.with_interval(-3.0, 3.0),
+    "hydrogen": sd.problem_for(sd.Coulomb()),
+}
+# each entry point with one energy argument free, and that argument's name;
+# the others are valid on every problem above
+_ENERGY_ARGUMENTS = {
+    "defect_angles": (lambda p, E: sd.defect_angles(p, [-0.5, E]),
+                      "energies"),
+    "solve-E_min": (lambda p, E: sd.find_eigenvalues(p, E, -0.1), "E_min"),
+    "solve-E_max": (lambda p, E: sd.find_eigenvalues(p, -0.5, E), "E_max"),
+    "scaled-E_min": (lambda p, E: sd.find_eigenvalues_scaled(p, E, -0.1),
+                     "E_min"),
+    "scaled-E_max": (lambda p, E: sd.find_eigenvalues_scaled(p, -0.5, E),
+                     "E_max"),
+    "count": (lambda p, E: sd.count_levels(p, E), "E_ceiling"),
+    "eigenfunction": (lambda p, E: sd.reconstruct_eigenfunction(p, E, [0.5]),
+                      "E_n"),
+    "auto_interval-E_min": (
+        lambda p, E: sd.auto_interval(p, E, -0.1, sd.SolveConfig()), "E_min"),
+    "auto_interval-E_max": (
+        lambda p, E: sd.auto_interval(p, -0.5, E, sd.SolveConfig()), "E_max"),
+    "fd": (lambda p, E: oracle.fd_eigenvalues(p, E), "E_ceiling"),
+    "fd-walls": (lambda p, E: oracle.fd_eigenvalues(p, E, interval=(-5, 5)),
+                 "E_ceiling"),
+    "fd_interval": (lambda p, E: oracle.fd_interval(p, E), "E"),
+    "transfer": (lambda p, E: oracle.transfer_mismatch(p, E), "E"),
+    "root-E_lo": (lambda p, E: oracle.eigencondition_root(p, E, -1.0),
+                  "E_lo"),
+    "root-E_hi": (lambda p, E: oracle.eigencondition_root(p, -1.9, E),
+                  "E_hi"),
+}
+
+
+def _energy_cases():
+    for entry, (call, name) in _ENERGY_ARGUMENTS.items():
+        for problem_id, problem in _ENERGY_PROBLEMS.items():
+            for E in (math.nan, math.inf, -math.inf, 0.1, 0.5):
+                if not math.isfinite(E):
+                    error, message = DomainError, (
+                        f"{name} must be finite, not {E}")
+                elif entry == "fd-walls":
+                    continue    # a box: its levels pass the tail threshold
+                else:
+                    error, message = ThresholdError, (
+                        f"{name} = {E} is not below the tail threshold 0.0")
+                if problem_id == "hydrogen" and entry == "transfer":
+                    continue    # it needs constant tails before any energy
+                yield pytest.param(problem, call, E, error, message,
+                                   id=f"{entry}-{problem_id}-{E}")
+
+
+@pytest.mark.parametrize("problem, call, E, error, message",
+                         _energy_cases())
+def test_every_entry_point_refuses_a_bad_energy_by_its_argument(
+        problem, call, E, error, message):
+    # a non-finite energy is a DomainError and one at or above the tail
+    # threshold a ThresholdError, each naming the caller's argument and the
+    # value.  Some once named another argument (count_levels said
+    # "energies", reconstruct_eigenfunction "E_max = 0.10000000000001001"),
+    # the wrong error (fd_eigenvalues: "ThresholdError: E_max = nan") or
+    # none: eigencondition_root said "E", auto_interval on a set interval
+    # returned, and fd_eigenvalues between walls at nan raised scipy's
+    # LinAlgError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(problem, E)
+
+
+def _without_warnings(call):
+    """call(), with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+def test_an_extreme_energy_solves_without_an_overflow_warning():
+    # (q h^2 / 10)^2, q = 2 (V - E), overflows in the Magnus step at
+    # E = -1e300; u is then q / inf = 0, the saturation's limit, and the
+    # levels are those found from E = -1e100
+    problem = sd.problem_for(sd.TruncatedOscillator(1.0, 4.0))
+    far = _without_warnings(lambda: sd.find_eigenvalues(problem, -1e300, 7.9))
+    near = sd.find_eigenvalues(problem, -1e100, 7.9)
+    assert len(far.eigenvalues) == len(near.eigenvalues) == 8
+    assert np.allclose(far.energies, near.energies, rtol=0.0, atol=1e-10)
+    # at E = -1e300 the square well's angle is pi/2 at 0: psi = cos(pi/2)
+    ef = _without_warnings(lambda: sd.reconstruct_eigenfunction(
+        _SQUARE, -1e300, [0.0]))
+    assert ef.psi.tolist() == pytest.approx([math.cos(math.pi / 2)],
+                                            rel=1e-9)
+
+
+@pytest.mark.parametrize("problem, E_min, E_max", [
+    (sd.problem_for(sd.Coulomb()), -1e150, -0.05),
+    (sd.problem_for(sd.QuarkHybrid(0.1), l=1), -1e300, 0.6),
+    (sd.problem_for(sd.Yukawa(0.1), l=1), -1e300, -0.002),
+    (sd.problem_for(sd.HybridOscillator(1.0, 1.0)), -1e100, 4.0),
+], ids=["coulomb", "quark_hybrid", "yukawa", "hybrid_oscillator"])
+def test_an_extreme_energy_fails_the_cue_gate_without_a_warning(
+        problem, E_min, E_max):
+    # the quadratic term of the cue recurrence overflows: CueSeries refuses
+    # the coefficients, and no boundary passes the gate
+    with pytest.raises(IntervalSelectionError,
+                       match="series coefficients must be finite"):
+        _without_warnings(lambda: sd.find_eigenvalues(problem, E_min, E_max))
 
 
 def test_solve_config_validation():
