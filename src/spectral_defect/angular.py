@@ -529,14 +529,17 @@ def _nodes(steps, energies):
     on until the angle each piece hands on settles.
     """
     q = steps.vm - energies[:, None]
-    q *= 2.0
-    plateau = _plateau_angle(q, steps.h)
-    m, w = _exponential(_magnus(steps, q))
-    np.negative(m, out=m, where=m[0] < 0)
-    turn = np.arctan2(m[2], m[0], out=q)      # q is spent
-    turn -= plateau
-    n = np.round(turn / -math.pi)
-    turn += math.pi * n
+    # q passes the float range only for an E far below V, whose node is
+    # then not finite and its step coarse: an IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        q *= 2.0
+        plateau = _plateau_angle(q, steps.h)
+        m, w = _exponential(_magnus(steps, q))
+        np.negative(m, out=m, where=m[0] < 0)
+        turn = np.arctan2(m[2], m[0], out=q)      # q is spent
+        turn -= plateau
+        n = np.round(turn / -math.pi)
+        turn += math.pi * n
     coarse = ~(np.abs(turn) <= _LEAF_SLACK).all(axis=0)
     return m, n, w, coarse
 
@@ -594,12 +597,15 @@ def _carry_levels(mesh, energies, starts):
     for i in range(0, h.size, width):
         hb = h[i:i + width]
         q = vm[i:i + width] - energies[:, None]
-        q *= 2.0
         m = np.zeros((4,) + q.shape)
         m[1] = hb
-        np.multiply(q, hb, out=m[2])
-        m, w = _exponential(m)
-        phi = _plateau_angle(q, hb)
+        # q h^2 passes the float range only for an E far below V, whose
+        # leaf is then not finite, nor Gamma: an IntegrationError
+        with np.errstate(over="ignore", invalid="ignore"):
+            q *= 2.0
+            np.multiply(q, hb, out=m[2])
+            m, w = _exponential(m)
+            phi = _plateau_angle(q, hb)
         det = np.exp(-2.0 * w)
         for j in range(hb.size):
             half = int(i + j >= cut)
@@ -784,8 +790,12 @@ def integrate_angles(problem: ProblemSpec, energies, left_starts,
     SolveConfig; only its rel_tol is read.  Returns (alpha_L(c), alpha_R(c)).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    starts = [np.broadcast_to(np.asarray(start, dtype=float), energies.shape)
-              for start in (left_starts, right_starts)]
+    # np.broadcast_to costs a pass several microseconds: only a start that
+    # is not one per energy already is broadcast
+    starts = [np.asarray(start, dtype=float) for start in (left_starts,
+                                                           right_starts)]
+    starts = [start if start.shape == energies.shape
+              else np.broadcast_to(start, energies.shape) for start in starts]
     if mesh is None:
         mesh = pass_mesh(problem, energies, *starts, a, c, b, config)
     else:

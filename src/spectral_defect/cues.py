@@ -29,6 +29,7 @@ from .errors import DomainError, IntervalSelectionError, ThresholdError
 DEFAULT_N_TERMS = 16
 _ZERO_FLOOR = 1e-4          # radial problems never start below this
 _GROWTH = 1.5               # geometric interval growth factor
+_HALF_MAX = 0.5 * np.finfo(float).max    # the largest x whose 2 x is finite
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,9 @@ class ConstantLevel:
     def threshold(self) -> float:
         return self.level
 
-    def bound(self, problem, side, E_lo, E_hi, config):
-        """The support edge on this side, once E_hi clears the level."""
+    def bound(self, problem, side, E_lo, E_hi, config, series=None):
+        """The support edge on this side, once E_hi clears the level (an
+        exact cue has no series to gate)."""
         if self.level - E_hi < config.kappa:
             raise ThresholdError(
                 f"E_max = {E_hi} does not clear the {side} level "
@@ -220,17 +222,20 @@ class ConstantLevel:
                                              f"the tail level {self.level}")
         return end
 
-    def admit(self, problem, side, end, E_lo, E_hi, config):
+    def admit(self, problem, side, end, E_lo, E_hi, config, series=None):
         """Raise unless the explicit end is valid: `settle` decides."""
         self.settle(problem, side, end)
 
-    def boundary_angle(self, E, t, side):
+    def boundary_angle(self, E, t, side, series=None):
         E = np.asarray(E, dtype=float)
         above = _first_not_below(E, self.level)
         if above is not None:
             raise ThresholdError(
                 f"E = {above} not below {side} level {self.level}")
-        angle = np.arctan(np.sqrt(2.0 * (self.level - E)))
+        # capped where 2 (level - E) would overflow: the angle is the limit
+        # pi / 2 there to the last bit, capped or not
+        gap = np.minimum(self.level - E, _HALF_MAX)
+        angle = np.arctan(np.sqrt(2.0 * gap))
         return _scalar_or_array(angle if side == "left" else -angle)
 
 
@@ -245,8 +250,9 @@ class _SeriesTail:
     threshold = math.inf
     half_line = False
 
-    def bound(self, problem, side, E_lo, E_hi, config):
-        """Grow outward from the seed until the residual and clearance pass.
+    def bound(self, problem, side, E_lo, E_hi, config, series):
+        """Grow outward from the seed until the residual and clearance pass,
+        each candidate gated against the side's series (`side_series`).
 
         A finite threshold must clear E_hi by more than kappa, or the
         clearance gate would push the boundary out without end.
@@ -258,7 +264,7 @@ class _SeriesTail:
         seed = self.seed(E_hi, config.kappa)
         if side == "left":
             seed = -seed
-        return _resolve_side(problem, side, E_lo, E_hi, config, seed,
+        return _resolve_side(problem, side, E_lo, E_hi, config, series, seed,
                              grow=lambda t: t * _GROWTH)
 
     def fd_edge(self, t, side, E, config):
@@ -272,17 +278,21 @@ class _SeriesTail:
         """end as given: a series tail has no support edge to settle on."""
         return end
 
-    def admit(self, problem, side, end, E_lo, E_hi, config):
+    def admit(self, problem, side, end, E_lo, E_hi, config, series):
         """Raise unless the explicit end passes `bound`'s cue-residual gate
         at E_lo and E_hi (its clearance test is for a chosen end only)."""
-        failure = _tail_failure(problem, side, end, E_lo, E_hi, config, False)
+        failure = _tail_failure(problem, side, end, E_lo, E_hi, config, False,
+                                series)
         if failure is not None:
             raise IntervalSelectionError(
                 f"the {side} end {end} fails the cue gate (residual_tol = "
                 f"{config.residual_tol}): {failure}")
 
-    def boundary_angle(self, E, t, side):
-        series = tail_cue_series(self, np.asarray(E, dtype=float))
+    def boundary_angle(self, E, t, side, series=None):
+        """arctan of the cue at t; series, when given, is the cue series at
+        the energies E, built already."""
+        if series is None:
+            series = tail_cue_series(self, np.asarray(E, dtype=float))
         return _scalar_or_array(np.arctan(series.evaluate(t)))
 
 
@@ -309,8 +319,10 @@ class OscillatorTail(_SeriesTail):
             raise DomainError("oscillator cue needs omega > 0; for "
                               "omega -> 0 use the Coulomb cue instead")
         d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
-        coeffs = _inverse_power_series(self.omega, d, n_terms,
-                                       E / self.omega - 0.5)
+        # inf beyond the float range, which CueSeries refuses: a failed gate
+        with np.errstate(over="ignore"):
+            first = E / self.omega - 0.5
+        coeffs = _inverse_power_series(self.omega, d, n_terms, first)
         return CueSeries(-self.omega, 1, coeffs)
 
     def seed(self, E_hi, kappa):
@@ -339,7 +351,10 @@ class CoulombTail(_SeriesTail):
         above = _first_not_below(E, 0.0)
         if above is not None:
             raise ThresholdError(f"decaying tail cue needs E < 0, not {above}")
-        k = np.sqrt(-2.0 * E)
+        # inf beyond the float range, where the 0+ series of the other side
+        # already fails its gate, so no candidate end is tested against it
+        with np.errstate(over="ignore"):
+            k = np.sqrt(-2.0 * E)
         d = {1: -2.0 * self.charge, 2: float(self.l * (self.l + 1))}
         return CueSeries(-k, 0, _inverse_power_series(k, d, n_terms))
 
@@ -358,10 +373,11 @@ class _ZeroSingularity(_SeriesTail):
 
     half_line = True
 
-    def bound(self, problem, side, E_lo, E_hi, config):
+    def bound(self, problem, side, E_lo, E_hi, config, series):
         """Shrink toward the singularity, floored at 1e-4."""
         # near the singularity the forbidden-region clearance does not apply
-        return _resolve_side(problem, side, E_lo, E_hi, config, seed=1e-2,
+        return _resolve_side(problem, side, E_lo, E_hi, config, series,
+                             seed=1e-2,
                              grow=lambda t: max(t / _GROWTH, _ZERO_FLOOR),
                              check_clearance=False)
 
@@ -381,7 +397,10 @@ class CoulombZeroSingularity(_ZeroSingularity):
 
     def cue_series(self, E, n_terms=DEFAULT_N_TERMS):
         """f = (l+1)/t + power series in t; omega enters at order t^3."""
-        c = {-1: -2.0 * self.charge, 0: -2.0 * E, 2: self.omega * self.omega}
+        # inf beyond the float range, which CueSeries refuses: a failed gate
+        with np.errstate(over="ignore"):
+            c = {-1: -2.0 * self.charge, 0: -2.0 * E,
+                 2: self.omega * self.omega}
         return _pole_cue(self.l, c, n_terms)
 
 
@@ -399,7 +418,9 @@ class YukawaZeroSingularity(_ZeroSingularity):
         lam = self.screening_lambda
         c = {s: -2.0 * (-lam) ** (s + 1) / math.factorial(s + 1)
              for s in range(-1, n_terms)}
-        c[0] -= 2.0 * E
+        # inf beyond the float range, which CueSeries refuses: a failed gate
+        with np.errstate(over="ignore"):
+            c[0] -= 2.0 * E
         return _pole_cue(self.l, c, n_terms)
 
 
@@ -448,47 +469,77 @@ def tail_cue_series(tail, E) -> CueSeries:
     return tail.cue_series(E)
 
 
-def left_boundary_angle(problem, energies, a: float):
+def side_series(problem, E_lo: float, E_hi: float):
+    """(left, right): each tail's cue series at the batch [E_lo, E_hi].
+
+    A solve builds them once: its interval gate tests every candidate end
+    against its side's, and its mesh takes the end angles from them.  A
+    constant tail, whose cue is exact, has None; a series that cannot be
+    built has the DomainError or OverflowError that building it raised,
+    and fails every candidate end with it (`_tail_failure`).
+    """
+    pair = []
+    for tail in (problem.left_tail, problem.right_tail):
+        series = None
+        if not isinstance(tail, ConstantLevel):
+            try:
+                series = tail_cue_series(tail, np.array([E_lo, E_hi],
+                                                        dtype=float))
+            except (DomainError, OverflowError) as exc:
+                series = exc
+        pair.append(series)
+    return tuple(pair)
+
+
+def left_boundary_angle(problem, energies, a: float, series=None):
     """Angle of the left-decaying cue at t = a, in (-pi/2, pi/2).
 
-    A float for one energy, an array for an array of energies.
+    A float for one energy, an array for an array of energies; series,
+    when given, is the left cue series at the energies (`side_series`).
     """
-    return problem.left_tail.boundary_angle(energies, a, "left")
+    return problem.left_tail.boundary_angle(energies, a, "left", series)
 
 
-def right_boundary_angle(problem, energies, b: float):
+def right_boundary_angle(problem, energies, b: float, series=None):
     """Angle of the right-decaying cue at t = b, in (-pi/2, pi/2).
 
-    A float for one energy, an array for an array of energies.
+    A float for one energy, an array for an array of energies; series,
+    when given, is the right cue series at the energies (`side_series`).
     """
-    return problem.right_tail.boundary_angle(energies, b, "right")
+    return problem.right_tail.boundary_angle(energies, b, "right", series)
 
 
-def boundary_residual(problem, E, t: float, side: str):
+def boundary_residual(problem, E, t: float, side: str, series=None):
     """Cue residual of a series tail at a candidate boundary, a float for
     one energy and an array for an array of energies (a constant tail's cue
-    is exact, and its `settle` decides where V has reached the level)."""
+    is exact, and its `settle` decides where V has reached the level).
+    series, when given, is the side's cue series at E, built already."""
     tail = problem.left_tail if side == "left" else problem.right_tail
-    return verify_cue_residual(tail_cue_series(tail, E), problem.potential,
-                               problem.l or 0, E, t)
+    if series is None:
+        series = tail_cue_series(tail, E)
+    return verify_cue_residual(series, problem.potential, problem.l or 0, E,
+                               t)
 
 
 # ---------------------------------------------------------------------------
 # Boundary search used by the series tails
 # ---------------------------------------------------------------------------
 
-def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
+def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance,
+                  series):
     """Why t fails as a boundary, or None when it passes.
 
     t passes when the cue residual is within tolerance at both energy
-    extremes, taken in one batch (one cue series for both), and, with
-    check_clearance, V_eff(t) clears E_hi by kappa.  A series that cannot
-    be built or overflows at t (near 0 or infinity) fails too; an energy
-    above the threshold raises (`bound` checks it before any t).
+    extremes, taken in one batch against series, the side's
+    (`side_series`), and, with check_clearance, V_eff(t) clears E_hi by
+    kappa.  A series that could not be built or that overflows at t (near
+    0 or infinity) fails too.
     """
     try:
+        if isinstance(series, Exception):
+            raise series.with_traceback(None)
         residuals = boundary_residual(problem, np.array([E_lo, E_hi]), t,
-                                      side)
+                                      side, series)
         for E, residual in zip((E_lo, E_hi), residuals):
             if not residual <= config.residual_tol:     # nan fails too
                 return f"cue residual {residual:.3e} at E = {E}"
@@ -501,13 +552,13 @@ def _tail_failure(problem, side, t, E_lo, E_hi, config, check_clearance):
     return None
 
 
-def _resolve_side(problem, side, E_lo, E_hi, config, seed, grow,
+def _resolve_side(problem, side, E_lo, E_hi, config, series, seed, grow,
                   check_clearance=True):
     """Grow a candidate boundary geometrically until the gates pass."""
     t = seed
     for _ in range(200):
         failure = _tail_failure(problem, side, t, E_lo, E_hi, config,
-                                check_clearance)
+                                check_clearance, series)
         if failure is None:
             return t
         last_t, t = t, grow(t)

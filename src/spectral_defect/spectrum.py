@@ -15,15 +15,18 @@ step of height pi at each level; at an interior c it is smooth.
 A solve builds the mesh of every pass once, next to c, from V alone
 (`angular.pass_mesh`), so a pass costs in proportion to its energies, and
 a solve's cost is the number of energies it evaluates.  It keeps every
-Gamma sample and, pass by pass, cuts each adjacent pair across which
-n_below rises by k into _SPLIT * k = 2 k equal pieces, so every bracket at
-least halves per pass for 2 k - 1 energies.  In the same pass every level
-of such a pair gets one root step: inverse interpolation of E(Gamma)
-through the nearest samples, with two points placed on either side of the
-estimate at about twice its error.  Gamma is smooth, so the step usually
-brackets the level to e_tol within a few passes; the cuts guarantee
-progress where it does not (doublets, a step-shaped Gamma).  Every bracket
-is an adjacent pair of samples.
+Gamma sample and, pass by pass, gives every level of each adjacent pair
+across which n_below rises by k one root step: inverse interpolation of
+E(Gamma) through the nearest samples, with two points placed on either
+side of the estimate at about twice its error.  Gamma is smooth, so the
+step usually brackets the level to e_tol within a few passes.  The pair
+is also cut into _SPLIT * k = 2 k equal pieces for 2 k - 1 energies,
+unless it holds one level and the last pass's root step made it: one of
+its ends is a root point of that pass and it is at most half as wide as
+the pair that pass cut (Brent's safeguard: cut only where interpolation
+stalls).  So every bracket at least halves every two passes, also where
+the root step does not converge (doublets, a step-shaped Gamma).  Every
+bracket is an adjacent pair of samples.
 """
 
 import math
@@ -40,9 +43,9 @@ from .errors import (DomainError, IntegrationError, IntervalSelectionError,
 from .potentials import ProblemSpec
 
 _MONOTONE_JITTER = 1e-9     # Gamma drop allowed per unit of max(1, |Gamma|)
-_SPLIT = 2                  # pieces per level each bracket is cut into
-                            # per pass: the fewest that still halve it, as
-                            # a pass costs in proportion to its energies
+_SPLIT = 2                  # pieces per level a bracket is cut into in a
+                            # pass: the fewest that still halve it, as a
+                            # pass costs in proportion to its energies
 _MATCH_GRID = 4001          # points on which the matching point is sought
 _SCAN_SAMPLES = 64          # energies of a solve's first pass: 8 to 64
                             # move no level by more than 6e-11
@@ -149,7 +152,7 @@ def _check_energies(problem, name: str, E):
 
 
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
-                  config: SolveConfig) -> Tuple[float, float]:
+                  config: SolveConfig, series=None) -> Tuple[float, float]:
     """Working interval [a, b]: cues valid outside, tails cleared by kappa.
 
     Each tail class bounds its own side (see `cues`): constant tails at the
@@ -158,17 +161,23 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     by shrinking toward the singularity, floored at 1e-4.  An explicit
     interval is kept once each end passes its tail's `admit`: a constant
     tail's end must settle, a series tail's pass the cue-residual gate at
-    E_min and E_max.
+    E_min and E_max.  Each series tail's gate tests its candidates against
+    one cue series for both energies: series, private, is the pair a solve
+    built (`cues.side_series`), and one is built here without it.
     """
     for name, E in (("E_min", E_min), ("E_max", E_max)):
         _check_energies(problem, name, E)
+    left, right = series or cues.side_series(problem, E_min, E_max)
     if problem.interval is not None:
         a, b = problem.interval
-        problem.left_tail.admit(problem, "left", a, E_min, E_max, config)
-        problem.right_tail.admit(problem, "right", b, E_min, E_max, config)
+        problem.left_tail.admit(problem, "left", a, E_min, E_max, config,
+                                left)
+        problem.right_tail.admit(problem, "right", b, E_min, E_max, config,
+                                 right)
         return a, b
-    a = problem.left_tail.bound(problem, "left", E_min, E_max, config)
-    b = problem.right_tail.bound(problem, "right", E_min, E_max, config)
+    a = problem.left_tail.bound(problem, "left", E_min, E_max, config, left)
+    b = problem.right_tail.bound(problem, "right", E_min, E_max, config,
+                                 right)
     if not a < b:
         raise IntervalSelectionError(f"degenerate interval ({a}, {b})")
     return a, b
@@ -195,25 +204,28 @@ def _matching_point(problem: ProblemSpec, interval) -> float:
 
 
 def _window(problem: ProblemSpec, E_min: float, E_max: float,
-            config: SolveConfig):
+            config: SolveConfig, series=None):
     """(a, c, b, mesh) at [E_min, E_max]: the admitted or automatic
-    interval (`auto_interval`), its matching point and mesh None."""
-    a, b = auto_interval(problem, E_min, E_max, config)
+    interval (`auto_interval`, gated against series if given), its
+    matching point and mesh None."""
+    a, b = auto_interval(problem, E_min, E_max, config, series)
     return a, _matching_point(problem, (a, b)), b, None
 
 
-def _cue_angles(problem: ProblemSpec, energies, a: float, b: float):
+def _cue_angles(problem: ProblemSpec, energies, a: float, b: float,
+                series=(None, None)):
     """The start angles (lefts, rights) of both halves at the energies.
 
     Gamma increases with E only when each half starts on its decaying
     branch: psi'/psi > 0 at a and < 0 at b.  A cue on the growing branch
     (a flipped sign) can leave Gamma_c monotone and the levels wrong, so
     every start angle is checked here.  Each side's angles come from one
-    call for the whole batch.
+    call for the whole batch, from series (left, right) where a side's is
+    given: its cue series at the energies, built already.
     """
     energies = np.asarray(energies, dtype=float)
-    lefts = cues.left_boundary_angle(problem, energies, a)
-    rights = cues.right_boundary_angle(problem, energies, b)
+    lefts = cues.left_boundary_angle(problem, energies, a, series[0])
+    rights = cues.right_boundary_angle(problem, energies, b, series[1])
     for side, angles, sign in (("left", lefts, 1.0), ("right", rights, -1.0)):
         wrong = energies[~(sign * np.asarray(angles) > 0)]
         if wrong.size:
@@ -263,7 +275,7 @@ def count_levels(problem: ProblemSpec, E_ceiling: float,
 # Root finding on Gamma(E) = n pi (and the scaled variant)
 # ---------------------------------------------------------------------------
 
-def _scaled_sampler(problem, config, window, E_min, E_max):
+def _scaled_sampler(problem, config, window, E_min, E_max, series):
     """Gamma at b, integrated in one squeezing-adapted chart over [a, b].
 
     Requires equal constant tails at a level v0 and E_max below it.  The
@@ -272,6 +284,7 @@ def _scaled_sampler(problem, config, window, E_min, E_max):
     angle starts at pi/4 and runs to b without a cut, independent of the
     matching point and of the closed form.  theta(b) is read out in alpha
     (`_rechart`), and Gamma = -atan(k) - alpha(b) is the plain defect at b.
+    Constant tails have no cue series to take.
     """
     error = DomainError("the scaled chart needs equal constant tails")
     v0, right = cues.constant_levels(problem.left_tail, problem.right_tail,
@@ -293,13 +306,14 @@ def _scaled_sampler(problem, config, window, E_min, E_max):
     return sample
 
 
-def _matched_sampler(problem, config, window, E_min, E_max):
+def _matched_sampler(problem, config, window, E_min, E_max, series):
     """Gamma_c batches through defect_angles on the solve's window, with
-    the mesh of every pass made once, at the energy extremes."""
+    the mesh of every pass made once, at the energy extremes, from the end
+    angles of series, the cue series the window was gated with."""
     a, c, b, _ = window
     ends = [E_min, E_max]
-    mesh = pass_mesh(problem, ends, *_cue_angles(problem, ends, a, b), a, c,
-                     b, config)
+    mesh = pass_mesh(problem, ends, *_cue_angles(problem, ends, a, b, series),
+                     a, c, b, config)
     return lambda energies: defect_angles(problem, energies, config,
                                           (a, c, b, mesh))
 
@@ -355,16 +369,24 @@ def _root_points(keys, samples, i, n, e_tol):
 def _scan_and_split(sample_fn, E_min, E_max, config):
     """Scan, then split every sample pair across which the level count rises.
 
-    Each pass cuts every adjacent pair (e1, e2) wider than e_tol that holds
-    k = n_below(e2) - n_below(e1) > 0 levels into _SPLIT * k = 2 k equal
-    pieces, so every such pair at least halves per pass.  Each of its
-    levels also gets the three points of one inverse-interpolation root
-    step on Gamma (`_root_points`), which close in on a smooth Gamma
-    superlinearly and bracket the root in the same pass; the cuts keep
-    doublets and step-shaped Gamma converging.  A pass costs in
-    proportion to its energies, so the cuts are the fewest that still
-    guarantee the halving, and a pair gets at most 5 k - 1 new energies.
-    All new energies are evaluated in one sample_fn call, until no pair
+    Each pass gives every level of every adjacent pair (e1, e2) wider than
+    e_tol that holds k = n_below(e2) - n_below(e1) > 0 levels the three
+    points of one inverse-interpolation root step on Gamma
+    (`_root_points`), which close in on a smooth Gamma superlinearly and
+    bracket the root in the same pass.  The pair is also cut into _SPLIT *
+    k = 2 k equal pieces, unless k = 1 and the last pass credited it: one
+    of its ends is a root point of that pass and it is at most half as
+    wide as the pair that pass cut.  A credited pair whose root points
+    land nothing strictly inside is cut all the same.  So a pass without a
+    cut follows one that halved the pair, and every such pair at least
+    halves every two passes: the cuts keep doublets and step-shaped Gamma
+    converging, and with no root points the search is plain bisection.  A
+    pass costs in proportion to its energies, so the cuts are the fewest
+    that still guarantee the halving, and a pair gets at most 5 k - 1 new
+    energies.  The credit is each root point's half pair width, recorded
+    where a pass splices its energies in and read by the next pass only,
+    so its bookkeeping is in proportion to the energies a pass adds.  All
+    new energies are evaluated in one sample_fn call, until no pair
     qualifies or none has room for a new energy strictly inside (float
     resolution).  The first pass examines every pair of the scan; each
     later one only the pairs inside the brackets the last pass cut, since
@@ -385,31 +407,43 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
         raise DomainError(f"[E_min, E_max] holds {count:.6g} levels, more "
                           f"than the {_MAX_LEVELS} one solve resolves")
     pairs = range(len(keys) - 1)
+    halves = {}     # each root point of the last pass: half its pair's width
     while True:
-        cuts = {}   # index of a pair that gets energies: them, sorted
+        cuts = {}   # index of a pair that gets energies: them, sorted, and
+                    # its root points among them
         for i in pairs:
             lo, hi = counts[i], counts[i + 1]
             e1, e2 = keys[i], keys[i + 1]
             if not (hi > lo and e2 - e1 > config.e_tol):
                 continue
-            div = _SPLIT * (hi - lo)
-            step = (e2 - e1) / div
-            points = [j * step + e1 for j in range(1, div)]
+            points = []
             for n in range(lo, hi):
                 points += _root_points(keys, samples, i, n, config.e_tol)
-            inner = {E for E in points if e1 < E < e2}
+            roots = {E for E in points if e1 < E < e2}
+            # this pair lies inside one the last pass cut: a root point at
+            # its ends is one of that pair's, and halves holds its half width
+            if roots and hi - lo == 1 and e2 - e1 <= (
+                    halves.get(e1) or halves.get(e2, 0.0)):
+                inner = roots
+            else:
+                div = _SPLIT * (hi - lo)
+                step = (e2 - e1) / div
+                points += [j * step + e1 for j in range(1, div)]
+                inner = {E for E in points if e1 < E < e2}
             if inner:
-                cuts[i] = sorted(inner)
+                cuts[i] = sorted(inner), roots
         if not cuts:
             break
-        inner = [E for points in cuts.values() for E in points]
+        inner = [E for points, _ in cuts.values() for E in points]
         added = sample_fn(inner)
         samples.update(zip(inner, added))
         fresh = [s.n_below for s in added]
         # splice each pair's energies in after its first end, and examine
         # the pairs between its ends next
         spliced, tallies, pairs, start = [], [], [], 0
-        for i, points in cuts.items():
+        halves = {}
+        for i, (points, roots) in cuts.items():
+            halves.update(dict.fromkeys(roots, 0.5 * (keys[i + 1] - keys[i])))
             spliced += keys[start:i + 1] + points
             tallies += counts[start:i + 1] + fresh[:len(points)]
             del fresh[:len(points)]
@@ -438,17 +472,20 @@ def _scan_and_split(sample_fn, E_min, E_max, config):
 def _solve(problem, E_min, E_max, config, sampler):
     """Scan and split on one interval, resolved at the energy extremes.
 
-    sampler(problem, config, window, E_min, E_max) returns the function
-    that maps a batch of energies in [E_min, E_max] to their DefectSamples.
+    sampler(problem, config, window, E_min, E_max, series) returns the
+    function that maps a batch of energies in [E_min, E_max] to their
+    DefectSamples; series is each tail's cue series at the energy extremes
+    (`cues.side_series`), built once for the interval gate and the sampler.
     """
     config = config or SolveConfig()
     for name, E in (("E_min", E_min), ("E_max", E_max)):
         _check_energies(problem, name, E)
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
-    window = _window(problem, E_min, E_max, config)
+    series = cues.side_series(problem, E_min, E_max)
+    window = _window(problem, E_min, E_max, config, series)
     eigenvalues, scan = _scan_and_split(
-        sampler(problem, config, window, E_min, E_max), E_min, E_max,
+        sampler(problem, config, window, E_min, E_max, series), E_min, E_max,
         config)
     return SpectrumResult(eigenvalues=eigenvalues, scan=scan,
                           problem=problem.with_interval(window[0], window[2]),
@@ -462,12 +499,13 @@ def find_eigenvalues(problem: ProblemSpec, E_min: float, E_max: float,
     The interval is resolved once per run at the energy extremes; every
     Gamma sample shares it, its matching point c and the mesh of the
     passes, and result.scan holds them all.  Gamma = alpha_R(c) -
-    alpha_L(c).  Each pass cuts a bracket holding k levels into _SPLIT * k
-    = 2 k equal pieces, so that it at least halves, and adds one
-    inverse-interpolation root step per level (`_root_points`).  Level n's
-    bracket is an adjacent pair of samples whose n_below steps past n, at
-    most config.e_tol wide unless float resolution stops the splitting
-    first.
+    alpha_L(c).  Each pass adds one inverse-interpolation root step per
+    level of a bracket holding k levels (`_root_points`) and cuts the
+    bracket into _SPLIT * k = 2 k equal pieces, unless it holds one level
+    and the last root step halved it, so that it at least halves every
+    two passes (`_scan_and_split`).  Level n's bracket is an adjacent pair
+    of samples whose n_below steps past n, at most config.e_tol wide
+    unless float resolution stops the splitting first.
     """
     return _solve(problem, E_min, E_max, config, _matched_sampler)
 

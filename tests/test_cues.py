@@ -330,8 +330,9 @@ def test_a_wrong_cue_in_a_batch_names_the_first_wrong_energy(monkeypatch,
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
     name = f"{side}_boundary_angle"
     boundary_angle = getattr(cues, name)
-    monkeypatch.setattr(cues, name, lambda problem, E, t: np.where(
-        np.asarray(E) > -0.5, -1.0, 1.0) * boundary_angle(problem, E, t))
+    monkeypatch.setattr(cues, name, lambda problem, E, t, *series: np.where(
+        np.asarray(E) > -0.5, -1.0, 1.0) * boundary_angle(problem, E, t,
+                                                          *series))
     energies = np.array([-1.5, -0.3, -0.9, -0.45, -0.2])
     with pytest.raises(MonotonicityError,
                        match=rf"{side} cue at E = -0\.3 is not"):
@@ -351,28 +352,27 @@ def test_a_wrong_cue_in_a_batch_names_the_first_wrong_energy(monkeypatch,
 def test_a_candidate_boundary_is_gated_by_one_batched_series(
         monkeypatch, problem, E_lo, E_hi):
     # the interval search asks for both energy extremes' residuals in one
-    # call, one cue series for the two, and each is the residual of its
-    # energy alone to the last bit, so the interval does not move
+    # call, against one cue series for the two built once per side, and
+    # each is the residual of its energy alone to the last bit, so the
+    # interval does not move
     builds, calls, build = [], [], cues.tail_cue_series
     residual = cues.boundary_residual
 
     def counted_build(tail, E):
-        builds.append(np.shape(E))
+        builds.append((tail, np.shape(E)))
         return build(tail, E)
 
-    def counted_residual(problem, E, t, side):
+    def counted_residual(problem, E, t, side, series):
         calls.append((np.shape(E), t, side))
-        return residual(problem, E, t, side)
+        return residual(problem, E, t, side, series)
 
     monkeypatch.setattr(cues, "tail_cue_series", counted_build)
     monkeypatch.setattr(cues, "boundary_residual", counted_residual)
     sd.auto_interval(problem, E_lo, E_hi, sd.SolveConfig())
     assert calls and all(shape == (2,) for shape, _, _ in calls)
-    assert builds == [(2,)] * len(builds)
-    series_sides = {side for side, tail in (("left", problem.left_tail),
-                                            ("right", problem.right_tail))
-                    if not isinstance(tail, cues.ConstantLevel)}
-    assert len(builds) == sum(side in series_sides for *_, side in calls)
+    series_tails = [tail for tail in (problem.left_tail, problem.right_tail)
+                    if not isinstance(tail, cues.ConstantLevel)]
+    assert builds == [(tail, (2,)) for tail in series_tails]
     for _, t, side in calls:
         batch = residual(problem, np.array([E_lo, E_hi]), t, side)
         single = [residual(problem, E, t, side) for E in (E_lo, E_hi)]
@@ -382,13 +382,15 @@ def test_a_candidate_boundary_is_gated_by_one_batched_series(
 def test_a_failing_candidate_names_its_first_failing_energy():
     problem = sd.problem_for(sd.Coulomb())
     energies = np.array([-0.6, -0.01])
+    _, series = cues.side_series(problem, *energies)
     low, high = cues.boundary_residual(problem, energies, 40.0, "right")
     assert low < high
     for tol, named in ((0.5 * low, -0.6), (math.sqrt(low * high), -0.01)):
         failure = cues._tail_failure(problem, "right", 40.0, *energies,
-                                     sd.SolveConfig(residual_tol=tol), False)
+                                     sd.SolveConfig(residual_tol=tol), False,
+                                     series)
         assert failure == f"cue residual {(low, high)[named == -0.01]:.3e} " \
                           f"at E = {named}"
     assert cues._tail_failure(problem, "right", 40.0, *energies,
                               sd.SolveConfig(residual_tol=2.0 * high),
-                              False) is None
+                              False, series) is None

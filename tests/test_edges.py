@@ -113,8 +113,8 @@ def test_a_flipped_cue_breaks_monotonicity(monkeypatch, potential, window,
     assert len(result.eigenvalues) == levels
     name = f"{side}_boundary_angle"
     boundary_angle = getattr(cues, name)
-    monkeypatch.setattr(cues, name, lambda problem, E, t:
-                        -boundary_angle(problem, E, t))
+    monkeypatch.setattr(cues, name, lambda problem, E, t, *series:
+                        -boundary_angle(problem, E, t, *series))
     with pytest.raises(MonotonicityError, match=f"decays to the {side}"):
         sd.find_eigenvalues(problem, *window)
     with pytest.raises(MonotonicityError, match=f"decays to the {side}"):

@@ -12,7 +12,8 @@ from scipy.special import eval_genlaguerre
 import spectral_defect as sd
 from spectral_defect import cues, oracle, spectrum
 from spectral_defect.angular import integrate_angles
-from spectral_defect.errors import (DomainError, IntervalSelectionError,
+from spectral_defect.errors import (DomainError, IntegrationError,
+                                    IntervalSelectionError,
                                     MonotonicityError, SpectralDefectError,
                                     ThresholdError)
 from spectral_defect.potentials import Shifted
@@ -133,8 +134,9 @@ def test_level_count_does_not_depend_on_the_matching_point(well, where):
     # a right cue with its sign flipped sits on the growing branch
     right_boundary_angle = cues.right_boundary_angle
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cues, "right_boundary_angle", lambda problem, E, t:
-                      -right_boundary_angle(problem, E, t))
+        patch.setattr(cues, "right_boundary_angle",
+                      lambda problem, E, t, *series:
+                      -right_boundary_angle(problem, E, t, *series))
         with pytest.raises(MonotonicityError):
             sd.find_eigenvalues(problem, e_min, e_max)
 
@@ -303,7 +305,7 @@ def test_settled_ends_that_cross_on_flat_v_keep_the_interval():
     ((-4.0, 64.0), [0.49999999178787924, 1.4999997004896055,
                     2.4999947649610563, 3.499941586291944, 4.499530286005061,
                     5.49706782670118, 6.484828917334264, 7.428251816286261]),
-    ((-5.0, 5.0), [0.4999999917878792, 1.4999997004896057, 2.4999947649610554,
+    ((-5.0, 5.0), [0.4999999917878792, 1.4999997004896057, 2.499994764986055,
                    3.4999415862919454, 4.499530286005063, 5.497067826701176,
                    6.484828917334264, 7.428251816286259]),
     ((-10.0, 10.0), [0.49999999178787924, 1.4999997004896057,
@@ -682,6 +684,58 @@ def test_an_extreme_energy_fails_the_cue_gate_without_a_warning(
         _without_warnings(lambda: sd.find_eigenvalues(problem, E_min, E_max))
 
 
+# one problem of each family the CLI builds, the E_max of a solve on it
+_CLI_FAMILIES = {
+    "truncated_oscillator": (sd.problem_for(OSC4), 7.9),
+    "hybrid_oscillator": (sd.problem_for(sd.HybridOscillator(0.5, 1.0)), 4.0),
+    "square_well": (_SQUARE, -0.1),
+    "piecewise": (sd.problem_for(sd.PiecewiseConstant(
+        (-1.0, 0.0, 1.0), (0.0, -1.0, -2.0, 0.0))), -0.1),
+    "coulomb": (sd.problem_for(sd.Coulomb()), -0.05),
+    "yukawa": (sd.problem_for(sd.Yukawa(0.1), l=1), -0.002),
+    "quark_hybrid": (sd.problem_for(sd.QuarkHybrid(0.1), l=1), 0.6),
+    "tabulated": (sd.problem_for(sd.Tabulated(
+        ts=(-2.0, -1.0, 0.0, 1.0, 2.0), vs=(0.0, -1.0, -2.0, -1.0, 0.0))),
+        -0.1),
+}
+
+
+def test_every_cli_family_is_swept_to_the_float_limit():
+    from spectral_defect import cli
+    assert set(_CLI_FAMILIES) == set(cli._FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(_CLI_FAMILIES))
+def test_an_energy_down_to_the_float_limit_warns_nowhere(family):
+    # from about -5e307 down, 2 (V - E) or its product with a step's
+    # width passes the float range: a constant tail's angle is then its
+    # limit pi / 2, and a leaf or a cue series is not finite, which ends
+    # in a typed error, never in a RuntimeWarning
+    problem, E_max = _CLI_FAMILIES[family]
+    outcomes = {}
+    for E in (-1e10, -1e100, -1e200, -1e300, -1e305, -1e307, -5e307,
+              -9e307, -1e308, -1.7e308):
+        for name, call in (
+                ("count", lambda: sd.count_levels(problem, E)),
+                ("psi", lambda: sd.reconstruct_eigenfunction(
+                    problem, E, [0.5]).psi.size)):
+            try:
+                outcomes[name, E] = _without_warnings(call)
+            except SpectralDefectError as exc:
+                outcomes[name, E] = type(exc)
+    try:
+        outcomes["solve"] = len(_without_warnings(lambda: sd.find_eigenvalues(
+            problem, -1.7e308, E_max)).eigenvalues)
+    except SpectralDefectError as exc:
+        outcomes["solve"] = type(exc)
+    if family == "square_well":
+        assert [outcomes["count", E] for E in (-1e10, -1e300, -1.7e308)] == \
+            [0, 0, IntegrationError]
+    if family in ("coulomb", "yukawa", "quark_hybrid"):
+        assert outcomes["count", -1.7e308] is IntervalSelectionError
+        assert outcomes["solve"] is IntervalSelectionError
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         sd.SolveConfig(e_tol=-1.0)
@@ -739,30 +793,120 @@ def test_root_step_finds_what_splitting_alone_finds(well):
                        atol=result.config.e_tol)
 
 
+# levels of the synthetic samplers on [0, 1]: a doublet shares a scan pair
+_STEP_LEVELS = (0.123456789, 0.5, 0.5001, 0.9)
+
+
+def _step_sampler(energies):
+    """Gamma = pi / 2 + pi #{levels <= E}: a step of pi at each level."""
+    return [spectrum.DefectSample(E=float(E), gamma=math.pi * (
+        0.5 + sum(L <= E for L in _STEP_LEVELS))) for E in energies]
+
+
+def _line_sampler(energies):
+    """Gamma = pi (64 E + 1/2): level n at (n - 1/2) / 64."""
+    return [spectrum.DefectSample(E=float(E), gamma=math.pi * (64.0 * E + 0.5))
+            for E in energies]
+
+
+def _points_below_the_level(keys, samples, i, n, e_tol):
+    """Root points on the line's level n that never bracket it: all three
+    sit below it, the nearest a 32nd of the pair away."""
+    w = keys[i + 1] - keys[i]
+    level = (n - 0.5) / 64.0
+    return [level - w / 8, level - w / 16, level - w / 32]
+
+
+@pytest.mark.parametrize("sampler, root_points", [
+    (_step_sampler, None), (_line_sampler, _points_below_the_level)],
+    ids=["step_gamma", "root_points_below"])
+def test_a_levels_passes_stay_within_the_bisection_bound(
+        monkeypatch, sampler, root_points):
+    # where the root step never brackets a level, a pair skips its equal
+    # cut only in a pass after its root points halved it, so it halves at
+    # least every two passes: every level is bracketed to e_tol within
+    # 2 ceil(log2(w_scan / e_tol)) + 1 passes, the scan's included
+    config = sd.SolveConfig()
+    batches, offered = [], {}   # each pass's energies and root points
+    find_roots = root_points or spectrum._root_points
+
+    def recorded_roots(*args):
+        points = find_roots(*args)
+        offered.setdefault(len(batches), set()).update(points)
+        return points
+
+    def recorded_sampler(energies):
+        batches.append(sorted(energies))
+        return sampler(energies)
+
+    monkeypatch.setattr(spectrum, "_root_points", recorded_roots)
+    levels, _ = spectrum._scan_and_split(recorded_sampler, 0.0, 1.0, config)
+    w_scan = 1.0 / (spectrum._SCAN_SAMPLES - 1)
+    bound = 2 * math.ceil(math.log2(w_scan / config.e_tol)) + 1
+    keys, done, uncut = [], {}, 0   # done: level -> passes to reach e_tol
+    for t, batch in enumerate(batches):
+        if t >= 2:
+            # every pair of one level that gets energies without its equal
+            # cut had a root point of the last pass for an end, and at most
+            # half the width of the pair that pass cut
+            parent = sorted(set(keys) - set(batches[t - 1]))
+            credit = offered[t - 1] & set(batches[t - 1])
+            for e1, e2, lo, hi in zip(keys, keys[1:], counts, counts[1:]):
+                j = np.searchsorted(batch, e1, side="right")
+                if (hi - lo != 1 or j == len(batch) or batch[j] >= e2
+                        or e1 + (e2 - e1) / 2 in batch):
+                    continue
+                uncut += 1
+                assert {e1, e2} & credit
+                j = np.searchsorted(parent, e1, side="right")
+                assert e2 - e1 <= 0.5 * (parent[j] - parent[j - 1])
+        keys = sorted(keys + batch)
+        counts = [s.n_below for s in sampler(keys)]
+        for e1, e2, lo, hi in zip(keys, keys[1:], counts, counts[1:]):
+            if e2 - e1 <= config.e_tol:
+                for n in range(lo, hi):
+                    done.setdefault(n, t + 1)
+    assert sorted(done) == [ev.n for ev in levels]
+    assert max(done.values()) <= bound
+    assert uncut
+
+
 def _scan_and_split_by_rescans(sample_fn, E_min, E_max, config):
     """The search as it was before it revisited only the brackets it cut:
-    every pass rescans every pair, with one np.linspace per cut pair.  The
-    reference for `spectrum._scan_and_split`, which must match it bit for
-    bit."""
+    every pass rescans every pair, with one np.linspace per cut pair.  A
+    pair holding one level skips its cut, as there, when one of its ends is
+    a root point of the last pass, it is at most half as wide as the pair
+    that pass cut, and its own root points land inside it.  The reference
+    for `spectrum._scan_and_split`, which must match it bit for bit."""
     Es = list(np.linspace(E_min, E_max, spectrum._SCAN_SAMPLES))
     samples = dict(zip(Es, sample_fn(Es)))
     below = {E: s.n_below for E, s in samples.items()}
+    credited = set()    # first ends of the pairs the last root step halved
     while True:
         keys = sorted(samples)
         counts = [below[E] for E in keys]
-        inner = set()
+        inner, cut = set(), []
         for i, (lo, hi) in enumerate(zip(counts, counts[1:])):
             e1, e2 = keys[i], keys[i + 1]
             if not (hi > lo and e2 - e1 > config.e_tol):
                 continue
-            points = list(np.linspace(e1, e2,
-                                      spectrum._SPLIT * (hi - lo) + 1)[1:-1])
+            roots = set()
             for n in range(lo, hi):
-                points += spectrum._root_points(keys, samples, i, n,
-                                                config.e_tol)
-            inner.update(E for E in points if e1 < E < e2)
+                roots.update(E for E in spectrum._root_points(
+                    keys, samples, i, n, config.e_tol) if e1 < E < e2)
+            points = set(roots)
+            if not (roots and hi - lo == 1 and e1 in credited):
+                points.update(E for E in np.linspace(
+                    e1, e2, spectrum._SPLIT * (hi - lo) + 1)[1:-1]
+                    if e1 < E < e2)
+            cut.append(([e1, *sorted(points), e2], roots))
+            inner |= points
         if not inner:
             break
+        credited = {e1 for ends, roots in cut
+                    for e1, e2 in zip(ends, ends[1:])
+                    if (e1 in roots or e2 in roots)
+                    and e2 - e1 <= 0.5 * (ends[-1] - ends[0])}
         inner = sorted(inner)
         added = dict(zip(inner, sample_fn(inner)))
         samples.update(added)
@@ -776,9 +920,10 @@ def _scan_and_split_by_rescans(sample_fn, E_min, E_max, config):
 
 
 def _assert_search_is_the_rescans(problem, E_min, E_max, config):
-    window = spectrum._window(problem, E_min, E_max, config)
+    series = cues.side_series(problem, E_min, E_max)
+    window = spectrum._window(problem, E_min, E_max, config, series)
     sample_fn = spectrum._matched_sampler(problem, config, window, E_min,
-                                          E_max)
+                                          E_max, series)
     got, want = (
         [np.array([(ev.n, ev.energy, ev.width) for ev in levels]).tobytes(),
          np.array([(s.E, s.gamma) for s in scan]).tobytes()]
@@ -850,10 +995,10 @@ def _hydrogen_levels(count):
 
 @pytest.mark.parametrize(
     "potential, E_min, E_max, energies, budget, levels, tol", [
-        (sd.Coulomb(), -0.6, -0.0045, 207, 6, _hydrogen_levels(10), 1e-8),
-        (sd.Coulomb(), -0.6, -0.05, 96, 4, _hydrogen_levels(3), 1e-8),
+        (sd.Coulomb(), -0.6, -0.0045, 183, 6, _hydrogen_levels(10), 1e-8),
+        (sd.Coulomb(), -0.6, -0.05, 91, 4, _hydrogen_levels(3), 1e-8),
         # the truncated oscillator's ladder, as in acceptance criterion 2
-        (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 139, 4,
+        (sd.TruncatedOscillator(1.0, 4.0), 1e-6, 7.998, 128, 4,
          [n + 0.5 for n in range(8)], 0.1),
     ], ids=["hydrogen", "hydrogen_cli", "truncated_a4"])
 def test_energy_and_pass_budget(monkeypatch, potential, E_min, E_max,
@@ -881,7 +1026,7 @@ def test_a_long_constant_tail_costs_a_solve_nothing(monkeypatch):
                                      -1.9, -0.1)
         runs.append((len(passes), sum(passes), result.energies))
     (near, near_evals, near_levels), (far, far_evals, far_levels) = runs
-    assert near == far == 3 and near_evals == far_evals == 80
+    assert near == far == 3 and near_evals == far_evals == 78
     assert np.allclose(far_levels, near_levels, rtol=0.0, atol=1e-10)
 
 
