@@ -55,8 +55,9 @@ pieces, V read once per piece at its midpoint (`_level_steps`), and every
 pass lifts the angles over each step's exact leaf on its own, with no
 product, for speed: its closed-form map, plateau angle and determinant
 (`_carry_levels`).  The eigenfunction (`integrate_angle_sampled`) is
-carried over the mesh of `pass_mesh` at its energy, cut at the grid
-points, one leaf at a time (`_amplitudes`).  The adaptive flow
+carried over the mesh of `pass_mesh` at its energy on the solve's
+interval, cut at the grid points, one leaf at a time (`_amplitudes`), and
+over a constant tail beyond an end in one exact step.  The adaptive flow
 (`_integrate_vector`) serves only the independent checks of the passes:
 the scaled chart of `find_eigenvalues_scaled` (the theta flow of
 `_chart_fun` over [a, b], its angle at b recharted to alpha by `_rechart`)
@@ -73,7 +74,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cues import settled
 from .errors import DomainError, IntegrationError
 from .potentials import PiecewiseConstant, ProblemSpec, Shifted
 
@@ -837,23 +837,20 @@ def integrate_angle_sampled(problem: ProblemSpec, E: float, left_start,
     The arguments are those of `integrate_angles`, for one energy.  Each
     half runs from its own cue toward c and samples the points on its side
     (c on the left), so each carries the solution that decays away from its
-    end (`_amplitudes`): over its steps of the `pass_mesh` at E on the
-    interval settled on the support (`cues.settled`), c moved into it, and
-    over the stretch from its end to the settled edge, where V is the
-    tail's level, in one step more, so the cost does not grow with the
-    length of a constant tail; each step is cut at the points it holds.
-    Where psi is below about 1e-12 of its peak (a far tail, whose wide
-    steps the flow forgives) alpha and log_rho are only those of the
-    steps' maps.  The right half is joined to the left at c: its log_rho
-    moves to the left's value there and its alpha by the multiple of pi
-    nearest alpha_L(c) - alpha_R(c).  t_eval must lie inside [a, b];
-    log_rho is 0 at a.
+    end (`_amplitudes`): over its steps of the `pass_mesh` at E on [a, b],
+    each step cut at the points it holds.  Points past an end must lie on
+    a constant tail, where the end's cue is exact: the half starts at the
+    outermost with the end's angle and crosses to the end in one exact
+    step, so the cost does not grow with the length of the tail.  Where
+    psi is below about 1e-12 of its peak (a far tail, whose wide steps the
+    flow forgives) alpha and log_rho are only those of the steps' maps.
+    The right half is joined to the left at c: its log_rho moves to the
+    left's value there and its alpha by the multiple of pi nearest
+    alpha_L(c) - alpha_R(c).  log_rho is 0 at the first point.
     """
     potential = problem.effective_potential()
     ts = np.sort(np.asarray(t_eval, dtype=float))
-    lo, hi = settled(problem, (a, b))
-    c = min(max(c, lo), hi)
-    mesh = pass_mesh(problem, E, left_start, right_start, lo, c, hi, config)
+    mesh = pass_mesh(problem, E, left_start, right_start, a, c, b, config)
     ends, samples = [], []
     for steps, start, s0, grid, way in (
             (mesh[0], left_start, a, ts[ts <= c], 1),

@@ -167,7 +167,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}")
+        # configparser's text runs over several lines: one line per error
+        raise ConfigError("malformed configuration: "
+                          + " ".join(str(exc).split()))
     for section, key, value in overrides:
         parser.read_dict({section: {key: value}})
     for name in parser.sections():
@@ -294,12 +296,9 @@ def _cmd_eigenfunction(run):
         raise SpectralDefectError(f"no branch n = {n} in [emin, emax]; found "
                                   f"{[ev.n for ev in result.eigenvalues]}")
     problem, E = result.problem, match[0].energy
-    # the solve's interval, but no further than 16 decay lengths at E past
-    # a constant tail's support edge (`oracle._walls`)
-    (a, b), (lo, hi) = problem.interval, oracle._walls(
-        problem, problem.interval, E, run.config)
-    grid = np.linspace(run.params.get("grid_min", max(a, lo)),
-                       run.params.get("grid_max", min(b, hi)),
+    a, b = problem.interval     # settled on the support (`auto_interval`)
+    grid = np.linspace(run.params.get("grid_min", a),
+                       run.params.get("grid_max", b),
                        run.params.get("grid_points", 2001))
     ef = spectrum.reconstruct_eigenfunction(problem, E, grid, run.config)
     _emit(_csv("t,psi", zip(ef.t, ef.psi)), run.output)

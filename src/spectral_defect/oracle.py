@@ -17,8 +17,7 @@ from . import cues
 from .angular import _integrate_vector
 from .errors import DomainError
 from .potentials import ProblemSpec
-from .spectrum import (SolveConfig, _check_energies, _matching_point,
-                       auto_interval)
+from .spectrum import SolveConfig, _check_energies, _window, auto_interval
 
 _RESCALE_LIMIT = 1e120
 _ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
@@ -53,24 +52,28 @@ def _propagate(potential, energies, s0, s1, y, config):
 def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     """theta_L - theta_R mod pi, in (-pi/2, pi/2]: the angles of e+
     carried forward from a and of e- carried backward from b to the
-    matching point c of the support [a, b] (`spectrum._matching_point`).
+    matching point c, on the window of a solve over the energies
+    (`spectrum._window`).
 
     E is one energy (a float comes back) or an array of them (an array
     comes back); each half is one `_propagate` call for all of them.  e+ =
     (1, k_L) decays to the left of a and e- = (1, -k_R) to the right of b,
     so the mismatch is zero exactly at eigenvalues.  Each direction is
     carried only toward the well, not across the far tail, where it would
-    turn onto the growing direction whatever E is.  The ends are the
-    problem interval's (or +-inf) settled on the support (`cues.settled`),
-    so the cost does not grow with the length of a constant tail.
+    turn onto the growing direction whatever E is.  The window is the
+    automatic interval, whose highest energy must clear the tails by
+    kappa, or the problem's, admitted and settled on the support, so the
+    cost does not grow with the length of a constant tail.
     """
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
         DomainError("transfer matrices need constant tails"))
     energies = _check_energies(problem, "E", E)
+    if not energies.size:   # no energy to take a window at
+        return np.empty(energies.shape)
     config = config or SolveConfig()
-    a, b = cues.settled(problem, problem.interval or (-math.inf, math.inf))
-    c = _matching_point(problem, (a, b))
+    a, c, b, _ = _window(problem, float(energies.min()),
+                         float(energies.max()), config)
     potential = problem.effective_potential()
     e = energies.ravel()
     (q_l, p_l), (q_r, p_r) = (
@@ -191,16 +194,11 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
 
 def fd_interval(problem: ProblemSpec, E: float,
                 config: SolveConfig = None) -> Tuple[float, float]:
-    """The walls (`_walls`) of the auto or admitted interval at E."""
+    """The walls: each end of the auto or admitted interval at E
+    (`auto_interval`) padded by its tail's `fd_edge`, deep in the decay
+    zone of every level at or below E."""
     _check_energies(problem, "E", E)
     config = config or SolveConfig()
-    return _walls(problem, auto_interval(problem, E - 1e-9, E, config), E,
-                  config)
-
-
-def _walls(problem, interval, E, config):
-    """Each end settled (`cues.settled`), then padded by its tail's
-    `fd_edge`, deep in the decay zone of every level at or below E."""
-    a, b = cues.settled(problem, interval)
+    a, b = auto_interval(problem, E - 1e-9, E, config)
     return (problem.left_tail.fd_edge(a, "left", E, config),
             problem.right_tail.fd_edge(b, "right", E, config))

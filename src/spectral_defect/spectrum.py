@@ -159,9 +159,11 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     support edge, series tails by geometric growth from a family seed until
     the cue residual passes at both energy extremes, and 0+ singularities
     by shrinking toward the singularity, floored at 1e-4.  An explicit
-    interval is kept once each end passes its tail's `admit`: a constant
-    tail's end must settle, a series tail's pass the cue-residual gate at
-    E_min and E_max.  Each series tail's gate tests its candidates against
+    interval must pass each tail's `admit` (a constant tail's end must
+    settle, a series tail's the cue-residual gate at E_min and E_max) and
+    comes back settled (`cues.settled`): an end past a constant tail's
+    support edge moves onto it, so how far it reaches into a flat tail
+    changes no bit.  Each series tail's gate tests its candidates against
     one cue series for both energies: series, private, is the pair a solve
     built (`cues.side_series`), and one is built here without it.
     """
@@ -174,7 +176,7 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                                 left)
         problem.right_tail.admit(problem, "right", b, E_min, E_max, config,
                                  right)
-        return a, b
+        return cues.settled(problem, (a, b))
     a = problem.left_tail.bound(problem, "left", E_min, E_max, config, left)
     b = problem.right_tail.bound(problem, "right", E_min, E_max, config,
                                  right)
@@ -188,17 +190,16 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
 # ---------------------------------------------------------------------------
 
 def _matching_point(problem: ProblemSpec, interval) -> float:
-    """c: the first minimum of V_eff on 4001 points spanning [a, b], its
-    ends settled on the support (`cues.settled`).
+    """c: the first minimum of V_eff on 4001 points spanning the interval
+    [a, b], settled on the support (`auto_interval`).
 
     The points are geometric on the half line and uniform on the whole
-    line.  c depends on the problem and interval alone, and not on the
-    length of a constant tail, so every sample of a solve shares one Gamma.
-    Near the well's bottom both halves arrive from their forbidden sides,
-    where the flow pulls them onto the decaying directions, so Gamma is
-    smooth in E there.
+    line.  c depends on the problem and interval alone, so every sample of
+    a solve shares one Gamma.  Near the well's bottom both halves arrive
+    from their forbidden sides, where the flow pulls them onto the
+    decaying directions, so Gamma is smooth in E there.
     """
-    grid = _span_points(problem, *cues.settled(problem, interval), _MATCH_GRID)
+    grid = _span_points(problem, *interval, _MATCH_GRID)
     v = problem.effective_potential().evaluate(grid)
     return float(grid[np.argmin(v)])
 
@@ -536,8 +537,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     The interval, admitted at E_n, and c are `_window`'s.  Both cues run
     toward c, where the halves are joined (`integrate_angle_sampled`), so
     psi decays toward both ends; each start angle is checked to lie on its
-    decaying branch (`_cue_angles`).  E_n should be an accepted
-    eigenvalue; the node count of psi then equals its branch index.
+    decaying branch (`_cue_angles`).  The grid must be finite and inside
+    the interval or past an end on a constant tail.  E_n should be an
+    accepted eigenvalue; the node count of psi then equals its branch
+    index.
     """
     _check_energies(problem, "E_n", E_n)
     config = config or SolveConfig()
@@ -545,8 +548,10 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     if grid.ndim != 1 or not grid.size:
         raise DomainError("grid must be a nonempty 1-d array")
     a, c, b, _ = _window(problem, E_n, E_n + 1e-14, config)
-    if not np.all((a <= grid) & (grid <= b)):
-        raise DomainError(f"grid must lie inside the interval [{a}, {b}]")
+    lo = -math.inf if isinstance(problem.left_tail, cues.ConstantLevel) else a
+    hi = math.inf if isinstance(problem.right_tail, cues.ConstantLevel) else b
+    if not np.all(np.isfinite(grid) & (lo <= grid) & (grid <= hi)):
+        raise DomainError(f"grid must hold finite points in [{lo}, {hi}]")
     (left,), (right,) = _cue_angles(problem, [E_n], a, b)
     t_s, alpha_s, log_s = integrate_angle_sampled(
         problem, E_n, left, right, a, c, b, config, t_eval=grid)

@@ -174,8 +174,7 @@ def test_amplitude_recovers_flat_decay():
     k = math.sqrt(-2.0 * E)
     alpha_star = -math.atan(k)
     problem = flat_problem(0.0, 4.0)
-    # c = b, moved onto the support edge 1: the right half carries the same
-    # decaying solution from 4 back to 1
+    # c = b: the left half carries the decaying solution from 0 to 4
     ts, _, log_rhos = integrate_angle_sampled(problem, E, alpha_star,
                                               alpha_star, 0.0, 4.0, 4.0,
                                               sd.SolveConfig(), t_eval=[4.0])

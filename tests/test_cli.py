@@ -182,6 +182,22 @@ def test_eigenfunction_has_n_nodes(tmp_path, capsys, n):
     assert np.sum(signs[1:] * signs[:-1] < 0) == n
 
 
+@pytest.mark.parametrize("command", ["solve", "scan", "count",
+                                     "eigenfunction", "verify"])
+def test_an_interval_into_the_flat_tails_prints_the_same_bytes(
+        tmp_path, capsys, command):
+    # the a = 4 oscillator's interval settles onto the support edges -+4,
+    # and the eigenfunction's default grid spans the settled interval
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC4_CONFIG + "ceiling = 7.998\nn = 2\n")
+    outputs = []
+    for interval in ([], ["--interval", "-10", "10"],
+                     ["--interval", "-1004", "1004"]):
+        assert cli.main([command, str(cfg), *interval]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_solve_table_matches_the_csv(tmp_path, capsys):
     cfg = tmp_path / "osc.ini"
     cfg.write_text(OSC_CONFIG)
@@ -320,6 +336,28 @@ def test_verify_fails_when_the_transfer_oracle_fails(tmp_path, capsys,
     assert [line for line in out.splitlines() if "transfer" in line] == [
         "transfer-matrix check failed: IntegrationError: the step size "
         "underflowed"]
+
+
+def test_verify_fails_a_level_count_mismatch(tmp_path, capsys,
+                                             monkeypatch):
+    # the fd oracle with its top level dropped: n = 7 has no fd row to
+    # compare with
+    fd_eigenvalues = oracle.fd_eigenvalues
+
+    def dropped(*args, **kwargs):
+        fd = fd_eigenvalues(*args, **kwargs)
+        return replace(fd, energies=fd.energies[:-1], errors=fd.errors[:-1])
+
+    monkeypatch.setattr(oracle, "fd_eigenvalues", dropped)
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC4_CONFIG)
+    assert cli.main(["verify", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:9]] == \
+        [str(n) for n in range(8)]
+    assert lines[8].split()[2:] == ["-", "-", "-"]
+    assert "-" not in " ".join(lines[1:8]).split()
+    assert lines[9] == "count mismatch: angular 8, finite-difference 7"
 
 
 def _verify_rows(out):
@@ -705,6 +743,14 @@ _ONE_LINE_FAILURES = [
      "solve {cfg} --interval 0.01 16", 1),
     (COULOMB_CONFIG.replace("emax = -0.4", "emax = -0.05\nn = 2"),
      "eigenfunction {cfg} --interval 0.01 16", 1),
+    # configparser's own messages run over two or three lines
+    ("family = coulomb\n", "solve {cfg}", 2),
+    ("[potential\nfamily = coulomb\n", "solve {cfg}", 2),
+    ("[potential]\nfamily\n", "solve {cfg}", 2),
+    ("[solve]\nemin = -0.6\nemax = -0.4\n", "solve {cfg}", 2),
+    (OSC4_CONFIG + "[domain]\neref = bogus\n", "solve {cfg}", 2),
+    # the a = 4 oscillator holds the branches n = 0 to 7
+    (OSC4_CONFIG + "n = 9\n", "eigenfunction {cfg}", 1),
 ]
 
 
@@ -721,6 +767,15 @@ def test_failures_print_one_line(tmp_path, capsys, text, argv, code):
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
     assert [str(w.message) for w in caught] == []
+
+
+def test_eigenfunction_names_a_branch_the_window_lacks(tmp_path, capsys):
+    cfg = tmp_path / "osc.ini"
+    cfg.write_text(OSC4_CONFIG + "n = 9\n")
+    assert cli.main(["eigenfunction", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "spectral-defect: SpectralDefectError: no branch n = 9 in [emin, "
+        "emax]; found [0, 1, 2, 3, 4, 5, 6, 7]\n")
 
 
 def test_help_returns_zero(capsys):

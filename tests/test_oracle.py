@@ -6,7 +6,7 @@ import pytest
 import spectral_defect as sd
 from spectral_defect import angular, oracle
 from spectral_defect.angular import integrate_angles
-from spectral_defect.errors import DomainError
+from spectral_defect.errors import DomainError, ThresholdError
 
 
 def test_fd_reproduces_particle_in_a_box():
@@ -155,6 +155,22 @@ def test_transfer_requires_constant_tails():
     problem = sd.problem_for(sd.Coulomb())
     with pytest.raises(DomainError):
         oracle.transfer_mismatch(problem, -0.5)
+
+
+def test_the_transfer_check_takes_the_window_every_entry_point_takes():
+    # an explicit interval settles onto the support edges -+1, and on the
+    # automatic interval an energy within kappa of the tails is refused,
+    # as a solve refuses it; an empty batch comes back empty
+    well = sd.SquareWell(-2.0, -1.0, 1.0)
+    energies = np.array([-1.5, -0.5])
+    auto = oracle.transfer_mismatch(sd.problem_for(well), energies)
+    wide = oracle.transfer_mismatch(
+        sd.problem_for(well, interval=(-1e4, 50.0)), energies)
+    assert wide.tolist() == auto.tolist()
+    with pytest.raises(ThresholdError, match="by kappa = 0.001"):
+        oracle.transfer_mismatch(sd.problem_for(well), -5e-4)
+    assert oracle.transfer_mismatch(sd.problem_for(well),
+                                    np.array([])).shape == (0,)
 
 
 def test_a_potential_with_no_breakpoints_is_matched_on_its_unit_support(

@@ -234,11 +234,13 @@ def test_threshold_guard():
         sd.auto_interval(problem, -0.5, 0.1, sd.SolveConfig())
 
 
-def test_explicit_interval_is_respected():
+def test_an_explicit_interval_settles_onto_the_support():
+    # past the square well's edges V is the tail level, where the decaying
+    # cue is exact: the ends move onto the edges
     problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0),
                              interval=(-9.0, 9.0))
     assert sd.auto_interval(problem, -1.9, -0.1, sd.SolveConfig()) == \
-        (-9.0, 9.0)
+        (-1.0, 1.0)
 
 
 def test_an_explicit_end_inside_a_constant_tails_support_raises():
@@ -301,23 +303,18 @@ def test_settled_ends_that_cross_on_flat_v_keep_the_interval():
     assert not sd.find_eigenvalues(problem, -0.9, -0.05).eigenvalues
 
 
-@pytest.mark.parametrize("interval, levels", [
-    ((-4.0, 64.0), [0.49999999178787924, 1.4999997004896055,
-                    2.4999947649610563, 3.499941586291944, 4.499530286005061,
-                    5.49706782670118, 6.484828917334264, 7.428251816286261]),
-    ((-5.0, 5.0), [0.4999999917878792, 1.4999997004896057, 2.499994764986055,
-                   3.4999415862919454, 4.499530286005063, 5.497067826701176,
-                   6.484828917334264, 7.428251816286259]),
-    ((-10.0, 10.0), [0.49999999178787924, 1.4999997004896057,
-                     2.4999947649610563, 3.4999415862919454,
-                     4.499530286005063, 5.497067826701176, 6.484828917359263,
-                     7.428251816286259])])
+@pytest.mark.parametrize("interval", [(-4.0, 64.0), (-5.0, 5.0),
+                                      (-10.0, 10.0), (-1004.0, 1004.0)])
 def test_an_interval_covering_the_support_keeps_its_levels_bit_for_bit(
-        interval, levels):
-    # the passes run on the interval as given; settling only checks it
-    result = sd.find_eigenvalues(sd.problem_for(OSC4, interval=interval),
+        interval):
+    # the ends settle onto the support edges -+4, so the passes, the mesh
+    # and the matching point are the automatic solve's
+    auto = sd.find_eigenvalues(sd.problem_for(OSC4), 1e-6, 7.998)
+    given_ = sd.find_eigenvalues(sd.problem_for(OSC4, interval=interval),
                                  1e-6, 7.998)
-    assert result.energies.tolist() == levels
+    assert given_.problem.interval == auto.problem.interval == (-4.0, 4.0)
+    assert given_.scan == auto.scan
+    assert given_.eigenvalues == auto.eigenvalues
 
 
 @pytest.mark.parametrize("interval, match", [
@@ -415,6 +412,26 @@ def test_an_explicit_interval_raises_or_keeps_the_auto_levels(well, ends):
         return
     assert len(given_) == len(auto)
     assert np.allclose(given_, auto, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(well=st.one_of(st.just(OSC4), flat_edged_wells()),
+       past=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                     min_size=2, max_size=2))
+def test_an_interval_past_the_support_is_the_automatic_solve(well, past):
+    # the ends lie at or past the support edges, on the constant tails:
+    # they settle onto the edges, and every Gamma sample and level is the
+    # automatic solve's, bit for bit
+    E_min, E_max = (1e-6, 7.998) if well == OSC4 else (-2.49, -0.05)
+    edges = well.breakpoints()
+    problem = sd.problem_for(well, interval=(min(edges) - past[0],
+                                             max(edges) + past[1]))
+    auto = sd.find_eigenvalues(sd.problem_for(well), E_min, E_max)
+    given_ = sd.find_eigenvalues(problem, E_min, E_max)
+    assert given_.problem.interval == cues.settled(problem, problem.interval)
+    assert given_.problem.interval == auto.problem.interval
+    assert given_.scan == auto.scan
+    assert given_.eigenvalues == auto.eigenvalues
 
 
 @pytest.mark.parametrize("problem, E_min, E_max, interval, fd_interval", [
@@ -532,6 +549,28 @@ def test_eigenfunction_is_normalized():
     assert ef.psi[np.argmax(np.abs(ef.psi))] > 0
 
 
+def test_an_eigenfunction_grid_may_reach_into_a_constant_tail():
+    # past the square well's edges -+1, psi is psi(-+1) e^{-k (|t| - 1)},
+    # carried in one step from the grid's outermost point
+    result = sd.find_eigenvalues(
+        sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0)), -1.9, -0.1)
+    tail = np.linspace(1.0, 5.0, 81)
+    grid = np.concatenate([-tail[::-1], np.linspace(-1.0, 1.0, 201)[1:-1],
+                           tail])
+    for ev in result.eigenvalues:
+        ef = sd.reconstruct_eigenfunction(result.problem, ev.energy, grid)
+        decay = np.exp(-math.sqrt(-2.0 * ev.energy) * (tail - 1.0))
+        assert np.max(np.abs(ef.psi[-81:] - ef.psi[-81] * decay)) <= 1e-12
+        assert np.max(np.abs(ef.psi[80::-1] - ef.psi[80] * decay)) <= 1e-12
+        assert ef.node_count() == ev.n
+    # a series tail's end is where its cue holds: nothing reaches past it
+    hydrogen = sd.find_eigenvalues(sd.problem_for(sd.Coulomb()), -0.6, -0.4)
+    a, b = hydrogen.problem.interval
+    for grid in ([0.5 * a, 1.0], [1.0, 2.0 * b]):
+        with pytest.raises(DomainError, match="grid"):
+            sd.reconstruct_eigenfunction(hydrogen.problem, -0.5, grid)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 10 stage A: psi is "
                    "normalised by the trapezoid rule on the caller's grid "
                    "only, not over the whole line")
@@ -574,6 +613,31 @@ def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
                                                                    name):
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         call(sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # E_max 1e-4 under the tails, which it must clear by kappa = 1e-3
+    (lambda p: sd.find_eigenvalues(p, -1.9, -1e-4), ThresholdError,
+     r"^E_max = -0\.0001 does not clear the left level 0\.0 by kappa = "
+     r"0\.001$"),
+    (lambda p: sd.find_eigenvalues_scaled(sd.problem_for(
+        sd.PiecewiseConstant((-1.0, 1.0), (0.0, -2.0, 1.0))), -1.9, -0.1),
+     DomainError, r"^the scaled chart needs equal constant tails$"),
+    (lambda p: sd.find_eigenvalues(p, -0.1, -1.9), DomainError,
+     r"^need E_min < E_max$"),
+], ids=["within-kappa", "scaled-unequal-tails", "reversed-window"])
+def test_a_window_no_solve_takes_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call(sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0)))
+
+
+@pytest.mark.xfail(strict=True, raises=IntegrationError, reason=(
+    "ROADMAP item 3: at -1e7 the mesh's first step from the left end "
+    "-142842 of the grown interval is too wide to resolve V"))
+def test_a_ceiling_far_below_the_hybrid_oscillator_counts_nothing():
+    # -1e5 and -1e6 count 0
+    problem = sd.problem_for(sd.HybridOscillator(0.5, 1.0))
+    assert sd.count_levels(problem, -1e7) == 0
 
 
 _SQUARE = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
@@ -1014,9 +1078,10 @@ def test_energy_and_pass_budget(monkeypatch, potential, E_min, E_max,
 
 
 def test_a_long_constant_tail_costs_a_solve_nothing(monkeypatch):
-    # c is sought on the support, so a solve on (-1e5, 1) takes the passes
-    # and Gamma evaluations of one on (-100, 1), and finds the same levels
-    # (sought over the whole interval, c was -1e5: 18 passes, 192 energies)
+    # both intervals settle onto the support (-1, 1), so a solve on (-1e5,
+    # 1) takes the passes and Gamma evaluations of one on (-100, 1), and
+    # finds the same levels (c sought over the whole interval was -1e5: 18
+    # passes, 192 energies)
     well = sd.SquareWell(-2.0, -1.0, 1.0)
     passes = _counted_passes(monkeypatch)
     runs = []
@@ -1027,7 +1092,7 @@ def test_a_long_constant_tail_costs_a_solve_nothing(monkeypatch):
         runs.append((len(passes), sum(passes), result.energies))
     (near, near_evals, near_levels), (far, far_evals, far_levels) = runs
     assert near == far == 3 and near_evals == far_evals == 78
-    assert np.allclose(far_levels, near_levels, rtol=0.0, atol=1e-10)
+    assert far_levels.tolist() == near_levels.tolist()
 
 
 def test_splitting_stops_at_float_resolution(monkeypatch):
