@@ -181,12 +181,7 @@ class ConstantLevel:
         return self.level
 
     def bound(self, problem, side, E_lo, E_hi, config, series=None):
-        """The support edge on this side, once E_hi clears the level (an
-        exact cue has no series to gate)."""
-        if self.level - E_hi < config.kappa:
-            raise ThresholdError(
-                f"E_max = {E_hi} does not clear the {side} level "
-                f"{self.level} by kappa = {config.kappa}")
+        """The support edge on this side; `auto_interval` gated E_hi."""
         return self.support_edge(problem, side)
 
     def support_edge(self, problem, side):
@@ -252,15 +247,8 @@ class _SeriesTail:
 
     def bound(self, problem, side, E_lo, E_hi, config, series):
         """Grow outward from the seed until the residual and clearance pass,
-        each candidate gated against the side's series (`side_series`).
-
-        A finite threshold must clear E_hi by more than kappa, or the
-        clearance gate would push the boundary out without end.
-        """
-        if self.threshold - E_hi <= config.kappa:
-            raise ThresholdError(
-                f"E_max = {E_hi} does not clear the {side} threshold "
-                f"{self.threshold} by more than kappa = {config.kappa}")
+        each candidate gated against the side's series (`side_series`);
+        `auto_interval` gated E_hi against kappa, so the clearance can pass."""
         seed = self.seed(E_hi, config.kappa)
         if side == "left":
             seed = -seed

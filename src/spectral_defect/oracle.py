@@ -60,15 +60,14 @@ def transfer_mismatch(problem: ProblemSpec, E, config: SolveConfig = None):
     (1, k_L) decays to the left of a and e- = (1, -k_R) to the right of b,
     so the mismatch is zero exactly at eigenvalues.  Each direction is
     carried only toward the well, not across the far tail, where it would
-    turn onto the growing direction whatever E is.  The window is the
-    automatic interval, whose highest energy must clear the tails by
-    kappa, or the problem's, admitted and settled on the support, so the
-    cost does not grow with the length of a constant tail.
+    turn onto the growing direction whatever E is.  E must pass
+    `spectrum._check_energies`, and an explicit interval settles on the
+    support, so the cost does not grow with a constant tail's length.
     """
     left, right = cues.constant_levels(
         problem.left_tail, problem.right_tail,
         DomainError("transfer matrices need constant tails"))
-    energies = _check_energies(problem, "E", E)
+    energies = _check_energies(problem, "E", E, config)
     if not energies.size:   # no energy to take a window at
         return np.empty(energies.shape)
     config = config or SolveConfig()
@@ -97,7 +96,7 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     from scipy.optimize import brentq
 
     for name, E in (("E_lo", E_lo), ("E_hi", E_hi)):
-        _check_energies(problem, name, E)
+        _check_energies(problem, name, E, config)
 
     def f(E):
         return transfer_mismatch(problem, E, config)
@@ -177,7 +176,7 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
         raise DomainError(f"grid_size must be an integer of at least 64, "
                           f"not {grid_size!r}")
     _check_energies(problem if interval is None else None, "E_ceiling",
-                    E_ceiling)
+                    E_ceiling, config)
     potential = problem.effective_potential()
     if interval is None:
         interval = fd_interval(problem, E_ceiling, config)
@@ -194,11 +193,11 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
 
 def fd_interval(problem: ProblemSpec, E: float,
                 config: SolveConfig = None) -> Tuple[float, float]:
-    """The walls: each end of the auto or admitted interval at E
-    (`auto_interval`) padded by its tail's `fd_edge`, deep in the decay
-    zone of every level at or below E."""
-    _check_energies(problem, "E", E)
+    """The walls: each end of the auto or admitted interval for the window
+    (E, E) (`auto_interval`) padded by its tail's `fd_edge`, deep in the
+    decay zone of every level at or below E."""
+    _check_energies(problem, "E", E, config)
     config = config or SolveConfig()
-    a, b = auto_interval(problem, E - 1e-9, E, config)
+    a, b = auto_interval(problem, E, E, config)
     return (problem.left_tail.fd_edge(a, "left", E, config),
             problem.right_tail.fd_edge(b, "right", E, config))

@@ -135,10 +135,12 @@ class EigenfunctionSamples:
 # Interval selection
 # ---------------------------------------------------------------------------
 
-def _check_energies(problem, name: str, E):
-    """E as an array, once each of its energies is finite (DomainError)
-    and below problem.threshold() (ThresholdError; problem None skips it);
-    either error names the caller's argument and its first bad value."""
+def _check_energies(problem, name: str, E, config: SolveConfig = None):
+    """E as an array, once each of its energies is finite (DomainError),
+    below problem.threshold() (ThresholdError; problem None skips it) and,
+    without an explicit interval, below it by more than config.kappa, so
+    that the tails' decay lengths and the automatic interval stay bounded
+    (ThresholdError); each error names the argument and first bad value."""
     energies = np.asarray(E, dtype=float)
     bad = energies[~np.isfinite(energies)]
     if bad.size:
@@ -148,12 +150,18 @@ def _check_energies(problem, name: str, E):
     if above is not None:
         raise ThresholdError(
             f"{name} = {above} is not below the tail threshold {threshold}")
+    kappa = (config or SolveConfig()).kappa
+    close = energies[~(threshold - energies > kappa)]
+    if close.size and problem.interval is None:
+        raise ThresholdError(
+            f"{name} = {close.flat[0]} does not clear the tail threshold "
+            f"{threshold} by more than kappa = {kappa}")
     return energies
 
 
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                   config: SolveConfig, series=None) -> Tuple[float, float]:
-    """Working interval [a, b]: cues valid outside, tails cleared by kappa.
+    """Working interval [a, b] for energies `_check_energies` admits.
 
     Each tail class bounds its own side (see `cues`): constant tails at the
     support edge, series tails by geometric growth from a family seed until
@@ -168,7 +176,7 @@ def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
     built (`cues.side_series`), and one is built here without it.
     """
     for name, E in (("E_min", E_min), ("E_max", E_max)):
-        _check_energies(problem, name, E)
+        _check_energies(problem, name, E, config)
     left, right = series or cues.side_series(problem, E_min, E_max)
     if problem.interval is not None:
         a, b = problem.interval
@@ -249,7 +257,8 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
     and a Gamma that is not finite IntegrationError.
     """
     config = config or SolveConfig()
-    energies = np.atleast_1d(_check_energies(problem, "energies", energies))
+    energies = np.atleast_1d(_check_energies(problem, "energies", energies,
+                                             config))
     if energies.ndim != 1 or not energies.size:
         raise DomainError("energies must be a nonempty 1-d batch")
     a, c, b, mesh = window or _window(problem, float(energies.min()),
@@ -268,7 +277,7 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
 def count_levels(problem: ProblemSpec, E_ceiling: float,
                  config: SolveConfig = None) -> int:
     """Number of eigenvalues at or below E_ceiling."""
-    _check_energies(problem, "E_ceiling", E_ceiling)
+    _check_energies(problem, "E_ceiling", E_ceiling, config)
     return defect_angles(problem, [E_ceiling], config)[0].n_below
 
 
@@ -297,10 +306,13 @@ def _scaled_sampler(problem, config, window, E_min, E_max, series):
 
     def sample(energies):
         energies = np.asarray(energies, dtype=float)
-        k = np.sqrt(2.0 * (v0 - energies))
+        # capped as a constant cue's gap; overflow ends in IntegrationError
+        k = np.sqrt(2.0 * np.minimum(v0 - energies, cues._HALF_MAX))
         starts = np.full(energies.shape, math.pi / 4.0)
-        theta = _integrate_vector(_chart_fun(potential, energies, k), a, b,
-                                  starts, config, potential.breakpoints())
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = _integrate_vector(_chart_fun(potential, energies, k), a,
+                                      b, starts, config,
+                                      potential.breakpoints())
         gammas = -np.arctan(k) - _rechart(theta, k)
         return list(map(DefectSample, energies.tolist(), gammas.tolist()))
 
@@ -480,7 +492,7 @@ def _solve(problem, E_min, E_max, config, sampler):
     """
     config = config or SolveConfig()
     for name, E in (("E_min", E_min), ("E_max", E_max)):
-        _check_energies(problem, name, E)
+        _check_energies(problem, name, E, config)
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     series = cues.side_series(problem, E_min, E_max)
@@ -542,12 +554,12 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     accepted eigenvalue; the node count of psi then equals its branch
     index.
     """
-    _check_energies(problem, "E_n", E_n)
+    _check_energies(problem, "E_n", E_n, config)
     config = config or SolveConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size:
         raise DomainError("grid must be a nonempty 1-d array")
-    a, c, b, _ = _window(problem, E_n, E_n + 1e-14, config)
+    a, c, b, _ = _window(problem, E_n, E_n, config)
     lo = -math.inf if isinstance(problem.left_tail, cues.ConstantLevel) else a
     hi = math.inf if isinstance(problem.right_tail, cues.ConstantLevel) else b
     if not np.all(np.isfinite(grid) & (lo <= grid) & (grid <= hi)):

@@ -225,6 +225,10 @@ def test_domain_guards():
         cues.CoulombTail(0).cue_series(0.1)
     with pytest.raises(DomainError):
         cues.OscillatorTail(omega=0.0, l=0, charge=1.0).cue_series(-0.5)
+    with pytest.raises(DomainError, match="screening_lambda"):
+        cues.YukawaZeroSingularity(0, 0.0).cue_series(-0.5)
+    with pytest.raises(ValueError, match="two series coefficients"):
+        cues.CueSeries(1.0, 0, [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -83,14 +83,16 @@ def test_gamma_near_the_doublets_does_not_depend_on_the_block(well):
                       <= 1e-12 * np.maximum(1.0, np.abs(gammas[-1])))
 
 
-@pytest.mark.parametrize("potential", [sd.Coulomb(), sd.Yukawa(0.1)],
-                         ids=["coulomb", "yukawa"])
+@pytest.mark.parametrize("problem", [
+    sd.problem_for(sd.Coulomb(), l=6), sd.problem_for(sd.Yukawa(0.1), l=6),
+    sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))],
+    ids=["coulomb", "yukawa", "square"])
 @pytest.mark.parametrize("fraction", [1.0, 0.5])
-def test_threshold_within_kappa_raises_up_front(potential, fraction):
+def test_threshold_within_kappa_raises_up_front(problem, fraction):
     # E_max = -kappa used to put b at 1.16e19 on Coulomb; l = 6 then ran
-    # for more than 10 minutes
+    # for more than 10 minutes.  A constant tail is held to the same strict
+    # rule, where the square well once solved at E_max = -kappa
     config = sd.SolveConfig()
-    problem = sd.problem_for(potential, l=6)
     start = time.perf_counter()
     with pytest.raises(ThresholdError, match="kappa"):
         sd.find_eigenvalues(problem, -0.02, -fraction * config.kappa, config)

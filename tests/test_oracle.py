@@ -151,6 +151,14 @@ def test_eigencondition_root_rejects_the_wrap():
         pytest.approx(-1.11235, abs=1e-5)
 
 
+def test_eigencondition_root_needs_a_sign_change():
+    # the square well's levels lie near -1.47 and -0.20, neither in here
+    problem = sd.problem_for(sd.SquareWell(-2.0, -1.0, 1.0))
+    with pytest.raises(DomainError, match=r"^mismatch does not change sign "
+                                          r"on \[-1\.0, -0\.9\]$"):
+        oracle.eigencondition_root(problem, -1.0, -0.9)
+
+
 def test_transfer_requires_constant_tails():
     problem = sd.problem_for(sd.Coulomb())
     with pytest.raises(DomainError):
@@ -167,7 +175,7 @@ def test_the_transfer_check_takes_the_window_every_entry_point_takes():
     wide = oracle.transfer_mismatch(
         sd.problem_for(well, interval=(-1e4, 50.0)), energies)
     assert wide.tolist() == auto.tolist()
-    with pytest.raises(ThresholdError, match="by kappa = 0.001"):
+    with pytest.raises(ThresholdError, match="by more than kappa = 0.001"):
         oracle.transfer_mismatch(sd.problem_for(well), -5e-4)
     assert oracle.transfer_mismatch(sd.problem_for(well),
                                     np.array([])).shape == (0,)

@@ -225,6 +225,15 @@ def test_problem_spec_rejects_a_non_finite_end(a, b):
         pot.problem_for(well).with_interval(a, b)
 
 
+@pytest.mark.parametrize("ts, vs, match", [
+    ((0.0,), (1.0,), "at least two"),
+    ((1.0, 0.0), (0.0, 0.0), "strictly increasing"),
+], ids=["one-sample", "decreasing"])
+def test_tabulated_rejects_bad_samples(ts, vs, match):
+    with pytest.raises(ValueError, match=match):
+        pot.Tabulated(ts, vs)
+
+
 def test_half_line_only_potential_rejects_whole_line():
     with pytest.raises(ValueError):
         pot.ProblemSpec(pot.Coulomb())

@@ -16,7 +16,7 @@ from spectral_defect.errors import (DomainError, IntegrationError,
                                     IntervalSelectionError,
                                     MonotonicityError, SpectralDefectError,
                                     ThresholdError)
-from spectral_defect.potentials import Shifted
+from spectral_defect.potentials import EffectiveRadial, Shifted
 
 
 def square_well_levels(depth, half_width):
@@ -618,8 +618,8 @@ def test_a_malformed_call_raises_a_domain_error_naming_its_argument(call,
 @pytest.mark.parametrize("call, error, match", [
     # E_max 1e-4 under the tails, which it must clear by kappa = 1e-3
     (lambda p: sd.find_eigenvalues(p, -1.9, -1e-4), ThresholdError,
-     r"^E_max = -0\.0001 does not clear the left level 0\.0 by kappa = "
-     r"0\.001$"),
+     r"^E_max = -0\.0001 does not clear the tail threshold 0\.0 by more "
+     r"than kappa = 0\.001$"),
     (lambda p: sd.find_eigenvalues_scaled(sd.problem_for(
         sd.PiecewiseConstant((-1.0, 1.0), (0.0, -2.0, 1.0))), -1.9, -0.1),
      DomainError, r"^the scaled chart needs equal constant tails$"),
@@ -679,12 +679,18 @@ _ENERGY_ARGUMENTS = {
 def _energy_cases():
     for entry, (call, name) in _ENERGY_ARGUMENTS.items():
         for problem_id, problem in _ENERGY_PROBLEMS.items():
-            for E in (math.nan, math.inf, -math.inf, 0.1, 0.5):
+            for E in (math.nan, math.inf, -math.inf, 0.1, 0.5, -5e-4):
                 if not math.isfinite(E):
                     error, message = DomainError, (
                         f"{name} must be finite, not {E}")
                 elif entry == "fd-walls":
                     continue    # a box: its levels pass the tail threshold
+                elif E < 0:
+                    if problem_id == "square-interval":
+                        continue    # exempt: see the test below
+                    error, message = ThresholdError, (
+                        f"{name} = {E} does not clear the tail threshold "
+                        f"0.0 by more than kappa = 0.001")
                 else:
                     error, message = ThresholdError, (
                         f"{name} = {E} is not below the tail threshold 0.0")
@@ -708,6 +714,20 @@ def test_every_entry_point_refuses_a_bad_energy_by_its_argument(
     # LinAlgError
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(problem, E)
+
+
+def test_an_explicit_interval_is_exempt_from_the_kappa_gate():
+    # the gate bounds the automatic interval; a given one needs none
+    count, _ = _ENERGY_ARGUMENTS["count"]
+    assert count(_ENERGY_PROBLEMS["square-interval"], -5e-4) == 2
+
+
+def test_a_constant_tail_cleared_by_exactly_kappa_is_refused():
+    # strict, as for a series tail, whose seed divides by |E_max| - kappa;
+    # this window once solved to the 2 levels of the next one
+    with pytest.raises(ThresholdError, match=r"^E_max = -0\.001 does not "):
+        sd.find_eigenvalues(_SQUARE, -1.9, -1e-3)
+    assert len(sd.find_eigenvalues(_SQUARE, -1.9, -1.001e-3).eigenvalues) == 2
 
 
 def _without_warnings(call):
@@ -746,6 +766,28 @@ def test_an_extreme_energy_fails_the_cue_gate_without_a_warning(
     with pytest.raises(IntervalSelectionError,
                        match="series coefficients must be finite"):
         _without_warnings(lambda: sd.find_eigenvalues(problem, E_min, E_max))
+
+
+@pytest.mark.parametrize("E_min", [-1e50, -1e300, -1.7e308])
+def test_the_scaled_chart_at_the_float_limit_raises_without_a_warning(E_min):
+    # k = sqrt(2 (v0 - E)) is capped as the cue's gap is, and the chart's
+    # overflow is silenced, so the stepper stops with an IntegrationError;
+    # -1e300 once warned in scipy's first step, and -1.7e308 overflowed in
+    # k and did not return
+    with pytest.raises(IntegrationError, match="^integrator stopped at "):
+        _without_warnings(
+            lambda: sd.find_eigenvalues_scaled(_SQUARE, E_min, -0.1))
+
+
+def test_an_effective_radial_potential_solves_as_its_l():
+    # problem_for takes the tails of EffectiveRadial(base, l) from its l
+    direct = sd.find_eigenvalues(sd.problem_for(sd.Coulomb(), l=1),
+                                 -0.2, -0.01)
+    wrapped = sd.find_eigenvalues(sd.problem_for(
+        EffectiveRadial(sd.Coulomb(), 1)), -0.2, -0.01)
+    assert wrapped.eigenvalues == direct.eigenvalues
+    assert wrapped.scan == direct.scan
+    assert wrapped.problem.interval == direct.problem.interval
 
 
 # one problem of each family the CLI builds, the E_max of a solve on it
