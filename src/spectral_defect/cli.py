@@ -10,6 +10,7 @@ import argparse
 import configparser
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
@@ -411,7 +412,14 @@ class _ParserExit(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors on one line, like every other command-line error."""
+    """Usage errors on one line, like every other command-line error, and
+    -1e1 read as a number; its subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1 and -.5, but not -1e1 or -1E3
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def exit(self, status=0, message=None):
         raise _ParserExit(status, message or "")

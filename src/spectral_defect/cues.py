@@ -9,13 +9,14 @@ boundary angle fed to the angular integration.
 The tail classes live here, one per asymptotic shape of a boundary: a
 constant level, an oscillator tail, a Coulomb tail and the 0+ singularities
 of the Coulomb and Yukawa wells.  Each knows its energy threshold, its cue
-series and the boundary angle built from it, how it bounds, pads, settles
-and admits its side of the working interval and whether it puts a problem on
-the half line.  A family picks its tails by their parameters: a Coulomb well
-with an oscillator term, the quark hybrid among them, has the oscillator
-tail with its charge and the Coulomb 0+ singularity with its omega, and the
-Yukawa far tail is a Coulomb tail of zero charge.  `potentials` imports this
-module, so problems and potentials are duck-typed here.
+series and the boundary angle built from it, how it bounds and pads its
+side of the working interval and admits an explicit end there, which it
+returns settled, and whether it puts a problem on the half line.  A family
+picks its tails by their parameters: a Coulomb well with an oscillator
+term, the quark hybrid among them, has the oscillator tail with its charge
+and the Coulomb 0+ singularity with its omega, and the Yukawa far tail is a
+Coulomb tail of zero charge.  `potentials` imports this module, so problems
+and potentials are duck-typed here.
 """
 
 import math
@@ -181,11 +182,8 @@ class ConstantLevel:
         return self.level
 
     def bound(self, problem, side, E_lo, E_hi, config, series=None):
-        """The support edge on this side; `auto_interval` gated E_hi."""
-        return self.support_edge(problem, side)
-
-    def support_edge(self, problem, side):
-        """The outermost breakpoint on this side; V is the level beyond it."""
+        """The support edge: the outermost breakpoint on this side, beyond
+        which V is the level; `auto_interval` gated E_hi."""
         bp = problem.potential.breakpoints()
         if len(bp) < 2:
             # no support to bound: take [-1, 1] about the step, if any
@@ -197,11 +195,12 @@ class ConstantLevel:
         """t moved 16 decay lengths outward, deep into the decay zone."""
         return _decay_padded(t, side, self.level - E, config)
 
-    def settle(self, problem, side, end):
-        """end, or the edge if it reaches past it.  An end inside the edge
-        is kept only on a flat stretch at the level: no breakpoint between
-        them, and V the level at the end and halfway to the edge."""
-        edge = self.support_edge(problem, side)
+    def admit(self, problem, side, end, E_lo, E_hi, config, series=None):
+        """The explicit end settled: end, or the edge (`bound`) if it
+        reaches past it.  An end inside the edge is kept only on a flat
+        stretch at the level: no breakpoint between them, and V the level
+        at the end and halfway to the edge; any other raises."""
+        edge = self.bound(problem, side, E_lo, E_hi, config)
         out = -1.0 if side == "left" else 1.0
         if out * (end - edge) >= 0:
             return edge
@@ -216,10 +215,6 @@ class ConstantLevel:
                 raise IntervalSelectionError(f"{where}, where V = {v} is not "
                                              f"the tail level {self.level}")
         return end
-
-    def admit(self, problem, side, end, E_lo, E_hi, config, series=None):
-        """Raise unless the explicit end is valid: `settle` decides."""
-        self.settle(problem, side, end)
 
     def boundary_angle(self, E, t, side, series=None):
         E = np.asarray(E, dtype=float)
@@ -262,19 +257,17 @@ class _SeriesTail:
             return 1.3 * t
         return _decay_padded(t, side, self.threshold - E, config)
 
-    def settle(self, problem, side, end):
-        """end as given: a series tail has no support edge to settle on."""
-        return end
-
     def admit(self, problem, side, end, E_lo, E_hi, config, series):
-        """Raise unless the explicit end passes `bound`'s cue-residual gate
-        at E_lo and E_hi (its clearance test is for a chosen end only)."""
+        """The explicit end as given, once it passes `bound`'s cue-residual
+        gate at E_lo and E_hi (its clearance test is for a chosen end only):
+        a series tail has no support edge to settle on."""
         failure = _tail_failure(problem, side, end, E_lo, E_hi, config, False,
                                 series)
         if failure is not None:
             raise IntervalSelectionError(
                 f"the {side} end {end} fails the cue gate (residual_tol = "
                 f"{config.residual_tol}): {failure}")
+        return end
 
     def boundary_angle(self, E, t, side, series=None):
         """arctan of the cue at t; series, when given, is the cue series at
@@ -424,13 +417,6 @@ def constant_levels(left, right, error: Exception) -> Tuple[float, float]:
     return left.level, right.level
 
 
-def settled(problem, interval):
-    """interval, its ends settled (`settle`) unless they cross on flat V."""
-    lo = problem.left_tail.settle(problem, "left", interval[0])
-    hi = problem.right_tail.settle(problem, "right", interval[1])
-    return (lo, hi) if lo < hi else interval
-
-
 def _first_not_below(E, level):
     """The first of the energies E (an array) not below level, or None."""
     above = E[~(E < level)]
@@ -500,7 +486,7 @@ def right_boundary_angle(problem, energies, b: float, series=None):
 def boundary_residual(problem, E, t: float, side: str, series=None):
     """Cue residual of a series tail at a candidate boundary, a float for
     one energy and an array for an array of energies (a constant tail's cue
-    is exact, and its `settle` decides where V has reached the level).
+    is exact, and its `admit` decides where V has reached the level).
     series, when given, is the side's cue series at E, built already."""
     tail = problem.left_tail if side == "left" else problem.right_tail
     if series is None:

@@ -17,7 +17,8 @@ from . import cues
 from .angular import _integrate_vector
 from .errors import DomainError
 from .potentials import ProblemSpec
-from .spectrum import SolveConfig, _check_energies, _window, auto_interval
+from .spectrum import (SolveConfig, _check_energies, _check_energy, _window,
+                       auto_interval)
 
 _RESCALE_LIMIT = 1e120
 _ROOT_XTOL = 1e-12          # brentq's absolute tolerance on a transfer root
@@ -96,7 +97,7 @@ def eigencondition_root(problem: ProblemSpec, E_lo: float, E_hi: float,
     from scipy.optimize import brentq
 
     for name, E in (("E_lo", E_lo), ("E_hi", E_hi)):
-        _check_energies(problem, name, E, config)
+        _check_energy(problem, name, E, config)
 
     def f(E):
         return transfer_mismatch(problem, E, config)
@@ -175,8 +176,8 @@ def fd_eigenvalues(problem: ProblemSpec, E_ceiling: float,
     if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 64):
         raise DomainError(f"grid_size must be an integer of at least 64, "
                           f"not {grid_size!r}")
-    _check_energies(problem if interval is None else None, "E_ceiling",
-                    E_ceiling, config)
+    _check_energy(problem if interval is None else None, "E_ceiling",
+                  E_ceiling, config)
     potential = problem.effective_potential()
     if interval is None:
         interval = fd_interval(problem, E_ceiling, config)
@@ -196,7 +197,7 @@ def fd_interval(problem: ProblemSpec, E: float,
     """The walls: each end of the auto or admitted interval for the window
     (E, E) (`auto_interval`) padded by its tail's `fd_edge`, deep in the
     decay zone of every level at or below E."""
-    _check_energies(problem, "E", E, config)
+    _check_energy(problem, "E", E, config)
     config = config or SolveConfig()
     a, b = auto_interval(problem, E, E, config)
     return (problem.left_tail.fd_edge(a, "left", E, config),

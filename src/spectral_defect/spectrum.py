@@ -159,32 +159,42 @@ def _check_energies(problem, name: str, E, config: SolveConfig = None):
     return energies
 
 
+def _check_energy(problem, name: str, E, config: SolveConfig = None):
+    """E, one energy (a 0-d array counts), checked by `_check_energies`;
+    an array of any other shape raises DomainError naming the argument."""
+    if np.ndim(E) > 0:
+        raise DomainError(f"{name} must be one energy, not an array of "
+                          f"shape {np.shape(E)}")
+    return _check_energies(problem, name, E, config)
+
+
 def auto_interval(problem: ProblemSpec, E_min: float, E_max: float,
                   config: SolveConfig, series=None) -> Tuple[float, float]:
-    """Working interval [a, b] for energies `_check_energies` admits.
+    """Working interval [a, b] for the energies `_check_energy` admits.
 
     Each tail class bounds its own side (see `cues`): constant tails at the
     support edge, series tails by geometric growth from a family seed until
     the cue residual passes at both energy extremes, and 0+ singularities
-    by shrinking toward the singularity, floored at 1e-4.  An explicit
-    interval must pass each tail's `admit` (a constant tail's end must
-    settle, a series tail's the cue-residual gate at E_min and E_max) and
-    comes back settled (`cues.settled`): an end past a constant tail's
-    support edge moves onto it, so how far it reaches into a flat tail
-    changes no bit.  Each series tail's gate tests its candidates against
-    one cue series for both energies: series, private, is the pair a solve
-    built (`cues.side_series`), and one is built here without it.
+    by shrinking toward the singularity, floored at 1e-4.  Each end of an
+    explicit interval comes back from its tail's `admit`, settled: a series
+    tail's end as given once it passes the cue-residual gate at E_min and
+    E_max, a constant tail's end moved onto the support edge if it reaches
+    past it, so how far it reaches into a flat tail changes no bit.  Ends
+    that settle crossed, as they may on a flat V, keep the interval as
+    given.  Each series tail's gate tests its candidates against one cue
+    series for both energies: series, private, is the pair a solve built
+    (`cues.side_series`), and one is built here without it.
     """
     for name, E in (("E_min", E_min), ("E_max", E_max)):
-        _check_energies(problem, name, E, config)
+        _check_energy(problem, name, E, config)
     left, right = series or cues.side_series(problem, E_min, E_max)
     if problem.interval is not None:
         a, b = problem.interval
-        problem.left_tail.admit(problem, "left", a, E_min, E_max, config,
-                                left)
-        problem.right_tail.admit(problem, "right", b, E_min, E_max, config,
-                                 right)
-        return cues.settled(problem, (a, b))
+        lo = problem.left_tail.admit(problem, "left", a, E_min, E_max, config,
+                                     left)
+        hi = problem.right_tail.admit(problem, "right", b, E_min, E_max,
+                                      config, right)
+        return (lo, hi) if lo < hi else (a, b)
     a = problem.left_tail.bound(problem, "left", E_min, E_max, config, left)
     b = problem.right_tail.bound(problem, "right", E_min, E_max, config,
                                  right)
@@ -277,7 +287,7 @@ def defect_angles(problem: ProblemSpec, energies: Sequence[float],
 def count_levels(problem: ProblemSpec, E_ceiling: float,
                  config: SolveConfig = None) -> int:
     """Number of eigenvalues at or below E_ceiling."""
-    _check_energies(problem, "E_ceiling", E_ceiling, config)
+    _check_energy(problem, "E_ceiling", E_ceiling, config)
     return defect_angles(problem, [E_ceiling], config)[0].n_below
 
 
@@ -492,7 +502,7 @@ def _solve(problem, E_min, E_max, config, sampler):
     """
     config = config or SolveConfig()
     for name, E in (("E_min", E_min), ("E_max", E_max)):
-        _check_energies(problem, name, E, config)
+        _check_energy(problem, name, E, config)
     if not E_min < E_max:
         raise DomainError("need E_min < E_max")
     series = cues.side_series(problem, E_min, E_max)
@@ -554,7 +564,7 @@ def reconstruct_eigenfunction(problem: ProblemSpec, E_n: float,
     accepted eigenvalue; the node count of psi then equals its branch
     index.
     """
-    _check_energies(problem, "E_n", E_n, config)
+    _check_energy(problem, "E_n", E_n, config)
     config = config or SolveConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size:

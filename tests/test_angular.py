@@ -228,7 +228,9 @@ def test_a_solve_reads_v_at_a_breakpoint_only_to_find_c(
     # closed-form piece on STEPS, a Magnus step across the kinks at +-2 of
     # the oscillator) stays off the breakpoints
     problem = sd.problem_for(well, interval=interval)
-    grid = np.linspace(*cues.settled(problem, interval), spectrum._MATCH_GRID)
+    grid = np.linspace(*sd.auto_interval(problem, e_min, e_max,
+                                         sd.SolveConfig()),
+                       spectrum._MATCH_GRID)
     calls = []
     evaluate = type(well).evaluate
 

@@ -264,6 +264,24 @@ def test_interval_override(tmp_path):
     assert len(rows) == 2
 
 
+def test_an_interval_in_exponent_form_is_read_as_numbers(tmp_path, capsys):
+    # argparse's own pattern once read -1e1 and -.5e1 as options ("expected
+    # 2 arguments"); on the square well every interval below settles onto
+    # the support edges -+1
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_CONFIG)
+    outputs = []
+    for interval in (["-10", "10"], ["-1e1", "1e1"], ["-.5e1", "5"]):
+        assert cli.main(["solve", str(cfg), "--interval", *interval]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # a negative tolerance in exponent form reaches its key's own check
+    assert cli.main(["solve", str(cfg), "--e-tol", "-1e-3"]) == 2
+    assert capsys.readouterr().err == (
+        "spectral-defect: configuration error: section [tolerances]: "
+        "tolerances must be positive\n")
+
+
 def test_scan_out_writes_monotone_gamma(tmp_path):
     cfg = tmp_path / "well.ini"
     cfg.write_text(WELL_CONFIG)

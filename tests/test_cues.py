@@ -398,3 +398,11 @@ def test_a_failing_candidate_names_its_first_failing_energy():
     assert cues._tail_failure(problem, "right", 40.0, *energies,
                               sd.SolveConfig(residual_tol=2.0 * high),
                               False, series) is None
+    # far out the cue gate passes and the kappa clearance decides: V at
+    # 2000 is -5e-4, above E_max = -0.0011 by less than kappa = 1e-3
+    _, series = cues.side_series(problem, -0.6, -0.0011)
+    for check_clearance, failure in (
+            (True, "V - E_max = 6.000e-04 is below kappa"), (False, None)):
+        assert cues._tail_failure(problem, "right", 2000.0, -0.6, -0.0011,
+                                  sd.SolveConfig(), check_clearance,
+                                  series) == failure

@@ -234,6 +234,11 @@ def test_tabulated_rejects_bad_samples(ts, vs, match):
         pot.Tabulated(ts, vs)
 
 
+def test_piecewise_constant_rejects_unordered_breakpoints():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pot.PiecewiseConstant((1.0, 0.0), (0.0, -1.0, 0.0))
+
+
 def test_half_line_only_potential_rejects_whole_line():
     with pytest.raises(ValueError):
         pot.ProblemSpec(pot.Coulomb())

@@ -299,7 +299,8 @@ def test_settled_ends_that_cross_on_flat_v_keep_the_interval():
     # is kept on the flat stretch and the right end 10 would move onto 1
     problem = sd.problem_for(sd.PiecewiseConstant((), (0.0,)),
                              interval=(5.0, 10.0))
-    assert cues.settled(problem, problem.interval) == (5.0, 10.0)
+    assert sd.auto_interval(problem, -0.9, -0.05,
+                            sd.SolveConfig()) == (5.0, 10.0)
     assert not sd.find_eigenvalues(problem, -0.9, -0.05).eigenvalues
 
 
@@ -428,7 +429,7 @@ def test_an_interval_past_the_support_is_the_automatic_solve(well, past):
                                              max(edges) + past[1]))
     auto = sd.find_eigenvalues(sd.problem_for(well), E_min, E_max)
     given_ = sd.find_eigenvalues(problem, E_min, E_max)
-    assert given_.problem.interval == cues.settled(problem, problem.interval)
+    assert given_.problem.interval == (min(edges), max(edges))
     assert given_.problem.interval == auto.problem.interval
     assert given_.scan == auto.scan
     assert given_.eigenvalues == auto.eigenvalues
@@ -676,9 +677,18 @@ _ENERGY_ARGUMENTS = {
 }
 
 
+# the entries whose argument is a batch of energies, not one
+_BATCH_ENTRIES = ("defect_angles", "transfer")
+
+
 def _energy_cases():
     for entry, (call, name) in _ENERGY_ARGUMENTS.items():
         for problem_id, problem in _ENERGY_PROBLEMS.items():
+            if entry not in _BATCH_ENTRIES:
+                yield pytest.param(
+                    problem, call, np.array([-0.5, -0.4]), DomainError,
+                    f"{name} must be one energy, not an array of shape (2,)",
+                    id=f"{entry}-{problem_id}-array")
             for E in (math.nan, math.inf, -math.inf, 0.1, 0.5, -5e-4):
                 if not math.isfinite(E):
                     error, message = DomainError, (
@@ -711,7 +721,9 @@ def test_every_entry_point_refuses_a_bad_energy_by_its_argument(
     # the wrong error (fd_eigenvalues: "ThresholdError: E_max = nan") or
     # none: eigencondition_root said "E", auto_interval on a set interval
     # returned, and fd_eigenvalues between walls at nan raised scipy's
-    # LinAlgError
+    # LinAlgError.  An array given for one energy once failed untyped
+    # ("truth value of an array is ambiguous", a broadcast error) or was
+    # taken silently by auto_interval
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(problem, E)
 
